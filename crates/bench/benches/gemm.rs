@@ -52,7 +52,6 @@ fn bench_gemm_tiers(c: &mut Criterion) {
             |b, _| {
                 let mut yb = BlockedActivations::zeros(ck, n, blk.bk, blk.bn);
                 b.iter(|| {
-                    yb.as_mut_slice().fill(0.0);
                     gemm::fc_forward(&pool, &wb, &xb, &mut yb);
                 });
             },
@@ -82,7 +81,6 @@ fn bench_isa_tiers(c: &mut Criterion) {
         group.bench_function(format!("{isa:?}"), |b| {
             let mut yb = BlockedActivations::zeros(ck, n, blk.bk, blk.bn);
             b.iter(|| {
-                yb.as_mut_slice().fill(0.0);
                 gemm::fc_forward(&pool, &wb, &xb, &mut yb);
             });
         });

@@ -12,8 +12,8 @@
 //!   passes;
 //! * **persistent** — the packed plan: weights packed once outside the
 //!   loop, activations/gradients resident in grow-only blocked scratch
-//!   (`fill_zero` + kernel, no alloc, no repack), epilogues fused into the
-//!   kernel writeback. `bwd_weights` still includes the `dW` unpack the
+//!   (the kernel overwrites them: no zero-fill, no alloc, no repack),
+//!   epilogues fused into the kernel writeback. `bwd_weights` still includes the `dW` unpack the
 //!   real step performs for the flat optimizer/DDP wire.
 //!
 //! Before timing, both arms are checked **bitwise identical** per pass
@@ -119,7 +119,6 @@ fn bench_tier(
     let mut db = vec![0.0f32; k];
 
     // --- Bitwise equivalence of the two arms, per pass. ---
-    yb.fill_zero();
     gemm::fc_forward_fused(pool, &wb, &xb, &mut yb, Some(&b), true);
     let y_pers = yb.unpack();
     let y_pc = {
@@ -134,8 +133,6 @@ fn bench_tier(
         bits(y_pc.as_slice()),
         "{isa:?} {n}x{c}x{k}: fwd arms diverged"
     );
-
-    dxb.fill_zero();
     gemm::fc_backward_data_fused(pool, &wb, &dyb, &mut dxb, Some(&xb));
     let dx_pers = dxb.unpack();
     let dx_pc = {
@@ -152,8 +149,6 @@ fn bench_tier(
         bits(dx_pc.as_slice()),
         "{isa:?} {n}x{c}x{k}: bwd_data arms diverged"
     );
-
-    dwb.fill_zero();
     gemm::fc_backward_weights_fused(pool, &xb, &dyb, &mut dwb, &mut db);
     dwb.unpack_into(&mut dw_flat);
     let (dw_pc, db_pc) = {
@@ -185,7 +180,6 @@ fn bench_tier(
         yb2.unpack()
     });
     let fwd_pers = time_it(warmup, iters, || {
-        yb.fill_zero();
         gemm::fc_forward_fused(pool, &wb, &xb, &mut yb, Some(&b), true);
     });
 
@@ -199,7 +193,6 @@ fn bench_tier(
         dx
     });
     let bwd_d_pers = time_it(warmup, iters, || {
-        dxb.fill_zero();
         gemm::fc_backward_data_fused(pool, &wb, &dyb, &mut dxb, Some(&xb));
     });
 
@@ -213,7 +206,6 @@ fn bench_tier(
         (dwb2.unpack(), db2)
     });
     let bwd_w_pers = time_it(warmup, iters, || {
-        dwb.fill_zero();
         gemm::fc_backward_weights_fused(pool, &xb, &dyb, &mut dwb, &mut db);
         dwb.unpack_into(&mut dw_flat);
     });

@@ -13,7 +13,7 @@
 //! core of a different CPU.
 
 use dlrm_bench::{header, paper, time_it, HarnessOpts, Table};
-use dlrm_kernels::gemm::micro::{brgemm_fwd, detect_isa, PanelDims};
+use dlrm_kernels::gemm::micro::{brgemm_fwd, detect_isa, Beta, PanelDims, Panels, Reduce};
 use dlrm_kernels::gemm::{self, gemm_flops};
 use dlrm_kernels::ThreadPool;
 use dlrm_tensor::blocked::Blocking;
@@ -38,11 +38,9 @@ fn bench_config(pool: &ThreadPool, n: usize, c: usize, k: usize, iters: usize) -
     // ---- forward ----------------------------------------------------------
     let mut yb = BlockedActivations::zeros(k, n, blk.bk, blk.bn);
     let t_fwd_this = time_it(1, iters, || {
-        yb.as_mut_slice().fill(0.0);
         gemm::fc_forward(pool, &wb, &xb, &mut yb);
     });
     let t_fwd_nobr = time_it(1, iters, || {
-        yb.as_mut_slice().fill(0.0);
         fc_forward_no_batch_reduce(pool, &wb, &xb, &mut yb);
     });
     let mut y = Matrix::zeros(k, n);
@@ -54,7 +52,6 @@ fn bench_config(pool: &ThreadPool, n: usize, c: usize, k: usize, iters: usize) -
     // ---- backward by data --------------------------------------------------
     let mut dxb = BlockedActivations::zeros(c, n, blk.bc, blk.bn);
     let t_bwd_this = time_it(1, iters, || {
-        dxb.as_mut_slice().fill(0.0);
         gemm::fc_backward_data(pool, &wb, &dyb, &mut dxb);
     });
     let mut dx = Matrix::zeros(c, n);
@@ -66,7 +63,6 @@ fn bench_config(pool: &ThreadPool, n: usize, c: usize, k: usize, iters: usize) -
     // ---- backward by weights ----------------------------------------------
     let mut dwb = BlockedWeights::zeros(k, c, blk);
     let t_upd_this = time_it(1, iters, || {
-        dwb.as_mut_slice().fill(0.0);
         gemm::fc_backward_weights(pool, &xb, &dyb, &mut dwb);
     });
     let mut dw = Matrix::zeros(k, c);
@@ -125,10 +121,21 @@ fn fc_forward_no_batch_reduce(
             let (ibn, ibk) = (blk_idx / kb, blk_idx % kb);
             let y_off = (ibk * nb + ibn) * panel;
             for ibc in 0..cb {
-                let wp = [w.block(ibk, ibc).as_ptr()];
-                let xp = [x.block_ptr(ibc, ibn)];
+                // One-panel batches: the stride is never used.
+                let wp = Panels {
+                    ptr: w.block(ibk, ibc).as_ptr(),
+                    stride: 0,
+                };
+                let xp = Panels {
+                    ptr: x.block_ptr(ibc, ibn),
+                    stride: 0,
+                };
+                let r = Reduce {
+                    count: 1,
+                    beta: if ibc == 0 { Beta::Zero } else { Beta::One },
+                };
                 // SAFETY: disjoint output panels per thread.
-                unsafe { brgemm_fwd(isa, &wp, &xp, y_ptr.get().add(y_off), d) };
+                unsafe { brgemm_fwd(isa, wp, xp, r, y_ptr.get().add(y_off), d) };
             }
         }
     });

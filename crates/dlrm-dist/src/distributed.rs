@@ -240,7 +240,8 @@ impl DistDlrm {
             &cfg.bottom_mlp,
             Activation::Relu,
             &mut seeded_rng(opts.seed, DlrmModel::BOTTOM_STREAM),
-        );
+        )
+        .without_input_grad(); // dense features are a leaf
         let top = Mlp::new(
             cfg.interaction_output_dim(),
             &cfg.top_mlp,

@@ -266,7 +266,6 @@ impl Linear {
         self.ensure_packed(n);
         let blk = self.blocking(n);
         yb.reshape_scratch(self.w.rows(), n, blk.bk, blk.bn);
-        yb.fill_zero();
         gemm::fc_forward_fused(
             pool,
             &self.plan.wb,
@@ -281,7 +280,14 @@ impl Linear {
 
     /// Backward: consumes the gradient w.r.t. this layer's output and
     /// returns the gradient w.r.t. its input; fills `dw`/`db`.
-    pub fn backward(&mut self, exec: &Execution, mut dy: Matrix) -> Matrix {
+    pub fn backward(&mut self, exec: &Execution, dy: Matrix) -> Matrix {
+        self.backward_opt(exec, dy, true)
+    }
+
+    /// [`Linear::backward`], computing the input gradient only if
+    /// `need_dx`; otherwise the data pass is skipped and an empty (0×0)
+    /// matrix comes back.
+    fn backward_opt(&mut self, exec: &Execution, mut dy: Matrix, need_dx: bool) -> Matrix {
         match exec {
             Execution::Reference => self.sync_flat_weights(),
             Execution::Optimized(_) => self.ensure_packed(dy.cols()),
@@ -300,6 +306,9 @@ impl Linear {
                 // dW = dY · Xᵀ
                 self.dw.fill_zero();
                 exec.gemm_nt(&dy, x, &mut self.dw);
+                if !need_dx {
+                    return Matrix::zeros(0, 0);
+                }
                 // dX = Wᵀ · dY
                 let mut dx = Matrix::zeros(self.w.cols(), n);
                 exec.gemm_tn(&self.w, &dy, &mut dx);
@@ -310,9 +319,11 @@ impl Linear {
                 let xb = BlockedActivations::pack(x, blk.bc, blk.bn);
                 let dyb = BlockedActivations::pack(&dy, blk.bk, blk.bn);
                 self.plan.dwb.reshape_scratch(k, c, blk);
-                self.plan.dwb.fill_zero();
                 gemm::fc_backward_weights(pool, &xb, &dyb, &mut self.plan.dwb);
                 self.plan.dwb.unpack_into(&mut self.dw);
+                if !need_dx {
+                    return Matrix::zeros(0, 0);
+                }
                 let mut dxb = BlockedActivations::zeros(c, n, blk.bc, blk.bn);
                 gemm::fc_backward_data(pool, &self.plan.wb, &dyb, &mut dxb);
                 dxb.unpack()
@@ -428,6 +439,8 @@ fn mask_blocked(g: &mut BlockedActivations, y: &BlockedActivations) {
 pub struct Mlp {
     /// The layers in forward order.
     pub layers: Vec<Linear>,
+    /// Whether backward computes the gradient w.r.t. the MLP's input.
+    input_grad: bool,
     scratch: MlpScratch,
 }
 
@@ -449,8 +462,18 @@ impl Mlp {
         }
         Mlp {
             layers,
+            input_grad: true,
             scratch: MlpScratch::new(),
         }
+    }
+
+    /// Marks this MLP's input as a leaf nobody differentiates (raw
+    /// features, `requires_grad = false`): backward skips layer 0's data
+    /// pass and returns an empty (0×0) matrix. Weight and bias gradients
+    /// are unaffected.
+    pub fn without_input_grad(mut self) -> Self {
+        self.input_grad = false;
+        self
     }
 
     /// Output feature count.
@@ -500,7 +523,8 @@ impl Mlp {
         }
     }
 
-    /// Backward through all layers; returns gradient w.r.t. the input.
+    /// Backward through all layers; returns gradient w.r.t. the input
+    /// (empty for an MLP built [`Mlp::without_input_grad`]).
     pub fn backward(&mut self, exec: &Execution, dy: Matrix) -> Matrix {
         self.backward_with(exec, dy, |_, _| {})
     }
@@ -525,7 +549,7 @@ impl Mlp {
         }
         let mut cur = dy;
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            cur = layer.backward(exec, cur);
+            cur = layer.backward_opt(exec, cur, i > 0 || self.input_grad);
             on_layer(i, layer);
         }
         cur
@@ -573,7 +597,6 @@ impl Mlp {
             // unpacked into the flat gradient so DDP hooks and the wire
             // format are unchanged.
             layer.plan.dwb.reshape_scratch(k, c, blk);
-            layer.plan.dwb.fill_zero();
             gemm::fc_backward_weights_fused(
                 pool,
                 &scratch.acts[i],
@@ -582,8 +605,11 @@ impl Mlp {
                 &mut layer.db,
             );
             layer.plan.dwb.unpack_into(&mut layer.dw);
+            if i == 0 && !self.input_grad {
+                on_layer(i, layer);
+                return Matrix::zeros(0, 0);
+            }
             scratch.grad_b.reshape_scratch(c, n, blk.bc, blk.bn);
-            scratch.grad_b.fill_zero();
             let mask = if prev_relu {
                 Some(&scratch.acts[i])
             } else {
@@ -812,6 +838,28 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect();
             assert_eq!(hooked_bits[i], want, "layer {i}");
+        }
+    }
+
+    #[test]
+    fn without_input_grad_skips_only_the_input_gradient() {
+        for exec in both_execs() {
+            let build = || Mlp::new(6, &[16, 8, 3], Activation::None, &mut seeded_rng(13, 0));
+            let (mut full, mut leaf) = (build(), build().without_input_grad());
+            let x = uniform(6, 12, -1.0, 1.0, &mut seeded_rng(14, 0));
+            let dy = uniform(3, 12, -1.0, 1.0, &mut seeded_rng(15, 0));
+            let _ = full.forward(&exec, &x);
+            let _ = leaf.forward(&exec, &x);
+            let dx = full.backward(&exec, dy.clone());
+            assert_eq!(dx.shape(), (6, 12));
+            let mut seen = Vec::new();
+            let none = leaf.backward_with(&exec, dy, |i, _| seen.push(i));
+            assert_eq!(none.shape(), (0, 0));
+            assert_eq!(seen, vec![2, 1, 0], "hook still fires for layer 0");
+            for (a, b) in full.layers.iter().zip(&leaf.layers) {
+                assert_eq!(a.dw.as_slice(), b.dw.as_slice());
+                assert_eq!(a.db, b.db);
+            }
         }
     }
 

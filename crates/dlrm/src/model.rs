@@ -77,7 +77,8 @@ impl DlrmModel {
             &cfg.bottom_mlp,
             Activation::Relu,
             &mut seeded_rng(seed, Self::BOTTOM_STREAM),
-        );
+        )
+        .without_input_grad(); // dense features are a leaf
         assert_eq!(
             bottom.out_features(),
             cfg.emb_dim,

@@ -10,15 +10,18 @@
 //! are taken between steps, when no kernel is in flight.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 struct CountingAlloc;
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+/// Calls to `alloc`/`realloc` by any thread, pool workers included.
+static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -32,12 +35,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
             new_size as isize - layout.size() as isize,
             Ordering::Relaxed,
         );
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The counters are process-wide, so the tests of this binary take turns.
+static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn my_turn() -> std::sync::MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the counters it guards are still fine.
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 use dlrm::prelude::*;
 use dlrm_data::{DlrmConfig, IndexDistribution, MiniBatch};
@@ -114,18 +126,21 @@ fn assert_steady(samples: &[(isize, usize)], label: &str) {
 
 #[test]
 fn race_free_step_does_not_grow_allocations() {
+    let _turn = my_turn();
     let samples = sample_training(UpdateStrategy::RaceFree, false, 50);
     assert_steady(&samples, "race-free");
 }
 
 #[test]
 fn bucketed_step_does_not_grow_allocations() {
+    let _turn = my_turn();
     let samples = sample_training(UpdateStrategy::Bucketed, false, 50);
     assert_steady(&samples, "bucketed");
 }
 
 #[test]
 fn planned_fused_step_does_not_grow_allocations() {
+    let _turn = my_turn();
     let samples = sample_training(UpdateStrategy::RaceFree, true, 50);
     assert_steady(&samples, "planned-fused");
 }
@@ -136,6 +151,7 @@ fn planned_fused_step_does_not_grow_allocations() {
 /// shape.
 #[test]
 fn mlp_packed_plan_step_does_not_grow_allocations() {
+    let _turn = my_turn();
     use dlrm::layers::{Activation, Mlp};
     use dlrm_tensor::init::uniform;
     use dlrm_tensor::Matrix;
@@ -153,4 +169,61 @@ fn mlp_packed_plan_step_does_not_grow_allocations() {
         samples.push((LIVE_BYTES.load(Ordering::Relaxed), mlp.scratch_bytes()));
     }
     assert_steady(&samples, "mlp-packed-plan");
+}
+
+/// The blocked GEMM drivers allocate nothing on any thread beyond what an
+/// empty dispatch on the same pool does (the pool boxes each job once):
+/// reduction panels are named by base + stride, not by per-thread pointer
+/// lists. Counted over calls, not sampled as live bytes, because the lists
+/// were freed again before any sample could see them.
+#[test]
+fn blocked_gemm_drivers_do_not_allocate() {
+    let _turn = my_turn();
+    use dlrm_kernels::{gemm, ThreadPool};
+    use dlrm_tensor::init::uniform;
+    use dlrm_tensor::{BlockedActivations, BlockedWeights, Blocking};
+
+    let pool = ThreadPool::new(3);
+    let (k, c, n) = (32, 24, 16);
+    let blk = Blocking {
+        bn: 8,
+        bc: 8,
+        bk: 16,
+    };
+    let mut rng = seeded_rng(51, 0);
+    let wb = BlockedWeights::pack(&uniform(k, c, -1.0, 1.0, &mut rng), blk);
+    let xb = BlockedActivations::pack(&uniform(c, n, -1.0, 1.0, &mut rng), blk.bc, blk.bn);
+    let dyb = BlockedActivations::pack(&uniform(k, n, -1.0, 1.0, &mut rng), blk.bk, blk.bn);
+    let bias = vec![0.5f32; k];
+    let mut yb = BlockedActivations::zeros(k, n, blk.bk, blk.bn);
+    let mut dxb = BlockedActivations::zeros(c, n, blk.bc, blk.bn);
+    let mut dwb = BlockedWeights::zeros(k, c, blk);
+    let mut db = vec![0.0f32; k];
+
+    let mut all_six = || {
+        gemm::fc_forward(&pool, &wb, &xb, &mut yb);
+        gemm::fc_forward_fused(&pool, &wb, &xb, &mut yb, Some(&bias), true);
+        gemm::fc_backward_data(&pool, &wb, &dyb, &mut dxb);
+        gemm::fc_backward_data_fused(&pool, &wb, &dyb, &mut dxb, Some(&xb));
+        gemm::fc_backward_weights(&pool, &xb, &dyb, &mut dwb);
+        gemm::fc_backward_weights_fused(&pool, &xb, &dyb, &mut dwb, &mut db);
+    };
+    let calls_during = |f: &mut dyn FnMut()| {
+        f(); // first dispatch may grow pool-internal state
+        let before = ALLOC_CALLS.load(Ordering::SeqCst);
+        for _ in 0..20 {
+            f();
+        }
+        ALLOC_CALLS.load(Ordering::SeqCst) - before
+    };
+    let dispatch_only = calls_during(&mut || {
+        for _ in 0..6 {
+            pool.parallel_for(6, |_, _| {});
+        }
+    });
+    let drivers = calls_during(&mut all_six);
+    assert_eq!(
+        drivers, dispatch_only,
+        "120 driver calls allocated {drivers} times, 120 empty dispatches {dispatch_only}"
+    );
 }

@@ -2,65 +2,33 @@
 //!
 //! Each pass assigns output *blocks* to the thread team (line 1 of
 //! Algorithm 5: "based on thread id calculate ... to assign output work
-//! items"), prepares the batch-reduce pointer lists (lines 5–7) and invokes
-//! the microkernel once per output block (line 9). Threads write disjoint
-//! output panels, so no synchronization is needed beyond the team barrier.
+//! items"), names the batch of operand panels to reduce (lines 5–7; the
+//! panels are equally strided, so a base pointer and a stride stand in for
+//! the paper's pointer lists) and invokes the microkernel once per output
+//! block (line 9). Threads write disjoint output panels, so no
+//! synchronization is needed beyond the team barrier.
+//!
+//! Every pass **overwrites** its output (β = 0 on the first reduction
+//! panel): outputs need no zero-fill and may hold unspecified scratch
+//! contents on entry. The result is bitwise what accumulating into a
+//! zero-filled output would give.
 
 use super::micro::{
-    brgemm_bwd_data, brgemm_bwd_data_relu, brgemm_bwd_wt, brgemm_bwd_wt_bias, brgemm_fwd,
-    detect_isa, PanelDims,
+    brgemm_bwd_data, brgemm_bwd_wt, brgemm_bwd_wt_bias, brgemm_fwd, detect_isa, Beta, PanelDims,
+    Panels, Reduce,
 };
 use super::SendMutPtr;
 use crate::threadpool::ThreadPool;
 use dlrm_tensor::{BlockedActivations, BlockedWeights};
 
 /// Forward pass: `Y = W · X` with `W: K×C`, `X: C×N`, `Y: K×N`.
-///
-/// `y` must be pre-zeroed (the kernel accumulates, which is what lets the
-/// same code serve fused residual adds).
 pub fn fc_forward(
     pool: &ThreadPool,
     w: &BlockedWeights,
     x: &BlockedActivations,
     y: &mut BlockedActivations,
 ) {
-    assert_eq!(w.c, x.c, "fc_forward: W columns != X rows");
-    assert_eq!(y.c, w.k, "fc_forward: Y rows != W rows");
-    assert_eq!(y.n, x.n, "fc_forward: batch mismatch");
-    assert_eq!(w.blk.bc, x.bc, "fc_forward: bc mismatch");
-    assert_eq!(y.bc, w.blk.bk, "fc_forward: bk mismatch");
-    assert_eq!(y.bn, x.bn, "fc_forward: bn mismatch");
-
-    let d = PanelDims {
-        bn: x.bn,
-        bc: x.bc,
-        bk: w.blk.bk,
-    };
-    let (kb, cb, nb) = (w.kb(), w.cb(), x.nb());
-    let isa = detect_isa();
-    let y_base = SendMutPtr(y.as_mut_slice().as_mut_ptr());
-    let panel = d.bn * d.bk;
-
-    // Output blocks (ibk, ibn) flattened; ibn-major so consecutive threads
-    // share weight sub-tensors from the cache where possible.
-    pool.parallel_for(kb * nb, |_tid, range| {
-        let mut w_ptrs: Vec<*const f32> = Vec::with_capacity(cb);
-        let mut x_ptrs: Vec<*const f32> = Vec::with_capacity(cb);
-        for blk_idx in range {
-            let (ibn, ibk) = (blk_idx / kb, blk_idx % kb);
-            w_ptrs.clear();
-            x_ptrs.clear();
-            for ibc in 0..cb {
-                w_ptrs.push(w.block(ibk, ibc).as_ptr());
-                x_ptrs.push(x.block_ptr(ibc, ibn));
-            }
-            // Y block (ibk, ibn): same block-major order as BlockedActivations.
-            let y_off = (ibk * nb + ibn) * panel;
-            // SAFETY: each (ibk, ibn) pair is visited by exactly one thread,
-            // and panels are disjoint slices of y.
-            unsafe { brgemm_fwd(isa, &w_ptrs, &x_ptrs, y_base.get().add(y_off), d) };
-        }
-    });
+    fc_forward_fused(pool, w, x, y, None, false);
 }
 
 /// Forward pass with a fused epilogue: `Y = act(W·X + b)` where the bias
@@ -68,7 +36,8 @@ pub fn fc_forward(
 /// GEMM*, while the panel is still hot in cache — "ReLU can directly happen
 /// inside a custom GEMM routine when the C matrix is still hot in caches"
 /// (Section II). Saves one full read+write sweep of `Y` versus applying the
-/// activation as a separate pass.
+/// activation as a separate pass. With no bias and no ReLU this is exactly
+/// [`fc_forward`].
 pub fn fc_forward_fused(
     pool: &ThreadPool,
     w: &BlockedWeights,
@@ -77,14 +46,14 @@ pub fn fc_forward_fused(
     bias: Option<&[f32]>,
     relu: bool,
 ) {
-    assert_eq!(w.c, x.c, "fc_forward_fused: W columns != X rows");
-    assert_eq!(y.c, w.k, "fc_forward_fused: Y rows != W rows");
-    assert_eq!(y.n, x.n, "fc_forward_fused: batch mismatch");
-    assert_eq!(w.blk.bc, x.bc, "fc_forward_fused: bc mismatch");
-    assert_eq!(y.bc, w.blk.bk, "fc_forward_fused: bk mismatch");
-    assert_eq!(y.bn, x.bn, "fc_forward_fused: bn mismatch");
+    assert_eq!(w.c, x.c, "fc_forward: W columns != X rows");
+    assert_eq!(y.c, w.k, "fc_forward: Y rows != W rows");
+    assert_eq!(y.n, x.n, "fc_forward: batch mismatch");
+    assert_eq!(w.blk.bc, x.bc, "fc_forward: bc mismatch");
+    assert_eq!(y.bc, w.blk.bk, "fc_forward: bk mismatch");
+    assert_eq!(y.bn, x.bn, "fc_forward: bn mismatch");
     if let Some(b) = bias {
-        assert_eq!(b.len(), w.k, "fc_forward_fused: bias length");
+        assert_eq!(b.len(), w.k, "fc_forward: bias length");
     }
 
     let d = PanelDims {
@@ -96,23 +65,34 @@ pub fn fc_forward_fused(
     let isa = detect_isa();
     let y_base = SendMutPtr(y.as_mut_slice().as_mut_ptr());
     let panel = d.bn * d.bk;
+    // The reduction runs over the C blocks.
+    let reduce = Reduce {
+        count: cb,
+        beta: Beta::Zero,
+    };
+    let (w_stride, x_stride) = (d.bc * d.bk, nb * d.bn * d.bc);
 
+    // Output blocks (ibk, ibn) flattened; ibn-major so consecutive threads
+    // share weight sub-tensors from the cache where possible.
     pool.parallel_for(kb * nb, |_tid, range| {
-        let mut w_ptrs: Vec<*const f32> = Vec::with_capacity(cb);
-        let mut x_ptrs: Vec<*const f32> = Vec::with_capacity(cb);
         for blk_idx in range {
             let (ibn, ibk) = (blk_idx / kb, blk_idx % kb);
-            w_ptrs.clear();
-            x_ptrs.clear();
-            for ibc in 0..cb {
-                w_ptrs.push(w.block(ibk, ibc).as_ptr());
-                x_ptrs.push(x.block_ptr(ibc, ibn));
-            }
+            let w_panels = Panels {
+                ptr: w.block(ibk, 0).as_ptr(),
+                stride: w_stride,
+            };
+            let x_panels = Panels {
+                ptr: x.block_ptr(0, ibn),
+                stride: x_stride,
+            };
+            // Y block (ibk, ibn): same block-major order as BlockedActivations.
             let y_off = (ibk * nb + ibn) * panel;
-            // SAFETY: disjoint (ibk, ibn) output panels per thread; the
+            // SAFETY: each (ibk, ibn) pair is visited by exactly one thread,
+            // and panels are disjoint slices of y; the cb panels of row ibk
+            // of w and of column ibn of x lie at the strides above. The
             // epilogue below touches only this panel.
             unsafe {
-                brgemm_fwd(isa, &w_ptrs, &x_ptrs, y_base.get().add(y_off), d);
+                brgemm_fwd(isa, w_panels, x_panels, reduce, y_base.get().add(y_off), d);
                 let out = std::slice::from_raw_parts_mut(y_base.get().add(y_off), panel);
                 // Panel layout is [bn][bk]; bias indexes the K dimension.
                 if let Some(b) = bias {
@@ -124,10 +104,11 @@ pub fn fc_forward_fused(
                     }
                 }
                 if relu {
+                    // A select, not a conditional store: the sign is a coin
+                    // flip, and this form vectorizes. (Not `max`: -0.0 and
+                    // NaN must pass through unchanged.)
                     for v in out.iter_mut() {
-                        if *v < 0.0 {
-                            *v = 0.0;
-                        }
+                        *v = if *v < 0.0 { 0.0 } else { *v };
                     }
                 }
             }
@@ -136,46 +117,13 @@ pub fn fc_forward_fused(
 }
 
 /// Backward-by-data pass: `dX = Wᵀ · dY`.
-///
-/// `dx` must be pre-zeroed.
 pub fn fc_backward_data(
     pool: &ThreadPool,
     w: &BlockedWeights,
     dy: &BlockedActivations,
     dx: &mut BlockedActivations,
 ) {
-    assert_eq!(dy.c, w.k, "fc_backward_data: dY rows != W rows");
-    assert_eq!(dx.c, w.c, "fc_backward_data: dX rows != W cols");
-    assert_eq!(dx.n, dy.n, "fc_backward_data: batch mismatch");
-    assert_eq!(dy.bc, w.blk.bk, "fc_backward_data: bk mismatch");
-    assert_eq!(dx.bc, w.blk.bc, "fc_backward_data: bc mismatch");
-
-    let d = PanelDims {
-        bn: dy.bn,
-        bc: w.blk.bc,
-        bk: w.blk.bk,
-    };
-    let (kb, cb, nb) = (w.kb(), w.cb(), dy.nb());
-    let isa = detect_isa();
-    let dx_base = SendMutPtr(dx.as_mut_slice().as_mut_ptr());
-    let panel = d.bn * d.bc;
-
-    pool.parallel_for(cb * nb, |_tid, range| {
-        let mut w_ptrs: Vec<*const f32> = Vec::with_capacity(kb);
-        let mut dy_ptrs: Vec<*const f32> = Vec::with_capacity(kb);
-        for blk_idx in range {
-            let (ibn, ibc) = (blk_idx / cb, blk_idx % cb);
-            w_ptrs.clear();
-            dy_ptrs.clear();
-            for ibk in 0..kb {
-                w_ptrs.push(w.block(ibk, ibc).as_ptr());
-                dy_ptrs.push(dy.block_ptr(ibk, ibn));
-            }
-            let dx_off = (ibc * nb + ibn) * panel;
-            // SAFETY: disjoint (ibc, ibn) output panels per thread.
-            unsafe { brgemm_bwd_data(isa, &w_ptrs, &dy_ptrs, dx_base.get().add(dx_off), d) };
-        }
-    });
+    fc_backward_data_fused(pool, w, dy, dx, None);
 }
 
 /// Backward-by-data with the upstream ReLU mask fused into the panel
@@ -186,8 +134,7 @@ pub fn fc_backward_data(
 /// bitwise identical to [`fc_backward_data`] followed by a separate
 /// `relu_backward` sweep, without the extra pass over `dX`.
 ///
-/// `dx` must be pre-zeroed. With `relu_mask: None` this is exactly
-/// [`fc_backward_data`].
+/// With `relu_mask: None` this is exactly [`fc_backward_data`].
 pub fn fc_backward_data_fused(
     pool: &ThreadPool,
     w: &BlockedWeights,
@@ -195,21 +142,18 @@ pub fn fc_backward_data_fused(
     dx: &mut BlockedActivations,
     relu_mask: Option<&BlockedActivations>,
 ) {
-    assert_eq!(dy.c, w.k, "fc_backward_data_fused: dY rows != W rows");
-    assert_eq!(dx.c, w.c, "fc_backward_data_fused: dX rows != W cols");
-    assert_eq!(dx.n, dy.n, "fc_backward_data_fused: batch mismatch");
-    assert_eq!(dy.bc, w.blk.bk, "fc_backward_data_fused: bk mismatch");
-    assert_eq!(dx.bc, w.blk.bc, "fc_backward_data_fused: bc mismatch");
+    assert_eq!(dy.c, w.k, "fc_backward_data: dY rows != W rows");
+    assert_eq!(dx.c, w.c, "fc_backward_data: dX rows != W cols");
+    assert_eq!(dx.n, dy.n, "fc_backward_data: batch mismatch");
+    assert_eq!(dy.bc, w.blk.bk, "fc_backward_data: bk mismatch");
+    assert_eq!(dx.bc, w.blk.bc, "fc_backward_data: bc mismatch");
+    assert_eq!(dx.bn, dy.bn, "fc_backward_data: bn mismatch");
     if let Some(m) = relu_mask {
-        assert_eq!(
-            (m.c, m.n),
-            (dx.c, dx.n),
-            "fc_backward_data_fused: mask shape"
-        );
+        assert_eq!((m.c, m.n), (dx.c, dx.n), "fc_backward_data: mask shape");
         assert_eq!(
             (m.bc, m.bn),
             (dx.bc, dx.bn),
-            "fc_backward_data_fused: mask blocking"
+            "fc_backward_data: mask blocking"
         );
     }
 
@@ -222,82 +166,52 @@ pub fn fc_backward_data_fused(
     let isa = detect_isa();
     let dx_base = SendMutPtr(dx.as_mut_slice().as_mut_ptr());
     let panel = d.bn * d.bc;
+    // The reduction runs over the K blocks.
+    let reduce = Reduce {
+        count: kb,
+        beta: Beta::Zero,
+    };
+    let (w_stride, dy_stride) = (cb * d.bc * d.bk, nb * d.bn * d.bk);
 
     pool.parallel_for(cb * nb, |_tid, range| {
-        let mut w_ptrs: Vec<*const f32> = Vec::with_capacity(kb);
-        let mut dy_ptrs: Vec<*const f32> = Vec::with_capacity(kb);
         for blk_idx in range {
             let (ibn, ibc) = (blk_idx / cb, blk_idx % cb);
-            w_ptrs.clear();
-            dy_ptrs.clear();
-            for ibk in 0..kb {
-                w_ptrs.push(w.block(ibk, ibc).as_ptr());
-                dy_ptrs.push(dy.block_ptr(ibk, ibn));
-            }
+            let w_panels = Panels {
+                ptr: w.block(0, ibc).as_ptr(),
+                stride: w_stride,
+            };
+            let dy_panels = Panels {
+                ptr: dy.block_ptr(0, ibn),
+                stride: dy_stride,
+            };
             let dx_off = (ibc * nb + ibn) * panel;
-            // SAFETY: disjoint (ibc, ibn) output panels per thread; the mask
-            // panel is read-only and congruent with the dx panel.
+            // SAFETY: disjoint (ibc, ibn) output panels per thread; the kb
+            // panels of column ibc of w and of column ibn of dy lie at the
+            // strides above; the mask panel is read-only and congruent with
+            // the dx panel.
             unsafe {
-                match relu_mask {
-                    Some(m) => brgemm_bwd_data_relu(
-                        isa,
-                        &w_ptrs,
-                        &dy_ptrs,
-                        dx_base.get().add(dx_off),
-                        m.block_ptr(ibc, ibn),
-                        d,
-                    ),
-                    None => brgemm_bwd_data(isa, &w_ptrs, &dy_ptrs, dx_base.get().add(dx_off), d),
-                }
-            }
+                brgemm_bwd_data(
+                    isa,
+                    w_panels,
+                    dy_panels,
+                    reduce,
+                    dx_base.get().add(dx_off),
+                    relu_mask.map(|m| m.block_ptr(ibc, ibn)),
+                    d,
+                )
+            };
         }
     });
 }
 
 /// Backward-by-weights pass: `dW = dY · Xᵀ`.
-///
-/// `dw` must be pre-zeroed.
 pub fn fc_backward_weights(
     pool: &ThreadPool,
     x: &BlockedActivations,
     dy: &BlockedActivations,
     dw: &mut BlockedWeights,
 ) {
-    assert_eq!(dw.k, dy.c, "fc_backward_weights: dW rows != dY rows");
-    assert_eq!(dw.c, x.c, "fc_backward_weights: dW cols != X rows");
-    assert_eq!(x.n, dy.n, "fc_backward_weights: batch mismatch");
-    assert_eq!(dw.blk.bc, x.bc, "fc_backward_weights: bc mismatch");
-    assert_eq!(dw.blk.bk, dy.bc, "fc_backward_weights: bk mismatch");
-
-    let d = PanelDims {
-        bn: x.bn,
-        bc: x.bc,
-        bk: dw.blk.bk,
-    };
-    let (kb, cb, nb) = (dw.kb(), dw.cb(), x.nb());
-    let isa = detect_isa();
-    let dw_base = SendMutPtr(dw.as_mut_slice().as_mut_ptr());
-    let panel = d.bc * d.bk;
-
-    // The reduction here is over the minibatch blocks — this is the pass
-    // whose locality motivated the paper's [Cb][Nb][bn][bc] activation
-    // layout choice.
-    pool.parallel_for(kb * cb, |_tid, range| {
-        let mut x_ptrs: Vec<*const f32> = Vec::with_capacity(nb);
-        let mut dy_ptrs: Vec<*const f32> = Vec::with_capacity(nb);
-        for blk_idx in range {
-            let (ibk, ibc) = (blk_idx / cb, blk_idx % cb);
-            x_ptrs.clear();
-            dy_ptrs.clear();
-            for ibn in 0..nb {
-                x_ptrs.push(x.block_ptr(ibc, ibn));
-                dy_ptrs.push(dy.block_ptr(ibk, ibn));
-            }
-            let dw_off = (ibk * cb + ibc) * panel;
-            // SAFETY: disjoint (ibk, ibc) output panels per thread.
-            unsafe { brgemm_bwd_wt(isa, &x_ptrs, &dy_ptrs, dw_base.get().add(dw_off), d) };
-        }
-    });
+    backward_weights(pool, x, dy, dw, None);
 }
 
 /// Backward-by-weights with the bias-gradient reduction fused in:
@@ -308,7 +222,7 @@ pub fn fc_backward_weights(
 /// `bias_grad_rows` on the unpacked gradient (ascending-`n` plain adds per
 /// lane; see `brgemm_bwd_wt_bias`).
 ///
-/// `dw` must be pre-zeroed; `db` (length `K`) is overwritten.
+/// `db` (length `K`) is overwritten, like `dw`.
 pub fn fc_backward_weights_fused(
     pool: &ThreadPool,
     x: &BlockedActivations,
@@ -316,12 +230,23 @@ pub fn fc_backward_weights_fused(
     dw: &mut BlockedWeights,
     db: &mut [f32],
 ) {
-    assert_eq!(dw.k, dy.c, "fc_backward_weights_fused: dW rows != dY rows");
-    assert_eq!(dw.c, x.c, "fc_backward_weights_fused: dW cols != X rows");
-    assert_eq!(x.n, dy.n, "fc_backward_weights_fused: batch mismatch");
-    assert_eq!(dw.blk.bc, x.bc, "fc_backward_weights_fused: bc mismatch");
-    assert_eq!(dw.blk.bk, dy.bc, "fc_backward_weights_fused: bk mismatch");
-    assert_eq!(db.len(), dw.k, "fc_backward_weights_fused: db length");
+    assert_eq!(db.len(), dw.k, "fc_backward_weights: db length");
+    backward_weights(pool, x, dy, dw, Some(db));
+}
+
+fn backward_weights(
+    pool: &ThreadPool,
+    x: &BlockedActivations,
+    dy: &BlockedActivations,
+    dw: &mut BlockedWeights,
+    db: Option<&mut [f32]>,
+) {
+    assert_eq!(dw.k, dy.c, "fc_backward_weights: dW rows != dY rows");
+    assert_eq!(dw.c, x.c, "fc_backward_weights: dW cols != X rows");
+    assert_eq!(x.n, dy.n, "fc_backward_weights: batch mismatch");
+    assert_eq!(dw.blk.bc, x.bc, "fc_backward_weights: bc mismatch");
+    assert_eq!(dw.blk.bk, dy.bc, "fc_backward_weights: bk mismatch");
+    assert_eq!(x.bn, dy.bn, "fc_backward_weights: bn mismatch");
 
     let d = PanelDims {
         bn: x.bn,
@@ -331,35 +256,44 @@ pub fn fc_backward_weights_fused(
     let (kb, cb, nb) = (dw.kb(), dw.cb(), x.nb());
     let isa = detect_isa();
     let dw_base = SendMutPtr(dw.as_mut_slice().as_mut_ptr());
-    let db_base = SendMutPtr(db.as_mut_ptr());
+    let db_base = db.map(|db| SendMutPtr(db.as_mut_ptr()));
     let panel = d.bc * d.bk;
+    // The reduction runs over the minibatch blocks — this is the pass whose
+    // locality motivated the paper's [Cb][Nb][bn][bc] activation layout
+    // choice: the panels reduced are adjacent.
+    let reduce = Reduce {
+        count: nb,
+        beta: Beta::Zero,
+    };
 
     pool.parallel_for(kb * cb, |_tid, range| {
-        let mut x_ptrs: Vec<*const f32> = Vec::with_capacity(nb);
-        let mut dy_ptrs: Vec<*const f32> = Vec::with_capacity(nb);
         for blk_idx in range {
             let (ibk, ibc) = (blk_idx / cb, blk_idx % cb);
-            x_ptrs.clear();
-            dy_ptrs.clear();
-            for ibn in 0..nb {
-                x_ptrs.push(x.block_ptr(ibc, ibn));
-                dy_ptrs.push(dy.block_ptr(ibk, ibn));
-            }
+            let x_panels = Panels {
+                ptr: x.block_ptr(ibc, 0),
+                stride: d.bn * d.bc,
+            };
+            let dy_panels = Panels {
+                ptr: dy.block_ptr(ibk, 0),
+                stride: d.bn * d.bk,
+            };
             let dw_off = (ibk * cb + ibc) * panel;
-            // SAFETY: disjoint (ibk, ibc) dW panels per thread; the db
-            // fragment for ibk is written only by the (ibk, 0) work item.
+            // SAFETY: disjoint (ibk, ibc) dW panels per thread; the nb
+            // panels of row ibc of x and of row ibk of dy are adjacent; the
+            // db fragment for ibk is written only by the (ibk, 0) work item.
             unsafe {
-                if ibc == 0 {
-                    brgemm_bwd_wt_bias(
+                let dw_panel = dw_base.get().add(dw_off);
+                match db_base {
+                    Some(db) if ibc == 0 => brgemm_bwd_wt_bias(
                         isa,
-                        &x_ptrs,
-                        &dy_ptrs,
-                        dw_base.get().add(dw_off),
-                        db_base.get().add(ibk * d.bk),
+                        x_panels,
+                        dy_panels,
+                        reduce,
+                        dw_panel,
+                        db.get().add(ibk * d.bk),
                         d,
-                    );
-                } else {
-                    brgemm_bwd_wt(isa, &x_ptrs, &dy_ptrs, dw_base.get().add(dw_off), d);
+                    ),
+                    _ => brgemm_bwd_wt(isa, x_panels, dy_panels, reduce, dw_panel, d),
                 }
             }
         }
@@ -624,6 +558,52 @@ mod tests {
             let a: Vec<u32> = db_got.iter().map(|v| v.to_bits()).collect();
             let b: Vec<u32> = db_want.iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, b, "fused db must bitwise match bias_grad_rows {blk:?}");
+        }
+    }
+
+    #[test]
+    fn every_pass_overwrites_a_garbage_output_with_the_zero_start_result() {
+        // Scratch outputs are reshaped, not zero-filled, between steps: a
+        // pass must neither read nor keep what it finds there.
+        let pool = ThreadPool::new(3);
+        for blk in [
+            Blocking {
+                bn: 4,
+                bc: 8,
+                bk: 16,
+            },
+            Blocking {
+                bn: 3,
+                bc: 5,
+                bk: 6,
+            }, // scalar microkernel path
+        ] {
+            let (k, c, n) = (2 * blk.bk, 3 * blk.bc, 2 * blk.bn);
+            let p = problem(k, c, n, blk, 31);
+            let bias = vec![0.25f32; k];
+            let wb = dlrm_tensor::BlockedWeights::pack(&p.w, blk);
+            let xb = dlrm_tensor::BlockedActivations::pack(&p.x, blk.bc, blk.bn);
+            let dyb = dlrm_tensor::BlockedActivations::pack(&p.dy, blk.bk, blk.bn);
+            let run = |fill: f32| {
+                let mut yb = dlrm_tensor::BlockedActivations::zeros(k, n, blk.bk, blk.bn);
+                let mut dxb = dlrm_tensor::BlockedActivations::zeros(c, n, blk.bc, blk.bn);
+                let mut dwb = dlrm_tensor::BlockedWeights::zeros(k, c, blk);
+                yb.as_mut_slice().fill(fill);
+                dxb.as_mut_slice().fill(fill);
+                dwb.as_mut_slice().fill(fill);
+                let mut db = vec![fill; k];
+                fc_forward_fused(&pool, &wb, &xb, &mut yb, Some(&bias), true);
+                fc_backward_data_fused(&pool, &wb, &dyb, &mut dxb, Some(&xb));
+                fc_backward_weights_fused(&pool, &xb, &dyb, &mut dwb, &mut db);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                [
+                    bits(yb.as_slice()),
+                    bits(dxb.as_slice()),
+                    bits(dwb.as_slice()),
+                    bits(&db),
+                ]
+            };
+            assert_eq!(run(f32::NAN), run(0.0), "{blk:?}");
         }
     }
 

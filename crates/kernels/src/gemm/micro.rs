@@ -1,21 +1,52 @@
 //! Batch-reduce GEMM microkernels with runtime ISA dispatch.
 //!
 //! The paper's MLP kernels are built on a single primitive: the
-//! *batch-reduce GEMM* (Georganas et al., IPDPS'20). The caller prepares an
-//! array of A-panel and B-panel pointers and the microkernel multiplies and
-//! reduces *all* of them into one output panel, amortizing the load/store of
-//! the C accumulator over the whole reduction ("lines 5–9 of Algorithm 5").
+//! *batch-reduce GEMM* (Georganas et al., IPDPS'20). The caller names a batch
+//! of A panels and B panels and the microkernel multiplies and reduces *all*
+//! of them into one output panel, amortizing the load/store of the C
+//! accumulator over the whole reduction ("lines 5–9 of Algorithm 5"). The
+//! panels of one operand are equally strided in the blocked layouts, so a
+//! batch is a base pointer and a stride ([`Panels`]) — no pointer list.
 //!
 //! Three variants cover the three training passes (panel layouts are those
 //! of `dlrm_tensor::blocked`):
 //!
-//! * [`brgemm_fwd`]      — `Y[bn][bk] += Σ_p X_p[bn][bc] · W_p[bc][bk]`
-//! * [`brgemm_bwd_data`] — `dX[bn][bc] += Σ_p dY_p[bn][bk] · W_p[bc][bk]ᵀ`
-//! * [`brgemm_bwd_wt`]   — `dW[bc][bk] += Σ_p X_p[bn][bc]ᵀ · dY_p[bn][bk]`
+//! * [`brgemm_fwd`]      — `Y[bn][bk]  = β·Y  + Σ_p X_p[bn][bc] · W_p[bc][bk]`
+//! * [`brgemm_bwd_data`] — `dX[bn][bc] = β·dX + Σ_p dY_p[bn][bk] · W_p[bc][bk]ᵀ`
+//! * [`brgemm_bwd_wt`]   — `dW[bc][bk] = β·dW + Σ_p X_p[bn][bc]ᵀ · dY_p[bn][bk]`
 //!
 //! Each has a scalar, an AVX2 and an AVX-512 implementation; [`detect_isa`]
 //! picks the widest available at runtime and [`set_isa_override`] lets the
 //! ablation benches force a tier.
+//!
+//! # Register tiles and the chain-preservation rule
+//!
+//! Both vector tiers are one `simd_tier!` body instantiated twice, with two
+//! register-tiled kernels:
+//!
+//! * **broadcast-FMA** (forward and backward-by-weights, which are the same
+//!   product with `X` read along its other axis): `R` output rows × `V`
+//!   vectors of the `bk` axis held in registers, one operand vector loaded
+//!   per `R` FMAs and one scalar broadcast per `V` — 4 × 4 on AVX-512
+//!   (32 zmm), 4 × 2 on AVX2 (16 ymm). Reduction panels are the outer loop
+//!   and the tiles the inner one, so the live operand panels stay in L1;
+//!   between panels a tile's partial sums rest in the output panel.
+//! * **dot** (backward-by-data): `R × C` independent dot-product
+//!   accumulators sharing `R` `dY` and `C` `W` vector loads per `R·C` FMAs —
+//!   4 × 4 on AVX-512, 2 × 4 on AVX2 — held across the whole batch
+//!   reduction, then reduced horizontally and masked once per element when
+//!   the tile is written back.
+//!
+//! Tiling changes which elements are computed together, never how one
+//! element is computed: every output element is one FMA chain, `p` outer and
+//! the reduction index inner, finished (for the dot kernel) by one
+//! horizontal reduce with a fixed tree. Parking a partial sum in memory
+//! between panels is exact, so it does not break the chain. A result
+//! therefore depends on the ISA tier and the panel shapes only, not on the
+//! tile that happened to cover it — remainder rows and columns run the same
+//! chain in 1-wide tiles — which is what keeps every tile shape and loop
+//! order bitwise identical to the untiled kernels in `micro_ref` (and lets
+//! both be retuned freely).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -76,47 +107,443 @@ pub struct PanelDims {
     pub bk: usize,
 }
 
+/// One operand of a batch-reduce call: equally strided panels, panel `p`
+/// starting `p * stride` elements after `ptr`.
+#[derive(Debug, Clone, Copy)]
+pub struct Panels {
+    /// First panel.
+    pub ptr: *const f32,
+    /// Elements between consecutive panels.
+    pub stride: usize,
+}
+
+impl Panels {
+    /// Panel `p`.
+    #[inline(always)]
+    unsafe fn at(self, p: usize) -> *const f32 {
+        self.ptr.add(p * self.stride)
+    }
+
+    /// The same batch, entered `elems` elements into every panel.
+    #[inline(always)]
+    unsafe fn offset(self, elems: usize) -> Panels {
+        Panels {
+            ptr: self.ptr.add(elems),
+            stride: self.stride,
+        }
+    }
+}
+
+/// What a kernel does with the previous contents of its output panel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Beta {
+    /// β = 0: the output is overwritten and need not be initialized. Bitwise
+    /// identical to [`Beta::One`] over a zero-filled panel.
+    Zero,
+    /// β = 1: the reduction is added to what the panel holds.
+    One,
+}
+
+/// The extent of one batch-reduce call.
+#[derive(Debug, Clone, Copy)]
+pub struct Reduce {
+    /// Panels reduced per operand.
+    pub count: usize,
+    /// Treatment of the output panel's previous contents.
+    pub beta: Beta,
+}
+
+/// Geometry of a broadcast-FMA panel product
+/// `out[i][..bk] += Σ_p Σ_t a_p[i·a_row + t·a_t] · b_p[t][..bk]`,
+/// the shape forward (`i = r_n`, `t = r_c`) and backward-by-weights
+/// (`i = r_c`, `t = r_n`) share.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct BcastDims {
+    /// Output rows.
+    rows: usize,
+    /// Reduction length inside one panel.
+    depth: usize,
+    /// Stride of the broadcast operand along `i`.
+    a_row: usize,
+    /// Stride of the broadcast operand along `t`.
+    a_t: usize,
+    /// Row length of `b` and `out`.
+    bk: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl BcastDims {
+    fn forward(d: PanelDims) -> Self {
+        BcastDims {
+            rows: d.bn,
+            depth: d.bc,
+            a_row: d.bc,
+            a_t: 1,
+            bk: d.bk,
+        }
+    }
+
+    fn backward_weights(d: PanelDims) -> Self {
+        BcastDims {
+            rows: d.bc,
+            depth: d.bn,
+            a_row: 1,
+            a_t: d.bc,
+            bk: d.bk,
+        }
+    }
+}
+
+/// Zero-fills an output panel ahead of an in-memory accumulating (scalar)
+/// kernel under [`Beta::Zero`].
+unsafe fn apply_beta(beta: Beta, out: *mut f32, len: usize) {
+    if beta == Beta::Zero {
+        std::slice::from_raw_parts_mut(out, len).fill(0.0);
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Forward: Y[bn][bk] += sum_p X_p[bn][bc] * W_p[bc][bk]
+// Vector tiers
+// ---------------------------------------------------------------------------
+
+/// Instantiates the register-tiled kernels for one vector ISA. `bcast_vecs`
+/// is the widest broadcast-FMA tile in vectors (rows are always 4) and
+/// `dot_rows` the dot tile's `r_n` extent (its `r_c` extent is always 4),
+/// both sized to the tier's register file.
+#[cfg(target_arch = "x86_64")]
+macro_rules! simd_tier {
+    (
+        $tier:ident, $feat:literal, lanes = $lanes:literal,
+        bcast_vecs = $bv:literal, dot_rows = $dr:literal,
+        ops = ($zero:ident, $load:ident, $store:ident, $set1:ident, $add:ident, $fma:ident),
+        hsum = $hsum:path
+    ) => {
+        #[allow(clippy::needless_range_loop)] // index form mirrors the tile math
+        mod $tier {
+            use super::{BcastDims, Beta, PanelDims, Panels, Reduce};
+            use std::arch::x86_64::*;
+
+            const LANES: usize = $lanes;
+            const BCAST_ROWS: usize = 4;
+            const BCAST_VECS: usize = $bv;
+            const DOT_ROWS: usize = $dr;
+            const DOT_COLS: usize = 4;
+
+            /// `R` rows × `V` vectors of a broadcast-FMA output panel, held
+            /// in registers across one reduction panel: `out` (read first
+            /// iff `accumulate`) plus the panel's `depth` rank-1 updates.
+            /// `a` enters at the tile's first row, `b` and `out` at its
+            /// first column.
+            #[inline]
+            #[target_feature(enable = $feat)]
+            unsafe fn bcast_tile<const R: usize, const V: usize>(
+                a: *const f32,
+                b: *const f32,
+                accumulate: bool,
+                out: *mut f32,
+                g: BcastDims,
+            ) {
+                let mut acc = [[$zero(); V]; R];
+                if accumulate {
+                    for i in 0..R {
+                        for v in 0..V {
+                            acc[i][v] = $load(out.add(i * g.bk + v * LANES));
+                        }
+                    }
+                }
+                for t in 0..g.depth {
+                    let mut bvec = [$zero(); V];
+                    for v in 0..V {
+                        bvec[v] = $load(b.add(t * g.bk + v * LANES));
+                    }
+                    for i in 0..R {
+                        let s = $set1(*a.add(i * g.a_row + t * g.a_t));
+                        for v in 0..V {
+                            acc[i][v] = $fma(s, bvec[v], acc[i][v]);
+                        }
+                    }
+                }
+                for i in 0..R {
+                    for v in 0..V {
+                        $store(out.add(i * g.bk + v * LANES), acc[i][v]);
+                    }
+                }
+            }
+
+            /// All rows of a `V`-vector column strip: 4-row tiles, then the
+            /// remainder rows one at a time.
+            #[inline]
+            #[target_feature(enable = $feat)]
+            unsafe fn bcast_strip<const V: usize>(
+                a: *const f32,
+                b: *const f32,
+                accumulate: bool,
+                out: *mut f32,
+                g: BcastDims,
+            ) {
+                let mut i = 0;
+                while i + BCAST_ROWS <= g.rows {
+                    let (a, out) = (a.add(i * g.a_row), out.add(i * g.bk));
+                    bcast_tile::<BCAST_ROWS, V>(a, b, accumulate, out, g);
+                    i += BCAST_ROWS;
+                }
+                while i < g.rows {
+                    let (a, out) = (a.add(i * g.a_row), out.add(i * g.bk));
+                    bcast_tile::<1, V>(a, b, accumulate, out, g);
+                    i += 1;
+                }
+            }
+
+            /// One broadcast-FMA output panel. Reduction panels outermost,
+            /// so one `a`, one `b` and the `out` panel are all that is live
+            /// and stay in L1 across the tiles; the partial sums pass
+            /// through `out` between panels, which is exact, so the chain
+            /// of every element is still `p` outer, `t` inner. Inside a
+            /// panel, the `bk` axis goes in strips of the widest tile that
+            /// still fits.
+            ///
+            /// # Safety
+            /// `g.bk` must be a multiple of the vector width; pointers as
+            /// for [`super::brgemm_fwd`] / [`super::brgemm_bwd_wt`].
+            #[target_feature(enable = $feat)]
+            pub(super) unsafe fn bcast_panel(
+                a: Panels,
+                b: Panels,
+                r: Reduce,
+                out: *mut f32,
+                g: BcastDims,
+            ) {
+                debug_assert_eq!(g.bk % LANES, 0);
+                for p in 0..r.count {
+                    let (a, accumulate) = (a.at(p), p > 0 || r.beta == Beta::One);
+                    let mut kb = 0;
+                    while kb < g.bk {
+                        let (b, out) = (b.at(p).add(kb), out.add(kb));
+                        let left = (g.bk - kb) / LANES;
+                        kb += LANES
+                            * if BCAST_VECS >= 4 && left >= 4 {
+                                bcast_strip::<4>(a, b, accumulate, out, g);
+                                4
+                            } else if left >= 2 {
+                                bcast_strip::<2>(a, b, accumulate, out, g);
+                                2
+                            } else {
+                                bcast_strip::<1>(a, b, accumulate, out, g);
+                                1
+                            };
+                    }
+                }
+            }
+
+            /// `R × C` dot products `dX[i][j] = Σ_p dY_p[i][..bk] · W_p[j][..bk]`
+            /// as independent vector accumulators; mask test and horizontal
+            /// reduce happen once per element at write-back. `dy` enters at
+            /// the tile's first `r_n` row, `w` at its first `r_c` row, `dx`
+            /// and `mask` at the tile's first element.
+            #[inline]
+            #[target_feature(enable = $feat)]
+            unsafe fn dot_tile<const R: usize, const C: usize>(
+                w: Panels,
+                dy: Panels,
+                r: Reduce,
+                dx: *mut f32,
+                mask: Option<*const f32>,
+                d: PanelDims,
+            ) {
+                let mut acc = [[$zero(); C]; R];
+                for p in 0..r.count {
+                    let (wp, dyp) = (w.at(p), dy.at(p));
+                    for kv in 0..d.bk / LANES {
+                        let kb = kv * LANES;
+                        let mut wvec = [$zero(); C];
+                        for j in 0..C {
+                            wvec[j] = $load(wp.add(j * d.bk + kb));
+                        }
+                        for i in 0..R {
+                            let dv = $load(dyp.add(i * d.bk + kb));
+                            for j in 0..C {
+                                acc[i][j] = $fma(dv, wvec[j], acc[i][j]);
+                            }
+                        }
+                    }
+                }
+                for i in 0..R {
+                    for j in 0..C {
+                        let idx = i * d.bc + j;
+                        let out = dx.add(idx);
+                        let sum: f32 = $hsum(acc[i][j]);
+                        let value = match r.beta {
+                            // `0.0 +` is what accumulating into a
+                            // zero-filled panel computes (-0.0 → +0.0).
+                            Beta::Zero => 0.0 + sum,
+                            Beta::One => *out + sum,
+                        };
+                        // A select, not a branch: the mask is a coin flip.
+                        let masked = mask.is_some_and(|m| *m.add(idx) <= 0.0);
+                        *out = if masked { 0.0 } else { value };
+                    }
+                }
+            }
+
+            /// All `r_n` rows of a `C`-column strip of `dX`.
+            #[inline]
+            #[target_feature(enable = $feat)]
+            unsafe fn dot_strip<const C: usize>(
+                w: Panels,
+                dy: Panels,
+                r: Reduce,
+                dx: *mut f32,
+                mask: Option<*const f32>,
+                d: PanelDims,
+            ) {
+                let mut i = 0;
+                while i + DOT_ROWS <= d.bn {
+                    let m = mask.map(|m| m.add(i * d.bc));
+                    dot_tile::<DOT_ROWS, C>(w, dy.offset(i * d.bk), r, dx.add(i * d.bc), m, d);
+                    i += DOT_ROWS;
+                }
+                while i < d.bn {
+                    let m = mask.map(|m| m.add(i * d.bc));
+                    dot_tile::<1, C>(w, dy.offset(i * d.bk), r, dx.add(i * d.bc), m, d);
+                    i += 1;
+                }
+            }
+
+            /// One backward-by-data output panel. `r_c` strips outermost:
+            /// the strip's `W` rows of every reduction panel stay in L1
+            /// while the `r_n` tiles stream `dY` past them.
+            ///
+            /// # Safety
+            /// `d.bk` must be a multiple of the vector width; pointers as
+            /// for [`super::brgemm_bwd_data`].
+            #[target_feature(enable = $feat)]
+            pub(super) unsafe fn dot_panel(
+                w: Panels,
+                dy: Panels,
+                r: Reduce,
+                dx: *mut f32,
+                mask: Option<*const f32>,
+                d: PanelDims,
+            ) {
+                debug_assert_eq!(d.bk % LANES, 0);
+                let mut j = 0;
+                while j + DOT_COLS <= d.bc {
+                    let m = mask.map(|m| m.add(j));
+                    dot_strip::<DOT_COLS>(w.offset(j * d.bk), dy, r, dx.add(j), m, d);
+                    j += DOT_COLS;
+                }
+                while j < d.bc {
+                    let m = mask.map(|m| m.add(j));
+                    dot_strip::<1>(w.offset(j * d.bk), dy, r, dx.add(j), m, d);
+                    j += 1;
+                }
+            }
+
+            /// `db[..bk] = Σ_p Σ_rn dY_p[rn][..bk]`: one plain-add chain per
+            /// lane, ascending `p` then `r_n`.
+            ///
+            /// # Safety
+            /// `d.bk` must be a multiple of the vector width; pointers as
+            /// for [`super::brgemm_bwd_wt_bias`].
+            #[target_feature(enable = $feat)]
+            pub(super) unsafe fn bias_reduce(dy: Panels, count: usize, db: *mut f32, d: PanelDims) {
+                for kv in 0..d.bk / LANES {
+                    let kb = kv * LANES;
+                    let mut acc = $zero();
+                    for p in 0..count {
+                        let dyp = dy.at(p);
+                        for r_n in 0..d.bn {
+                            acc = $add(acc, $load(dyp.add(r_n * d.bk + kb)));
+                        }
+                    }
+                    $store(db.add(kb), acc);
+                }
+            }
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+simd_tier!(
+    avx512,
+    "avx512f",
+    lanes = 16,
+    bcast_vecs = 4,
+    dot_rows = 4,
+    ops = (
+        _mm512_setzero_ps,
+        _mm512_loadu_ps,
+        _mm512_storeu_ps,
+        _mm512_set1_ps,
+        _mm512_add_ps,
+        _mm512_fmadd_ps
+    ),
+    hsum = _mm512_reduce_add_ps
+);
+
+#[cfg(target_arch = "x86_64")]
+simd_tier!(
+    avx2,
+    "avx2,fma",
+    lanes = 8,
+    bcast_vecs = 2,
+    dot_rows = 2,
+    ops = (
+        _mm256_setzero_ps,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps,
+        _mm256_set1_ps,
+        _mm256_add_ps,
+        _mm256_fmadd_ps
+    ),
+    hsum = super::hsum_avx2
+);
+
+/// Horizontal sum of 8 lanes: halves, then pairs, then the last two.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn hsum_avx2(acc: std::arch::x86_64::__m256) -> f32 {
+    use std::arch::x86_64::*;
+    let hi = _mm256_extractf128_ps::<1>(acc);
+    let lo = _mm256_castps256_ps128(acc);
+    let s = _mm_add_ps(hi, lo);
+    let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+    let s = _mm_add_ss(s, _mm_shuffle_ps::<1>(s, s));
+    _mm_cvtss_f32(s)
+}
+
+// ---------------------------------------------------------------------------
+// Forward: Y[bn][bk] = beta*Y + sum_p X_p[bn][bc] * W_p[bc][bk]
 // ---------------------------------------------------------------------------
 
 /// Batch-reduce forward microkernel.
 ///
 /// # Safety
-/// Every pointer in `x_panels` must be valid for `bn*bc` reads, every
-/// pointer in `w_panels` for `bc*bk` reads, and `y` must hold `bn*bk`
-/// elements. Panels must not alias `y`.
-pub unsafe fn brgemm_fwd(
-    isa: Isa,
-    w_panels: &[*const f32],
-    x_panels: &[*const f32],
-    y: *mut f32,
-    d: PanelDims,
-) {
-    debug_assert_eq!(w_panels.len(), x_panels.len());
+/// The first `r.count` panels of `x` must be valid for `bn*bc` reads, those
+/// of `w` for `bc*bk` reads, and `y` must hold `bn*bk` elements (initialized
+/// under [`Beta::One`]). Panels must not alias `y`.
+pub unsafe fn brgemm_fwd(isa: Isa, w: Panels, x: Panels, r: Reduce, y: *mut f32, d: PanelDims) {
+    debug_assert!(r.count > 0, "empty batch reduction");
     match isa {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 if d.bk.is_multiple_of(32) => brgemm_fwd_avx512_x2(w_panels, x_panels, y, d),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 if d.bk.is_multiple_of(16) => brgemm_fwd_avx512(w_panels, x_panels, y, d),
+        Isa::Avx512 if d.bk.is_multiple_of(16) => {
+            avx512::bcast_panel(x, w, r, y, BcastDims::forward(d))
+        }
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 | Isa::Avx512 if d.bk.is_multiple_of(8) => {
-            brgemm_fwd_avx2(w_panels, x_panels, y, d)
+            avx2::bcast_panel(x, w, r, y, BcastDims::forward(d))
         }
-        _ => brgemm_fwd_scalar(w_panels, x_panels, y, d),
+        _ => brgemm_fwd_scalar(w, x, r, y, d),
     }
 }
 
-unsafe fn brgemm_fwd_scalar(
-    w_panels: &[*const f32],
-    x_panels: &[*const f32],
-    y: *mut f32,
-    d: PanelDims,
-) {
+unsafe fn brgemm_fwd_scalar(w: Panels, x: Panels, r: Reduce, y: *mut f32, d: PanelDims) {
     let PanelDims { bn, bc, bk } = d;
-    for p in 0..w_panels.len() {
-        let w = w_panels[p];
-        let x = x_panels[p];
+    apply_beta(r.beta, y, bn * bk);
+    for p in 0..r.count {
+        let (w, x) = (w.at(p), x.at(p));
         for r_n in 0..bn {
             let x_row = std::slice::from_raw_parts(x.add(r_n * bc), bc);
             let y_row = std::slice::from_raw_parts_mut(y.add(r_n * bk), bk);
@@ -130,228 +557,59 @@ unsafe fn brgemm_fwd_scalar(
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn brgemm_fwd_avx2(
-    w_panels: &[*const f32],
-    x_panels: &[*const f32],
-    y: *mut f32,
-    d: PanelDims,
-) {
-    use std::arch::x86_64::*;
-    let PanelDims { bn, bc, bk } = d;
-    debug_assert_eq!(bk % 8, 0);
-    for r_n in 0..bn {
-        for kb in (0..bk).step_by(8) {
-            let yp = y.add(r_n * bk + kb);
-            let mut acc = _mm256_loadu_ps(yp);
-            for p in 0..w_panels.len() {
-                let w = w_panels[p];
-                let x = x_panels[p].add(r_n * bc);
-                for r_c in 0..bc {
-                    let xv = _mm256_set1_ps(*x.add(r_c));
-                    let wv = _mm256_loadu_ps(w.add(r_c * bk + kb));
-                    acc = _mm256_fmadd_ps(xv, wv, acc);
-                }
-            }
-            _mm256_storeu_ps(yp, acc);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn brgemm_fwd_avx512(
-    w_panels: &[*const f32],
-    x_panels: &[*const f32],
-    y: *mut f32,
-    d: PanelDims,
-) {
-    use std::arch::x86_64::*;
-    let PanelDims { bn, bc, bk } = d;
-    debug_assert_eq!(bk % 16, 0);
-    // Register-block 4 minibatch rows x one 16-wide K vector: the C
-    // accumulators stay in zmm registers across the whole batch reduction.
-    let n4 = bn / 4 * 4;
-    for kb in (0..bk).step_by(16) {
-        let mut r_n = 0;
-        while r_n < n4 {
-            let y0 = y.add(r_n * bk + kb);
-            let y1 = y.add((r_n + 1) * bk + kb);
-            let y2 = y.add((r_n + 2) * bk + kb);
-            let y3 = y.add((r_n + 3) * bk + kb);
-            let mut a0 = _mm512_loadu_ps(y0);
-            let mut a1 = _mm512_loadu_ps(y1);
-            let mut a2 = _mm512_loadu_ps(y2);
-            let mut a3 = _mm512_loadu_ps(y3);
-            for p in 0..w_panels.len() {
-                let w = w_panels[p];
-                let x = x_panels[p];
-                let x0 = x.add(r_n * bc);
-                let x1 = x.add((r_n + 1) * bc);
-                let x2 = x.add((r_n + 2) * bc);
-                let x3 = x.add((r_n + 3) * bc);
-                for r_c in 0..bc {
-                    let wv = _mm512_loadu_ps(w.add(r_c * bk + kb));
-                    a0 = _mm512_fmadd_ps(_mm512_set1_ps(*x0.add(r_c)), wv, a0);
-                    a1 = _mm512_fmadd_ps(_mm512_set1_ps(*x1.add(r_c)), wv, a1);
-                    a2 = _mm512_fmadd_ps(_mm512_set1_ps(*x2.add(r_c)), wv, a2);
-                    a3 = _mm512_fmadd_ps(_mm512_set1_ps(*x3.add(r_c)), wv, a3);
-                }
-            }
-            _mm512_storeu_ps(y0, a0);
-            _mm512_storeu_ps(y1, a1);
-            _mm512_storeu_ps(y2, a2);
-            _mm512_storeu_ps(y3, a3);
-            r_n += 4;
-        }
-        // Remainder rows.
-        while r_n < bn {
-            let yp = y.add(r_n * bk + kb);
-            let mut acc = _mm512_loadu_ps(yp);
-            for p in 0..w_panels.len() {
-                let w = w_panels[p];
-                let x = x_panels[p].add(r_n * bc);
-                for r_c in 0..bc {
-                    let wv = _mm512_loadu_ps(w.add(r_c * bk + kb));
-                    acc = _mm512_fmadd_ps(_mm512_set1_ps(*x.add(r_c)), wv, acc);
-                }
-            }
-            _mm512_storeu_ps(yp, acc);
-            r_n += 1;
-        }
-    }
-}
-
-/// Widened AVX-512 forward: 4 minibatch rows × **2** 16-wide K vectors per
-/// register block (8 zmm accumulators vs 4), halving the number of
-/// X-broadcasts per FMA. Each output element sees exactly the same FMA
-/// chain (`p` outer, `r_c` inner) as [`brgemm_fwd_avx512`], so the result
-/// is **bitwise identical** — this is a register-pressure optimization, not
-/// a reassociation.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn brgemm_fwd_avx512_x2(
-    w_panels: &[*const f32],
-    x_panels: &[*const f32],
-    y: *mut f32,
-    d: PanelDims,
-) {
-    use std::arch::x86_64::*;
-    let PanelDims { bn, bc, bk } = d;
-    debug_assert_eq!(bk % 32, 0);
-    let n4 = bn / 4 * 4;
-    for kb in (0..bk).step_by(32) {
-        let mut r_n = 0;
-        while r_n < n4 {
-            let y0 = y.add(r_n * bk + kb);
-            let y1 = y.add((r_n + 1) * bk + kb);
-            let y2 = y.add((r_n + 2) * bk + kb);
-            let y3 = y.add((r_n + 3) * bk + kb);
-            let mut a0l = _mm512_loadu_ps(y0);
-            let mut a0h = _mm512_loadu_ps(y0.add(16));
-            let mut a1l = _mm512_loadu_ps(y1);
-            let mut a1h = _mm512_loadu_ps(y1.add(16));
-            let mut a2l = _mm512_loadu_ps(y2);
-            let mut a2h = _mm512_loadu_ps(y2.add(16));
-            let mut a3l = _mm512_loadu_ps(y3);
-            let mut a3h = _mm512_loadu_ps(y3.add(16));
-            for p in 0..w_panels.len() {
-                let w = w_panels[p];
-                let x = x_panels[p];
-                let x0 = x.add(r_n * bc);
-                let x1 = x.add((r_n + 1) * bc);
-                let x2 = x.add((r_n + 2) * bc);
-                let x3 = x.add((r_n + 3) * bc);
-                for r_c in 0..bc {
-                    let wl = _mm512_loadu_ps(w.add(r_c * bk + kb));
-                    let wh = _mm512_loadu_ps(w.add(r_c * bk + kb + 16));
-                    let b0 = _mm512_set1_ps(*x0.add(r_c));
-                    let b1 = _mm512_set1_ps(*x1.add(r_c));
-                    let b2 = _mm512_set1_ps(*x2.add(r_c));
-                    let b3 = _mm512_set1_ps(*x3.add(r_c));
-                    a0l = _mm512_fmadd_ps(b0, wl, a0l);
-                    a0h = _mm512_fmadd_ps(b0, wh, a0h);
-                    a1l = _mm512_fmadd_ps(b1, wl, a1l);
-                    a1h = _mm512_fmadd_ps(b1, wh, a1h);
-                    a2l = _mm512_fmadd_ps(b2, wl, a2l);
-                    a2h = _mm512_fmadd_ps(b2, wh, a2h);
-                    a3l = _mm512_fmadd_ps(b3, wl, a3l);
-                    a3h = _mm512_fmadd_ps(b3, wh, a3h);
-                }
-            }
-            _mm512_storeu_ps(y0, a0l);
-            _mm512_storeu_ps(y0.add(16), a0h);
-            _mm512_storeu_ps(y1, a1l);
-            _mm512_storeu_ps(y1.add(16), a1h);
-            _mm512_storeu_ps(y2, a2l);
-            _mm512_storeu_ps(y2.add(16), a2h);
-            _mm512_storeu_ps(y3, a3l);
-            _mm512_storeu_ps(y3.add(16), a3h);
-            r_n += 4;
-        }
-        // Remainder rows: 1 row × 2 K vectors.
-        while r_n < bn {
-            let yp = y.add(r_n * bk + kb);
-            let mut al = _mm512_loadu_ps(yp);
-            let mut ah = _mm512_loadu_ps(yp.add(16));
-            for p in 0..w_panels.len() {
-                let w = w_panels[p];
-                let x = x_panels[p].add(r_n * bc);
-                for r_c in 0..bc {
-                    let b = _mm512_set1_ps(*x.add(r_c));
-                    al = _mm512_fmadd_ps(b, _mm512_loadu_ps(w.add(r_c * bk + kb)), al);
-                    ah = _mm512_fmadd_ps(b, _mm512_loadu_ps(w.add(r_c * bk + kb + 16)), ah);
-                }
-            }
-            _mm512_storeu_ps(yp, al);
-            _mm512_storeu_ps(yp.add(16), ah);
-            r_n += 1;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Backward by data: dX[bn][bc] += sum_p dY_p[bn][bk] * W_p[bc][bk]^T
+// Backward by data: dX[bn][bc] = beta*dX + sum_p dY_p[bn][bk] * W_p[bc][bk]^T
 // ---------------------------------------------------------------------------
 
-/// Batch-reduce backward-by-data microkernel.
+/// Batch-reduce backward-by-data microkernel, optionally with the upstream
+/// layer's ReLU mask fused into the accumulator write-back: once
+/// `dX[bn][bc]` has its full reduction, an element is zeroed wherever the
+/// forward output `mask[bn][bc]` (same panel layout as `dx`) was
+/// non-positive. Bitwise identical to the unmasked kernel followed by a
+/// separate `relu_backward(mask, dx)` sweep, because each element receives
+/// its full accumulation before the predicate fires — but it saves one
+/// read+write sweep of `dX` while the panel is still hot in cache.
 ///
 /// # Safety
-/// Every pointer in `dy_panels` must be valid for `bn*bk` reads, every
-/// pointer in `w_panels` for `bc*bk` reads, and `dx` must hold `bn*bc`
-/// elements. Panels must not alias `dx`.
+/// The first `r.count` panels of `dy` must be valid for `bn*bk` reads, those
+/// of `w` for `bc*bk` reads, `dx` must hold `bn*bc` elements (initialized
+/// under [`Beta::One`]) and `mask`, if any, must be valid for `bn*bc` reads.
+/// Nothing may alias `dx`.
 pub unsafe fn brgemm_bwd_data(
     isa: Isa,
-    w_panels: &[*const f32],
-    dy_panels: &[*const f32],
+    w: Panels,
+    dy: Panels,
+    r: Reduce,
     dx: *mut f32,
+    mask: Option<*const f32>,
     d: PanelDims,
 ) {
-    debug_assert_eq!(w_panels.len(), dy_panels.len());
+    debug_assert!(r.count > 0, "empty batch reduction");
     match isa {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 if d.bk.is_multiple_of(16) => {
-            brgemm_bwd_data_avx512(w_panels, dy_panels, dx, d)
-        }
+        Isa::Avx512 if d.bk.is_multiple_of(16) => avx512::dot_panel(w, dy, r, dx, mask, d),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 | Isa::Avx512 if d.bk.is_multiple_of(8) => {
-            brgemm_bwd_data_avx2(w_panels, dy_panels, dx, d)
+        Isa::Avx2 | Isa::Avx512 if d.bk.is_multiple_of(8) => avx2::dot_panel(w, dy, r, dx, mask, d),
+        _ => {
+            // The scalar kernel accumulates dX across panels *in memory*,
+            // so the mask is a tail sweep after the full reduction.
+            brgemm_bwd_data_scalar(w, dy, r, dx, d);
+            if let Some(mask) = mask {
+                for i in 0..d.bn * d.bc {
+                    if *mask.add(i) <= 0.0 {
+                        *dx.add(i) = 0.0;
+                    }
+                }
+            }
         }
-        _ => brgemm_bwd_data_scalar(w_panels, dy_panels, dx, d),
     }
 }
 
-unsafe fn brgemm_bwd_data_scalar(
-    w_panels: &[*const f32],
-    dy_panels: &[*const f32],
-    dx: *mut f32,
-    d: PanelDims,
-) {
+unsafe fn brgemm_bwd_data_scalar(w: Panels, dy: Panels, r: Reduce, dx: *mut f32, d: PanelDims) {
     let PanelDims { bn, bc, bk } = d;
-    for p in 0..w_panels.len() {
-        let w = w_panels[p];
-        let dy = dy_panels[p];
+    apply_beta(r.beta, dx, bn * bc);
+    for p in 0..r.count {
+        let (w, dy) = (w.at(p), dy.at(p));
         for r_n in 0..bn {
             let dy_row = std::slice::from_raw_parts(dy.add(r_n * bk), bk);
             let dx_row = std::slice::from_raw_parts_mut(dx.add(r_n * bc), bc);
@@ -367,228 +625,43 @@ unsafe fn brgemm_bwd_data_scalar(
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn brgemm_bwd_data_avx2(
-    w_panels: &[*const f32],
-    dy_panels: &[*const f32],
-    dx: *mut f32,
-    d: PanelDims,
-) {
-    use std::arch::x86_64::*;
-    let PanelDims { bn, bc, bk } = d;
-    for r_n in 0..bn {
-        for r_c in 0..bc {
-            let mut acc = _mm256_setzero_ps();
-            for p in 0..w_panels.len() {
-                let w = w_panels[p].add(r_c * bk);
-                let dy = dy_panels[p].add(r_n * bk);
-                for kb in (0..bk).step_by(8) {
-                    acc = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(dy.add(kb)),
-                        _mm256_loadu_ps(w.add(kb)),
-                        acc,
-                    );
-                }
-            }
-            // Horizontal sum of 8 lanes.
-            let hi = _mm256_extractf128_ps::<1>(acc);
-            let lo = _mm256_castps256_ps128(acc);
-            let s = _mm_add_ps(hi, lo);
-            let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-            let s = _mm_add_ss(s, _mm_shuffle_ps::<1>(s, s));
-            *dx.add(r_n * bc + r_c) += _mm_cvtss_f32(s);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn brgemm_bwd_data_avx512(
-    w_panels: &[*const f32],
-    dy_panels: &[*const f32],
-    dx: *mut f32,
-    d: PanelDims,
-) {
-    use std::arch::x86_64::*;
-    let PanelDims { bn, bc, bk } = d;
-    for r_n in 0..bn {
-        for r_c in 0..bc {
-            let mut acc = _mm512_setzero_ps();
-            for p in 0..w_panels.len() {
-                let w = w_panels[p].add(r_c * bk);
-                let dy = dy_panels[p].add(r_n * bk);
-                for kb in (0..bk).step_by(16) {
-                    acc = _mm512_fmadd_ps(
-                        _mm512_loadu_ps(dy.add(kb)),
-                        _mm512_loadu_ps(w.add(kb)),
-                        acc,
-                    );
-                }
-            }
-            *dx.add(r_n * bc + r_c) += _mm512_reduce_add_ps(acc);
-        }
-    }
-}
-
-/// Batch-reduce backward-by-data with the upstream layer's ReLU mask fused
-/// into the accumulator writeback: after `dX[bn][bc] += Σ_p dY_p·W_pᵀ`
-/// completes for an element, it is zeroed wherever the forward output
-/// `mask[bn][bc]` (same panel layout as `dx`) was non-positive. Bitwise
-/// identical to [`brgemm_bwd_data`] followed by a separate
-/// `relu_backward(mask, dx)` sweep, because each element receives its full
-/// accumulation before the predicate fires — but it saves one read+write
-/// sweep of `dX` while the panel is still hot in cache.
-///
-/// # Safety
-/// Same as [`brgemm_bwd_data`], plus `mask` must be valid for `bn*bc` reads
-/// and must not alias `dx`.
-pub unsafe fn brgemm_bwd_data_relu(
-    isa: Isa,
-    w_panels: &[*const f32],
-    dy_panels: &[*const f32],
-    dx: *mut f32,
-    mask: *const f32,
-    d: PanelDims,
-) {
-    debug_assert_eq!(w_panels.len(), dy_panels.len());
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 if d.bk.is_multiple_of(16) => {
-            brgemm_bwd_data_relu_avx512(w_panels, dy_panels, dx, mask, d)
-        }
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 | Isa::Avx512 if d.bk.is_multiple_of(8) => {
-            brgemm_bwd_data_relu_avx2(w_panels, dy_panels, dx, mask, d)
-        }
-        _ => {
-            // The scalar kernel accumulates dX across panels *in memory*,
-            // so the mask is a tail sweep after the full reduction — same
-            // bits, the fusion here is only skipping a function boundary.
-            brgemm_bwd_data_scalar(w_panels, dy_panels, dx, d);
-            for i in 0..d.bn * d.bc {
-                if *mask.add(i) <= 0.0 {
-                    *dx.add(i) = 0.0;
-                }
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn brgemm_bwd_data_relu_avx2(
-    w_panels: &[*const f32],
-    dy_panels: &[*const f32],
-    dx: *mut f32,
-    mask: *const f32,
-    d: PanelDims,
-) {
-    use std::arch::x86_64::*;
-    let PanelDims { bn, bc, bk } = d;
-    for r_n in 0..bn {
-        for r_c in 0..bc {
-            let idx = r_n * bc + r_c;
-            if *mask.add(idx) <= 0.0 {
-                *dx.add(idx) = 0.0;
-                continue;
-            }
-            let mut acc = _mm256_setzero_ps();
-            for p in 0..w_panels.len() {
-                let w = w_panels[p].add(r_c * bk);
-                let dy = dy_panels[p].add(r_n * bk);
-                for kb in (0..bk).step_by(8) {
-                    acc = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(dy.add(kb)),
-                        _mm256_loadu_ps(w.add(kb)),
-                        acc,
-                    );
-                }
-            }
-            let hi = _mm256_extractf128_ps::<1>(acc);
-            let lo = _mm256_castps256_ps128(acc);
-            let s = _mm_add_ps(hi, lo);
-            let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-            let s = _mm_add_ss(s, _mm_shuffle_ps::<1>(s, s));
-            *dx.add(idx) += _mm_cvtss_f32(s);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn brgemm_bwd_data_relu_avx512(
-    w_panels: &[*const f32],
-    dy_panels: &[*const f32],
-    dx: *mut f32,
-    mask: *const f32,
-    d: PanelDims,
-) {
-    use std::arch::x86_64::*;
-    let PanelDims { bn, bc, bk } = d;
-    for r_n in 0..bn {
-        for r_c in 0..bc {
-            let idx = r_n * bc + r_c;
-            if *mask.add(idx) <= 0.0 {
-                *dx.add(idx) = 0.0;
-                continue;
-            }
-            let mut acc = _mm512_setzero_ps();
-            for p in 0..w_panels.len() {
-                let w = w_panels[p].add(r_c * bk);
-                let dy = dy_panels[p].add(r_n * bk);
-                for kb in (0..bk).step_by(16) {
-                    acc = _mm512_fmadd_ps(
-                        _mm512_loadu_ps(dy.add(kb)),
-                        _mm512_loadu_ps(w.add(kb)),
-                        acc,
-                    );
-                }
-            }
-            *dx.add(idx) += _mm512_reduce_add_ps(acc);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Backward by weights: dW[bc][bk] += sum_p X_p[bn][bc]^T * dY_p[bn][bk]
+// Backward by weights: dW[bc][bk] = beta*dW + sum_p X_p[bn][bc]^T * dY_p[bn][bk]
 // ---------------------------------------------------------------------------
 
 /// Batch-reduce backward-by-weights microkernel.
 ///
 /// # Safety
-/// Every pointer in `x_panels` must be valid for `bn*bc` reads, every
-/// pointer in `dy_panels` for `bn*bk` reads, and `dw` must hold `bc*bk`
-/// elements. Panels must not alias `dw`.
+/// The first `r.count` panels of `x` must be valid for `bn*bc` reads, those
+/// of `dy` for `bn*bk` reads, and `dw` must hold `bc*bk` elements
+/// (initialized under [`Beta::One`]). Panels must not alias `dw`.
 pub unsafe fn brgemm_bwd_wt(
     isa: Isa,
-    x_panels: &[*const f32],
-    dy_panels: &[*const f32],
+    x: Panels,
+    dy: Panels,
+    r: Reduce,
     dw: *mut f32,
     d: PanelDims,
 ) {
-    debug_assert_eq!(x_panels.len(), dy_panels.len());
+    debug_assert!(r.count > 0, "empty batch reduction");
     match isa {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 if d.bk.is_multiple_of(16) => brgemm_bwd_wt_avx512(x_panels, dy_panels, dw, d),
+        Isa::Avx512 if d.bk.is_multiple_of(16) => {
+            avx512::bcast_panel(x, dy, r, dw, BcastDims::backward_weights(d))
+        }
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 | Isa::Avx512 if d.bk.is_multiple_of(8) => {
-            brgemm_bwd_wt_avx2(x_panels, dy_panels, dw, d)
+            avx2::bcast_panel(x, dy, r, dw, BcastDims::backward_weights(d))
         }
-        _ => brgemm_bwd_wt_scalar(x_panels, dy_panels, dw, d),
+        _ => brgemm_bwd_wt_scalar(x, dy, r, dw, d),
     }
 }
 
-unsafe fn brgemm_bwd_wt_scalar(
-    x_panels: &[*const f32],
-    dy_panels: &[*const f32],
-    dw: *mut f32,
-    d: PanelDims,
-) {
+unsafe fn brgemm_bwd_wt_scalar(x: Panels, dy: Panels, r: Reduce, dw: *mut f32, d: PanelDims) {
     let PanelDims { bn, bc, bk } = d;
-    for p in 0..x_panels.len() {
-        let x = x_panels[p];
-        let dy = dy_panels[p];
+    apply_beta(r.beta, dw, bc * bk);
+    for p in 0..r.count {
+        let (x, dy) = (x.at(p), dy.at(p));
         for r_n in 0..bn {
             let x_row = std::slice::from_raw_parts(x.add(r_n * bc), bc);
             let dy_row = std::slice::from_raw_parts(dy.add(r_n * bk), bk);
@@ -602,131 +675,43 @@ unsafe fn brgemm_bwd_wt_scalar(
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn brgemm_bwd_wt_avx2(
-    x_panels: &[*const f32],
-    dy_panels: &[*const f32],
-    dw: *mut f32,
-    d: PanelDims,
-) {
-    use std::arch::x86_64::*;
-    let PanelDims { bn, bc, bk } = d;
-    for r_c in 0..bc {
-        for kb in (0..bk).step_by(8) {
-            let dwp = dw.add(r_c * bk + kb);
-            let mut acc = _mm256_loadu_ps(dwp);
-            for p in 0..x_panels.len() {
-                let x = x_panels[p];
-                let dy = dy_panels[p];
-                for r_n in 0..bn {
-                    acc = _mm256_fmadd_ps(
-                        _mm256_set1_ps(*x.add(r_n * bc + r_c)),
-                        _mm256_loadu_ps(dy.add(r_n * bk + kb)),
-                        acc,
-                    );
-                }
-            }
-            _mm256_storeu_ps(dwp, acc);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn brgemm_bwd_wt_avx512(
-    x_panels: &[*const f32],
-    dy_panels: &[*const f32],
-    dw: *mut f32,
-    d: PanelDims,
-) {
-    use std::arch::x86_64::*;
-    let PanelDims { bn, bc, bk } = d;
-    let c4 = bc / 4 * 4;
-    for kb in (0..bk).step_by(16) {
-        let mut r_c = 0;
-        while r_c < c4 {
-            let p0 = dw.add(r_c * bk + kb);
-            let p1 = dw.add((r_c + 1) * bk + kb);
-            let p2 = dw.add((r_c + 2) * bk + kb);
-            let p3 = dw.add((r_c + 3) * bk + kb);
-            let mut a0 = _mm512_loadu_ps(p0);
-            let mut a1 = _mm512_loadu_ps(p1);
-            let mut a2 = _mm512_loadu_ps(p2);
-            let mut a3 = _mm512_loadu_ps(p3);
-            for p in 0..x_panels.len() {
-                let x = x_panels[p];
-                let dy = dy_panels[p];
-                for r_n in 0..bn {
-                    let dyv = _mm512_loadu_ps(dy.add(r_n * bk + kb));
-                    let xr = x.add(r_n * bc + r_c);
-                    a0 = _mm512_fmadd_ps(_mm512_set1_ps(*xr), dyv, a0);
-                    a1 = _mm512_fmadd_ps(_mm512_set1_ps(*xr.add(1)), dyv, a1);
-                    a2 = _mm512_fmadd_ps(_mm512_set1_ps(*xr.add(2)), dyv, a2);
-                    a3 = _mm512_fmadd_ps(_mm512_set1_ps(*xr.add(3)), dyv, a3);
-                }
-            }
-            _mm512_storeu_ps(p0, a0);
-            _mm512_storeu_ps(p1, a1);
-            _mm512_storeu_ps(p2, a2);
-            _mm512_storeu_ps(p3, a3);
-            r_c += 4;
-        }
-        while r_c < bc {
-            let dwp = dw.add(r_c * bk + kb);
-            let mut acc = _mm512_loadu_ps(dwp);
-            for p in 0..x_panels.len() {
-                let x = x_panels[p];
-                let dy = dy_panels[p];
-                for r_n in 0..bn {
-                    acc = _mm512_fmadd_ps(
-                        _mm512_set1_ps(*x.add(r_n * bc + r_c)),
-                        _mm512_loadu_ps(dy.add(r_n * bk + kb)),
-                        acc,
-                    );
-                }
-            }
-            _mm512_storeu_ps(dwp, acc);
-            r_c += 1;
-        }
-    }
-}
-
 /// Batch-reduce backward-by-weights with the bias-gradient reduction fused
-/// in: besides `dW[bc][bk] += Σ_p X_pᵀ·dY_p`, overwrites
-/// `db[rk] = Σ_p Σ_rn dY_p[rn][rk]` while the `dY` panels are hot in cache.
-/// With panels supplied in ascending minibatch-block order (as the blocked
-/// drivers do), each `db` lane is a plain-add chain in ascending flat-`n`
-/// order — exactly `bias_grad_rows`' per-row `iter().sum()` — so the fused
-/// bias gradient is bitwise identical to the separate pass on **every** ISA
-/// tier (vectorizing across `bk` lanes reassociates nothing).
+/// in: besides the `dW` panel, overwrites `db[rk] = Σ_p Σ_rn dY_p[rn][rk]`
+/// while the `dY` panels are hot in cache. With panels supplied in ascending
+/// minibatch-block order (as the blocked drivers do), each `db` lane is a
+/// plain-add chain in ascending flat-`n` order — exactly `bias_grad_rows`'
+/// per-row `iter().sum()` — so the fused bias gradient is bitwise identical
+/// to the separate pass on **every** ISA tier (vectorizing across `bk` lanes
+/// reassociates nothing).
 ///
 /// # Safety
 /// Same as [`brgemm_bwd_wt`], plus `db` must be valid for `bk` writes and
 /// must not alias any panel or `dw`.
 pub unsafe fn brgemm_bwd_wt_bias(
     isa: Isa,
-    x_panels: &[*const f32],
-    dy_panels: &[*const f32],
+    x: Panels,
+    dy: Panels,
+    r: Reduce,
     dw: *mut f32,
     db: *mut f32,
     d: PanelDims,
 ) {
-    brgemm_bwd_wt(isa, x_panels, dy_panels, dw, d);
+    brgemm_bwd_wt(isa, x, dy, r, dw, d);
     match isa {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 if d.bk.is_multiple_of(16) => bias_reduce_avx512(dy_panels, db, d),
+        Isa::Avx512 if d.bk.is_multiple_of(16) => avx512::bias_reduce(dy, r.count, db, d),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 | Isa::Avx512 if d.bk.is_multiple_of(8) => bias_reduce_avx2(dy_panels, db, d),
-        _ => bias_reduce_scalar(dy_panels, db, d),
+        Isa::Avx2 | Isa::Avx512 if d.bk.is_multiple_of(8) => avx2::bias_reduce(dy, r.count, db, d),
+        _ => bias_reduce_scalar(dy, r.count, db, d),
     }
 }
 
-unsafe fn bias_reduce_scalar(dy_panels: &[*const f32], db: *mut f32, d: PanelDims) {
+unsafe fn bias_reduce_scalar(dy: Panels, count: usize, db: *mut f32, d: PanelDims) {
     let PanelDims { bn, bk, .. } = d;
     let out = std::slice::from_raw_parts_mut(db, bk);
     out.fill(0.0);
-    for &dy in dy_panels {
+    for p in 0..count {
+        let dy = dy.at(p);
         for r_n in 0..bn {
             let row = std::slice::from_raw_parts(dy.add(r_n * bk), bk);
             for (o, &v) in out.iter_mut().zip(row) {
@@ -736,332 +721,289 @@ unsafe fn bias_reduce_scalar(dy_panels: &[*const f32], db: *mut f32, d: PanelDim
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn bias_reduce_avx2(dy_panels: &[*const f32], db: *mut f32, d: PanelDims) {
-    use std::arch::x86_64::*;
-    let PanelDims { bn, bk, .. } = d;
-    for kb in (0..bk).step_by(8) {
-        let mut acc = _mm256_setzero_ps();
-        for &dy in dy_panels {
-            for r_n in 0..bn {
-                acc = _mm256_add_ps(acc, _mm256_loadu_ps(dy.add(r_n * bk + kb)));
-            }
-        }
-        _mm256_storeu_ps(db.add(kb), acc);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn bias_reduce_avx512(dy_panels: &[*const f32], db: *mut f32, d: PanelDims) {
-    use std::arch::x86_64::*;
-    let PanelDims { bn, bk, .. } = d;
-    for kb in (0..bk).step_by(16) {
-        let mut acc = _mm512_setzero_ps();
-        for &dy in dy_panels {
-            for r_n in 0..bn {
-                acc = _mm512_add_ps(acc, _mm512_loadu_ps(dy.add(r_n * bk + kb)));
-            }
-        }
-        _mm512_storeu_ps(db.add(kb), acc);
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::micro_ref;
     use super::*;
 
     fn all_isas() -> Vec<Isa> {
-        let mut v = vec![Isa::Scalar];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                v.push(Isa::Avx2);
+        crate::embedding::rowops::available_isas()
+    }
+
+    /// `count` panels of `len` pseudo-random floats (exact zeros and both
+    /// signs included), laid out with a gap so the stride is not the panel
+    /// length.
+    struct Operand {
+        data: Vec<f32>,
+        stride: usize,
+        count: usize,
+    }
+
+    impl Operand {
+        fn new(seed: usize, len: usize, count: usize) -> Self {
+            let stride = len + 5;
+            let data = (0..stride * count)
+                .map(|i| (((i * 2654435761 + seed * 40503) % 1000) as f32 - 500.0) / 250.0)
+                .collect();
+            Operand {
+                data,
+                stride,
+                count,
             }
-            if is_x86_feature_detected!("avx512f") {
-                v.push(Isa::Avx512);
+        }
+
+        fn panels(&self) -> Panels {
+            Panels {
+                ptr: self.data.as_ptr(),
+                stride: self.stride,
+            }
+        }
+
+        /// The pointer list the untiled reference kernels take.
+        fn ptrs(&self) -> Vec<*const f32> {
+            (0..self.count)
+                .map(|p| self.data[p * self.stride..].as_ptr())
+                .collect()
+        }
+
+        fn reduce(&self, beta: Beta) -> Reduce {
+            Reduce {
+                count: self.count,
+                beta,
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Output-panel prefill: what the untiled kernels accumulated into.
+    fn prefill(len: usize) -> Vec<f32> {
+        (0..len).map(|i| (i % 7) as f32 * 0.375 - 1.0).collect()
+    }
+
+    /// The shapes of the bit-equality sweeps: every `bn`/`bc` remainder of
+    /// the 4-wide tiles (and of the 2-row AVX2 dot tile), `bk` that selects
+    /// the 4-, 2- and 1-vector strips of both vector tiers, `bk = 24` (AVX2
+    /// kernels under the AVX-512 tier), `bk = 10` (scalar under every tier),
+    /// one panel and many.
+    fn shapes() -> Vec<(PanelDims, usize)> {
+        let mut v = Vec::new();
+        for bn in [1, 3, 4, 7, 32] {
+            for bc in [4, 5, 64] {
+                for bk in [16, 48, 64, 24, 10] {
+                    for count in [1, 5] {
+                        v.push((PanelDims { bn, bc, bk }, count));
+                    }
+                }
             }
         }
         v
     }
 
-    /// Builds pseudo-random panels and the scalar ground truth, then checks
-    /// every available ISA agrees.
-    fn check_fwd(d: PanelDims, batch: usize) {
-        let mk = |seed: usize, len: usize| -> Vec<f32> {
-            (0..len)
-                .map(|i| (((i * 2654435761 + seed * 40503) % 1000) as f32 - 500.0) / 250.0)
-                .collect()
-        };
-        let ws: Vec<Vec<f32>> = (0..batch).map(|p| mk(p, d.bc * d.bk)).collect();
-        let xs: Vec<Vec<f32>> = (0..batch).map(|p| mk(p + 99, d.bn * d.bc)).collect();
-        let wp: Vec<*const f32> = ws.iter().map(|v| v.as_ptr()).collect();
-        let xp: Vec<*const f32> = xs.iter().map(|v| v.as_ptr()).collect();
+    /// Runs `new` under β = 0 over garbage, under β = 1 over zeros and under
+    /// β = 1 over a prefill, and checks each against the untiled reference
+    /// `old` accumulating into zeros resp. the prefill.
+    fn assert_matches_reference(
+        len: usize,
+        label: &str,
+        old: impl Fn(*mut f32),
+        new: impl Fn(Beta, *mut f32),
+    ) {
+        let mut want = vec![0.0f32; len];
+        old(want.as_mut_ptr());
+        let mut overwrite = vec![f32::NAN; len];
+        new(Beta::Zero, overwrite.as_mut_ptr());
+        assert_eq!(bits(&overwrite), bits(&want), "{label}: overwrite");
+        let mut accumulate = vec![0.0f32; len];
+        new(Beta::One, accumulate.as_mut_ptr());
+        assert_eq!(bits(&accumulate), bits(&want), "{label}: pre-zeroed");
 
-        let mut want = vec![0.1f32; d.bn * d.bk];
-        unsafe { brgemm_fwd_scalar(&wp, &xp, want.as_mut_ptr(), d) };
-
-        for isa in all_isas() {
-            let mut got = vec![0.1f32; d.bn * d.bk];
-            unsafe { brgemm_fwd(isa, &wp, &xp, got.as_mut_ptr(), d) };
-            dlrm_tensor::assert_allclose(&got, &want, 1e-4, &format!("fwd {isa:?} {d:?}"));
-        }
-    }
-
-    fn check_bwd_data(d: PanelDims, batch: usize) {
-        let mk = |seed: usize, len: usize| -> Vec<f32> {
-            (0..len)
-                .map(|i| (((i * 1103515245 + seed * 12345) % 997) as f32 - 498.0) / 300.0)
-                .collect()
-        };
-        let ws: Vec<Vec<f32>> = (0..batch).map(|p| mk(p, d.bc * d.bk)).collect();
-        let dys: Vec<Vec<f32>> = (0..batch).map(|p| mk(p + 7, d.bn * d.bk)).collect();
-        let wp: Vec<*const f32> = ws.iter().map(|v| v.as_ptr()).collect();
-        let dyp: Vec<*const f32> = dys.iter().map(|v| v.as_ptr()).collect();
-
-        let mut want = vec![-0.2f32; d.bn * d.bc];
-        unsafe { brgemm_bwd_data_scalar(&wp, &dyp, want.as_mut_ptr(), d) };
-
-        for isa in all_isas() {
-            let mut got = vec![-0.2f32; d.bn * d.bc];
-            unsafe { brgemm_bwd_data(isa, &wp, &dyp, got.as_mut_ptr(), d) };
-            dlrm_tensor::assert_allclose(&got, &want, 1e-4, &format!("bwd_d {isa:?} {d:?}"));
-        }
-    }
-
-    fn check_bwd_wt(d: PanelDims, batch: usize) {
-        let mk = |seed: usize, len: usize| -> Vec<f32> {
-            (0..len)
-                .map(|i| (((i * 69069 + seed * 999331) % 991) as f32 - 495.0) / 400.0)
-                .collect()
-        };
-        let xs: Vec<Vec<f32>> = (0..batch).map(|p| mk(p, d.bn * d.bc)).collect();
-        let dys: Vec<Vec<f32>> = (0..batch).map(|p| mk(p + 3, d.bn * d.bk)).collect();
-        let xp: Vec<*const f32> = xs.iter().map(|v| v.as_ptr()).collect();
-        let dyp: Vec<*const f32> = dys.iter().map(|v| v.as_ptr()).collect();
-
-        let mut want = vec![0.0f32; d.bc * d.bk];
-        unsafe { brgemm_bwd_wt_scalar(&xp, &dyp, want.as_mut_ptr(), d) };
-
-        for isa in all_isas() {
-            let mut got = vec![0.0f32; d.bc * d.bk];
-            unsafe { brgemm_bwd_wt(isa, &xp, &dyp, got.as_mut_ptr(), d) };
-            dlrm_tensor::assert_allclose(&got, &want, 1e-4, &format!("bwd_w {isa:?} {d:?}"));
-        }
+        let mut want = prefill(len);
+        old(want.as_mut_ptr());
+        let mut accumulate = prefill(len);
+        new(Beta::One, accumulate.as_mut_ptr());
+        assert_eq!(bits(&accumulate), bits(&want), "{label}: accumulate");
     }
 
     #[test]
-    fn fwd_all_isas_agree_square() {
-        check_fwd(
-            PanelDims {
-                bn: 8,
-                bc: 32,
-                bk: 32,
-            },
-            4,
-        );
-    }
-
-    #[test]
-    fn fwd_all_isas_agree_odd_bn() {
-        // bn=5 exercises the AVX-512 remainder-row path.
-        check_fwd(
-            PanelDims {
-                bn: 5,
-                bc: 16,
-                bk: 48,
-            },
-            3,
-        );
-    }
-
-    #[test]
-    fn fwd_scalar_fallback_for_odd_bk() {
-        check_fwd(
-            PanelDims {
-                bn: 4,
-                bc: 8,
-                bk: 10,
-            },
-            2,
-        );
-    }
-
-    #[test]
-    fn fwd_single_panel() {
-        check_fwd(
-            PanelDims {
-                bn: 2,
-                bc: 2,
-                bk: 16,
-            },
-            1,
-        );
-    }
-
-    #[test]
-    fn bwd_data_all_isas_agree() {
-        check_bwd_data(
-            PanelDims {
-                bn: 8,
-                bc: 24,
-                bk: 32,
-            },
-            4,
-        );
-        check_bwd_data(
-            PanelDims {
-                bn: 3,
-                bc: 5,
-                bk: 16,
-            },
-            2,
-        );
-        check_bwd_data(
-            PanelDims {
-                bn: 4,
-                bc: 8,
-                bk: 9,
-            },
-            2,
-        ); // scalar path
-    }
-
-    #[test]
-    fn bwd_wt_all_isas_agree() {
-        check_bwd_wt(
-            PanelDims {
-                bn: 8,
-                bc: 32,
-                bk: 32,
-            },
-            4,
-        );
-        check_bwd_wt(
-            PanelDims {
-                bn: 7,
-                bc: 5,
-                bk: 16,
-            },
-            3,
-        ); // remainder cols
-        check_bwd_wt(
-            PanelDims {
-                bn: 4,
-                bc: 8,
-                bk: 12,
-            },
-            2,
-        ); // avx2/scalar
-    }
-
-    #[test]
-    fn widened_avx512_fwd_is_bitwise_identical_to_narrow() {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if !is_x86_feature_detected!("avx512f") {
-                return;
-            }
-            for (bn, bc, bk, batch) in [(8, 16, 32, 4), (5, 7, 64, 3), (1, 3, 32, 1)] {
-                let d = PanelDims { bn, bc, bk };
-                let mk = |seed: usize, len: usize| -> Vec<f32> {
-                    (0..len)
-                        .map(|i| (((i * 2654435761 + seed * 40503) % 1000) as f32 - 500.0) / 250.0)
-                        .collect()
-                };
-                let ws: Vec<Vec<f32>> = (0..batch).map(|p| mk(p, bc * bk)).collect();
-                let xs: Vec<Vec<f32>> = (0..batch).map(|p| mk(p + 99, bn * bc)).collect();
-                let wp: Vec<*const f32> = ws.iter().map(|v| v.as_ptr()).collect();
-                let xp: Vec<*const f32> = xs.iter().map(|v| v.as_ptr()).collect();
-                let mut wide = vec![0.25f32; bn * bk];
-                let mut narrow = vec![0.25f32; bn * bk];
-                unsafe {
-                    brgemm_fwd_avx512_x2(&wp, &xp, wide.as_mut_ptr(), d);
-                    brgemm_fwd_avx512(&wp, &xp, narrow.as_mut_ptr(), d);
-                }
-                let wb: Vec<u32> = wide.iter().map(|v| v.to_bits()).collect();
-                let nb: Vec<u32> = narrow.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(wb, nb, "widened fwd must be bitwise identical {d:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn bwd_data_relu_is_bitwise_unfused_then_mask() {
-        for (bn, bc, bk, batch) in [(8, 24, 32, 4), (3, 5, 16, 2), (4, 8, 9, 2)] {
-            let d = PanelDims { bn, bc, bk };
-            let mk = |seed: usize, len: usize| -> Vec<f32> {
-                (0..len)
-                    .map(|i| (((i * 1103515245 + seed * 12345) % 997) as f32 - 498.0) / 300.0)
-                    .collect()
-            };
-            let ws: Vec<Vec<f32>> = (0..batch).map(|p| mk(p, bc * bk)).collect();
-            let dys: Vec<Vec<f32>> = (0..batch).map(|p| mk(p + 7, bn * bk)).collect();
-            let wp: Vec<*const f32> = ws.iter().map(|v| v.as_ptr()).collect();
-            let dyp: Vec<*const f32> = dys.iter().map(|v| v.as_ptr()).collect();
-            // Mask mixes strictly-negative, exact-zero and positive entries.
-            let mask: Vec<f32> = (0..bn * bc)
-                .map(|i| match i % 3 {
-                    0 => -1.0,
-                    1 => 0.0,
-                    _ => 0.5,
-                })
-                .collect();
+    fn tiled_fwd_is_bitwise_the_untiled_kernel() {
+        for (d, count) in shapes() {
+            let w = Operand::new(1, d.bc * d.bk, count);
+            let x = Operand::new(99, d.bn * d.bc, count);
             for isa in all_isas() {
-                let mut want = vec![0.0f32; bn * bc];
-                unsafe { brgemm_bwd_data(isa, &wp, &dyp, want.as_mut_ptr(), d) };
-                for (w, &m) in want.iter_mut().zip(&mask) {
-                    if m <= 0.0 {
-                        *w = 0.0;
-                    }
+                assert_matches_reference(
+                    d.bn * d.bk,
+                    &format!("fwd {isa:?} {d:?} x{count}"),
+                    |y| unsafe { micro_ref::fwd(isa, &w.ptrs(), &x.ptrs(), y, d) },
+                    |beta, y| unsafe {
+                        brgemm_fwd(isa, w.panels(), x.panels(), w.reduce(beta), y, d)
+                    },
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_bwd_wt_is_bitwise_the_untiled_kernel() {
+        for (d, count) in shapes() {
+            let x = Operand::new(2, d.bn * d.bc, count);
+            let dy = Operand::new(5, d.bn * d.bk, count);
+            for isa in all_isas() {
+                assert_matches_reference(
+                    d.bc * d.bk,
+                    &format!("bwd_wt {isa:?} {d:?} x{count}"),
+                    |dw| unsafe { micro_ref::bwd_wt(isa, &x.ptrs(), &dy.ptrs(), dw, d) },
+                    |beta, dw| unsafe {
+                        brgemm_bwd_wt(isa, x.panels(), dy.panels(), x.reduce(beta), dw, d)
+                    },
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_bwd_data_is_bitwise_the_untiled_kernel_under_every_mask() {
+        for (d, count) in shapes() {
+            let w = Operand::new(3, d.bc * d.bk, count);
+            let dy = Operand::new(7, d.bn * d.bk, count);
+            let len = d.bn * d.bc;
+            // Strictly negative, exact zero and positive entries; everything
+            // masked; nothing masked; no mask at all.
+            let mixed: Vec<f32> = (0..len).map(|i| [-1.0, 0.0, 0.5][i % 3]).collect();
+            let masks = [
+                Some(mixed),
+                Some(vec![-2.0; len]),
+                Some(vec![1.0; len]),
+                None,
+            ];
+            for isa in all_isas() {
+                for (m, mask) in masks.iter().enumerate() {
+                    let mask = mask.as_ref().map(|m| m.as_ptr());
+                    assert_matches_reference(
+                        len,
+                        &format!("bwd_data {isa:?} {d:?} x{count} mask {m}"),
+                        |dx| unsafe {
+                            micro_ref::bwd_data(isa, &w.ptrs(), &dy.ptrs(), dx, mask, d)
+                        },
+                        |beta, dx| unsafe {
+                            brgemm_bwd_data(
+                                isa,
+                                w.panels(),
+                                dy.panels(),
+                                w.reduce(beta),
+                                dx,
+                                mask,
+                                d,
+                            )
+                        },
+                    );
                 }
-                let mut got = vec![0.0f32; bn * bc];
-                unsafe { brgemm_bwd_data_relu(isa, &wp, &dyp, got.as_mut_ptr(), mask.as_ptr(), d) };
-                let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(gb, wb, "fused relu bwd_data {isa:?} {d:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn overwrite_keeps_the_zero_sign_of_accumulating_into_zeros() {
+        // Every product is -0.0; a zero-filled output accumulated into gives
+        // +0.0, and so must β = 0.
+        let d = PanelDims {
+            bn: 5,
+            bc: 6,
+            bk: 16,
+        };
+        let w = Operand::new(4, d.bc * d.bk, 2);
+        let mut dy = Operand::new(4, d.bn * d.bk, 2);
+        dy.data.fill(-0.0);
+        let x = Operand {
+            data: vec![-0.0; (d.bn * d.bc + 5) * 2],
+            ..Operand::new(0, d.bn * d.bc, 2)
+        };
+        for isa in all_isas() {
+            let r = w.reduce(Beta::Zero);
+            let mut dx = vec![f32::NAN; d.bn * d.bc];
+            unsafe { brgemm_bwd_data(isa, w.panels(), dy.panels(), r, dx.as_mut_ptr(), None, d) };
+            assert!(dx.iter().all(|v| v.to_bits() == 0), "bwd_data {isa:?}");
+            let mut dw = vec![f32::NAN; d.bc * d.bk];
+            unsafe { brgemm_bwd_wt(isa, x.panels(), dy.panels(), r, dw.as_mut_ptr(), d) };
+            assert!(dw.iter().all(|v| v.to_bits() == 0), "bwd_wt {isa:?}");
+            let mut y = vec![f32::NAN; d.bn * d.bk];
+            unsafe { brgemm_fwd(isa, w.panels(), x.panels(), r, y.as_mut_ptr(), d) };
+            assert!(y.iter().all(|v| v.to_bits() == 0), "fwd {isa:?}");
+        }
+    }
+
+    #[test]
+    fn all_isas_agree_with_scalar() {
+        for (bn, bc, bk, count) in [(8, 32, 32, 4), (5, 16, 48, 3), (3, 5, 16, 2), (4, 8, 10, 2)] {
+            let d = PanelDims { bn, bc, bk };
+            let w = Operand::new(1, bc * bk, count);
+            let x = Operand::new(99, bn * bc, count);
+            let dy = Operand::new(7, bn * bk, count);
+            let r = w.reduce(Beta::One);
+            let run = |isa: Isa| {
+                let (mut y, mut dx, mut dw) = (
+                    vec![0.1f32; bn * bk],
+                    vec![-0.2f32; bn * bc],
+                    vec![0.0f32; bc * bk],
+                );
+                unsafe {
+                    brgemm_fwd(isa, w.panels(), x.panels(), r, y.as_mut_ptr(), d);
+                    brgemm_bwd_data(isa, w.panels(), dy.panels(), r, dx.as_mut_ptr(), None, d);
+                    brgemm_bwd_wt(isa, x.panels(), dy.panels(), r, dw.as_mut_ptr(), d);
+                }
+                (y, dx, dw)
+            };
+            let want = run(Isa::Scalar);
+            for isa in all_isas() {
+                let got = run(isa);
+                dlrm_tensor::assert_allclose(&got.0, &want.0, 1e-4, &format!("fwd {isa:?} {d:?}"));
+                dlrm_tensor::assert_allclose(&got.1, &want.1, 1e-4, &format!("bwd_d {isa:?}"));
+                dlrm_tensor::assert_allclose(&got.2, &want.2, 1e-4, &format!("bwd_w {isa:?}"));
             }
         }
     }
 
     #[test]
     fn bwd_wt_bias_matches_unfused_and_flat_row_sums() {
-        for (bn, bc, bk, batch) in [(8, 32, 32, 4), (7, 5, 16, 3), (4, 8, 12, 2), (3, 5, 6, 2)] {
+        for (bn, bc, bk, count) in [(8, 32, 32, 4), (7, 5, 16, 3), (4, 8, 12, 2), (3, 5, 6, 2)] {
             let d = PanelDims { bn, bc, bk };
-            let mk = |seed: usize, len: usize| -> Vec<f32> {
-                (0..len)
-                    .map(|i| (((i * 69069 + seed * 999331) % 991) as f32 - 495.0) / 400.0)
-                    .collect()
-            };
-            let xs: Vec<Vec<f32>> = (0..batch).map(|p| mk(p, bn * bc)).collect();
-            let dys: Vec<Vec<f32>> = (0..batch).map(|p| mk(p + 3, bn * bk)).collect();
-            let xp: Vec<*const f32> = xs.iter().map(|v| v.as_ptr()).collect();
-            let dyp: Vec<*const f32> = dys.iter().map(|v| v.as_ptr()).collect();
+            let x = Operand::new(2, bn * bc, count);
+            let dy = Operand::new(5, bn * bk, count);
             // Flat reference: db[rk] = ascending-n plain sum, like
-            // bias_grad_rows on the unpacked [bk x (batch*bn)] gradient.
+            // bias_grad_rows on the unpacked [bk x (count*bn)] gradient.
             let mut db_ref = vec![0.0f32; bk];
             for (rk, o) in db_ref.iter_mut().enumerate() {
-                for dy in &dys {
+                for p in 0..count {
                     for r_n in 0..bn {
-                        *o += dy[r_n * bk + rk];
+                        *o += dy.data[p * dy.stride + r_n * bk + rk];
                     }
                 }
             }
             for isa in all_isas() {
-                let mut dw_want = vec![0.0f32; bc * bk];
-                unsafe { brgemm_bwd_wt(isa, &xp, &dyp, dw_want.as_mut_ptr(), d) };
-                let mut dw_got = vec![0.0f32; bc * bk];
+                let r = x.reduce(Beta::Zero);
+                let mut dw_want = vec![f32::NAN; bc * bk];
+                unsafe { brgemm_bwd_wt(isa, x.panels(), dy.panels(), r, dw_want.as_mut_ptr(), d) };
+                let mut dw_got = vec![f32::NAN; bc * bk];
                 let mut db_got = vec![7.0f32; bk]; // overwrite semantics
                 unsafe {
-                    brgemm_bwd_wt_bias(isa, &xp, &dyp, dw_got.as_mut_ptr(), db_got.as_mut_ptr(), d)
+                    brgemm_bwd_wt_bias(
+                        isa,
+                        x.panels(),
+                        dy.panels(),
+                        r,
+                        dw_got.as_mut_ptr(),
+                        db_got.as_mut_ptr(),
+                        d,
+                    )
                 };
-                let a: Vec<u32> = dw_got.iter().map(|v| v.to_bits()).collect();
-                let b: Vec<u32> = dw_want.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(a, b, "fused dW {isa:?} {d:?}");
-                let a: Vec<u32> = db_got.iter().map(|v| v.to_bits()).collect();
-                let b: Vec<u32> = db_ref.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(a, b, "fused db must be bitwise flat sum {isa:?} {d:?}");
+                assert_eq!(bits(&dw_got), bits(&dw_want), "fused dW {isa:?} {d:?}");
+                assert_eq!(
+                    bits(&db_got),
+                    bits(&db_ref),
+                    "fused db must be bitwise flat sum {isa:?} {d:?}"
+                );
             }
         }
     }
@@ -1075,31 +1017,37 @@ mod tests {
     }
 
     #[test]
-    fn batch_reduce_equals_sequential_calls() {
-        // Reducing P panels in one call must equal P accumulating calls.
+    fn batch_reduce_equals_sequential_accumulating_calls_bitwise() {
+        // Reducing P panels in one call is the same chain as P one-panel
+        // calls that accumulate: the partial sums round-trip through memory
+        // exactly.
         let d = PanelDims {
             bn: 4,
             bc: 8,
             bk: 16,
         };
-        let mk = |seed: usize, len: usize| -> Vec<f32> {
-            (0..len)
-                .map(|i| ((i + seed) % 17) as f32 * 0.21 - 1.5)
-                .collect()
-        };
-        let ws: Vec<Vec<f32>> = (0..5).map(|p| mk(p, d.bc * d.bk)).collect();
-        let xs: Vec<Vec<f32>> = (0..5).map(|p| mk(p + 31, d.bn * d.bc)).collect();
-        let wp: Vec<*const f32> = ws.iter().map(|v| v.as_ptr()).collect();
-        let xp: Vec<*const f32> = xs.iter().map(|v| v.as_ptr()).collect();
+        let w = Operand::new(1, d.bc * d.bk, 5);
+        let x = Operand::new(31, d.bn * d.bc, 5);
+        for isa in all_isas() {
+            let mut batched = vec![f32::NAN; d.bn * d.bk];
+            let r = w.reduce(Beta::Zero);
+            unsafe { brgemm_fwd(isa, w.panels(), x.panels(), r, batched.as_mut_ptr(), d) };
 
-        let isa = detect_isa();
-        let mut batched = vec![0.0f32; d.bn * d.bk];
-        unsafe { brgemm_fwd(isa, &wp, &xp, batched.as_mut_ptr(), d) };
-
-        let mut seq = vec![0.0f32; d.bn * d.bk];
-        for p in 0..5 {
-            unsafe { brgemm_fwd(isa, &wp[p..p + 1], &xp[p..p + 1], seq.as_mut_ptr(), d) };
+            let mut seq = vec![0.0f32; d.bn * d.bk];
+            let one = Reduce {
+                count: 1,
+                beta: Beta::One,
+            };
+            for p in 0..5 {
+                let (wp, xp) = unsafe {
+                    (
+                        w.panels().offset(p * w.stride),
+                        x.panels().offset(p * x.stride),
+                    )
+                };
+                unsafe { brgemm_fwd(isa, wp, xp, one, seq.as_mut_ptr(), d) };
+            }
+            assert_eq!(bits(&batched), bits(&seq), "{isa:?}");
         }
-        dlrm_tensor::assert_allclose(&batched, &seq, 1e-4, "batch vs sequential");
     }
 }

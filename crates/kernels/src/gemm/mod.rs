@@ -13,6 +13,8 @@
 pub mod blocked;
 pub mod flat;
 pub mod micro;
+#[cfg(test)]
+mod micro_ref;
 pub mod naive;
 
 pub use blocked::{

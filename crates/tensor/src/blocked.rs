@@ -136,7 +136,7 @@ impl BlockedWeights {
 
     /// Re-sizes to `k×c` under `blk` with scratch semantics, leaving the
     /// contents unspecified (callers must fully overwrite before reading —
-    /// the accumulate-style GEMM kernels want [`Self::fill_zero`] first).
+    /// which every blocked GEMM pass does to its output).
     pub fn reshape_scratch(&mut self, k: usize, c: usize, blk: Blocking) {
         assert_eq!(k % blk.bk, 0, "bk must divide K");
         assert_eq!(c % blk.bc, 0, "bc must divide C");
@@ -144,11 +144,6 @@ impl BlockedWeights {
         self.k = k;
         self.c = c;
         self.blk = blk;
-    }
-
-    /// Resets every element to `0.0`.
-    pub fn fill_zero(&mut self) {
-        self.data.fill_zero();
     }
 
     /// Allocated capacity in bytes (for scratch accounting).
@@ -165,11 +160,23 @@ impl BlockedWeights {
     }
 
     /// Unpacks into an existing `K×C` matrix (no allocation).
+    ///
+    /// Walks the storage panel by panel: the backward pass unpacks every
+    /// layer's `dW` every step, and a per-element [`Self::index_of`] (two
+    /// divisions each) cost as much as the weight-gradient GEMM itself.
     pub fn unpack_into(&self, out: &mut Matrix) {
         assert_eq!((self.k, self.c), out.shape(), "unpack_into shape mismatch");
-        for kk in 0..self.k {
-            for cc in 0..self.c {
-                out[(kk, cc)] = self.data[self.index_of(kk, cc)];
+        let Blocking { bc, bk, .. } = self.blk;
+        let (cb, c) = (self.cb(), self.c);
+        let flat = out.as_mut_slice();
+        for (idx, panel) in self.data.chunks_exact(bc * bk).enumerate() {
+            let (ibk, ibc) = (idx / cb, idx % cb);
+            // Panel is [bc][bk]; its rows of `out` are the bk features.
+            for rk in 0..bk {
+                let row = &mut flat[(ibk * bk + rk) * c + ibc * bc..][..bc];
+                for (v, &p) in row.iter_mut().zip(panel[rk..].iter().step_by(bk)) {
+                    *v = p;
+                }
             }
         }
     }
@@ -317,8 +324,8 @@ impl BlockedActivations {
     }
 
     /// Re-sizes to `c×n` under `(bc, bn)` with scratch semantics, contents
-    /// unspecified (pair with [`Self::fill_zero`] before accumulate-style
-    /// kernels write into it).
+    /// unspecified (callers must fully overwrite before reading — which
+    /// every blocked GEMM pass does to its output).
     pub fn reshape_scratch(&mut self, c: usize, n: usize, bc: usize, bn: usize) {
         assert_eq!(c % bc, 0, "bc must divide C");
         assert_eq!(n % bn, 0, "bn must divide N");
@@ -327,11 +334,6 @@ impl BlockedActivations {
         self.n = n;
         self.bc = bc;
         self.bn = bn;
-    }
-
-    /// Resets every element to `0.0`.
-    pub fn fill_zero(&mut self) {
-        self.data.fill_zero();
     }
 
     /// Allocated capacity in bytes (for scratch accounting).
