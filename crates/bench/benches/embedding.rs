@@ -100,12 +100,17 @@ fn bench_fused(c: &mut Criterion) {
             );
         });
     });
-    group.bench_function("fused", |b| {
-        let mut w = s.w.clone();
-        b.iter(|| {
-            embedding::fused_backward_update(&pool, &mut w, &s.dy, &s.indices, &s.offsets, -0.001)
+    for strategy in [UpdateStrategy::RaceFree, UpdateStrategy::Bucketed] {
+        group.bench_function(BenchmarkId::new("fused", strategy.to_string()), |b| {
+            let mut w = s.w.clone();
+            let mut plan = embedding::BagPlan::new();
+            b.iter(|| {
+                embedding::backward_update(
+                    &pool, strategy, &mut w, &s.dy, &s.indices, &s.offsets, -0.001, &mut plan,
+                )
+            });
         });
-    });
+    }
     group.finish();
 }
 

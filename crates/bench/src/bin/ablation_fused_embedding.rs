@@ -42,22 +42,20 @@ fn main() {
         );
     });
 
-    let mut w = w0.clone();
-    let t_fused = time_it(1, 5, || {
-        embedding::fused_backward_update(&pool, &mut w, &dy, &indices, &offsets, -0.01);
-    });
-
-    // Plan-driven fused: the per-batch plan build is part of the cost, but
-    // the plan's buffers are reused (steady-state, as in the layer).
-    let mut w = w0.clone();
+    // The train step's kernel. `RaceFree` scans, `Bucketed` plans (the
+    // per-batch plan build is part of the cost; its buffers are reused, as
+    // in the layer).
     let mut plan = embedding::BagPlan::new();
-    let t_planned = time_it(1, 5, || {
-        plan.build(&pool, &indices, m);
-        plan.attach_bags(&pool, &offsets);
-        embedding::fused_backward_update_planned(
-            &pool, &mut w, &dy, &indices, &offsets, -0.01, &plan,
-        );
-    });
+    let mut fused = |strategy| {
+        let mut w = w0.clone();
+        time_it(1, 5, || {
+            embedding::backward_update(
+                &pool, strategy, &mut w, &dy, &indices, &offsets, -0.01, &mut plan,
+            );
+        })
+    };
+    let t_fused = fused(UpdateStrategy::RaceFree);
+    let t_planned = fused(UpdateStrategy::Bucketed);
 
     let mut t = Table::new(&["variant", "time/iter", "speedup"]);
     t.row(vec![
@@ -66,12 +64,12 @@ fn main() {
         "1.00x".into(),
     ]);
     t.row(vec![
-        "fused".into(),
+        "fused (Race Free)".into(),
         fmt_time(t_fused),
         fmt_speedup(t_unfused / t_fused),
     ]);
     t.row(vec![
-        "fused + plan".into(),
+        "fused (Bucketed)".into(),
         fmt_time(t_planned),
         fmt_speedup(t_unfused / t_planned),
     ]);

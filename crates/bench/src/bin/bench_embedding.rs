@@ -5,13 +5,18 @@
 //! Measures, on a fixed 8-thread team:
 //!
 //! * forward (bag-sum gather) GUPS under each ISA tier available at
-//!   runtime (scalar / AVX2 / AVX-512, forced via the gemm ISA override);
-//! * update GUPS for every `UpdateStrategy` × ISA tier on a uniform index
-//!   stream;
+//!   runtime (scalar / AVX2 / AVX-512, forced via the gemm ISA override),
+//!   twice: the bag-level kernel `embedding::forward` runs (the bag's sum
+//!   held in registers), and next to it the same gather composed from the
+//!   row-level primitive, one `rowops::accumulate` call per lookup — what a
+//!   caller that interleaves work between rows (the serving cache) pays;
+//! * unfused update GUPS for every `UpdateStrategy` × ISA tier on a uniform
+//!   index stream (Figure 7's kernel);
 //! * race-free vs bucketed on a *clustered* stream (0.1% hot rows, 90%
 //!   hot) — the workload where race-free's O(NS·T) full scan loses to the
 //!   plan's O(NS) bucketing;
-//! * fused backward+update, full-scan vs plan-driven.
+//! * the fused backward+update the train step runs
+//!   (`embedding::backward_update`), every strategy.
 //!
 //! The thread team is deliberately fixed (not `available_parallelism`):
 //! race-free's redundant scan cost scales with T whether or not the host
@@ -28,7 +33,7 @@
 
 use dlrm_bench::{header, time_it, validate_bench_embedding_json, HarnessOpts, Table};
 use dlrm_data::IndexDistribution;
-use dlrm_kernels::embedding::rowops::available_isas;
+use dlrm_kernels::embedding::rowops::{self, available_isas};
 use dlrm_kernels::embedding::{self, BagPlan, UpdateStrategy};
 use dlrm_kernels::gemm::micro::{set_isa_override, Isa};
 use dlrm_kernels::ThreadPool;
@@ -114,6 +119,45 @@ fn workload(dist: IndexDistribution, s: &Sizes, seed: u64) -> Workload {
     Workload { indices, offsets }
 }
 
+/// The gather composed from row-level primitives: zero the output row, then
+/// one dispatched [`rowops::accumulate`] per lookup, prefetching as the
+/// kernels do. Same bits as [`embedding::forward`]; the bench reports what
+/// the per-lookup call, dispatch and output-row round trip cost.
+fn gather_per_row(pool: &ThreadPool, isa: Isa, w: &Matrix, wl: &Workload, out: &mut Matrix) {
+    /// `out`'s base pointer, shared with the team; bags (= output rows) are
+    /// partitioned across threads.
+    #[derive(Clone, Copy)]
+    struct OutPtr(*mut f32);
+    // SAFETY: every thread writes a disjoint set of rows.
+    unsafe impl Send for OutPtr {}
+    unsafe impl Sync for OutPtr {}
+    impl OutPtr {
+        fn row(self, r: usize, e: usize) -> *mut f32 {
+            // SAFETY of the arithmetic: callers pass r < out.rows().
+            unsafe { self.0.add(r * e) }
+        }
+    }
+
+    let (n, e) = out.shape();
+    assert_eq!((n + 1, e), (wl.offsets.len(), w.cols()), "gather shapes");
+    let base = OutPtr(out.as_mut_slice().as_mut_ptr());
+    pool.parallel_for(n, move |_tid, bags| {
+        let slot_end = wl.offsets[bags.end];
+        for bag in bags {
+            // SAFETY: bag < n rows of `out`, owned by this thread alone.
+            let out_row = unsafe { std::slice::from_raw_parts_mut(base.row(bag, e), e) };
+            out_row.fill(0.0);
+            for s in wl.offsets[bag]..wl.offsets[bag + 1] {
+                if s + rowops::PREFETCH_DISTANCE < slot_end {
+                    let ahead = wl.indices[s + rowops::PREFETCH_DISTANCE] as usize;
+                    rowops::prefetch_row(w.row(ahead).as_ptr(), e);
+                }
+                rowops::accumulate(isa, out_row, w.row(wl.indices[s] as usize));
+            }
+        }
+    });
+}
+
 /// Numerical-equivalence gate at a small fixed size: every optimized path
 /// vs Reference. Returns true (and is also hard-asserted) so the artifact
 /// records the gate explicitly.
@@ -159,7 +203,16 @@ fn equivalence_gate(pool: &ThreadPool) -> bool {
         }
     }
 
-    // Fused paths vs backward-then-reference.
+    // The row-level composition of the gather: same bits.
+    let mut got_rows = Matrix::zeros(n, e);
+    let wl = Workload {
+        indices: indices.clone(),
+        offsets: offsets.clone(),
+    };
+    gather_per_row(pool, Isa::Scalar, &w0, &wl, &mut got_rows);
+    assert_eq!(got_rows.as_slice(), want_fwd.as_slice(), "per-row gather");
+
+    // Fused backward+update vs backward-then-reference.
     let mut dw_exp = Matrix::zeros(ns, e);
     embedding::backward(pool, &dy, &offsets, &mut dw_exp);
     let mut want_f = w0.clone();
@@ -171,23 +224,17 @@ fn equivalence_gate(pool: &ThreadPool) -> bool {
         &indices,
         alpha,
     );
-    let mut got_full = w0.clone();
-    embedding::fused_backward_update(pool, &mut got_full, &dy, &indices, &offsets, alpha);
-    assert_eq!(got_full.as_slice(), want_f.as_slice(), "fused full-scan");
     let mut plan = BagPlan::new();
-    plan.build(pool, &indices, m);
-    plan.attach_bags(pool, &offsets);
-    let mut got_planned = w0.clone();
-    embedding::fused_backward_update_planned(
-        pool,
-        &mut got_planned,
-        &dy,
-        &indices,
-        &offsets,
-        alpha,
-        &plan,
-    );
-    assert_eq!(got_planned.as_slice(), want_f.as_slice(), "fused planned");
+    for strat in UpdateStrategy::ALL {
+        let mut got = w0.clone();
+        embedding::backward_update(
+            pool, strat, &mut got, &dy, &indices, &offsets, alpha, &mut plan,
+        );
+        assert_allclose(got.as_slice(), want_f.as_slice(), 1e-5, "fused");
+        if !matches!(strat, UpdateStrategy::AtomicXchg | UpdateStrategy::Rtm) {
+            assert_eq!(got.as_slice(), want_f.as_slice(), "fused {strat}");
+        }
+    }
     true
 }
 
@@ -240,8 +287,10 @@ fn main() {
     let dy = uniform(s.n, s.e, -0.1, 0.1, &mut rng);
     let alpha = -0.01f32;
 
-    // ---- Forward GUPS per ISA tier (uniform indices). -------------------
+    // ---- Forward GUPS per ISA tier (uniform indices): the bag-level
+    // kernel, and the per-row composition of the same gather. -------------
     let mut forward_gups: Vec<(String, f64)> = Vec::new();
+    let mut per_row_gups: Vec<(String, f64)> = Vec::new();
     let mut out = Matrix::zeros(s.n, s.e);
     for &isa in &tiers {
         set_isa_override(Some(isa));
@@ -249,20 +298,30 @@ fn main() {
             embedding::forward(&pool, &w0, &uni.indices, &uni.offsets, &mut out);
         });
         forward_gups.push((isa_key(isa).to_string(), gups(ns, s.e, secs)));
+        let secs = time_it(s.warmup, s.iters, || {
+            gather_per_row(&pool, isa, &w0, &uni, &mut out);
+        });
+        per_row_gups.push((isa_key(isa).to_string(), gups(ns, s.e, secs)));
     }
     set_isa_override(None);
+    let best = |v: &[(String, f64)]| v.iter().map(|p| p.1).fold(0.0f64, f64::max);
     let scalar_fwd = forward_gups[0].1;
-    let best_fwd = forward_gups.iter().map(|p| p.1).fold(0.0f64, f64::max);
-    let simd_ratio = best_fwd / scalar_fwd.max(f64::MIN_POSITIVE);
+    let simd_ratio = best(&forward_gups) / scalar_fwd.max(f64::MIN_POSITIVE);
+    let bag_ratio = best(&forward_gups) / best(&per_row_gups).max(f64::MIN_POSITIVE);
 
     let mut t = Table::new(&["kernel", "tier", "GUPS", "GB/s read"]);
-    for (k, g) in &forward_gups {
-        t.row(vec![
-            "forward".into(),
-            k.clone(),
-            format!("{g:.3}"),
-            format!("{:.1}", g * 4.0),
-        ]);
+    for (name, rows) in [
+        ("forward (bag-level)", &forward_gups),
+        ("forward (per-row)", &per_row_gups),
+    ] {
+        for (k, g) in rows {
+            t.row(vec![
+                name.into(),
+                k.clone(),
+                format!("{g:.3}"),
+                format!("{:.1}", g * 4.0),
+            ]);
+        }
     }
     t.print();
 
@@ -319,35 +378,33 @@ fn main() {
     let clustered_speedup = rf_secs / bu_secs.max(f64::MIN_POSITIVE);
     println!(
         "\nclustered (0.1% hot / 90%): race-free {rf_gups:.3} GUPS, bucketed {bu_gups:.3} GUPS \
-         -> {clustered_speedup:.2}x (plan kills the O(NS*T) scan)"
+         -> {clustered_speedup:.2}x (plan: O(NS) lookups walked, scan: O(NS*T))"
     );
 
-    // ---- Fused backward+update: full scan vs plan-driven (uniform). -----
-    let mut w = w0.clone();
-    let fused_secs = time_it(s.warmup, s.iters, || {
-        embedding::fused_backward_update(&pool, &mut w, &dy, &uni.indices, &uni.offsets, alpha);
-    });
-    let mut w = w0.clone();
+    // ---- Fused backward+update, every strategy (uniform, native tier). --
+    let mut fused_gups: Vec<(String, f64)> = Vec::new();
     let mut fplan = BagPlan::new();
-    let planned_secs = time_it(s.warmup, s.iters, || {
-        fplan.build(&pool, &uni.indices, s.m);
-        fplan.attach_bags(&pool, &uni.offsets);
-        embedding::fused_backward_update_planned(
-            &pool,
-            &mut w,
-            &dy,
-            &uni.indices,
-            &uni.offsets,
-            alpha,
-            &fplan,
-        );
-    });
-    let fused_gups = gups(ns, s.e, fused_secs);
-    let planned_gups = gups(ns, s.e, planned_secs);
-    println!(
-        "fused: full-scan {fused_gups:.3} GUPS, planned {planned_gups:.3} GUPS ({:.2}x)",
-        fused_secs / planned_secs.max(f64::MIN_POSITIVE)
-    );
+    for strat in UpdateStrategy::ALL {
+        let mut w = w0.clone();
+        let secs = time_it(s.warmup, s.iters, || {
+            embedding::backward_update(
+                &pool,
+                strat,
+                &mut w,
+                &dy,
+                &uni.indices,
+                &uni.offsets,
+                alpha,
+                &mut fplan,
+            );
+        });
+        fused_gups.push((strategy_key(strat).to_string(), gups(ns, s.e, secs)));
+    }
+    let mut t = Table::new(&["fused backward+update", "GUPS"]);
+    for (k, g) in &fused_gups {
+        t.row(vec![k.clone(), format!("{g:.3}")]);
+    }
+    t.print();
 
     // ---- Artifact. ------------------------------------------------------
     let tier_list: Vec<String> = tiers
@@ -363,10 +420,12 @@ fn main() {
          \"config\": {{\"rows\": {}, \"dim\": {}, \"bags\": {}, \"lookups_per_bag\": {}}},\n  \
          \"isa_tiers\": [{}],\n  \
          \"forward_gups\": {},\n  \
+         \"forward_per_row_gups\": {},\n  \
          \"update_gups\": {{{}}},\n  \
          \"clustered\": {{\"race_free_gups\": {rf_gups:.4}, \"bucketed_gups\": {bu_gups:.4}, \"bucketed_vs_racefree_speedup\": {clustered_speedup:.4}}},\n  \
-         \"fused\": {{\"full_scan_gups\": {fused_gups:.4}, \"planned_gups\": {planned_gups:.4}}},\n  \
+         \"fused_gups\": {},\n  \
          \"simd_vs_scalar_forward_ratio\": {simd_ratio:.4},\n  \
+         \"bag_vs_per_row_forward_ratio\": {bag_ratio:.4},\n  \
          \"equivalence_ok\": {equivalence_ok}\n}}\n",
         opts.smoke,
         s.m,
@@ -375,7 +434,9 @@ fn main() {
         s.p,
         tier_list.join(", "),
         json_map(&forward_gups),
+        json_map(&per_row_gups),
         update_json.join(",\n    "),
+        json_map(&fused_gups),
     );
     validate_bench_embedding_json(&json).expect("self-validation of the artifact schema");
     let path = dlrm_bench::write_artifact("BENCH_embedding.json", &json);

@@ -136,18 +136,20 @@ pub fn validate_artifact(file_name: &str, json: &str) -> Result<(), String> {
 /// appear as a `"key":` literal and the braces/brackets must balance. Used
 /// by the emitting binary (self-validation before writing) and by CI.
 pub fn validate_bench_embedding_json(json: &str) -> Result<(), String> {
-    const REQUIRED: [&str; 12] = [
+    const REQUIRED: [&str; 14] = [
         "\"bench\"",
         "\"smoke\"",
         "\"threads\"",
         "\"config\"",
         "\"isa_tiers\"",
         "\"forward_gups\"",
+        "\"forward_per_row_gups\"",
         "\"update_gups\"",
         "\"clustered\"",
         "\"bucketed_vs_racefree_speedup\"",
-        "\"fused\"",
+        "\"fused_gups\"",
         "\"simd_vs_scalar_forward_ratio\"",
+        "\"bag_vs_per_row_forward_ratio\"",
         "\"equivalence_ok\"",
     ];
     require_keys(json, &REQUIRED)?;
@@ -473,10 +475,12 @@ mod tests {
   "config": {"rows": 10, "dim": 4, "bags": 2, "lookups_per_bag": 3},
   "isa_tiers": ["scalar"],
   "forward_gups": {"scalar": 0.1},
+  "forward_per_row_gups": {"scalar": 0.1},
   "update_gups": {"race_free": {"scalar": 0.1}},
   "clustered": {"race_free_gups": 0.1, "bucketed_gups": 0.2, "bucketed_vs_racefree_speedup": 2.0},
-  "fused": {"full_scan_gups": 0.1, "planned_gups": 0.2},
+  "fused_gups": {"race_free": 0.1, "bucketed": 0.2},
   "simd_vs_scalar_forward_ratio": 1.0,
+  "bag_vs_per_row_forward_ratio": 1.0,
   "equivalence_ok": true
 }"#;
         assert!(validate_bench_embedding_json(ok).is_ok());
@@ -489,9 +493,10 @@ mod tests {
         assert!(validate_bench_embedding_json(missing).is_err());
         let failed_gate = r#"{
   "bench": "embedding", "smoke": false, "threads": 8, "config": {},
-  "isa_tiers": [], "forward_gups": {}, "update_gups": {},
-  "clustered": {"bucketed_vs_racefree_speedup": 1.0}, "fused": {},
-  "simd_vs_scalar_forward_ratio": 1.0, "equivalence_ok": false
+  "isa_tiers": [], "forward_gups": {}, "forward_per_row_gups": {}, "update_gups": {},
+  "clustered": {"bucketed_vs_racefree_speedup": 1.0}, "fused_gups": {},
+  "simd_vs_scalar_forward_ratio": 1.0, "bag_vs_per_row_forward_ratio": 1.0,
+  "equivalence_ok": false
 }"#;
         assert!(validate_bench_embedding_json(failed_gate).is_err());
         let unbalanced = failed_gate.replace("false\n}", "true\n");

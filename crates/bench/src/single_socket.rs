@@ -1,7 +1,9 @@
 //! Shared driver for the single-socket end-to-end measurements
 //! (Figures 7 and 8): trains a scaled DLRM for a few iterations under the
 //! reference tier and each optimized update strategy, recording time and
-//! the per-op-class split.
+//! the per-op-class split. The optimized bars run the train step's own
+//! embedding kernels — the fused `embedding::backward_update` under the
+//! bar's strategy; only the `framework_naive` baseline materializes `dW`.
 
 use dlrm::layers::Execution;
 use dlrm::prelude::*;

@@ -1,11 +1,12 @@
-//! The embedding-table layer: EmbeddingBag forward/backward plus the
-//! selectable update strategy of Section III-A.
+//! The embedding-table layer: EmbeddingBag forward and the fused
+//! backward+update under the selectable strategy of Section III-A.
 //!
-//! All per-iteration working state — the saved batch shape, the `dW[NS][E]`
-//! gradient scratch, and the [`BagPlan`] for the bucketed/planned-fused
-//! paths — lives on the layer and is reused across steps: after the first
-//! batch of each shape the steady-state train loop performs no embedding
-//! allocations (asserted by `crates/dlrm/tests/alloc_growth.rs`).
+//! The layer's per-iteration working state is the saved batch and the
+//! [`BagPlan`] of the bucketed strategy, both reused across steps — there is
+//! no `dW[NS][E]`: the optimized update reads gradient rows straight from
+//! `dY` ([`embedding::backward_update`]). After the first batch of each
+//! shape the train loop's embedding scratch stops growing and stays below
+//! one gradient copy (asserted by `crates/dlrm/tests/alloc_growth.rs`).
 
 use crate::layers::Execution;
 use dlrm_kernels::embedding::{self, BagPlan, UpdateStrategy};
@@ -19,11 +20,6 @@ pub struct EmbeddingLayer {
     pub weight: Matrix,
     /// Update strategy (Figure 7's four bars, plus `Bucketed`).
     pub strategy: UpdateStrategy,
-    /// Fuse backward+update (skips materializing `dW[NS][E]`; only valid
-    /// outside framework-autograd constraints — Section III-A). The layer
-    /// uses the plan-driven fused kernel, so each thread touches only its
-    /// own lookups.
-    pub fused: bool,
     /// Force the framework-naive (PyTorch-v1.4-style) kernels for this
     /// table regardless of the execution tier — the Figure 7 baseline,
     /// which pairs fast (MKL-backed) MLPs with the pathological embedding
@@ -31,11 +27,7 @@ pub struct EmbeddingLayer {
     pub framework_naive: bool,
     saved_indices: Vec<u32>,
     saved_offsets: Vec<usize>,
-    /// Iteration-persistent `dW[NS][E]` scratch (scratch semantics: fully
-    /// overwritten by `backward` before any read).
-    dw: Matrix,
-    /// Iteration-persistent lookup plan for the bucketed / planned-fused
-    /// update paths.
+    /// Iteration-persistent lookup plan of the `Bucketed` strategy.
     plan: BagPlan,
 }
 
@@ -45,21 +37,18 @@ impl EmbeddingLayer {
         EmbeddingLayer {
             weight: embedding_table(m, e, rng),
             strategy,
-            fused: false,
             framework_naive: false,
             saved_indices: Vec::new(),
             saved_offsets: Vec::new(),
-            dw: Matrix::zeros(0, e),
             plan: BagPlan::new(),
         }
     }
 
-    /// Bytes of iteration-persistent scratch (saved batch, `dW`, plan)
-    /// currently held by the layer — excludes the table weights.
+    /// Bytes of iteration-persistent scratch (saved batch, plan) currently
+    /// held by the layer — excludes the table weights.
     pub fn scratch_bytes(&self) -> usize {
         self.saved_indices.capacity() * std::mem::size_of::<u32>()
             + self.saved_offsets.capacity() * std::mem::size_of::<usize>()
-            + self.dw.capacity() * std::mem::size_of::<f32>()
             + self.plan.scratch_bytes()
     }
 
@@ -75,18 +64,14 @@ impl EmbeddingLayer {
 
     /// EmbeddingBag forward: sums the rows of each bag. Output is `N×E`.
     pub fn forward(&mut self, exec: &Execution, indices: &[u32], offsets: &[usize]) -> Matrix {
-        let n = offsets.len() - 1;
+        // An empty `offsets` is rejected by the kernel, with a message.
+        let n = offsets.len().saturating_sub(1);
         let mut out = Matrix::zeros(n, self.dim());
         match exec {
-            Execution::Reference => {
-                embedding::forward_reference(&self.weight, indices, offsets, &mut out)
-            }
-            Execution::Optimized(_) if self.framework_naive => {
-                embedding::forward_reference(&self.weight, indices, offsets, &mut out)
-            }
-            Execution::Optimized(pool) => {
+            Execution::Optimized(pool) if !self.framework_naive => {
                 embedding::forward(pool, &self.weight, indices, offsets, &mut out)
             }
+            _ => embedding::forward_reference(&self.weight, indices, offsets, &mut out),
         }
         self.set_saved_batch(indices, offsets);
         out
@@ -104,85 +89,39 @@ impl EmbeddingLayer {
         self.saved_offsets.extend_from_slice(offsets);
     }
 
-    /// Serial `dW[NS][E]` expansion for the framework-naive pipeline,
-    /// reusing the persistent scratch.
-    fn expand_dw_naive(&mut self, dy: &Matrix) {
-        let ns = *self.saved_offsets.last().unwrap();
-        self.dw.resize_rows(ns);
-        for bag in 0..self.saved_offsets.len() - 1 {
-            for s in self.saved_offsets[bag]..self.saved_offsets[bag + 1] {
-                self.dw.row_mut(s).copy_from_slice(dy.row(bag));
-            }
-        }
-    }
-
     /// Backward + SGD update in one call (the sparse gradient never leaves
     /// this layer). `dy` is `N×E`; `lr` the learning rate.
     pub fn backward_update(&mut self, exec: &Execution, dy: &Matrix, lr: f32) {
         let alpha = -lr;
         match exec {
-            Execution::Reference => {
-                // Materialize dW[NS][E] then apply the framework-naive
-                // update — the "focused on functionality instead of
-                // performance" kernel that made 99% of the reference
-                // DLRM's runtime in the paper's profile.
-                self.expand_dw_naive(dy);
-                embedding::update_framework_naive(
-                    &mut self.weight,
-                    &self.dw,
-                    &self.saved_indices,
-                    alpha,
-                );
-            }
-            Execution::Optimized(_) if self.framework_naive => {
-                self.expand_dw_naive(dy);
-                embedding::update_framework_naive(
-                    &mut self.weight,
-                    &self.dw,
-                    &self.saved_indices,
-                    alpha,
-                );
-            }
-            Execution::Optimized(pool) => {
-                if self.fused {
-                    self.plan
-                        .build(pool, &self.saved_indices, self.weight.rows());
-                    self.plan.attach_bags(pool, &self.saved_offsets);
-                    embedding::fused_backward_update_planned(
-                        pool,
-                        &mut self.weight,
-                        dy,
-                        &self.saved_indices,
-                        &self.saved_offsets,
-                        alpha,
-                        &self.plan,
-                    );
-                } else {
-                    let ns = *self.saved_offsets.last().unwrap();
-                    self.dw.resize_rows(ns);
-                    embedding::backward(pool, dy, &self.saved_offsets, &mut self.dw);
-                    if self.strategy == UpdateStrategy::Bucketed {
-                        self.plan
-                            .build(pool, &self.saved_indices, self.weight.rows());
-                        embedding::update_bucketed(
-                            pool,
-                            &mut self.weight,
-                            &self.dw,
-                            &self.saved_indices,
-                            alpha,
-                            &self.plan,
-                        );
-                    } else {
-                        embedding::update(
-                            pool,
-                            self.strategy,
-                            &mut self.weight,
-                            &self.dw,
-                            &self.saved_indices,
-                            alpha,
-                        );
+            Execution::Optimized(pool) if !self.framework_naive => embedding::backward_update(
+                pool,
+                self.strategy,
+                &mut self.weight,
+                dy,
+                &self.saved_indices,
+                &self.saved_offsets,
+                alpha,
+                &mut self.plan,
+            ),
+            _ => {
+                // Materialize dW[NS][E] — a fresh tensor per call, as the
+                // framework's autograd does — then apply the
+                // framework-naive update: the "focused on functionality
+                // instead of performance" kernel that made 99% of the
+                // reference DLRM's runtime in the paper's profile.
+                let mut dw = Matrix::zeros(self.saved_indices.len(), self.dim());
+                for (bag, slots) in self.saved_offsets.windows(2).enumerate() {
+                    for s in slots[0]..slots[1] {
+                        dw.row_mut(s).copy_from_slice(dy.row(bag));
                     }
                 }
+                embedding::update_framework_naive(
+                    &mut self.weight,
+                    &dw,
+                    &self.saved_indices,
+                    alpha,
+                );
             }
         }
     }
@@ -244,43 +183,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_matches_unfused() {
-        let mut rng = seeded_rng(3, 0);
-        let w0 = embedding_table(8, 3, &mut rng);
-        let (idx, off) = bags();
-        let dy = Matrix::from_fn(3, 3, |r, c| ((r + c) as f32) * 0.05);
-        let exec = Execution::optimized(3);
-
-        let mut unfused = EmbeddingLayer::new(8, 3, UpdateStrategy::RaceFree, &mut rng);
-        unfused.weight = w0.clone();
-        let _ = unfused.forward(&exec, &idx, &off);
-        unfused.backward_update(&exec, &dy, 0.2);
-
-        let mut fused = EmbeddingLayer::new(8, 3, UpdateStrategy::RaceFree, &mut rng);
-        fused.weight = w0.clone();
-        fused.fused = true;
-        let _ = fused.forward(&exec, &idx, &off);
-        fused.backward_update(&exec, &dy, 0.2);
-
-        assert_allclose(
-            fused.weight.as_slice(),
-            unfused.weight.as_slice(),
-            1e-6,
-            "fused",
-        );
-    }
-
-    #[test]
     fn scratch_stabilizes_after_first_step() {
         let mut rng = seeded_rng(5, 0);
         let exec = Execution::optimized(3);
-        for (strategy, fused) in [
-            (UpdateStrategy::RaceFree, false),
-            (UpdateStrategy::Bucketed, false),
-            (UpdateStrategy::RaceFree, true),
-        ] {
+        for strategy in [UpdateStrategy::RaceFree, UpdateStrategy::Bucketed] {
             let mut layer = EmbeddingLayer::new(32, 4, strategy, &mut rng);
-            layer.fused = fused;
             let (idx, off) = bags();
             let dy = Matrix::from_fn(3, 4, |r, c| (r + c) as f32 * 0.01);
             let _ = layer.forward(&exec, &idx, &off);
@@ -293,7 +200,7 @@ mod tests {
             assert_eq!(
                 layer.scratch_bytes(),
                 warm,
-                "{strategy} fused={fused}: scratch grew after warm-up"
+                "{strategy}: scratch grew after warm-up"
             );
         }
     }

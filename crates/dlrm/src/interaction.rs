@@ -17,6 +17,9 @@ pub struct Interaction {
     /// Saved feature vectors: `f` matrices of shape `N×E` (index 0 is the
     /// transposed bottom output).
     saved: Vec<Matrix>,
+    /// The execution `forward` ran on; `backward` splits samples over the
+    /// same pool.
+    exec: Execution,
 }
 
 /// Number of output features for `f` vectors of dim `e`.
@@ -30,6 +33,7 @@ impl Interaction {
         Interaction {
             emb_dim: e,
             saved: Vec::new(),
+            exec: Execution::Reference,
         }
     }
 
@@ -90,25 +94,76 @@ impl Interaction {
             }
         }
         self.saved = vecs;
+        self.exec = exec.clone();
         out
     }
 
-    /// Backward: returns `(d_bottom: E×N, d_tables: Vec<N×E>)`.
+    /// Backward: returns `(d_bottom: E×N, d_tables: Vec<N×E>)`. Samples are
+    /// independent, so they are split over the pool `forward` ran on; per
+    /// sample the pairs are visited in `forward`'s order, so the result does
+    /// not depend on the split.
     pub fn backward(&self, dout: &Matrix) -> (Matrix, Vec<Matrix>) {
         let e = self.emb_dim;
         let f = self.saved.len();
         assert!(f >= 1, "backward before forward");
         let n = self.saved[0].rows();
         assert_eq!(dout.shape(), (output_dim(f, e), n), "dout shape");
+        let dout = dout.as_slice();
 
         // Accumulate gradients as N×E per vector.
         let mut grads: Vec<Matrix> = (0..f).map(|_| Matrix::zeros(n, e)).collect();
-        for s in 0..n {
+        let bases: Vec<SendPtr> = grads
+            .iter_mut()
+            .map(|g| SendPtr(g.as_mut_slice().as_mut_ptr()))
+            .collect();
+        let sample = |s: usize| {
+            // SAFETY: `bases[i]` is N×E and row `s` of every gradient is
+            // touched by this sample only; samples are disjoint across
+            // threads, and `i != j` below.
+            let grad_row =
+                |i: usize| unsafe { std::slice::from_raw_parts_mut(bases[i].get().add(s * e), e) };
             // Passthrough part.
+            for (k, g0) in grad_row(0).iter_mut().enumerate() {
+                *g0 += dout[k * n + s];
+            }
+            // Pairwise dots: d(vi·vj) flows vj into vi and vi into vj.
+            let mut row = e;
+            for i in 1..f {
+                for j in 0..i {
+                    let g = dout[row * n + s];
+                    row += 1;
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for (gi, &vj) in grad_row(i).iter_mut().zip(self.saved[j].row(s)) {
+                        *gi += g * vj;
+                    }
+                    for (gj, &vi) in grad_row(j).iter_mut().zip(self.saved[i].row(s)) {
+                        *gj += g * vi;
+                    }
+                }
+            }
+        };
+        match self.exec.pool() {
+            None => (0..n).for_each(sample),
+            Some(pool) => pool.parallel_for(n, |_tid, range| range.for_each(&sample)),
+        }
+        let d_bottom = grads.remove(0).transposed(); // back to E×N
+        (d_bottom, grads)
+    }
+
+    /// The serial, element-indexed loop `backward` replaced; its bitwise
+    /// reference.
+    #[cfg(test)]
+    fn backward_reference(&self, dout: &Matrix) -> (Matrix, Vec<Matrix>) {
+        let e = self.emb_dim;
+        let f = self.saved.len();
+        let n = self.saved[0].rows();
+        let mut grads: Vec<Matrix> = (0..f).map(|_| Matrix::zeros(n, e)).collect();
+        for s in 0..n {
             for k in 0..e {
                 grads[0][(s, k)] += dout[(k, s)];
             }
-            // Pairwise dots: d(vi·vj) flows vj into vi and vi into vj.
             let mut row = e;
             for i in 1..f {
                 for j in 0..i {
@@ -126,7 +181,7 @@ impl Interaction {
                 }
             }
         }
-        let d_bottom = grads.remove(0).transposed(); // back to E×N
+        let d_bottom = grads.remove(0).transposed();
         (d_bottom, grads)
     }
 }
@@ -177,6 +232,32 @@ mod tests {
         let mut parallel = Interaction::new(e);
         let y2 = parallel.forward(&Execution::optimized(4), &bottom, &tables);
         assert_eq!(y1.as_slice(), y2.as_slice());
+    }
+
+    #[test]
+    fn backward_is_bitwise_the_indexed_serial_loop() {
+        let mut rng = seeded_rng(5, 0);
+        let (e, n, s) = (11, 37, 4);
+        let bottom = uniform(e, n, -1.0, 1.0, &mut rng);
+        let tables: Vec<Matrix> = (0..s).map(|_| uniform(n, e, -1.0, 1.0, &mut rng)).collect();
+        let mut dout = uniform(output_dim(s + 1, e), n, -1.0, 1.0, &mut rng);
+        dout[(e + 2, 5)] = 0.0; // a pair the loop skips
+        dout[(3, 7)] = -0.0; // passthrough: 0.0 + -0.0 is +0.0
+        for exec in [
+            Execution::Reference,
+            Execution::optimized(1),
+            Execution::optimized(3),
+        ] {
+            let mut inter = Interaction::new(e);
+            let _ = inter.forward(&exec, &bottom, &tables);
+            let (want_b, want_t) = inter.backward_reference(&dout);
+            let (got_b, got_t) = inter.backward(&dout);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got_b), bits(&want_b));
+            for (g, w) in got_t.iter().zip(&want_t) {
+                assert_eq!(bits(g), bits(w));
+            }
+        }
     }
 
     #[test]

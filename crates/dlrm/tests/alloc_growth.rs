@@ -1,9 +1,10 @@
 //! Steady-state allocation check for the single-socket train step: after
 //! warm-up, live heap bytes and the model's iteration-persistent embedding
-//! scratch must stop growing. This is what the persistent `dW[NS][E]`
-//! scratch, the reused saved-batch vectors, and the reusable `BagPlan` in
-//! `EmbeddingLayer` buy — before them, every step leaked fresh `Vec`s and a
-//! fresh gradient matrix per table into the allocator's working set.
+//! scratch must stop growing. This is what the reused saved-batch vectors
+//! and the reusable `BagPlan` in `EmbeddingLayer` buy — before them, every
+//! step leaked fresh `Vec`s and a fresh gradient matrix per table into the
+//! allocator's working set. The fused backward+update goes further: the
+//! layer holds no `dW[NS][E]` at all, and an update allocates nothing.
 //!
 //! Same counting-global-allocator pattern as
 //! `crates/dlrm-dist/tests/alloc_growth.rs`, single-process here: samples
@@ -70,7 +71,7 @@ fn tiny_cfg() -> DlrmConfig {
 /// Runs `steps` optimized train iterations and returns per-step
 /// (live-heap, embedding-scratch + MLP-plan-scratch) samples taken
 /// between steps.
-fn sample_training(strategy: UpdateStrategy, fused: bool, steps: usize) -> Vec<(isize, usize)> {
+fn sample_training(strategy: UpdateStrategy, steps: usize) -> Vec<(isize, usize)> {
     let cfg = tiny_cfg();
     let batches: Vec<MiniBatch> = (0..steps)
         .map(|i| {
@@ -89,9 +90,6 @@ fn sample_training(strategy: UpdateStrategy, fused: bool, steps: usize) -> Vec<(
         PrecisionMode::Fp32,
         7,
     );
-    for t in &mut model.tables {
-        t.fused = fused;
-    }
     let mut samples = Vec::with_capacity(steps);
     for b in &batches {
         model.train_step(b, 0.1);
@@ -127,22 +125,69 @@ fn assert_steady(samples: &[(isize, usize)], label: &str) {
 #[test]
 fn race_free_step_does_not_grow_allocations() {
     let _turn = my_turn();
-    let samples = sample_training(UpdateStrategy::RaceFree, false, 50);
+    let samples = sample_training(UpdateStrategy::RaceFree, 50);
     assert_steady(&samples, "race-free");
 }
 
 #[test]
 fn bucketed_step_does_not_grow_allocations() {
     let _turn = my_turn();
-    let samples = sample_training(UpdateStrategy::Bucketed, false, 50);
+    let samples = sample_training(UpdateStrategy::Bucketed, 50);
     assert_steady(&samples, "bucketed");
 }
 
+/// Allocator calls made by 20 runs of `f`, after one run that may grow
+/// pool-internal state.
+fn calls_during(f: &mut dyn FnMut()) -> usize {
+    f();
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    for _ in 0..20 {
+        f();
+    }
+    ALLOC_CALLS.load(Ordering::SeqCst) - before
+}
+
+/// The fused backward+update reads gradient rows from `dY`: the layer's
+/// scratch after a step is the saved batch (plus the plan under
+/// `Bucketed`), less than one `dW[NS][E]` — and the update allocates
+/// nothing on any thread beyond what its pool dispatches do (one for the
+/// apply; two more for the plan's counting sort).
 #[test]
-fn planned_fused_step_does_not_grow_allocations() {
+fn embedding_update_keeps_no_gradient_copy_and_does_not_allocate() {
     let _turn = my_turn();
-    let samples = sample_training(UpdateStrategy::RaceFree, true, 50);
-    assert_steady(&samples, "planned-fused");
+    use dlrm::embedding_layer::EmbeddingLayer;
+    use dlrm_tensor::Matrix;
+
+    let (rows, e, bags, lookups) = (64usize, 8usize, 40usize, 4usize);
+    let ns = bags * lookups;
+    let indices: Vec<u32> = (0..ns).map(|i| (i * 37 % rows) as u32).collect();
+    let offsets: Vec<usize> = (0..=bags).map(|b| b * lookups).collect();
+    let dy = Matrix::from_fn(bags, e, |r, c| (r + c) as f32 * 0.01);
+    let exec = Execution::optimized(3);
+    let pool = exec.pool().unwrap();
+
+    for (strategy, dispatches) in [(UpdateStrategy::RaceFree, 1), (UpdateStrategy::Bucketed, 3)] {
+        let mut layer = EmbeddingLayer::new(rows, e, strategy, &mut seeded_rng(9, 0));
+        let _ = layer.forward(&exec, &indices, &offsets);
+        layer.backward_update(&exec, &dy, 0.1);
+        let (scratch, dw) = (layer.scratch_bytes(), ns * e * 4);
+        assert!(
+            scratch < dw,
+            "{strategy}: {scratch} B of scratch, a dW[NS][E] is {dw} B"
+        );
+
+        let update = calls_during(&mut || layer.backward_update(&exec, &dy, 0.1));
+        let dispatch_only = calls_during(&mut || {
+            for _ in 0..dispatches {
+                pool.broadcast(|_| {});
+            }
+        });
+        assert_eq!(
+            update, dispatch_only,
+            "{strategy}: 20 updates allocated {update} times, their dispatches {dispatch_only}"
+        );
+        assert_eq!(layer.scratch_bytes(), scratch, "{strategy}: scratch grew");
+    }
 }
 
 /// The persistent packed-GEMM plan on its own: a full MLP
@@ -207,14 +252,6 @@ fn blocked_gemm_drivers_do_not_allocate() {
         gemm::fc_backward_data_fused(&pool, &wb, &dyb, &mut dxb, Some(&xb));
         gemm::fc_backward_weights(&pool, &xb, &dyb, &mut dwb);
         gemm::fc_backward_weights_fused(&pool, &xb, &dyb, &mut dwb, &mut db);
-    };
-    let calls_during = |f: &mut dyn FnMut()| {
-        f(); // first dispatch may grow pool-internal state
-        let before = ALLOC_CALLS.load(Ordering::SeqCst);
-        for _ in 0..20 {
-            f();
-        }
-        ALLOC_CALLS.load(Ordering::SeqCst) - before
     };
     let dispatch_only = calls_during(&mut || {
         for _ in 0..6 {

@@ -29,18 +29,26 @@
 //!   thread once per batch, so each thread applies exactly its own lookups.
 //!   O(NS) total work; bit-exact with `Reference` (the sort is stable).
 //!
-//! [`fused_backward_update`] skips materializing `dW[NS][E]` entirely and
-//! scatters `α·dY[n]` straight into the owned rows — the standalone-only
-//! optimization the paper credits with up to 1.6× on embedding updates.
-//! [`fused_backward_update_planned`] is its bucketed counterpart, driven by
-//! the same `BagPlan`.
+//! [`backward_update`] is the train step's kernel: backward (Algorithm 2)
+//! fused into the update, so `dW[NS][E]` is never written — every strategy
+//! reads a lookup's gradient row straight from `dY[bag]`. The paper credits
+//! this standalone-only fusion with up to 1.6× on embedding updates. The
+//! unfused pair [`backward`] + [`update`] stays as what the Figure 7
+//! harnesses and the equivalence suites call: the paper's bars, and the
+//! bitwise reference the fused kernel is held to.
 //!
-//! All row arithmetic goes through the shared SIMD primitives in
+//! The gather and the fused update run on the bag-level SIMD kernels of
 //! [`rowops`] (scalar/AVX2/AVX-512 tiers behind
 //! [`gemm::micro::detect_isa`](crate::gemm::micro::detect_isa), forceable
 //! via [`gemm::micro::set_isa_override`](crate::gemm::micro::set_isa_override)),
-//! and the streaming kernels issue software prefetches of upcoming table
-//! rows keyed off the index stream.
+//! which keep a bag's sum — or its scaled gradient — in registers across the
+//! bag; the unfused strategies apply one row at a time. All of them issue
+//! software prefetches of upcoming table rows keyed off the index stream,
+//! except the unfused race-free scan.
+//!
+//! Table rows are addressed through raw pointers, so every public entry
+//! validates the whole lookup list first (`check_bags`: one O(NS) max-scan,
+//! ≈ 1 % of the kernel it guards): a bad index panics, it never scribbles.
 
 // Index-based loops in this module mirror the paper's Algorithms 1-4
 // pseudocode line for line; keep them index-based for reviewability.
@@ -53,11 +61,12 @@ pub mod rowstore;
 pub use plan::{BagPlan, DedupPlan};
 pub use rowstore::RowStore;
 
-use crate::gemm::micro::detect_isa;
+use crate::gemm::micro::{detect_isa, Isa};
 use crate::threadpool::ThreadPool;
 use dlrm_tensor::util::partition_range;
 use dlrm_tensor::Matrix;
 use rowops::PREFETCH_DISTANCE;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// The four update strategies of Section III-A / Figure 7, plus the
@@ -106,6 +115,18 @@ impl std::fmt::Display for UpdateStrategy {
     }
 }
 
+/// Panics unless every lookup names a row of the `m`-row table.
+fn check_indices(indices: &[u32], m: usize) {
+    // A max-scan, not `all(..)`: no early exit, so it vectorizes.
+    let max = indices.iter().fold(0u32, |acc, &i| acc.max(i));
+    assert!(
+        indices.is_empty() || (max as usize) < m,
+        "index {max} out of table bounds ({m} rows)"
+    );
+}
+
+/// Panics unless `offsets` is a CSR description of `indices` over an
+/// `m`-row table. The kernels below rely on it for memory safety.
 fn check_bags(indices: &[u32], offsets: &[usize], m: usize) {
     assert!(!offsets.is_empty(), "offsets must have N+1 entries");
     assert_eq!(
@@ -113,14 +134,11 @@ fn check_bags(indices: &[u32], offsets: &[usize], m: usize) {
         indices.len(),
         "last offset must equal number of lookups"
     );
-    debug_assert!(
+    assert!(
         offsets.windows(2).all(|w| w[0] <= w[1]),
-        "offsets must be sorted"
+        "offsets must be non-decreasing"
     );
-    debug_assert!(
-        indices.iter().all(|&i| (i as usize) < m),
-        "index out of table bounds"
-    );
+    check_indices(indices, m);
 }
 
 // ---------------------------------------------------------------------------
@@ -130,9 +148,9 @@ fn check_bags(indices: &[u32], offsets: &[usize], m: usize) {
 /// Reference forward: the scalar, functionality-first loop nest of
 /// Algorithm 1 with no parallelism — deliberately naive.
 pub fn forward_reference(weight: &Matrix, indices: &[u32], offsets: &[usize], out: &mut Matrix) {
+    check_bags(indices, offsets, weight.rows());
     let n = offsets.len() - 1;
     let e = weight.cols();
-    check_bags(indices, offsets, weight.rows());
     assert_eq!(out.shape(), (n, e), "forward output shape");
     for bag in 0..n {
         for j in 0..e {
@@ -147,8 +165,9 @@ pub fn forward_reference(weight: &Matrix, indices: &[u32], offsets: &[usize], ou
     }
 }
 
-/// Optimized forward: parallel over bags, vectorized row accumulation.
-/// This is the GUPS-like kernel expected to run at memory bandwidth.
+/// Optimized forward: parallel over bags, each bag summed in registers
+/// ([`rowops::gather_bags`]). This is the GUPS-like kernel expected to run
+/// at memory bandwidth.
 pub fn forward(
     pool: &ThreadPool,
     weight: &Matrix,
@@ -156,57 +175,35 @@ pub fn forward(
     offsets: &[usize],
     out: &mut Matrix,
 ) {
+    check_bags(indices, offsets, weight.rows());
     let n = offsets.len() - 1;
     let e = weight.cols();
-    check_bags(indices, offsets, weight.rows());
     assert_eq!(out.shape(), (n, e), "forward output shape");
     let isa = detect_isa();
     let out_base = crate::gemm::SendMutPtr(out.as_mut_slice().as_mut_ptr());
 
     pool.parallel_for(n, move |_tid, bags| {
-        // Lookups of a bag range are contiguous in the index stream, so the
-        // prefetch window runs over flat slots, crossing bag boundaries.
-        let slot_end = offsets[bags.end];
-        for bag in bags {
-            // SAFETY: each bag row is owned by exactly one thread.
-            let out_row = unsafe { std::slice::from_raw_parts_mut(out_base.get().add(bag * e), e) };
-            out_row.fill(0.0);
-            for s in offsets[bag]..offsets[bag + 1] {
-                let ahead = s + PREFETCH_DISTANCE;
-                if ahead < slot_end {
-                    rowops::prefetch_row(weight.row(indices[ahead] as usize).as_ptr(), e);
-                }
-                rowops::accumulate(isa, out_row, weight.row(indices[s] as usize));
-            }
-        }
+        let w = weight.as_slice().as_ptr();
+        // SAFETY: `check_bags` holds; `out` is n×e and each bag row is
+        // owned by exactly one thread.
+        unsafe { rowops::gather_bags(isa, w, e, indices, offsets, bags, out_base.get()) };
     });
 }
 
-/// Serial SIMD forward: the same vectorized row accumulation as
-/// [`forward`], without a thread pool. This is the inference-serving entry
-/// point — micro-batches are small enough that pool fan-out costs more than
-/// it buys, and a serving engine interleaving cache probes with row sums
-/// needs a single-threaded gather it can mirror row for row. Bitwise
-/// identical to [`forward`] and [`forward_reference`] (same per-bag
-/// accumulation order, same two-rounding rowops tiers).
+/// Serial SIMD forward: [`forward`]'s kernel on the calling thread. This is
+/// the inference-serving entry point — micro-batches are small enough that
+/// pool fan-out costs more than it buys, and a serving engine interleaving
+/// cache probes with row sums needs a single-threaded gather it can mirror
+/// row for row. Bitwise identical to [`forward`] and [`forward_reference`]
+/// (same per-bag accumulation order).
 pub fn forward_serial(weight: &Matrix, indices: &[u32], offsets: &[usize], out: &mut Matrix) {
+    check_bags(indices, offsets, weight.rows());
     let n = offsets.len() - 1;
     let e = weight.cols();
-    check_bags(indices, offsets, weight.rows());
     assert_eq!(out.shape(), (n, e), "forward output shape");
-    let isa = detect_isa();
-    let slot_end = indices.len();
-    for bag in 0..n {
-        let out_row = out.row_mut(bag);
-        out_row.fill(0.0);
-        for s in offsets[bag]..offsets[bag + 1] {
-            let ahead = s + PREFETCH_DISTANCE;
-            if ahead < slot_end {
-                rowops::prefetch_row(weight.row(indices[ahead] as usize).as_ptr(), e);
-            }
-            rowops::accumulate(isa, out_row, weight.row(indices[s] as usize));
-        }
-    }
+    let (w, out) = (weight.as_slice().as_ptr(), out.as_mut_slice().as_mut_ptr());
+    // SAFETY: `check_bags` holds and `out` is n×e.
+    unsafe { rowops::gather_bags(detect_isa(), w, e, indices, offsets, 0..n, out) };
 }
 
 // ---------------------------------------------------------------------------
@@ -282,12 +279,15 @@ static RTM_LOCKS: [StripeLock; RTM_STRIPES] = {
     [UNLOCKED; RTM_STRIPES]
 };
 
-/// Applies `W[indices[i]] += alpha * dW[i]` for all `NS` lookups using the
-/// chosen strategy. Pass `alpha = -lr` for an SGD step.
+/// The *unfused* update (Algorithms 3 & 4 as printed): applies
+/// `W[indices[i]] += alpha * dW[i]` for all `NS` lookups using the chosen
+/// strategy. Pass `alpha = -lr` for an SGD step. The train step runs
+/// [`backward_update`] instead; this is Figure 7's kernel and the bitwise
+/// reference.
 ///
 /// For [`UpdateStrategy::Bucketed`] this convenience entry builds a
-/// throwaway [`BagPlan`] internally; steady-state callers (the embedding
-/// layer) should hold a persistent plan and call [`update_bucketed`].
+/// throwaway [`BagPlan`] internally; a caller timing the steady state holds
+/// a persistent plan and calls [`update_bucketed`].
 pub fn update(
     pool: &ThreadPool,
     strategy: UpdateStrategy,
@@ -298,7 +298,7 @@ pub fn update(
 ) {
     let (m, e) = weight.shape();
     assert_eq!(dw.shape(), (indices.len(), e), "update dW shape");
-    debug_assert!(indices.iter().all(|&i| (i as usize) < m));
+    check_indices(indices, m);
 
     match strategy {
         UpdateStrategy::Reference => update_reference(weight, dw, indices, alpha),
@@ -384,29 +384,59 @@ fn atomic_add_f32(cell: &AtomicU32, v: f32) {
     }
 }
 
-/// Parallel over lookups; per-element CAS adds. The CAS loop is inherently
-/// scalar (x86 has no atomic SIMD read-modify-write), so this strategy's
-/// use of the row-primitive module is limited to the prefetch stream.
+/// The table viewed as CAS cells, for the [`UpdateStrategy::AtomicXchg`]
+/// loops.
+///
+/// # Safety
+/// Until the returned slice is dropped, every access to the table must go
+/// through it.
+unsafe fn atomic_cells(weight: &mut Matrix) -> &[AtomicU32] {
+    let len = weight.len();
+    // SAFETY: AtomicU32 has the same size/alignment as f32.
+    std::slice::from_raw_parts(weight.as_mut_slice().as_mut_ptr().cast::<AtomicU32>(), len)
+}
+
+/// `W[row] += alpha · grad`, one CAS add per element. The CAS loop is
+/// inherently scalar (x86 has no atomic SIMD read-modify-write).
+#[inline]
+fn atomic_row_add(cells: &[AtomicU32], row: usize, grad: &[f32], alpha: f32) {
+    let base = row * grad.len();
+    for (cell, &g) in cells[base..base + grad.len()].iter().zip(grad) {
+        atomic_add_f32(cell, alpha * g);
+    }
+}
+
+/// `W[row] += alpha · grad` inside the row's stripe lock (the RTM
+/// surrogate's critical section), vectorized.
+///
+/// # Safety
+/// `row` must lie inside the `grad.len()`-wide table at `w`, and every
+/// concurrent writer of the table must go through this function.
+#[inline]
+unsafe fn locked_row_add(isa: Isa, w: *mut f32, row: usize, grad: &[f32], alpha: f32) {
+    let lock = &RTM_LOCKS[row & (RTM_STRIPES - 1)];
+    lock.lock();
+    // The stripe lock serializes all writers of this row (rows map to
+    // exactly one stripe).
+    rowops::scatter_add(isa, w.add(row * grad.len()), grad, alpha);
+    lock.unlock();
+}
+
+/// Parallel over lookups; per-element CAS adds. This strategy's use of the
+/// row-primitive module is limited to the prefetch stream.
 fn update_atomic(pool: &ThreadPool, weight: &mut Matrix, dw: &Matrix, indices: &[u32], alpha: f32) {
     let e = weight.cols();
-    let len = weight.len();
-    let w_base = crate::gemm::SendMutPtr(weight.as_mut_slice().as_mut_ptr());
-    // SAFETY: AtomicU32 has the same size/alignment as f32; all concurrent
-    // access during this call goes through the atomic view.
-    let cells = unsafe { std::slice::from_raw_parts(w_base.get().cast::<AtomicU32>(), len) };
+    // SAFETY: all access during this call goes through the atomic view.
+    let cells = unsafe { atomic_cells(weight) };
 
     pool.parallel_for(indices.len(), move |_tid, lookups| {
         let slot_end = lookups.end;
         for i in lookups {
             let ahead = i + PREFETCH_DISTANCE;
             if ahead < slot_end {
-                rowops::prefetch_row(unsafe { w_base.get().add(indices[ahead] as usize * e) }, e);
+                rowops::prefetch_row(cells[indices[ahead] as usize * e].as_ptr().cast(), e);
             }
-            let base = indices[i] as usize * e;
-            let grad = dw.row(i);
-            for (j, &g) in grad.iter().enumerate() {
-                atomic_add_f32(&cells[base + j], alpha * g);
-            }
+            atomic_row_add(cells, indices[i] as usize, dw.row(i), alpha);
         }
     });
 }
@@ -425,14 +455,8 @@ fn update_rtm(pool: &ThreadPool, weight: &mut Matrix, dw: &Matrix, indices: &[u3
             if ahead < slot_end {
                 rowops::prefetch_row(unsafe { w_base.get().add(indices[ahead] as usize * e) }, e);
             }
-            let row = indices[i] as usize;
-            let grad = dw.row(i);
-            let lock = &RTM_LOCKS[row & (RTM_STRIPES - 1)];
-            lock.lock();
-            // SAFETY: the stripe lock serializes all writers of this row
-            // (rows map to exactly one stripe).
-            unsafe { rowops::scatter_add(isa, w_base.get().add(row * e), grad, alpha) };
-            lock.unlock();
+            // SAFETY: indices are checked < m by `update`.
+            unsafe { locked_row_add(isa, w_base.get(), indices[i] as usize, dw.row(i), alpha) };
         }
     });
 }
@@ -484,6 +508,7 @@ pub fn update_bucketed(
     );
     assert_eq!(plan.rows(), m, "plan built for a different table");
     assert_eq!(plan.ns(), indices.len(), "plan built for a different batch");
+    check_indices(indices, m);
     let isa = detect_isa();
     let w_base = crate::gemm::SendMutPtr(weight.as_mut_slice().as_mut_ptr());
 
@@ -510,96 +535,215 @@ pub fn update_bucketed(
 }
 
 // ---------------------------------------------------------------------------
-// Fused backward + update
+// Fused backward + update: the train step's kernel
 // ---------------------------------------------------------------------------
 
-/// Fused Algorithm 2 + Algorithm 4: scatters `alpha · dY[n]` directly into
-/// the owned table rows, never materializing the `dW[NS][E]` intermediate.
-/// Standalone-only in the paper (framework autograd boundaries prevent the
-/// fusion); measured there at up to 1.6× for embedding updates.
-pub fn fused_backward_update(
+/// Backward fused into the update: `W[indices[s]] += alpha · dY[bag(s)]` for
+/// all `NS` lookups, never materializing `dW[NS][E]`. Standalone-only in
+/// the paper (framework autograd boundaries prevent the fusion); measured
+/// there at up to 1.6× for embedding updates. Pass `alpha = -lr` for an SGD
+/// step. Per strategy:
+///
+/// * `Reference` — the calling thread walks the bags in order.
+/// * `RaceFree` — Algorithms 2+4: every thread walks every bag and applies
+///   the lookups inside its row range, prefetching ahead only rows it owns.
+/// * `Bucketed` — `plan` is rebuilt for this batch and every thread walks
+///   exactly its own lookups. `plan` is the caller's reusable scratch; the
+///   other strategies leave it alone.
+/// * `AtomicXchg` / `Rtm` — parallel over bags, rows shared through CAS
+///   cells / stripe locks.
+///
+/// The first three (and the last two on one thread) apply a row's updates
+/// in index-list order, each as `w + round(alpha · g)`: bitwise equal to
+/// [`backward`] followed by [`update`] with `Reference`, whatever the ISA
+/// tier and team size.
+#[allow(clippy::too_many_arguments)] // the unfused pair's arguments, merged
+pub fn backward_update(
     pool: &ThreadPool,
+    strategy: UpdateStrategy,
     weight: &mut Matrix,
     dy: &Matrix,
     indices: &[u32],
     offsets: &[usize],
     alpha: f32,
+    plan: &mut BagPlan,
 ) {
     let (m, e) = weight.shape();
-    let n = offsets.len() - 1;
-    assert_eq!(dy.shape(), (n, e), "fused update dY shape");
     check_bags(indices, offsets, m);
-    let t = pool.num_threads();
+    let n = offsets.len() - 1;
+    assert_eq!(dy.shape(), (n, e), "backward_update dY shape");
     let isa = detect_isa();
-    let w_base = crate::gemm::SendMutPtr(weight.as_mut_slice().as_mut_ptr());
 
-    pool.broadcast(|tid| {
-        let owned = partition_range(m, t, tid);
-        for bag in 0..n {
-            let grad = dy.row(bag);
-            for s in offsets[bag]..offsets[bag + 1] {
-                let row = indices[s] as usize;
-                if owned.contains(&row) {
-                    // SAFETY: row ranges are disjoint across threads.
-                    unsafe { rowops::scatter_add(isa, w_base.get().add(row * e), grad, alpha) };
-                }
-            }
+    let w = crate::gemm::SendMutPtr(weight.as_mut_slice().as_mut_ptr());
+    // SAFETY (all arms): `check_bags` puts every row inside the table.
+    match strategy {
+        UpdateStrategy::Reference => unsafe {
+            scatter_owned(isa, w.get(), dy, indices, offsets, alpha, 0..m);
+        },
+        UpdateStrategy::RaceFree => {
+            let t = pool.num_threads();
+            // Row ranges are disjoint across threads.
+            pool.broadcast(|tid| unsafe {
+                let owned = partition_range(m, t, tid);
+                scatter_owned(isa, w.get(), dy, indices, offsets, alpha, owned);
+            });
         }
-    });
+        UpdateStrategy::Bucketed => {
+            plan.build(pool, indices, m);
+            let plan = &*plan;
+            // Buckets are disjoint row ranges across threads.
+            pool.broadcast(|tid| unsafe {
+                let slots = plan.bucket_slots(tid);
+                scatter_planned(isa, w.get(), dy, indices, offsets, alpha, slots);
+            });
+        }
+        UpdateStrategy::AtomicXchg => {
+            // All access during this call goes through the atomic view.
+            let cells = unsafe { atomic_cells(weight) };
+            pool.parallel_for(n, move |_tid, bags| {
+                for_each_lookup(indices, offsets, bags, |row, bag, ahead| {
+                    if let Some(next) = ahead {
+                        rowops::prefetch_row(cells[next * e].as_ptr().cast(), e);
+                    }
+                    atomic_row_add(cells, row, dy.row(bag), alpha);
+                });
+            });
+        }
+        UpdateStrategy::Rtm => pool.parallel_for(n, |_tid, bags| {
+            for_each_lookup(indices, offsets, bags, |row, bag, ahead| {
+                if let Some(next) = ahead {
+                    rowops::prefetch_row(w.get().wrapping_add(next * e), e);
+                }
+                // Every writer goes through the stripe locks.
+                unsafe { locked_row_add(isa, w.get(), row, dy.row(bag), alpha) };
+            });
+        }),
+    }
 }
 
-/// [`fused_backward_update`] driven by a [`BagPlan`]: each thread scatters
-/// `alpha · dY[bag(slot)]` over exactly its own planned lookups instead of
-/// scanning every bag — O(NS) total work. Requires a plan built for this
-/// batch with [`BagPlan::attach_bags`] run (the plan supplies the slot→bag
-/// map). Bit-exact with the full-scan fused path and with
-/// backward-then-[`UpdateStrategy::Reference`]: the stable plan preserves
-/// per-row application order.
-pub fn fused_backward_update_planned(
-    pool: &ThreadPool,
-    weight: &mut Matrix,
+/// Calls `f(row, bag, row to prefetch)` for every lookup of the bags in
+/// `bags`, in order. The prefetch window runs over flat slots, crossing bag
+/// boundaries, up to the last lookup of the bag range.
+#[inline]
+fn for_each_lookup(
+    indices: &[u32],
+    offsets: &[usize],
+    bags: Range<usize>,
+    mut f: impl FnMut(usize, usize, Option<usize>),
+) {
+    let window = &indices[..offsets[bags.end]];
+    for bag in bags {
+        for s in offsets[bag]..offsets[bag + 1] {
+            let ahead = window.get(s + PREFETCH_DISTANCE).map(|&i| i as usize);
+            f(indices[s] as usize, bag, ahead);
+        }
+    }
+}
+
+/// Lookups per piece of [`scatter_owned`]'s scan: a bag, or [`SCAN_PIECE`]
+/// lookups of a longer one. 2 KB of stack for the two pieces in flight.
+const SCAN_PIECE: usize = 256;
+
+/// One owner's share of the full scan: walks every bag and adds
+/// `alpha · dY[bag]` to the looked-up rows inside `owned`, the bag's scaled
+/// gradient held in registers ([`rowops::scatter_bag`]).
+///
+/// Ownership of a uniformly drawn row is a coin flip, so testing it inside
+/// the apply loop costs a branch miss every other lookup — ≈ 30 % of this
+/// kernel's time at T = 2. Instead each piece is first *compacted*,
+/// branch-free, into the rows this owner writes (the same lookups in the
+/// same order, so the bits cannot tell), one piece ahead of the piece being
+/// applied; the apply loop then has nothing to test, and its prefetch looks
+/// [`PREFETCH_DISTANCE`] owned rows ahead, across the piece boundary.
+///
+/// # Safety
+/// `check_bags(indices, offsets, rows of w)` must hold, `w` must be
+/// `dy.cols()` wide, and no other thread may access rows in `owned`.
+unsafe fn scatter_owned(
+    isa: Isa,
+    w: *mut f32,
     dy: &Matrix,
     indices: &[u32],
     offsets: &[usize],
     alpha: f32,
-    plan: &BagPlan,
+    owned: Range<usize>,
 ) {
-    let (m, e) = weight.shape();
-    let n = offsets.len() - 1;
-    assert_eq!(dy.shape(), (n, e), "fused update dY shape");
-    check_bags(indices, offsets, m);
-    assert_eq!(
-        plan.buckets(),
-        pool.num_threads(),
-        "plan/team size mismatch"
-    );
-    assert_eq!(plan.rows(), m, "plan built for a different table");
-    assert_eq!(plan.ns(), indices.len(), "plan built for a different batch");
-    assert!(plan.has_bags(), "plan is missing the slot->bag map");
-    let isa = detect_isa();
-    let w_base = crate::gemm::SendMutPtr(weight.as_mut_slice().as_mut_ptr());
-
-    pool.broadcast(|tid| {
-        let slots = plan.bucket_slots(tid);
-        for (k, &slot) in slots.iter().enumerate() {
-            let ahead = k + PREFETCH_DISTANCE;
-            if ahead < slots.len() {
-                rowops::prefetch_row(
-                    unsafe {
-                        w_base
-                            .get()
-                            .add(indices[slots[ahead] as usize] as usize * e)
-                    },
-                    e,
-                );
-            }
-            let slot = slot as usize;
-            let row = indices[slot] as usize;
-            let grad = dy.row(plan.bag_of(slot));
-            // SAFETY: buckets are disjoint row ranges across threads.
-            unsafe { rowops::scatter_add(isa, w_base.get().add(row * e), grad, alpha) };
+    let e = dy.cols();
+    // Keeps the owned rows among `indices[slots]` at the front of `dst`.
+    let compact = |slots: Range<usize>, dst: &mut [u32]| {
+        let mut kept = 0;
+        for &ind in &indices[slots] {
+            dst[kept] = ind;
+            kept += usize::from(owned.contains(&(ind as usize)));
         }
+        kept
+    };
+    let mut pieces = (0..offsets.len() - 1).flat_map(|bag| {
+        let end = offsets[bag + 1];
+        (offsets[bag]..end)
+            .step_by(SCAN_PIECE)
+            .map(move |lo| (bag, lo..end.min(lo + SCAN_PIECE)))
     });
+
+    // `rows[..len]` is the piece being applied, the next piece's rows follow.
+    let mut rows = [0u32; 2 * SCAN_PIECE];
+    let mut cur = pieces
+        .next()
+        .map(|(bag, slots)| (bag, compact(slots, &mut rows)));
+    while let Some((bag, len)) = cur {
+        let next = pieces
+            .next()
+            .map(|(bag, slots)| (bag, compact(slots, &mut rows[len..])));
+        let filled = len + next.map_or(0, |(_, len)| len);
+        let window = &rows[..filled];
+        let apply = window[..len].iter().enumerate().map(move |(k, &row)| {
+            if let Some(&ahead) = window.get(k + PREFETCH_DISTANCE) {
+                rowops::prefetch_row(w.wrapping_add(ahead as usize * e), e);
+            }
+            row as usize
+        });
+        rowops::scatter_bag(isa, w, dy.row(bag), alpha, apply);
+        rows.copy_within(len..filled, 0);
+        cur = next;
+    }
+}
+
+/// One bucket of a [`BagPlan`]: `slots` ascend, so they fall into runs of
+/// one bag each, found by walking `offsets` alongside; each run is one
+/// [`rowops::scatter_bag`]. Original order within the bucket is per-row
+/// index-list order, which is what keeps the bits of `Reference`.
+///
+/// # Safety
+/// As [`scatter_owned`], with "rows in `owned`" read as "rows named by
+/// `slots`"; `slots` must be ascending positions in `indices`.
+unsafe fn scatter_planned(
+    isa: Isa,
+    w: *mut f32,
+    dy: &Matrix,
+    indices: &[u32],
+    offsets: &[usize],
+    alpha: f32,
+    slots: &[u32],
+) {
+    let e = dy.cols();
+    let (mut k, mut bag) = (0, 0);
+    while k < slots.len() {
+        while offsets[bag + 1] <= slots[k] as usize {
+            bag += 1;
+        }
+        let run = slots[k..]
+            .iter()
+            .take_while(|&&s| (s as usize) < offsets[bag + 1])
+            .count();
+        let rows = slots[k..k + run].iter().enumerate().map(move |(j, &s)| {
+            if let Some(&next) = slots.get(k + j + PREFETCH_DISTANCE) {
+                rowops::prefetch_row(w.wrapping_add(indices[next as usize] as usize * e), e);
+            }
+            indices[s as usize] as usize
+        });
+        rowops::scatter_bag(isa, w, dy.row(bag), alpha, rows);
+        k += run;
+    }
 }
 
 #[cfg(test)]
@@ -803,7 +947,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_equals_backward_then_update() {
+    fn backward_update_equals_backward_then_update() {
         let pool = ThreadPool::new(4);
         let mut rng = seeded_rng(15, 0);
         let w0 = uniform(40, 8, -1.0, 1.0, &mut rng);
@@ -813,57 +957,53 @@ mod tests {
         let dy = uniform(n, 8, -1.0, 1.0, &mut rng);
         let alpha = -0.02f32;
 
-        // Unfused: backward expand, then race-free update.
+        // Unfused: backward expand, then the reference update.
         let mut dw = Matrix::zeros(ns, 8);
         backward(&pool, &dy, &offsets, &mut dw);
         let mut want = w0.clone();
-        update(
-            &pool,
-            UpdateStrategy::RaceFree,
-            &mut want,
-            &dw,
-            &indices,
-            alpha,
-        );
+        update_reference(&mut want, &dw, &indices, alpha);
 
-        let mut got = w0.clone();
-        fused_backward_update(&pool, &mut got, &dy, &indices, &offsets, alpha);
-        assert_allclose(got.as_slice(), want.as_slice(), 1e-6, "fused");
+        let mut plan = BagPlan::new();
+        for strat in UpdateStrategy::ALL {
+            let mut got = w0.clone();
+            backward_update(
+                &pool, strat, &mut got, &dy, &indices, &offsets, alpha, &mut plan,
+            );
+            match strat {
+                UpdateStrategy::AtomicXchg | UpdateStrategy::Rtm => {
+                    assert_allclose(got.as_slice(), want.as_slice(), 1e-6, &format!("{strat}"))
+                }
+                _ => assert_eq!(got.as_slice(), want.as_slice(), "{strat} not bit-exact"),
+            }
+        }
     }
 
     #[test]
-    fn planned_fused_is_bit_exact_vs_full_scan_fused() {
-        let pool = ThreadPool::new(4);
-        let mut rng = seeded_rng(31, 0);
-        let m = 40;
-        let w0 = uniform(m, 8, -1.0, 1.0, &mut rng);
-        let (indices, offsets) = random_bags(m, 25, 6, 32);
-        let n = offsets.len() - 1;
-        let dy = uniform(n, 8, -1.0, 1.0, &mut rng);
-        let alpha = -0.02f32;
+    fn scan_pieces_cover_bags_longer_than_one_piece() {
+        // One bag of 2.5 pieces between two short ones, on a table small
+        // enough that every row repeats: the piece boundary must neither
+        // drop, repeat nor reorder a lookup.
+        let pool = ThreadPool::new(3);
+        let mut rng = seeded_rng(17, 0);
+        let (m, e) = (29, 5);
+        let w0 = uniform(m, e, -1.0, 1.0, &mut rng);
+        let long = 2 * SCAN_PIECE + SCAN_PIECE / 2;
+        let indices: Vec<u32> = (0..long + 5).map(|_| rng.gen_range(0..m as u32)).collect();
+        let offsets = vec![0, 2, 2 + long, long + 5];
+        let dy = uniform(3, e, -1.0, 1.0, &mut rng);
 
+        let mut dw = Matrix::zeros(indices.len(), e);
+        backward(&pool, &dy, &offsets, &mut dw);
         let mut want = w0.clone();
-        fused_backward_update(&pool, &mut want, &dy, &indices, &offsets, alpha);
-
-        let mut plan = BagPlan::new();
-        plan.build(&pool, &indices, m);
-        plan.attach_bags(&pool, &offsets);
-        let mut got = w0.clone();
-        fused_backward_update_planned(&pool, &mut got, &dy, &indices, &offsets, alpha, &plan);
-        assert_eq!(got.as_slice(), want.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "slot->bag")]
-    fn planned_fused_requires_bag_map() {
-        let pool = ThreadPool::new(2);
-        let mut w = Matrix::zeros(4, 2);
-        let dy = Matrix::zeros(1, 2);
-        let indices = vec![1u32];
-        let offsets = vec![0usize, 1];
-        let mut plan = BagPlan::new();
-        plan.build(&pool, &indices, 4); // attach_bags deliberately skipped
-        fused_backward_update_planned(&pool, &mut w, &dy, &indices, &offsets, -0.1, &plan);
+        update_reference(&mut want, &dw, &indices, 0.3);
+        for strat in [UpdateStrategy::Reference, UpdateStrategy::RaceFree] {
+            let mut got = w0.clone();
+            let mut plan = BagPlan::new();
+            backward_update(
+                &pool, strat, &mut got, &dy, &indices, &offsets, 0.3, &mut plan,
+            );
+            assert_eq!(got.as_slice(), want.as_slice(), "{strat}");
+        }
     }
 
     #[test]

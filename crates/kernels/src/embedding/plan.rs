@@ -10,7 +10,7 @@
 //! owner *once*, with a parallel counting sort, and then hand each thread
 //! exactly its own lookups: O(NS) total work, no synchronization in the
 //! apply loop, and a reusable artifact shared by the bucketed update and
-//! the fused backward+update.
+//! the bucketed fused backward+update.
 //!
 //! The sort is **stable** (scan threads cover contiguous slices in order,
 //! and each writes its slice's entries in order), so within a bucket the
@@ -56,8 +56,9 @@ impl<T> SendPtr<T> {
 }
 
 /// The bucketed lookup plan for one batch: lookup slots grouped by owning
-/// thread, in original order within each bucket, plus (optionally) the
-/// slot→bag map the fused backward+update needs.
+/// thread, in original order within each bucket. Slots of a bucket ascend,
+/// so a consumer that needs each lookup's bag (the fused backward+update)
+/// recovers it by walking the CSR offsets alongside — no slot→bag map.
 #[derive(Default)]
 pub struct BagPlan {
     /// Bucket count == thread-team size the plan was built for.
@@ -70,12 +71,9 @@ pub struct BagPlan {
     bucket_start: Vec<usize>,
     /// Permutation of lookup slots, grouped by bucket, stable within.
     slots: Vec<u32>,
-    /// Slot → bag map (filled by [`BagPlan::attach_bags`]).
-    bag_of: Vec<u32>,
     /// Reused counting-sort scratch: `scan_thread × bucket` counts, then
     /// write cursors.
     counts: Vec<usize>,
-    has_bags: bool,
 }
 
 impl BagPlan {
@@ -108,24 +106,10 @@ impl BagPlan {
         &self.slots[self.bucket_start[b]..self.bucket_start[b + 1]]
     }
 
-    /// Bag of lookup slot `slot` (requires [`BagPlan::attach_bags`]).
-    #[inline]
-    pub fn bag_of(&self, slot: usize) -> usize {
-        debug_assert!(self.has_bags, "attach_bags was not called");
-        self.bag_of[slot] as usize
-    }
-
-    /// True once [`BagPlan::attach_bags`] has run for the current build.
-    #[inline]
-    pub fn has_bags(&self) -> bool {
-        self.has_bags
-    }
-
     /// Bytes of iteration-persistent scratch held by the plan.
     pub fn scratch_bytes(&self) -> usize {
         self.bucket_start.capacity() * std::mem::size_of::<usize>()
             + self.slots.capacity() * std::mem::size_of::<u32>()
-            + self.bag_of.capacity() * std::mem::size_of::<u32>()
             + self.counts.capacity() * std::mem::size_of::<usize>()
     }
 
@@ -140,7 +124,6 @@ impl BagPlan {
         self.buckets = t;
         self.rows = m;
         self.ns = ns;
-        self.has_bags = false;
 
         self.counts.resize(t * t, 0);
         self.counts.fill(0);
@@ -193,29 +176,6 @@ impl BagPlan {
                 cursors[b] += 1;
             }
         });
-    }
-
-    /// Fills the slot→bag map from CSR `offsets` (parallel over bags) so
-    /// the fused backward+update can find each planned lookup's `dY` row.
-    pub fn attach_bags(&mut self, pool: &ThreadPool, offsets: &[usize]) {
-        assert_eq!(
-            *offsets.last().expect("offsets must have N+1 entries"),
-            self.ns,
-            "offsets do not match the planned lookup count"
-        );
-        self.bag_of.resize(self.ns, 0);
-        let n = offsets.len() - 1;
-        let bag_ptr = SendPtr(self.bag_of.as_mut_ptr());
-        pool.parallel_for(n, |_tid, bags| {
-            for bag in bags {
-                for s in offsets[bag]..offsets[bag + 1] {
-                    // SAFETY: lookup slots are partitioned by bag, and bags
-                    // are partitioned across threads.
-                    unsafe { *bag_ptr.get().add(s) = bag as u32 };
-                }
-            }
-        });
-        self.has_bags = true;
     }
 }
 
@@ -387,27 +347,11 @@ mod tests {
         let mut plan = BagPlan::new();
         let big: Vec<u32> = (0..500u32).map(|i| i % 40).collect();
         plan.build(&pool, &big, 40);
-        plan.attach_bags(&pool, &(0..=100).map(|b| b * 5).collect::<Vec<_>>());
         let cap = plan.scratch_bytes();
         let small: Vec<u32> = (0..100u32).map(|i| i % 40).collect();
         plan.build(&pool, &small, 40);
-        plan.attach_bags(&pool, &(0..=20).map(|b| b * 5).collect::<Vec<_>>());
         assert_eq!(plan.scratch_bytes(), cap, "rebuild must not grow scratch");
         check_plan(&small, 40, 3);
-    }
-
-    #[test]
-    fn attach_bags_maps_slots_to_bags() {
-        let pool = ThreadPool::new(2);
-        let indices = vec![3u32, 1, 4, 1, 5, 9, 2, 6];
-        let offsets = vec![0usize, 3, 3, 5, 8]; // bag 1 empty
-        let mut plan = BagPlan::new();
-        plan.build(&pool, &indices, 10);
-        plan.attach_bags(&pool, &offsets);
-        let want = [0u32, 0, 0, 2, 2, 3, 3, 3];
-        for (s, &w) in want.iter().enumerate() {
-            assert_eq!(plan.bag_of(s), w as usize, "slot {s}");
-        }
     }
 
     #[test]
@@ -418,8 +362,6 @@ mod tests {
         for b in 0..4 {
             assert!(plan.bucket_slots(b).is_empty());
         }
-        plan.attach_bags(&pool, &[0usize, 0, 0]);
-        assert!(plan.has_bags());
     }
 
     fn check_dedup(indices: &[u32], m: usize, plan: &mut DedupPlan) {

@@ -1,7 +1,7 @@
 //! Property-based tests: optimized kernels vs. naive references under
 //! arbitrary shapes, bag structures and index distributions.
 
-use dlrm_kernels::embedding::{self, DedupPlan, UpdateStrategy};
+use dlrm_kernels::embedding::{self, BagPlan, DedupPlan, UpdateStrategy};
 use dlrm_kernels::gemm;
 use dlrm_kernels::ThreadPool;
 use dlrm_tensor::init::{seeded_rng, uniform};
@@ -120,9 +120,9 @@ proptest! {
     }
 
     #[test]
-    fn fused_matches_unfused(
+    fn backward_update_is_bitwise_backward_then_reference_update(
         (indices, offsets) in bags(23),
-        e in 1usize..12,
+        e in 1usize..40,
         seed in any::<u64>(),
         threads in 1usize..5,
     ) {
@@ -136,11 +136,46 @@ proptest! {
         let mut dw = Matrix::zeros(ns, e);
         embedding::backward(&pool, &dy, &offsets, &mut dw);
         let mut want = w0.clone();
-        embedding::update(&pool, UpdateStrategy::RaceFree, &mut want, &dw, &indices, -0.03);
+        embedding::update(&pool, UpdateStrategy::Reference, &mut want, &dw, &indices, -0.03);
 
-        let mut got = w0.clone();
-        embedding::fused_backward_update(&pool, &mut got, &dy, &indices, &offsets, -0.03);
-        assert_allclose(got.as_slice(), want.as_slice(), 1e-5, "fused");
+        let mut plan = BagPlan::new();
+        for strat in UpdateStrategy::ALL {
+            let mut got = w0.clone();
+            embedding::backward_update(
+                &pool, strat, &mut got, &dy, &indices, &offsets, -0.03, &mut plan,
+            );
+            match strat {
+                UpdateStrategy::AtomicXchg | UpdateStrategy::Rtm => {
+                    assert_allclose(got.as_slice(), want.as_slice(), 1e-5, &format!("{strat}"))
+                }
+                _ => prop_assert_eq!(got.as_slice(), want.as_slice(), "{}", strat),
+            }
+        }
+    }
+
+    #[test]
+    fn gather_is_bitwise_the_per_row_gather(
+        (indices, offsets) in bags(29),
+        e in 1usize..40,
+        seed in any::<u64>(),
+        threads in 1usize..5,
+    ) {
+        let isa = dlrm_kernels::gemm::micro::detect_isa();
+        let w = uniform(29, e, -1.0, 1.0, &mut seeded_rng(seed, 7));
+        let n = offsets.len() - 1;
+        let mut want = Matrix::zeros(n, e);
+        for bag in 0..n {
+            for &ind in &indices[offsets[bag]..offsets[bag + 1]] {
+                embedding::rowops::accumulate(isa, want.row_mut(bag), w.row(ind as usize));
+            }
+        }
+        let mut serial = Matrix::from_fn(n, e, |_, _| f32::NAN);
+        embedding::forward_serial(&w, &indices, &offsets, &mut serial);
+        let mut parallel = Matrix::from_fn(n, e, |_, _| f32::NAN);
+        embedding::forward(&ThreadPool::new(threads), &w, &indices, &offsets, &mut parallel);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&serial), bits(&want));
+        prop_assert_eq!(bits(&parallel), bits(&want));
     }
 
     #[test]
