@@ -153,7 +153,9 @@ pub struct DistOptions {
     pub strategy: ExchangeStrategy,
     /// Embedding update strategy on each rank.
     pub update: UpdateStrategy,
-    /// Worker threads per rank's compute pool.
+    /// Size of each rank's compute team, the rank thread included: it is
+    /// member 0 and `threads_per_rank − 1` workers are spawned beside it,
+    /// so with 1 a rank computes on its own thread and spawns none.
     pub threads_per_rank: usize,
     /// Model seed — must match the single-process model for equivalence.
     pub seed: u64,

@@ -23,12 +23,17 @@ use std::sync::Arc;
 pub enum Execution {
     /// Naive single-threaded kernels.
     Reference,
-    /// Optimized kernels over a shared thread pool.
+    /// Optimized kernels on a thread team led by whichever thread calls
+    /// into the layer (see [`ThreadPool`]). Clones share the team, and a
+    /// team of two or more runs one parallel region at a time: two threads
+    /// computing through clones concurrently is a panic, not a race.
     Optimized(Arc<ThreadPool>),
 }
 
 impl Execution {
-    /// An optimized execution with `n` worker threads.
+    /// An optimized execution on a team of `n`: the calling thread of each
+    /// kernel plus `n − 1` spawned workers. `optimized(1)` spawns no thread
+    /// and runs every kernel inline on its caller.
     pub fn optimized(n: usize) -> Self {
         Execution::Optimized(Arc::new(ThreadPool::new(n)))
     }

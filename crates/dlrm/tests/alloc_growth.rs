@@ -150,8 +150,9 @@ fn calls_during(f: &mut dyn FnMut()) -> usize {
 /// The fused backward+update reads gradient rows from `dY`: the layer's
 /// scratch after a step is the saved batch (plus the plan under
 /// `Bucketed`), less than one `dW[NS][E]` — and the update allocates
-/// nothing on any thread beyond what its pool dispatches do (one for the
-/// apply; two more for the plan's counting sort).
+/// nothing on any thread, pool dispatches included (one for the apply; two
+/// more for the plan's counting sort): the job is handed to the team as a
+/// borrowed pointer.
 #[test]
 fn embedding_update_keeps_no_gradient_copy_and_does_not_allocate() {
     let _turn = my_turn();
@@ -164,9 +165,8 @@ fn embedding_update_keeps_no_gradient_copy_and_does_not_allocate() {
     let offsets: Vec<usize> = (0..=bags).map(|b| b * lookups).collect();
     let dy = Matrix::from_fn(bags, e, |r, c| (r + c) as f32 * 0.01);
     let exec = Execution::optimized(3);
-    let pool = exec.pool().unwrap();
 
-    for (strategy, dispatches) in [(UpdateStrategy::RaceFree, 1), (UpdateStrategy::Bucketed, 3)] {
+    for strategy in [UpdateStrategy::RaceFree, UpdateStrategy::Bucketed] {
         let mut layer = EmbeddingLayer::new(rows, e, strategy, &mut seeded_rng(9, 0));
         let _ = layer.forward(&exec, &indices, &offsets);
         layer.backward_update(&exec, &dy, 0.1);
@@ -177,15 +177,7 @@ fn embedding_update_keeps_no_gradient_copy_and_does_not_allocate() {
         );
 
         let update = calls_during(&mut || layer.backward_update(&exec, &dy, 0.1));
-        let dispatch_only = calls_during(&mut || {
-            for _ in 0..dispatches {
-                pool.broadcast(|_| {});
-            }
-        });
-        assert_eq!(
-            update, dispatch_only,
-            "{strategy}: 20 updates allocated {update} times, their dispatches {dispatch_only}"
-        );
+        assert_eq!(update, 0, "{strategy}: 20 updates allocated {update} times");
         assert_eq!(layer.scratch_bytes(), scratch, "{strategy}: scratch grew");
     }
 }
@@ -216,11 +208,12 @@ fn mlp_packed_plan_step_does_not_grow_allocations() {
     assert_steady(&samples, "mlp-packed-plan");
 }
 
-/// The blocked GEMM drivers allocate nothing on any thread beyond what an
-/// empty dispatch on the same pool does (the pool boxes each job once):
-/// reduction panels are named by base + stride, not by per-thread pointer
-/// lists. Counted over calls, not sampled as live bytes, because the lists
-/// were freed again before any sample could see them.
+/// The blocked GEMM drivers allocate nothing on any thread, and neither
+/// does the dispatch that runs them: reduction panels are named by base +
+/// stride, not by per-thread pointer lists, and the pool lends the team a
+/// pointer to the job instead of boxing it. Counted over calls, not
+/// sampled as live bytes, because the lists were freed again before any
+/// sample could see them.
 #[test]
 fn blocked_gemm_drivers_do_not_allocate() {
     let _turn = my_turn();
@@ -253,14 +246,8 @@ fn blocked_gemm_drivers_do_not_allocate() {
         gemm::fc_backward_weights(&pool, &xb, &dyb, &mut dwb);
         gemm::fc_backward_weights_fused(&pool, &xb, &dyb, &mut dwb, &mut db);
     };
-    let dispatch_only = calls_during(&mut || {
-        for _ in 0..6 {
-            pool.parallel_for(6, |_, _| {});
-        }
-    });
+    let dispatches = calls_during(&mut || pool.parallel_for(6, |_, _| {}));
+    assert_eq!(dispatches, 0, "20 empty dispatches allocated");
     let drivers = calls_during(&mut all_six);
-    assert_eq!(
-        drivers, dispatch_only,
-        "120 driver calls allocated {drivers} times, 120 empty dispatches {dispatch_only}"
-    );
+    assert_eq!(drivers, 0, "120 driver calls allocated {drivers} times");
 }

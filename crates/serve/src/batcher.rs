@@ -20,6 +20,10 @@ use std::time::{Duration, Instant};
 struct BatchState<T> {
     queue: VecDeque<T>,
     closed: bool,
+    /// Consumers blocked on `cv` right now. `push` notifies only when there
+    /// is one: a wake-up is a system call on the submitting thread, and a
+    /// busy engine's consumers are rarely asleep.
+    parked: usize,
 }
 
 struct Shared<T> {
@@ -54,6 +58,7 @@ impl<T> MicroBatcher<T> {
                 state: Mutex::new(BatchState {
                     queue: VecDeque::new(),
                     closed: false,
+                    parked: 0,
                 }),
                 cv: Condvar::new(),
             }),
@@ -68,8 +73,14 @@ impl<T> MicroBatcher<T> {
             return false;
         }
         st.queue.push_back(item);
+        // Read under the lock a consumer holds from its increment until
+        // `wait` releases it, so a consumer is either counted here or has
+        // yet to look at the queue.
+        let wake = st.parked > 0;
         drop(st);
-        self.shared.cv.notify_all();
+        if wake {
+            self.shared.cv.notify_all();
+        }
         true
     }
 
@@ -104,7 +115,9 @@ impl<T> MicroBatcher<T> {
                 if st.closed {
                     return None;
                 }
+                st.parked += 1;
                 st = self.shared.cv.wait(st).unwrap();
+                st.parked -= 1;
             }
             let deadline = Instant::now() + window;
             while st.queue.len() < max_batch && !st.closed {
@@ -112,8 +125,10 @@ impl<T> MicroBatcher<T> {
                 if now >= deadline {
                     break;
                 }
+                st.parked += 1;
                 let (guard, wait) = self.shared.cv.wait_timeout(st, deadline - now).unwrap();
                 st = guard;
+                st.parked -= 1;
                 if wait.timed_out() {
                     break;
                 }

@@ -27,6 +27,37 @@
 use dlrm_kernels::embedding::RowStore;
 use dlrm_tensor::Matrix;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher for the cache's two `u32`-keyed maps: one multiply and one fold
+/// instead of the default `SipHash`, which a lookup pays twice per row
+/// (doorkeeper, then slot map). The fold brings the product's well-mixed
+/// high half down to the low bits the table indexes by; its top bits,
+/// which the table uses as tags, are mixed already.
+///
+/// Row ids come from requests, and a fixed hash can be made to collide.
+/// What that buys is bounded: ids are validated against the table before
+/// they get here, and both maps are capped (slots; one aging window), so
+/// crafted ids lengthen probes inside a small map and change no answer.
+#[derive(Default)]
+struct RowIdHasher(u64);
+
+impl Hasher for RowIdHasher {
+    fn write_u32(&mut self, row: u32) {
+        let h = u64::from(row).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("RowIdHasher hashes u32 row ids only");
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type RowIdMap<V> = HashMap<u32, V, BuildHasherDefault<RowIdHasher>>;
 
 /// Hit/miss instrumentation. Counters are cumulative; [`CacheStats::reset`]
 /// zeroes them (used to exclude cold-start warm-up from measured hit rates).
@@ -78,13 +109,13 @@ pub struct HotRowCache {
     /// Slot → frequency counter (CLOCK aging state).
     freq: Vec<u32>,
     /// Table row → slot.
-    map: HashMap<u32, u32>,
+    map: RowIdMap<u32>,
     /// CLOCK hand.
     hand: usize,
     /// Doorkeeper: exact per-row lookup counts for the recent window,
     /// halved (dropping zeroes) every [`Self::age_window`] lookups so the
     /// counts track *recent* popularity. Bounded by the window length.
-    recent: HashMap<u32, u8>,
+    recent: RowIdMap<u8>,
     /// Lookups between doorkeeper agings.
     age_window: usize,
     /// Lookups since the last aging.
@@ -103,9 +134,9 @@ impl HotRowCache {
         HotRowCache {
             store: RowStore::with_slots(capacity, e),
             freq: vec![0; capacity],
-            map: HashMap::with_capacity(capacity * 2),
+            map: RowIdMap::with_capacity_and_hasher(capacity * 2, Default::default()),
             hand: 0,
-            recent: HashMap::new(),
+            recent: RowIdMap::default(),
             age_window: capacity * 16,
             ops_since_age: 0,
             stats: CacheStats::default(),
@@ -280,6 +311,38 @@ mod tests {
         assert_eq!(c.stats.misses, 3);
         assert_eq!(c.stats.rejections, 1);
         assert_eq!(c.stats.insertions, 2);
+    }
+
+    /// The policy's decisions on a fixed skewed stream, recorded with the
+    /// default-`SipHash` maps before [`RowIdHasher`] replaced them: the
+    /// hasher changes where a key sits in the map, never what the map
+    /// answers, so every counter must repeat exactly.
+    #[test]
+    fn counters_on_a_fixed_stream_do_not_depend_on_the_hasher() {
+        let rows = 4096u64;
+        let t = table(rows as usize, 4);
+        let mut c = HotRowCache::new(64, 4);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..200_000 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            // 24 uniform bits, cubed: a popularity head over a long tail.
+            let u = x >> 40;
+            let cubed = (((u * u) >> 24) * u) >> 24;
+            let row = (cubed * rows) >> 24;
+            assert_eq!(c.get_or_admit(row as u32, &t), t.row(row as usize));
+        }
+        assert_eq!(
+            c.stats,
+            CacheStats {
+                hits: 38_974,
+                misses: 161_026,
+                insertions: 40_309,
+                evictions: 40_245,
+                rejections: 120_717,
+            }
+        );
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! A [`ServeModel`] is a forward-only view over the training stack: the
 //! same bottom-MLP / embedding-bag / interaction / top-MLP kernels, with
 //! each embedding table optionally fronted by a [`HotRowCache`]. A
-//! [`ServeEngine`] owns one `ServeModel` on a dedicated worker thread and
-//! feeds it batches from a [`MicroBatcher`]; clients submit one sample at a
-//! time from any thread and block (or poll) for their scored response.
+//! [`ServeEngine`] owns one `ServeModel` on one engine thread and feeds it
+//! batches from a [`MicroBatcher`]; clients submit one sample at a time
+//! from any thread and block (or poll) for their scored response. The
+//! engine thread is member 0 of the model's GEMM team, so with
+//! `Execution::optimized(1)` a whole request — batching, gather, MLP stack,
+//! reply — runs on that one thread without a hand-off.
 
 use crate::batcher::MicroBatcher;
 use crate::cache::{CacheStats, HotRowCache};
@@ -364,8 +367,10 @@ impl ResponseHandle {
     }
 }
 
-/// A running serving engine: one worker thread draining a micro-batcher
-/// into a [`ServeModel`].
+/// A running serving engine: one engine thread draining a micro-batcher
+/// into a [`ServeModel`]. It is the only thread the engine spawns; the
+/// model's [`Execution`] adds `n − 1` GEMM workers beside it (none for
+/// `n = 1`), and the engine thread computes as their member 0.
 pub struct ServeEngine {
     client: ServeClient,
     batcher: MicroBatcher<Pending>,
@@ -373,7 +378,8 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Starts the engine, taking ownership of `model` on a worker thread.
+    /// Starts the engine, taking ownership of `model` on the engine thread
+    /// (spawned here, so it inherits the caller's affinity).
     pub fn start(mut model: ServeModel, cfg: ServeConfig) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be >= 1");
         let batcher: MicroBatcher<Pending> = MicroBatcher::new();

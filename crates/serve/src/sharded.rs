@@ -5,7 +5,8 @@
 //! sockets and data-parallelizes the MLPs; this module mirrors that split
 //! inside one serving process. Tables are partitioned over `S` shards by
 //! the same [`OwnershipMap`] the trainer uses (DESIGN.md §15); each shard
-//! gets its own worker team ([`dlrm_kernels::threadpool::ThreadPool`],
+//! gets its own team ([`dlrm_kernels::threadpool::ThreadPool`]: the lane
+//! thread as member 0 plus `workers_per_shard − 1` spawned workers,
 //! optionally core-pinned via [`CorePlacement`]), its own per-table
 //! [`HotRowCache`]s, and its own request lane off a shared
 //! [`MicroBatcher`]. A lane fans each micro-batch's sparse lookups out to
@@ -43,7 +44,7 @@ use dlrm_data::{DlrmConfig, MiniBatch};
 use dlrm_kernels::activations::sigmoid;
 use dlrm_kernels::embedding::{self, UpdateStrategy};
 use dlrm_kernels::gemm::micro::detect_isa;
-use dlrm_kernels::threadpool::ThreadPool;
+use dlrm_kernels::threadpool::{pin_current_thread, ThreadPool};
 use dlrm_tensor::init::seeded_rng;
 use dlrm_tensor::Matrix;
 use dlrm_topology::{CorePlacement, OwnershipMap};
@@ -56,11 +57,16 @@ use std::thread::JoinHandle;
 pub struct ShardSpec {
     /// Number of shards (worker teams). 1 reproduces the unsharded layout.
     pub shards: usize,
-    /// GEMM worker threads per shard's team.
+    /// Size of each shard's GEMM team, the lane thread included: the lane
+    /// is member 0 and `workers_per_shard − 1` threads are spawned beside
+    /// it, so 1 runs the MLP stack inline on the lane.
     pub workers_per_shard: usize,
-    /// Pin each team's workers to distinct host cores
-    /// ([`CorePlacement::contiguous`]); best-effort — pinning failures are
-    /// non-fatal.
+    /// Pin each team to its [`CorePlacement::contiguous`] cores: spawned
+    /// workers to theirs, and — once [`ShardedEngine::start`] has spawned
+    /// them — the lane (member 0) and the server thread to the shard's
+    /// first core. Best-effort — pinning failures are non-fatal. The
+    /// synchronous [`ShardedServeModel::forward`] runs on its caller's
+    /// thread, whose affinity is never touched.
     pub pin_cores: bool,
     /// Hot-row cache sizing for each shard's owned tables.
     pub cache: CacheSizing,
@@ -81,6 +87,9 @@ impl Default for ShardSpec {
 /// runs on. Lives on the shard's lane thread.
 struct LaneHalf {
     exec: Execution,
+    /// The shard's first core under [`ShardSpec::pin_cores`]: the seat of
+    /// the team's member 0, which the lane thread takes.
+    core: Option<usize>,
     bottom: Mlp,
     interaction: Interaction,
     top: Mlp,
@@ -92,6 +101,8 @@ struct LaneHalf {
 /// Lives on the shard's server thread, keeping cache mutation
 /// single-threaded.
 struct ServerHalf {
+    /// As [`LaneHalf::core`]: the server shares its shard's first core.
+    core: Option<usize>,
     /// Owned tables, in [`OwnershipMap::tables_of`] (local) order.
     tables: Vec<EmbeddingLayer>,
     caches: Vec<Option<HotRowCache>>,
@@ -153,8 +164,10 @@ impl ShardedServeModel {
         let mut servers = Vec::with_capacity(spec.shards);
         let mut pinned_workers = Vec::with_capacity(spec.shards);
         for s in 0..spec.shards {
-            let pool = match &placement {
-                Some(p) => ThreadPool::with_affinity(p.shard_cores(s)),
+            let cores = placement.as_ref().map(|p| p.shard_cores(s));
+            let core = cores.map(|c| c[0]);
+            let pool = match cores {
+                Some(cores) => ThreadPool::with_affinity(cores),
                 None => ThreadPool::new(spec.workers_per_shard),
             };
             pinned_workers.push(pool.pinned_workers());
@@ -182,6 +195,7 @@ impl ShardedServeModel {
             top.prepack_weights();
             lanes.push(LaneHalf {
                 exec,
+                core,
                 bottom,
                 interaction: Interaction::new(cfg.emb_dim),
                 top,
@@ -202,7 +216,11 @@ impl ShardedServeModel {
                         .map(|rows| HotRowCache::new(rows, t.dim()))
                 })
                 .collect();
-            servers.push(ServerHalf { tables, caches });
+            servers.push(ServerHalf {
+                core,
+                tables,
+                caches,
+            });
         }
         ShardedServeModel {
             cfg: cfg.clone(),
@@ -228,8 +246,10 @@ impl ShardedServeModel {
         self.lanes.len()
     }
 
-    /// Workers that were successfully core-pinned, per shard (all zero
-    /// unless [`ShardSpec::pin_cores`] was set and pinning succeeded).
+    /// Spawned workers that were successfully core-pinned, per shard (all
+    /// zero unless [`ShardSpec::pin_cores`] was set, pinning succeeded and
+    /// `workers_per_shard ≥ 2`: member 0 of a team is the lane thread,
+    /// which does not exist yet).
     pub fn pinned_workers(&self) -> &[usize] {
         &self.pinned_workers
     }
@@ -486,6 +506,9 @@ fn run_server(
     mut consumers: Vec<SpscConsumer<GatherJob>>,
     ctl: &ServerCtl,
 ) -> Vec<Option<CacheStats>> {
+    if let Some(core) = server.core {
+        pin_current_thread(core);
+    }
     let mut last_seen = 0u64;
     loop {
         let mut served = 0usize;
@@ -530,6 +553,9 @@ fn run_lane(
         owned_tables: ownership.tables_of(shard).to_vec(),
         ..ShardReport::default()
     };
+    if let Some(core) = lane.core {
+        pin_current_thread(core);
+    }
     let exec = lane.exec.clone();
     while let Some(mut pendings) = consumer.next_batch(serve_cfg.max_batch, serve_cfg.window) {
         report.queue_depth_hwm = report.queue_depth_hwm.max(pendings.len() + consumer.len());

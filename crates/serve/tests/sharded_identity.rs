@@ -144,12 +144,27 @@ fn pinned_teams_serve_identically() {
     let mut rng = seeded_rng(23, 0);
     let batch = MiniBatch::random(&cfg, 12, IndexDistribution::Uniform, &mut rng);
     assert_eq!(pinned.forward(0, &batch), unpinned.forward(0, &batch));
+    // A one-worker team is the calling thread alone: it has no spawned
+    // worker to pin, and the pool never pins its caller.
+    assert!(pinned.pinned_workers().iter().all(|&p| p == 0));
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    assert!(
-        pinned.pinned_workers().iter().all(|&p| p >= 1),
-        "every team should pin its worker on linux: {:?}",
-        pinned.pinned_workers()
-    );
+    {
+        let wide = ShardedServeModel::new(
+            &cfg,
+            &ShardSpec {
+                shards: 2,
+                workers_per_shard: 2,
+                pin_cores: true,
+                cache: CacheSizing::Disabled,
+            },
+            19,
+        );
+        assert!(
+            wide.pinned_workers().iter().all(|&p| p >= 1),
+            "every team should pin its spawned worker on linux: {:?}",
+            wide.pinned_workers()
+        );
+    }
 }
 
 #[test]
