@@ -6,8 +6,8 @@
 //! can start reducing while earlier layers are still computing. Buckets are
 //! issued in *reverse* flat order because backward produces the last
 //! layer's gradients first. [`BucketReducer`] is the issue-as-produced
-//! engine of the overlapped train step; [`allreduce_mlp_grads_bucketed`]
-//! is the simpler issue-all-at-once form kept for direct tests.
+//! engine of the train step; the synchronous schedule drives the same
+//! reducer with one `on_produced(0)` after the whole backward.
 //!
 //! # Bitwise determinism
 //!
@@ -20,8 +20,6 @@
 //! progress channel, early or late. The train step exploits exactly this —
 //! both schedules reduce the same plan, so overlap moves time, not bits.
 
-use crate::ddp::{flatten_grads, unflatten_grads};
-use dlrm::layers::Mlp;
 use dlrm_comm::collectives;
 use dlrm_comm::instrument::{time_opt, OpKind, TimingRecorder};
 use dlrm_comm::nonblocking::{OpOutput, ProgressEngine, Request};
@@ -86,8 +84,9 @@ enum BucketOp {
 
 /// Issue-as-produced bucketed allreduce over a flat gradient buffer.
 ///
-/// The overlapped train step writes each layer's gradients into the flat
-/// buffer *as backward produces them* (back-to-front) and calls
+/// The overlapped train step writes each layer's gradients into its
+/// [`BucketReducer::window`] of the flat buffer *as backward produces them*
+/// (back-to-front) and calls
 /// [`BucketReducer::on_produced`]; every bucket whose elements are all
 /// present is immediately submitted to a progress channel, so it reduces
 /// while the remaining layers still compute. [`BucketReducer::finalize`]
@@ -113,8 +112,9 @@ pub struct BucketReducer {
 
 impl BucketReducer {
     /// Starts a reduction of `total` elements, reusing `flat` as the
-    /// backing buffer (resized as needed; contents fully overwritten by
-    /// `write`). The wire defaults to FP32; see [`BucketReducer::with_wire`].
+    /// backing buffer (resized as needed; contents fully overwritten
+    /// through `window`). The wire defaults to FP32; see
+    /// [`BucketReducer::with_wire`].
     pub fn new(mut flat: Vec<f32>, total: usize, cap_bytes: usize) -> Self {
         flat.resize(total, 0.0);
         let plan = BucketPlan::for_bytes(total, cap_bytes);
@@ -164,9 +164,11 @@ impl BucketReducer {
         self.plan.len()
     }
 
-    /// Copies one produced gradient slice into `flat[offset..]`.
-    pub fn write(&mut self, offset: usize, data: &[f32]) {
-        self.flat[offset..offset + data.len()].copy_from_slice(data);
+    /// The flat buffer's `range`, for its producer to fill in place — a
+    /// layer unpacks its blocked gradient straight into it, with no flat
+    /// copy of its own in between.
+    pub fn window(&mut self, range: Range<usize>) -> &mut [f32] {
+        &mut self.flat[range]
     }
 
     /// Marks everything from `offset` to the end as produced and issues
@@ -214,7 +216,7 @@ impl BucketReducer {
 
     /// Completes all buckets (issuing any not yet produced-complete — a
     /// safety net; a full backward pass produces everything) and returns
-    /// the reduced flat buffer for unflattening and the optimizer step.
+    /// the reduced flat buffer, which the optimizer step reads in place.
     pub fn finalize(
         mut self,
         comm: &Communicator,
@@ -253,42 +255,49 @@ impl BucketReducer {
     }
 }
 
-/// Allreduces the MLP gradients bucket by bucket (issuing everything at
-/// once — the non-fused form of [`BucketReducer`]), through the engine's
-/// channels round-robin or blocking without one.
-pub fn allreduce_mlp_grads_bucketed(
-    comm: &Communicator,
-    engine: Option<&ProgressEngine>,
-    bottom: &mut Mlp,
-    top: &mut Mlp,
-    bucket_elems: usize,
-) {
-    let flat = flatten_grads(&[&*bottom, &*top]);
-    let total = flat.len();
-    let mut reducer = BucketReducer::new(flat, total, bucket_elems * std::mem::size_of::<f32>());
-    reducer.on_produced(0, engine, None);
-    let flat = reducer.finalize(comm, engine, None);
-    unflatten_grads(&flat, &mut [bottom, top]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ddp::allreduce_mlp_grads;
-    use dlrm::layers::{Activation, Execution, Mlp};
     use dlrm_comm::nonblocking::{create_channel_worlds, Backend, ProgressEngine};
     use dlrm_comm::world::CommWorld;
-    use dlrm_tensor::init::{seeded_rng, uniform};
 
-    fn mlp_with_grads(seed: u64, scale: f32) -> Mlp {
-        let mut rng = seeded_rng(seed, 0);
-        let mut mlp = Mlp::new(5, &[7, 3], Activation::None, &mut rng);
-        for layer in &mut mlp.layers {
-            layer.dw = uniform(layer.dw.rows(), layer.dw.cols(), -scale, scale, &mut rng);
-            layer.db = (0..layer.db.len()).map(|i| i as f32 * scale).collect();
+    /// Runs `body(comm, engine)` on every rank of a world with a progress
+    /// engine of `workers` channels per rank.
+    fn with_engines<T: Send>(
+        nranks: usize,
+        workers: usize,
+        body: impl Fn(&Communicator, &ProgressEngine) -> T + Sync,
+    ) -> Vec<T> {
+        let backend = Backend::CclLike { workers };
+        let worlds = std::sync::Mutex::new(create_channel_worlds(nranks, backend));
+        CommWorld::run(nranks, |comm| {
+            let comms = std::mem::take(&mut worlds.lock().unwrap()[comm.rank()]);
+            body(&comm, &ProgressEngine::new(backend, comms))
+        })
+    }
+
+    /// Reduces a rank-dependent stand-in gradient of `total` elements under
+    /// `cap_bytes`, all produced at once.
+    fn reduce(
+        comm: &Communicator,
+        engine: Option<&ProgressEngine>,
+        total: usize,
+        cap_bytes: usize,
+        wires: Option<Vec<WirePrecision>>,
+    ) -> Vec<f32> {
+        let mut r = BucketReducer::new(Vec::new(), total, cap_bytes);
+        if let Some(wires) = wires {
+            r = r.with_bucket_wires(wires);
         }
-        let _ = Execution::Reference; // silence unused import on some cfgs
-        mlp
+        for (i, v) in r.window(0..total).iter_mut().enumerate() {
+            *v = ((comm.rank() * total + i) as f32).sin();
+        }
+        r.on_produced(0, engine, None);
+        r.finalize(comm, engine, None)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
     }
 
     #[test]
@@ -323,24 +332,12 @@ mod tests {
 
     #[test]
     fn bucketed_equals_single_buffer() {
-        let nranks = 3;
-        let backend = Backend::CclLike { workers: 2 };
-        let worlds = std::sync::Mutex::new(create_channel_worlds(nranks, backend));
-        let out = CommWorld::run(nranks, |comm| {
-            let me = comm.rank();
-            let engine = {
-                let comms = std::mem::take(&mut worlds.lock().unwrap()[me]);
-                ProgressEngine::new(backend, comms)
-            };
-            // Bucketed path.
-            let mut b1 = mlp_with_grads(me as u64, 0.5);
-            let mut t1 = mlp_with_grads(100 + me as u64, 0.25);
-            allreduce_mlp_grads_bucketed(&comm, Some(&engine), &mut b1, &mut t1, 7);
-            // Single-buffer path on the same inputs.
-            let mut b2 = mlp_with_grads(me as u64, 0.5);
-            let mut t2 = mlp_with_grads(100 + me as u64, 0.25);
-            allreduce_mlp_grads(&comm, None, &mut b2, &mut t2);
-            (flatten_grads(&[&b1, &t1]), flatten_grads(&[&b2, &t2]))
+        // Another partition is another summation order: close, not bitwise.
+        let total = 66;
+        let out = with_engines(3, 2, |comm, engine| {
+            let bucketed = reduce(comm, Some(engine), total, 7 * 4, None);
+            let single = reduce(comm, None, total, DEFAULT_BUCKET_CAP_BYTES, None);
+            (bucketed, single)
         });
         for (bucketed, single) in out {
             for (a, b) in bucketed.iter().zip(&single) {
@@ -354,28 +351,13 @@ mod tests {
         // The determinism contract the overlapped schedule rests on: the
         // same plan reduced through progress channels vs blocking on the
         // main communicator gives bit-identical sums.
-        let nranks = 4;
-        let backend = Backend::CclLike { workers: 3 };
-        let worlds = std::sync::Mutex::new(create_channel_worlds(nranks, backend));
-        let out = CommWorld::run(nranks, |comm| {
-            let me = comm.rank();
-            let engine = {
-                let comms = std::mem::take(&mut worlds.lock().unwrap()[me]);
-                ProgressEngine::new(backend, comms)
-            };
-            let mut b1 = mlp_with_grads(me as u64, 0.3);
-            let mut t1 = mlp_with_grads(50 + me as u64, 0.7);
-            allreduce_mlp_grads_bucketed(&comm, Some(&engine), &mut b1, &mut t1, 5);
-            let mut b2 = mlp_with_grads(me as u64, 0.3);
-            let mut t2 = mlp_with_grads(50 + me as u64, 0.7);
-            allreduce_mlp_grads_bucketed(&comm, None, &mut b2, &mut t2, 5);
-            (flatten_grads(&[&b1, &t1]), flatten_grads(&[&b2, &t2]))
+        let out = with_engines(4, 3, |comm, engine| {
+            let eng = reduce(comm, Some(engine), 66, 5 * 4, None);
+            let blk = reduce(comm, None, 66, 5 * 4, None);
+            (eng, blk)
         });
         for (eng, blk) in out {
-            assert_eq!(
-                eng.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-                blk.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
-            );
+            assert_eq!(bits(&eng), bits(&blk));
         }
     }
 
@@ -387,15 +369,12 @@ mod tests {
             let mut r = BucketReducer::new(Vec::new(), 10, 4 * 4);
             assert_eq!(r.num_buckets(), 3); // [6..10, 2..6, 0..2]
             let data: Vec<f32> = (0..10).map(|i| i as f32).collect();
-            r.write(6, &data[6..10]);
-            r.on_produced(6, None, None);
-            assert_eq!(r.issued.len(), 1);
-            r.write(2, &data[2..6]);
-            r.on_produced(2, None, None);
-            assert_eq!(r.issued.len(), 2);
-            r.write(0, &data[0..2]);
-            r.on_produced(0, None, None);
-            assert_eq!(r.issued.len(), 3);
+            for (issued, range) in [6..10, 2..6, 0..2].into_iter().enumerate() {
+                r.window(range.clone())
+                    .copy_from_slice(&data[range.clone()]);
+                r.on_produced(range.start, None, None);
+                assert_eq!(r.issued.len(), issued + 1);
+            }
             let flat = r.finalize(&comm, None, None);
             assert_eq!(flat, data);
         });
@@ -406,42 +385,20 @@ mod tests {
         // Per-bucket wires (the adaptive policy's output shape): the same
         // plan with the same wire assignment must be bitwise identical
         // whether buckets run through progress channels or blocking.
-        let nranks = 3;
-        let total = 10usize;
-        let backend = Backend::CclLike { workers: 2 };
-        let worlds = std::sync::Mutex::new(create_channel_worlds(nranks, backend));
         let wires = vec![
             WirePrecision::int8_shared(0.125),
             WirePrecision::Bf16,
             WirePrecision::Fp32,
         ];
-        let run =
-            |comm: &Communicator, engine: Option<&ProgressEngine>, wires: Vec<WirePrecision>| {
-                let me = comm.rank();
-                let data: Vec<f32> = (0..total)
-                    .map(|i| ((me * total + i) as f32).sin())
-                    .collect();
-                let mut r = BucketReducer::new(Vec::new(), total, 4 * 4).with_bucket_wires(wires);
-                assert_eq!(r.num_buckets(), 3);
-                r.write(0, &data);
-                r.on_produced(0, engine, None);
-                r.finalize(comm, engine, None)
-            };
-        let out = CommWorld::run(nranks, |comm| {
-            let engine = {
-                let comms = std::mem::take(&mut worlds.lock().unwrap()[comm.rank()]);
-                ProgressEngine::new(backend, comms)
-            };
-            let eng = run(&comm, Some(&engine), wires.clone());
-            let blk = run(&comm, None, wires.clone());
+        let out = with_engines(3, 2, |comm, engine| {
+            let eng = reduce(comm, Some(engine), 10, 4 * 4, Some(wires.clone()));
+            let blk = reduce(comm, None, 10, 4 * 4, Some(wires.clone()));
             (eng, blk)
         });
-        let first = out[0].0.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let first = bits(&out[0].0);
         for (eng, blk) in &out {
-            let eng: Vec<u32> = eng.iter().map(|f| f.to_bits()).collect();
-            let blk: Vec<u32> = blk.iter().map(|f| f.to_bits()).collect();
-            assert_eq!(eng, blk, "engine vs blocking");
-            assert_eq!(eng, first, "ranks bitwise identical");
+            assert_eq!(bits(eng), bits(blk), "engine vs blocking");
+            assert_eq!(bits(eng), first, "ranks bitwise identical");
         }
     }
 
@@ -454,7 +411,7 @@ mod tests {
 
     #[test]
     fn bucket_count_scales_with_size() {
-        let total = 5 * 7 + 7 + 7 * 3 + 3; // the test MLP's grad length
+        let total = 5 * 7 + 7 + 7 * 3 + 3;
         assert!(BucketPlan::new(total, 8).len() > BucketPlan::new(total, 64).len());
     }
 }

@@ -1,33 +1,30 @@
-//! DDP-style gradient allreduce: flatten every MLP gradient into one
-//! buffer, allreduce (reduce-scatter + allgather), unflatten, apply the
-//! averaged SGD step.
+//! DDP-style gradient plumbing between the replicated MLPs and the flat
+//! allreduce buffer.
 //!
-//! The flat-buffer copies here are exactly the "Allreduce-Framework" time
-//! of Figures 11/14; the collective itself is the "Allreduce-Wait".
+//! On the optimized tier a layer's weight gradient lives blocked in its
+//! packed plan and its weights do too, so the flat buffer is the only place
+//! gradients are ever laid out as rows: each layer unpacks straight into
+//! its window of the [`BucketReducer`] ([`write_layer_grads`], once), and
+//! after the reduction applies its slice of the buffer to the packed
+//! weights panel by panel ([`apply_reduced_grads`]). What copying remains
+//! is the "Allreduce-Framework" time of Figures 11/14; the collective
+//! itself is the "Allreduce-Wait".
 
-use dlrm::layers::Mlp;
-use dlrm_comm::collectives;
-use dlrm_comm::nonblocking::{OpOutput, ProgressEngine};
-use dlrm_comm::world::Communicator;
+use crate::bucketing::BucketReducer;
+use dlrm::layers::{Execution, Linear, Mlp};
 
 /// Flattens the weight and bias gradients of the given MLPs (in order)
-/// into one contiguous buffer — Eq. 1's `Σ f_i·f_o + f_o` elements.
+/// into one contiguous buffer — Eq. 1's `Σ f_i·f_o + f_o` elements, in the
+/// order the bucketed allreduce ships them.
 pub fn flatten_grads(mlps: &[&Mlp]) -> Vec<f32> {
-    let mut buf = Vec::new();
-    flatten_grads_into(mlps, &mut buf);
-    buf
-}
-
-/// [`flatten_grads`] into a caller-owned buffer, reusing its allocation
-/// across iterations (the buffer is cleared first).
-pub fn flatten_grads_into(mlps: &[&Mlp], buf: &mut Vec<f32>) {
-    buf.clear();
-    for mlp in mlps {
-        for layer in &mlp.layers {
-            buf.extend_from_slice(layer.dw.as_slice());
-            buf.extend_from_slice(&layer.db);
+    let (offsets, total) = grad_offsets(mlps);
+    let mut buf = vec![0.0; total];
+    for (mlp, offs) in mlps.iter().zip(&offsets) {
+        for (layer, &off) in mlp.layers.iter().zip(offs) {
+            layer.write_grads(&mut buf[off..off + layer.grad_len()]);
         }
     }
+    buf
 }
 
 /// Flat-buffer offset of each layer's gradients (dw then db), per MLP, in
@@ -47,122 +44,78 @@ pub fn grad_offsets(mlps: &[&Mlp]) -> (Vec<Vec<usize>>, usize) {
     (per_mlp, off)
 }
 
-/// Writes a flat gradient buffer back into the MLPs' gradient tensors.
-///
-/// # Panics
-/// Panics if `buf` does not match the MLPs' total gradient length.
-pub fn unflatten_grads(buf: &[f32], mlps: &mut [&mut Mlp]) {
-    let mut off = 0;
-    for mlp in mlps {
-        for layer in &mut mlp.layers {
-            let wlen = layer.dw.len();
-            layer
-                .dw
-                .as_mut_slice()
-                .copy_from_slice(&buf[off..off + wlen]);
-            off += wlen;
-            let blen = layer.db.len();
-            layer.db.copy_from_slice(&buf[off..off + blen]);
-            off += blen;
-        }
-    }
-    assert_eq!(off, buf.len(), "flat gradient length mismatch");
+/// Writes one layer's gradients (`dW ‖ db`) into its window of the
+/// reducer's flat buffer, at `offset` — the body of the DDP hook.
+pub fn write_layer_grads(reducer: &mut BucketReducer, offset: usize, layer: &Linear) {
+    layer.write_grads(reducer.window(offset..offset + layer.grad_len()));
 }
 
-/// Allreduces (sums) the flattened gradients of `bottom` and `top` across
-/// ranks and writes the sums back. With `engine`, the allreduce goes
-/// through the nonblocking progress channel 1 (so an in-flight alltoall on
-/// channel 0 is not serialized behind it — the CCL behaviour); otherwise it
-/// is a blocking ring allreduce.
-pub fn allreduce_mlp_grads(
-    comm: &Communicator,
-    engine: Option<&ProgressEngine>,
-    bottom: &mut Mlp,
-    top: &mut Mlp,
+/// Applies the averaged SGD step after an allreduce of *summed* gradients:
+/// `w -= (lr / nranks) · g_sum`, every layer of `mlp` reading its slice of
+/// the reduced buffer `flat` at `offsets[i]`
+/// ([`Linear::sgd_step_scaled_from`]).
+pub fn apply_reduced_grads(
+    mlp: &mut Mlp,
+    offsets: &[usize],
+    exec: &Execution,
+    flat: &[f32],
+    lr: f32,
+    nranks: usize,
 ) {
-    let flat = flatten_grads(&[&*bottom, &*top]);
-    let reduced = match engine {
-        Some(eng) => match eng.allreduce(1, flat).wait() {
-            OpOutput::Flat(v) => v,
-            other => panic!("unexpected op output: {other:?}"),
-        },
-        None => {
-            let mut buf = flat;
-            collectives::allreduce_sum(comm, &mut buf);
-            buf
-        }
-    };
-    unflatten_grads(&reduced, &mut [bottom, top]);
-}
-
-/// Applies the averaged SGD step after an allreduce of summed gradients:
-/// `w -= (lr / nranks) · g_sum`. Plan-aware via
-/// [`dlrm::layers::Linear::sgd_step_scaled`]: when a layer's persistent
-/// packed weights are live they are updated in place (the flat mirror is
-/// refreshed lazily via `sync_flat_weights`); gradients stay flat, so the
-/// allreduce wire format is untouched.
-pub fn averaged_sgd_step(mlp: &mut Mlp, lr: f32, nranks: usize) {
-    for layer in &mut mlp.layers {
-        layer.sgd_step_scaled(lr, nranks as f32);
+    for (layer, &off) in mlp.layers.iter_mut().zip(offsets) {
+        let g = &flat[off..off + layer.grad_len()];
+        layer.sgd_step_scaled_from(exec, g, lr, nranks as f32);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlrm::layers::{Activation, Mlp};
-    use dlrm_comm::world::CommWorld;
-    use dlrm_tensor::init::seeded_rng;
+    use dlrm::layers::Activation;
+    use dlrm_tensor::init::{seeded_rng, uniform};
     use dlrm_tensor::Matrix;
 
-    fn mlp_with_grads(seed: u64, fill: f32) -> Mlp {
-        let mut rng = seeded_rng(seed, 0);
-        let mut mlp = Mlp::new(3, &[4, 2], Activation::None, &mut rng);
-        for layer in &mut mlp.layers {
-            layer.dw = Matrix::from_fn(layer.dw.rows(), layer.dw.cols(), |_, _| fill);
-            layer.db = vec![fill; layer.db.len()];
-        }
+    /// An MLP after one forward + backward on `exec`.
+    fn mlp_after_backward(exec: &Execution) -> Mlp {
+        let mut mlp = Mlp::new(3, &[4, 2], Activation::None, &mut seeded_rng(1, 0));
+        let x = uniform(3, 5, -1.0, 1.0, &mut seeded_rng(2, 0));
+        let y = mlp.forward(exec, &x);
+        let _ = mlp.backward(
+            exec,
+            Matrix::from_fn(y.rows(), y.cols(), |i, j| (i + j) as f32),
+        );
         mlp
     }
 
     #[test]
-    fn flatten_unflatten_round_trip() {
-        let mut a = mlp_with_grads(1, 0.0);
-        let mut rng = seeded_rng(2, 0);
-        for layer in &mut a.layers {
-            layer.dw =
-                dlrm_tensor::init::uniform(layer.dw.rows(), layer.dw.cols(), -1.0, 1.0, &mut rng);
-            layer.db = (0..layer.db.len()).map(|i| i as f32).collect();
-        }
-        let flat = flatten_grads(&[&a]);
-        assert_eq!(flat.len(), 3 * 4 + 4 + 4 * 2 + 2);
-        let mut b = mlp_with_grads(1, 0.0);
-        unflatten_grads(&flat, &mut [&mut b]);
-        for (la, lb) in a.layers.iter().zip(&b.layers) {
-            assert_eq!(la.dw.as_slice(), lb.dw.as_slice());
-            assert_eq!(la.db, lb.db);
+    fn flatten_lays_out_dw_then_db_per_layer_on_both_tiers() {
+        for exec in [Execution::Reference, Execution::optimized(2)] {
+            let mut mlp = mlp_after_backward(&exec);
+            let flat = flatten_grads(&[&mlp]);
+            assert_eq!(flat.len(), 3 * 4 + 4 + 4 * 2 + 2);
+            let (offsets, total) = grad_offsets(&[&mlp]);
+            assert_eq!((offsets[0].as_slice(), total), (&[0, 16][..], flat.len()));
+            for (layer, &off) in mlp.layers.iter_mut().zip(&offsets[0]) {
+                layer.sync_flat_grads();
+                let wlen = layer.dw.len();
+                assert_eq!(&flat[off..off + wlen], layer.dw.as_slice());
+                assert_eq!(&flat[off + wlen..off + layer.grad_len()], &layer.db[..]);
+            }
         }
     }
 
     #[test]
-    fn allreduce_sums_gradients_across_ranks() {
-        let out = CommWorld::run(4, |comm| {
-            let mut bottom = mlp_with_grads(7, comm.rank() as f32 + 1.0);
-            let mut top = mlp_with_grads(8, 10.0 * (comm.rank() as f32 + 1.0));
-            allreduce_mlp_grads(&comm, None, &mut bottom, &mut top);
-            (bottom.layers[0].dw[(0, 0)], top.layers[0].db[0])
-        });
-        for (dw, db) in out {
-            assert_eq!(dw, 1.0 + 2.0 + 3.0 + 4.0);
-            assert_eq!(db, 10.0 * (1.0 + 2.0 + 3.0 + 4.0));
+    fn reduced_step_divides_by_ranks_on_both_tiers() {
+        for exec in [Execution::Reference, Execution::optimized(2)] {
+            let mut mlp = mlp_after_backward(&exec);
+            mlp.sync_flat_weights();
+            let w0 = mlp.layers[0].w[(0, 0)];
+            let b0 = mlp.layers[1].b[1];
+            let (offsets, total) = grad_offsets(&[&mlp]);
+            apply_reduced_grads(&mut mlp, &offsets[0], &exec, &vec![8.0; total], 0.5, 4);
+            mlp.sync_flat_weights();
+            assert_eq!(mlp.layers[0].w[(0, 0)], w0 - 0.5 * 2.0);
+            assert_eq!(mlp.layers[1].b[1], b0 - 0.5 * 2.0);
         }
-    }
-
-    #[test]
-    fn averaged_step_divides_by_ranks() {
-        let mut mlp = mlp_with_grads(3, 8.0);
-        let w0 = mlp.layers[0].w[(0, 0)];
-        averaged_sgd_step(&mut mlp, 0.5, 4);
-        assert!((mlp.layers[0].w[(0, 0)] - (w0 - 0.5 * 2.0)).abs() < 1e-6);
     }
 }

@@ -23,7 +23,7 @@
 //! Overlap moves time, never bits.
 
 use crate::bucketing::{BucketReducer, DEFAULT_BUCKET_CAP_BYTES};
-use crate::ddp::{averaged_sgd_step, grad_offsets, unflatten_grads};
+use crate::ddp::{apply_reduced_grads, grad_offsets, write_layer_grads};
 use crate::exchange::{
     begin_backward_exchange, begin_forward_exchange, ensure_mats, finish_backward_exchange,
     finish_forward_exchange, tables_of, ExchangeStrategy,
@@ -487,20 +487,10 @@ impl DistDlrm {
             &mut self.wire_policy,
         );
 
-        let d_inter = if overlapped {
-            let offs = &self.grad_offs[1];
-            let red = &mut reducer;
-            time_opt(rec, OpKind::Compute, || {
-                self.top.backward_with(&exec, dy_top, |i, layer| {
-                    let off = offs[i];
-                    red.write(off, layer.dw.as_slice());
-                    red.write(off + layer.dw.as_slice().len(), &layer.db);
-                    red.on_produced(off, engine, None);
-                })
-            })
-        } else {
-            time_opt(rec, OpKind::Compute, || self.top.backward(&exec, dy_top))
-        };
+        let d_inter = time_opt(rec, OpKind::Compute, || {
+            let hook = overlapped.then_some((&mut reducer, engine));
+            backward_mlp(&mut self.top, &exec, dy_top, &self.grad_offs[1], hook)
+        });
 
         let (d_bottom, d_tables) =
             time_opt(rec, OpKind::Compute, || self.interaction.backward(&d_inter));
@@ -527,22 +517,10 @@ impl DistDlrm {
             );
         }
 
-        if overlapped {
-            let offs = &self.grad_offs[0];
-            let red = &mut reducer;
-            time_opt(rec, OpKind::Compute, || {
-                self.bottom.backward_with(&exec, d_bottom, |i, layer| {
-                    let off = offs[i];
-                    red.write(off, layer.dw.as_slice());
-                    red.write(off + layer.dw.as_slice().len(), &layer.db);
-                    red.on_produced(off, engine, None);
-                });
-            });
-        } else {
-            time_opt(rec, OpKind::Compute, || {
-                let _ = self.bottom.backward(&exec, d_bottom);
-            });
-        }
+        time_opt(rec, OpKind::Compute, || {
+            let hook = overlapped.then_some((&mut reducer, engine));
+            backward_mlp(&mut self.bottom, &exec, d_bottom, &self.grad_offs[0], hook);
+        });
 
         if let Some(p) = pending_bwd.take() {
             finish_backward_exchange(p, &self.comm, &mut self.bwd_grads, rec);
@@ -557,36 +535,48 @@ impl DistDlrm {
             }
         });
 
-        // Synchronous: fill the flat buffer now (same offsets, same plan).
-        if !overlapped {
+        self.reduce_and_step(reducer, lr, rec);
+        loss
+    }
+
+    /// The DDP tail of a step. Synchronous: every layer's gradients go
+    /// into the flat buffer now (same offsets, same plan as the overlapped
+    /// hooks). Then the summed-gradient reduction completes and each layer
+    /// applies the averaged step straight from its slice of the reduced
+    /// buffer.
+    fn reduce_and_step(
+        &mut self,
+        mut reducer: BucketReducer,
+        lr: f32,
+        rec: Option<&TimingRecorder>,
+    ) {
+        let engine = self.engine.as_ref();
+        if self.schedule == Schedule::Synchronous {
             time_opt(rec, OpKind::AllreduceFramework, || {
-                for (m, mlp) in [&self.bottom, &self.top].into_iter().enumerate() {
-                    for (i, layer) in mlp.layers.iter().enumerate() {
-                        let off = self.grad_offs[m][i];
-                        reducer.write(off, layer.dw.as_slice());
-                        reducer.write(off + layer.dw.as_slice().len(), &layer.db);
+                for (mlp, offs) in [&self.bottom, &self.top].into_iter().zip(&self.grad_offs) {
+                    for (layer, &off) in mlp.layers.iter().zip(offs) {
+                        write_layer_grads(&mut reducer, off, layer);
                     }
                 }
             });
             reducer.on_produced(0, engine, rec);
         }
-
-        // DDP: complete the summed-gradient reduction, apply the averaged
-        // step.
         let flat = reducer.finalize(&self.comm, engine, rec);
-        unflatten_grads(&flat, &mut [&mut self.bottom, &mut self.top]);
         // The reduced flat gradient is bitwise rank-identical — feeding it
         // into the policy keeps every rank's next-step decisions identical.
         if let Some(policy) = self.wire_policy.as_mut() {
             policy.observe_flat(&flat, self.bucket_cap_bytes);
         }
-        self.flat_grads = flat;
+        let r = self.comm.nranks();
         time_opt(rec, OpKind::Compute, || {
-            averaged_sgd_step(&mut self.bottom, lr, r);
-            averaged_sgd_step(&mut self.top, lr, r);
+            for (mlp, offs) in [&mut self.bottom, &mut self.top]
+                .into_iter()
+                .zip(&self.grad_offs)
+            {
+                apply_reduced_grads(mlp, offs, &self.exec, &flat, lr, r);
+            }
         });
-
-        loss
+        self.flat_grads = flat;
     }
 
     /// One lookahead-pipelined training iteration (requires
@@ -703,20 +693,10 @@ impl DistDlrm {
             rec,
         );
 
-        let d_inter = if overlapped {
-            let offs = &self.grad_offs[1];
-            let red = &mut reducer;
-            time_opt(rec, OpKind::Compute, || {
-                self.top.backward_with(&exec, dy_top, |i, layer| {
-                    let off = offs[i];
-                    red.write(off, layer.dw.as_slice());
-                    red.write(off + layer.dw.as_slice().len(), &layer.db);
-                    red.on_produced(off, engine, None);
-                })
-            })
-        } else {
-            time_opt(rec, OpKind::Compute, || self.top.backward(&exec, dy_top))
-        };
+        let d_inter = time_opt(rec, OpKind::Compute, || {
+            let hook = overlapped.then_some((&mut reducer, engine));
+            backward_mlp(&mut self.top, &exec, dy_top, &self.grad_offs[1], hook)
+        });
 
         let (d_bottom, d_tables) =
             time_opt(rec, OpKind::Compute, || self.interaction.backward(&d_inter));
@@ -741,22 +721,10 @@ impl DistDlrm {
             );
         }
 
-        if overlapped {
-            let offs = &self.grad_offs[0];
-            let red = &mut reducer;
-            time_opt(rec, OpKind::Compute, || {
-                self.bottom.backward_with(&exec, d_bottom, |i, layer| {
-                    let off = offs[i];
-                    red.write(off, layer.dw.as_slice());
-                    red.write(off + layer.dw.as_slice().len(), &layer.db);
-                    red.on_produced(off, engine, None);
-                });
-            });
-        } else {
-            time_opt(rec, OpKind::Compute, || {
-                let _ = self.bottom.backward(&exec, d_bottom);
-            });
-        }
+        time_opt(rec, OpKind::Compute, || {
+            let hook = overlapped.then_some((&mut reducer, engine));
+            backward_mlp(&mut self.bottom, &exec, d_bottom, &self.grad_offs[0], hook);
+        });
 
         if let Some(p) = pending_bwd.take() {
             finish_backward_exchange(p, &self.comm, &mut self.bwd_grads, rec);
@@ -773,34 +741,30 @@ impl DistDlrm {
             ps.apply_local_updates(global, me, n, &d_tables, emb_lr);
         });
 
-        if !overlapped {
-            time_opt(rec, OpKind::AllreduceFramework, || {
-                for (m, mlp) in [&self.bottom, &self.top].into_iter().enumerate() {
-                    for (i, layer) in mlp.layers.iter().enumerate() {
-                        let off = self.grad_offs[m][i];
-                        reducer.write(off, layer.dw.as_slice());
-                        reducer.write(off + layer.dw.as_slice().len(), &layer.db);
-                    }
-                }
-            });
-            reducer.on_produced(0, engine, rec);
-        }
-
-        let flat = reducer.finalize(&self.comm, engine, rec);
-        unflatten_grads(&flat, &mut [&mut self.bottom, &mut self.top]);
-        // The reduced flat gradient is bitwise rank-identical — feeding it
-        // into the policy keeps every rank's next-step decisions identical.
-        if let Some(policy) = self.wire_policy.as_mut() {
-            policy.observe_flat(&flat, self.bucket_cap_bytes);
-        }
-        self.flat_grads = flat;
-        time_opt(rec, OpKind::Compute, || {
-            averaged_sgd_step(&mut self.bottom, lr, r);
-            averaged_sgd_step(&mut self.top, lr, r);
-        });
-
+        self.reduce_and_step(reducer, lr, rec);
         ps.finish_step(j);
         loss
+    }
+}
+
+/// Backward through one replicated MLP whose layer `i` owns the flat
+/// gradient span at `offs[i]`. With a `hook` (the overlapped schedule),
+/// each layer's gradients go from its packed plan straight into the
+/// reducer's window the moment they are final, and every bucket they
+/// complete is issued while earlier layers still compute.
+fn backward_mlp(
+    mlp: &mut Mlp,
+    exec: &Execution,
+    dy: Matrix,
+    offs: &[usize],
+    hook: Option<(&mut BucketReducer, Option<&ProgressEngine>)>,
+) -> Matrix {
+    match hook {
+        Some((reducer, engine)) => mlp.backward_with(exec, dy, |i, layer| {
+            write_layer_grads(reducer, offs[i], layer);
+            reducer.on_produced(offs[i], engine, None);
+        }),
+        None => mlp.backward(exec, dy),
     }
 }
 

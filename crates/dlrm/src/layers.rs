@@ -12,6 +12,7 @@
 
 use dlrm_kernels::activations::{bias_add_rows, bias_grad_rows, relu_backward, relu_forward};
 use dlrm_kernels::gemm;
+use dlrm_kernels::sgd;
 use dlrm_kernels::ThreadPool;
 use dlrm_tensor::init::xavier_uniform;
 use dlrm_tensor::{BlockedActivations, BlockedWeights, Blocking, Matrix};
@@ -88,15 +89,24 @@ pub enum Activation {
 /// being stale is impossible: `flat_stale` is only ever set while
 /// `packed_valid`, and [`Linear::invalidate_packed`] refuses to drop a
 /// packed copy the mirror hasn't caught up with.
+///
+/// The weight gradient follows the same rule with one flag: an optimized
+/// backward leaves `dW` in `dwb`, in the layout the update reads, and marks
+/// the flat `dw` stale; nothing re-lays it out unless a consumer asks for
+/// rows ([`Linear::write_grads`], [`Linear::sync_flat_grads`]).
 struct PackedPlan {
     /// Packed weights, `[Kb][Cb][bc][bk]` (canonical once `packed_valid`).
     wb: BlockedWeights,
-    /// Blocked weight-gradient scratch (grow-only, reused every backward).
+    /// Blocked weight gradient of the last optimized backward (grow-only,
+    /// reused every backward; canonical while `dw_stale`).
     dwb: BlockedWeights,
     /// `wb` matches the layer's current weights.
     packed_valid: bool,
     /// Flat `w` is behind `wb` (blocked SGD ran since the last sync).
     flat_stale: bool,
+    /// Flat `dw` is behind `dwb` (an optimized backward ran since the last
+    /// [`Linear::sync_flat_grads`]).
+    dw_stale: bool,
 }
 
 impl PackedPlan {
@@ -106,6 +116,7 @@ impl PackedPlan {
             dwb: BlockedWeights::zeros(0, 0, Blocking::DEFAULT),
             packed_valid: false,
             flat_stale: false,
+            dw_stale: false,
         }
     }
 }
@@ -117,7 +128,10 @@ pub struct Linear {
     pub w: Matrix,
     /// Bias, length `K`.
     pub b: Vec<f32>,
-    /// Weight gradient of the last backward.
+    /// Weight gradient of the last backward — the Reference tier's storage.
+    /// The optimized tier keeps its gradient blocked in the packed plan:
+    /// read it through [`Linear::write_grads`], or call
+    /// [`Linear::sync_flat_grads`] before reading this field.
     pub dw: Matrix,
     /// Bias gradient of the last backward.
     pub db: Vec<f32>,
@@ -181,6 +195,33 @@ impl Linear {
             self.plan.wb.unpack_into(&mut self.w);
             self.plan.flat_stale = false;
         }
+    }
+
+    /// Unpacks the blocked weight gradient of the last optimized backward
+    /// into the flat `dw` mirror — the gradient-side twin of
+    /// [`Linear::sync_flat_weights`]. Anything that reads `dw` directly
+    /// after an optimized backward (the precision optimizers, tests) must
+    /// pass through here; the FP32 update and the DDP wire never do.
+    pub fn sync_flat_grads(&mut self) {
+        if self.plan.dw_stale {
+            self.plan.dwb.unpack_into(&mut self.dw);
+            self.plan.dw_stale = false;
+        }
+    }
+
+    /// Writes this layer's gradient in DDP wire order, row-major `dW` then
+    /// `db`, into `out` (`grad_len()` floats): straight from the blocked
+    /// gradient when that is the current one, one pass, no flat mirror in
+    /// between.
+    pub fn write_grads(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.grad_len(), "write_grads length");
+        let (dw, db) = out.split_at_mut(self.w.len());
+        if self.plan.dw_stale {
+            self.plan.dwb.unpack_into_slice(dw);
+        } else {
+            dw.copy_from_slice(self.dw.as_slice());
+        }
+        db.copy_from_slice(&self.db);
     }
 
     /// Drops the packed weight copy. Call after mutating the flat `w`
@@ -284,7 +325,9 @@ impl Linear {
     }
 
     /// Backward: consumes the gradient w.r.t. this layer's output and
-    /// returns the gradient w.r.t. its input; fills `dw`/`db`.
+    /// returns the gradient w.r.t. its input; fills `db` and the tier's
+    /// weight gradient (flat `dw` on Reference, the blocked plan on
+    /// Optimized).
     pub fn backward(&mut self, exec: &Execution, dy: Matrix) -> Matrix {
         self.backward_opt(exec, dy, true)
     }
@@ -311,6 +354,7 @@ impl Linear {
                 // dW = dY · Xᵀ
                 self.dw.fill_zero();
                 exec.gemm_nt(&dy, x, &mut self.dw);
+                self.plan.dw_stale = false;
                 if !need_dx {
                     return Matrix::zeros(0, 0);
                 }
@@ -325,7 +369,7 @@ impl Linear {
                 let dyb = BlockedActivations::pack(&dy, blk.bk, blk.bn);
                 self.plan.dwb.reshape_scratch(k, c, blk);
                 gemm::fc_backward_weights(pool, &xb, &dyb, &mut self.plan.dwb);
-                self.plan.dwb.unpack_into(&mut self.dw);
+                self.plan.dw_stale = true;
                 if !need_dx {
                     return Matrix::zeros(0, 0);
                 }
@@ -339,58 +383,72 @@ impl Linear {
     /// Elements in this layer's gradient (`dW` then `db`) — its span in a
     /// DDP flat gradient buffer.
     pub fn grad_len(&self) -> usize {
-        self.dw.len() + self.db.len()
+        self.w.len() + self.b.len()
     }
 
     /// Plain FP32 SGD on weights and bias.
     ///
     /// When the persistent packed plan is live, the optimized tier updates
-    /// the packed weights *in place* (blocked SGD) and marks the flat
-    /// mirror stale instead of touching it — bitwise identical to the flat
-    /// step, since the blocked update is an elementwise permutation of the
-    /// same mul-then-add arithmetic.
+    /// the packed weights *in place* and marks the flat mirror stale
+    /// instead of touching it. After an optimized backward the gradient is
+    /// blocked too, in the same layout, so the update is one contiguous
+    /// `wb -= lr · dwb` split across the team — bitwise identical to the
+    /// flat step, since it is an elementwise permutation of the same
+    /// mul-then-add arithmetic.
     pub fn sgd_step(&mut self, exec: &Execution, lr: f32) {
         match exec {
             Execution::Reference => {
                 self.sync_flat_weights();
-                dlrm_kernels::sgd::sgd_step(self.w.as_mut_slice(), self.dw.as_slice(), lr);
+                self.sync_flat_grads();
+                sgd::sgd_step(self.w.as_mut_slice(), self.dw.as_slice(), lr);
                 self.plan.packed_valid = false;
             }
-            Execution::Optimized(p) => {
-                if self.plan.packed_valid {
-                    self.plan.wb.add_scaled_flat(&self.dw, -lr);
-                    self.plan.flat_stale = true;
-                } else {
-                    dlrm_kernels::sgd::par_sgd_step(
-                        p,
-                        self.w.as_mut_slice(),
-                        self.dw.as_slice(),
-                        lr,
+            Execution::Optimized(p) if self.plan.packed_valid => {
+                let plan = &mut self.plan;
+                if plan.dw_stale {
+                    // Same `bc`/`bk` (they depend on the layer shape only),
+                    // so the two storages line up element for element.
+                    assert_eq!(
+                        (plan.wb.k, plan.wb.c, plan.wb.blk.bc, plan.wb.blk.bk),
+                        (plan.dwb.k, plan.dwb.c, plan.dwb.blk.bc, plan.dwb.blk.bk),
+                        "packed weights and blocked gradient disagree on layout"
                     );
+                    sgd::par_sgd_step(p, plan.wb.as_mut_slice(), plan.dwb.as_slice(), lr);
+                } else {
+                    sgd::par_sgd_step_rows(p, &mut plan.wb, self.dw.as_slice(), lr);
                 }
+                plan.flat_stale = true;
+            }
+            Execution::Optimized(p) => {
+                self.sync_flat_grads();
+                sgd::par_sgd_step(p, self.w.as_mut_slice(), self.dw.as_slice(), lr);
             }
         }
-        dlrm_kernels::sgd::sgd_step(&mut self.b, &self.db, lr);
+        sgd::sgd_step(&mut self.b, &self.db, lr);
     }
 
-    /// SGD with gradient averaging by `1/scale` (the DDP step after an
-    /// allreduce that *sums* over ranks), plan-aware like
-    /// [`Linear::sgd_step`]: updates the packed weights in place when they
-    /// are the canonical copy, bitwise identical to
-    /// [`dlrm_kernels::sgd::sgd_step_scaled`] on the flat mirror.
-    pub fn sgd_step_scaled(&mut self, lr: f32, scale: f32) {
-        if self.plan.packed_valid {
-            self.plan.wb.add_scaled_flat(&self.dw, -(lr / scale));
-            self.plan.flat_stale = true;
-        } else {
-            dlrm_kernels::sgd::sgd_step_scaled(
-                self.w.as_mut_slice(),
-                self.dw.as_slice(),
-                lr,
-                scale,
-            );
+    /// The DDP step: SGD from `g`, this layer's span (`dW ‖ db`, as
+    /// [`Linear::write_grads`] lays it out) of a gradient buffer *summed*
+    /// over `scale` ranks, averaging by `1/scale`. Plan-aware like
+    /// [`Linear::sgd_step`]: packed weights are updated in place, panel by
+    /// panel, straight from the buffer — bitwise identical to
+    /// [`dlrm_kernels::sgd::sgd_step_scaled`] on the flat mirror. The
+    /// layer's own (local, pre-reduction) gradient is left as it is.
+    pub fn sgd_step_scaled_from(&mut self, exec: &Execution, g: &[f32], lr: f32, scale: f32) {
+        assert_eq!(g.len(), self.grad_len(), "sgd_step_scaled_from length");
+        let (dw, db) = g.split_at(self.w.len());
+        match exec {
+            Execution::Optimized(p) if self.plan.packed_valid => {
+                sgd::par_sgd_step_rows(p, &mut self.plan.wb, dw, lr / scale);
+                self.plan.flat_stale = true;
+            }
+            _ => {
+                self.sync_flat_weights();
+                sgd::sgd_step_scaled(self.w.as_mut_slice(), dw, lr, scale);
+                self.plan.packed_valid = false;
+            }
         }
-        dlrm_kernels::sgd::sgd_step_scaled(&mut self.b, &self.db, lr, scale);
+        sgd::sgd_step_scaled(&mut self.b, db, lr, scale);
     }
 }
 
@@ -535,9 +593,10 @@ impl Mlp {
     }
 
     /// [`Mlp::backward`] with a per-layer gradient hook: `on_layer(i,
-    /// layer)` fires right after layer `i`'s `dw`/`db` are final, in
-    /// production order (last layer first). This is the seam a DDP-style
-    /// overlap schedule needs — each layer's gradient bucket can start its
+    /// layer)` fires right after layer `i`'s gradients are final, in
+    /// production order (last layer first); it reads them with
+    /// [`Linear::write_grads`]. This is the seam a DDP-style overlap
+    /// schedule needs — each layer's gradient bucket can start its
     /// allreduce while earlier layers are still computing. The hook must
     /// not change the math; backward results are identical to
     /// [`Mlp::backward`].
@@ -598,9 +657,9 @@ impl Mlp {
             );
             let (k, c) = layer.w.shape();
             let blk = layer.blocking(n);
-            // Fused dW + db in one pass over the blocked operands; dW is
-            // unpacked into the flat gradient so DDP hooks and the wire
-            // format are unchanged.
+            // Fused dW + db in one pass over the blocked operands. dW stays
+            // blocked: the FP32 update reads it as it lies, and a DDP hook
+            // unpacks it once, into its bucket, in the unchanged wire order.
             layer.plan.dwb.reshape_scratch(k, c, blk);
             gemm::fc_backward_weights_fused(
                 pool,
@@ -609,7 +668,7 @@ impl Mlp {
                 &mut layer.plan.dwb,
                 &mut layer.db,
             );
-            layer.plan.dwb.unpack_into(&mut layer.dw);
+            layer.plan.dw_stale = true;
             if i == 0 && !self.input_grad {
                 on_layer(i, layer);
                 return Matrix::zeros(0, 0);
@@ -689,6 +748,13 @@ mod tests {
         vec![Execution::Reference, Execution::optimized(3)]
     }
 
+    /// `dW ‖ db` of the last backward, whichever tier ran it.
+    fn grads(layer: &Linear) -> Vec<f32> {
+        let mut out = vec![0.0; layer.grad_len()];
+        layer.write_grads(&mut out);
+        out
+    }
+
     #[test]
     fn forward_matches_manual_affine() {
         for exec in both_execs() {
@@ -733,8 +799,7 @@ mod tests {
         let dx_opt = mlp_opt.backward(&opt, dy);
         assert_allclose(dx_opt.as_slice(), dx_ref.as_slice(), 1e-5, "bwd dx");
         for (a, b) in mlp_ref.layers.iter().zip(&mlp_opt.layers) {
-            assert_allclose(b.dw.as_slice(), a.dw.as_slice(), 1e-5, "dw");
-            assert_allclose(&b.db, &a.db, 1e-5, "db");
+            assert_allclose(&grads(b), &grads(a), 1e-5, "dw ‖ db");
         }
     }
 
@@ -806,7 +871,12 @@ mod tests {
 
     #[test]
     fn backward_with_hook_sees_layers_in_reverse_with_final_grads() {
-        let exec = Execution::Reference;
+        for exec in both_execs() {
+            hook_sees_final_grads(&exec);
+        }
+    }
+
+    fn hook_sees_final_grads(exec: &Execution) {
         let mut rng = seeded_rng(11, 0);
         let mut a = Mlp::new(5, &[6, 3], Activation::Relu, &mut rng);
         let mut rng = seeded_rng(11, 0);
@@ -814,34 +884,22 @@ mod tests {
         let x = Matrix::from_fn(5, 4, |i, j| (i + j) as f32 * 0.1);
         let dy = Matrix::from_fn(3, 4, |i, j| (i * 3 + j) as f32 * 0.01 - 0.02);
 
-        let _ = a.forward(&exec, &x);
-        let _ = b.forward(&exec, &x);
-        let plain = a.backward(&exec, dy.clone());
+        let _ = a.forward(exec, &x);
+        let _ = b.forward(exec, &x);
+        let plain = a.backward(exec, dy.clone());
 
         let mut order = Vec::new();
         let mut hooked_bits: Vec<Vec<u32>> = vec![Vec::new(); b.layers.len()];
-        let hooked = b.backward_with(&exec, dy, |i, layer| {
+        let hooked = b.backward_with(exec, dy, |i, layer| {
             order.push(i);
-            hooked_bits[i] = layer
-                .dw
-                .as_slice()
-                .iter()
-                .chain(&layer.db)
-                .map(|v| v.to_bits())
-                .collect();
+            hooked_bits[i] = grads(layer).iter().map(|v| v.to_bits()).collect();
         });
 
         assert_eq!(order, vec![1, 0], "hook must fire last layer first");
         assert_eq!(plain.as_slice(), hooked.as_slice());
         // The gradients seen by the hook are the final ones for that layer.
         for (i, layer) in a.layers.iter().enumerate() {
-            let want: Vec<u32> = layer
-                .dw
-                .as_slice()
-                .iter()
-                .chain(&layer.db)
-                .map(|v| v.to_bits())
-                .collect();
+            let want: Vec<u32> = grads(layer).iter().map(|v| v.to_bits()).collect();
             assert_eq!(hooked_bits[i], want, "layer {i}");
         }
     }
@@ -862,8 +920,7 @@ mod tests {
             assert_eq!(none.shape(), (0, 0));
             assert_eq!(seen, vec![2, 1, 0], "hook still fires for layer 0");
             for (a, b) in full.layers.iter().zip(&leaf.layers) {
-                assert_eq!(a.dw.as_slice(), b.dw.as_slice());
-                assert_eq!(a.db, b.db);
+                assert_eq!(grads(a), grads(b));
             }
         }
     }

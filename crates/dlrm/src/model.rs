@@ -181,9 +181,8 @@ impl DlrmModel {
         // Embedding backward + update.
         self.profiler.time(OpClass::Embeddings, || {
             if self.precision == PrecisionMode::Fp32 {
-                for (t, layer) in self.tables.iter_mut().enumerate() {
-                    let _ = t;
-                    layer.backward_update(&exec, &d_tables[t], lr);
+                for (layer, grad) in self.tables.iter_mut().zip(&d_tables) {
+                    layer.backward_update(&exec, grad, lr);
                 }
             } else {
                 // Precision path: per-lookup sparse rows through the
@@ -221,11 +220,13 @@ impl DlrmModel {
                     .chain(self.top.layers.iter_mut())
                     .zip(self.mlp_opts.iter_mut())
                 {
-                    // The precision optimizers mutate the flat weights, so
-                    // bracket them with the packed-plan seam: flat must be
-                    // current going in, and the packed copy must be dropped
+                    // The precision optimizers read the flat gradient and
+                    // mutate the flat weights, so bracket them with the
+                    // packed-plan seam: both flat mirrors must be current
+                    // going in, and the packed copy must be dropped
                     // (re-packed on next use) going out.
                     layer.sync_flat_weights();
+                    layer.sync_flat_grads();
                     opt.step(&mut layer.w, &layer.dw, lr);
                     layer.invalidate_packed();
                     // Biases stay FP32 (negligible storage; matches the
@@ -409,7 +410,7 @@ mod tests {
         }
         assert!(
             (l_fp32 - l_split).abs() < 0.05,
-            "bf16-split loss {l_split} vs fp32 {l_split}: diverged from {l_fp32}"
+            "bf16-split loss {l_split} diverged from fp32 loss {l_fp32}"
         );
     }
 

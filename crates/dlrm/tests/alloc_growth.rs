@@ -11,18 +11,39 @@
 //! are taken between steps, when no kernel is in flight.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 struct CountingAlloc;
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
-/// Calls to `alloc`/`realloc` by any thread, pool workers included.
+/// Calls to `alloc`/`realloc` by the threads of a team under test (see
+/// [`count_team`]), pool workers included. Not by every thread: the test
+/// harness allocates on its own thread whenever a test finishes, which is
+/// exactly when the next test of this binary gets its turn.
 static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_call() {
+    // `try_with`: a thread may allocate while its locals are torn down.
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Enlists every member of `pool`'s team, the calling thread included, in
+/// [`ALLOC_CALLS`].
+fn count_team(pool: &dlrm_kernels::ThreadPool) {
+    pool.broadcast(|_| COUNTED.with(|c| c.set(true)));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         System.alloc(layout)
     }
 
@@ -36,7 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
             new_size as isize - layout.size() as isize,
             Ordering::Relaxed,
         );
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -165,6 +186,7 @@ fn embedding_update_keeps_no_gradient_copy_and_does_not_allocate() {
     let offsets: Vec<usize> = (0..=bags).map(|b| b * lookups).collect();
     let dy = Matrix::from_fn(bags, e, |r, c| (r + c) as f32 * 0.01);
     let exec = Execution::optimized(3);
+    count_team(exec.pool().expect("optimized"));
 
     for strategy in [UpdateStrategy::RaceFree, UpdateStrategy::Bucketed] {
         let mut layer = EmbeddingLayer::new(rows, e, strategy, &mut seeded_rng(9, 0));
@@ -208,6 +230,46 @@ fn mlp_packed_plan_step_does_not_grow_allocations() {
     assert_steady(&samples, "mlp-packed-plan");
 }
 
+/// The weight gradient stays in the packed plan from the GEMM that writes
+/// it to the update that reads it, so a backward (of an MLP whose input is
+/// a leaf — otherwise it returns a fresh `dX`) plus an SGD step allocates
+/// nothing on any thread; nor do the two row-major crossings the DDP step
+/// makes, which read and write the caller's buffer.
+#[test]
+fn backward_and_dense_update_do_not_allocate() {
+    let _turn = my_turn();
+    use dlrm::layers::{Activation, Mlp};
+    use dlrm_tensor::init::uniform;
+
+    let exec = Execution::optimized(3);
+    count_team(exec.pool().expect("optimized"));
+    let mut rng = seeded_rng(37, 0);
+    let mut mlp = Mlp::new(12, &[70, 8, 1], Activation::None, &mut rng).without_input_grad();
+    let x = uniform(12, 24, -1.0, 1.0, &mut rng);
+    let _ = mlp.forward(&exec, &x);
+    // One gradient per counted call, made beforehand: `backward` consumes it.
+    let mut dys: Vec<_> = (0..21)
+        .map(|_| uniform(1, 24, -1.0, 1.0, &mut rng))
+        .collect();
+    let step = calls_during(&mut || {
+        let _ = mlp.backward(&exec, dys.pop().expect("one dY per call"));
+        mlp.sgd_step(&exec, 0.05);
+    });
+    assert_eq!(step, 0, "20 backward + sgd_step allocated {step} times");
+
+    let mut flat = vec![0.0f32; mlp.layers.iter().map(|l| l.grad_len()).sum()];
+    let ddp = calls_during(&mut || {
+        let mut off = 0;
+        for layer in &mut mlp.layers {
+            let window = &mut flat[off..off + layer.grad_len()];
+            layer.write_grads(window);
+            layer.sgd_step_scaled_from(&exec, window, 0.05, 2.0);
+            off += layer.grad_len();
+        }
+    });
+    assert_eq!(ddp, 0, "20 DDP-style crossings allocated {ddp} times");
+}
+
 /// The blocked GEMM drivers allocate nothing on any thread, and neither
 /// does the dispatch that runs them: reduction panels are named by base +
 /// stride, not by per-thread pointer lists, and the pool lends the team a
@@ -222,6 +284,7 @@ fn blocked_gemm_drivers_do_not_allocate() {
     use dlrm_tensor::{BlockedActivations, BlockedWeights, Blocking};
 
     let pool = ThreadPool::new(3);
+    count_team(&pool);
     let (k, c, n) = (32, 24, 16);
     let blk = Blocking {
         bn: 8,

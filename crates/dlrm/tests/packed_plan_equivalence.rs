@@ -177,13 +177,16 @@ fn check_shape(
             "{label} step {step}: backward dx"
         );
         for (i, (l_new, l_old)) in mlp.layers.iter().zip(&old).enumerate() {
+            let mut g_new = vec![0.0; l_new.grad_len()];
+            l_new.write_grads(&mut g_new);
+            let (dw_new, db_new) = g_new.split_at(l_old.dw.len());
             assert_eq!(
-                bits(l_new.dw.as_slice()),
+                bits(dw_new),
                 bits(l_old.dw.as_slice()),
                 "{label} step {step} layer {i}: dw"
             );
             assert_eq!(
-                bits(&l_new.db),
+                bits(db_new),
                 bits(&l_old.db),
                 "{label} step {step} layer {i}: db"
             );

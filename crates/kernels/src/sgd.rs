@@ -11,6 +11,7 @@ use crate::embedding::rowops;
 use crate::gemm::micro::detect_isa;
 use crate::threadpool::ThreadPool;
 use dlrm_precision::split::SplitTensor;
+use dlrm_tensor::BlockedWeights;
 
 /// Plain FP32 SGD: `w -= lr * g`, single-threaded (SIMD over the row).
 pub fn sgd_step(w: &mut [f32], g: &[f32], lr: f32) {
@@ -29,6 +30,30 @@ pub fn par_sgd_step(pool: &ThreadPool, w: &mut [f32], g: &[f32], lr: f32) {
         // SAFETY: parallel_for ranges are disjoint, and each range stays in
         // bounds of `w`.
         unsafe { rowops::scatter_add(isa, base.get().add(range.start), &g[range], -lr) };
+    });
+}
+
+/// Plain FP32 SGD on blocked weights against a *row-major* `K×C` gradient
+/// (a layer's span of a reduced DDP buffer, or a Reference-tier `dW`):
+/// `wb -= lr · g`, the team splitting `wb`'s panels. Bitwise equal to
+/// [`sgd_step`] on a flat mirror — see [`BlockedWeights::add_scaled_rows`].
+pub fn par_sgd_step_rows(pool: &ThreadPool, wb: &mut BlockedWeights, g: &[f32], lr: f32) {
+    assert_eq!(g.len(), wb.k * wb.c, "par_sgd_step_rows length mismatch");
+    let (blk, c) = (wb.blk, wb.c);
+    let panel_len = blk.bc * blk.bk;
+    let n_panels = wb.num_panels();
+    let base = crate::gemm::SendMutPtr(wb.as_mut_slice().as_mut_ptr());
+    pool.parallel_for(n_panels, move |_tid, range| {
+        // SAFETY: parallel_for ranges are disjoint, so are the panel runs
+        // they name, and `range.end ≤ n_panels` keeps each run inside `wb`,
+        // which is borrowed mutably for the whole call.
+        let panels = unsafe {
+            std::slice::from_raw_parts_mut(
+                base.get().add(range.start * panel_len),
+                range.len() * panel_len,
+            )
+        };
+        BlockedWeights::add_scaled_rows(panels, range.start, blk, c, g, -lr);
     });
 }
 

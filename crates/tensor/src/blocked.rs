@@ -64,6 +64,111 @@ pub fn largest_divisor_at_most(n: usize, cap: usize) -> usize {
     best
 }
 
+/// Both blocked layouts store a panel as the *transpose* of its window of
+/// the row-major tensor: window element `(r, c)` of a `rows × cols` window
+/// with leading dimension `ld` lives at `panel[c * rows + r]`. For weights
+/// the window is `bk × bc` of `W`; for activations `bc × bn` of `X`.
+///
+/// The three walks below are the only code that crosses between the two
+/// layouts. Each takes [`ROW_GROUP`] window rows at a time, so the
+/// row-major side is read or written as that many unit-stride streams, the
+/// panel side in runs of as many contiguous floats, and everything strided
+/// stays inside one panel (16 KB at the default blocking, L1-resident). A
+/// per-element `index_of` costs two divisions and two remainders, and a
+/// walk in panel order strides the row-major side by `ld` floats, which at
+/// `ld = 1024` lands a whole panel column in one L1 set.
+const ROW_GROUP: usize = 4;
+
+/// Runs `walk::<R>(args…, r0)` over the window rows `0..rows`: full
+/// [`ROW_GROUP`]s first, then the remaining rows one at a time.
+macro_rules! in_row_groups {
+    ($rows:expr, $walk:ident($($arg:expr),*)) => {{
+        let mut r0 = 0;
+        while r0 + ROW_GROUP <= $rows {
+            $walk::<ROW_GROUP>($($arg),*, r0);
+            r0 += ROW_GROUP;
+        }
+        while r0 < $rows {
+            $walk::<1>($($arg),*, r0);
+            r0 += 1;
+        }
+    }};
+}
+
+/// Row-major offset of the window of storage-order panel `idx`, for a
+/// tensor whose rows hold `per_row` windows of `rows × cols` each.
+#[inline]
+fn window_start(idx: usize, per_row: usize, rows: usize, cols: usize, ld: usize) -> usize {
+    (idx / per_row) * rows * ld + (idx % per_row) * cols
+}
+
+/// `R` window rows from row `r0` on, `cols` long each.
+#[inline(always)]
+fn window_rows<const R: usize>(window: &[f32], ld: usize, cols: usize, r0: usize) -> [&[f32]; R] {
+    std::array::from_fn(|i| &window[(r0 + i) * ld..][..cols])
+}
+
+/// Window rows `r0..r0 + R` → panel.
+#[inline(always)]
+fn pack_rows<const R: usize>(
+    panel: &mut [f32],
+    rows: usize,
+    cols: usize,
+    src: &[f32],
+    ld: usize,
+    r0: usize,
+) {
+    let src = window_rows::<R>(src, ld, cols, r0);
+    for (c, col) in panel.chunks_exact_mut(rows).enumerate() {
+        for (p, row) in col[r0..r0 + R].iter_mut().zip(src) {
+            *p = row[c];
+        }
+    }
+}
+
+/// Panel → window rows `r0..r0 + R`.
+#[inline(always)]
+fn unpack_rows<const R: usize>(
+    panel: &[f32],
+    rows: usize,
+    cols: usize,
+    dst: &mut [f32],
+    ld: usize,
+    r0: usize,
+) {
+    // `chunks_mut`, not `chunks_exact_mut`: the window's last row may end
+    // before a full `ld`.
+    let mut rows_from_r0 = dst[r0 * ld..].chunks_mut(ld);
+    let mut dst: [&mut [f32]; R] =
+        std::array::from_fn(|_| &mut rows_from_r0.next().expect("window row in bounds")[..cols]);
+    for (c, col) in panel.chunks_exact(rows).enumerate() {
+        for (row, &p) in dst.iter_mut().zip(&col[r0..r0 + R]) {
+            row[c] = p;
+        }
+    }
+}
+
+/// `panel += alpha · window` on window rows `r0..r0 + R`: multiply, then
+/// add (two roundings, no FMA contraction).
+#[inline(always)]
+fn axpy_rows<const R: usize>(
+    panel: &mut [f32],
+    rows: usize,
+    cols: usize,
+    g: &[f32],
+    ld: usize,
+    alpha: f32,
+    r0: usize,
+) {
+    let g = window_rows::<R>(g, ld, cols, r0);
+    for (c, col) in panel.chunks_exact_mut(rows).enumerate() {
+        for (w, row) in col[r0..r0 + R].iter_mut().zip(g) {
+            let p = alpha * row[c];
+            *w += p;
+        }
+    }
+}
+
 /// Weight tensor in `[Kb][Cb][bc][bk]` layout.
 pub struct BlockedWeights {
     data: AlignedVec,
@@ -126,11 +231,12 @@ impl BlockedWeights {
     /// after a growing `resize_scratch` are fine.
     fn pack_from(&mut self, w: &Matrix) {
         assert_eq!((self.k, self.c), w.shape(), "pack_from shape mismatch");
-        for kk in 0..self.k {
-            for cc in 0..self.c {
-                let idx = self.index_of(kk, cc);
-                self.data[idx] = w[(kk, cc)];
-            }
+        let Blocking { bc, bk, .. } = self.blk;
+        let (cb, c) = (self.cb(), self.c);
+        let flat = w.as_slice();
+        for (idx, panel) in self.data.chunks_exact_mut(bc * bk).enumerate() {
+            let start = window_start(idx, cb, bk, bc, c);
+            in_row_groups!(bk, pack_rows(panel, bk, bc, &flat[start..], c));
         }
     }
 
@@ -160,50 +266,53 @@ impl BlockedWeights {
     }
 
     /// Unpacks into an existing `K×C` matrix (no allocation).
-    ///
-    /// Walks the storage panel by panel: the backward pass unpacks every
-    /// layer's `dW` every step, and a per-element [`Self::index_of`] (two
-    /// divisions each) cost as much as the weight-gradient GEMM itself.
     pub fn unpack_into(&self, out: &mut Matrix) {
         assert_eq!((self.k, self.c), out.shape(), "unpack_into shape mismatch");
+        self.unpack_into_slice(out.as_mut_slice());
+    }
+
+    /// Unpacks into a row-major `K·C` slice — any window of a larger
+    /// buffer, e.g. a layer's span of a flat DDP gradient.
+    pub fn unpack_into_slice(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.k * self.c, "unpack_into_slice length");
         let Blocking { bc, bk, .. } = self.blk;
         let (cb, c) = (self.cb(), self.c);
-        let flat = out.as_mut_slice();
         for (idx, panel) in self.data.chunks_exact(bc * bk).enumerate() {
-            let (ibk, ibc) = (idx / cb, idx % cb);
-            // Panel is [bc][bk]; its rows of `out` are the bk features.
-            for rk in 0..bk {
-                let row = &mut flat[(ibk * bk + rk) * c + ibc * bc..][..bc];
-                for (v, &p) in row.iter_mut().zip(panel[rk..].iter().step_by(bk)) {
-                    *v = p;
-                }
-            }
+            let start = window_start(idx, cb, bk, bc, c);
+            in_row_groups!(bk, unpack_rows(panel, bk, bc, &mut out[start..], c));
         }
     }
 
-    /// In-place SGD step against a *flat* row-major `K×C` gradient:
-    /// `W[k][c] += alpha * dW[k][c]` for every element, traversed in blocked
-    /// storage order. Written as separate multiply-then-add (no FMA
-    /// contraction), so each element sees exactly the arithmetic of
-    /// `w += alpha * g` on the flat mirror — the update is an elementwise
-    /// permutation and therefore bitwise identical to the flat step.
-    pub fn add_scaled_flat(&mut self, g: &Matrix, alpha: f32) {
-        assert_eq!((self.k, self.c), g.shape(), "add_scaled_flat shape");
-        let Blocking { bc, bk, .. } = self.blk;
-        let (kb, cb, c) = (self.kb(), self.cb(), self.c);
-        let gs = g.as_slice();
-        let mut idx = 0;
-        for ibk in 0..kb {
-            for ibc in 0..cb {
-                for rc in 0..bc {
-                    let col = ibc * bc + rc;
-                    for rk in 0..bk {
-                        let p = alpha * gs[(ibk * bk + rk) * c + col];
-                        self.data[idx] += p;
-                        idx += 1;
-                    }
-                }
-            }
+    /// Number of `[bc][bk]` panels (`Kb·Cb`), in storage order.
+    #[inline]
+    pub fn num_panels(&self) -> usize {
+        self.kb() * self.cb()
+    }
+
+    /// `W += alpha · G` on a run of whole panels, for a row-major `K×C`
+    /// gradient `g`: unit-stride reads of each gradient row, writes inside
+    /// one panel. `panels` is the storage of consecutive panels starting at
+    /// storage-order panel `first` of a tensor with `c` input features under
+    /// `blk` — raw parts, not `&mut self`, so a thread team can update
+    /// disjoint runs of one tensor at once.
+    ///
+    /// Separate multiply then add (no FMA contraction), so every element
+    /// sees exactly the arithmetic of `w += alpha * g` on a flat mirror: the
+    /// update is an elementwise permutation of the flat step and bitwise
+    /// identical to it.
+    pub fn add_scaled_rows(
+        panels: &mut [f32],
+        first: usize,
+        blk: Blocking,
+        c: usize,
+        g: &[f32],
+        alpha: f32,
+    ) {
+        let Blocking { bc, bk, .. } = blk;
+        let cb = c / bc;
+        for (idx, panel) in panels.chunks_exact_mut(bc * bk).enumerate() {
+            let window = &g[window_start(first + idx, cb, bk, bc, c)..];
+            in_row_groups!(bk, axpy_rows(panel, bk, bc, window, c, alpha));
         }
     }
 
@@ -315,11 +424,11 @@ impl BlockedActivations {
     /// blocked storage.
     fn pack_from(&mut self, x: &Matrix) {
         assert_eq!((self.c, self.n), x.shape(), "pack_from shape mismatch");
-        for cc in 0..self.c {
-            for nn in 0..self.n {
-                let idx = self.index_of(cc, nn);
-                self.data[idx] = x[(cc, nn)];
-            }
+        let (bc, bn, nb, n) = (self.bc, self.bn, self.nb(), self.n);
+        let flat = x.as_slice();
+        for (idx, panel) in self.data.chunks_exact_mut(bn * bc).enumerate() {
+            let start = window_start(idx, nb, bc, bn, n);
+            in_row_groups!(bc, pack_rows(panel, bc, bn, &flat[start..], n));
         }
     }
 
@@ -352,10 +461,11 @@ impl BlockedActivations {
     /// Unpacks into an existing `C×N` matrix (no allocation).
     pub fn unpack_into(&self, out: &mut Matrix) {
         assert_eq!((self.c, self.n), out.shape(), "unpack_into shape mismatch");
-        for cc in 0..self.c {
-            for nn in 0..self.n {
-                out[(cc, nn)] = self.data[self.index_of(cc, nn)];
-            }
+        let (bc, bn, nb, n) = (self.bc, self.bn, self.nb(), self.n);
+        let flat = out.as_mut_slice();
+        for (idx, panel) in self.data.chunks_exact(bn * bc).enumerate() {
+            let start = window_start(idx, nb, bc, bn, n);
+            in_row_groups!(bc, unpack_rows(panel, bc, bn, &mut flat[start..], n));
         }
     }
 
@@ -523,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_flat_matches_flat_sgd_bitwise() {
+    fn add_scaled_rows_matches_flat_sgd_bitwise() {
         let blk = Blocking {
             bn: 2,
             bc: 4,
@@ -532,17 +642,81 @@ mod tests {
         let w = Matrix::from_fn(8, 12, |r, c| (r as f32 + 0.37) * 1.1 - c as f32 * 0.013);
         let g = Matrix::from_fn(8, 12, |r, c| (c as f32 - 3.7) * 0.31 + r as f32 * 0.07);
         let alpha = -0.05_f32;
+        // Two disjoint runs of panels, as a team of two would split them.
         let mut bw = BlockedWeights::pack(&w, blk);
-        bw.add_scaled_flat(&g, alpha);
+        let (head, tail) = bw.as_mut_slice().split_at_mut(2 * 16);
+        BlockedWeights::add_scaled_rows(tail, 2, blk, 12, g.as_slice(), alpha);
+        BlockedWeights::add_scaled_rows(head, 0, blk, 12, g.as_slice(), alpha);
         // Flat reference: w += alpha * g, separate mul-then-add per element.
         let mut flat = w.clone();
         for (wv, gv) in flat.as_mut_slice().iter_mut().zip(g.as_slice()) {
             let p = alpha * gv;
             *wv += p;
         }
-        let got: Vec<u32> = bw.unpack().as_slice().iter().map(|x| x.to_bits()).collect();
-        let want: Vec<u32> = flat.as_slice().iter().map(|x| x.to_bits()).collect();
-        assert_eq!(got, want, "blocked SGD must be bitwise equal to flat SGD");
+        assert_eq!(bits(bw.unpack().as_slice()), bits(flat.as_slice()));
+    }
+
+    fn bits(s: &[f32]) -> Vec<u32> {
+        s.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Panel-wise pack/unpack against the per-element `index_of` definition
+    /// of the layout, over block sizes that do and do not fill a SIMD
+    /// vector and shapes that are not square.
+    #[test]
+    fn panel_walks_match_index_of_bitwise() {
+        // Distinct, sign-mixed, non-integer bit patterns.
+        let value = |r: usize, c: usize| ((r * 131 + c * 7) as f32 * 0.37).sin() * 3.0 - 0.5;
+        for bc in [1usize, 37, 50, 64] {
+            for bn in [1usize, 8, 32] {
+                for (cb, nb) in [(1usize, 3usize), (3, 1), (2, 5)] {
+                    let (c, n) = (cb * bc, nb * bn);
+                    let x = Matrix::from_fn(c, n, value);
+                    let ba = BlockedActivations::pack(&x, bc, bn);
+                    for cc in 0..c {
+                        for nn in 0..n {
+                            assert_eq!(
+                                ba.as_slice()[ba.index_of(cc, nn)].to_bits(),
+                                x[(cc, nn)].to_bits(),
+                                "activations bc={bc} bn={bn} {c}x{n} at ({cc},{nn})"
+                            );
+                        }
+                    }
+                    assert_eq!(bits(ba.unpack().as_slice()), bits(x.as_slice()));
+
+                    // The same factors as a weight blocking, both ways round
+                    // (window rows are `bk` here, `bc` above).
+                    for (blk, k, c) in [
+                        (Blocking { bn: 1, bc, bk: bn }, n, c),
+                        (
+                            Blocking {
+                                bn: 1,
+                                bc: bn,
+                                bk: bc,
+                            },
+                            c,
+                            n,
+                        ),
+                    ] {
+                        let w = Matrix::from_fn(k, c, value);
+                        let bw = BlockedWeights::pack(&w, blk);
+                        for kk in 0..k {
+                            for cc in 0..c {
+                                assert_eq!(
+                                    bw.as_slice()[bw.index_of(kk, cc)].to_bits(),
+                                    w[(kk, cc)].to_bits(),
+                                    "weights {blk:?} {k}x{c} at ({kk},{cc})"
+                                );
+                            }
+                        }
+                        assert_eq!(bits(bw.unpack().as_slice()), bits(w.as_slice()));
+                        let mut window = vec![f32::NAN; k * c];
+                        bw.unpack_into_slice(&mut window);
+                        assert_eq!(bits(&window), bits(w.as_slice()));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
