@@ -29,9 +29,9 @@
 //! artifact, and a hard assert here.
 //!
 //! Writes `results/BENCH_embedding.json` (schema checked by
-//! `dlrm_bench::validate_bench_embedding_json`, also run by CI).
+//! `dlrm_bench::validate_artifact`, also run by CI).
 
-use dlrm_bench::{header, time_it, validate_bench_embedding_json, HarnessOpts, Table};
+use dlrm_bench::{header, time_it, validate_artifact, HarnessOpts, Table};
 use dlrm_data::IndexDistribution;
 use dlrm_kernels::embedding::rowops::{self, available_isas};
 use dlrm_kernels::embedding::{self, BagPlan, UpdateStrategy};
@@ -438,7 +438,8 @@ fn main() {
         update_json.join(",\n    "),
         json_map(&fused_gups),
     );
-    validate_bench_embedding_json(&json).expect("self-validation of the artifact schema");
+    validate_artifact("BENCH_embedding.json", &json)
+        .expect("self-validation of the artifact schema");
     let path = dlrm_bench::write_artifact("BENCH_embedding.json", &json);
     println!("\nwrote {} (schema self-validated)", path.display());
     if opts.json {

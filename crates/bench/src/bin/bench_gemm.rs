@@ -22,9 +22,9 @@
 //! full-MLP level.
 //!
 //! Writes `results/BENCH_gemm.json` (schema checked by
-//! `dlrm_bench::validate_bench_gemm_json`, also run by CI).
+//! `dlrm_bench::validate_artifact`, also run by CI).
 
-use dlrm_bench::{header, time_it, validate_bench_gemm_json, HarnessOpts, Table};
+use dlrm_bench::{header, time_it, validate_artifact, HarnessOpts, Table};
 use dlrm_kernels::activations::{bias_grad_rows, relu_backward};
 use dlrm_kernels::embedding::rowops::available_isas;
 use dlrm_kernels::gemm::micro::{set_isa_override, Isa};
@@ -347,7 +347,7 @@ fn main() {
         isa_key(native),
         min_speedup
     );
-    validate_bench_gemm_json(&json).expect("self-validation of the artifact schema");
+    validate_artifact("BENCH_gemm.json", &json).expect("self-validation of the artifact schema");
     let path = dlrm_bench::write_artifact("BENCH_gemm.json", &json);
     println!("\nwrote {} (schema self-validated)", path.display());
 }

@@ -245,7 +245,8 @@ fn main() {
         savings.overlapped_exposed,
         savings.hidden_fraction(),
     );
-    dlrm_bench::validate_bench_overlap_json(&json).expect("self-validation of artifact schema");
+    dlrm_bench::validate_artifact("BENCH_overlap.json", &json)
+        .expect("self-validation of artifact schema");
     let path = dlrm_bench::write_artifact("BENCH_overlap.json", &json);
     println!("\nwrote {}", path.display());
     if opts.json {

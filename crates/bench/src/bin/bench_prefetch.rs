@@ -24,9 +24,9 @@
 //!   at window ≥ 4 (ISSUE 7's acceptance bar).
 //!
 //! Writes `results/BENCH_prefetch.json`, self-validated against
-//! [`validate_bench_prefetch_json`].
+//! [`validate_artifact`].
 
-use dlrm_bench::{fmt_time, header, validate_bench_prefetch_json, HarnessOpts, Table};
+use dlrm_bench::{fmt_time, header, validate_artifact, HarnessOpts, Table};
 use dlrm_comm::instrument::{WireSnapshot, WireStats};
 use dlrm_comm::nonblocking::{create_channel_worlds_with_opts, Backend, ProgressEngine};
 use dlrm_comm::world::CommWorld;
@@ -299,7 +299,7 @@ fn main() {
         min_ratio_deep,
         all_bitwise,
     );
-    validate_bench_prefetch_json(&json).expect("self-validation of artifact schema");
+    validate_artifact("BENCH_prefetch.json", &json).expect("self-validation of artifact schema");
     let path = dlrm_bench::write_artifact("BENCH_prefetch.json", &json);
     println!("\nwrote {}", path.display());
     if opts.json {

@@ -29,11 +29,11 @@
 //!   `host_cores` so a single-core measurement stays honest.
 //!
 //! Writes `results/BENCH_serving.json` (honoring `$DLRM_RESULTS_DIR`),
-//! schema-checked by `dlrm_bench::validate_bench_serving_json` before
+//! schema-checked by `dlrm_bench::validate_artifact` before
 //! writing and by CI over the committed artifact.
 
 use dlrm::layers::Execution;
-use dlrm_bench::{header, validate_bench_serving_json, HarnessOpts, Table};
+use dlrm_bench::{header, validate_artifact, HarnessOpts, Table};
 use dlrm_data::{DlrmConfig, IndexDistribution, MiniBatch};
 use dlrm_serve::{
     summarize_latencies_us, CacheSizing, Request, ServeConfig, ServeEngine, ServeModel, ShardSpec,
@@ -574,7 +574,7 @@ fn main() {
         multi_shard_speedup,
         sharded_identity_ok,
     );
-    validate_bench_serving_json(&json).expect("self-validation of the artifact schema");
+    validate_artifact("BENCH_serving.json", &json).expect("self-validation of the artifact schema");
     let path = dlrm_bench::write_artifact("BENCH_serving.json", &json);
     println!("\nwrote {} (schema self-validated)", path.display());
     if opts.json {

@@ -26,9 +26,9 @@
 //! - every compressed loss trajectory stays within a small band of FP32.
 //!
 //! Writes `results/BENCH_wire_precision.json`, self-validated against
-//! [`validate_bench_wire_precision_json`].
+//! [`validate_artifact`].
 
-use dlrm_bench::{fmt_time, header, validate_bench_wire_precision_json, HarnessOpts, Table};
+use dlrm_bench::{fmt_time, header, validate_artifact, HarnessOpts, Table};
 use dlrm_clustersim::timeline::{simulate_iteration, RunMode, SimParams};
 use dlrm_clustersim::{Calibration, Cluster, Strategy};
 use dlrm_comm::collectives;
@@ -481,7 +481,8 @@ fn main() {
         sim_bf.total(),
         sim_i8.total(),
     );
-    validate_bench_wire_precision_json(&json).expect("self-validation of artifact schema");
+    validate_artifact("BENCH_wire_precision.json", &json)
+        .expect("self-validation of artifact schema");
     let path = dlrm_bench::write_artifact("BENCH_wire_precision.json", &json);
     println!("\nwrote {}", path.display());
     if opts.json {

@@ -68,16 +68,6 @@ pub fn write_artifact(name: &str, contents: &str) -> std::path::PathBuf {
     path
 }
 
-/// Checks that every required field appears as a `"key":` literal.
-fn require_keys(json: &str, required: &[&str]) -> Result<(), String> {
-    for key in required {
-        if !json.contains(&format!("{key}:")) {
-            return Err(format!("missing required field {key}"));
-        }
-    }
-    Ok(())
-}
-
 /// Extracts the first numeric value following a `"key":` literal. Returns
 /// `None` when the key is absent or not followed by a number — enough to
 /// gate on scalar fields without a JSON parser in the workspace.
@@ -112,251 +102,249 @@ fn check_balanced(json: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Dispatches a committed `results/BENCH_*.json` artifact to its schema
-/// validator by file name. Unknown artifact names are an error so a new
-/// bench cannot commit an unvalidated artifact (CI runs this over every
-/// committed `BENCH_*.json` via `crates/bench/tests/committed_artifacts.rs`).
+/// The schema of one `results/BENCH_*.json` artifact. No JSON parser in the
+/// workspace, so a schema is a set of literal checks plus brace/bracket
+/// balance — see [`validate_artifact`], which walks it.
+struct Schema {
+    /// Artifact file name.
+    file: &'static str,
+    /// Required value of the `"bench"` tag.
+    bench: &'static str,
+    /// Fields (besides `"bench"`) that must appear as a `"key":` literal.
+    required: &'static [&'static str],
+    /// Gates: must appear as `"key": true` and nowhere as `"key": false`
+    /// (a gate may repeat per sweep entry; one failure fails the artifact).
+    must_be_true: &'static [&'static str],
+    /// `(key, value)` pairs that must appear as the literal `"key": value`.
+    exact: &'static [(&'static str, &'static str)],
+    /// A speedup field that must exceed 1.0 — but only in a full-scale
+    /// artifact (`"smoke": false`) measured on a multi-core host
+    /// (`"host_cores"` > 1): a single-core host cannot show parallel
+    /// speedup and smoke runs do not measure performance, so the artifact
+    /// records `host_cores` and the gate arms itself exactly when the
+    /// measurement could have shown scaling.
+    multicore_speedup: Option<&'static str>,
+}
+
+/// One row per committed artifact. Used by the emitting binary
+/// (self-validation before writing) and by CI over the committed files.
+const SCHEMAS: [Schema; 6] = [
+    // `bench_embedding`: GUPS per ISA tier and update strategy, plus the
+    // bitwise kernel-equivalence gate.
+    Schema {
+        file: "BENCH_embedding.json",
+        bench: "embedding",
+        required: &[
+            "smoke",
+            "threads",
+            "config",
+            "isa_tiers",
+            "forward_gups",
+            "forward_per_row_gups",
+            "update_gups",
+            "clustered",
+            "bucketed_vs_racefree_speedup",
+            "fused_gups",
+            "simd_vs_scalar_forward_ratio",
+            "bag_vs_per_row_forward_ratio",
+            "equivalence_ok",
+        ],
+        must_be_true: &["equivalence_ok"],
+        exact: &[],
+        multicore_speedup: None,
+    },
+    // `bench_wire_precision`: bytes and exchange time per wire tier, the
+    // representable-payload bitwise gate, and the headline ratios: the BF16
+    // wire ships exactly half the FP32 bytes on both collectives, and the
+    // adaptive policy's steady-state allreduce traffic is exactly 4x smaller
+    // than FP32 (headerless shared-scale INT8 on every bucket once warm) at
+    // the documented 0.05 error bound.
+    Schema {
+        file: "BENCH_wire_precision.json",
+        bench: "wire_precision",
+        required: &[
+            "smoke",
+            "config",
+            "fp32",
+            "bf16",
+            "int8",
+            "adaptive",
+            "alltoall_bytes",
+            "allreduce_bytes",
+            "exchange_s_per_step",
+            "alltoall_bytes_ratio",
+            "allreduce_bytes_ratio",
+            "int8_allreduce_bytes_ratio",
+            "adaptive_allreduce_reduction_x",
+            "adaptive_error_bound",
+            "adaptive_decisions",
+            "max_loss_delta",
+            "int8_max_loss_delta",
+            "adaptive_max_loss_delta",
+            "representable_bitwise_equal",
+            "analytic",
+        ],
+        must_be_true: &["representable_bitwise_equal"],
+        exact: &[
+            ("alltoall_bytes_ratio", "0.5000"),
+            ("allreduce_bytes_ratio", "0.5000"),
+            ("adaptive_allreduce_reduction_x", "4.0000"),
+            ("adaptive_error_bound", "0.05"),
+        ],
+        multicore_speedup: None,
+    },
+    // `bench_overlap`: exposed communication per schedule, plus the
+    // bitwise-loss-identity gate.
+    Schema {
+        file: "BENCH_overlap.json",
+        bench: "overlap",
+        required: &[
+            "config",
+            "loss_bitwise_identical",
+            "synchronous",
+            "overlapped",
+            "exposed_comm_mean_s",
+            "per_rank",
+            "hidden_fraction_measured",
+            "analytic",
+        ],
+        must_be_true: &["loss_bitwise_identical"],
+        exact: &[],
+        multicore_speedup: None,
+    },
+    // `bench_serving`: the QPS-vs-latency-percentile curve, the cache
+    // hit-rate sweep over Zipf α × cache capacity, the sharded-engine
+    // scaling sweep with its per-shard observability block, and two
+    // identity gates — cached-vs-uncached and sharded-vs-unsharded, both
+    // bitwise.
+    Schema {
+        file: "BENCH_serving.json",
+        bench: "serving",
+        required: &[
+            "smoke",
+            "config",
+            "latency_curve",
+            "clients",
+            "qps",
+            "p50_us",
+            "p99_us",
+            "mean_batch",
+            "cache_sweep",
+            "zipf_s",
+            "capacity_frac",
+            "hit_rate",
+            "hot_head_hit_rate",
+            "shard_sweep",
+            "shards",
+            "workers_per_shard",
+            "per_shard",
+            "requests",
+            "p90_us",
+            "queue_depth_hwm",
+            "host_cores",
+            "multi_shard_speedup",
+            "sharded_identity_ok",
+        ],
+        must_be_true: &["bitwise_identical", "sharded_identity_ok"],
+        exact: &[],
+        multicore_speedup: Some("multi_shard_speedup"),
+    },
+    // `bench_prefetch`: the forward-exchange volume sweep over Zipf skew ×
+    // lookahead window, plus the bitwise-loss-identity gate.
+    Schema {
+        file: "BENCH_prefetch.json",
+        bench: "prefetch",
+        required: &[
+            "smoke",
+            "config",
+            "sweep",
+            "zipf_s",
+            "window",
+            "naive_forward_alltoall_bytes",
+            "prefetch_fetch_bytes",
+            "forward_bytes_ratio",
+            "min_ratio_window_ge_4",
+            "losses_bitwise_identical",
+        ],
+        must_be_true: &["losses_bitwise_identical"],
+        exact: &[],
+        multicore_speedup: None,
+    },
+    // `bench_gemm`: per-pass GFLOP/s (fwd / bwd_data / bwd_weights) for the
+    // pack-per-call arm vs the persistent packed plan, per ISA tier and
+    // layer shape, plus the bitwise persistent-vs-per-call equivalence
+    // gate. `min_fwd_bwd_speedup` is the minimum across shapes at the
+    // native (highest available) ISA tier.
+    Schema {
+        file: "BENCH_gemm.json",
+        bench: "gemm",
+        required: &[
+            "smoke",
+            "threads",
+            "isa_tiers",
+            "configs",
+            "n",
+            "c",
+            "k",
+            "tiers",
+            "isa",
+            "passes",
+            "pass",
+            "per_call_gflops",
+            "persistent_gflops",
+            "fwd_bwd_speedup",
+            "native_isa",
+            "min_fwd_bwd_speedup",
+            "equivalence_ok",
+        ],
+        must_be_true: &["equivalence_ok"],
+        exact: &[],
+        multicore_speedup: None,
+    },
+];
+
+/// Validates a `results/BENCH_*.json` artifact against the [`SCHEMAS`] row
+/// of its file name. Unknown artifact names are an error so a new bench
+/// cannot commit an unvalidated artifact (CI runs this over every committed
+/// `BENCH_*.json` via `crates/bench/tests/committed_artifacts.rs`, and
+/// every emitting binary runs it before it writes).
 pub fn validate_artifact(file_name: &str, json: &str) -> Result<(), String> {
-    match file_name {
-        "BENCH_embedding.json" => validate_bench_embedding_json(json),
-        "BENCH_wire_precision.json" => validate_bench_wire_precision_json(json),
-        "BENCH_overlap.json" => validate_bench_overlap_json(json),
-        "BENCH_serving.json" => validate_bench_serving_json(json),
-        "BENCH_prefetch.json" => validate_bench_prefetch_json(json),
-        "BENCH_gemm.json" => validate_bench_gemm_json(json),
-        other => Err(format!(
-            "no schema validator registered for {other}; add one to dlrm_bench::validate_artifact"
-        )),
+    let schema = SCHEMAS
+        .iter()
+        .find(|s| s.file == file_name)
+        .ok_or_else(|| {
+            format!("no schema registered for {file_name}; add a row to dlrm_bench::SCHEMAS")
+        })?;
+    for key in schema.required {
+        if !json.contains(&format!("\"{key}\":")) {
+            return Err(format!("missing required field \"{key}\""));
+        }
     }
-}
-
-/// Structural schema check for `results/BENCH_embedding.json` (the
-/// `bench_embedding` artifact). No JSON parser in the workspace, so this is
-/// a key-presence + balance check: every required field of the schema must
-/// appear as a `"key":` literal and the braces/brackets must balance. Used
-/// by the emitting binary (self-validation before writing) and by CI.
-pub fn validate_bench_embedding_json(json: &str) -> Result<(), String> {
-    const REQUIRED: [&str; 14] = [
-        "\"bench\"",
-        "\"smoke\"",
-        "\"threads\"",
-        "\"config\"",
-        "\"isa_tiers\"",
-        "\"forward_gups\"",
-        "\"forward_per_row_gups\"",
-        "\"update_gups\"",
-        "\"clustered\"",
-        "\"bucketed_vs_racefree_speedup\"",
-        "\"fused_gups\"",
-        "\"simd_vs_scalar_forward_ratio\"",
-        "\"bag_vs_per_row_forward_ratio\"",
-        "\"equivalence_ok\"",
-    ];
-    require_keys(json, &REQUIRED)?;
-    if !json.contains("\"bench\": \"embedding\"") {
-        return Err("\"bench\" must be \"embedding\"".into());
+    if !json.contains(&format!("\"bench\": \"{}\"", schema.bench)) {
+        return Err(format!("\"bench\" must be \"{}\"", schema.bench));
     }
-    if !json.contains("\"equivalence_ok\": true") {
-        return Err("\"equivalence_ok\" must be true".into());
+    for key in schema.must_be_true {
+        if !json.contains(&format!("\"{key}\": true"))
+            || json.contains(&format!("\"{key}\": false"))
+        {
+            return Err(format!("\"{key}\" must be true"));
+        }
     }
-    check_balanced(json)
-}
-
-/// Structural schema check for `results/BENCH_wire_precision.json` (the
-/// `bench_wire_precision` artifact). Same key-presence + balance approach
-/// as [`validate_bench_embedding_json`]: every required field must appear
-/// as a `"key":` literal, the bench tag and the representable-payload
-/// bitwise gate must hold, and braces/brackets must balance.
-pub fn validate_bench_wire_precision_json(json: &str) -> Result<(), String> {
-    const REQUIRED: [&str; 21] = [
-        "\"bench\"",
-        "\"smoke\"",
-        "\"config\"",
-        "\"fp32\"",
-        "\"bf16\"",
-        "\"int8\"",
-        "\"adaptive\"",
-        "\"alltoall_bytes\"",
-        "\"allreduce_bytes\"",
-        "\"exchange_s_per_step\"",
-        "\"alltoall_bytes_ratio\"",
-        "\"allreduce_bytes_ratio\"",
-        "\"int8_allreduce_bytes_ratio\"",
-        "\"adaptive_allreduce_reduction_x\"",
-        "\"adaptive_error_bound\"",
-        "\"adaptive_decisions\"",
-        "\"max_loss_delta\"",
-        "\"int8_max_loss_delta\"",
-        "\"adaptive_max_loss_delta\"",
-        "\"representable_bitwise_equal\"",
-        "\"analytic\"",
-    ];
-    require_keys(json, &REQUIRED)?;
-    if !json.contains("\"bench\": \"wire_precision\"") {
-        return Err("\"bench\" must be \"wire_precision\"".into());
+    for (key, value) in schema.exact {
+        if !json.contains(&format!("\"{key}\": {value}")) {
+            return Err(format!("\"{key}\" must be exactly {value}"));
+        }
     }
-    if !json.contains("\"representable_bitwise_equal\": true") {
-        return Err("\"representable_bitwise_equal\" must be true".into());
-    }
-    // The headline INT8 gate: the adaptive policy's steady-state allreduce
-    // traffic must be exactly 4x smaller than FP32 (headerless shared-scale
-    // INT8 on every bucket once warm).
-    if !json.contains("\"adaptive_allreduce_reduction_x\": 4.0000") {
-        return Err("\"adaptive_allreduce_reduction_x\" must be exactly 4.0000".into());
-    }
-    check_balanced(json)
-}
-
-/// Structural schema check for `results/BENCH_overlap.json` (the
-/// `bench_overlap` artifact). Same key-presence + balance approach as the
-/// other validators; the bitwise-loss-identity gate must hold.
-pub fn validate_bench_overlap_json(json: &str) -> Result<(), String> {
-    const REQUIRED: [&str; 9] = [
-        "\"bench\"",
-        "\"config\"",
-        "\"loss_bitwise_identical\"",
-        "\"synchronous\"",
-        "\"overlapped\"",
-        "\"exposed_comm_mean_s\"",
-        "\"per_rank\"",
-        "\"hidden_fraction_measured\"",
-        "\"analytic\"",
-    ];
-    require_keys(json, &REQUIRED)?;
-    if !json.contains("\"bench\": \"overlap\"") {
-        return Err("\"bench\" must be \"overlap\"".into());
-    }
-    if !json.contains("\"loss_bitwise_identical\": true") {
-        return Err("\"loss_bitwise_identical\" must be true".into());
-    }
-    check_balanced(json)
-}
-
-/// Structural schema check for `results/BENCH_serving.json` (the
-/// `bench_serving` artifact): the QPS-vs-latency-percentile curve, the
-/// cache hit-rate sweep over Zipf α × cache capacity, the sharded-engine
-/// scaling sweep with its per-shard observability block, and two identity
-/// gates — cached-vs-uncached and sharded-vs-unsharded, both bitwise.
-///
-/// The multi-shard speedup gate (`multi_shard_speedup > 1.0`) only applies
-/// to full-scale artifacts measured on a multi-core host: a single-core
-/// host cannot show parallel speedup, and smoke runs do not measure
-/// performance — the artifact records `host_cores` so the gate arms itself
-/// exactly when the measurement could have shown scaling.
-pub fn validate_bench_serving_json(json: &str) -> Result<(), String> {
-    const REQUIRED: [&str; 24] = [
-        "\"bench\"",
-        "\"smoke\"",
-        "\"config\"",
-        "\"latency_curve\"",
-        "\"clients\"",
-        "\"qps\"",
-        "\"p50_us\"",
-        "\"p99_us\"",
-        "\"mean_batch\"",
-        "\"cache_sweep\"",
-        "\"zipf_s\"",
-        "\"capacity_frac\"",
-        "\"hit_rate\"",
-        "\"hot_head_hit_rate\"",
-        "\"shard_sweep\"",
-        "\"shards\"",
-        "\"workers_per_shard\"",
-        "\"per_shard\"",
-        "\"requests\"",
-        "\"p90_us\"",
-        "\"queue_depth_hwm\"",
-        "\"host_cores\"",
-        "\"multi_shard_speedup\"",
-        "\"sharded_identity_ok\"",
-    ];
-    require_keys(json, &REQUIRED)?;
-    if !json.contains("\"bench\": \"serving\"") {
-        return Err("\"bench\" must be \"serving\"".into());
-    }
-    if !json.contains("\"bitwise_identical\": true") {
-        return Err("\"bitwise_identical\" must be true".into());
-    }
-    if !json.contains("\"sharded_identity_ok\": true")
-        || json.contains("\"sharded_identity_ok\": false")
-    {
-        return Err("\"sharded_identity_ok\" must be true".into());
-    }
-    let host_cores = extract_number(json, "host_cores").ok_or("\"host_cores\" must be numeric")?;
-    let speedup = extract_number(json, "multi_shard_speedup")
-        .ok_or("\"multi_shard_speedup\" must be numeric")?;
-    if json.contains("\"smoke\": false") && host_cores > 1.0 && speedup <= 1.0 {
-        return Err(format!(
-            "full-scale run on a {host_cores}-core host must show multi-shard speedup > 1.0, got {speedup}"
-        ));
-    }
-    check_balanced(json)
-}
-
-/// Structural schema check for `results/BENCH_prefetch.json` (the
-/// `bench_prefetch` artifact): the forward-exchange volume sweep over
-/// Zipf skew × lookahead window, plus the bitwise-loss-identity gate.
-/// Same key-presence + balance approach as the other validators.
-pub fn validate_bench_prefetch_json(json: &str) -> Result<(), String> {
-    const REQUIRED: [&str; 11] = [
-        "\"bench\"",
-        "\"smoke\"",
-        "\"config\"",
-        "\"sweep\"",
-        "\"zipf_s\"",
-        "\"window\"",
-        "\"naive_forward_alltoall_bytes\"",
-        "\"prefetch_fetch_bytes\"",
-        "\"forward_bytes_ratio\"",
-        "\"min_ratio_window_ge_4\"",
-        "\"losses_bitwise_identical\"",
-    ];
-    require_keys(json, &REQUIRED)?;
-    if !json.contains("\"bench\": \"prefetch\"") {
-        return Err("\"bench\" must be \"prefetch\"".into());
-    }
-    if !json.contains("\"losses_bitwise_identical\": true")
-        || json.contains("\"losses_bitwise_identical\": false")
-    {
-        return Err("\"losses_bitwise_identical\" must be true".into());
-    }
-    check_balanced(json)
-}
-
-/// Structural schema check for `results/BENCH_gemm.json` (the `bench_gemm`
-/// artifact): per-pass GFLOP/s (fwd / bwd_data / bwd_weights) for the
-/// pack-per-call arm vs the persistent packed plan, per ISA tier and layer
-/// shape, plus the bitwise persistent-vs-per-call equivalence gate.
-/// `min_fwd_bwd_speedup` is the minimum across shapes at the native
-/// (highest available) ISA tier. Same key-presence + balance approach as
-/// the other validators.
-pub fn validate_bench_gemm_json(json: &str) -> Result<(), String> {
-    const REQUIRED: [&str; 18] = [
-        "\"bench\"",
-        "\"smoke\"",
-        "\"threads\"",
-        "\"isa_tiers\"",
-        "\"configs\"",
-        "\"n\"",
-        "\"c\"",
-        "\"k\"",
-        "\"tiers\"",
-        "\"isa\"",
-        "\"passes\"",
-        "\"pass\"",
-        "\"per_call_gflops\"",
-        "\"persistent_gflops\"",
-        "\"fwd_bwd_speedup\"",
-        "\"native_isa\"",
-        "\"min_fwd_bwd_speedup\"",
-        "\"equivalence_ok\"",
-    ];
-    require_keys(json, &REQUIRED)?;
-    if !json.contains("\"bench\": \"gemm\"") {
-        return Err("\"bench\" must be \"gemm\"".into());
-    }
-    if !json.contains("\"equivalence_ok\": true") {
-        return Err("\"equivalence_ok\" must be true".into());
+    if let Some(key) = schema.multicore_speedup {
+        let host_cores =
+            extract_number(json, "host_cores").ok_or("\"host_cores\" must be numeric")?;
+        let speedup =
+            extract_number(json, key).ok_or_else(|| format!("\"{key}\" must be numeric"))?;
+        if json.contains("\"smoke\": false") && host_cores > 1.0 && speedup <= 1.0 {
+            return Err(format!(
+                "full-scale run on a {host_cores}-core host must show {key} > 1.0, got {speedup}"
+            ));
+        }
     }
     check_balanced(json)
 }
@@ -483,14 +471,14 @@ mod tests {
   "bag_vs_per_row_forward_ratio": 1.0,
   "equivalence_ok": true
 }"#;
-        assert!(validate_bench_embedding_json(ok).is_ok());
+        assert!(validate_artifact("BENCH_embedding.json", ok).is_ok());
     }
 
     #[test]
     fn json_validator_rejects_bad_artifacts() {
-        assert!(validate_bench_embedding_json("{}").is_err());
+        assert!(validate_artifact("BENCH_embedding.json", "{}").is_err());
         let missing = r#"{"bench": "embedding", "equivalence_ok": true}"#;
-        assert!(validate_bench_embedding_json(missing).is_err());
+        assert!(validate_artifact("BENCH_embedding.json", missing).is_err());
         let failed_gate = r#"{
   "bench": "embedding", "smoke": false, "threads": 8, "config": {},
   "isa_tiers": [], "forward_gups": {}, "forward_per_row_gups": {}, "update_gups": {},
@@ -498,9 +486,9 @@ mod tests {
   "simd_vs_scalar_forward_ratio": 1.0, "bag_vs_per_row_forward_ratio": 1.0,
   "equivalence_ok": false
 }"#;
-        assert!(validate_bench_embedding_json(failed_gate).is_err());
+        assert!(validate_artifact("BENCH_embedding.json", failed_gate).is_err());
         let unbalanced = failed_gate.replace("false\n}", "true\n");
-        assert!(validate_bench_embedding_json(&unbalanced).is_err());
+        assert!(validate_artifact("BENCH_embedding.json", &unbalanced).is_err());
     }
 
     #[test]
@@ -513,8 +501,8 @@ mod tests {
   "bf16": {"alltoall_bytes": 500, "allreduce_bytes": 1000, "exchange_s_per_step": 0.001},
   "int8": {"alltoall_bytes": 1000, "allreduce_bytes": 502, "exchange_s_per_step": 0.001},
   "adaptive": {"alltoall_bytes": 1000, "allreduce_bytes": 500, "exchange_s_per_step": 0.001},
-  "alltoall_bytes_ratio": 0.5,
-  "allreduce_bytes_ratio": 0.5,
+  "alltoall_bytes_ratio": 0.5000,
+  "allreduce_bytes_ratio": 0.5000,
   "int8_allreduce_bytes_ratio": 0.251,
   "adaptive_allreduce_reduction_x": 4.0000,
   "adaptive_error_bound": 0.05,
@@ -525,14 +513,28 @@ mod tests {
   "representable_bitwise_equal": true,
   "analytic": {"fp32_comm_s": 0.1, "bf16_comm_s": 0.06, "int8_comm_s": 0.03}
 }"#;
-        assert!(validate_bench_wire_precision_json(ok).is_ok());
+        assert!(validate_artifact("BENCH_wire_precision.json", ok).is_ok());
+        // The value gates CI used to grep for: BF16 halves both collectives
+        // exactly, and the adaptive run is the documented 0.05 bound.
+        for (key, good, bad) in [
+            ("alltoall_bytes_ratio", "0.5000", "0.5001"),
+            ("allreduce_bytes_ratio", "0.5000", "0.2510"),
+            ("adaptive_error_bound", "0.05", "0.1"),
+        ] {
+            let moved = ok.replace(&format!("\"{key}\": {good}"), &format!("\"{key}\": {bad}"));
+            assert_ne!(moved, ok);
+            assert!(
+                validate_artifact("BENCH_wire_precision.json", &moved).is_err(),
+                "{key}"
+            );
+        }
     }
 
     #[test]
     fn wire_precision_validator_rejects_bad_artifacts() {
-        assert!(validate_bench_wire_precision_json("{}").is_err());
+        assert!(validate_artifact("BENCH_wire_precision.json", "{}").is_err());
         let missing = r#"{"bench": "wire_precision", "representable_bitwise_equal": true}"#;
-        assert!(validate_bench_wire_precision_json(missing).is_err());
+        assert!(validate_artifact("BENCH_wire_precision.json", missing).is_err());
         let failed_gate = r#"{
   "bench": "wire_precision", "smoke": false, "config": {},
   "fp32": {"alltoall_bytes": 1, "allreduce_bytes": 1, "exchange_s_per_step": 0.1},
@@ -549,7 +551,7 @@ mod tests {
   "representable_bitwise_equal": false,
   "analytic": {}
 }"#;
-        assert!(validate_bench_wire_precision_json(failed_gate).is_err());
+        assert!(validate_artifact("BENCH_wire_precision.json", failed_gate).is_err());
         let weak_reduction = failed_gate.replace(
             "\"representable_bitwise_equal\": false",
             "\"representable_bitwise_equal\": true",
@@ -558,11 +560,11 @@ mod tests {
             "\"adaptive_allreduce_reduction_x\": 4.0000",
             "\"adaptive_allreduce_reduction_x\": 2.0000",
         );
-        assert!(validate_bench_wire_precision_json(&weak_reduction).is_err());
+        assert!(validate_artifact("BENCH_wire_precision.json", &weak_reduction).is_err());
         let unbalanced = failed_gate
             .replace("false,", "true,")
             .replace("{}\n}", "{}\n");
-        assert!(validate_bench_wire_precision_json(&unbalanced).is_err());
+        assert!(validate_artifact("BENCH_wire_precision.json", &unbalanced).is_err());
     }
 
     #[test]
@@ -576,13 +578,13 @@ mod tests {
   "hidden_fraction_measured": 0.5,
   "analytic": {"blocking_exposed_s": 0.01, "overlapped_exposed_s": 0.005, "hidden_fraction": 0.5}
 }"#;
-        assert!(validate_bench_overlap_json(ok).is_ok());
-        assert!(validate_bench_overlap_json("{}").is_err());
+        assert!(validate_artifact("BENCH_overlap.json", ok).is_ok());
+        assert!(validate_artifact("BENCH_overlap.json", "{}").is_err());
         let gate_broken = ok.replace(
             "\"loss_bitwise_identical\": true",
             "\"loss_bitwise_identical\": false",
         );
-        assert!(validate_bench_overlap_json(&gate_broken).is_err());
+        assert!(validate_artifact("BENCH_overlap.json", &gate_broken).is_err());
     }
 
     #[test]
@@ -611,20 +613,20 @@ mod tests {
   "multi_shard_speedup": 0.95,
   "sharded_identity_ok": true
 }"#;
-        assert!(validate_bench_serving_json(ok).is_ok());
-        assert!(validate_bench_serving_json("{}").is_err());
+        assert!(validate_artifact("BENCH_serving.json", ok).is_ok());
+        assert!(validate_artifact("BENCH_serving.json", "{}").is_err());
         let gate_broken = ok.replace(
             "\"bitwise_identical\": true",
             "\"bitwise_identical\": false",
         );
-        assert!(validate_bench_serving_json(&gate_broken).is_err());
+        assert!(validate_artifact("BENCH_serving.json", &gate_broken).is_err());
         let shard_gate_broken = ok.replace(
             "\"sharded_identity_ok\": true\n}",
             "\"sharded_identity_ok\": false\n}",
         );
-        assert!(validate_bench_serving_json(&shard_gate_broken).is_err());
+        assert!(validate_artifact("BENCH_serving.json", &shard_gate_broken).is_err());
         let unbalanced = ok.replace("true\n}", "true\n");
-        assert!(validate_bench_serving_json(&unbalanced).is_err());
+        assert!(validate_artifact("BENCH_serving.json", &unbalanced).is_err());
     }
 
     #[test]
@@ -645,11 +647,11 @@ mod tests {
                 .replace("SPEEDUP", speedup)
         };
         // Full-scale on multi-core: speedup must exceed 1.0.
-        assert!(validate_bench_serving_json(&fill("false", "8", "0.9")).is_err());
-        assert!(validate_bench_serving_json(&fill("false", "8", "1.7")).is_ok());
+        assert!(validate_artifact("BENCH_serving.json", &fill("false", "8", "0.9")).is_err());
+        assert!(validate_artifact("BENCH_serving.json", &fill("false", "8", "1.7")).is_ok());
         // Single-core host or smoke run: the gate stays disarmed.
-        assert!(validate_bench_serving_json(&fill("false", "1", "0.9")).is_ok());
-        assert!(validate_bench_serving_json(&fill("true", "8", "0.9")).is_ok());
+        assert!(validate_artifact("BENCH_serving.json", &fill("false", "1", "0.9")).is_ok());
+        assert!(validate_artifact("BENCH_serving.json", &fill("true", "8", "0.9")).is_ok());
     }
 
     #[test]
@@ -664,17 +666,17 @@ mod tests {
   "min_ratio_window_ge_4": 2.5,
   "losses_bitwise_identical": true
 }"#;
-        assert!(validate_bench_prefetch_json(ok).is_ok());
-        assert!(validate_bench_prefetch_json("{}").is_err());
+        assert!(validate_artifact("BENCH_prefetch.json", ok).is_ok());
+        assert!(validate_artifact("BENCH_prefetch.json", "{}").is_err());
         let gate_broken = ok.replace(
             "\"losses_bitwise_identical\": true",
             "\"losses_bitwise_identical\": false",
         );
-        assert!(validate_bench_prefetch_json(&gate_broken).is_err());
+        assert!(validate_artifact("BENCH_prefetch.json", &gate_broken).is_err());
         let missing = ok.replace("\"min_ratio_window_ge_4\"", "\"min_ratio\"");
-        assert!(validate_bench_prefetch_json(&missing).is_err());
+        assert!(validate_artifact("BENCH_prefetch.json", &missing).is_err());
         let unbalanced = ok.replace("true\n}", "true\n");
-        assert!(validate_bench_prefetch_json(&unbalanced).is_err());
+        assert!(validate_artifact("BENCH_prefetch.json", &unbalanced).is_err());
     }
 
     #[test]
@@ -695,31 +697,28 @@ mod tests {
   "min_fwd_bwd_speedup": 2.0,
   "equivalence_ok": true
 }"#;
-        assert!(validate_bench_gemm_json(ok).is_ok());
-        assert!(validate_bench_gemm_json("{}").is_err());
+        assert!(validate_artifact("BENCH_gemm.json", ok).is_ok());
+        assert!(validate_artifact("BENCH_gemm.json", "{}").is_err());
         let gate_broken = ok.replace("\"equivalence_ok\": true", "\"equivalence_ok\": false");
-        assert!(validate_bench_gemm_json(&gate_broken).is_err());
+        assert!(validate_artifact("BENCH_gemm.json", &gate_broken).is_err());
         let wrong_tag = ok.replace("\"bench\": \"gemm\"", "\"bench\": \"mlp\"");
-        assert!(validate_bench_gemm_json(&wrong_tag).is_err());
+        assert!(validate_artifact("BENCH_gemm.json", &wrong_tag).is_err());
         let missing = ok.replace("\"min_fwd_bwd_speedup\"", "\"min_speedup\"");
-        assert!(validate_bench_gemm_json(&missing).is_err());
+        assert!(validate_artifact("BENCH_gemm.json", &missing).is_err());
         let unbalanced = ok.replace("true\n}", "true\n");
-        assert!(validate_bench_gemm_json(&unbalanced).is_err());
+        assert!(validate_artifact("BENCH_gemm.json", &unbalanced).is_err());
     }
 
     #[test]
     fn artifact_dispatch_covers_every_committed_artifact() {
         // Wrong-schema content must be rejected under every known name, and
         // unknown names must be an error (no unvalidated artifacts).
-        for name in [
-            "BENCH_embedding.json",
-            "BENCH_wire_precision.json",
-            "BENCH_overlap.json",
-            "BENCH_serving.json",
-            "BENCH_prefetch.json",
-            "BENCH_gemm.json",
-        ] {
-            assert!(validate_artifact(name, "{}").is_err(), "{name}");
+        for schema in &SCHEMAS {
+            assert!(
+                validate_artifact(schema.file, "{}").is_err(),
+                "{}",
+                schema.file
+            );
         }
         assert!(validate_artifact("BENCH_mystery.json", "{}").is_err());
     }

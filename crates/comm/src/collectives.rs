@@ -16,32 +16,21 @@
 //! # Wire precision
 //!
 //! The hot collectives (reduce-scatter, allgather, allreduce, alltoall)
-//! come in `_wire` variants taking a [`WirePrecision`]; the plain names are
-//! the FP32 wire. The BF16 wire halves every payload: reductions still
-//! accumulate in FP32 locally, but each ring hop narrows the outgoing
-//! partial sum to BF16 (RNE) and the receiver widens it exactly before
-//! adding. The INT8 wires quarter every payload the same way — each hop
-//! ships one scaled byte per element (plus a 4-byte scale header for
+//! take a [`WirePrecision`]; the plain names are the FP32 wire. Each is
+//! **one loop** over `send_payload`/`recv_payload` — the schedule is written
+//! once and the wire is a payload format behind the codec of
+//! [`crate::wire`]: the BF16 wire halves every payload (each ring hop
+//! narrows the outgoing partial sum, the receiver widens it exactly and
+//! accumulates in FP32), the INT8 wires quarter it (one scaled byte per
+//! element plus a 4-byte scale header per group for
 //! [`WirePrecision::Int8`]; none for the pre-agreed
-//! [`WirePrecision::Int8Shared`] scale) and the receiver reconstructs FP32
-//! values before accumulating. See [`crate::wire`] for the accumulation
-//! policy and the single-quantization rule the variants implement.
+//! [`WirePrecision::Int8Shared`] scale), and on FP32 the codec moves
+//! buffers instead of converting them. See [`crate::wire`] for the
+//! accumulation policy and the single-quantization rule.
 
 use crate::wire::{self, WirePrecision};
-use crate::world::{Communicator, Int8Payload, Payload};
-use dlrm_kernels::bf16wire;
-use dlrm_kernels::gemm::{detect_isa, Isa};
-use dlrm_kernels::int8wire;
-use dlrm_tensor_free::partition_range;
-
-/// Minimal local re-implementation to avoid a tensor dependency here.
-mod dlrm_tensor_free {
-    /// Same contract as `dlrm_tensor::util::partition_range`.
-    #[inline]
-    pub fn partition_range(n: usize, parts: usize, i: usize) -> std::ops::Range<usize> {
-        (n * i / parts)..(n * (i + 1) / parts)
-    }
-}
+use crate::world::Communicator;
+use dlrm_tensor::util::partition_range;
 
 /// Tag bases keep the p2p streams of different collectives recognizable in
 /// assertion failures; correctness relies on per-pair FIFO order, not tags.
@@ -58,87 +47,6 @@ const TAG_SCATTER: u64 = 0x0500_0000;
 const TAG_GATHER: u64 = 0x0600_0000;
 /// Tag base for prefetch row-fetch alltoalls (see `dlrm-dist::prefetch`).
 pub const TAG_PREFETCH: u64 = 0x0700_0000;
-
-/// Effective scale-group length for an INT8 payload of `len` elements:
-/// `0` means one scale for the whole payload (the ring collectives' case);
-/// a nonzero group gives one scale per `group` elements (the alltoall's
-/// per-table scales).
-#[inline]
-fn int8_group_len(scale_group: usize, len: usize) -> usize {
-    if scale_group == 0 {
-        len.max(1)
-    } else {
-        scale_group
-    }
-}
-
-/// Quantizes `src` into an INT8 wire payload under `wirep` (which must be
-/// an INT8 variant), reusing the `bytes`/`scales` buffers. Data-derived
-/// scales ([`WirePrecision::Int8`]) are `absmax/127` per scale group and
-/// marked headered — they cost 4 on-wire bytes each; a pre-agreed
-/// [`WirePrecision::Int8Shared`] scale is carried for the decoder's
-/// convenience but ships no header.
-fn int8_encode(
-    isa: Isa,
-    wirep: WirePrecision,
-    src: &[f32],
-    mut bytes: Vec<u8>,
-    mut scales: Vec<f32>,
-    scale_group: usize,
-) -> Int8Payload {
-    let group_len = int8_group_len(scale_group, src.len());
-    bytes.clear();
-    bytes.resize(src.len(), 0);
-    scales.clear();
-    let shared = wirep.shared_scale();
-    let mut start = 0;
-    while start < src.len() {
-        let end = (start + group_len).min(src.len());
-        let scale = match shared {
-            Some(s) => s,
-            None => int8wire::scale_for_absmax(int8wire::absmax(&src[start..end])),
-        };
-        int8wire::quantize_slice(isa, &src[start..end], scale, &mut bytes[start..end]);
-        scales.push(scale);
-        start = end;
-    }
-    Int8Payload {
-        bytes,
-        scales,
-        group_len,
-        headered: shared.is_none(),
-    }
-}
-
-/// Reconstructs FP32 values from an INT8 wire payload into `dst`.
-fn int8_decode(isa: Isa, p: &Int8Payload, dst: &mut [f32]) {
-    assert_eq!(p.bytes.len(), dst.len(), "int8 decode length mismatch");
-    for (g, &scale) in p.scales.iter().enumerate() {
-        let start = g * p.group_len;
-        let end = (start + p.group_len).min(p.bytes.len());
-        int8wire::dequantize_slice(isa, &p.bytes[start..end], scale, &mut dst[start..end]);
-    }
-}
-
-/// Applies the INT8 wire round trip (`f32 → int8 → f32`) to a locally-kept
-/// buffer, with the same per-group scale choice [`int8_encode`] would make
-/// — used for the chunks that never cross a wire (an alltoall's
-/// self-destined payload, a standalone reduce-scatter's own chunk) so they
-/// are bitwise what a peer would have reconstructed.
-fn int8_requantize(isa: Isa, wirep: WirePrecision, buf: &mut [f32], scale_group: usize) {
-    let group_len = int8_group_len(scale_group, buf.len());
-    let shared = wirep.shared_scale();
-    let mut start = 0;
-    while start < buf.len() {
-        let end = (start + group_len).min(buf.len());
-        let scale = match shared {
-            Some(s) => s,
-            None => int8wire::scale_for_absmax(int8wire::absmax(&buf[start..end])),
-        };
-        int8wire::quantize_dequantize_slice(isa, &mut buf[start..end], scale);
-        start = end;
-    }
-}
 
 /// Ring reduce-scatter (sum): every rank contributes `data` (same length on
 /// all ranks) and receives the fully-reduced chunk `partition_range(len, R,
@@ -157,21 +65,17 @@ pub fn reduce_scatter_sum_wire(
     data: &[f32],
     wirep: WirePrecision,
 ) -> Vec<f32> {
-    reduce_scatter_sum_wire_impl(comm, data, wirep, true)
+    reduce_scatter_impl(comm, data, wirep, true)
 }
 
 /// [`reduce_scatter_sum_wire`] with the final-chunk quantization made
-/// optional. [`allreduce_sum_wire`] on an INT8 wire passes `false`: its
-/// allgather quantizes each reduced chunk exactly once at the source (and
-/// the source adopts the dequantized values too), so quantizing here as
-/// well would double-quantize. BF16 ignores the flag — its allgather
-/// forwards representable values losslessly, so the final narrowing here
-/// *is* the single quantization.
-fn reduce_scatter_sum_wire_impl(
+/// optional: [`allreduce_sum_wire`] skips it on the wires whose allgather
+/// quantizes at the source.
+fn reduce_scatter_impl(
     comm: &Communicator,
     data: &[f32],
     wirep: WirePrecision,
-    quantize_final: bool,
+    quantize_tail: bool,
 ) -> Vec<f32> {
     let r = comm.nranks();
     let me = comm.rank();
@@ -187,85 +91,23 @@ fn reduce_scatter_sum_wire_impl(
     // step, is fully reduced when it arrives at rank c after r-1 steps:
     // rank `me` therefore sends chunk (me-s-1) and receives (me-s-2).
     let mut work = data.to_vec();
-    match wirep {
-        WirePrecision::Fp32 => {
-            // The outgoing chunk is staged in a pooled buffer; each step
-            // recycles the buffer that just arrived, so the whole call
-            // performs no payload allocations in steady state.
-            let mut stage = wire::take_f32();
-            for s in 0..r - 1 {
-                let send_chunk = (me + 2 * r - s - 1) % r;
-                let recv_chunk = (me + 2 * r - s - 2) % r;
-                let send_range = partition_range(len, r, send_chunk);
-                stage.clear();
-                stage.extend_from_slice(&work[send_range]);
-                comm.send(next, TAG_RS + s as u64, stage);
-                let incoming = comm.recv(prev, TAG_RS + s as u64);
-                let recv_range = partition_range(len, r, recv_chunk);
-                for (w, &x) in work[recv_range].iter_mut().zip(&incoming) {
-                    *w += x;
-                }
-                stage = incoming;
-            }
-            wire::put_f32(stage);
-            work[partition_range(len, r, me)].to_vec()
-        }
-        WirePrecision::Bf16 => {
-            let isa = detect_isa();
-            let mut stage = wire::take_half();
-            for s in 0..r - 1 {
-                let send_chunk = (me + 2 * r - s - 1) % r;
-                let recv_chunk = (me + 2 * r - s - 2) % r;
-                let send_range = partition_range(len, r, send_chunk);
-                let chunk = &work[send_range];
-                stage.resize(chunk.len(), 0);
-                bf16wire::narrow_slice(isa, chunk, &mut stage);
-                comm.send_payload(next, TAG_RS + s as u64, Payload::Bf16(stage));
-                let incoming = comm.recv_payload(prev, TAG_RS + s as u64).into_bf16();
-                let recv_range = partition_range(len, r, recv_chunk);
-                wire::with_widen_scratch(incoming.len(), |widened| {
-                    bf16wire::widen_slice(isa, &incoming, widened);
-                    for (w, &x) in work[recv_range].iter_mut().zip(widened.iter()) {
-                        *w += x;
-                    }
-                });
-                stage = incoming;
-            }
-            wire::put_half(stage);
-            let mut out = work[partition_range(len, r, me)].to_vec();
-            bf16wire::quantize_slice(isa, &mut out);
-            out
-        }
-        WirePrecision::Int8 | WirePrecision::Int8Shared { .. } => {
-            let isa = detect_isa();
-            let mut stage = wire::take_bytes();
-            let mut scale_stage = wire::take_f32();
-            for s in 0..r - 1 {
-                let send_chunk = (me + 2 * r - s - 1) % r;
-                let recv_chunk = (me + 2 * r - s - 2) % r;
-                let chunk = &work[partition_range(len, r, send_chunk)];
-                let payload = int8_encode(isa, wirep, chunk, stage, scale_stage, 0);
-                comm.send_payload(next, TAG_RS + s as u64, Payload::Int8(payload));
-                let incoming = comm.recv_payload(prev, TAG_RS + s as u64).into_int8();
-                let recv_range = partition_range(len, r, recv_chunk);
-                wire::with_widen_scratch(incoming.bytes.len(), |widened| {
-                    int8_decode(isa, &incoming, widened);
-                    for (acc, &x) in work[recv_range].iter_mut().zip(widened.iter()) {
-                        *acc += x;
-                    }
-                });
-                stage = incoming.bytes;
-                scale_stage = incoming.scales;
-            }
-            wire::put_bytes(stage);
-            wire::put_f32(scale_stage);
-            let mut out = work[partition_range(len, r, me)].to_vec();
-            if quantize_final {
-                int8_requantize(isa, wirep, &mut out, 0);
-            }
-            out
-        }
+    for s in 0..r - 1 {
+        let send_range = partition_range(len, r, (me + 2 * r - s - 1) % r);
+        let recv_range = partition_range(len, r, (me + 2 * r - s - 2) % r);
+        let tag = TAG_RS + s as u64;
+        // The outgoing partial sum is staged in a pooled buffer — the one
+        // that arrived last step — so the whole call performs no payload
+        // allocations in steady state.
+        comm.send_payload(next, tag, wirep.encode_slice(&work[send_range], 0));
+        let incoming = comm.recv_payload(prev, tag);
+        wirep.decode_add(&incoming, &mut work[recv_range]);
+        wire::recycle(incoming);
     }
+    let mut out = work[partition_range(len, r, me)].to_vec();
+    if quantize_tail {
+        wirep.requantize(&mut out, 0);
+    }
+    out
 }
 
 /// Ring allgather of variable-size chunks. `counts[i]` is rank `i`'s chunk
@@ -274,19 +116,13 @@ pub fn allgather_varied(comm: &Communicator, mine: &[f32], counts: &[usize]) -> 
     allgather_varied_wire(comm, mine, counts, WirePrecision::Fp32)
 }
 
-/// [`allgather_varied`] with a selectable wire. On the BF16 wire each chunk
-/// is narrowed **once** at its source and then forwarded around the ring as
-/// raw halfwords (re-narrowing a BF16-representable value is the identity,
-/// so forwarding is lossless); the result equals the FP32-wire allgather of
-/// the elementwise-quantized inputs, bitwise identical on every rank —
-/// including the local copy of this rank's own chunk, which is quantized
-/// too so all `R` chunks of the output are uniformly wire-quantized.
-///
-/// The INT8 wires get the same single-quantization guarantee by a
-/// different route: the source quantizes its chunk once (bytes + scale),
-/// every hop forwards those bits losslessly, and *every* rank — the source
-/// included — adopts the dequantized reconstruction, so all ranks hold
-/// bitwise identical FP32 values.
+/// [`allgather_varied`] with a selectable wire. Each chunk is encoded
+/// **once**, at its source, and then forwarded around the ring as the
+/// payload that arrived — halfwords, or bytes + scale, bit for bit — and
+/// *every* rank, the source included, adopts the decoded values. The result
+/// therefore equals the FP32-wire allgather of the elementwise-quantized
+/// inputs, bitwise identical on every rank, all `R` chunks uniformly
+/// wire-quantized.
 pub fn allgather_varied_wire(
     comm: &Communicator,
     mine: &[f32],
@@ -306,71 +142,27 @@ pub fn allgather_varied_wire(
             Some(s)
         })
         .collect();
+    let chunk = |owner: usize| starts[owner]..starts[owner] + counts[owner];
 
     let mut out = vec![0.0f32; total];
-    out[starts[me]..starts[me] + counts[me]].copy_from_slice(mine);
     if r == 1 {
+        out.copy_from_slice(mine);
         return out;
     }
     let next = (me + 1) % r;
     let prev = (me + r - 1) % r;
-    match wirep {
-        WirePrecision::Fp32 => {
-            // Pass chunks around the ring; after R-1 steps everyone has all
-            // chunks. The first hop stages into a pooled buffer; later hops
-            // recycle the buffer that just arrived.
-            let mut carry = wire::take_f32();
-            carry.extend_from_slice(mine);
-            for s in 0..r - 1 {
-                comm.send(next, TAG_AG + s as u64, carry);
-                let incoming = comm.recv(prev, TAG_AG + s as u64);
-                let owner = (me + r - s - 1) % r;
-                out[starts[owner]..starts[owner] + counts[owner]].copy_from_slice(&incoming);
-                carry = incoming;
-            }
-            wire::put_f32(carry);
-        }
-        WirePrecision::Bf16 => {
-            let isa = detect_isa();
-            let mut carry = wire::take_half();
-            carry.resize(mine.len(), 0);
-            bf16wire::narrow_slice(isa, mine, &mut carry);
-            // The local copy crosses the same (single) quantization.
-            bf16wire::widen_slice(isa, &carry, &mut out[starts[me]..starts[me] + counts[me]]);
-            for s in 0..r - 1 {
-                comm.send_payload(next, TAG_AG + s as u64, Payload::Bf16(carry));
-                let incoming = comm.recv_payload(prev, TAG_AG + s as u64).into_bf16();
-                let owner = (me + r - s - 1) % r;
-                bf16wire::widen_slice(
-                    isa,
-                    &incoming,
-                    &mut out[starts[owner]..starts[owner] + counts[owner]],
-                );
-                carry = incoming;
-            }
-            wire::put_half(carry);
-        }
-        WirePrecision::Int8 | WirePrecision::Int8Shared { .. } => {
-            let isa = detect_isa();
-            let mut carry = int8_encode(isa, wirep, mine, wire::take_bytes(), wire::take_f32(), 0);
-            // The source adopts its own dequantized chunk, so its local
-            // copy is bitwise what every peer reconstructs.
-            int8_decode(isa, &carry, &mut out[starts[me]..starts[me] + counts[me]]);
-            for s in 0..r - 1 {
-                comm.send_payload(next, TAG_AG + s as u64, Payload::Int8(carry));
-                let incoming = comm.recv_payload(prev, TAG_AG + s as u64).into_int8();
-                let owner = (me + r - s - 1) % r;
-                int8_decode(
-                    isa,
-                    &incoming,
-                    &mut out[starts[owner]..starts[owner] + counts[owner]],
-                );
-                carry = incoming;
-            }
-            wire::put_bytes(carry.bytes);
-            wire::put_f32(carry.scales);
-        }
+    // Pass chunks around the ring; after R-1 steps everyone has all chunks.
+    // The first hop stages into a pooled buffer; later hops forward the
+    // payload that just arrived.
+    let mut carry = wirep.encode_slice(mine, 0);
+    wirep.decode_into(&carry, &mut out[chunk(me)]);
+    for s in 0..r - 1 {
+        let tag = TAG_AG + s as u64;
+        comm.send_payload(next, tag, carry);
+        carry = comm.recv_payload(prev, tag);
+        wirep.decode_into(&carry, &mut out[chunk((me + r - s - 1) % r)]);
     }
+    wire::recycle(carry);
     out
 }
 
@@ -385,31 +177,24 @@ pub fn allreduce_sum(comm: &Communicator, data: &mut [f32]) {
     allreduce_sum_wire(comm, data, WirePrecision::Fp32);
 }
 
-/// [`allreduce_sum`] with a selectable wire. On the BF16 wire the
-/// reduce-scatter accumulates in FP32 (narrowing only its hop payloads) and
-/// quantizes each fully-reduced chunk once; the allgather then forwards
-/// those bits losslessly. On the INT8 wires the reduce-scatter leaves each
-/// reduced chunk in raw FP32 and the allgather quantizes it exactly once at
-/// its source, forwarding bytes + scale losslessly, with every rank — the
-/// source included — adopting the dequantized values. Either way **all
-/// ranks end bitwise identical** — the property the data-parallel update
-/// relies on.
+/// [`allreduce_sum`] with a selectable wire. The reduce-scatter accumulates
+/// in FP32, narrowing only its hop payloads, and each fully-reduced chunk
+/// is then quantized exactly once: at the reduce-scatter tail on the BF16
+/// wire (the allgather forwards those bits losslessly), at the allgather
+/// source on the INT8 wires (which forward bytes + scale losslessly, every
+/// rank — the source included — adopting the dequantized values). Either
+/// way **all ranks end bitwise identical** — the property the
+/// data-parallel update relies on.
 pub fn allreduce_sum_wire(comm: &Communicator, data: &mut [f32], wirep: WirePrecision) {
     let r = comm.nranks();
     if r == 1 {
         return;
     }
-    let quantize_final = !matches!(
-        wirep,
-        WirePrecision::Int8 | WirePrecision::Int8Shared { .. }
-    );
-    let reduced_chunk = reduce_scatter_sum_wire_impl(comm, data, wirep, quantize_final);
+    let quantize_tail = !wirep.quantizes_at_allgather_source();
+    let reduced_chunk = reduce_scatter_impl(comm, data, wirep, quantize_tail);
     let counts: Vec<usize> = (0..r)
         .map(|i| partition_range(data.len(), r, i).len())
         .collect();
-    // BF16: the reduced chunk is already wire-quantized, so the allgather's
-    // source narrowing is the identity on its bits. INT8: the chunk is raw
-    // FP32 and the allgather's source quantization is the single one.
     let gathered = allgather_varied_wire(comm, &reduced_chunk, &counts, wirep);
     data.copy_from_slice(&gathered);
 }
@@ -430,29 +215,25 @@ pub fn alltoall_wire(
     send: Vec<Vec<f32>>,
     wirep: WirePrecision,
 ) -> Vec<Vec<f32>> {
-    alltoall_wire_tagged(comm, send, wirep, TAG_A2A)
+    alltoall_wire_tagged(comm, send, wirep, TAG_A2A, 0)
 }
 
-/// [`alltoall_wire`] under an explicit tag base, so callers that reuse the
-/// pairwise exchange for a different logical stream (the prefetch row
-/// fetch) land in their own [`WireStats`](crate::instrument::WireStats)
-/// byte bucket.
+/// The fully-specified alltoall: [`alltoall_wire`] under an explicit tag
+/// base and INT8 scale-group length.
+///
+/// `tag_base` lets callers that reuse the pairwise exchange for a different
+/// logical stream (the prefetch row fetch) land in their own
+/// [`WireStats`](crate::instrument::WireStats) byte bucket.
+///
+/// `scale_group`: when each payload is a concatenation of equal-length
+/// logical blocks — the embedding exchanges pack one `n × E` block per
+/// table — passing that block length gives every block its own INT8 scale,
+/// so one outlier table can't flatten the quantization grid of the others.
+/// `0` means one scale per payload; FP32/BF16 wires ignore the parameter.
+///
+/// On the FP32 wire `send[dst]` itself is shipped and the buffer that
+/// arrives is returned, both by move.
 pub fn alltoall_wire_tagged(
-    comm: &Communicator,
-    send: Vec<Vec<f32>>,
-    wirep: WirePrecision,
-    tag_base: u64,
-) -> Vec<Vec<f32>> {
-    alltoall_wire_grouped_tagged(comm, send, wirep, tag_base, 0)
-}
-
-/// [`alltoall_wire_tagged`] with an INT8 scale-group length. When each
-/// payload is a concatenation of equal-length logical blocks — the
-/// embedding exchanges pack one `n × E` block per table — passing that
-/// block length as `scale_group` gives every block its own scale, so one
-/// outlier table can't flatten the quantization grid of the others. `0`
-/// means one scale per payload; FP32/BF16 wires ignore the parameter.
-pub fn alltoall_wire_grouped_tagged(
     comm: &Communicator,
     mut send: Vec<Vec<f32>>,
     wirep: WirePrecision,
@@ -467,63 +248,14 @@ pub fn alltoall_wire_grouped_tagged(
     if r == 1 {
         return recv;
     }
-    match wirep {
-        WirePrecision::Fp32 => {
-            for s in 1..r {
-                let dst = (me + s) % r;
-                let src = (me + r - s) % r;
-                comm.send(dst, tag_base + s as u64, std::mem::take(&mut send[dst]));
-                recv[src] = comm.recv(src, tag_base + s as u64);
-            }
-        }
-        WirePrecision::Bf16 => {
-            let isa = detect_isa();
-            bf16wire::quantize_slice(isa, &mut recv[me]);
-            let mut stage = wire::take_half();
-            for s in 1..r {
-                let dst = (me + s) % r;
-                let src = (me + r - s) % r;
-                let outgoing = std::mem::take(&mut send[dst]);
-                stage.resize(outgoing.len(), 0);
-                bf16wire::narrow_slice(isa, &outgoing, &mut stage);
-                comm.send_payload(dst, tag_base + s as u64, Payload::Bf16(stage));
-                let incoming = comm.recv_payload(src, tag_base + s as u64).into_bf16();
-                // Recycle the f32 buffer we just narrowed from as the
-                // widen target for what arrived.
-                let mut widened = outgoing;
-                widened.clear();
-                widened.resize(incoming.len(), 0.0);
-                bf16wire::widen_slice(isa, &incoming, &mut widened);
-                recv[src] = widened;
-                stage = incoming;
-            }
-            wire::put_half(stage);
-        }
-        WirePrecision::Int8 | WirePrecision::Int8Shared { .. } => {
-            let isa = detect_isa();
-            int8_requantize(isa, wirep, &mut recv[me], scale_group);
-            let mut bytes = wire::take_bytes();
-            let mut scales = wire::take_f32();
-            for s in 1..r {
-                let dst = (me + s) % r;
-                let src = (me + r - s) % r;
-                let outgoing = std::mem::take(&mut send[dst]);
-                let payload = int8_encode(isa, wirep, &outgoing, bytes, scales, scale_group);
-                comm.send_payload(dst, tag_base + s as u64, Payload::Int8(payload));
-                let incoming = comm.recv_payload(src, tag_base + s as u64).into_int8();
-                // Recycle the f32 buffer we just quantized from as the
-                // dequantize target for what arrived.
-                let mut widened = outgoing;
-                widened.clear();
-                widened.resize(incoming.bytes.len(), 0.0);
-                int8_decode(isa, &incoming, &mut widened);
-                recv[src] = widened;
-                bytes = incoming.bytes;
-                scales = incoming.scales;
-            }
-            wire::put_bytes(bytes);
-            wire::put_f32(scales);
-        }
+    wirep.requantize(&mut recv[me], scale_group);
+    for s in 1..r {
+        let dst = (me + s) % r;
+        let src = (me + r - s) % r;
+        let tag = tag_base + s as u64;
+        let outgoing = std::mem::take(&mut send[dst]);
+        comm.send_payload(dst, tag, wirep.encode(outgoing, scale_group));
+        recv[src] = wirep.decode(comm.recv_payload(src, tag));
     }
     recv
 }
@@ -612,6 +344,7 @@ pub fn gather(comm: &Communicator, root: usize, mine: Vec<f32>) -> Option<Vec<Ve
 mod tests {
     use super::*;
     use crate::world::CommWorld;
+    use dlrm_kernels::{bf16wire, int8wire};
 
     fn rank_vector(rank: usize, len: usize) -> Vec<f32> {
         (0..len).map(|i| (rank * 100 + i) as f32).collect()
@@ -974,7 +707,7 @@ mod tests {
                 .collect()
         };
         let got = CommWorld::run(r, |c| {
-            alltoall_wire_grouped_tagged(&c, mk_send(c.rank()), WirePrecision::Int8, TAG_A2A, 4)
+            alltoall_wire_tagged(&c, mk_send(c.rank()), WirePrecision::Int8, TAG_A2A, 4)
         });
         let fp = CommWorld::run(r, |c| alltoall(&c, mk_send(c.rank())));
         for (dst, (q_rank, f_rank)) in got.iter().zip(&fp).enumerate() {

@@ -20,8 +20,9 @@
 //! * [`instrument`] — per-primitive wall-clock accounting used by the
 //!   experiment harnesses to split "framework" from "wait" time, plus
 //!   [`instrument::WireStats`] byte counters every send records into.
-//! * [`wire`] — the [`wire::WirePrecision`] knob: the hot collectives come
-//!   in `_wire` variants that ship BF16 halfwords (RNE narrowing, exact
+//! * [`wire`] — the [`wire::WirePrecision`] knob and its codec, the one
+//!   module that knows how `f32` becomes a payload and back: the hot
+//!   collectives take a wire and ship BF16 halfwords (RNE narrowing, exact
 //!   widening, FP32 local accumulation), halving alltoall and allreduce
 //!   bytes exactly as the paper's 16-bit path does — or scaled INT8 bytes
 //!   (self-describing per-chunk scale headers, or a pre-agreed

@@ -16,7 +16,7 @@
 //! so cross-channel operations cannot interleave incorrectly.
 
 use crate::chaos::FaultPlan;
-use crate::instrument::WireStats;
+use crate::instrument::{time_opt, OpKind, TimingRecorder, WireStats};
 use crate::wire::WirePrecision;
 use crate::world::Communicator;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -87,15 +87,23 @@ impl Request {
         self.rx.recv().expect("progress channel died")
     }
 
-    /// [`Request::wait`] with the blocking time charged to `kind` on `rec`
-    /// (no-op accounting when `rec` is `None`). Split-phase callers use this
-    /// so *exposed* wait — not the full collective — is what gets measured.
-    pub fn wait_recording(
-        self,
-        rec: Option<&crate::instrument::TimingRecorder>,
-        kind: crate::instrument::OpKind,
-    ) -> OpOutput {
-        crate::instrument::time_opt(rec, kind, || self.wait())
+    /// [`Request::wait`] for an allreduce, with the blocking time charged to
+    /// `kind` on `rec` (no-op accounting when `rec` is `None`). Split-phase
+    /// callers use this so *exposed* wait — not the full collective — is
+    /// what gets measured.
+    pub fn wait_flat(self, rec: Option<&TimingRecorder>, kind: OpKind) -> Vec<f32> {
+        match time_opt(rec, kind, || self.wait()) {
+            OpOutput::Flat(v) => v,
+            other => panic!("expected an allreduce result, got {other:?}"),
+        }
+    }
+
+    /// [`Request::wait_flat`] for an alltoall: the per-source payloads.
+    pub fn wait_per_rank(self, rec: Option<&TimingRecorder>, kind: OpKind) -> Vec<Vec<f32>> {
+        match time_opt(rec, kind, || self.wait()) {
+            OpOutput::PerRank(v) => v,
+            other => panic!("expected an alltoall result, got {other:?}"),
+        }
     }
 
     /// Non-destructive readiness probe.
@@ -213,11 +221,7 @@ impl ProgressEngine {
     /// [`ProgressEngine::allreduce`] with a selectable wire. All ranks must
     /// submit the matching operation with the same [`WirePrecision`].
     pub fn allreduce_wire(&self, channel: usize, data: Vec<f32>, wirep: WirePrecision) -> Request {
-        let (tx, rx) = bounded(1);
-        self.submitters[channel % self.submitters.len()]
-            .send(Task::Allreduce(data, wirep, tx))
-            .expect("progress channel died");
-        Request { rx, cached: None }
+        self.submit(channel, |done| Task::Allreduce(data, wirep, done))
     }
 
     /// Enqueues an alltoall on `channel`; returns immediately.
@@ -233,29 +237,19 @@ impl ProgressEngine {
         send: Vec<Vec<f32>>,
         wirep: WirePrecision,
     ) -> Request {
-        self.alltoall_wire_tagged(channel, send, wirep, crate::collectives::TAG_A2A)
+        self.alltoall_wire_tagged(channel, send, wirep, crate::collectives::TAG_A2A, 0)
     }
 
-    /// [`ProgressEngine::alltoall_wire`] under an explicit tag base, so a
-    /// logically distinct stream (the prefetch row fetch) gets its own
-    /// [`WireStats`] byte bucket. Per-pair FIFO order is what makes two
-    /// streams on one channel safe, exactly as for the framework exchanges.
-    pub fn alltoall_wire_tagged(
-        &self,
-        channel: usize,
-        send: Vec<Vec<f32>>,
-        wirep: WirePrecision,
-        tag_base: u64,
-    ) -> Request {
-        self.alltoall_wire_grouped(channel, send, wirep, tag_base, 0)
-    }
-
-    /// [`ProgressEngine::alltoall_wire_tagged`] with an INT8 scale-group
-    /// length (see
-    /// [`alltoall_wire_grouped_tagged`](crate::collectives::alltoall_wire_grouped_tagged)):
+    /// The fully-specified form of [`ProgressEngine::alltoall_wire`] (see
+    /// [`alltoall_wire_tagged`](crate::collectives::alltoall_wire_tagged)):
+    /// an explicit tag base, so a logically distinct stream (the prefetch
+    /// row fetch) gets its own [`WireStats`] byte bucket — per-pair FIFO
+    /// order is what makes two streams on one channel safe, exactly as for
+    /// the framework exchanges — and an INT8 scale-group length, for which
     /// the embedding exchanges pass their per-table block length so each
-    /// table gets its own scale header. Ignored by FP32/BF16 wires.
-    pub fn alltoall_wire_grouped(
+    /// table gets its own scale header (`0` = one scale per payload;
+    /// ignored by FP32/BF16 wires).
+    pub fn alltoall_wire_tagged(
         &self,
         channel: usize,
         send: Vec<Vec<f32>>,
@@ -263,9 +257,16 @@ impl ProgressEngine {
         tag_base: u64,
         scale_group: usize,
     ) -> Request {
+        self.submit(channel, |done| {
+            Task::Alltoall(send, wirep, tag_base, scale_group, done)
+        })
+    }
+
+    /// Enqueues the task `make` builds around its completion sender.
+    fn submit(&self, channel: usize, make: impl FnOnce(Sender<OpOutput>) -> Task) -> Request {
         let (tx, rx) = bounded(1);
         self.submitters[channel % self.submitters.len()]
-            .send(Task::Alltoall(send, wirep, tag_base, scale_group, tx))
+            .send(make(tx))
             .expect("progress channel died");
         Request { rx, cached: None }
     }
@@ -299,7 +300,7 @@ fn progress_loop(comm: Communicator, rx: Receiver<Task>, mut chaos: Option<Worke
                 let _ = done.send(OpOutput::Flat(data));
             }
             Task::Alltoall(send, wirep, tag_base, scale_group, done) => {
-                let recv = crate::collectives::alltoall_wire_grouped_tagged(
+                let recv = crate::collectives::alltoall_wire_tagged(
                     &comm,
                     send,
                     wirep,

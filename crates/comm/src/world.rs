@@ -132,23 +132,7 @@ impl Payload {
         }
     }
 
-    /// Unwraps a BF16 payload; any other arrival here is a protocol bug.
-    pub fn into_bf16(self) -> Vec<u16> {
-        match self {
-            Payload::Bf16(v) => v,
-            other => panic!("expected a bf16 payload, received {}", other.kind()),
-        }
-    }
-
-    /// Unwraps an INT8 payload; any other arrival here is a protocol bug.
-    pub fn into_int8(self) -> Int8Payload {
-        match self {
-            Payload::Int8(p) => p,
-            other => panic!("expected an int8 payload, received {}", other.kind()),
-        }
-    }
-
-    fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Payload::F32(_) => "f32",
             Payload::Bf16(_) => "bf16",

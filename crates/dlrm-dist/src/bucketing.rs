@@ -22,7 +22,7 @@
 
 use dlrm_comm::collectives;
 use dlrm_comm::instrument::{time_opt, OpKind, TimingRecorder};
-use dlrm_comm::nonblocking::{OpOutput, ProgressEngine, Request};
+use dlrm_comm::nonblocking::{ProgressEngine, Request};
 use dlrm_comm::wire::WirePrecision;
 use dlrm_comm::world::Communicator;
 use std::ops::Range;
@@ -232,10 +232,7 @@ impl BucketReducer {
         for (idx, (range, op)) in self.issued.into_iter().enumerate() {
             match op {
                 BucketOp::InFlight(req) => {
-                    let reduced = match req.wait_recording(rec, OpKind::AllreduceWait) {
-                        OpOutput::Flat(v) => v,
-                        other => panic!("unexpected op output: {other:?}"),
-                    };
+                    let reduced = req.wait_flat(rec, OpKind::AllreduceWait);
                     time_opt(rec, OpKind::AllreduceFramework, || {
                         flat[range].copy_from_slice(&reduced)
                     });

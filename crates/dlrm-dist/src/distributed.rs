@@ -1,5 +1,14 @@
 //! The hybrid-parallel distributed DLRM trainer.
 //!
+//! # One step
+//!
+//! [`DistDlrm`] has one train step (the private `step`, which reads top to
+//! bottom as its stages). [`DistDlrm::train_step`] and
+//! [`DistDlrm::train_step_lookahead`] are thin wrappers that select its
+//! embedding *front end*: the pooled forward exchange, or the lookahead
+//! pipeline of [`crate::prefetch`] — by construction just another source of
+//! the same pooled slices. Everything after the front end is written once.
+//!
 //! # The overlapped schedule
 //!
 //! [`Schedule::Overlapped`] restructures the train step around split-phase
@@ -24,10 +33,7 @@
 
 use crate::bucketing::{BucketReducer, DEFAULT_BUCKET_CAP_BYTES};
 use crate::ddp::{apply_reduced_grads, grad_offsets, write_layer_grads};
-use crate::exchange::{
-    begin_backward_exchange, begin_forward_exchange, ensure_mats, finish_backward_exchange,
-    finish_forward_exchange, tables_of, ExchangeStrategy,
-};
+use crate::exchange::{self, ensure_mats, Direction, ExchangeStrategy};
 use crate::prefetch::{Prefetch, PrefetchState};
 use crate::wirepolicy::{AdaptivePolicy, PolicyStats};
 use dlrm::embedding_layer::EmbeddingLayer;
@@ -44,6 +50,7 @@ use dlrm_kernels::embedding::UpdateStrategy;
 use dlrm_kernels::loss::{bce_with_logits_backward, bce_with_logits_loss};
 use dlrm_tensor::init::seeded_rng;
 use dlrm_tensor::Matrix;
+use dlrm_topology::OwnershipMap;
 use std::sync::Arc;
 
 /// How the train step orders compute against communication.
@@ -202,6 +209,8 @@ pub struct DistDlrm {
     pub top: Mlp,
     /// `(global_table_index, layer)` for each owned table.
     pub local_tables: Vec<(usize, EmbeddingLayer)>,
+    /// Which rank owns which table — built once, shared by both exchanges.
+    ownership: OwnershipMap,
     interaction: Interaction,
     strategy: ExchangeStrategy,
     schedule: Schedule,
@@ -250,11 +259,12 @@ impl DistDlrm {
             Activation::None,
             &mut seeded_rng(opts.seed, DlrmModel::TOP_STREAM),
         );
-        let local_tables: Vec<(usize, EmbeddingLayer)> =
-            tables_of(cfg.num_tables, comm.nranks(), comm.rank())
-                .into_iter()
-                .map(|t| (t, DlrmModel::build_table(cfg, t, opts.update, opts.seed)))
-                .collect();
+        let ownership = OwnershipMap::round_robin(cfg.num_tables, comm.nranks());
+        let local_tables: Vec<(usize, EmbeddingLayer)> = ownership
+            .tables_of(comm.rank())
+            .iter()
+            .map(|&t| (t, DlrmModel::build_table(cfg, t, opts.update, opts.seed)))
+            .collect();
         let (grad_offs, grad_total) = grad_offsets(&[&bottom, &top]);
         let prefetch = match opts.prefetch {
             Prefetch::Off => None,
@@ -299,6 +309,7 @@ impl DistDlrm {
             bottom,
             top,
             local_tables,
+            ownership,
             interaction: Interaction::new(cfg.emb_dim),
             strategy: opts.strategy,
             schedule: opts.schedule,
@@ -411,6 +422,53 @@ impl DistDlrm {
     /// arithmetic; [`Schedule::Overlapped`] only moves the `finish` halves
     /// later and the bucket issues earlier.
     pub fn train_step(&mut self, global: &MiniBatch, lr: f32) -> f64 {
+        self.step(global, None, lr)
+    }
+
+    /// One lookahead-pipelined training iteration (requires
+    /// [`Prefetch::Lookahead`] in the construction options). `win.current()`
+    /// is this step's global batch; the window is the shared deterministic
+    /// view every rank derives bit-identical fetch plans from. The caller
+    /// advances the window between steps.
+    ///
+    /// Bitwise-identical to [`DistDlrm::train_step`] over the same stream:
+    /// it is the same step with a different embedding front end — the
+    /// pooled table slices are reproduced locally from cached unique rows
+    /// in the naive accumulate order, and everything downstream is shared
+    /// code (`tests/prefetch_equivalence` asserts losses *and all parameter
+    /// planes*). What changes is the wire: each unique row crosses once per
+    /// residency instead of `n·E` pooled floats per step, and next-step
+    /// rows fly behind backward compute.
+    pub fn train_step_lookahead(&mut self, win: &LookaheadWindow<'_>, lr: f32) -> f64 {
+        let mut ps = self
+            .prefetch
+            .take()
+            .expect("prefetch not enabled; construct with Prefetch::Lookahead");
+        assert_eq!(win.pos(), ps.step() as usize, "window cursor out of sync");
+        let loss = self.step(win.current(), Some((&mut ps, win)), lr);
+        self.prefetch = Some(ps);
+        loss
+    }
+
+    /// The one train step. Stages, top to bottom: embedding front end +
+    /// bottom MLP forward → interaction + top MLP + loss → top backward →
+    /// interaction backward → gradient exchange around the bottom backward
+    /// → embedding update → bucketed allreduce + averaged MLP update.
+    ///
+    /// `lookahead` selects the embedding front end, the only stage with two
+    /// forms. Pooled (`None`): local gather → begin exchange → bottom
+    /// forward → finish. Lookahead: observe → land the early fetch → late
+    /// fetch → record touches → pool locally → bottom forward; it also
+    /// issues the next step's early fetch ahead of the backward alltoall
+    /// and replays this rank's slice of the sparse update onto its cached
+    /// rows. On every rank the exchange channel therefore sees, in FIFO
+    /// order, late(j), early(j+1), backward(j).
+    fn step(
+        &mut self,
+        global: &MiniBatch,
+        mut lookahead: Option<(&mut PrefetchState, &LookaheadWindow<'_>)>,
+        lr: f32,
+    ) -> f64 {
         let r = self.nranks();
         let gn = global.batch_size();
         assert_eq!(gn % r, 0, "global minibatch must divide by ranks");
@@ -421,48 +479,81 @@ impl DistDlrm {
         let overlapped = self.schedule == Schedule::Overlapped;
         let rec_arc = self.recorder.clone();
         let rec = rec_arc.as_deref();
+        let engine = self.engine.as_ref();
 
         // --- forward ------------------------------------------------------
         let local = global.slice(me * n, (me + 1) * n);
 
-        // Model-parallel embedding forward over the full global batch.
-        let local_outs: Vec<Matrix> = time_opt(rec, OpKind::Compute, || {
-            self.local_tables
-                .iter_mut()
-                .map(|(t, layer)| layer.forward(&exec, &global.indices[*t], &global.offsets[*t]))
-                .collect()
-        });
-
-        // Model-parallel -> data-parallel switch, split-phase: in flight
-        // (or packed) across the bottom MLP forward.
-        let engine = self.engine.as_ref();
-        let mut pending_fwd = Some(begin_forward_exchange(
-            self.strategy,
-            &self.comm,
-            engine,
-            &local_outs,
-            self.cfg.num_tables,
-            n,
-            e,
-            self.wire.forward_alltoall,
-            rec,
-        ));
-        if !overlapped {
-            finish_forward_exchange(
-                pending_fwd.take().unwrap(),
-                &self.comm,
-                &mut self.fwd_slices,
-                rec,
-            );
-        }
-
-        let z0 = time_opt(rec, OpKind::Compute, || {
-            self.bottom.forward(&exec, &local.dense)
-        });
-
-        if let Some(p) = pending_fwd.take() {
-            finish_forward_exchange(p, &self.comm, &mut self.fwd_slices, rec);
-        }
+        // Embedding front end: leaves this rank's `n×E` slice of every
+        // table in `fwd_slices` and runs the bottom MLP beside it.
+        let z0 = match &mut lookahead {
+            None => {
+                // Model-parallel embedding forward over the full global batch.
+                let local_outs: Vec<Matrix> = time_opt(rec, OpKind::Compute, || {
+                    self.local_tables
+                        .iter_mut()
+                        .map(|(t, layer)| {
+                            layer.forward(&exec, &global.indices[*t], &global.offsets[*t])
+                        })
+                        .collect()
+                });
+                // Model-parallel -> data-parallel switch, split-phase: in
+                // flight (or packed) across the bottom MLP forward.
+                let mut pending = Some(exchange::begin(
+                    Direction::Forward,
+                    self.strategy,
+                    &self.comm,
+                    engine,
+                    &self.ownership,
+                    &local_outs,
+                    n,
+                    e,
+                    self.wire.forward_alltoall,
+                    rec,
+                ));
+                if !overlapped {
+                    let p = pending.take().expect("begun above");
+                    exchange::finish(p, &self.comm, &self.ownership, &mut self.fwd_slices, rec);
+                }
+                let z0 = time_opt(rec, OpKind::Compute, || {
+                    self.bottom.forward(&exec, &local.dense)
+                });
+                if let Some(p) = pending {
+                    exchange::finish(p, &self.comm, &self.ownership, &mut self.fwd_slices, rec);
+                }
+                z0
+            }
+            Some((ps, win)) => {
+                // Fold newly visible batches into the need horizon, land
+                // the early fetch issued last step, fill the gaps with a
+                // late fetch, then record this batch's touches.
+                let j = ps.step();
+                ps.observe_visible(win, n);
+                ps.land_early_fetch(r, e, rec);
+                ps.late_fetch(
+                    j,
+                    global,
+                    me,
+                    r,
+                    n,
+                    &self.local_tables,
+                    &self.comm,
+                    self.wire.forward_alltoall,
+                    rec,
+                );
+                ps.record_touches(j, global, n);
+                // Local fan-out replaces the pooled forward alltoall: every
+                // table's slice is pooled from cached rows in the naive
+                // accumulate order.
+                ensure_mats(&mut self.fwd_slices, self.cfg.num_tables, n, e);
+                time_opt(rec, OpKind::Compute, || {
+                    ps.pool_forward(global, me, n, &mut self.fwd_slices)
+                });
+                time_opt(rec, OpKind::Compute, || {
+                    self.bottom.forward(&exec, &local.dense)
+                })
+            }
+        };
 
         let logits_m = time_opt(rec, OpKind::Compute, || {
             let inter = self.interaction.forward(&exec, &z0, &self.fwd_slices);
@@ -487,6 +578,24 @@ impl DistDlrm {
             &mut self.wire_policy,
         );
 
+        // Early fetch of batch j+1's rows, issued on the exchange channel
+        // before the backward alltoall so it flies behind the backward
+        // compute below.
+        if let Some((ps, win)) = &mut lookahead {
+            ps.issue_early_fetch(
+                ps.step(),
+                win,
+                me,
+                r,
+                n,
+                &self.local_tables,
+                &self.comm,
+                engine,
+                self.wire.forward_alltoall,
+                rec,
+            );
+        }
+
         let d_inter = time_opt(rec, OpKind::Compute, || {
             let hook = overlapped.then_some((&mut reducer, engine));
             backward_mlp(&mut self.top, &exec, dy_top, &self.grad_offs[1], hook)
@@ -497,24 +606,21 @@ impl DistDlrm {
 
         // Data-parallel -> model-parallel switch for embedding gradients,
         // in flight (or packed) across the bottom MLP backward.
-        let mut pending_bwd = Some(begin_backward_exchange(
+        let mut pending = Some(exchange::begin(
+            Direction::Backward,
             self.strategy,
             &self.comm,
             engine,
+            &self.ownership,
             &d_tables,
-            self.cfg.num_tables,
             n,
             e,
             self.wire.backward_alltoall,
             rec,
         ));
         if !overlapped {
-            finish_backward_exchange(
-                pending_bwd.take().unwrap(),
-                &self.comm,
-                &mut self.bwd_grads,
-                rec,
-            );
+            let p = pending.take().expect("begun above");
+            exchange::finish(p, &self.comm, &self.ownership, &mut self.bwd_grads, rec);
         }
 
         time_opt(rec, OpKind::Compute, || {
@@ -522,20 +628,32 @@ impl DistDlrm {
             backward_mlp(&mut self.bottom, &exec, d_bottom, &self.grad_offs[0], hook);
         });
 
-        if let Some(p) = pending_bwd.take() {
-            finish_backward_exchange(p, &self.comm, &mut self.bwd_grads, rec);
+        if let Some(p) = pending {
+            exchange::finish(p, &self.comm, &self.ownership, &mut self.bwd_grads, rec);
         }
 
         // Local gradients are means over n = GN/R samples; dividing the
         // learning rate by R makes the sparse update a global-batch mean.
         let emb_lr = lr / r as f32;
         time_opt(rec, OpKind::Compute, || {
-            for ((_, layer), grad) in self.local_tables.iter_mut().zip(&self.bwd_grads) {
+            for ((t, layer), grad) in self.local_tables.iter_mut().zip(&self.bwd_grads) {
+                if lookahead.is_some() {
+                    // The owner's forward never ran here, so record the
+                    // batch for the canonical update first.
+                    layer.set_saved_batch(&global.indices[*t], &global.offsets[*t]);
+                }
                 layer.backward_update(&exec, grad, emb_lr);
+            }
+            // The delayed local update of this rank's cached rows.
+            if let Some((ps, _)) = &mut lookahead {
+                ps.apply_local_updates(global, me, n, &d_tables, emb_lr);
             }
         });
 
         self.reduce_and_step(reducer, lr, rec);
+        if let Some((ps, _)) = lookahead {
+            ps.finish_step(ps.step());
+        }
         loss
     }
 
@@ -577,173 +695,6 @@ impl DistDlrm {
             }
         });
         self.flat_grads = flat;
-    }
-
-    /// One lookahead-pipelined training iteration (requires
-    /// [`Prefetch::Lookahead`] in the construction options). `win.current()`
-    /// is this step's global batch; the window is the shared deterministic
-    /// view every rank derives bit-identical fetch plans from. The caller
-    /// advances the window between steps.
-    ///
-    /// Bitwise-identical to [`DistDlrm::train_step`] over the same stream:
-    /// the pooled table slices are reproduced locally from cached unique
-    /// rows in the naive accumulate order, and everything from the bottom
-    /// MLP down — backward, gradient exchanges, owner updates, bucketed
-    /// allreduce — is the unchanged code path (`tests/prefetch_equivalence`
-    /// asserts losses *and all parameter planes*). What changes is the
-    /// wire: each unique row crosses once per residency instead of `n·E`
-    /// pooled floats per step, and next-step rows fly behind backward
-    /// compute.
-    pub fn train_step_lookahead(&mut self, win: &LookaheadWindow<'_>, lr: f32) -> f64 {
-        let mut ps = self
-            .prefetch
-            .take()
-            .expect("prefetch not enabled; construct with Prefetch::Lookahead");
-        let loss = self.lookahead_step(&mut ps, win, lr);
-        self.prefetch = Some(ps);
-        loss
-    }
-
-    fn lookahead_step(
-        &mut self,
-        ps: &mut PrefetchState,
-        win: &LookaheadWindow<'_>,
-        lr: f32,
-    ) -> f64 {
-        let r = self.nranks();
-        let global = win.current();
-        let gn = global.batch_size();
-        assert_eq!(gn % r, 0, "global minibatch must divide by ranks");
-        let n = gn / r;
-        let me = self.rank();
-        let exec = self.exec.clone();
-        let e = self.cfg.emb_dim;
-        let overlapped = self.schedule == Schedule::Overlapped;
-        let rec_arc = self.recorder.clone();
-        let rec = rec_arc.as_deref();
-        assert_eq!(win.pos(), ps.step() as usize, "window cursor out of sync");
-        let j = ps.step();
-
-        // --- forward ------------------------------------------------------
-        let local = global.slice(me * n, (me + 1) * n);
-        let engine = self.engine.as_ref();
-
-        // Lookahead front end: fold newly visible batches into the need
-        // horizon, land the early fetch issued last step, fill the gaps
-        // with a late fetch, then record this batch's touches.
-        ps.observe_visible(win, n);
-        ps.land_early_fetch(r, e, rec);
-        ps.late_fetch(
-            j,
-            global,
-            me,
-            r,
-            n,
-            &self.local_tables,
-            &self.comm,
-            self.wire.forward_alltoall,
-            rec,
-        );
-        ps.record_touches(j, global, n);
-
-        // Local fan-out replaces the pooled forward alltoall: every table's
-        // slice is pooled from cached rows in the naive accumulate order.
-        ensure_mats(&mut self.fwd_slices, self.cfg.num_tables, n, e);
-        time_opt(rec, OpKind::Compute, || {
-            ps.pool_forward(global, me, n, &mut self.fwd_slices)
-        });
-
-        let z0 = time_opt(rec, OpKind::Compute, || {
-            self.bottom.forward(&exec, &local.dense)
-        });
-        let logits_m = time_opt(rec, OpKind::Compute, || {
-            let inter = self.interaction.forward(&exec, &z0, &self.fwd_slices);
-            self.top.forward(&exec, &inter)
-        });
-        let logits = logits_m.as_slice();
-        let loss = bce_with_logits_loss(logits, &local.labels);
-
-        // --- backward -----------------------------------------------------
-        self.dlogits.resize(n, 0.0);
-        bce_with_logits_backward(logits, &local.labels, &mut self.dlogits);
-        let dy_top = Matrix::from_slice(1, n, &self.dlogits);
-
-        let mut reducer = Self::build_reducer(
-            &mut self.flat_grads,
-            self.grad_total,
-            self.bucket_cap_bytes,
-            self.wire.allreduce,
-            &mut self.wire_policy,
-        );
-
-        // Early fetch of batch j+1's rows, issued on the exchange channel
-        // before the backward alltoall so it flies behind the backward
-        // compute below (channel FIFO order is identical on all ranks:
-        // late(j), early(j+1), backward(j)).
-        ps.issue_early_fetch(
-            j,
-            win,
-            me,
-            r,
-            n,
-            &self.local_tables,
-            &self.comm,
-            engine,
-            self.wire.forward_alltoall,
-            rec,
-        );
-
-        let d_inter = time_opt(rec, OpKind::Compute, || {
-            let hook = overlapped.then_some((&mut reducer, engine));
-            backward_mlp(&mut self.top, &exec, dy_top, &self.grad_offs[1], hook)
-        });
-
-        let (d_bottom, d_tables) =
-            time_opt(rec, OpKind::Compute, || self.interaction.backward(&d_inter));
-
-        let mut pending_bwd = Some(begin_backward_exchange(
-            self.strategy,
-            &self.comm,
-            engine,
-            &d_tables,
-            self.cfg.num_tables,
-            n,
-            e,
-            self.wire.backward_alltoall,
-            rec,
-        ));
-        if !overlapped {
-            finish_backward_exchange(
-                pending_bwd.take().unwrap(),
-                &self.comm,
-                &mut self.bwd_grads,
-                rec,
-            );
-        }
-
-        time_opt(rec, OpKind::Compute, || {
-            let hook = overlapped.then_some((&mut reducer, engine));
-            backward_mlp(&mut self.bottom, &exec, d_bottom, &self.grad_offs[0], hook);
-        });
-
-        if let Some(p) = pending_bwd.take() {
-            finish_backward_exchange(p, &self.comm, &mut self.bwd_grads, rec);
-        }
-
-        // Owner canonical update (the forward never ran here, so record the
-        // batch first) plus the delayed local update of cached rows.
-        let emb_lr = lr / r as f32;
-        time_opt(rec, OpKind::Compute, || {
-            for ((t, layer), grad) in self.local_tables.iter_mut().zip(&self.bwd_grads) {
-                layer.set_saved_batch(&global.indices[*t], &global.offsets[*t]);
-                layer.backward_update(&exec, grad, emb_lr);
-            }
-            ps.apply_local_updates(global, me, n, &d_tables, emb_lr);
-        });
-
-        self.reduce_and_step(reducer, lr, rec);
-        ps.finish_step(j);
-        loss
     }
 }
 
@@ -1101,6 +1052,40 @@ mod tests {
             });
             assert!(result.is_err(), "unsound prefetch config must be rejected");
         }
+    }
+
+    /// A single-rank trainer: the front-end guards fire before any
+    /// communication, so one thread suffices.
+    fn lone_rank(cfg: &DlrmConfig, prefetch: Prefetch) -> DistDlrm {
+        let comm = CommWorld::create(1).pop().expect("one rank");
+        let opts = DistOptions {
+            prefetch,
+            threads_per_rank: 1,
+            ..Default::default()
+        };
+        DistDlrm::new(cfg, comm, None, &opts)
+    }
+
+    #[test]
+    #[should_panic(expected = "prefetch not enabled")]
+    fn train_step_lookahead_needs_a_prefetch_model() {
+        let cfg = tiny_cfg();
+        let batches = global_batches(&cfg, 8, 2);
+        let win = LookaheadWindow::new(&batches, 2);
+        lone_rank(&cfg, Prefetch::Off).train_step_lookahead(&win, 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "window cursor out of sync")]
+    fn train_step_lookahead_rejects_a_window_advanced_twice() {
+        let cfg = tiny_cfg();
+        let batches = global_batches(&cfg, 8, 4);
+        let mut model = lone_rank(&cfg, Prefetch::Lookahead { window: 2 });
+        let mut win = LookaheadWindow::new(&batches, 2);
+        model.train_step_lookahead(&win, 0.1);
+        win.advance();
+        win.advance();
+        model.train_step_lookahead(&win, 0.1);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The four embedding-exchange strategies of Section IV-B, as split-phase
-//! (begin/finish) collectives.
+//! The four embedding-exchange strategies of Section IV-B, as one
+//! split-phase (begin/finish) exchange parameterised by direction.
 //!
 //! After the model-parallel embedding forward, rank `q` holds, for each of
 //! its tables, the bag outputs of the *whole* global minibatch (`GN×E`).
 //! The interaction needs, on every rank `r`, the rows `r·n..(r+1)·n` of
-//! *every* table's output. The backward pass needs the reverse mapping for
-//! the gradients.
+//! *every* table's output ([`Direction::Forward`]). The backward pass needs
+//! the reverse mapping for the gradients ([`Direction::Backward`]).
 //!
 //! All strategies move exactly the same Eq. 2 volume; they differ in call
 //! structure (S scatters vs R scatters vs 1 alltoall) and in which backend
@@ -14,15 +14,22 @@
 //!
 //! # Split-phase structure
 //!
-//! Every exchange is a `begin_*` (pack the send payloads and, when a
+//! Every exchange is a [`begin`] (pack the send payloads and, when a
 //! [`ProgressEngine`] drives the strategy, put the collective in flight)
-//! followed by a `finish_*` (complete the transfer and assemble the output
+//! followed by a [`finish`] (complete the transfer and assemble the output
 //! tensors). The overlapped train step runs compute between the two halves
 //! so the exchange is hidden behind the bottom MLP; the synchronous
 //! schedule calls them back to back. Both orders perform the *identical*
 //! packing, collective and assembly, which is why the two schedules are
 //! bitwise-equal — begin/finish only moves *when* the transfer happens,
 //! never *what* is transferred.
+//!
+//! The two directions are the same exchange read in opposite senses, so
+//! there is one of each half: what differs by direction is which blocks a
+//! peer's payload concatenates (pack), where an arrived block lands
+//! (assemble), and whether a rooted strategy scatters or gathers. The
+//! alltoall strategies are written once. Who owns which table comes from
+//! the caller's [`OwnershipMap`], built once per trainer.
 //!
 //! Only [`ExchangeStrategy::CclAlltoall`] with an engine is genuinely in
 //! flight after `begin`; the blocking strategies defer their collective to
@@ -32,7 +39,7 @@
 
 use dlrm_comm::collectives;
 use dlrm_comm::instrument::{time_opt, OpKind, TimingRecorder};
-use dlrm_comm::nonblocking::{OpOutput, ProgressEngine, Request};
+use dlrm_comm::nonblocking::{ProgressEngine, Request};
 use dlrm_comm::wire::WirePrecision;
 use dlrm_comm::world::Communicator;
 use dlrm_tensor::Matrix;
@@ -109,6 +116,18 @@ pub(crate) fn ensure_mats(out: &mut Vec<Matrix>, count: usize, rows: usize, cols
 /// avoid it so an in-flight alltoall is never serialized behind them).
 pub const EXCHANGE_CHANNEL: usize = 0;
 
+/// Which way an exchange moves data between the model-parallel and the
+/// data-parallel layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Owners' `GN×E` table outputs → every rank's `n×E` slice of every
+    /// table (model-parallel → data-parallel).
+    Forward,
+    /// Every rank's `n×E` gradient of every table → owners' `GN×E`
+    /// gradients, rank slices stacked in rank order (the reverse).
+    Backward,
+}
+
 /// What `begin` left for `finish` to do.
 enum PendingState {
     /// Submitted to a progress channel; `finish` only waits.
@@ -127,65 +146,76 @@ enum PendingState {
     DeferredPerRoot(Vec<Vec<f32>>),
 }
 
-/// An embedding forward exchange between `begin` and `finish`.
-pub struct PendingForwardExchange {
-    num_tables: usize,
+/// An embedding exchange between [`begin`] and [`finish`].
+pub struct PendingExchange {
+    dir: Direction,
     local_n: usize,
     emb_dim: usize,
     state: PendingState,
 }
 
-/// An embedding-gradient backward exchange between `begin` and `finish`.
-pub struct PendingBackwardExchange {
-    num_tables: usize,
-    local_n: usize,
-    emb_dim: usize,
-    state: PendingState,
-}
-
-/// Packs this rank's table outputs and starts the forward exchange.
-/// `local_outputs[j]` is the `GN×E` output of this rank's `j`-th table
-/// (ascending global index). Packing time is charged to
+/// Packs this rank's matrices and starts the exchange.
+///
+/// Forward: `mats[j]` is the `GN×E` output of this rank's `j`-th table
+/// (ascending global index). Backward: `mats[t]` is this rank's `n×E`
+/// gradient for global table `t`. Packing time is charged to
 /// `Alltoall-Framework`; an engine-driven alltoall is in flight when this
 /// returns, the blocking strategies run at `finish`. `wire` selects the
 /// on-wire element format of the alltoall strategies (the rooted
 /// scatter/gather strategies always ship FP32).
-#[allow(clippy::too_many_arguments)] // split-phase twin of the blocking form
-pub fn begin_forward_exchange(
+#[allow(clippy::too_many_arguments)] // one entry for both directions
+pub fn begin(
+    dir: Direction,
     strategy: ExchangeStrategy,
     comm: &Communicator,
     engine: Option<&ProgressEngine>,
-    local_outputs: &[Matrix],
-    num_tables: usize,
+    map: &OwnershipMap,
+    mats: &[Matrix],
     local_n: usize,
     emb_dim: usize,
     wire: WirePrecision,
     rec: Option<&TimingRecorder>,
-) -> PendingForwardExchange {
+) -> PendingExchange {
     let r = comm.nranks();
     let me = comm.rank();
-    let mine = tables_of(num_tables, r, me);
-    assert_eq!(
-        local_outputs.len(),
-        mine.len(),
-        "one output per local table"
-    );
-    for m in local_outputs {
-        assert_eq!(
-            m.shape(),
-            (local_n * r, emb_dim),
-            "global-batch table output"
-        );
-    }
     let chunk = local_n * emb_dim;
+    let (count, rows, what) = match dir {
+        Direction::Forward => (
+            map.tables_of(me).len(),
+            local_n * r,
+            "a global-batch output per local table",
+        ),
+        Direction::Backward => (
+            map.num_tables(),
+            local_n,
+            "a local gradient per global table",
+        ),
+    };
+    assert_eq!(mats.len(), count, "the exchange takes {what}");
+    for m in mats {
+        assert_eq!(m.shape(), (rows, emb_dim), "the exchange takes {what}");
+    }
 
-    // send[p] = concat over my tables of p's row block.
+    // Payload for peer p. Forward: concat over my tables of p's row block;
+    // backward: concat over p's tables of my gradient block.
     let pack_for = |p: usize| -> Vec<f32> {
-        let mut buf = Vec::with_capacity(mine.len() * chunk);
-        for out in local_outputs {
-            buf.extend_from_slice(&out.as_slice()[p * chunk..(p + 1) * chunk]);
+        match dir {
+            Direction::Forward => {
+                let mut buf = Vec::with_capacity(mats.len() * chunk);
+                for out in mats {
+                    buf.extend_from_slice(&out.as_slice()[p * chunk..(p + 1) * chunk]);
+                }
+                buf
+            }
+            Direction::Backward => {
+                let theirs = map.tables_of(p);
+                let mut buf = Vec::with_capacity(theirs.len() * chunk);
+                for &t in theirs {
+                    buf.extend_from_slice(mats[t].as_slice());
+                }
+                buf
+            }
         }
-        buf
     };
 
     let state = time_opt(rec, OpKind::AlltoallFramework, || match strategy {
@@ -193,7 +223,7 @@ pub fn begin_forward_exchange(
             let send: Vec<Vec<f32>> = (0..r).map(pack_for).collect();
             match (strategy, engine) {
                 (ExchangeStrategy::CclAlltoall, Some(eng)) => {
-                    PendingState::InFlight(eng.alltoall_wire_grouped(
+                    PendingState::InFlight(eng.alltoall_wire_tagged(
                         EXCHANGE_CHANNEL,
                         send,
                         wire,
@@ -205,279 +235,179 @@ pub fn begin_forward_exchange(
             }
         }
         ExchangeStrategy::ScatterList => {
-            let parts = (0..num_tables)
-                .map(|t| {
-                    (owner_of(t, r) == me).then(|| {
-                        let j = mine.iter().position(|&x| x == t).unwrap();
+            // Forward: the owner splits its table into one part per rank.
+            // Backward, the reverse of a scatter is a gather: one payload
+            // per table from every rank.
+            let parts = (0..map.num_tables())
+                .map(|t| match dir {
+                    Direction::Forward => (map.owner_of(t) == me).then(|| {
+                        let out = mats[map.local_index(t)].as_slice();
                         (0..r)
-                            .map(|p| {
-                                local_outputs[j].as_slice()[p * chunk..(p + 1) * chunk].to_vec()
-                            })
-                            .collect::<Vec<_>>()
-                    })
+                            .map(|p| out[p * chunk..(p + 1) * chunk].to_vec())
+                            .collect()
+                    }),
+                    Direction::Backward => Some(vec![mats[t].as_slice().to_vec()]),
                 })
                 .collect();
             PendingState::DeferredPerTable(parts)
         }
         ExchangeStrategy::FusedScatter => {
-            // My own root scatter sends pack_for(p) to each p; the other
-            // roots' scatters need no payload from us.
+            // Forward: my own root scatter sends pack_for(p) to each p (the
+            // other roots' scatters need no payload from us). Backward: one
+            // gather per owner with its tables coalesced.
             PendingState::DeferredPerRoot((0..r).map(pack_for).collect())
         }
     });
-    PendingForwardExchange {
-        num_tables,
+    PendingExchange {
+        dir,
         local_n,
         emb_dim,
         state,
     }
 }
 
-/// Completes a forward exchange: waits for (or runs) the collective and
-/// assembles into `out` the `n×E` slice of every global table for this
-/// rank, ordered by global table index. `out` is reused across iterations.
-/// Transfer time is charged to `Alltoall-Wait`, assembly to
-/// `Alltoall-Framework`.
-pub fn finish_forward_exchange(
-    pending: PendingForwardExchange,
+/// Completes an exchange: waits for (or runs) the collective and assembles
+/// into `out` — forward, the `n×E` slice of every global table for this
+/// rank, ordered by global table index; backward, for each *local* table
+/// (ascending global index), the `GN×E` gradient (rank slices stacked in
+/// rank order). `out` is reused across iterations. Transfer time is charged
+/// to `Alltoall-Wait`, assembly to `Alltoall-Framework`.
+pub fn finish(
+    pending: PendingExchange,
     comm: &Communicator,
+    map: &OwnershipMap,
     out: &mut Vec<Matrix>,
     rec: Option<&TimingRecorder>,
 ) {
     let r = comm.nranks();
     let me = comm.rank();
-    let (num_tables, local_n, emb_dim) = (pending.num_tables, pending.local_n, pending.emb_dim);
+    let PendingExchange {
+        dir,
+        local_n,
+        emb_dim,
+        state,
+    } = pending;
     let chunk = local_n * emb_dim;
-    ensure_mats(out, num_tables, local_n, emb_dim);
+    let mine = map.tables_of(me);
+    match dir {
+        Direction::Forward => ensure_mats(out, map.num_tables(), local_n, emb_dim),
+        Direction::Backward => ensure_mats(out, mine.len(), local_n * r, emb_dim),
+    }
 
-    // recv[q] = concat over q's tables of my row block.
-    let assemble = |recv: &[Vec<f32>], out: &mut Vec<Matrix>| {
-        let mut seen = 0usize;
+    // Block j of the payload from peer q is, forward, my row block of q's
+    // j-th table; backward, q's gradient block of my j-th table.
+    let assemble = |recv: &[Vec<f32>], out: &mut [Matrix]| {
+        assert_eq!(recv.len(), r, "one payload per rank");
         for (q, payload) in recv.iter().enumerate() {
-            let qt = tables_of(num_tables, r, q);
-            assert_eq!(
-                payload.len(),
-                qt.len() * chunk,
-                "payload size from rank {q}"
-            );
-            for (j, &t) in qt.iter().enumerate() {
-                out[t]
-                    .as_mut_slice()
-                    .copy_from_slice(&payload[j * chunk..(j + 1) * chunk]);
-                seen += 1;
+            let theirs = map.tables_of(q);
+            let blocks = match dir {
+                Direction::Forward => theirs.len(),
+                Direction::Backward => mine.len(),
+            };
+            assert_eq!(payload.len(), blocks * chunk, "payload size from rank {q}");
+            for j in 0..blocks {
+                let block = &payload[j * chunk..(j + 1) * chunk];
+                match dir {
+                    Direction::Forward => out[theirs[j]].as_mut_slice().copy_from_slice(block),
+                    Direction::Backward => {
+                        out[j].as_mut_slice()[q * chunk..(q + 1) * chunk].copy_from_slice(block)
+                    }
+                }
             }
         }
-        assert_eq!(seen, num_tables, "missing table slice");
     };
 
-    match pending.state {
-        PendingState::InFlight(req) => {
-            let recv = match req.wait_recording(rec, OpKind::AlltoallWait) {
-                OpOutput::PerRank(v) => v,
-                other => panic!("unexpected op output: {other:?}"),
-            };
-            time_opt(rec, OpKind::AlltoallFramework, || assemble(&recv, out));
-        }
+    let recv = match state {
+        PendingState::InFlight(req) => req.wait_per_rank(rec, OpKind::AlltoallWait),
         PendingState::DeferredAlltoall(send, wire, group) => {
-            let recv = time_opt(rec, OpKind::AlltoallWait, || {
-                collectives::alltoall_wire_grouped_tagged(
-                    comm,
-                    send,
-                    wire,
-                    collectives::TAG_A2A,
-                    group,
-                )
-            });
-            time_opt(rec, OpKind::AlltoallFramework, || assemble(&recv, out));
+            time_opt(rec, OpKind::AlltoallWait, || {
+                collectives::alltoall_wire_tagged(comm, send, wire, collectives::TAG_A2A, group)
+            })
         }
-        PendingState::DeferredPerTable(mut parts) => {
-            // One scatter per table, rooted at its owner (global order).
-            for (t, slot) in parts.iter_mut().enumerate() {
-                let root = owner_of(t, r);
-                let slice = time_opt(rec, OpKind::AlltoallWait, || {
-                    collectives::scatter(comm, root, slot.take())
-                });
-                time_opt(rec, OpKind::AlltoallFramework, || {
-                    out[t].as_mut_slice().copy_from_slice(&slice)
-                });
-            }
-        }
-        PendingState::DeferredPerRoot(mine_parts) => {
-            // One scatter per owner with all its tables coalesced.
+        PendingState::DeferredPerRoot(mut parts) => {
+            // One scatter (forward) or gather (backward) per owner with all
+            // its tables coalesced.
             let mut recv: Vec<Vec<f32>> = (0..r).map(|_| Vec::new()).collect();
-            #[allow(clippy::needless_range_loop)] // root is a rank id
             for root in 0..r {
-                let parts = (root == me).then(|| mine_parts.clone());
-                recv[root] = time_opt(rec, OpKind::AlltoallWait, || {
-                    collectives::scatter(comm, root, parts)
+                time_opt(rec, OpKind::AlltoallWait, || match dir {
+                    Direction::Forward => {
+                        let mine_parts = (root == me).then(|| std::mem::take(&mut parts));
+                        recv[root] = collectives::scatter(comm, root, mine_parts);
+                    }
+                    Direction::Backward => {
+                        let payload = std::mem::take(&mut parts[root]);
+                        if let Some(per_rank) = collectives::gather(comm, root, payload) {
+                            recv = per_rank;
+                        }
+                    }
                 });
             }
-            time_opt(rec, OpKind::AlltoallFramework, || assemble(&recv, out));
+            recv
         }
-    }
+        PendingState::DeferredPerTable(parts) => {
+            // One scatter (forward) or gather (backward) per table, rooted
+            // at its owner, in global table order; each lands on arrival.
+            for (t, slot) in parts.into_iter().enumerate() {
+                let root = map.owner_of(t);
+                match dir {
+                    Direction::Forward => {
+                        let slice = time_opt(rec, OpKind::AlltoallWait, || {
+                            collectives::scatter(comm, root, slot)
+                        });
+                        time_opt(rec, OpKind::AlltoallFramework, || {
+                            out[t].as_mut_slice().copy_from_slice(&slice)
+                        });
+                    }
+                    Direction::Backward => {
+                        let payload = slot
+                            .and_then(|mut v| v.pop())
+                            .expect("backward scatter-list payload");
+                        let gathered = time_opt(rec, OpKind::AlltoallWait, || {
+                            collectives::gather(comm, root, payload)
+                        });
+                        assert_eq!(gathered.is_some(), root == me, "gather returns at root");
+                        if let Some(per_rank) = gathered {
+                            time_opt(rec, OpKind::AlltoallFramework, || {
+                                let full = out[map.local_index(t)].as_mut_slice();
+                                for (p, part) in per_rank.iter().enumerate() {
+                                    full[p * chunk..(p + 1) * chunk].copy_from_slice(part);
+                                }
+                            });
+                        }
+                    }
+                }
+            }
+            return;
+        }
+    };
+    time_opt(rec, OpKind::AlltoallFramework, || assemble(&recv, out));
 }
 
-/// Packs this rank's per-table gradients and starts the backward exchange.
-/// `grads[t]` is this rank's `n×E` gradient for global table `t`. `wire`
-/// selects the on-wire element format of the alltoall strategies.
-#[allow(clippy::too_many_arguments)] // split-phase twin of the blocking form
-pub fn begin_backward_exchange(
+/// Blocking exchange (begin + finish back to back) over the round-robin
+/// ownership of `num_tables` tables.
+#[allow(clippy::too_many_arguments)] // mirror of the split-phase begin
+fn exchange(
+    dir: Direction,
     strategy: ExchangeStrategy,
     comm: &Communicator,
     engine: Option<&ProgressEngine>,
-    grads: &[Matrix],
+    mats: &[Matrix],
     num_tables: usize,
     local_n: usize,
     emb_dim: usize,
     wire: WirePrecision,
-    rec: Option<&TimingRecorder>,
-) -> PendingBackwardExchange {
-    let r = comm.nranks();
-    assert_eq!(grads.len(), num_tables, "one gradient per global table");
-    for g in grads {
-        assert_eq!(g.shape(), (local_n, emb_dim), "local gradient shape");
-    }
-    let chunk = local_n * emb_dim;
-
-    // Payload for owner q: concat over q's tables of my gradient block.
-    let pack_for = |q: usize| -> Vec<f32> {
-        let mut buf = Vec::new();
-        for &t in &tables_of(num_tables, r, q) {
-            buf.extend_from_slice(grads[t].as_slice());
-        }
-        buf
-    };
-
-    let state = time_opt(rec, OpKind::AlltoallFramework, || match strategy {
-        ExchangeStrategy::Alltoall | ExchangeStrategy::CclAlltoall => {
-            let send: Vec<Vec<f32>> = (0..r).map(pack_for).collect();
-            match (strategy, engine) {
-                (ExchangeStrategy::CclAlltoall, Some(eng)) => {
-                    PendingState::InFlight(eng.alltoall_wire_grouped(
-                        EXCHANGE_CHANNEL,
-                        send,
-                        wire,
-                        collectives::TAG_A2A,
-                        chunk,
-                    ))
-                }
-                _ => PendingState::DeferredAlltoall(send, wire, chunk),
-            }
-        }
-        ExchangeStrategy::ScatterList => {
-            // Reverse of a scatter is a gather: one payload per table.
-            let parts = (0..num_tables)
-                .map(|t| Some(vec![grads[t].as_slice().to_vec()]))
-                .collect();
-            PendingState::DeferredPerTable(parts)
-        }
-        ExchangeStrategy::FusedScatter => {
-            // One gather per owner with its tables coalesced.
-            PendingState::DeferredPerRoot((0..r).map(pack_for).collect())
-        }
-    });
-    PendingBackwardExchange {
-        num_tables,
-        local_n,
-        emb_dim,
-        state,
-    }
+) -> Vec<Matrix> {
+    let map = OwnershipMap::round_robin(num_tables, comm.nranks());
+    let pending = begin(
+        dir, strategy, comm, engine, &map, mats, local_n, emb_dim, wire, None,
+    );
+    let mut out = Vec::new();
+    finish(pending, comm, &map, &mut out, None);
+    out
 }
 
-/// Completes a backward exchange: assembles into `out`, for each *local*
-/// table (ascending global index), the `GN×E` gradient (rank slices
-/// stacked in rank order). `out` is reused across iterations.
-pub fn finish_backward_exchange(
-    pending: PendingBackwardExchange,
-    comm: &Communicator,
-    out: &mut Vec<Matrix>,
-    rec: Option<&TimingRecorder>,
-) {
-    let r = comm.nranks();
-    let me = comm.rank();
-    let (num_tables, local_n, emb_dim) = (pending.num_tables, pending.local_n, pending.emb_dim);
-    let mine = tables_of(num_tables, r, me);
-    let chunk = local_n * emb_dim;
-    ensure_mats(out, mine.len(), local_n * r, emb_dim);
-
-    // per_rank[p] = concat over my tables of p's gradient block.
-    let assemble_local = |per_rank: &[Vec<f32>], out: &mut Vec<Matrix>| {
-        for (j, full) in out.iter_mut().enumerate() {
-            for (p, payload) in per_rank.iter().enumerate() {
-                full.as_mut_slice()[p * chunk..(p + 1) * chunk]
-                    .copy_from_slice(&payload[j * chunk..(j + 1) * chunk]);
-            }
-        }
-    };
-
-    match pending.state {
-        PendingState::InFlight(req) => {
-            let recv = match req.wait_recording(rec, OpKind::AlltoallWait) {
-                OpOutput::PerRank(v) => v,
-                other => panic!("unexpected op output: {other:?}"),
-            };
-            time_opt(rec, OpKind::AlltoallFramework, || {
-                assemble_local(&recv, out)
-            });
-        }
-        PendingState::DeferredAlltoall(send, wire, group) => {
-            let recv = time_opt(rec, OpKind::AlltoallWait, || {
-                collectives::alltoall_wire_grouped_tagged(
-                    comm,
-                    send,
-                    wire,
-                    collectives::TAG_A2A,
-                    group,
-                )
-            });
-            time_opt(rec, OpKind::AlltoallFramework, || {
-                assemble_local(&recv, out)
-            });
-        }
-        PendingState::DeferredPerTable(parts) => {
-            let mut j = 0usize;
-            for (t, slot) in parts.into_iter().enumerate() {
-                let root = owner_of(t, r);
-                let payload = slot
-                    .map(|mut v| std::mem::take(&mut v[0]))
-                    .expect("backward scatter-list payload");
-                let gathered = time_opt(rec, OpKind::AlltoallWait, || {
-                    collectives::gather(comm, root, payload)
-                });
-                if let Some(per_rank) = gathered {
-                    time_opt(rec, OpKind::AlltoallFramework, || {
-                        let full = &mut out[j];
-                        for (p, payload) in per_rank.iter().enumerate() {
-                            full.as_mut_slice()[p * chunk..(p + 1) * chunk]
-                                .copy_from_slice(payload);
-                        }
-                    });
-                    j += 1;
-                }
-            }
-            assert_eq!(j, mine.len(), "gather must return parts at root");
-        }
-        PendingState::DeferredPerRoot(payloads) => {
-            let mut mine_parts: Option<Vec<Vec<f32>>> = None;
-            for (root, payload) in payloads.into_iter().enumerate() {
-                let gathered = time_opt(rec, OpKind::AlltoallWait, || {
-                    collectives::gather(comm, root, payload)
-                });
-                if root == me {
-                    mine_parts = gathered;
-                }
-            }
-            let per_rank = mine_parts.expect("gather must return parts at root");
-            time_opt(rec, OpKind::AlltoallFramework, || {
-                assemble_local(&per_rank, out)
-            });
-        }
-    }
-}
-
-/// Blocking forward exchange (begin + finish back to back). Returns the
-/// `n×E` slice of every global table for this rank, ordered by global
-/// table index.
+/// Blocking forward exchange. Returns the `n×E` slice of every global
+/// table for this rank, ordered by global table index.
 #[allow(clippy::too_many_arguments)] // mirror of the split-phase begin
 pub fn forward_exchange(
     strategy: ExchangeStrategy,
@@ -489,7 +419,8 @@ pub fn forward_exchange(
     emb_dim: usize,
     wire: WirePrecision,
 ) -> Vec<Matrix> {
-    let pending = begin_forward_exchange(
+    exchange(
+        Direction::Forward,
         strategy,
         comm,
         engine,
@@ -498,16 +429,12 @@ pub fn forward_exchange(
         local_n,
         emb_dim,
         wire,
-        None,
-    );
-    let mut out = Vec::new();
-    finish_forward_exchange(pending, comm, &mut out, None);
-    out
+    )
 }
 
-/// Blocking backward exchange (begin + finish back to back). Returns, for
-/// each *local* table (ascending global index), the assembled `GN×E`
-/// gradient (rank slices stacked in rank order).
+/// Blocking backward exchange. Returns, for each *local* table (ascending
+/// global index), the assembled `GN×E` gradient (rank slices stacked in
+/// rank order).
 #[allow(clippy::too_many_arguments)] // mirror of the split-phase begin
 pub fn backward_exchange(
     strategy: ExchangeStrategy,
@@ -519,12 +446,17 @@ pub fn backward_exchange(
     emb_dim: usize,
     wire: WirePrecision,
 ) -> Vec<Matrix> {
-    let pending = begin_backward_exchange(
-        strategy, comm, engine, grads, num_tables, local_n, emb_dim, wire, None,
-    );
-    let mut out = Vec::new();
-    finish_backward_exchange(pending, comm, &mut out, None);
-    out
+    exchange(
+        Direction::Backward,
+        strategy,
+        comm,
+        engine,
+        grads,
+        num_tables,
+        local_n,
+        emb_dim,
+        wire,
+    )
 }
 
 #[cfg(test)]
@@ -700,14 +632,16 @@ mod tests {
                 .into_iter()
                 .map(|t| table_output(t, gn, e))
                 .collect();
+            let map = OwnershipMap::round_robin(num_tables, nranks);
             let mut out = Vec::new();
             for round in 0..2 {
-                let pending = begin_forward_exchange(
+                let pending = begin(
+                    Direction::Forward,
                     ExchangeStrategy::Alltoall,
                     &comm,
                     None,
+                    &map,
                     &outputs,
-                    num_tables,
                     local_n,
                     e,
                     WirePrecision::Fp32,
@@ -715,7 +649,7 @@ mod tests {
                 );
                 let ptrs: Vec<*const f32> =
                     out.iter().map(|m: &Matrix| m.as_slice().as_ptr()).collect();
-                finish_forward_exchange(pending, &comm, &mut out, None);
+                finish(pending, &comm, &map, &mut out, None);
                 if round > 0 {
                     for (m, p) in out.iter().zip(&ptrs) {
                         assert!(

@@ -22,11 +22,12 @@
 //! rank count reproduces the single-process model's loss trajectory** on
 //! the same global batches (up to float-summation reassociation).
 //!
-//! The train step itself comes in two [`distributed::Schedule`]s: the
-//! naive `Synchronous` ordering, and the paper's `Overlapped` ordering
-//! built on split-phase exchanges ([`exchange`]) and an
-//! issue-as-produced bucketed allreduce ([`bucketing`]). The two are
-//! bitwise-identical in losses — overlap moves time, not bits.
+//! There is one train step; it runs under two [`distributed::Schedule`]s:
+//! the naive `Synchronous` ordering, and the paper's `Overlapped` ordering
+//! built on the split-phase exchange ([`exchange`]: one `begin`/`finish`
+//! pair for both directions) and an issue-as-produced bucketed allreduce
+//! ([`bucketing`]). The two are bitwise-identical in losses — overlap moves
+//! time, not bits.
 //!
 //! Orthogonally to the schedule, [`distributed::WireConfig`] picks the
 //! on-wire element format ([`WirePrecision`]) of each hot collective —
@@ -38,8 +39,9 @@
 //! gradient bucket from running statistics, quartering allreduce bytes
 //! when gradients allow while every rank stays bitwise identical.
 //!
-//! A third orthogonal knob, [`prefetch::Prefetch`], replaces the pooled
-//! forward alltoall with a BagPipe-style lookahead pipeline: per-window
+//! A third orthogonal knob, [`prefetch::Prefetch`], swaps the step's
+//! embedding front end — the pooled forward alltoall — for a BagPipe-style
+//! lookahead pipeline: per-window
 //! index dedup, raw-row fetches that cross the wire once per residency,
 //! local pooling, delayed-update row caches, and an early fetch of the
 //! next batch's rows in flight behind backward compute — bitwise-identical

@@ -70,7 +70,7 @@ use crate::exchange::{tables_of, EXCHANGE_CHANNEL};
 use dlrm::embedding_layer::EmbeddingLayer;
 use dlrm_comm::collectives::{alltoall_wire_tagged, TAG_PREFETCH};
 use dlrm_comm::instrument::{time_opt, OpKind, TimingRecorder};
-use dlrm_comm::nonblocking::{OpOutput, ProgressEngine, Request};
+use dlrm_comm::nonblocking::{ProgressEngine, Request};
 use dlrm_comm::wire::WirePrecision;
 use dlrm_comm::world::Communicator;
 use dlrm_data::{DlrmConfig, LookaheadWindow, MiniBatch};
@@ -380,10 +380,7 @@ impl PrefetchState {
         };
         let recv = match pending {
             PendingFetch::Ready(recv) => recv,
-            PendingFetch::InFlight(req) => match req.wait_recording(rec, OpKind::AlltoallWait) {
-                OpOutput::PerRank(recv) => recv,
-                other => panic!("early fetch returned {other:?}"),
-            },
+            PendingFetch::InFlight(req) => req.wait_per_rank(rec, OpKind::AlltoallWait),
         };
         let lists = std::mem::take(&mut self.early_lists);
         self.unpack(&recv, &lists, nranks, e);
@@ -423,7 +420,7 @@ impl PrefetchState {
             self.pack_fetch(j, global, n, nranks, local_tables, FetchKind::Late)
         });
         let recv = time_opt(rec, OpKind::AlltoallWait, || {
-            alltoall_wire_tagged(comm, send, wire, TAG_PREFETCH)
+            alltoall_wire_tagged(comm, send, wire, TAG_PREFETCH, 0)
         });
         let e = self.caches[0].width();
         self.unpack(&recv, &lists, nranks, e);
@@ -515,9 +512,10 @@ impl PrefetchState {
                 send,
                 wire,
                 TAG_PREFETCH,
+                0,
             )),
             None => PendingFetch::Ready(time_opt(rec, OpKind::AlltoallWait, || {
-                alltoall_wire_tagged(comm, send, wire, TAG_PREFETCH)
+                alltoall_wire_tagged(comm, send, wire, TAG_PREFETCH, 0)
             })),
         });
     }
