@@ -10,10 +10,13 @@
 //!   → bigger batches → higher QPS at higher per-request latency: the
 //!   serving throughput/latency dial, measured.
 //!
-//! * **Cache sweep** — steady-state hot-row-cache hit rate over Zipf
-//!   exponent × cache capacity (fraction of table rows), measured after a
-//!   warm-up phase, with every measured batch checked bitwise against an
-//!   uncached reference model. The paper context ("Dissecting Embedding
+//! * **Cache sweep** — steady-state hit rate of the standalone
+//!   [`HotRowCache`] policy over Zipf exponent × cache capacity (fraction
+//!   of table rows), driven directly with each table's index stream after
+//!   a warm-up phase, with every measured lookup's row checked bitwise
+//!   against the backing table. No engine consults the cache (DESIGN.md
+//!   §11); the sweep records what the policy would catch. The paper
+//!   context ("Dissecting Embedding
 //!   Bag Performance in DLRM Inference", BagPipe) predicts the Zipf head
 //!   is tiny: at s = 1.1 a cache holding 1% of the table should already
 //!   serve most lookups — asserted here (> 50%) and recorded as
@@ -32,12 +35,15 @@
 //! schema-checked by `dlrm_bench::validate_artifact` before
 //! writing and by CI over the committed artifact.
 
+use dlrm::embedding_layer::EmbeddingLayer;
 use dlrm::layers::Execution;
+use dlrm::model::DlrmModel;
 use dlrm_bench::{header, validate_artifact, HarnessOpts, Table};
 use dlrm_data::{DlrmConfig, IndexDistribution, MiniBatch};
+use dlrm_kernels::embedding::UpdateStrategy;
 use dlrm_serve::{
-    summarize_latencies_us, CacheSizing, Request, ServeConfig, ServeEngine, ServeModel, ShardSpec,
-    ShardedEngine, ShardedServeModel,
+    summarize_latencies_us, CacheSizing, HotRowCache, Request, ServeConfig, ServeEngine,
+    ServeModel, ShardSpec, ShardedEngine, ShardedServeModel,
 };
 use dlrm_tensor::init::seeded_rng;
 use dlrm_tensor::Matrix;
@@ -212,36 +218,50 @@ struct SweepPoint {
     bitwise_identical: bool,
 }
 
-/// Steady-state hit rate at one (Zipf s, capacity fraction) point, with
-/// every measured batch checked bitwise against an uncached model.
-fn run_sweep_point(cfg: &DlrmConfig, s: &Sizes, zipf_s: f64, frac: f64) -> SweepPoint {
-    let exec = Execution::optimized(THREADS);
-    let mut cached = ServeModel::new(cfg, exec.clone(), CacheSizing::Fraction(frac), 42);
-    let mut uncached = ServeModel::new(cfg, exec, CacheSizing::Disabled, 42);
+/// Steady-state hit rate at one (Zipf s, capacity fraction) point: one
+/// [`HotRowCache`] per table driven directly with that table's index
+/// stream — the hit rate is a property of the policy and the traffic, not
+/// of an engine (none consults a cache, DESIGN.md §11) — with every
+/// measured lookup's row checked bitwise against the backing table.
+fn run_sweep_point(tables: &[EmbeddingLayer], s: &Sizes, zipf_s: f64, frac: f64) -> SweepPoint {
+    let capacity_rows = ((s.m as f64 * frac).ceil() as usize).clamp(1, s.m);
+    let mut caches: Vec<HotRowCache> = tables
+        .iter()
+        .map(|t| HotRowCache::new(capacity_rows, t.dim()))
+        .collect();
     let dist = IndexDistribution::Zipf { s: zipf_s };
     let mut rng = seeded_rng(7, 3);
+    let mut stream = |n: usize| -> Vec<u32> { dist.sample_many(s.m as u64, n * s.p, &mut rng) };
     let n = 64;
     for _ in 0..s.sweep_warmup {
-        let batch = MiniBatch::random(cfg, n, dist, &mut rng);
-        let _ = cached.forward(&batch);
+        for (cache, table) in caches.iter_mut().zip(tables) {
+            for idx in stream(n) {
+                cache.get_or_admit(idx, &table.weight);
+            }
+        }
     }
-    cached.reset_cache_stats();
+    for cache in &mut caches {
+        cache.stats.reset();
+    }
     let mut bitwise = true;
     for _ in 0..s.sweep_measure {
-        let batch = MiniBatch::random(cfg, n, dist, &mut rng);
-        let got = cached.forward(&batch);
-        let want = uncached.forward(&batch);
-        bitwise &= got == want;
+        for (cache, table) in caches.iter_mut().zip(tables) {
+            for idx in stream(n) {
+                let row = cache.get_or_admit(idx, &table.weight);
+                bitwise &= row
+                    .iter()
+                    .zip(table.weight.row(idx as usize))
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            }
+        }
     }
-    let stats = cached.cache_stats();
-    let (hits, misses) = stats
-        .iter()
-        .flatten()
-        .fold((0u64, 0u64), |(h, m), st| (h + st.hits, m + st.misses));
+    let (hits, misses) = caches.iter().fold((0u64, 0u64), |(h, m), c| {
+        (h + c.stats.hits, m + c.stats.misses)
+    });
     SweepPoint {
         zipf_s,
         capacity_frac: frac,
-        capacity_rows: ((s.m as f64 * frac).ceil() as usize).clamp(1, s.m),
+        capacity_rows,
         hit_rate: hits as f64 / (hits + misses).max(1) as f64,
         bitwise_identical: bitwise,
     }
@@ -388,12 +408,15 @@ fn main() {
         s.tables, s.m, s.e, s.p, cfg.dense_features, THREADS, serve_cfg.max_batch, serve_cfg.window,
     );
 
-    // ---- Cache sweep (also the bitwise-identity gate). ------------------
+    // ---- Cache sweep (also the cached-row identity gate). ----------------
+    let tables: Vec<EmbeddingLayer> = (0..cfg.num_tables)
+        .map(|t| DlrmModel::build_table(&cfg, t, UpdateStrategy::RaceFree, 42))
+        .collect();
     let mut sweep: Vec<SweepPoint> = Vec::new();
     let mut t = Table::new(&["zipf s", "capacity", "rows", "hit rate", "bitwise"]);
     for &zs in &s.zipf_s {
         for &frac in &s.capacity_fracs {
-            let p = run_sweep_point(&cfg, &s, zs, frac);
+            let p = run_sweep_point(&tables, &s, zs, frac);
             t.row(vec![
                 format!("{zs:.1}"),
                 format!("{:.1}%", frac * 100.0),
@@ -405,8 +428,10 @@ fn main() {
         }
     }
     t.print();
+    drop(tables); // the engines below build their own
+
     let bitwise_ok = sweep.iter().all(|p| p.bitwise_identical);
-    assert!(bitwise_ok, "cached forward must be bitwise identical");
+    assert!(bitwise_ok, "cached rows must be bitwise the table's");
     let hot_head = sweep
         .iter()
         .find(|p| (p.zipf_s - 1.1).abs() < 1e-9 && (p.capacity_frac - 0.01).abs() < 1e-9)

@@ -8,18 +8,37 @@
 //! multiplication as a key kernel" (Section II).
 
 use crate::layers::Execution;
+use dlrm_kernels::gemm::micro::{detect_isa, Isa};
+use dlrm_kernels::interaction::{block_len, grad_block, gram_block, pack_block, transpose, BLOCK};
 use dlrm_tensor::Matrix;
+use std::ops::Range;
 
 /// The interaction operator with its saved forward inputs.
 pub struct Interaction {
     /// Embedding dimension `E`.
     pub emb_dim: usize,
-    /// Saved feature vectors: `f` matrices of shape `N×E` (index 0 is the
-    /// transposed bottom output).
-    saved: Vec<Matrix>,
+    /// The `f` feature vectors of the last `forward` (0 is the bottom
+    /// output), packed in blocks of [`BLOCK`] samples — the layout of
+    /// [`dlrm_kernels::interaction`], one block per [`block_len`] floats.
+    /// The Gram kernel reads them in `forward`, `backward` reads them
+    /// again; retained across calls and overwritten by each.
+    panels: Matrix,
+    /// Vectors per sample in `panels` (`tables + 1`; 0 before any forward).
+    num_vectors: usize,
+    /// Batch size of the last `forward`.
+    batch: usize,
     /// The execution `forward` ran on; `backward` splits samples over the
     /// same pool.
     exec: Execution,
+}
+
+/// The kernel tier an execution runs the interaction on: the reference
+/// execution stays scalar end to end.
+fn tier(exec: &Execution) -> Isa {
+    match exec {
+        Execution::Reference => Isa::Scalar,
+        Execution::Optimized(_) => detect_isa(),
+    }
 }
 
 /// Number of output features for `f` vectors of dim `e`.
@@ -32,13 +51,22 @@ impl Interaction {
     pub fn new(e: usize) -> Self {
         Interaction {
             emb_dim: e,
-            saved: Vec::new(),
+            panels: Matrix::zeros(0, BLOCK),
+            num_vectors: 0,
+            batch: 0,
             exec: Execution::Reference,
         }
     }
 
     /// Forward: `bottom` is `E×N` (MLP convention), `tables` are `N×E`
-    /// (embedding convention). Returns `D×N` for the top MLP.
+    /// (embedding convention). Returns `D×N` for the top MLP — the only
+    /// allocation of a warm call.
+    ///
+    /// On [`Execution::Optimized`] each block of [`BLOCK`] samples is
+    /// packed and run through the Gram kernel of the detected ISA tier,
+    /// blocks split over the pool. [`Execution::Reference`] computes every
+    /// dot with the scalar per-sample loop — the chain the kernel must
+    /// reproduce bit for bit — and packs (scalar tier) only for `backward`.
     pub fn forward(&mut self, exec: &Execution, bottom: &Matrix, tables: &[Matrix]) -> Matrix {
         let e = self.emb_dim;
         let n = bottom.cols();
@@ -47,142 +75,139 @@ impl Interaction {
             assert_eq!(t.shape(), (n, e), "table output shape");
         }
         let f = tables.len() + 1;
-        let d = output_dim(f, e);
+        let blocks = n.div_ceil(BLOCK);
+        let per_block = block_len(f, e);
+        self.panels.resize_rows(blocks * per_block / BLOCK);
+        self.num_vectors = f;
+        self.batch = n;
+        self.exec = exec.clone();
 
-        // Gather all vectors as N×E (bottom transposed once).
-        let mut vecs = Vec::with_capacity(f);
-        vecs.push(bottom.transposed());
-        for t in tables {
-            vecs.push(t.clone());
-        }
-
-        let mut out = Matrix::zeros(d, n);
-        let compute_sample = |out_col: &mut dyn FnMut(usize, f32), s: usize| {
-            // Passthrough of the bottom vector.
-            #[allow(clippy::needless_range_loop)] // k maps output row -> feature
-            for k in 0..e {
-                out_col(k, vecs[0][(s, k)]);
-            }
-            // Lower-triangular pairwise dots.
-            let mut row = e;
-            #[allow(clippy::needless_range_loop)] // (i, j) are pair indices
-            for i in 1..f {
-                let vi = vecs[i].row(s);
-                for j in 0..i {
-                    let vj = vecs[j].row(s);
-                    let dot: f32 = vi.iter().zip(vj).map(|(&a, &b)| a * b).sum();
-                    out_col(row, dot);
-                    row += 1;
-                }
-            }
-        };
-
+        let mut out = Matrix::zeros(output_dim(f, e), n);
+        // Passthrough of the bottom vector: the first E rows, verbatim.
+        out.as_mut_slice()[..e * n].copy_from_slice(bottom.as_slice());
         match exec.pool() {
-            None => {
-                for s in 0..n {
-                    compute_sample(&mut |r, v| out[(r, s)] = v, s);
-                }
-            }
             Some(pool) => {
-                let base = SendPtr(out.as_mut_slice().as_mut_ptr());
-                pool.parallel_for(n, |_tid, range| {
-                    for s in range {
-                        // SAFETY: sample columns are disjoint across threads.
-                        compute_sample(&mut |r, v| unsafe { *base.get().add(r * n + s) = v }, s);
+                let isa = tier(exec);
+                let panels = SendPtr(self.panels.as_mut_slice().as_mut_ptr());
+                let dots = SendPtr(out.as_mut_slice()[e * n..].as_mut_ptr());
+                pool.parallel_for(blocks, |_tid, range| {
+                    for b in range {
+                        // SAFETY: block `b`'s panel is `per_block` floats of
+                        // `self.panels`; blocks are disjoint across threads.
+                        let panel = unsafe {
+                            let at = panels.get().add(b * per_block);
+                            std::slice::from_raw_parts_mut(at, per_block)
+                        };
+                        pack_block(isa, bottom, tables, b, panel);
+                        if f == 1 {
+                            continue; // no pairs, no dot rows
+                        }
+                        let valid = (n - b * BLOCK).min(BLOCK);
+                        // SAFETY: the dot rows are `n` wide, so lanes
+                        // `..valid` at column `b · BLOCK` of each of the
+                        // `f(f−1)/2` rows lie inside `out`; sample columns
+                        // are disjoint across threads.
+                        unsafe {
+                            let at = dots.get().add(b * BLOCK);
+                            gram_block(isa, panel, f, e, valid, at, n)
+                        };
                     }
                 });
             }
+            None => {
+                let blocks = self.panels.as_mut_slice().chunks_exact_mut(per_block);
+                for (b, panel) in blocks.enumerate() {
+                    pack_block(tier(exec), bottom, tables, b, panel);
+                }
+                for s in 0..n {
+                    let vector = |v: usize, k: usize| match v {
+                        0 => bottom[(k, s)],
+                        _ => tables[v - 1][(s, k)],
+                    };
+                    // Lower-triangular pairwise dots.
+                    let mut row = e;
+                    for i in 1..f {
+                        for j in 0..i {
+                            out[(row, s)] = (0..e).map(|k| vector(i, k) * vector(j, k)).sum();
+                            row += 1;
+                        }
+                    }
+                }
+            }
         }
-        self.saved = vecs;
-        self.exec = exec.clone();
         out
     }
 
     /// Backward: returns `(d_bottom: E×N, d_tables: Vec<N×E>)`. Samples are
-    /// independent, so they are split over the pool `forward` ran on; per
-    /// sample the pairs are visited in `forward`'s order, so the result does
-    /// not depend on the split.
+    /// independent, so blocks of them are split over the pool `forward` ran
+    /// on; per element the pairs contribute in `forward`'s order, so the
+    /// result does not depend on the split.
     pub fn backward(&self, dout: &Matrix) -> (Matrix, Vec<Matrix>) {
-        let e = self.emb_dim;
-        let f = self.saved.len();
+        let (e, f, n) = (self.emb_dim, self.num_vectors, self.batch);
         assert!(f >= 1, "backward before forward");
-        let n = self.saved[0].rows();
         assert_eq!(dout.shape(), (output_dim(f, e), n), "dout shape");
         let dout = dout.as_slice();
+        let per_block = block_len(f, e);
+        let isa = tier(&self.exec);
 
-        // Accumulate gradients as N×E per vector.
-        let mut grads: Vec<Matrix> = (0..f).map(|_| Matrix::zeros(n, e)).collect();
-        let bases: Vec<SendPtr> = grads
+        let mut d_bottom = Matrix::zeros(e, n);
+        let mut d_tables: Vec<Matrix> = (1..f).map(|_| Matrix::zeros(n, e)).collect();
+        let bottom_base = SendPtr(d_bottom.as_mut_slice().as_mut_ptr());
+        let table_bases: Vec<SendPtr> = d_tables
             .iter_mut()
             .map(|g| SendPtr(g.as_mut_slice().as_mut_ptr()))
             .collect();
-        let sample = |s: usize| {
-            // SAFETY: `bases[i]` is N×E and row `s` of every gradient is
-            // touched by this sample only; samples are disjoint across
-            // threads, and `i != j` below.
-            let grad_row =
-                |i: usize| unsafe { std::slice::from_raw_parts_mut(bases[i].get().add(s * e), e) };
-            // Passthrough part.
-            for (k, g0) in grad_row(0).iter_mut().enumerate() {
-                *g0 += dout[k * n + s];
-            }
-            // Pairwise dots: d(vi·vj) flows vj into vi and vi into vj.
-            let mut row = e;
-            for i in 1..f {
-                for j in 0..i {
-                    let g = dout[row * n + s];
-                    row += 1;
-                    if g == 0.0 {
-                        continue;
+        let run = |range: Range<usize>| {
+            // One block's gradients, laid out like its panel.
+            let mut grads = vec![0.0f32; per_block];
+            for b in range {
+                let s0 = b * BLOCK;
+                let valid = (n - s0).min(BLOCK);
+                let panel = &self.panels.as_slice()[b * per_block..(b + 1) * per_block];
+                // Passthrough part: `0.0 + dout`, as the scalar `+=` into a
+                // zeroed gradient computes it.
+                grads.fill(0.0);
+                for (k, g0) in grads[..e * BLOCK].chunks_exact_mut(BLOCK).enumerate() {
+                    let d = &dout[k * n + s0..k * n + s0 + valid];
+                    for (g0, d) in g0.iter_mut().zip(d) {
+                        *g0 += d;
                     }
-                    for (gi, &vj) in grad_row(i).iter_mut().zip(self.saved[j].row(s)) {
-                        *gi += g * vj;
-                    }
-                    for (gj, &vi) in grad_row(j).iter_mut().zip(self.saved[i].row(s)) {
-                        *gj += g * vi;
-                    }
+                }
+                // Pairwise dots: d(vi·vj) flows vj into vi and vi into vj.
+                if f > 1 {
+                    // SAFETY: `dout` is `output_dim(f, e) × n` (asserted
+                    // above), so lanes `..valid` at column `s0` of each
+                    // pair row past row `e` lie inside it.
+                    unsafe {
+                        let pairs = dout.as_ptr().add(e * n + s0);
+                        grad_block(isa, panel, f, e, valid, pairs, n, &mut grads)
+                    };
+                }
+                for (k, g0) in grads[..e * BLOCK].chunks_exact(BLOCK).enumerate() {
+                    // SAFETY: `d_bottom` is E×N; columns `s0..s0 + valid` of
+                    // row `k` are this block's alone.
+                    let dst = unsafe {
+                        std::slice::from_raw_parts_mut(bottom_base.get().add(k * n + s0), valid)
+                    };
+                    dst.copy_from_slice(&g0[..valid]);
+                }
+                for (t, base) in table_bases.iter().enumerate() {
+                    // SAFETY: `d_tables[t]` is N×E; rows `s0..s0 + valid`
+                    // are this block's alone.
+                    let dst = unsafe {
+                        std::slice::from_raw_parts_mut(base.get().add(s0 * e), valid * e)
+                    };
+                    let src = &grads[(t + 1) * e * BLOCK..(t + 2) * e * BLOCK];
+                    transpose(isa, src, BLOCK, e, valid, dst, e);
                 }
             }
         };
+        let blocks = n.div_ceil(BLOCK);
         match self.exec.pool() {
-            None => (0..n).for_each(sample),
-            Some(pool) => pool.parallel_for(n, |_tid, range| range.for_each(&sample)),
+            None => run(0..blocks),
+            Some(pool) => pool.parallel_for(blocks, |_tid, range| run(range)),
         }
-        let d_bottom = grads.remove(0).transposed(); // back to E×N
-        (d_bottom, grads)
-    }
-
-    /// The serial, element-indexed loop `backward` replaced; its bitwise
-    /// reference.
-    #[cfg(test)]
-    fn backward_reference(&self, dout: &Matrix) -> (Matrix, Vec<Matrix>) {
-        let e = self.emb_dim;
-        let f = self.saved.len();
-        let n = self.saved[0].rows();
-        let mut grads: Vec<Matrix> = (0..f).map(|_| Matrix::zeros(n, e)).collect();
-        for s in 0..n {
-            for k in 0..e {
-                grads[0][(s, k)] += dout[(k, s)];
-            }
-            let mut row = e;
-            for i in 1..f {
-                for j in 0..i {
-                    let g = dout[(row, s)];
-                    row += 1;
-                    if g == 0.0 {
-                        continue;
-                    }
-                    for k in 0..e {
-                        let vik = self.saved[i][(s, k)];
-                        let vjk = self.saved[j][(s, k)];
-                        grads[i][(s, k)] += g * vjk;
-                        grads[j][(s, k)] += g * vik;
-                    }
-                }
-            }
-        }
-        let d_bottom = grads.remove(0).transposed();
-        (d_bottom, grads)
+        (d_bottom, d_tables)
     }
 }
 
@@ -202,6 +227,43 @@ mod tests {
     use super::*;
     use dlrm_tensor::assert_allclose;
     use dlrm_tensor::init::{seeded_rng, uniform};
+
+    /// The serial, element-indexed loop `backward` replaced; its bitwise
+    /// reference.
+    fn backward_reference(
+        bottom: &Matrix,
+        tables: &[Matrix],
+        dout: &Matrix,
+    ) -> (Matrix, Vec<Matrix>) {
+        let (e, n) = bottom.shape();
+        let mut saved = vec![bottom.transposed()];
+        saved.extend(tables.iter().cloned());
+        let f = saved.len();
+        let mut grads: Vec<Matrix> = (0..f).map(|_| Matrix::zeros(n, e)).collect();
+        for s in 0..n {
+            for k in 0..e {
+                grads[0][(s, k)] += dout[(k, s)];
+            }
+            let mut row = e;
+            for i in 1..f {
+                for j in 0..i {
+                    let g = dout[(row, s)];
+                    row += 1;
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for k in 0..e {
+                        let vik = saved[i][(s, k)];
+                        let vjk = saved[j][(s, k)];
+                        grads[i][(s, k)] += g * vjk;
+                        grads[j][(s, k)] += g * vik;
+                    }
+                }
+            }
+        }
+        let d_bottom = grads.remove(0).transposed();
+        (d_bottom, grads)
+    }
 
     #[test]
     fn output_dim_formula() {
@@ -250,7 +312,7 @@ mod tests {
         ] {
             let mut inter = Interaction::new(e);
             let _ = inter.forward(&exec, &bottom, &tables);
-            let (want_b, want_t) = inter.backward_reference(&dout);
+            let (want_b, want_t) = backward_reference(&bottom, &tables, &dout);
             let (got_b, got_t) = inter.backward(&dout);
             let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got_b), bits(&want_b));

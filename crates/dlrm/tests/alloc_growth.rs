@@ -314,3 +314,27 @@ fn blocked_gemm_drivers_do_not_allocate() {
     let drivers = calls_during(&mut all_six);
     assert_eq!(drivers, 0, "120 driver calls allocated {drivers} times");
 }
+
+/// A warm interaction forward allocates its returned `D × N` matrix and
+/// nothing else on any thread: the operands are packed into retained
+/// panels (no transposed copy of the bottom output, no clone per table),
+/// and the blocks are handed to the team as a borrowed closure.
+#[test]
+fn interaction_forward_allocates_only_its_output() {
+    let _turn = my_turn();
+    use dlrm::interaction::Interaction;
+    use dlrm_tensor::init::uniform;
+    use dlrm_tensor::Matrix;
+
+    let exec = Execution::optimized(3);
+    count_team(exec.pool().expect("optimized"));
+    let (e, n, tables) = (16, 40, 5);
+    let mut rng = seeded_rng(61, 0);
+    let bottom = uniform(e, n, -1.0, 1.0, &mut rng);
+    let ts: Vec<Matrix> = (0..tables)
+        .map(|_| uniform(n, e, -1.0, 1.0, &mut rng))
+        .collect();
+    let mut inter = Interaction::new(e);
+    let forward = calls_during(&mut || drop(inter.forward(&exec, &bottom, &ts)));
+    assert_eq!(forward, 20, "20 forwards allocated {forward} times");
+}

@@ -443,14 +443,14 @@ bag_tier!(
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx512f")]
-unsafe fn load_n_avx512(p: *const f32, n: usize) -> std::arch::x86_64::__m512 {
+pub(crate) unsafe fn load_n_avx512(p: *const f32, n: usize) -> std::arch::x86_64::__m512 {
     std::arch::x86_64::_mm512_maskz_loadu_ps((1u16 << n) - 1, p)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx512f")]
-unsafe fn store_n_avx512(p: *mut f32, n: usize, v: std::arch::x86_64::__m512) {
+pub(crate) unsafe fn store_n_avx512(p: *mut f32, n: usize, v: std::arch::x86_64::__m512) {
     std::arch::x86_64::_mm512_mask_storeu_ps(p, (1u16 << n) - 1, v)
 }
 
@@ -469,14 +469,14 @@ unsafe fn tail_mask_avx2(n: usize) -> std::arch::x86_64::__m256i {
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn load_n_avx2(p: *const f32, n: usize) -> std::arch::x86_64::__m256 {
+pub(crate) unsafe fn load_n_avx2(p: *const f32, n: usize) -> std::arch::x86_64::__m256 {
     std::arch::x86_64::_mm256_maskload_ps(p, tail_mask_avx2(n))
 }
 
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn store_n_avx2(p: *mut f32, n: usize, v: std::arch::x86_64::__m256) {
+pub(crate) unsafe fn store_n_avx2(p: *mut f32, n: usize, v: std::arch::x86_64::__m256) {
     std::arch::x86_64::_mm256_maskstore_ps(p, tail_mask_avx2(n), v)
 }
 

@@ -22,6 +22,10 @@
 //!   [`embedding::plan::BagPlan`] (per-batch counting-sort bucketing that
 //!   turns the race-free and fused updates from O(NS·T) scans into O(NS)
 //!   work — `UpdateStrategy::Bucketed`).
+//! * [`interaction`] — the pairwise-dot feature interaction as a Gram
+//!   kernel whose vector lanes are samples, plus the register-tile
+//!   transpose that packs its operands; scalar/AVX2/AVX-512 tiers, bitwise
+//!   the scalar `iter().sum()` chain.
 //! * [`activations`] / [`loss`] — ReLU, sigmoid and binary cross-entropy
 //!   with their backward passes.
 //! * [`sgd`] — dense SGD including the Split-SGD-BF16 step.
@@ -35,6 +39,7 @@ pub mod bf16wire;
 pub mod embedding;
 pub mod gemm;
 pub mod int8wire;
+pub mod interaction;
 pub mod loss;
 pub mod sgd;
 pub mod threadpool;

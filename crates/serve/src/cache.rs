@@ -21,8 +21,12 @@
 //! per lookup.
 //!
 //! Rows are stored verbatim (bit-for-bit copies of the table rows), so a
-//! gather served from the cache is bitwise identical to one served from
-//! the backing table — the engine's identity gate relies on this.
+//! row served from the cache is bitwise the backing table's.
+//!
+//! **Standalone.** No engine consults this cache: in front of local DRAM
+//! the cached gather lost to the direct one on every measured shape
+//! (DESIGN.md §11). The type stays, with its tests, for the benchmark's
+//! `serve.cache_get_ns` probe and `bench_serving`'s hit-rate sweep.
 
 use dlrm_kernels::embedding::RowStore;
 use dlrm_tensor::Matrix;

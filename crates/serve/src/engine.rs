@@ -2,51 +2,41 @@
 //! micro-batches → forward-only DLRM → per-request latency accounting.
 //!
 //! A [`ServeModel`] is a forward-only view over the training stack: the
-//! same bottom-MLP / embedding-bag / interaction / top-MLP kernels, with
-//! each embedding table optionally fronted by a [`HotRowCache`]. A
-//! [`ServeEngine`] owns one `ServeModel` on one engine thread and feeds it
-//! batches from a [`MicroBatcher`]; clients submit one sample at a time
-//! from any thread and block (or poll) for their scored response. The
-//! engine thread is member 0 of the model's GEMM team, so with
-//! `Execution::optimized(1)` a whole request — batching, gather, MLP stack,
-//! reply — runs on that one thread without a hand-off.
+//! same bottom-MLP / embedding-bag / interaction / top-MLP kernels, every
+//! table gathered straight from its rows by the register-resident
+//! `gather_bags`. A [`ServeEngine`] owns one `ServeModel` on one engine
+//! thread and feeds it batches from a [`MicroBatcher`]; clients submit one
+//! sample at a time from any thread and block for their scored response
+//! on a one-shot reply slot ([`crate::reply`]). The engine thread is member
+//! 0 of the model's GEMM team, so with `Execution::optimized(1)` a whole
+//! request — batching, gather, MLP stack, reply — runs on that one thread
+//! without a hand-off.
 
 use crate::batcher::MicroBatcher;
-use crate::cache::{CacheStats, HotRowCache};
+use crate::cache::CacheStats;
+use crate::reply::{self, ReplySender, ResponseHandle};
 use dlrm::layers::Execution;
 use dlrm::model::DlrmModel;
 use dlrm::precision::PrecisionMode;
 use dlrm_data::{DlrmConfig, MiniBatch};
 use dlrm_kernels::activations::sigmoid;
-use dlrm_kernels::embedding::{self, rowops, UpdateStrategy};
-use dlrm_kernels::gemm::micro::detect_isa;
+use dlrm_kernels::embedding::{self, UpdateStrategy};
 use dlrm_tensor::Matrix;
-use std::sync::mpsc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-/// How each table's hot-row cache is sized.
+/// A hot-row cache sizing. **Has no effect:** no engine consults a cache
+/// (a software row cache in front of local DRAM lost to the direct gather
+/// on every measured shape, DESIGN.md §11); the type and the arguments
+/// that take it remain so callers written against them keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CacheSizing {
-    /// No cache: every gather reads the backing table.
+    /// No cache.
     Disabled,
     /// A fixed number of rows per table.
     Rows(usize),
-    /// A fraction of each table's rows (`ceil(M · f)`, at least 1).
+    /// A fraction of each table's rows.
     Fraction(f64),
-}
-
-impl CacheSizing {
-    pub(crate) fn rows_for_table(&self, m: usize) -> Option<usize> {
-        match *self {
-            CacheSizing::Disabled => None,
-            CacheSizing::Rows(r) => Some(r.clamp(1, m.max(1))),
-            CacheSizing::Fraction(f) => {
-                assert!(f > 0.0, "cache fraction must be positive");
-                Some(((m as f64 * f).ceil() as usize).clamp(1, m.max(1)))
-            }
-        }
-    }
 }
 
 /// Engine configuration: the batching dial plus compute resources.
@@ -88,10 +78,9 @@ pub struct Response {
     pub latency: Duration,
 }
 
-/// A forward-only DLRM with optional per-table hot-row caches.
+/// A forward-only DLRM.
 pub struct ServeModel {
     model: DlrmModel,
-    caches: Vec<Option<HotRowCache>>,
     /// Reused per-table gather outputs (`N × E` each).
     gather_outs: Vec<Matrix>,
 }
@@ -99,9 +88,8 @@ pub struct ServeModel {
 impl ServeModel {
     /// Builds a forward-only model for `cfg`, seeded exactly like
     /// [`DlrmModel::new`] — the same `seed` reconstructs bitwise-identical
-    /// weights, which is what the cached-vs-uncached identity gates compare
-    /// against.
-    pub fn new(cfg: &DlrmConfig, exec: Execution, cache: CacheSizing, seed: u64) -> Self {
+    /// weights. `_cache` has no effect (see [`CacheSizing`]).
+    pub fn new(cfg: &DlrmConfig, exec: Execution, _cache: CacheSizing, seed: u64) -> Self {
         let mut model = DlrmModel::new(
             cfg,
             exec,
@@ -115,25 +103,12 @@ impl ServeModel {
             model.bottom.prepack_weights();
             model.top.prepack_weights();
         }
-        let caches = model
-            .tables
-            .iter()
-            .map(|t| {
-                cache
-                    .rows_for_table(t.rows())
-                    .map(|rows| HotRowCache::new(rows, t.dim()))
-            })
-            .collect();
         let gather_outs = model
             .tables
             .iter()
             .map(|t| Matrix::zeros(0, t.dim()))
             .collect();
-        ServeModel {
-            model,
-            caches,
-            gather_outs,
-        }
+        ServeModel { model, gather_outs }
     }
 
     /// The model configuration.
@@ -141,48 +116,25 @@ impl ServeModel {
         &self.model.cfg
     }
 
-    /// Per-table cache statistics (`None` for uncached tables).
+    /// Per-table cache statistics: `None` for every table, since none is
+    /// fronted by a cache.
     pub fn cache_stats(&self) -> Vec<Option<CacheStats>> {
-        self.caches
-            .iter()
-            .map(|c| c.as_ref().map(|c| c.stats))
-            .collect()
+        vec![None; self.model.tables.len()]
     }
 
-    /// Zeroes every table's cache counters (e.g. after warm-up).
-    pub fn reset_cache_stats(&mut self) {
-        for c in self.caches.iter_mut().flatten() {
-            c.stats.reset();
-        }
-    }
+    /// Nothing to reset (see [`Self::cache_stats`]).
+    pub fn reset_cache_stats(&mut self) {}
 
     /// Forward-only pass; returns per-sample logits. Embedding gathers run
-    /// serially through the SIMD row primitives — through the hot-row cache
-    /// where one is configured, bitwise identical either way.
+    /// serially on the calling thread, each bag summed in registers.
     pub fn forward(&mut self, batch: &MiniBatch) -> Vec<f32> {
         let exec = self.model.exec.clone();
         let n = batch.batch_size();
         let z0 = self.model.bottom.forward(&exec, &batch.dense);
-        let isa = detect_isa();
         for (t, layer) in self.model.tables.iter().enumerate() {
             let out = &mut self.gather_outs[t];
             out.resize_rows(n);
-            match &mut self.caches[t] {
-                Some(cache) => gather_cached(
-                    cache,
-                    &layer.weight,
-                    &batch.indices[t],
-                    &batch.offsets[t],
-                    out,
-                    isa,
-                ),
-                None => embedding::forward_serial(
-                    &layer.weight,
-                    &batch.indices[t],
-                    &batch.offsets[t],
-                    out,
-                ),
-            }
+            embedding::forward_serial(&layer.weight, &batch.indices[t], &batch.offsets[t], out);
         }
         let inter = self
             .model
@@ -194,43 +146,18 @@ impl ServeModel {
     }
 }
 
-/// Bag-sum gather through the hot-row cache: same accumulation order and
-/// SIMD row primitives as [`embedding::forward_serial`], with each row
-/// served from the cache (admitting from `weight` on a miss). Cached rows
-/// are verbatim copies, so the output is bitwise identical to the uncached
-/// gather.
-pub(crate) fn gather_cached(
-    cache: &mut HotRowCache,
-    weight: &Matrix,
-    indices: &[u32],
-    offsets: &[usize],
-    out: &mut Matrix,
-    isa: dlrm_kernels::gemm::micro::Isa,
-) {
-    let n = offsets.len() - 1;
-    assert_eq!(out.shape(), (n, weight.cols()), "gather output shape");
-    for bag in 0..n {
-        let out_row = out.row_mut(bag);
-        out_row.fill(0.0);
-        for &idx in &indices[offsets[bag]..offsets[bag + 1]] {
-            let row = cache.get_or_admit(idx, weight);
-            rowops::accumulate(isa, out_row, row);
-        }
-    }
-}
-
 pub(crate) struct Pending {
     pub(crate) req: Request,
     pub(crate) submitted: Instant,
-    pub(crate) tx: mpsc::Sender<Response>,
+    pub(crate) reply: ReplySender,
 }
 
 /// Per-shard slice of an [`EngineReport`]: what one worker team saw.
 ///
 /// The unsharded engine reports exactly one of these (shard 0 owning every
 /// table); the sharded engine reports one per shard, so dashboards can
-/// spot a hot shard (skewed `requests`, deep `queue_depth_hwm`, cold
-/// caches) without re-deriving the table partition.
+/// spot a hot shard (skewed `requests`, deep `queue_depth_hwm`) without
+/// re-deriving the table partition.
 #[derive(Debug, Clone, Default)]
 pub struct ShardReport {
     /// Shard index.
@@ -249,8 +176,7 @@ pub struct ShardReport {
     /// High-water mark of requests visible to this lane when it pulled a
     /// batch (batch in hand + still queued behind it).
     pub queue_depth_hwm: usize,
-    /// Cache statistics for this shard's owned tables, in `owned_tables`
-    /// order (`None` for uncached tables).
+    /// One `None` per owned table: no table is fronted by a cache.
     pub cache_stats: Vec<Option<CacheStats>>,
 }
 
@@ -266,14 +192,31 @@ pub struct EngineReport {
     /// Engine-side latency of every request, in microseconds
     /// (submission → response ready), in completion order.
     pub latencies_us: Vec<u64>,
-    /// Final per-table cache statistics (`None` for uncached tables),
-    /// indexed by global table id.
+    /// One `None` per table: no table is fronted by a cache.
     pub cache_stats: Vec<Option<CacheStats>>,
     /// Per-shard breakdown (one entry for the unsharded engine).
     pub shards: Vec<ShardReport>,
 }
 
 impl EngineReport {
+    /// The aggregate over every lane's report (the lanes' owned tables
+    /// partition the model's).
+    pub(crate) fn from_shards(shards: Vec<ShardReport>) -> Self {
+        let num_tables = shards.iter().map(|sr| sr.owned_tables.len()).sum();
+        let mut report = EngineReport {
+            cache_stats: vec![None; num_tables],
+            ..EngineReport::default()
+        };
+        for sr in &shards {
+            report.requests += sr.requests;
+            report.batches += sr.batches;
+            report.max_batch_seen = report.max_batch_seen.max(sr.max_batch_seen);
+            report.latencies_us.extend_from_slice(&sr.latencies_us);
+        }
+        report.shards = shards;
+        report
+    }
+
     /// Mean micro-batch size.
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
@@ -287,21 +230,19 @@ impl EngineReport {
 /// A cloneable client handle for submitting requests to a running engine.
 #[derive(Clone)]
 pub struct ServeClient {
-    batcher: MicroBatcher<Pending>,
+    /// The queue the engine's lanes drain; the engine closes it to shut down.
+    pub(crate) batcher: MicroBatcher<Pending>,
     dense_features: usize,
     table_rows: Vec<u64>,
 }
 
 impl ServeClient {
-    pub(crate) fn new(
-        batcher: MicroBatcher<Pending>,
-        dense_features: usize,
-        table_rows: Vec<u64>,
-    ) -> Self {
+    /// A client of a fresh, open queue for models of shape `cfg`.
+    pub(crate) fn new(cfg: &DlrmConfig) -> Self {
         ServeClient {
-            batcher,
-            dense_features,
-            table_rows,
+            batcher: MicroBatcher::new(),
+            dense_features: cfg.dense_features,
+            table_rows: cfg.table_rows.clone(),
         }
     }
 
@@ -335,35 +276,21 @@ impl ServeClient {
     /// the request is malformed or the engine has shut down.
     pub fn submit(&self, req: Request) -> Result<ResponseHandle, String> {
         self.validate(&req)?;
-        let (tx, rx) = mpsc::channel();
+        let (reply, handle) = reply::slot();
         let accepted = self.batcher.push(Pending {
             req,
             submitted: Instant::now(),
-            tx,
+            reply,
         });
         if !accepted {
             return Err("engine is shut down".into());
         }
-        Ok(ResponseHandle { rx })
+        Ok(handle)
     }
 
     /// Submits and blocks for the response.
     pub fn infer(&self, req: Request) -> Result<Response, String> {
         self.submit(req)?.wait()
-    }
-}
-
-/// A pending response.
-pub struct ResponseHandle {
-    rx: mpsc::Receiver<Response>,
-}
-
-impl ResponseHandle {
-    /// Blocks until the engine scores this request.
-    pub fn wait(self) -> Result<Response, String> {
-        self.rx
-            .recv()
-            .map_err(|_| "engine dropped the request (shut down mid-flight)".into())
     }
 }
 
@@ -373,8 +300,7 @@ impl ResponseHandle {
 /// `n = 1`), and the engine thread computes as their member 0.
 pub struct ServeEngine {
     client: ServeClient,
-    batcher: MicroBatcher<Pending>,
-    worker: Option<JoinHandle<EngineReport>>,
+    worker: Option<JoinHandle<ShardReport>>,
 }
 
 impl ServeEngine {
@@ -382,55 +308,27 @@ impl ServeEngine {
     /// (spawned here, so it inherits the caller's affinity).
     pub fn start(mut model: ServeModel, cfg: ServeConfig) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be >= 1");
-        let batcher: MicroBatcher<Pending> = MicroBatcher::new();
-        let client = ServeClient::new(
-            batcher.clone(),
-            model.cfg().dense_features,
-            model.cfg().table_rows.clone(),
-        );
+        let client = ServeClient::new(model.cfg());
         let num_tables = model.cfg().num_tables;
-        let consumer = batcher.clone();
+        let consumer = client.batcher.clone();
         let worker = std::thread::Builder::new()
             .name("dlrm-serve".into())
             .spawn(move || {
-                let mut report = EngineReport::default();
-                let mut queue_depth_hwm = 0usize;
-                while let Some(mut pendings) = consumer.next_batch(cfg.max_batch, cfg.window) {
-                    queue_depth_hwm = queue_depth_hwm.max(pendings.len() + consumer.len());
-                    let batch = assemble(model.cfg(), &pendings);
-                    let logits = model.forward(&batch);
-                    report.batches += 1;
-                    report.max_batch_seen = report.max_batch_seen.max(pendings.len());
-                    for (i, p) in pendings.drain(..).enumerate() {
-                        let latency = p.submitted.elapsed();
-                        report.requests += 1;
-                        report.latencies_us.push(latency.as_micros() as u64);
-                        let _ = p.tx.send(Response {
-                            logit: logits[i],
-                            prob: sigmoid(logits[i]),
-                            latency,
-                        });
-                    }
-                }
-                report.cache_stats = model.cache_stats();
                 // The unsharded engine is the degenerate one-shard layout:
-                // a single team owning every table.
-                report.shards = vec![ShardReport {
-                    shard: 0,
+                // a single lane owning every table.
+                let report = ShardReport {
                     owned_tables: (0..num_tables).collect(),
-                    requests: report.requests,
-                    batches: report.batches,
-                    max_batch_seen: report.max_batch_seen,
-                    latencies_us: report.latencies_us.clone(),
-                    queue_depth_hwm,
-                    cache_stats: report.cache_stats.clone(),
-                }];
-                report
+                    cache_stats: vec![None; num_tables],
+                    ..ShardReport::default()
+                };
+                let model_cfg = model.cfg().clone();
+                run_lane(report, &consumer, &model_cfg, &cfg, |batch| {
+                    model.forward(batch)
+                })
             })
             .expect("spawn serving worker");
         ServeEngine {
             client,
-            batcher,
             worker: Some(worker),
         }
     }
@@ -443,46 +341,225 @@ impl ServeEngine {
     /// Stops accepting requests, drains what is queued, and returns the
     /// aggregate report.
     pub fn shutdown(mut self) -> EngineReport {
-        self.batcher.close();
-        self.worker
-            .take()
-            .expect("engine already shut down")
-            .join()
-            .expect("serving worker panicked")
+        self.client.batcher.close();
+        let worker = self.worker.take().expect("engine already shut down");
+        let shard = worker.join().expect("serving worker panicked");
+        EngineReport::from_shards(vec![shard])
     }
 }
 
 impl Drop for ServeEngine {
     fn drop(&mut self) {
         if let Some(worker) = self.worker.take() {
-            self.batcher.close();
+            self.client.batcher.close();
             let _ = worker.join();
         }
     }
 }
 
-/// Packs a micro-batch of pending requests into the kernel batch format
-/// (dense is `C × N` — samples are columns; sparse is per-table CSR bags).
-pub(crate) fn assemble(cfg: &DlrmConfig, pendings: &[Pending]) -> MiniBatch {
+/// Closes the batcher and fails whatever is still queued when a lane
+/// leaves its loop: nothing on the way out of a drained, closed batcher;
+/// every queued request — each handle's `wait` returns `Err` — when the
+/// lane is unwinding from a panic.
+struct AbandonQueue<'a>(&'a MicroBatcher<Pending>);
+
+impl Drop for AbandonQueue<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+        while self.0.next_batch(usize::MAX, Duration::ZERO).is_some() {}
+    }
+}
+
+/// One request lane, the loop both engines run: pull a micro-batch off
+/// `consumer`, pack it, score it with `forward`, reply. `report` arrives
+/// naming the lane's shard and owned tables and returns filled in.
+pub(crate) fn run_lane(
+    mut report: ShardReport,
+    consumer: &MicroBatcher<Pending>,
+    cfg: &DlrmConfig,
+    serve_cfg: &ServeConfig,
+    mut forward: impl FnMut(&MiniBatch) -> Vec<f32>,
+) -> ShardReport {
+    let _abandon = AbandonQueue(consumer);
+    let mut batch = empty_batch(cfg.dense_features, cfg.num_tables);
+    while let Some(pendings) = consumer.next_batch(serve_cfg.max_batch, serve_cfg.window) {
+        report.queue_depth_hwm = report.queue_depth_hwm.max(pendings.len() + consumer.len());
+        assemble(&pendings, &mut batch);
+        let logits = forward(&batch);
+        respond(pendings, &logits, &mut report);
+    }
+    report
+}
+
+/// Publishes one micro-batch's responses: every reply slot is filled
+/// first, and only then are the distinct threads found parked on them
+/// woken — a client waiting on the batch's oldest request finds the rest
+/// ready when it wakes.
+pub(crate) fn respond(pendings: Vec<Pending>, logits: &[f32], report: &mut ShardReport) {
+    assert_eq!(logits.len(), pendings.len(), "one logit per request");
+    report.batches += 1;
+    report.max_batch_seen = report.max_batch_seen.max(pendings.len());
+    let ready = Instant::now();
+    let mut waiters: Vec<Thread> = Vec::new();
+    for (p, &logit) in pendings.into_iter().zip(logits) {
+        let latency = ready.duration_since(p.submitted);
+        report.requests += 1;
+        report.latencies_us.push(latency.as_micros() as u64);
+        let resp = Response {
+            logit,
+            prob: sigmoid(logit),
+            latency,
+        };
+        let waiter = p.reply.fill(resp, p.req);
+        if let Some(w) = waiter {
+            if waiters.iter().all(|seen| seen.id() != w.id()) {
+                waiters.push(w);
+            }
+        }
+    }
+    for w in waiters {
+        w.unpark();
+    }
+}
+
+/// A batch of no samples for [`assemble`] to fill.
+fn empty_batch(dense_features: usize, num_tables: usize) -> MiniBatch {
+    MiniBatch {
+        dense: Matrix::zeros(dense_features, 0),
+        indices: vec![Vec::new(); num_tables],
+        offsets: vec![Vec::new(); num_tables],
+        labels: Vec::new(),
+    }
+}
+
+/// Packs a micro-batch of pending requests into `batch`, reusing its
+/// storage (dense is `C × N` — samples are columns; sparse is per-table CSR
+/// bags).
+pub(crate) fn assemble(pendings: &[Pending], batch: &mut MiniBatch) {
     let n = pendings.len();
-    let dense = Matrix::from_fn(cfg.dense_features, n, |r, c| pendings[c].req.dense[r]);
-    let mut indices = Vec::with_capacity(cfg.num_tables);
-    let mut offsets = Vec::with_capacity(cfg.num_tables);
-    for t in 0..cfg.num_tables {
-        let mut idx = Vec::new();
-        let mut off = Vec::with_capacity(n + 1);
-        off.push(0usize);
+    batch.dense.resize(batch.dense.rows(), n);
+    for (c, p) in pendings.iter().enumerate() {
+        for (r, &v) in p.req.dense.iter().enumerate() {
+            batch.dense[(r, c)] = v;
+        }
+    }
+    for (t, (idx, off)) in batch.indices.iter_mut().zip(&mut batch.offsets).enumerate() {
+        idx.clear();
+        off.clear();
+        off.push(0);
         for p in pendings {
             idx.extend_from_slice(&p.req.indices[t]);
             off.push(idx.len());
         }
-        indices.push(idx);
-        offsets.push(off);
     }
-    MiniBatch {
-        dense,
-        indices,
-        offsets,
-        labels: vec![0.0; n],
+    batch.labels.clear();
+    batch.labels.resize(n, 0.0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    const WATCHDOG: Duration = Duration::from_secs(60);
+
+    fn tiny_cfg() -> DlrmConfig {
+        let mut cfg = DlrmConfig::small().scaled_down(50, 256);
+        cfg.dense_features = 2;
+        cfg.num_tables = 2;
+        cfg.table_rows = vec![50, 50];
+        cfg
+    }
+
+    /// A forward that panics mid-batch must fail every outstanding handle —
+    /// the batch in hand (its senders unwind with the lane) and everything
+    /// still queued behind it (`AbandonQueue`) — and close the engine to
+    /// new requests. Nothing may hang.
+    #[test]
+    fn reply_slots_fail_when_forward_panics_mid_batch() {
+        let cfg = tiny_cfg();
+        let client = ServeClient::new(&cfg);
+        let batcher = client.batcher.clone();
+        let request = || Request {
+            dense: vec![0.5; 2],
+            indices: vec![vec![1, 2], vec![]],
+        };
+        // Queued before the lane starts, so the batches are exact: 4 served,
+        // 4 in hand when the forward panics, 4 still queued behind them.
+        let handles: Vec<_> = (0..12)
+            .map(|_| client.submit(request()).expect("open"))
+            .collect();
+        let serve_cfg = ServeConfig {
+            max_batch: 4,
+            window: Duration::ZERO,
+        };
+        let lane = {
+            let (batcher, cfg) = (batcher.clone(), cfg.clone());
+            std::thread::spawn(move || {
+                let mut batches = 0;
+                run_lane(
+                    ShardReport::default(),
+                    &batcher,
+                    &cfg,
+                    &serve_cfg,
+                    |batch| {
+                        batches += 1;
+                        assert!(batches < 2, "injected: forward fails on the second batch");
+                        vec![0.25; batch.batch_size()]
+                    },
+                )
+            })
+        };
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            for h in handles {
+                tx.send(h.wait()).expect("test alive");
+            }
+        });
+        let outcomes: Vec<_> = (0..12)
+            .map(|i| {
+                rx.recv_timeout(WATCHDOG)
+                    .unwrap_or_else(|_| panic!("handle {i} hung"))
+            })
+            .collect();
+        for (i, outcome) in outcomes.iter().enumerate() {
+            match outcome {
+                Ok(resp) => assert!(i < 4 && resp.logit == 0.25, "request {i} was answered"),
+                Err(_) => assert!(i >= 4, "request {i} of the served batch failed"),
+            }
+        }
+        assert!(lane.join().is_err(), "the lane's panic reaches its joiner");
+        waiter.join().expect("waiter");
+        assert!(client.submit(request()).is_err(), "a dead engine is closed");
+    }
+
+    #[test]
+    fn assemble_reuses_the_batch_across_shapes() {
+        let pend = |dense: [f32; 2], bags: [&[u32]; 2]| Pending {
+            req: Request {
+                dense: dense.to_vec(),
+                indices: bags.iter().map(|b| b.to_vec()).collect(),
+            },
+            submitted: Instant::now(),
+            reply: reply::slot().0,
+        };
+        let mut batch = empty_batch(2, 2);
+        let three = [
+            pend([1.0, 2.0], [&[7, 8], &[]]),
+            pend([3.0, 4.0], [&[], &[9]]),
+            pend([5.0, 6.0], [&[1], &[2, 3]]),
+        ];
+        assemble(&three, &mut batch);
+        assert_eq!(batch.dense.as_slice(), &[1.0, 3.0, 5.0, 2.0, 4.0, 6.0]);
+        assert_eq!(batch.indices, vec![vec![7, 8, 1], vec![9, 2, 3]]);
+        assert_eq!(batch.offsets, vec![vec![0, 2, 2, 3], vec![0, 0, 1, 3]]);
+        assert_eq!(batch.batch_size(), 3);
+        // A smaller batch afterwards leaves nothing of the larger one.
+        assemble(&three[1..2], &mut batch);
+        assert_eq!(batch.dense.shape(), (2, 1));
+        assert_eq!(batch.dense.as_slice(), &[3.0, 4.0]);
+        assert_eq!(batch.indices, vec![vec![], vec![9]]);
+        assert_eq!(batch.offsets, vec![vec![0, 0], vec![0, 1]]);
+        assert_eq!(batch.batch_size(), 1);
     }
 }

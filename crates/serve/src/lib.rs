@@ -1,37 +1,39 @@
-//! # dlrm-serve — batched, hot-row-cached DLRM inference
+//! # dlrm-serve — micro-batched DLRM inference
 //!
 //! Training is only half of a production recommender: this crate serves
-//! the trained model. Three pieces (see DESIGN.md §11):
+//! the trained model. The request path (see DESIGN.md §11):
 //!
 //! * [`MicroBatcher`] — turns concurrent single-user requests into bounded
 //!   micro-batches under a batching window (the throughput/latency dial).
-//! * [`HotRowCache`] — a fixed-capacity, frequency-aware (CLOCK-with-aging)
-//!   cache of hot embedding rows in a compact store. Embedding-bag gather
-//!   dominates DLRM inference and is cache-residency-bound; under
-//!   Zipf-shaped traffic the popularity head is tiny relative to the
-//!   table, so a ~1% cache captures most lookups.
 //! * [`ServeEngine`] — a worker thread running a forward-only
-//!   [`ServeModel`] over the training stack's SIMD embedding + GEMM
-//!   kernels, recording per-request latency for p50/p99/QPS SLO reporting
+//!   [`ServeModel`] over the training stack's SIMD embedding + GEMM +
+//!   interaction kernels, every table gathered straight from its rows,
+//!   recording per-request latency for p50/p99/QPS SLO reporting
 //!   ([`metrics`]).
+//! * [`reply`] — one-shot reply slots: a micro-batch's responses are all
+//!   published before any waiting client is woken, one wake per batch.
 //!
 //! For multi-socket hosts, [`sharded`] scales the same engine across
 //! worker teams (DESIGN.md §15): tables are partitioned over shards by the
 //! trainer's `OwnershipMap`, each shard runs its own lane + table-server
-//! thread pair with its own caches and (optionally core-pinned) GEMM team,
-//! and lanes fan sparse lookups out to owning shards over lock-free SPSC
-//! rings ([`spsc`]).
+//! thread pair with its own (optionally core-pinned) GEMM team, and lanes
+//! fan sparse lookups out to owning shards over lock-free SPSC rings
+//! ([`spsc`]).
 //!
-//! Correctness contract: cached and uncached forward output are **bitwise
-//! identical** (cached rows are verbatim copies, summed in the same order
-//! by the same rowops tiers), so turning the cache on can never change a
-//! served score. The sharded engine extends the same gate: sharded and
-//! unsharded output are bitwise identical for any shard count.
+//! [`HotRowCache`] (CLOCK-with-aging, doorkeeper admission) is a standalone
+//! component: no engine consults it — in front of local DRAM it lost to
+//! the direct gather on every measured shape (DESIGN.md §11) — and
+//! [`CacheSizing`] arguments are accepted without effect.
+//!
+//! Correctness contract: a request's logit is **bitwise identical**
+//! however it is batched, and sharded and unsharded output are bitwise
+//! identical for any shard count.
 
 pub mod batcher;
 pub mod cache;
 pub mod engine;
 pub mod metrics;
+pub mod reply;
 pub mod sharded;
 pub mod spsc;
 

@@ -7,22 +7,20 @@
 //! the same [`OwnershipMap`] the trainer uses (DESIGN.md §15); each shard
 //! gets its own team ([`dlrm_kernels::threadpool::ThreadPool`]: the lane
 //! thread as member 0 plus `workers_per_shard − 1` spawned workers,
-//! optionally core-pinned via [`CorePlacement`]), its own per-table
-//! [`HotRowCache`]s, and its own request lane off a shared
-//! [`MicroBatcher`]. A lane fans each micro-batch's sparse lookups out to
-//! the owning shards over lock-free SPSC rings ([`crate::spsc`] — no
-//! comm-world dependency), gathers the pooled `N × E` rows back, and runs
-//! the replicated bottom/interaction/top MLP stack on its own team.
+//! optionally core-pinned via [`CorePlacement`]) and its own request lane
+//! off a shared [`MicroBatcher`]. A lane fans each micro-batch's sparse
+//! lookups out to the owning shards over lock-free SPSC rings
+//! ([`crate::spsc`] — no comm-world dependency), gathers the pooled `N × E`
+//! rows back, and runs the replicated bottom/interaction/top MLP stack on
+//! its own team.
 //!
-//! Correctness contract, extending the cached≡uncached gate: for any shard
-//! count, any micro-batch composition, and any worker-team width, the
-//! served logits are **bitwise identical** to the unsharded
-//! [`crate::ServeModel`]. Three properties make that hold:
+//! Correctness contract: for any shard count, any micro-batch composition,
+//! and any worker-team width, the served logits are **bitwise identical**
+//! to the unsharded [`crate::ServeModel`]. Three properties make that hold:
 //!
 //! 1. each table's bag-sum runs serially at its owning shard through the
-//!    exact [`gather_cached`] / `forward_serial` code the unsharded engine
-//!    uses — sharding moves *which thread* gathers, never the accumulation
-//!    order;
+//!    exact `forward_serial` code the unsharded engine uses — sharding
+//!    moves *which thread* gathers, never the accumulation order;
 //! 2. the MLP replicas are rebuilt from the model seed's per-component RNG
 //!    streams, so every shard holds bitwise-equal weights;
 //! 3. the blocked GEMM partitions a fixed tile grid, making its output
@@ -30,10 +28,9 @@
 //!    independent, making each logit invariant to micro-batch grouping.
 
 use crate::batcher::MicroBatcher;
-use crate::cache::{CacheStats, HotRowCache};
+use crate::cache::CacheStats;
 use crate::engine::{
-    assemble, gather_cached, CacheSizing, EngineReport, Pending, Response, ServeClient,
-    ServeConfig, ShardReport,
+    run_lane, CacheSizing, EngineReport, Pending, ServeClient, ServeConfig, ShardReport,
 };
 use crate::spsc::{spsc, SpscConsumer, SpscProducer};
 use dlrm::embedding_layer::EmbeddingLayer;
@@ -41,9 +38,7 @@ use dlrm::interaction::Interaction;
 use dlrm::layers::{Activation, Execution, Mlp};
 use dlrm::model::DlrmModel;
 use dlrm_data::{DlrmConfig, MiniBatch};
-use dlrm_kernels::activations::sigmoid;
 use dlrm_kernels::embedding::{self, UpdateStrategy};
-use dlrm_kernels::gemm::micro::detect_isa;
 use dlrm_kernels::threadpool::{pin_current_thread, ThreadPool};
 use dlrm_tensor::init::seeded_rng;
 use dlrm_tensor::Matrix;
@@ -68,7 +63,9 @@ pub struct ShardSpec {
     /// synchronous [`ShardedServeModel::forward`] runs on its caller's
     /// thread, whose affinity is never touched.
     pub pin_cores: bool,
-    /// Hot-row cache sizing for each shard's owned tables.
+    /// Has no effect (see [`CacheSizing`]): shards return pooled bag sums,
+    /// so a lane-side row cache could skip a round trip only when every row
+    /// of a bag hits, and a server-side one fronts local DRAM.
     pub cache: CacheSizing,
 }
 
@@ -97,37 +94,25 @@ struct LaneHalf {
     gather_outs: Vec<Matrix>,
 }
 
-/// The embedding side of one shard: the owned tables and their caches.
-/// Lives on the shard's server thread, keeping cache mutation
-/// single-threaded.
+impl LaneHalf {
+    /// The dense stack on this shard's team, over `gather_outs` as the
+    /// servers left them; returns per-sample logits.
+    fn dense_forward(&mut self, batch: &MiniBatch) -> Vec<f32> {
+        let z0 = self.bottom.forward(&self.exec, &batch.dense);
+        let inter = self.interaction.forward(&self.exec, &z0, &self.gather_outs);
+        let logits = self.top.forward(&self.exec, &inter);
+        debug_assert_eq!(logits.rows(), 1);
+        logits.as_slice().to_vec()
+    }
+}
+
+/// The embedding side of one shard: the owned tables. Lives on the shard's
+/// server thread.
 struct ServerHalf {
     /// As [`LaneHalf::core`]: the server shares its shard's first core.
     core: Option<usize>,
     /// Owned tables, in [`OwnershipMap::tables_of`] (local) order.
     tables: Vec<EmbeddingLayer>,
-    caches: Vec<Option<HotRowCache>>,
-}
-
-impl ServerHalf {
-    /// Bag-sum gather of local table `li` into `out` (`n × E`) — the same
-    /// serial path (and same per-call ISA detection) as the unsharded
-    /// engine.
-    fn gather_into(&mut self, li: usize, indices: &[u32], offsets: &[usize], out: &mut Matrix) {
-        match &mut self.caches[li] {
-            Some(cache) => {
-                let isa = detect_isa();
-                gather_cached(cache, &self.tables[li].weight, indices, offsets, out, isa)
-            }
-            None => embedding::forward_serial(&self.tables[li].weight, indices, offsets, out),
-        }
-    }
-
-    fn cache_stats(&self) -> Vec<Option<CacheStats>> {
-        self.caches
-            .iter()
-            .map(|c| c.as_ref().map(|c| c.stats))
-            .collect()
-    }
 }
 
 /// A table-sharded forward-only model: `S` lane halves (replicated MLPs on
@@ -208,19 +193,7 @@ impl ShardedServeModel {
                 .iter()
                 .map(|&t| DlrmModel::build_table(cfg, t, UpdateStrategy::RaceFree, seed))
                 .collect();
-            let caches = tables
-                .iter()
-                .map(|t| {
-                    spec.cache
-                        .rows_for_table(t.rows())
-                        .map(|rows| HotRowCache::new(rows, t.dim()))
-                })
-                .collect();
-            servers.push(ServerHalf {
-                core,
-                tables,
-                caches,
-            });
+            servers.push(ServerHalf { core, tables });
         }
         ShardedServeModel {
             cfg: cfg.clone(),
@@ -254,16 +227,10 @@ impl ShardedServeModel {
         &self.pinned_workers
     }
 
-    /// Cache statistics indexed by **global** table id (`None` for
-    /// uncached tables).
+    /// Cache statistics indexed by **global** table id: `None` for every
+    /// table, since none is fronted by a cache.
     pub fn cache_stats(&self) -> Vec<Option<CacheStats>> {
-        let mut global = vec![None; self.cfg.num_tables];
-        for (q, server) in self.servers.iter().enumerate() {
-            for (li, &t) in self.ownership.tables_of(q).iter().enumerate() {
-                global[t] = server.caches[li].as_ref().map(|c| c.stats);
-            }
-        }
-        global
+        vec![None; self.cfg.num_tables]
     }
 
     /// Synchronous sharded forward: every table gathers at its owning
@@ -272,20 +239,15 @@ impl ShardedServeModel {
     /// [`crate::ServeModel::forward`] for any `gather_shard`.
     pub fn forward(&mut self, gather_shard: usize, batch: &MiniBatch) -> Vec<f32> {
         let n = batch.batch_size();
-        for (q, server) in self.servers.iter_mut().enumerate() {
+        for (q, server) in self.servers.iter().enumerate() {
             for (li, &t) in self.ownership.tables_of(q).iter().enumerate() {
                 let out = &mut self.lanes[gather_shard].gather_outs[t];
                 out.resize_rows(n);
-                server.gather_into(li, &batch.indices[t], &batch.offsets[t], out);
+                let weight = &server.tables[li].weight;
+                embedding::forward_serial(weight, &batch.indices[t], &batch.offsets[t], out);
             }
         }
-        let lane = &mut self.lanes[gather_shard];
-        let exec = lane.exec.clone();
-        let z0 = lane.bottom.forward(&exec, &batch.dense);
-        let inter = lane.interaction.forward(&exec, &z0, &lane.gather_outs);
-        let logits = lane.top.forward(&exec, &inter);
-        debug_assert_eq!(logits.rows(), 1);
-        logits.as_slice().to_vec()
+        self.lanes[gather_shard].dense_forward(batch)
     }
 }
 
@@ -354,12 +316,9 @@ impl ServerCtl {
 /// gathers for every lane), wired all-to-all with SPSC rings.
 pub struct ShardedEngine {
     client: ServeClient,
-    batcher: MicroBatcher<Pending>,
     lanes: Vec<JoinHandle<ShardReport>>,
-    servers: Vec<JoinHandle<Vec<Option<CacheStats>>>>,
+    servers: Vec<JoinHandle<()>>,
     ctls: Vec<Arc<ServerCtl>>,
-    ownership: Arc<OwnershipMap>,
-    num_tables: usize,
 }
 
 impl ShardedEngine {
@@ -369,12 +328,7 @@ impl ShardedEngine {
         let nshards = model.num_shards();
         let ownership = Arc::new(model.ownership);
         let model_cfg = Arc::new(model.cfg);
-        let batcher: MicroBatcher<Pending> = MicroBatcher::new();
-        let client = ServeClient::new(
-            batcher.clone(),
-            model_cfg.dense_features,
-            model_cfg.table_rows.clone(),
-        );
+        let client = ServeClient::new(&model_cfg);
 
         // One ring per (lane, server) pair. A lane has at most one job in
         // flight per server (it blocks on the replies each batch), so a
@@ -392,7 +346,7 @@ impl ShardedEngine {
         }
         let ctls: Vec<Arc<ServerCtl>> = (0..nshards).map(|_| Arc::new(ServerCtl::new())).collect();
 
-        let servers: Vec<JoinHandle<Vec<Option<CacheStats>>>> = model
+        let servers: Vec<JoinHandle<()>> = model
             .servers
             .into_iter()
             .zip(server_consumers)
@@ -411,7 +365,7 @@ impl ShardedEngine {
             .into_iter()
             .enumerate()
             .map(|(s, lane)| {
-                let consumer = batcher.clone();
+                let consumer = client.batcher.clone();
                 let producers = std::mem::take(&mut lane_producers[s]);
                 let ctls: Vec<Arc<ServerCtl>> = ctls.iter().map(Arc::clone).collect();
                 let ownership = Arc::clone(&ownership);
@@ -420,7 +374,7 @@ impl ShardedEngine {
                 std::thread::Builder::new()
                     .name(format!("dlrm-shard{s}-lane"))
                     .spawn(move || {
-                        run_lane(
+                        run_shard_lane(
                             s, lane, consumer, producers, ctls, &ownership, &model_cfg, &serve_cfg,
                         )
                     })
@@ -430,12 +384,9 @@ impl ShardedEngine {
 
         ShardedEngine {
             client,
-            batcher,
             lanes,
             servers,
             ctls,
-            num_tables: model_cfg.num_tables,
-            ownership,
         }
     }
 
@@ -455,8 +406,8 @@ impl ShardedEngine {
         // Order matters: close the batcher and join the lanes first — a
         // lane blocks on its replies every batch, so once the lanes exit,
         // every ring is empty and the servers can be stopped.
-        self.batcher.close();
-        let mut shard_reports: Vec<ShardReport> = self
+        self.client.batcher.close();
+        let shards: Vec<ShardReport> = self
             .lanes
             .drain(..)
             .map(|l| l.join().expect("lane panicked"))
@@ -464,30 +415,10 @@ impl ShardedEngine {
         for ctl in &self.ctls {
             ctl.request_stop();
         }
-        let server_stats: Vec<Vec<Option<CacheStats>>> = self
-            .servers
-            .drain(..)
-            .map(|s| s.join().expect("shard server panicked"))
-            .collect();
-
-        let mut report = EngineReport {
-            cache_stats: vec![None; self.num_tables],
-            ..EngineReport::default()
-        };
-        for (q, stats) in server_stats.into_iter().enumerate() {
-            shard_reports[q].cache_stats = stats.clone();
-            for (li, &t) in self.ownership.tables_of(q).iter().enumerate() {
-                report.cache_stats[t] = stats[li];
-            }
+        for server in self.servers.drain(..) {
+            server.join().expect("shard server panicked");
         }
-        for sr in &shard_reports {
-            report.requests += sr.requests;
-            report.batches += sr.batches;
-            report.max_batch_seen = report.max_batch_seen.max(sr.max_batch_seen);
-            report.latencies_us.extend_from_slice(&sr.latencies_us);
-        }
-        report.shards = shard_reports;
-        report
+        EngineReport::from_shards(shards)
     }
 }
 
@@ -501,11 +432,7 @@ impl Drop for ShardedEngine {
 
 /// Server thread body: drain gather jobs from every lane's ring, park on
 /// the ctl when idle, exit once stop is requested and the rings are dry.
-fn run_server(
-    mut server: ServerHalf,
-    mut consumers: Vec<SpscConsumer<GatherJob>>,
-    ctl: &ServerCtl,
-) -> Vec<Option<CacheStats>> {
+fn run_server(server: ServerHalf, mut consumers: Vec<SpscConsumer<GatherJob>>, ctl: &ServerCtl) {
     if let Some(core) = server.core {
         pin_current_thread(core);
     }
@@ -518,7 +445,13 @@ fn run_server(
                 let outs: Vec<Matrix> = (0..server.tables.len())
                     .map(|li| {
                         let mut out = Matrix::zeros(job.n, server.tables[li].dim());
-                        server.gather_into(li, &job.indices[li], &job.offsets[li], &mut out);
+                        let weight = &server.tables[li].weight;
+                        embedding::forward_serial(
+                            weight,
+                            &job.indices[li],
+                            &job.offsets[li],
+                            &mut out,
+                        );
                         out
                     })
                     .collect();
@@ -528,17 +461,18 @@ fn run_server(
         }
         if served == 0 {
             if ctl.stopped() {
-                return server.cache_stats();
+                return;
             }
             last_seen = ctl.wait(last_seen);
         }
     }
 }
 
-/// Lane thread body: pull micro-batches, scatter the sparse half to the
-/// owning servers, gather the pooled rows, run the dense stack, respond.
+/// Lane thread body: the shared request loop, with a forward that
+/// scatters the sparse half to the owning servers, gathers the pooled rows
+/// and runs the dense stack on this shard's team.
 #[allow(clippy::too_many_arguments)]
-fn run_lane(
+fn run_shard_lane(
     shard: usize,
     mut lane: LaneHalf,
     consumer: MicroBatcher<Pending>,
@@ -548,19 +482,18 @@ fn run_lane(
     cfg: &DlrmConfig,
     serve_cfg: &ServeConfig,
 ) -> ShardReport {
-    let mut report = ShardReport {
+    let owned_tables = ownership.tables_of(shard).to_vec();
+    let report = ShardReport {
         shard,
-        owned_tables: ownership.tables_of(shard).to_vec(),
+        cache_stats: vec![None; owned_tables.len()],
+        owned_tables,
         ..ShardReport::default()
     };
     if let Some(core) = lane.core {
         pin_current_thread(core);
     }
-    let exec = lane.exec.clone();
-    while let Some(mut pendings) = consumer.next_batch(serve_cfg.max_batch, serve_cfg.window) {
-        report.queue_depth_hwm = report.queue_depth_hwm.max(pendings.len() + consumer.len());
-        let n = pendings.len();
-        let batch = assemble(cfg, &pendings);
+    run_lane(report, &consumer, cfg, serve_cfg, |batch| {
+        let n = batch.batch_size();
 
         // Scatter: one coalesced job per owning shard.
         let (reply_tx, reply_rx) = mpsc::channel();
@@ -605,25 +538,6 @@ fn run_lane(
             }
         }
 
-        // Dense stack on this shard's team.
-        let z0 = lane.bottom.forward(&exec, &batch.dense);
-        let inter = lane.interaction.forward(&exec, &z0, &lane.gather_outs);
-        let logit_mat = lane.top.forward(&exec, &inter);
-        debug_assert_eq!(logit_mat.rows(), 1);
-        let logits = logit_mat.as_slice();
-
-        report.batches += 1;
-        report.max_batch_seen = report.max_batch_seen.max(n);
-        for (i, p) in pendings.drain(..).enumerate() {
-            let latency = p.submitted.elapsed();
-            report.requests += 1;
-            report.latencies_us.push(latency.as_micros() as u64);
-            let _ = p.tx.send(Response {
-                logit: logits[i],
-                prob: sigmoid(logits[i]),
-                latency,
-            });
-        }
-    }
-    report
+        lane.dense_forward(batch)
+    })
 }

@@ -66,8 +66,8 @@ fn cached_forward_bitwise_identical_to_uncached_across_traffic_shapes() {
         }
         let stats = cached.cache_stats();
         assert!(
-            stats.iter().flatten().any(|s| s.hits > 0),
-            "{name}: warm rounds must produce cache hits"
+            stats.len() == cfg.num_tables && stats.iter().all(Option::is_none),
+            "{name}: no table is fronted by a cache"
         );
     }
 }
@@ -131,12 +131,12 @@ fn single_row_tables_serve_identically() {
     let mut rng = seeded_rng(13, 0);
     let batch = MiniBatch::random(&cfg, 8, IndexDistribution::Uniform, &mut rng);
     assert_eq!(cached.forward(&batch), uncached.forward(&batch));
-    // A 1-row table with any fraction still gets a 1-slot cache, and every
-    // lookup after the first is a hit.
+    // A 1-row table with any fraction is as uncached as any other.
     let stats = cached.cache_stats();
-    for s in stats.iter().flatten() {
-        assert_eq!(s.misses, 1, "single-row table: exactly one cold miss");
-    }
+    assert!(
+        stats.len() == cfg.num_tables && stats.iter().all(Option::is_none),
+        "no table is fronted by a cache"
+    );
 }
 
 #[test]

@@ -95,8 +95,8 @@ fn sharded_forward_bitwise_identical_for_every_shard_count() {
             }
             let stats = cached.cache_stats();
             assert!(
-                stats.iter().flatten().any(|s| s.hits > 0),
-                "{name} S={shards}: warm rounds must produce per-shard cache hits"
+                stats.len() == cfg.num_tables && stats.iter().all(Option::is_none),
+                "{name} S={shards}: no table is fronted by a cache"
             );
         }
     }
@@ -263,8 +263,8 @@ fn sharded_engine_concurrent_clients_match_direct_forward() {
     assert_eq!(owned, vec![0, 1, 2], "shard reports must cover every table");
     assert_eq!(report.cache_stats.len(), cfg.num_tables);
     assert!(
-        report.cache_stats.iter().flatten().any(|s| s.misses > 0),
-        "cached tables must have seen traffic"
+        report.cache_stats.iter().all(Option::is_none),
+        "no table is fronted by a cache"
     );
     for sr in &report.shards {
         assert_eq!(sr.latencies_us.len() as u64, sr.requests);

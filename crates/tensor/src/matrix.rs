@@ -84,15 +84,21 @@ impl Matrix {
         self.data.capacity()
     }
 
-    /// Changes the row count, keeping `cols`, with *scratch* semantics: the
-    /// backing storage is reused when large enough and replaced (without
-    /// copying) when not — see [`AlignedVec::resize_scratch`]. Used by
-    /// iteration-persistent buffers like the embedding layer's `dW[NS][E]`,
-    /// whose leading dimension tracks the batch's lookup count. After a
-    /// growing call the contents are unspecified; overwrite before reading.
-    pub fn resize_rows(&mut self, rows: usize) {
-        self.data.resize_scratch(rows * self.cols);
+    /// Changes the shape with *scratch* semantics: the backing storage is
+    /// reused when large enough and replaced (without copying) when not —
+    /// see [`AlignedVec::resize_scratch`]. Used by iteration-persistent
+    /// buffers whose shape tracks the batch, like the embedding layer's
+    /// `dW[NS][E]` or a serving lane's `C × N` dense input. After the call
+    /// the contents are unspecified; overwrite before reading.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.data.resize_scratch(rows * cols);
         self.rows = rows;
+        self.cols = cols;
+    }
+
+    /// [`Self::resize`] keeping `cols`.
+    pub fn resize_rows(&mut self, rows: usize) {
+        self.resize(rows, self.cols);
     }
 
     /// True when the matrix holds no elements.
