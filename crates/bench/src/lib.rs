@@ -118,11 +118,12 @@ struct Schema {
     /// `(key, value)` pairs that must appear as the literal `"key": value`.
     exact: &'static [(&'static str, &'static str)],
     /// A speedup field that must exceed 1.0 — but only in a full-scale
-    /// artifact (`"smoke": false`) measured on a multi-core host
-    /// (`"host_cores"` > 1): a single-core host cannot show parallel
-    /// speedup and smoke runs do not measure performance, so the artifact
-    /// records `host_cores` and the gate arms itself exactly when the
-    /// measurement could have shown scaling.
+    /// artifact (`"smoke": false`) measured on a host with cores for two
+    /// teams (`"host_cores"` ≥ 2 × `"workers_per_shard"`): a second team
+    /// with no cores of its own cannot show parallel speedup and smoke runs
+    /// do not measure performance, so the artifact records both and the
+    /// gate arms itself exactly when the measurement could have shown
+    /// scaling.
     multicore_speedup: Option<&'static str>,
 }
 
@@ -338,11 +339,15 @@ pub fn validate_artifact(file_name: &str, json: &str) -> Result<(), String> {
     if let Some(key) = schema.multicore_speedup {
         let host_cores =
             extract_number(json, "host_cores").ok_or("\"host_cores\" must be numeric")?;
+        let workers = extract_number(json, "workers_per_shard")
+            .ok_or("\"workers_per_shard\" must be numeric")?;
         let speedup =
             extract_number(json, key).ok_or_else(|| format!("\"{key}\" must be numeric"))?;
-        if json.contains("\"smoke\": false") && host_cores > 1.0 && speedup <= 1.0 {
+        let two_teams_fit = host_cores >= 2.0 * workers;
+        if json.contains("\"smoke\": false") && two_teams_fit && speedup <= 1.0 {
             return Err(format!(
-                "full-scale run on a {host_cores}-core host must show {key} > 1.0, got {speedup}"
+                "full-scale run of {workers}-worker teams on a {host_cores}-core host must show \
+                 {key} > 1.0, got {speedup}"
             ));
         }
     }
@@ -630,28 +635,33 @@ mod tests {
     }
 
     #[test]
-    fn serving_speedup_gate_arms_only_on_full_scale_multicore_runs() {
+    fn serving_speedup_gate_arms_only_on_full_scale_runs_with_cores_for_two_teams() {
         let base = r#"{
   "bench": "serving", "smoke": SMOKE, "host_cores": CORES,
   "config": {}, "latency_curve": [{"clients": 1, "qps": 1.0, "p50_us": 1.0, "p99_us": 1.0, "mean_batch": 1.0}],
   "cache_sweep": [{"zipf_s": 1.1, "capacity_frac": 0.01, "hit_rate": 0.5}],
   "hot_head_hit_rate": 0.5, "bitwise_identical": true,
-  "shard_sweep": [{"shards": 1, "workers_per_shard": 1, "qps": 1.0, "p50_us": 1.0, "p90_us": 1.0, "p99_us": 1.0,
+  "shard_sweep": [{"shards": 1, "workers_per_shard": WORKERS, "qps": 1.0, "p50_us": 1.0, "p90_us": 1.0, "p99_us": 1.0,
     "per_shard": [{"shard": 0, "requests": 1, "queue_depth_hwm": 1}]}],
   "multi_shard_speedup": SPEEDUP,
   "sharded_identity_ok": true
 }"#;
-        let fill = |smoke: &str, cores: &str, speedup: &str| {
+        let fill = |smoke: &str, cores: &str, workers: &str, speedup: &str| {
             base.replace("SMOKE", smoke)
                 .replace("CORES", cores)
+                .replace("WORKERS", workers)
                 .replace("SPEEDUP", speedup)
         };
-        // Full-scale on multi-core: speedup must exceed 1.0.
-        assert!(validate_artifact("BENCH_serving.json", &fill("false", "8", "0.9")).is_err());
-        assert!(validate_artifact("BENCH_serving.json", &fill("false", "8", "1.7")).is_ok());
-        // Single-core host or smoke run: the gate stays disarmed.
-        assert!(validate_artifact("BENCH_serving.json", &fill("false", "1", "0.9")).is_ok());
-        assert!(validate_artifact("BENCH_serving.json", &fill("true", "8", "0.9")).is_ok());
+        let check = |json: String| validate_artifact("BENCH_serving.json", &json);
+        // Full-scale with cores for two teams: speedup must exceed 1.0.
+        assert!(check(fill("false", "8", "1", "0.9")).is_err());
+        assert!(check(fill("false", "8", "1", "1.7")).is_ok());
+        assert!(check(fill("false", "4", "2", "0.9")).is_err());
+        // A second team without cores of its own (one core; two cores and
+        // two-worker teams) or a smoke run: the gate stays disarmed.
+        assert!(check(fill("false", "1", "1", "0.9")).is_ok());
+        assert!(check(fill("false", "2", "2", "0.9")).is_ok());
+        assert!(check(fill("true", "8", "1", "0.9")).is_ok());
     }
 
     #[test]

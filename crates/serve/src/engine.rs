@@ -1,28 +1,37 @@
-//! The request-level serving engine: concurrent single-user requests →
-//! micro-batches → forward-only DLRM → per-request latency accounting.
+//! The serving engine: concurrent single-user requests → micro-batches →
+//! forward-only DLRM → per-request latency accounting (DESIGN.md §11, §15).
 //!
-//! A [`ServeModel`] is a forward-only view over the training stack: the
-//! same bottom-MLP / embedding-bag / interaction / top-MLP kernels, every
-//! table gathered straight from its rows by the register-resident
-//! `gather_bags`. A [`ServeEngine`] owns one `ServeModel` on one engine
-//! thread and feeds it batches from a [`MicroBatcher`]; clients submit one
-//! sample at a time from any thread and block for their scored response
-//! on a one-shot reply slot ([`crate::reply`]). The engine thread is member
-//! 0 of the model's GEMM team, so with `Execution::optimized(1)` a whole
-//! request — batching, gather, MLP stack, reply — runs on that one thread
-//! without a hand-off.
+//! There is one engine. [`ShardedEngine::start`] gives every shard of a
+//! [`ShardedServeModel`] a **lane** thread that drains the shared
+//! [`MicroBatcher`] through `run_lane`: assemble the batch, gather the
+//! tables its shard owns in place, run the dense stack on its team (the
+//! lane is member 0), publish the replies ([`crate::reply`]: every slot of
+//! the batch filled, then one wake per waiting client). Tables another
+//! shard owns are reached through that shard's **table server**, one std
+//! channel of `GatherJob`s each, which answers with the pooled rows; the
+//! server exists only when some other lane needs it. [`ServeEngine`] is the
+//! same engine on the one-shard [`crate::ServeModel`]: no table is remote,
+//! so the lane is the only thread it spawns, and with
+//! `Execution::optimized(1)` a whole request — batching, gather, MLP stack,
+//! reply — runs on that one thread without a hand-off.
+//!
+//! Shutdown is the channels closing in order: the batcher closes, the lanes
+//! drain it and exit, their job senders drop, the servers' loops end. A
+//! thread that panics takes the same road — its lane's reply slots and the
+//! queue fail (`AbandonQueue`), a job it held disconnects its reply, a
+//! send to it errs — so every handle resolves and [`ShardedEngine::shutdown`]
+//! re-raises the panic.
 
 use crate::batcher::MicroBatcher;
 use crate::cache::CacheStats;
 use crate::reply::{self, ReplySender, ResponseHandle};
-use dlrm::layers::Execution;
-use dlrm::model::DlrmModel;
-use dlrm::precision::PrecisionMode;
+use crate::sharded::{gather, LaneHalf, ShardedServeModel};
 use dlrm_data::{DlrmConfig, MiniBatch};
 use dlrm_kernels::activations::sigmoid;
-use dlrm_kernels::embedding::{self, UpdateStrategy};
+use dlrm_kernels::threadpool::pin_current_thread;
 use dlrm_tensor::Matrix;
-use std::thread::{JoinHandle, Thread};
+use std::sync::{mpsc, Arc};
+use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// A hot-row cache sizing. **Has no effect:** no engine consults a cache
@@ -78,74 +87,6 @@ pub struct Response {
     pub latency: Duration,
 }
 
-/// A forward-only DLRM.
-pub struct ServeModel {
-    model: DlrmModel,
-    /// Reused per-table gather outputs (`N × E` each).
-    gather_outs: Vec<Matrix>,
-}
-
-impl ServeModel {
-    /// Builds a forward-only model for `cfg`, seeded exactly like
-    /// [`DlrmModel::new`] — the same `seed` reconstructs bitwise-identical
-    /// weights. `_cache` has no effect (see [`CacheSizing`]).
-    pub fn new(cfg: &DlrmConfig, exec: Execution, _cache: CacheSizing, seed: u64) -> Self {
-        let mut model = DlrmModel::new(
-            cfg,
-            exec,
-            UpdateStrategy::RaceFree,
-            PrecisionMode::Fp32,
-            seed,
-        );
-        if matches!(model.exec, Execution::Optimized(_)) {
-            // Forward-only plan: pay the weight-packing cost once at load
-            // time, not on the first served request.
-            model.bottom.prepack_weights();
-            model.top.prepack_weights();
-        }
-        let gather_outs = model
-            .tables
-            .iter()
-            .map(|t| Matrix::zeros(0, t.dim()))
-            .collect();
-        ServeModel { model, gather_outs }
-    }
-
-    /// The model configuration.
-    pub fn cfg(&self) -> &DlrmConfig {
-        &self.model.cfg
-    }
-
-    /// Per-table cache statistics: `None` for every table, since none is
-    /// fronted by a cache.
-    pub fn cache_stats(&self) -> Vec<Option<CacheStats>> {
-        vec![None; self.model.tables.len()]
-    }
-
-    /// Nothing to reset (see [`Self::cache_stats`]).
-    pub fn reset_cache_stats(&mut self) {}
-
-    /// Forward-only pass; returns per-sample logits. Embedding gathers run
-    /// serially on the calling thread, each bag summed in registers.
-    pub fn forward(&mut self, batch: &MiniBatch) -> Vec<f32> {
-        let exec = self.model.exec.clone();
-        let n = batch.batch_size();
-        let z0 = self.model.bottom.forward(&exec, &batch.dense);
-        for (t, layer) in self.model.tables.iter().enumerate() {
-            let out = &mut self.gather_outs[t];
-            out.resize_rows(n);
-            embedding::forward_serial(&layer.weight, &batch.indices[t], &batch.offsets[t], out);
-        }
-        let inter = self
-            .model
-            .interaction
-            .forward(&exec, &z0, &self.gather_outs);
-        let logits = self.model.top.forward(&exec, &inter);
-        debug_assert_eq!(logits.rows(), 1);
-        logits.as_slice().to_vec()
-    }
-}
-
 pub(crate) struct Pending {
     pub(crate) req: Request,
     pub(crate) submitted: Instant,
@@ -154,15 +95,15 @@ pub(crate) struct Pending {
 
 /// Per-shard slice of an [`EngineReport`]: what one worker team saw.
 ///
-/// The unsharded engine reports exactly one of these (shard 0 owning every
-/// table); the sharded engine reports one per shard, so dashboards can
-/// spot a hot shard (skewed `requests`, deep `queue_depth_hwm`) without
-/// re-deriving the table partition.
+/// An engine reports one per shard (a [`ServeEngine`] exactly one: shard 0
+/// owning every table), so dashboards can spot a hot shard (skewed
+/// `requests`, deep `queue_depth_hwm`) without re-deriving the table
+/// partition.
 #[derive(Debug, Clone, Default)]
 pub struct ShardReport {
     /// Shard index.
     pub shard: usize,
-    /// Global table ids this shard's servers own.
+    /// Global table ids this shard owns.
     pub owned_tables: Vec<usize>,
     /// Requests whose MLP ran on this shard's lane.
     pub requests: u64,
@@ -180,7 +121,7 @@ pub struct ShardReport {
     pub cache_stats: Vec<Option<CacheStats>>,
 }
 
-/// Aggregate statistics returned by [`ServeEngine::shutdown`].
+/// Aggregate statistics returned by [`ShardedEngine::shutdown`].
 #[derive(Debug, Clone, Default)]
 pub struct EngineReport {
     /// Requests served.
@@ -194,7 +135,7 @@ pub struct EngineReport {
     pub latencies_us: Vec<u64>,
     /// One `None` per table: no table is fronted by a cache.
     pub cache_stats: Vec<Option<CacheStats>>,
-    /// Per-shard breakdown (one entry for the unsharded engine).
+    /// Per-shard breakdown (one entry for a [`ServeEngine`]).
     pub shards: Vec<ShardReport>,
 }
 
@@ -294,42 +235,191 @@ impl ServeClient {
     }
 }
 
-/// A running serving engine: one engine thread draining a micro-batcher
-/// into a [`ServeModel`]. It is the only thread the engine spawns; the
-/// model's [`Execution`] adds `n − 1` GEMM workers beside it (none for
-/// `n = 1`), and the engine thread computes as their member 0.
-pub struct ServeEngine {
-    client: ServeClient,
-    worker: Option<JoinHandle<ShardReport>>,
+/// One fan-out unit: a micro-batch's CSR bags for every table one remote
+/// shard owns (that shard's local order).
+pub(crate) struct GatherJob {
+    /// Per owned table: flattened lookup indices.
+    indices: Vec<Vec<u32>>,
+    /// Per owned table: bag offsets (`n + 1` entries).
+    offsets: Vec<Vec<usize>>,
+    /// Where the pooled rows go. A job dropped unanswered — its server is
+    /// unwinding — disconnects it, which ends the lane's `recv` with an
+    /// `Err` instead of leaving it to wait.
+    reply: mpsc::Sender<Vec<Matrix>>,
 }
 
-impl ServeEngine {
-    /// Starts the engine, taking ownership of `model` on the engine thread
-    /// (spawned here, so it inherits the caller's affinity).
-    pub fn start(mut model: ServeModel, cfg: ServeConfig) -> Self {
-        assert!(cfg.max_batch >= 1, "max_batch must be >= 1");
-        let client = ServeClient::new(model.cfg());
-        let num_tables = model.cfg().num_tables;
-        let consumer = client.batcher.clone();
-        let worker = std::thread::Builder::new()
-            .name("dlrm-serve".into())
-            .spawn(move || {
-                // The unsharded engine is the degenerate one-shard layout:
-                // a single lane owning every table.
-                let report = ShardReport {
-                    owned_tables: (0..num_tables).collect(),
-                    cache_stats: vec![None; num_tables],
-                    ..ShardReport::default()
+impl GatherJob {
+    /// The pooled `N × E` rows of `tables`, the owner's tables.
+    fn gather(&self, tables: &[Matrix]) -> Vec<Matrix> {
+        let mut outs: Vec<Matrix> = tables.iter().map(|w| Matrix::zeros(0, w.cols())).collect();
+        gather(
+            tables,
+            0..tables.len(),
+            &self.indices,
+            &self.offsets,
+            &mut outs,
+        );
+        outs
+    }
+}
+
+/// Table-server thread body: answer every job until the last lane drops
+/// its sender. `gather` is the owner's [`GatherJob::gather`].
+fn run_server(jobs: mpsc::Receiver<GatherJob>, mut gather: impl FnMut(&GatherJob) -> Vec<Matrix>) {
+    for job in jobs {
+        // A lane that died mid-batch just drops its receiver.
+        let _ = job.reply.send(gather(&job));
+    }
+}
+
+/// What a lane thread owns besides the request loop: its shard's dense
+/// stack and tables, and a job channel to every other shard that owns any.
+struct Lane {
+    half: LaneHalf,
+    /// Global ids of the shard's own tables, and their rows in that order.
+    owned: Vec<usize>,
+    tables: Arc<Vec<Matrix>>,
+    /// Per remote owner: the global ids of its tables, in the order its
+    /// server holds them, and that server's job channel.
+    remotes: Vec<(Vec<usize>, mpsc::Sender<GatherJob>)>,
+}
+
+impl Lane {
+    /// Scores one assembled micro-batch: remote owners get a job each, the
+    /// shard's own tables are gathered in place from `batch` while they
+    /// work, and the dense stack runs once every owner's rows are in.
+    fn forward(&mut self, batch: &MiniBatch) -> Vec<f32> {
+        fn bags_of<T: Clone>(theirs: &[usize], csr: &[Vec<T>]) -> Vec<Vec<T>> {
+            theirs.iter().map(|&t| csr[t].clone()).collect()
+        }
+        let replies: Vec<_> = self
+            .remotes
+            .iter()
+            .map(|(theirs, jobs)| {
+                let (reply, pooled) = mpsc::channel();
+                let job = GatherJob {
+                    indices: bags_of(theirs, &batch.indices),
+                    offsets: bags_of(theirs, &batch.offsets),
+                    reply,
                 };
-                let model_cfg = model.cfg().clone();
-                run_lane(report, &consumer, &model_cfg, &cfg, |batch| {
-                    model.forward(batch)
-                })
+                jobs.send(job).expect("a table server is gone");
+                (theirs, pooled)
             })
-            .expect("spawn serving worker");
-        ServeEngine {
+            .collect();
+        let (owned, outs) = (self.owned.iter().copied(), &mut self.half.gather_outs);
+        gather(&self.tables, owned, &batch.indices, &batch.offsets, outs);
+        for (theirs, pooled) in replies {
+            let pooled = pooled.recv().expect("a table server died on a job");
+            for (&t, out) in theirs.iter().zip(pooled) {
+                outs[t] = out;
+            }
+        }
+        self.half.dense_forward(batch)
+    }
+}
+
+/// A running serving engine: per shard a **lane** thread (micro-batch →
+/// gather → MLP → respond) and, where another shard's lane must reach its
+/// tables, a **table server** thread.
+pub struct ShardedEngine {
+    client: ServeClient,
+    lanes: Vec<JoinHandle<ShardReport>>,
+    servers: Vec<JoinHandle<()>>,
+}
+
+/// The engine on a one-shard model ([`crate::ServeModel`]): one lane, the
+/// only thread it spawns. The model's [`dlrm::layers::Execution`] adds
+/// `n − 1` GEMM workers beside it (none for `n = 1`), and the lane computes
+/// as their member 0.
+pub type ServeEngine = ShardedEngine;
+
+impl ShardedEngine {
+    /// Starts the engine, moving each shard onto its threads (spawned here,
+    /// so they inherit the caller's affinity unless the model pins them).
+    pub fn start(model: impl Into<ShardedServeModel>, cfg: ServeConfig) -> Self {
+        Self::start_with(model.into(), cfg, |_, tables| {
+            move |job: &GatherJob| job.gather(&tables)
+        })
+    }
+
+    /// [`Self::start`] with shard `q`'s table server answering jobs through
+    /// `server_gather(q, its tables)` — the seam the fault tests use.
+    fn start_with<G>(
+        model: ShardedServeModel,
+        cfg: ServeConfig,
+        server_gather: impl Fn(usize, Arc<Vec<Matrix>>) -> G,
+    ) -> Self
+    where
+        G: FnMut(&GatherJob) -> Vec<Matrix> + Send + 'static,
+    {
+        assert!(cfg.max_batch >= 1, "max_batch must be >= 1");
+        let nshards = model.num_shards();
+        let ownership = model.ownership;
+        let model_cfg = Arc::new(model.cfg);
+        let client = ServeClient::new(&model_cfg);
+
+        // A server for every shard whose tables some other lane must reach.
+        let mut job_txs = Vec::new();
+        let mut servers = Vec::new();
+        for (q, tables) in model.tables.iter().enumerate() {
+            if nshards == 1 || tables.is_empty() {
+                continue;
+            }
+            let (tx, jobs) = mpsc::channel();
+            job_txs.push((q, tx));
+            let core = model.lanes[q].core;
+            let gather = server_gather(q, Arc::clone(tables));
+            let server = thread::Builder::new()
+                .name(format!("dlrm-shard{q}-srv"))
+                .spawn(move || {
+                    if let Some(core) = core {
+                        pin_current_thread(core);
+                    }
+                    run_server(jobs, gather)
+                });
+            servers.push(server.expect("spawn table server"));
+        }
+
+        let lanes = model.lanes.into_iter().zip(model.tables).enumerate();
+        let lanes = lanes
+            .map(|(shard, (half, tables))| {
+                let mut lane = Lane {
+                    half,
+                    owned: ownership.tables_of(shard).to_vec(),
+                    tables,
+                    remotes: job_txs
+                        .iter()
+                        .filter(|(q, _)| *q != shard)
+                        .map(|(q, tx)| (ownership.tables_of(*q).to_vec(), tx.clone()))
+                        .collect(),
+                };
+                let consumer = client.batcher.clone();
+                let (model_cfg, serve_cfg) = (Arc::clone(&model_cfg), cfg.clone());
+                thread::Builder::new()
+                    .name(format!("dlrm-shard{shard}-lane"))
+                    .spawn(move || {
+                        if let Some(core) = lane.half.core {
+                            pin_current_thread(core);
+                        }
+                        let report = ShardReport {
+                            shard,
+                            owned_tables: lane.owned.clone(),
+                            cache_stats: vec![None; lane.owned.len()],
+                            ..ShardReport::default()
+                        };
+                        run_lane(report, &consumer, &model_cfg, &serve_cfg, |batch| {
+                            lane.forward(batch)
+                        })
+                    })
+                    .expect("spawn lane")
+            })
+            .collect();
+        // `job_txs` ends here: only lanes hold job senders, so the servers
+        // end when the lanes have.
+        ShardedEngine {
             client,
-            worker: Some(worker),
+            lanes,
+            servers,
         }
     }
 
@@ -338,22 +428,33 @@ impl ServeEngine {
         self.client.clone()
     }
 
-    /// Stops accepting requests, drains what is queued, and returns the
-    /// aggregate report.
+    /// Stops accepting requests, drains every queued request, and returns
+    /// the aggregate report with its per-shard breakdown. Re-raises the
+    /// panic of an engine thread that died.
     pub fn shutdown(mut self) -> EngineReport {
+        self.join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    /// Closes the queue and joins every thread: the lanes first — they
+    /// drain the queue and drop their job senders as they exit, which is
+    /// what ends the servers. A dead server takes its lanes with it, so its
+    /// panic is the one reported.
+    fn join(&mut self) -> thread::Result<EngineReport> {
         self.client.batcher.close();
-        let worker = self.worker.take().expect("engine already shut down");
-        let shard = worker.join().expect("serving worker panicked");
-        EngineReport::from_shards(vec![shard])
+        let shards: Vec<_> = self.lanes.drain(..).map(JoinHandle::join).collect();
+        let servers: Vec<_> = self.servers.drain(..).map(JoinHandle::join).collect();
+        servers.into_iter().collect::<thread::Result<()>>()?;
+        let shards = shards.into_iter().collect::<thread::Result<_>>()?;
+        Ok(EngineReport::from_shards(shards))
     }
 }
 
-impl Drop for ServeEngine {
+impl Drop for ShardedEngine {
     fn drop(&mut self) {
-        if let Some(worker) = self.worker.take() {
-            self.client.batcher.close();
-            let _ = worker.join();
-        }
+        // Nothing left to join after `shutdown`; a panic is dropped with
+        // the engine rather than raised from a destructor.
+        let _ = self.join();
     }
 }
 
@@ -370,7 +471,7 @@ impl Drop for AbandonQueue<'_> {
     }
 }
 
-/// One request lane, the loop both engines run: pull a micro-batch off
+/// One request lane's loop: pull a micro-batch off
 /// `consumer`, pack it, score it with `forward`, reply. `report` arrives
 /// naming the lane's shard and owned tables and returns filled in.
 pub(crate) fn run_lane(
@@ -459,16 +560,56 @@ pub(crate) fn assemble(pendings: &[Pending], batch: &mut MiniBatch) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
+    use crate::sharded::{ServeModel, ShardSpec};
+    use dlrm::layers::Execution;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     const WATCHDOG: Duration = Duration::from_secs(60);
 
     fn tiny_cfg() -> DlrmConfig {
         let mut cfg = DlrmConfig::small().scaled_down(50, 256);
         cfg.dense_features = 2;
-        cfg.num_tables = 2;
-        cfg.table_rows = vec![50, 50];
+        cfg.bottom_mlp = vec![8, 4];
+        cfg.emb_dim = 4;
+        cfg.num_tables = 3;
+        cfg.table_rows = vec![50, 50, 50];
+        cfg.top_mlp = vec![8, 1];
         cfg
+    }
+
+    fn request() -> Request {
+        Request {
+            dense: vec![0.5; 2],
+            indices: vec![vec![1, 2], vec![], vec![3]],
+        }
+    }
+
+    fn sharded(shards: usize) -> ShardedServeModel {
+        let spec = ShardSpec {
+            shards,
+            ..ShardSpec::default()
+        };
+        ShardedServeModel::new(&tiny_cfg(), &spec, 5)
+    }
+
+    /// Every handle's outcome, each awaited under the watchdog.
+    fn outcomes(handles: Vec<ResponseHandle>) -> Vec<Result<Response, String>> {
+        let total = handles.len();
+        let (tx, rx) = mpsc::channel();
+        let waiter = thread::spawn(move || {
+            for h in handles {
+                tx.send(h.wait()).expect("test alive");
+            }
+        });
+        let outcomes = (0..total)
+            .map(|i| {
+                rx.recv_timeout(WATCHDOG)
+                    .unwrap_or_else(|_| panic!("handle {i} hung"))
+            })
+            .collect();
+        waiter.join().expect("waiter");
+        outcomes
     }
 
     /// A forward that panics mid-batch must fail every outstanding handle —
@@ -480,10 +621,6 @@ mod tests {
         let cfg = tiny_cfg();
         let client = ServeClient::new(&cfg);
         let batcher = client.batcher.clone();
-        let request = || Request {
-            dense: vec![0.5; 2],
-            indices: vec![vec![1, 2], vec![]],
-        };
         // Queued before the lane starts, so the batches are exact: 4 served,
         // 4 in hand when the forward panics, 4 still queued behind them.
         let handles: Vec<_> = (0..12)
@@ -510,27 +647,137 @@ mod tests {
                 )
             })
         };
-        let (tx, rx) = mpsc::channel();
-        let waiter = std::thread::spawn(move || {
-            for h in handles {
-                tx.send(h.wait()).expect("test alive");
-            }
-        });
-        let outcomes: Vec<_> = (0..12)
-            .map(|i| {
-                rx.recv_timeout(WATCHDOG)
-                    .unwrap_or_else(|_| panic!("handle {i} hung"))
-            })
-            .collect();
-        for (i, outcome) in outcomes.iter().enumerate() {
+        for (i, outcome) in outcomes(handles).iter().enumerate() {
             match outcome {
                 Ok(resp) => assert!(i < 4 && resp.logit == 0.25, "request {i} was answered"),
                 Err(_) => assert!(i >= 4, "request {i} of the served batch failed"),
             }
         }
         assert!(lane.join().is_err(), "the lane's panic reaches its joiner");
-        waiter.join().expect("waiter");
         assert!(client.submit(request()).is_err(), "a dead engine is closed");
+    }
+
+    /// An engine at S = 3 whose table server 1 has panicked on its second
+    /// job, after every handle it gave out has resolved. A dead server must
+    /// not strand a lane: the job it held disconnects its reply, the jobs
+    /// behind it go with its receiver, a later send to it errs — the lanes
+    /// that needed it unwind, failing their handles and the queue.
+    fn engine_with_a_dead_server() -> ShardedEngine {
+        let engine = ShardedEngine::start_with(
+            sharded(3),
+            ServeConfig {
+                max_batch: 4,
+                window: Duration::ZERO,
+            },
+            |q, tables| {
+                let mut jobs = 0;
+                move |job: &GatherJob| {
+                    jobs += 1;
+                    assert!(
+                        q != 1 || jobs < 2,
+                        "injected: server {q} dies on job {jobs}"
+                    );
+                    job.gather(&tables)
+                }
+            },
+        );
+        // Which lane takes a batch is a race and lane 1 sends server 1
+        // nothing: keep the load on until the engine has closed.
+        let client = engine.client();
+        let start = Instant::now();
+        let mut handles = Vec::new();
+        while let Ok(handle) = client.submit(request()) {
+            handles.push(handle);
+            assert!(start.elapsed() < WATCHDOG, "server 1 never died");
+        }
+        let outcomes = outcomes(handles);
+        assert!(outcomes.iter().any(Result::is_err), "a batch died with it");
+        for resp in outcomes.iter().flatten() {
+            assert!(resp.logit.is_finite(), "an answered request is scored");
+        }
+        assert!(client.submit(request()).is_err(), "closed to new requests");
+        engine
+    }
+
+    #[test]
+    fn a_dead_table_server_fails_its_lanes_handles_and_shutdown_surfaces_it() {
+        let engine = engine_with_a_dead_server();
+        let panic = catch_unwind(AssertUnwindSafe(|| engine.shutdown()))
+            .expect_err("shutdown re-raises the server's panic");
+        let msg = panic.downcast_ref::<String>().expect("an assert message");
+        assert!(msg.contains("injected"), "the cause, not a lane's: {msg}");
+
+        // `Drop` joins the same wreck quietly, even while its own thread
+        // unwinds (a panic out of it there would abort the process).
+        let unwinding = thread::spawn(|| {
+            let _engine = engine_with_a_dead_server();
+            panic!("unwinding past a dead engine");
+        });
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || tx.send(unwinding.join()));
+        let joined = rx.recv_timeout(WATCHDOG).expect("Drop hung");
+        let panic = joined.expect_err("the thread's own panic");
+        assert_eq!(panic.downcast_ref(), Some(&"unwinding past a dead engine"));
+    }
+
+    #[test]
+    fn one_shard_is_one_thread_and_two_shards_are_two_lanes_and_two_servers() {
+        let threads = |engine: &ShardedEngine| (engine.lanes.len(), engine.servers.len());
+        let model = ServeModel::new(
+            &tiny_cfg(),
+            Execution::optimized(1),
+            CacheSizing::Disabled,
+            5,
+        );
+        let one = ServeEngine::start(model, ServeConfig::default());
+        assert_eq!(threads(&one), (1, 0));
+        let one = ShardedEngine::start(sharded(1), ServeConfig::default());
+        assert_eq!(threads(&one), (1, 0));
+        let two = ShardedEngine::start(sharded(2), ServeConfig::default());
+        assert_eq!(threads(&two), (2, 2));
+    }
+
+    /// A lane never builds a job for a table its own shard owns: a
+    /// one-shard engine serves under a server that would panic on any job,
+    /// and at S = 2 the tables shipped in jobs are exactly those the
+    /// serving lanes did not own.
+    #[test]
+    fn owned_tables_are_gathered_in_place_without_a_job() {
+        let serve = |engine: ShardedEngine| {
+            let client = engine.client();
+            let handles: Vec<_> = (0..40)
+                .map(|_| client.submit(request()).expect("open"))
+                .collect();
+            assert!(outcomes(handles).iter().all(Result::is_ok));
+            engine.shutdown()
+        };
+        let no_jobs = |_, _| |_: &GatherJob| -> Vec<Matrix> { panic!("a job at S = 1") };
+        let report = serve(ShardedEngine::start_with(
+            sharded(1),
+            ServeConfig::default(),
+            no_jobs,
+        ));
+        assert_eq!(report.requests, 40);
+
+        let shipped = Arc::new(AtomicUsize::new(0));
+        let counting = |_, tables: Arc<Vec<Matrix>>| {
+            let shipped = Arc::clone(&shipped);
+            move |job: &GatherJob| {
+                shipped.fetch_add(job.indices.len(), Ordering::Relaxed);
+                job.gather(&tables)
+            }
+        };
+        let report = serve(ShardedEngine::start_with(
+            sharded(2),
+            ServeConfig::default(),
+            counting,
+        ));
+        let remote: u64 = report
+            .shards
+            .iter()
+            .map(|sr| sr.batches * (3 - sr.owned_tables.len() as u64))
+            .sum();
+        assert_eq!(shipped.load(Ordering::Relaxed) as u64, remote);
     }
 
     #[test]

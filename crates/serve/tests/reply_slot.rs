@@ -1,12 +1,14 @@
 //! The reply path under load and at shutdown, through the public surface of
-//! both engines: every handle a client was given resolves — with the right
-//! logit or with an `Err` — inside a watchdog, whatever the engine is doing.
+//! the engine on both layouts the benchmark runs (`ServeEngine`, one shard;
+//! `ShardedEngine` at S = 2): every handle a client was given resolves —
+//! with the right logit or with an `Err` — inside a watchdog, whatever the
+//! engine is doing.
 //!
 //! The slot's own state machine (reply before wait, wait before reply,
-//! abandoned slot, stale wake-up token) and the lane that panics mid-batch
-//! are unit-tested next to the code (`reply.rs`, `engine.rs`); CI runs all
-//! of it in release, multi-core and confined to one core, where a lost
-//! wake-up cannot hide behind a busy sibling.
+//! abandoned slot, stale wake-up token) and the lane or table server that
+//! panics mid-batch are unit-tested next to the code (`reply.rs`,
+//! `engine.rs`); CI runs all of it in release, multi-core and confined to
+//! one core, where a lost wake-up cannot hide behind a busy sibling.
 
 use dlrm::layers::Execution;
 use dlrm_data::{DlrmConfig, IndexDistribution, MiniBatch};

@@ -1,6 +1,12 @@
-//! Serving-path edge coverage: cached-vs-uncached bitwise identity, empty
-//! bags, single-row tables, batch-size-1 micro-batches, and engine
-//! end-to-end agreement with the direct forward pass.
+//! Serving-path edge coverage: bitwise identity with the training model's
+//! forward across traffic shapes, empty bags, single-row tables,
+//! batch-size-1 micro-batches, and engine end-to-end agreement.
+//!
+//! The reference on every right-hand side is `DlrmModel::forward` — the
+//! pool-parallel `embedding::forward` and a forward loop of its own — not
+//! a second `ServeModel`: since the cache left the request path ("cached"
+//! and "uncached" are the same code) that would compare a thing with
+//! itself.
 
 use dlrm::layers::Execution;
 use dlrm::model::DlrmModel;
@@ -21,6 +27,17 @@ fn tiny_cfg() -> DlrmConfig {
     cfg.lookups_per_table = 3;
     cfg.top_mlp = vec![16, 1];
     cfg
+}
+
+/// The independent reference: the trainable model on a team of two.
+fn reference(cfg: &DlrmConfig, seed: u64) -> DlrmModel {
+    DlrmModel::new(
+        cfg,
+        Execution::optimized(2),
+        UpdateStrategy::RaceFree,
+        PrecisionMode::Fp32,
+        seed,
+    )
 }
 
 /// Extracts sample `i` of a batch as a single-user request.
@@ -48,6 +65,7 @@ fn cached_forward_bitwise_identical_to_uncached_across_traffic_shapes() {
         ),
         ("uniform", IndexDistribution::Uniform),
     ] {
+        let mut train = reference(&cfg, 7);
         let mut uncached = ServeModel::new(&cfg, Execution::optimized(2), CacheSizing::Disabled, 7);
         let mut cached = ServeModel::new(
             &cfg,
@@ -56,13 +74,15 @@ fn cached_forward_bitwise_identical_to_uncached_across_traffic_shapes() {
             7,
         );
         let mut rng = seeded_rng(42, 1);
-        // Several rounds so the second and later rounds hit a warm cache
-        // (hits and misses both on the gather path).
+        // Several rounds: the reused gather outputs and batch scratch are
+        // warm from the second on.
         for round in 0..4 {
             let batch = MiniBatch::random(&cfg, 24, dist, &mut rng);
-            let want = uncached.forward(&batch);
+            let want = train.forward(&batch);
+            let got = uncached.forward(&batch);
+            assert_eq!(got, want, "{name} round {round}: uncached != training");
             let got = cached.forward(&batch);
-            assert_eq!(got, want, "{name} round {round}: cached != uncached");
+            assert_eq!(got, want, "{name} round {round}: cached != training");
         }
         let stats = cached.cache_stats();
         assert!(
@@ -75,13 +95,7 @@ fn cached_forward_bitwise_identical_to_uncached_across_traffic_shapes() {
 #[test]
 fn serve_forward_matches_training_model_forward() {
     let cfg = tiny_cfg();
-    let mut train = DlrmModel::new(
-        &cfg,
-        Execution::optimized(2),
-        UpdateStrategy::RaceFree,
-        PrecisionMode::Fp32,
-        21,
-    );
+    let mut train = reference(&cfg, 21);
     let mut serve = ServeModel::new(&cfg, Execution::optimized(2), CacheSizing::Rows(64), 21);
     let mut rng = seeded_rng(5, 0);
     let batch = MiniBatch::random(&cfg, 16, IndexDistribution::Zipf { s: 1.1 }, &mut rng);
@@ -95,7 +109,7 @@ fn serve_forward_matches_training_model_forward() {
 #[test]
 fn empty_bags_are_served_and_identical() {
     let cfg = tiny_cfg();
-    let mut uncached = ServeModel::new(&cfg, Execution::optimized(2), CacheSizing::Disabled, 3);
+    let mut train = reference(&cfg, 3);
     let mut cached = ServeModel::new(&cfg, Execution::optimized(2), CacheSizing::Rows(8), 3);
     let mut rng = seeded_rng(9, 0);
     let mut batch = MiniBatch::random(&cfg, 6, IndexDistribution::Uniform, &mut rng);
@@ -110,9 +124,9 @@ fn empty_bags_are_served_and_identical() {
             *off -= hi - lo;
         }
     }
-    let want = uncached.forward(&batch);
+    let want = train.forward(&batch);
     let got = cached.forward(&batch);
-    assert_eq!(got, want, "empty bags: cached != uncached");
+    assert_eq!(got, want, "empty bags: served != training");
     assert_eq!(want.len(), 6);
     assert!(want.iter().all(|l| l.is_finite()));
 }
@@ -121,7 +135,7 @@ fn empty_bags_are_served_and_identical() {
 fn single_row_tables_serve_identically() {
     let mut cfg = tiny_cfg();
     cfg.table_rows = vec![1, 1, 1];
-    let mut uncached = ServeModel::new(&cfg, Execution::optimized(2), CacheSizing::Disabled, 11);
+    let mut train = reference(&cfg, 11);
     let mut cached = ServeModel::new(
         &cfg,
         Execution::optimized(2),
@@ -130,7 +144,7 @@ fn single_row_tables_serve_identically() {
     );
     let mut rng = seeded_rng(13, 0);
     let batch = MiniBatch::random(&cfg, 8, IndexDistribution::Uniform, &mut rng);
-    assert_eq!(cached.forward(&batch), uncached.forward(&batch));
+    assert_eq!(cached.forward(&batch), train.forward(&batch));
     // A 1-row table with any fraction is as uncached as any other.
     let stats = cached.cache_stats();
     assert!(
@@ -142,7 +156,7 @@ fn single_row_tables_serve_identically() {
 #[test]
 fn engine_batch_size_one_micro_batches() {
     let cfg = tiny_cfg();
-    let mut direct = ServeModel::new(&cfg, Execution::optimized(2), CacheSizing::Disabled, 17);
+    let mut direct = reference(&cfg, 17);
     let engine = ServeEngine::start(
         ServeModel::new(&cfg, Execution::optimized(2), CacheSizing::Rows(32), 17),
         ServeConfig {
@@ -170,7 +184,7 @@ fn engine_batch_size_one_micro_batches() {
 #[test]
 fn engine_concurrent_clients_match_direct_forward() {
     let cfg = tiny_cfg();
-    let mut direct = ServeModel::new(&cfg, Execution::optimized(2), CacheSizing::Disabled, 23);
+    let mut direct = reference(&cfg, 23);
     let engine = ServeEngine::start(
         ServeModel::new(
             &cfg,

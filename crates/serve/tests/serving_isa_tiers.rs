@@ -1,13 +1,17 @@
-//! Cached-vs-uncached identity under *forced* ISA tiers.
+//! Serving identity under *forced* ISA tiers.
 //!
 //! Kept in its own test binary: the ISA override is process-global, so
 //! forcing tiers must not race with other serving tests comparing outputs.
-//! Within each forced tier, the cached gather must be bitwise identical to
-//! the uncached one on both Zipf and clustered traffic.
+//! Within each forced tier, the served logits — one shard or two, whatever
+//! the inert cache sizing — must be bitwise identical to the training
+//! model's `DlrmModel::forward` on both Zipf and clustered traffic.
 
 use dlrm::layers::Execution;
+use dlrm::model::DlrmModel;
+use dlrm::precision::PrecisionMode;
 use dlrm_data::{DlrmConfig, IndexDistribution, MiniBatch};
 use dlrm_kernels::embedding::rowops::available_isas;
+use dlrm_kernels::embedding::UpdateStrategy;
 use dlrm_kernels::gemm::micro::set_isa_override;
 use dlrm_serve::{CacheSizing, ServeModel, ShardSpec, ShardedServeModel};
 use dlrm_tensor::init::seeded_rng;
@@ -36,6 +40,13 @@ fn cached_identity_holds_under_every_isa_tier() {
                 hot_prob: 0.9,
             },
         ] {
+            let mut train = DlrmModel::new(
+                &cfg,
+                Execution::optimized(2),
+                UpdateStrategy::RaceFree,
+                PrecisionMode::Fp32,
+                37,
+            );
             let mut uncached =
                 ServeModel::new(&cfg, Execution::optimized(2), CacheSizing::Disabled, 37);
             let mut cached = ServeModel::new(
@@ -59,7 +70,12 @@ fn cached_identity_holds_under_every_isa_tier() {
             let mut rng = seeded_rng(41, 2);
             for round in 0..3 {
                 let batch = MiniBatch::random(&cfg, 16, dist, &mut rng);
-                let want = uncached.forward(&batch);
+                let want = train.forward(&batch);
+                assert_eq!(
+                    uncached.forward(&batch),
+                    want,
+                    "{isa:?} {dist:?} round {round}: uncached"
+                );
                 assert_eq!(
                     cached.forward(&batch),
                     want,

@@ -3,12 +3,18 @@
 //!
 //! For every tested shard count, traffic shape, edge batch, worker-team
 //! width, and gathering shard, the sharded output must be **bitwise
-//! identical** to the unsharded `ServeModel` — sharding relocates work,
-//! never changes arithmetic. Also covers the threaded `ShardedEngine`
-//! end-to-end (concurrent clients, per-shard report, shutdown draining).
+//! identical** to the unsharded model — sharding relocates work, never
+//! changes arithmetic. "Unsharded" is `DlrmModel::forward`, the training
+//! model (pool-parallel gather, its own forward loop): `ServeModel` is the
+//! one-shard layout itself, so it cannot referee S = 1. Also covers the
+//! threaded engine end-to-end (concurrent clients, per-shard report,
+//! shutdown draining).
 
 use dlrm::layers::Execution;
+use dlrm::model::DlrmModel;
+use dlrm::precision::PrecisionMode;
 use dlrm_data::{DlrmConfig, IndexDistribution, MiniBatch};
+use dlrm_kernels::embedding::UpdateStrategy;
 use dlrm_serve::{
     CacheSizing, Request, ServeConfig, ServeEngine, ServeModel, ShardSpec, ShardedEngine,
     ShardedServeModel,
@@ -37,6 +43,18 @@ fn spec(shards: usize, cache: CacheSizing) -> ShardSpec {
     }
 }
 
+/// The unsharded reference: the trainable model, gathers and GEMMs inline
+/// on the calling thread's team of one.
+fn training_model(cfg: &DlrmConfig, seed: u64) -> DlrmModel {
+    DlrmModel::new(
+        cfg,
+        Execution::optimized(1),
+        UpdateStrategy::RaceFree,
+        PrecisionMode::Fp32,
+        seed,
+    )
+}
+
 /// Extracts sample `i` of a batch as a single-user request.
 fn request_of(batch: &MiniBatch, i: usize) -> Request {
     let dense = (0..batch.dense.rows())
@@ -62,16 +80,15 @@ fn sharded_forward_bitwise_identical_for_every_shard_count() {
         ),
         ("uniform", IndexDistribution::Uniform),
     ] {
-        let mut unsharded =
-            ServeModel::new(&cfg, Execution::optimized(1), CacheSizing::Disabled, 7);
+        let mut unsharded = training_model(&cfg, 7);
         // More shards than tables is legal: some shards own nothing.
         for shards in [1usize, 2, 4, 8] {
             let mut sharded = ShardedServeModel::new(&cfg, &spec(shards, CacheSizing::Disabled), 7);
             let mut cached =
                 ShardedServeModel::new(&cfg, &spec(shards, CacheSizing::Fraction(0.05)), 7);
             let mut rng = seeded_rng(42, 1);
-            // Several rounds so later rounds hit warm per-shard caches, and
-            // a rotating gather shard so every lane's MLP replica is hit.
+            // Several rounds on warm scratch, and a rotating gather shard
+            // so every lane's MLP replica is hit.
             for round in 0..4 {
                 let batch = MiniBatch::random(&cfg, 24, dist, &mut rng);
                 let want = unsharded.forward(&batch);
@@ -171,7 +188,7 @@ fn pinned_teams_serve_identically() {
 fn sharded_edge_batches_are_identical() {
     // Empty bags (one table fully empty + one featureless sample).
     let cfg = tiny_cfg();
-    let mut unsharded = ServeModel::new(&cfg, Execution::optimized(1), CacheSizing::Disabled, 3);
+    let mut unsharded = training_model(&cfg, 3);
     let mut sharded = ShardedServeModel::new(&cfg, &spec(3, CacheSizing::Rows(8)), 3);
     let mut rng = seeded_rng(9, 0);
     let mut batch = MiniBatch::random(&cfg, 6, IndexDistribution::Uniform, &mut rng);
@@ -197,7 +214,7 @@ fn sharded_edge_batches_are_identical() {
     // Single-row tables.
     let mut tiny = tiny_cfg();
     tiny.table_rows = vec![1, 1, 1];
-    let mut u1 = ServeModel::new(&tiny, Execution::optimized(1), CacheSizing::Disabled, 11);
+    let mut u1 = training_model(&tiny, 11);
     let mut s1 = ShardedServeModel::new(&tiny, &spec(2, CacheSizing::Fraction(0.01)), 11);
     let b1 = MiniBatch::random(&tiny, 8, IndexDistribution::Uniform, &mut rng);
     assert_eq!(s1.forward(0, &b1), u1.forward(&b1));
@@ -207,7 +224,7 @@ fn sharded_edge_batches_are_identical() {
 fn sharded_engine_concurrent_clients_match_direct_forward() {
     let cfg = tiny_cfg();
     let shards = 3;
-    let mut direct = ServeModel::new(&cfg, Execution::optimized(1), CacheSizing::Disabled, 23);
+    let mut direct = training_model(&cfg, 23);
     let engine = ShardedEngine::start(
         ShardedServeModel::new(&cfg, &spec(shards, CacheSizing::Fraction(0.1)), 23),
         ServeConfig {
