@@ -29,7 +29,10 @@
 //! artifact, and a hard assert here.
 //!
 //! Writes `results/BENCH_embedding.json` (schema checked by
-//! `dlrm_bench::validate_artifact`, also run by CI).
+//! `dlrm_bench::validate_artifact`, also run by CI). The default table is
+//! 51 MB, above `dlrm_tensor::aligned::HUGE_PAGE_MIN_BYTES`, so every GUPS
+//! figure depends on whether the host hands out 2 MiB pages: the artifact
+//! records `thp_mode`, `table_mb` and `anon_huge_mb`.
 
 use dlrm_bench::{header, time_it, validate_artifact, HarnessOpts, Table};
 use dlrm_data::IndexDistribution;
@@ -283,6 +286,11 @@ fn main() {
     let ns = uni.indices.len();
     let mut rng = seeded_rng(7, 2);
     let w0 = uniform(s.m, s.e, -0.1, 0.1, &mut rng);
+    // The table is the only large buffer alive: what sits on 2 MiB pages
+    // now is its share (`dlrm_tensor::aligned::HUGE_PAGE_MIN_BYTES`).
+    let (thp_mode, anon_huge_mb) = (dlrm_bench::thp_mode(), dlrm_bench::anon_huge_mb());
+    let table_mb = (s.m * s.e * std::mem::size_of::<f32>()) as f64 / 1e6;
+    println!("table {table_mb:.1} MB, {anon_huge_mb:.1} MB on huge pages (THP mode {thp_mode})");
     let dw = uniform(ns, s.e, -0.1, 0.1, &mut rng);
     let dy = uniform(s.n, s.e, -0.1, 0.1, &mut rng);
     let alpha = -0.01f32;
@@ -426,6 +434,7 @@ fn main() {
          \"fused_gups\": {},\n  \
          \"simd_vs_scalar_forward_ratio\": {simd_ratio:.4},\n  \
          \"bag_vs_per_row_forward_ratio\": {bag_ratio:.4},\n  \
+         \"thp_mode\": \"{thp_mode}\", \"table_mb\": {table_mb:.4}, \"anon_huge_mb\": {anon_huge_mb:.4},\n  \
          \"equivalence_ok\": {equivalence_ok}\n}}\n",
         opts.smoke,
         s.m,

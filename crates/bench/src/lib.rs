@@ -68,6 +68,31 @@ pub fn write_artifact(name: &str, contents: &str) -> std::path::PathBuf {
     path
 }
 
+/// The kernel's transparent-huge-page mode — the bracketed word of
+/// `/sys/kernel/mm/transparent_hugepage/enabled` — or `unavailable` where
+/// there is no such file. Recorded in
+/// artifacts whose numbers depend on the page size of the tables
+/// (`dlrm_tensor::aligned::HUGE_PAGE_MIN_BYTES`).
+pub fn thp_mode() -> String {
+    let modes = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+    modes
+        .ok()
+        .and_then(|m| Some(m[m.find('[')? + 1..m.find(']')?].to_string()))
+        .unwrap_or_else(|| "unavailable".into())
+}
+
+/// Megabytes (10^6 bytes) of this process that sit on transparent huge
+/// pages right now: the `AnonHugePages` line of `/proc/self/smaps_rollup`,
+/// 0 where it cannot be read.
+pub fn anon_huge_mb() -> f64 {
+    let rollup = std::fs::read_to_string("/proc/self/smaps_rollup").unwrap_or_default();
+    let kb = rollup
+        .lines()
+        .find_map(|l| l.strip_prefix("AnonHugePages:"))
+        .and_then(|rest| rest.split_whitespace().next()?.parse::<f64>().ok());
+    kb.unwrap_or(0.0) * 1024.0 / 1e6
+}
+
 /// Extracts the first numeric value following a `"key":` literal. Returns
 /// `None` when the key is absent or not followed by a number — enough to
 /// gate on scalar fields without a JSON parser in the workspace.
@@ -148,6 +173,9 @@ const SCHEMAS: [Schema; 6] = [
             "fused_gups",
             "simd_vs_scalar_forward_ratio",
             "bag_vs_per_row_forward_ratio",
+            "thp_mode",
+            "table_mb",
+            "anon_huge_mb",
             "equivalence_ok",
         ],
         must_be_true: &["equivalence_ok"],
@@ -474,9 +502,12 @@ mod tests {
   "fused_gups": {"race_free": 0.1, "bucketed": 0.2},
   "simd_vs_scalar_forward_ratio": 1.0,
   "bag_vs_per_row_forward_ratio": 1.0,
+  "thp_mode": "never", "table_mb": 0.00016, "anon_huge_mb": 0.0,
   "equivalence_ok": true
 }"#;
         assert!(validate_artifact("BENCH_embedding.json", ok).is_ok());
+        let no_pages = ok.replace("\"anon_huge_mb\": 0.0,", "");
+        assert!(validate_artifact("BENCH_embedding.json", &no_pages).is_err());
     }
 
     #[test]
@@ -489,6 +520,7 @@ mod tests {
   "isa_tiers": [], "forward_gups": {}, "forward_per_row_gups": {}, "update_gups": {},
   "clustered": {"bucketed_vs_racefree_speedup": 1.0}, "fused_gups": {},
   "simd_vs_scalar_forward_ratio": 1.0, "bag_vs_per_row_forward_ratio": 1.0,
+  "thp_mode": "never", "table_mb": 0.0, "anon_huge_mb": 0.0,
   "equivalence_ok": false
 }"#;
         assert!(validate_artifact("BENCH_embedding.json", failed_gate).is_err());

@@ -641,7 +641,7 @@ fn for_each_lookup(
 }
 
 /// Lookups per piece of [`scatter_owned`]'s scan: a bag, or [`SCAN_PIECE`]
-/// lookups of a longer one. 2 KB of stack for the two pieces in flight.
+/// lookups of a longer one. 2 KB of stack for the pieces in flight.
 const SCAN_PIECE: usize = 256;
 
 /// One owner's share of the full scan: walks every bag and adds
@@ -652,9 +652,11 @@ const SCAN_PIECE: usize = 256;
 /// the apply loop costs a branch miss every other lookup — ≈ 30 % of this
 /// kernel's time at T = 2. Instead each piece is first *compacted*,
 /// branch-free, into the rows this owner writes (the same lookups in the
-/// same order, so the bits cannot tell), one piece ahead of the piece being
-/// applied; the apply loop then has nothing to test, and its prefetch looks
-/// [`PREFETCH_DISTANCE`] owned rows ahead, across the piece boundary.
+/// same order, so the bits cannot tell), ahead of the piece being applied;
+/// the apply loop then has nothing to test, and its prefetch looks
+/// [`PREFETCH_DISTANCE`] owned rows ahead, across piece boundaries — as many
+/// of them as that takes: with bags shorter than the distance, one piece
+/// ahead would see no row to prefetch at all.
 ///
 /// # Safety
 /// `check_bags(indices, offsets, rows of w)` must hold, `w` must be
@@ -685,16 +687,27 @@ unsafe fn scatter_owned(
             .map(move |lo| (bag, lo..end.min(lo + SCAN_PIECE)))
     });
 
-    // `rows[..len]` is the piece being applied, the next piece's rows follow.
-    let mut rows = [0u32; 2 * SCAN_PIECE];
-    let mut cur = pieces
-        .next()
-        .map(|(bag, slots)| (bag, compact(slots, &mut rows)));
-    while let Some((bag, len)) = cur {
-        let next = pieces
-            .next()
-            .map(|(bag, slots)| (bag, compact(slots, &mut rows[len..])));
-        let filled = len + next.map_or(0, |(_, len)| len);
+    // `rows[..filled]` holds the owned rows of the `queued` pieces in
+    // flight, oldest first: the piece being applied, then pieces compacted
+    // ahead of it until `PREFETCH_DISTANCE` of their rows are known — one
+    // piece of a long bag, several short bags.
+    let mut rows = [0u32; 2 * SCAN_PIECE + PREFETCH_DISTANCE];
+    let mut queue = [(0usize, 0usize); PREFETCH_DISTANCE + 1];
+    let (mut queued, mut filled) = (0, 0);
+    loop {
+        while queued < queue.len() && (queued == 0 || filled - queue[0].1 < PREFETCH_DISTANCE) {
+            let Some((bag, slots)) = pieces.next() else {
+                break;
+            };
+            let len = compact(slots, &mut rows[filled..]);
+            queue[queued] = (bag, len);
+            queued += 1;
+            filled += len;
+        }
+        if queued == 0 {
+            break;
+        }
+        let (bag, len) = queue[0];
         let window = &rows[..filled];
         let apply = window[..len].iter().enumerate().map(move |(k, &row)| {
             if let Some(&ahead) = window.get(k + PREFETCH_DISTANCE) {
@@ -704,7 +717,9 @@ unsafe fn scatter_owned(
         });
         rowops::scatter_bag(isa, w, dy.row(bag), alpha, apply);
         rows.copy_within(len..filled, 0);
-        cur = next;
+        queue.copy_within(1..queued, 0);
+        filled -= len;
+        queued -= 1;
     }
 }
 
@@ -978,32 +993,69 @@ mod tests {
         }
     }
 
+    /// The fused update of `strategies` against backward-then-reference,
+    /// bitwise, on a 3-thread team (uneven ownership of an odd table).
+    fn assert_fused_is_reference(
+        (m, e): (usize, usize),
+        indices: &[u32],
+        offsets: &[usize],
+        strategies: &[UpdateStrategy],
+        rng: &mut rand::rngs::StdRng,
+    ) {
+        let pool = ThreadPool::new(3);
+        let w0 = uniform(m, e, -1.0, 1.0, rng);
+        let dy = uniform(offsets.len() - 1, e, -1.0, 1.0, rng);
+        let mut dw = Matrix::zeros(indices.len(), e);
+        backward(&pool, &dy, offsets, &mut dw);
+        let mut want = w0.clone();
+        update_reference(&mut want, &dw, indices, 0.3);
+        for &strat in strategies {
+            let mut got = w0.clone();
+            let mut plan = BagPlan::new();
+            backward_update(
+                &pool, strat, &mut got, &dy, indices, offsets, 0.3, &mut plan,
+            );
+            assert_eq!(got.as_slice(), want.as_slice(), "{strat}");
+        }
+    }
+
     #[test]
     fn scan_pieces_cover_bags_longer_than_one_piece() {
         // One bag of 2.5 pieces between two short ones, on a table small
         // enough that every row repeats: the piece boundary must neither
         // drop, repeat nor reorder a lookup.
-        let pool = ThreadPool::new(3);
         let mut rng = seeded_rng(17, 0);
-        let (m, e) = (29, 5);
-        let w0 = uniform(m, e, -1.0, 1.0, &mut rng);
+        let m = 29;
         let long = 2 * SCAN_PIECE + SCAN_PIECE / 2;
         let indices: Vec<u32> = (0..long + 5).map(|_| rng.gen_range(0..m as u32)).collect();
         let offsets = vec![0, 2, 2 + long, long + 5];
-        let dy = uniform(3, e, -1.0, 1.0, &mut rng);
+        let strategies = [UpdateStrategy::Reference, UpdateStrategy::RaceFree];
+        assert_fused_is_reference((m, 5), &indices, &offsets, &strategies, &mut rng);
+    }
 
-        let mut dw = Matrix::zeros(indices.len(), e);
-        backward(&pool, &dy, &offsets, &mut dw);
-        let mut want = w0.clone();
-        update_reference(&mut want, &dw, &indices, 0.3);
-        for strat in [UpdateStrategy::Reference, UpdateStrategy::RaceFree] {
-            let mut got = w0.clone();
-            let mut plan = BagPlan::new();
-            backward_update(
-                &pool, strat, &mut got, &dy, &indices, &offsets, 0.3, &mut plan,
-            );
-            assert_eq!(got.as_slice(), want.as_slice(), "{strat}");
+    #[test]
+    fn scan_queue_covers_runs_of_bags_shorter_than_the_prefetch_distance() {
+        // Many more single-lookup and empty bags than the piece queue holds,
+        // around one long bag, with rows clustered so that most pieces hold
+        // nothing for two of the three owners: the queue must fill, drain
+        // and refill without dropping, repeating or reordering a lookup.
+        let mut rng = seeded_rng(19, 0);
+        let m = 31;
+        let mut offsets = vec![0usize];
+        let mut indices: Vec<u32> = vec![];
+        for bag in 0..6 * PREFETCH_DISTANCE {
+            let p = if bag == 3 * PREFETCH_DISTANCE {
+                SCAN_PIECE + 3
+            } else if bag % 7 == 0 {
+                0
+            } else {
+                1 + bag % 2
+            };
+            indices.extend((0..p).map(|_| rng.gen_range(0..m as u32 / 4)));
+            offsets.push(indices.len());
         }
+        let strategies = [UpdateStrategy::RaceFree];
+        assert_fused_is_reference((m, 5), &indices, &offsets, &strategies, &mut rng);
     }
 
     #[test]

@@ -42,13 +42,28 @@ use crate::gemm::micro::Isa;
 use std::ops::Range;
 
 /// How many lookups ahead of the current one the embedding kernels
-/// prefetch the table row for. Far enough to cover DRAM latency at these
-/// row sizes, near enough not to thrash L1.
-pub const PREFETCH_DISTANCE: usize = 8;
+/// prefetch the table row for: 32 rows of E = 64 are 128 lines, 8 KB, in
+/// flight per thread — into L2, see [`prefetch_row`]. Chosen by paired
+/// runs on tables that sit on 2 MiB pages (`dlrm_tensor::aligned`): with
+/// the L1 hint 16 beat 8 in 10 of 10 `train_emb` pairs (×1.12) and 32 added
+/// nothing; with the L2 hint 32 beat that 16 in 10 of 10 (×1.13), and 64
+/// did not beat 32 by the same rule (8 of 10). On 4 KB pages no distance
+/// from 0 to 64 and neither hint moved anything — the page walks, not the
+/// row fetches, were what a lookup waited for (DESIGN.md §9,
+/// EXPERIMENTS.md "PR 24").
+pub const PREFETCH_DISTANCE: usize = 32;
 
-/// Issues T0 software prefetches covering the first `min(e, 64)` floats of
-/// the row starting at `ptr` (one prefetch per 64-byte line). A hint only:
+/// Issues software prefetches covering the first `min(e, 64)` floats of the
+/// row starting at `ptr` (one prefetch per 64-byte line). A hint only:
 /// safe to call with any in-bounds row pointer, and a no-op off x86-64.
+///
+/// The hint is `_MM_HINT_T1` — fetch into L2, not L1. A core tracks only a
+/// dozen or so L1 misses at a time but several times as many L2 misses, so
+/// a gather that wants tens of rows in flight per thread gets them from L2
+/// prefetches and pays an L2 hit, hidden by the out-of-order window, when
+/// the row is used. With `_MM_HINT_T0` the look-ahead could not usefully
+/// grow past 16, and `train_emb` lost up to a quarter of its rate in this
+/// shared host's slow spells, which `T1` at 32 rode through.
 // `_mm_prefetch` never dereferences (it cannot fault), so taking a raw
 // pointer in a safe fn is sound despite the clippy lint's heuristic.
 #[allow(clippy::not_unsafe_ptr_arg_deref)]
@@ -56,13 +71,13 @@ pub const PREFETCH_DISTANCE: usize = 8;
 pub fn prefetch_row(ptr: *const f32, e: usize) {
     #[cfg(target_arch = "x86_64")]
     {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T1};
         const FLOATS_PER_LINE: usize = 16;
         let lines = e.div_ceil(FLOATS_PER_LINE).min(4);
         for line in 0..lines {
             // SAFETY: prefetch is a hint; it never faults, and the caller
             // passes a pointer into a live row anyway.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(ptr.add(line * FLOATS_PER_LINE).cast::<i8>()) };
+            unsafe { _mm_prefetch::<_MM_HINT_T1>(ptr.add(line * FLOATS_PER_LINE).cast::<i8>()) };
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -695,6 +710,48 @@ mod tests {
                         };
                     }
                     assert_eq!(bits(&out), want, "gather_bags {isa:?} e={e} split={split}");
+                }
+            }
+        }
+    }
+
+    /// A bag range that ends while the look-ahead is still running: the
+    /// first bag is a few lookups longer than [`PREFETCH_DISTANCE`], so its
+    /// last `PREFETCH_DISTANCE` lookups have nothing left to prefetch, and
+    /// the bag behind it belongs to another thread — its lookups must not
+    /// be gathered and its output row must not be written.
+    #[test]
+    fn gather_bags_range_ending_inside_the_prefetch_window_on_every_tier() {
+        for extra in [1, 3] {
+            let first = PREFETCH_DISTANCE + extra;
+            let indices: Vec<u32> = (0..first as u32 + 5).map(|i| (i * 5 + 2) % 23).collect();
+            let offsets = [0, first, indices.len()];
+            for e in WIDTHS {
+                let w = mk(10, 23 * e);
+                let want = gather_ref(Isa::Scalar, &w, e, &indices, &offsets);
+                for isa in available_isas() {
+                    let mut out = vec![f32::NAN; 2 * e];
+                    // SAFETY: indices < 23 rows, offsets are CSR, out is 2×e.
+                    unsafe {
+                        gather_bags(
+                            isa,
+                            w.as_ptr(),
+                            e,
+                            &indices,
+                            &offsets,
+                            0..1,
+                            out.as_mut_ptr(),
+                        )
+                    };
+                    assert_eq!(
+                        bits(&out[..e]),
+                        bits(&want[..e]),
+                        "{isa:?} e={e} extra={extra}"
+                    );
+                    assert!(
+                        out[e..].iter().all(|x| x.is_nan()),
+                        "{isa:?} e={e} wrote bag 1"
+                    );
                 }
             }
         }

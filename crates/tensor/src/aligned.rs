@@ -4,14 +4,36 @@
 //! cache lines) at a time; the GEMM microkernels use wide SIMD loads.
 //! Both want storage aligned to the 64-byte cache-line boundary, which the
 //! global allocator does not guarantee for `Vec<f32>`.
+//!
+//! A table is also far larger than the TLB reaches on 4 KB pages, and a
+//! random row gather then pays a page walk per lookup. Buffers of at least
+//! [`HUGE_PAGE_MIN_BYTES`] are therefore born on 2 MiB transparent huge
+//! pages: 2 MiB-aligned, advised `MADV_HUGEPAGE` **before** the first
+//! write, and only then zeroed. The order is the whole point — a page that
+//! was touched before the advice stays a 4 KB page.
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
 
 /// Alignment (bytes) of every [`AlignedVec`] allocation: one x86 cache line.
 pub const CACHE_LINE: usize = 64;
 
-/// A 64-byte-aligned, zero-initialized `f32` buffer.
+/// Size and alignment (bytes) of one x86-64 transparent huge page.
+pub const HUGE_PAGE: usize = 2 << 20;
+
+/// Buffers of at least this many bytes are aligned to [`HUGE_PAGE`] and
+/// advised onto huge pages. 32 MiB is glibc's largest mmap threshold
+/// (`DEFAULT_MMAP_THRESHOLD_MAX` on 64-bit): however often a process has
+/// freed large blocks, a request this big is served by a fresh mapping no
+/// one has touched, so the advice always arrives before the first touch.
+/// A smaller request may be carved from memory the allocator kept from an
+/// earlier `free` — already populated with 4 KB pages, which the advice
+/// does not convert — so what it bought would depend on allocation
+/// history; and the smaller a buffer, the more of its page walks hit cache.
+pub const HUGE_PAGE_MIN_BYTES: usize = 32 << 20;
+
+/// A 64-byte-aligned, zero-initialized `f32` buffer (2 MiB-aligned and on
+/// huge pages from [`HUGE_PAGE_MIN_BYTES`] up).
 ///
 /// Unlike `Vec<f32>` the length is normally fixed at construction; tensors
 /// in this workspace never grow element by element. The one exception is
@@ -33,7 +55,9 @@ unsafe impl Send for AlignedVec {}
 unsafe impl Sync for AlignedVec {}
 
 impl AlignedVec {
-    /// Allocates a zeroed buffer of `len` floats aligned to [`CACHE_LINE`].
+    /// Allocates a zeroed buffer of `len` floats aligned to [`CACHE_LINE`]
+    /// (to [`HUGE_PAGE`], and advised onto huge pages before it is zeroed,
+    /// from [`HUGE_PAGE_MIN_BYTES`] up).
     pub fn zeroed(len: usize) -> Self {
         if len == 0 {
             return Self {
@@ -43,10 +67,25 @@ impl AlignedVec {
             };
         }
         let layout = Self::layout(len);
+        // A huge-page buffer is not `alloc_zeroed`: for an over-aligned
+        // layout std's `System` zeroes with a `memset`, which would populate
+        // every page as a 4 KB page before the advice could be given.
+        let huge = layout.align() == HUGE_PAGE;
         // SAFETY: layout has non-zero size (len > 0 checked above).
-        let raw = unsafe { alloc_zeroed(layout) };
+        let raw = unsafe {
+            if huge {
+                alloc(layout)
+            } else {
+                alloc_zeroed(layout)
+            }
+        };
         if raw.is_null() {
             handle_alloc_error(layout);
+        }
+        if huge {
+            advise_huge_pages(raw, layout.size());
+            // SAFETY: `raw` is a live allocation of `layout.size()` bytes.
+            unsafe { raw.write_bytes(0, layout.size()) };
         }
         Self {
             ptr: raw.cast::<f32>(),
@@ -120,9 +159,38 @@ impl AlignedVec {
         }
     }
 
+    /// The allocation layout of a `len`-float buffer: a pure function of
+    /// `len`, so `drop` rebuilds from `cap` what `zeroed` allocated with.
     fn layout(len: usize) -> Layout {
-        Layout::from_size_align(len * std::mem::size_of::<f32>(), CACHE_LINE)
+        let align = |l: Layout| {
+            let huge = l.size() >= HUGE_PAGE_MIN_BYTES;
+            l.align_to(if huge { HUGE_PAGE } else { CACHE_LINE })
+        };
+        Layout::array::<f32>(len)
+            .and_then(align)
             .expect("AlignedVec layout overflow")
+    }
+}
+
+/// Asks the kernel to back the `bytes` at `ptr` with transparent huge
+/// pages. A hint whose result is ignored: with THP `never`, off Linux and
+/// under Miri the buffer simply stays on base pages.
+fn advise_huge_pages(ptr: *mut u8, bytes: usize) {
+    #[cfg(all(target_os = "linux", not(miri)))]
+    {
+        use std::ffi::{c_int, c_void};
+        extern "C" {
+            fn madvise(addr: *mut c_void, length: usize, advice: c_int) -> c_int;
+        }
+        const MADV_HUGEPAGE: c_int = 14;
+        // SAFETY: the range is one live allocation this buffer owns, and
+        // `ptr` is page-aligned (it is `HUGE_PAGE`-aligned). The advice
+        // changes how the range is backed, never what it holds.
+        let _ = unsafe { madvise(ptr.cast(), bytes, MADV_HUGEPAGE) };
+    }
+    #[cfg(not(all(target_os = "linux", not(miri))))]
+    {
+        let _ = (ptr, bytes);
     }
 }
 
@@ -237,6 +305,26 @@ mod tests {
         assert!(v.iter().all(|&x| x == 0.0));
         v.resize_scratch(0);
         assert!(v.is_empty());
+    }
+
+    /// A `len` whose byte size overflows must be refused, never wrapped: an
+    /// unchecked `len * 4` turns `usize::MAX / 4 + 2` into a 4-byte
+    /// allocation behind a `len` of 2^62 in a release build.
+    #[test]
+    fn absurd_len_is_the_layout_overflow_panic() {
+        for len in [
+            usize::MAX / 2,
+            usize::MAX / 4 + 2,
+            isize::MAX as usize / 4 + 1,
+        ] {
+            let err = std::panic::catch_unwind(|| AlignedVec::zeroed(len))
+                .expect_err("an absurd len must not allocate");
+            let msg = err.downcast_ref::<String>().expect("panic message");
+            assert!(
+                msg.contains("AlignedVec layout overflow"),
+                "len={len}: {msg}"
+            );
+        }
     }
 
     #[test]
