@@ -4,8 +4,10 @@
 //!
 //! * **allreduce** is materialized as ring **reduce-scatter** followed by
 //!   ring **allgather** (Section IV-A: "we materialize the all-reduce
-//!   operation via a reduce-scatter and an all-gather operation") — which is
-//!   also what lets the overlap engine split it around the backward pass.
+//!   operation via a reduce-scatter and an all-gather operation"). Both
+//!   halves run in the caller's buffer: the reduce-scatter accumulates into
+//!   it and the allgather decodes each arriving chunk into its place; the
+//!   allocating reduce-scatter and allgather are wrappers over those loops.
 //! * **alltoall** uses the pairwise-exchange schedule (`R−1` rounds, partner
 //!   `(rank ± s) mod R`), the pattern whose per-link volume drops `4×` per
 //!   rank doubling in strong scaling (Eq. 2 discussion).
@@ -65,32 +67,35 @@ pub fn reduce_scatter_sum_wire(
     data: &[f32],
     wirep: WirePrecision,
 ) -> Vec<f32> {
-    reduce_scatter_impl(comm, data, wirep, true)
+    let mut work = data.to_vec();
+    reduce_scatter_in_place(comm, &mut work, wirep, true);
+    work[partition_range(data.len(), comm.nranks(), comm.rank())].to_vec()
 }
 
-/// [`reduce_scatter_sum_wire`] with the final-chunk quantization made
-/// optional: [`allreduce_sum_wire`] skips it on the wires whose allgather
-/// quantizes at the source.
-fn reduce_scatter_impl(
+/// The ring reduce-scatter loop, accumulating in the caller's buffer: on
+/// return `data[partition_range(len, R, rank)]` holds the fully-reduced
+/// chunk (wire-quantized once when `quantize_tail`) and the other chunks
+/// hold partial sums. [`allreduce_sum_wire`] skips the tail quantization
+/// on the wires whose allgather quantizes at the source.
+fn reduce_scatter_in_place(
     comm: &Communicator,
-    data: &[f32],
+    data: &mut [f32],
     wirep: WirePrecision,
     quantize_tail: bool,
-) -> Vec<f32> {
+) {
     let r = comm.nranks();
     let me = comm.rank();
     if r == 1 {
-        return data.to_vec();
+        return;
     }
     let len = data.len();
     let next = (me + 1) % r;
     let prev = (me + r - 1) % r;
 
-    // Working copy; chunk c is data[partition_range(len, r, c)]. Chunk c
-    // starts its ring journey at rank (c+1) mod r and, moving one hop per
-    // step, is fully reduced when it arrives at rank c after r-1 steps:
-    // rank `me` therefore sends chunk (me-s-1) and receives (me-s-2).
-    let mut work = data.to_vec();
+    // Chunk c is data[partition_range(len, r, c)]. Chunk c starts its ring
+    // journey at rank (c+1) mod r and, moving one hop per step, is fully
+    // reduced when it arrives at rank c after r-1 steps: rank `me`
+    // therefore sends chunk (me-s-1) and receives (me-s-2).
     for s in 0..r - 1 {
         let send_range = partition_range(len, r, (me + 2 * r - s - 1) % r);
         let recv_range = partition_range(len, r, (me + 2 * r - s - 2) % r);
@@ -98,16 +103,14 @@ fn reduce_scatter_impl(
         // The outgoing partial sum is staged in a pooled buffer — the one
         // that arrived last step — so the whole call performs no payload
         // allocations in steady state.
-        comm.send_payload(next, tag, wirep.encode_slice(&work[send_range], 0));
+        comm.send_payload(next, tag, wirep.encode_slice(&data[send_range], 0));
         let incoming = comm.recv_payload(prev, tag);
-        wirep.decode_add(&incoming, &mut work[recv_range]);
+        wirep.decode_add(&incoming, &mut data[recv_range]);
         wire::recycle(incoming);
     }
-    let mut out = work[partition_range(len, r, me)].to_vec();
     if quantize_tail {
-        wirep.requantize(&mut out, 0);
+        wirep.requantize(&mut data[partition_range(len, r, me)], 0);
     }
-    out
 }
 
 /// Ring allgather of variable-size chunks. `counts[i]` is rank `i`'s chunk
@@ -129,41 +132,48 @@ pub fn allgather_varied_wire(
     counts: &[usize],
     wirep: WirePrecision,
 ) -> Vec<f32> {
-    let r = comm.nranks();
     let me = comm.rank();
-    assert_eq!(counts.len(), r, "allgather counts length");
+    assert_eq!(counts.len(), comm.nranks(), "allgather counts length");
     assert_eq!(mine.len(), counts[me], "allgather own count mismatch");
-    let total: usize = counts.iter().sum();
-    let starts: Vec<usize> = counts
-        .iter()
-        .scan(0usize, |acc, &c| {
-            let s = *acc;
-            *acc += c;
-            Some(s)
-        })
+    let starts: Vec<usize> = (0..counts.len())
+        .map(|i| counts[..i].iter().sum())
         .collect();
     let chunk = |owner: usize| starts[owner]..starts[owner] + counts[owner];
+    let mut out = vec![0.0f32; counts.iter().sum()];
+    out[chunk(me)].copy_from_slice(mine);
+    allgather_in_place(comm, &mut out, chunk, wirep);
+    out
+}
 
-    let mut out = vec![0.0f32; total];
+/// The ring allgather loop over the caller's buffer: `data[chunk(rank)]`
+/// holds this rank's chunk on entry, and every `data[chunk(owner)]` holds
+/// owner's wire-quantized chunk on return.
+fn allgather_in_place(
+    comm: &Communicator,
+    data: &mut [f32],
+    chunk: impl Fn(usize) -> std::ops::Range<usize>,
+    wirep: WirePrecision,
+) {
+    let r = comm.nranks();
+    let me = comm.rank();
     if r == 1 {
-        out.copy_from_slice(mine);
-        return out;
+        return;
     }
     let next = (me + 1) % r;
     let prev = (me + r - 1) % r;
     // Pass chunks around the ring; after R-1 steps everyone has all chunks.
     // The first hop stages into a pooled buffer; later hops forward the
-    // payload that just arrived.
-    let mut carry = wirep.encode_slice(mine, 0);
-    wirep.decode_into(&carry, &mut out[chunk(me)]);
+    // payload that just arrived. The source adopts what its peers will
+    // decode: `requantize` is bitwise `decode ∘ encode`, and free on FP32.
+    let mut carry = wirep.encode_slice(&data[chunk(me)], 0);
+    wirep.requantize(&mut data[chunk(me)], 0);
     for s in 0..r - 1 {
         let tag = TAG_AG + s as u64;
         comm.send_payload(next, tag, carry);
         carry = comm.recv_payload(prev, tag);
-        wirep.decode_into(&carry, &mut out[chunk((me + r - s - 1) % r)]);
+        wirep.decode_into(&carry, &mut data[chunk((me + r - s - 1) % r)]);
     }
     wire::recycle(carry);
-    out
 }
 
 /// Ring allgather of equal-size chunks.
@@ -185,18 +195,15 @@ pub fn allreduce_sum(comm: &Communicator, data: &mut [f32]) {
 /// rank — the source included — adopting the dequantized values). Either
 /// way **all ranks end bitwise identical** — the property the
 /// data-parallel update relies on.
+///
+/// Both ring halves run in `data` itself: the reduce-scatter accumulates
+/// into it and the allgather decodes every arriving chunk straight into
+/// its place, so beyond the pooled hop payloads the call touches no other
+/// buffer and writes nothing outside `data`.
 pub fn allreduce_sum_wire(comm: &Communicator, data: &mut [f32], wirep: WirePrecision) {
-    let r = comm.nranks();
-    if r == 1 {
-        return;
-    }
-    let quantize_tail = !wirep.quantizes_at_allgather_source();
-    let reduced_chunk = reduce_scatter_impl(comm, data, wirep, quantize_tail);
-    let counts: Vec<usize> = (0..r)
-        .map(|i| partition_range(data.len(), r, i).len())
-        .collect();
-    let gathered = allgather_varied_wire(comm, &reduced_chunk, &counts, wirep);
-    data.copy_from_slice(&gathered);
+    let (len, r) = (data.len(), comm.nranks());
+    reduce_scatter_in_place(comm, data, wirep, !wirep.quantizes_at_allgather_source());
+    allgather_in_place(comm, data, |c| partition_range(len, r, c), wirep);
 }
 
 /// Pairwise-exchange alltoall: `send[dst]` is this rank's payload for rank
@@ -855,6 +862,165 @@ mod tests {
             i8h.messages, fp.messages,
             "same message count, a quarter the bytes"
         );
+    }
+
+    /// The allocating ring this module ran before both halves moved into
+    /// the caller's buffer — a working copy for the reduce-scatter, a fresh
+    /// reduced chunk, a fresh allgather output and a copy back — kept as
+    /// the bitwise reference for the in-place loops.
+    mod allocating_reference {
+        use super::*;
+
+        pub fn reduce_scatter(
+            comm: &Communicator,
+            data: &[f32],
+            wirep: WirePrecision,
+            quantize_tail: bool,
+        ) -> Vec<f32> {
+            let (r, me, len) = (comm.nranks(), comm.rank(), data.len());
+            if r == 1 {
+                return data.to_vec();
+            }
+            let mut work = data.to_vec();
+            for s in 0..r - 1 {
+                let send_range = partition_range(len, r, (me + 2 * r - s - 1) % r);
+                let recv_range = partition_range(len, r, (me + 2 * r - s - 2) % r);
+                let tag = TAG_RS + s as u64;
+                comm.send_payload((me + 1) % r, tag, wirep.encode_slice(&work[send_range], 0));
+                let incoming = comm.recv_payload((me + r - 1) % r, tag);
+                wirep.decode_add(&incoming, &mut work[recv_range]);
+                wire::recycle(incoming);
+            }
+            let mut out = work[partition_range(len, r, me)].to_vec();
+            if quantize_tail {
+                wirep.requantize(&mut out, 0);
+            }
+            out
+        }
+
+        pub fn allgather(
+            comm: &Communicator,
+            mine: &[f32],
+            counts: &[usize],
+            wirep: WirePrecision,
+        ) -> Vec<f32> {
+            let (r, me) = (comm.nranks(), comm.rank());
+            let starts: Vec<usize> = (0..r).map(|i| counts[..i].iter().sum()).collect();
+            let chunk = |owner: usize| starts[owner]..starts[owner] + counts[owner];
+            let mut out = vec![0.0f32; counts.iter().sum()];
+            if r == 1 {
+                out.copy_from_slice(mine);
+                return out;
+            }
+            let mut carry = wirep.encode_slice(mine, 0);
+            wirep.decode_into(&carry, &mut out[chunk(me)]);
+            for s in 0..r - 1 {
+                let tag = TAG_AG + s as u64;
+                comm.send_payload((me + 1) % r, tag, carry);
+                carry = comm.recv_payload((me + r - 1) % r, tag);
+                wirep.decode_into(&carry, &mut out[chunk((me + r - s - 1) % r)]);
+            }
+            wire::recycle(carry);
+            out
+        }
+
+        pub fn allreduce(comm: &Communicator, data: &mut [f32], wirep: WirePrecision) {
+            let r = comm.nranks();
+            if r == 1 {
+                return;
+            }
+            let tail = !wirep.quantizes_at_allgather_source();
+            let reduced = reduce_scatter(comm, data, wirep, tail);
+            let counts: Vec<usize> = (0..r)
+                .map(|i| partition_range(data.len(), r, i).len())
+                .collect();
+            data.copy_from_slice(&allgather(comm, &reduced, &counts, wirep));
+        }
+    }
+
+    fn to_bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A rank's input: mixed magnitudes, no two ranks alike.
+    fn mixed_input(rank: usize, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| ((rank * 131 + i * 17) as f32).sin() * [0.03f32, 1.0, 0.5, 0.9][i % 4])
+            .collect()
+    }
+
+    const IN_PLACE_RANKS: [usize; 5] = [1, 2, 3, 4, 7];
+
+    /// Lengths below, at and above `r`, so some ring chunks are empty.
+    fn in_place_lens(r: usize) -> Vec<usize> {
+        vec![0, 1, r.saturating_sub(1), r, r + 2, 37]
+    }
+
+    #[test]
+    fn in_place_collectives_match_the_allocating_reference_bitwise() {
+        for r in IN_PLACE_RANKS {
+            for wirep in WirePrecision::ALL {
+                for len in in_place_lens(r) {
+                    let out = CommWorld::run(r, |c| {
+                        let input = mixed_input(c.rank(), len);
+                        let mut want = input.clone();
+                        allocating_reference::allreduce(&c, &mut want, wirep);
+                        let mut got = input.clone();
+                        allreduce_sum_wire(&c, &mut got, wirep);
+
+                        let rs_want = allocating_reference::reduce_scatter(&c, &input, wirep, true);
+                        let rs_got = reduce_scatter_sum_wire(&c, &input, wirep);
+
+                        let counts: Vec<usize> = (0..r).map(|i| (i * 3 + len) % 5).collect();
+                        let mine = mixed_input(c.rank() + 9, counts[c.rank()]);
+                        let ag_want = allocating_reference::allgather(&c, &mine, &counts, wirep);
+                        let ag_got = allgather_varied_wire(&c, &mine, &counts, wirep);
+                        [(want, got), (rs_want, rs_got), (ag_want, ag_got)]
+                    });
+                    for (rank, pairs) in out.iter().enumerate() {
+                        for ((want, got), what) in pairs.iter().zip(["allreduce", "rs", "ag"]) {
+                            assert_eq!(
+                                to_bits(got),
+                                to_bits(want),
+                                "{what} R={r} {wirep} len={len} rank {rank}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn allreduce_on_a_window_leaves_the_rest_untouched() {
+        const PAD: usize = 5;
+        // A distinct NaN payload per slot: any write outside the window
+        // changes the bits, whatever value it writes.
+        let sentinel = |i: usize| f32::from_bits(0x7fc0_0000 | i as u32);
+        for r in IN_PLACE_RANKS {
+            for wirep in WirePrecision::ALL {
+                for len in in_place_lens(r) {
+                    let out = CommWorld::run(r, |c| {
+                        let input = mixed_input(c.rank(), len);
+                        let mut whole: Vec<f32> = (0..len + 2 * PAD).map(sentinel).collect();
+                        whole[PAD..PAD + len].copy_from_slice(&input);
+                        allreduce_sum_wire(&c, &mut whole[PAD..PAD + len], wirep);
+                        let mut alone = input;
+                        allreduce_sum_wire(&c, &mut alone, wirep);
+                        (whole, alone)
+                    });
+                    for (rank, (whole, alone)) in out.iter().enumerate() {
+                        let at = format!("R={r} {wirep} len={len} rank {rank}");
+                        for (i, x) in whole.iter().enumerate() {
+                            if !(PAD..PAD + len).contains(&i) {
+                                assert_eq!(x.to_bits(), sentinel(i).to_bits(), "{at}: slot {i}");
+                            }
+                        }
+                        assert_eq!(to_bits(&whole[PAD..PAD + len]), to_bits(alone), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! channel, `Backend::CclLike { workers }` owns several. Each channel is a
 //! FIFO worker thread with its own [`Communicator`] (its own p2p streams),
 //! so cross-channel operations cannot interleave incorrectly.
+//!
+//! Progress threads pay off only on cores the compute does not use, which
+//! is where oneCCL pins them. The distributed trainer therefore keeps an
+//! engine only for its CCL strategy; its default strategy drives every
+//! collective on the rank thread through [`crate::collectives`].
 
 use crate::chaos::FaultPlan;
 use crate::instrument::{time_opt, OpKind, TimingRecorder, WireStats};
@@ -142,7 +147,6 @@ pub struct ProgressEngine {
     submitters: Vec<Sender<Task>>,
     handles: HandleRegistry,
     rank: usize,
-    nranks: usize,
 }
 
 impl ProgressEngine {
@@ -171,7 +175,6 @@ impl ProgressEngine {
             "engine needs exactly one communicator per channel"
         );
         let rank = comms[0].rank();
-        let nranks = comms[0].nranks();
         let registry: HandleRegistry = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let mut submitters = Vec::with_capacity(nch);
         for (ch, comm) in comms.into_iter().enumerate() {
@@ -194,18 +197,12 @@ impl ProgressEngine {
             submitters,
             handles: registry,
             rank,
-            nranks,
         }
     }
 
     /// This rank's id.
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// World size.
-    pub fn nranks(&self) -> usize {
-        self.nranks
     }
 
     /// Number of progress channels.

@@ -1,5 +1,6 @@
 //! DDP gradient bucketing: split the flat gradient into fixed-size buckets
-//! and allreduce each as its own nonblocking operation.
+//! and allreduce each as its own operation — in flight on a progress
+//! engine when the trainer has one, else in place at `finalize`.
 //!
 //! This is how the paper's DDP wrapper overlaps the allreduce with the
 //! backward pass (Figure 2): as each layer's `dW` is produced, its bucket
@@ -224,31 +225,26 @@ impl BucketReducer {
         rec: Option<&TimingRecorder>,
     ) -> Vec<f32> {
         self.on_produced(0, engine, rec);
-        let uniform = self.wire;
-        let bucket_wires = self.bucket_wires;
-        let mut flat = self.flat;
         // `issued` is filled in plan order, so the enumeration index is the
         // plan index — the same one `with_bucket_wires` keys on.
-        for (idx, (range, op)) in self.issued.into_iter().enumerate() {
+        for (idx, (range, op)) in std::mem::take(&mut self.issued).into_iter().enumerate() {
+            let wire = self.wire_for(idx);
+            let window = &mut self.flat[range];
             match op {
                 BucketOp::InFlight(req) => {
                     let reduced = req.wait_flat(rec, OpKind::AllreduceWait);
                     time_opt(rec, OpKind::AllreduceFramework, || {
-                        flat[range].copy_from_slice(&reduced)
+                        window.copy_from_slice(&reduced)
                     });
                 }
                 BucketOp::Deferred => {
-                    let wire = match &bucket_wires {
-                        Some(wires) => wires[idx],
-                        None => uniform,
-                    };
                     time_opt(rec, OpKind::AllreduceWait, || {
-                        collectives::allreduce_sum_wire(comm, &mut flat[range], wire)
+                        collectives::allreduce_sum_wire(comm, window, wire)
                     });
                 }
             }
         }
-        flat
+        self.flat
     }
 }
 

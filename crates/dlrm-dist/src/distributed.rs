@@ -30,6 +30,12 @@
 //! which is why the two schedules produce bitwise-identical losses (the
 //! `schedule_equivalence` suite proves it, including under chaos plans).
 //! Overlap moves time, never bits.
+//!
+//! Only [`ExchangeStrategy::CclAlltoall`] keeps a [`ProgressEngine`], so
+//! only there is anything in flight. Every other strategy, the default
+//! included, drives its collectives on the rank thread (alltoalls at
+//! `finish`, buckets at `finalize`): progress threads that share the rank's
+//! core have no spare cycles to hide work in, they only compete for it.
 
 use crate::bucketing::{BucketReducer, DEFAULT_BUCKET_CAP_BYTES};
 use crate::ddp::{apply_reduced_grads, grad_offsets, write_layer_grads};
@@ -166,7 +172,9 @@ pub struct DistOptions {
     pub threads_per_rank: usize,
     /// Model seed — must match the single-process model for equivalence.
     pub seed: u64,
-    /// Compute/communication ordering.
+    /// Compute/communication ordering. Moves time only under
+    /// [`ExchangeStrategy::CclAlltoall`], whose collectives run on progress
+    /// threads; under the others both schedules block at the same points.
     pub schedule: Schedule,
     /// Gradient-allreduce bucket cap in bytes (DDP `bucket_cap_mb`).
     pub bucket_cap_bytes: usize,
@@ -235,7 +243,9 @@ pub struct DistDlrm {
 impl DistDlrm {
     /// Builds this rank's share of the model. Weights are seeded per
     /// component so they agree bit-for-bit with [`DlrmModel::new`] under
-    /// the same seed.
+    /// the same seed. `engine` is kept only under
+    /// [`ExchangeStrategy::CclAlltoall`]; any other strategy drops it here,
+    /// joining its progress threads, and reduces on the rank thread.
     pub fn new(
         cfg: &DlrmConfig,
         comm: Communicator,
@@ -304,7 +314,7 @@ impl DistDlrm {
         DistDlrm {
             cfg: cfg.clone(),
             comm,
-            engine,
+            engine: engine.filter(|_| opts.strategy == ExchangeStrategy::CclAlltoall),
             exec: Execution::optimized(opts.threads_per_rank),
             bottom,
             top,
@@ -359,16 +369,6 @@ impl DistDlrm {
     /// World size.
     pub fn nranks(&self) -> usize {
         self.comm.nranks()
-    }
-
-    /// The active schedule.
-    pub fn schedule(&self) -> Schedule {
-        self.schedule
-    }
-
-    /// The active per-collective wire configuration.
-    pub fn wire(&self) -> WireConfig {
-        self.wire
     }
 
     /// Decision counts of the adaptive allreduce-wire policy (`None` under
@@ -737,11 +737,8 @@ pub fn run_training(
 /// losses must still be bitwise identical — the chaos test suite checks
 /// precisely that.
 ///
-/// A progress engine is created when the strategy needs one
-/// ([`CclAlltoall`]) or when the overlapped schedule wants channels for
-/// its in-flight gradient buckets.
-///
-/// [`CclAlltoall`]: ExchangeStrategy::CclAlltoall
+/// A progress engine is created exactly when [`DistDlrm::new`] keeps one:
+/// under [`ExchangeStrategy::CclAlltoall`].
 pub fn run_training_with_chaos(
     cfg: &DlrmConfig,
     nranks: usize,
@@ -751,9 +748,7 @@ pub fn run_training_with_chaos(
     plan: Option<Arc<FaultPlan>>,
 ) -> Vec<Vec<f64>> {
     let backend = Backend::CclLike { workers: 2 };
-    let wants_engine =
-        opts.strategy == ExchangeStrategy::CclAlltoall || opts.schedule == Schedule::Overlapped;
-    let engines = if wants_engine {
+    let engines = if opts.strategy == ExchangeStrategy::CclAlltoall {
         Some(std::sync::Mutex::new(create_channel_worlds_with_chaos(
             nranks,
             backend,

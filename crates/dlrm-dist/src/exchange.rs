@@ -54,7 +54,10 @@ pub enum ExchangeStrategy {
     FusedScatter,
     /// One native pairwise alltoall (blocking).
     Alltoall,
-    /// The alltoall submitted to a CCL-like multi-channel progress engine.
+    /// The alltoall submitted to a CCL-like multi-channel progress engine —
+    /// the only strategy a trainer keeps its engine for, so its gradient
+    /// buckets and early fetches fly on progress threads too (the paper's
+    /// oneCCL workers on spare cores).
     CclAlltoall,
 }
 

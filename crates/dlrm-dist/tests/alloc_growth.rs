@@ -67,10 +67,22 @@ fn sample_training(schedule: Schedule, steps: usize) -> Vec<(isize, usize)> {
 }
 
 fn sample_training_wire(schedule: Schedule, steps: usize, wire: WireConfig) -> Vec<(isize, usize)> {
+    sample_strategy(ExchangeStrategy::CclAlltoall, schedule, steps, wire)
+}
+
+/// [`sample_training_wire`] under any exchange strategy. Every rank is
+/// handed an engine, as `train_dist`'s are; the default strategy drops it
+/// and reduces its buckets on the rank thread.
+fn sample_strategy(
+    strategy: ExchangeStrategy,
+    schedule: Schedule,
+    steps: usize,
+    wire: WireConfig,
+) -> Vec<(isize, usize)> {
     let cfg = tiny_cfg();
     let nranks = 2;
     let opts = DistOptions {
-        strategy: ExchangeStrategy::CclAlltoall,
+        strategy,
         seed: 5,
         threads_per_rank: 1,
         schedule,
@@ -150,10 +162,20 @@ fn sample_training_prefetch(
     steps: usize,
     window: usize,
 ) -> Vec<(isize, usize)> {
+    sample_prefetch_strategy(ExchangeStrategy::CclAlltoall, schedule, steps, window)
+}
+
+/// [`sample_training_prefetch`] under any exchange strategy.
+fn sample_prefetch_strategy(
+    strategy: ExchangeStrategy,
+    schedule: Schedule,
+    steps: usize,
+    window: usize,
+) -> Vec<(isize, usize)> {
     let cfg = tiny_cfg();
     let nranks = 2;
     let opts = DistOptions {
-        strategy: ExchangeStrategy::CclAlltoall,
+        strategy,
         seed: 5,
         threads_per_rank: 1,
         schedule,
@@ -331,4 +353,51 @@ fn adaptive_overlapped_step_does_not_grow_allocations() {
     };
     let samples = sample_training_wire(Schedule::Overlapped, 50, wire);
     assert_steady(&samples, "adaptive overlapped");
+}
+
+// The default strategy: the same steps with the buckets reduced in place on
+// the rank thread instead of copied out to a progress channel and back.
+
+#[test]
+fn default_strategy_overlapped_step_does_not_grow_allocations() {
+    let samples = sample_strategy(
+        ExchangeStrategy::Alltoall,
+        Schedule::Overlapped,
+        50,
+        WireConfig::default(),
+    );
+    assert_steady(&samples, "default strategy overlapped");
+}
+
+#[test]
+fn default_strategy_synchronous_step_does_not_grow_allocations() {
+    let samples = sample_strategy(
+        ExchangeStrategy::Alltoall,
+        Schedule::Synchronous,
+        50,
+        WireConfig::default(),
+    );
+    assert_steady(&samples, "default strategy synchronous");
+}
+
+#[test]
+fn default_strategy_narrowed_wires_do_not_grow_allocations() {
+    let adaptive = WireConfig {
+        allreduce: dlrm_dist::distributed::AllreduceWire::Adaptive { error_bound: 0.05 },
+        ..WireConfig::default()
+    };
+    for wire in [
+        WireConfig::all(WirePrecision::Bf16),
+        WireConfig::all(WirePrecision::Int8),
+        adaptive,
+    ] {
+        let samples = sample_strategy(ExchangeStrategy::Alltoall, Schedule::Overlapped, 50, wire);
+        assert_steady(&samples, &format!("default strategy {wire:?}"));
+    }
+}
+
+#[test]
+fn default_strategy_prefetch_step_does_not_grow_allocations() {
+    let samples = sample_prefetch_strategy(ExchangeStrategy::Alltoall, Schedule::Overlapped, 60, 4);
+    assert_steady_from(&samples, 10, "default strategy prefetch W=4");
 }
