@@ -275,7 +275,10 @@ fn backward_and_dense_update_do_not_allocate() {
 /// stride, not by per-thread pointer lists, and the pool lends the team a
 /// pointer to the job instead of boxing it. Counted over calls, not
 /// sampled as live bytes, because the lists were freed again before any
-/// sample could see them.
+/// sample could see them. The shapes take every kernel path: a plain one,
+/// a backward-by-data that parks its accumulators between chunks of
+/// `kb = 16` reduction panels, and a `bk = 1` head on the scalar kernels'
+/// narrow form.
 #[test]
 fn blocked_gemm_drivers_do_not_allocate() {
     let _turn = my_turn();
@@ -285,34 +288,39 @@ fn blocked_gemm_drivers_do_not_allocate() {
 
     let pool = ThreadPool::new(3);
     count_team(&pool);
-    let (k, c, n) = (32, 24, 16);
-    let blk = Blocking {
-        bn: 8,
-        bc: 8,
-        bk: 16,
-    };
-    let mut rng = seeded_rng(51, 0);
-    let wb = BlockedWeights::pack(&uniform(k, c, -1.0, 1.0, &mut rng), blk);
-    let xb = BlockedActivations::pack(&uniform(c, n, -1.0, 1.0, &mut rng), blk.bc, blk.bn);
-    let dyb = BlockedActivations::pack(&uniform(k, n, -1.0, 1.0, &mut rng), blk.bk, blk.bn);
-    let bias = vec![0.5f32; k];
-    let mut yb = BlockedActivations::zeros(k, n, blk.bk, blk.bn);
-    let mut dxb = BlockedActivations::zeros(c, n, blk.bc, blk.bn);
-    let mut dwb = BlockedWeights::zeros(k, c, blk);
-    let mut db = vec![0.0f32; k];
-
-    let mut all_six = || {
-        gemm::fc_forward(&pool, &wb, &xb, &mut yb);
-        gemm::fc_forward_fused(&pool, &wb, &xb, &mut yb, Some(&bias), true);
-        gemm::fc_backward_data(&pool, &wb, &dyb, &mut dxb);
-        gemm::fc_backward_data_fused(&pool, &wb, &dyb, &mut dxb, Some(&xb));
-        gemm::fc_backward_weights(&pool, &xb, &dyb, &mut dwb);
-        gemm::fc_backward_weights_fused(&pool, &xb, &dyb, &mut dwb, &mut db);
-    };
     let dispatches = calls_during(&mut || pool.parallel_for(6, |_, _| {}));
     assert_eq!(dispatches, 0, "20 empty dispatches allocated");
-    let drivers = calls_during(&mut all_six);
-    assert_eq!(drivers, 0, "120 driver calls allocated {drivers} times");
+
+    let blk = |bn, bc, bk| Blocking { bn, bc, bk };
+    for (k, c, n, blk) in [
+        (32, 24, 16, blk(8, 8, 16)),
+        (1024, 16, 16, blk(8, 8, 64)),
+        (1, 24, 16, blk(8, 8, 1)),
+    ] {
+        let mut rng = seeded_rng(51, 0);
+        let wb = BlockedWeights::pack(&uniform(k, c, -1.0, 1.0, &mut rng), blk);
+        let xb = BlockedActivations::pack(&uniform(c, n, -1.0, 1.0, &mut rng), blk.bc, blk.bn);
+        let dyb = BlockedActivations::pack(&uniform(k, n, -1.0, 1.0, &mut rng), blk.bk, blk.bn);
+        let bias = vec![0.5f32; k];
+        let mut yb = BlockedActivations::zeros(k, n, blk.bk, blk.bn);
+        let mut dxb = BlockedActivations::zeros(c, n, blk.bc, blk.bn);
+        let mut dwb = BlockedWeights::zeros(k, c, blk);
+        let mut db = vec![0.0f32; k];
+
+        let mut all_six = || {
+            gemm::fc_forward(&pool, &wb, &xb, &mut yb);
+            gemm::fc_forward_fused(&pool, &wb, &xb, &mut yb, Some(&bias), true);
+            gemm::fc_backward_data(&pool, &wb, &dyb, &mut dxb);
+            gemm::fc_backward_data_fused(&pool, &wb, &dyb, &mut dxb, Some(&xb));
+            gemm::fc_backward_weights(&pool, &xb, &dyb, &mut dwb);
+            gemm::fc_backward_weights_fused(&pool, &xb, &dyb, &mut dwb, &mut db);
+        };
+        let drivers = calls_during(&mut all_six);
+        assert_eq!(
+            drivers, 0,
+            "{k}x{c}x{n} {blk:?}: 120 driver calls allocated {drivers} times"
+        );
+    }
 }
 
 /// A warm interaction forward allocates its returned `D × N` matrix and

@@ -8,6 +8,15 @@
 //! block (line 9). Threads write disjoint output panels, so no
 //! synchronization is needed beyond the team barrier.
 //!
+//! Output blocks are flattened with the one that names a block row or
+//! column of `W` outermost (`ibk` for forward and backward-by-weights,
+//! `ibc` for backward-by-data), so the static split hands each thread a
+//! contiguous range of `W`'s block rows (columns). Each is read once and
+//! reused across all minibatch blocks while it is hot; what is re-read is
+//! the activation side, 1 MB at 256 samples × 1024 features, which L2
+//! holds. A minibatch-major order would stream the whole of `W` (4 MB at
+//! `1024 × 1024`) past every thread once per minibatch block.
+//!
 //! Every pass **overwrites** its output (β = 0 on the first reduction
 //! panel): outputs need no zero-fill and may hold unspecified scratch
 //! contents on entry. The result is bitwise what accumulating into a
@@ -72,11 +81,10 @@ pub fn fc_forward_fused(
     };
     let (w_stride, x_stride) = (d.bc * d.bk, nb * d.bn * d.bc);
 
-    // Output blocks (ibk, ibn) flattened; ibn-major so consecutive threads
-    // share weight sub-tensors from the cache where possible.
+    // Output blocks (ibk, ibn) flattened ibk-major (see the module docs).
     pool.parallel_for(kb * nb, |_tid, range| {
         for blk_idx in range {
-            let (ibn, ibk) = (blk_idx / kb, blk_idx % kb);
+            let (ibk, ibn) = (blk_idx / nb, blk_idx % nb);
             let w_panels = Panels {
                 ptr: w.block(ibk, 0).as_ptr(),
                 stride: w_stride,
@@ -175,7 +183,7 @@ pub fn fc_backward_data_fused(
 
     pool.parallel_for(cb * nb, |_tid, range| {
         for blk_idx in range {
-            let (ibn, ibc) = (blk_idx / cb, blk_idx % cb);
+            let (ibc, ibn) = (blk_idx / nb, blk_idx % nb);
             let w_panels = Panels {
                 ptr: w.block(0, ibc).as_ptr(),
                 stride: w_stride,

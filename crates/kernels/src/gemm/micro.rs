@@ -33,9 +33,14 @@
 //!   between panels a tile's partial sums rest in the output panel.
 //! * **dot** (backward-by-data): `R × C` independent dot-product
 //!   accumulators sharing `R` `dY` and `C` `W` vector loads per `R·C` FMAs —
-//!   4 × 4 on AVX-512, 2 × 4 on AVX2 — held across the whole batch
-//!   reduction, then reduced horizontally and masked once per element when
-//!   the tile is written back.
+//!   4 × 4 on AVX-512, 2 × 4 on AVX2 — held across a chunk of the batch
+//!   reduction small enough that the chunk's `dY` rows stay in L1, parked
+//!   between chunks, then reduced horizontally and masked once per element
+//!   when the last chunk writes the tile back.
+//!
+//! The scalar kernels serve every `bk` that is not a multiple of 8, the
+//! `K = 1` output heads above all; with `bk` under 8 they take a narrow form
+//! whose inner loops run along a `bc`-long row instead of along `bk`.
 //!
 //! Tiling changes which elements are computed together, never how one
 //! element is computed: every output element is one FMA chain, `p` outer and
@@ -195,12 +200,64 @@ impl BcastDims {
     }
 }
 
+/// Whether a scalar kernel takes its narrow form: `bk` shorter than one
+/// AVX2 vector, which is the shape every output head (`K = 1`) blocks to.
+/// A loop along `bk` is then a handful of iterations per element, so the
+/// narrow form runs its inner loop along a `bc`-long row instead. Every
+/// element keeps its chain; only the loop nest around it changes. At
+/// `bk` = 3 and 6 the narrow form was faster in all three passes, at 10,
+/// 16, 20, 24 and 64 slower in all three (EXPERIMENTS.md, "the MLP passes
+/// at kernel speed").
+fn is_narrow(d: PanelDims) -> bool {
+    d.bk < 8
+}
+
+/// Columns of a `dX` row the scalar backward-by-data kernel reduces at once.
+const RUN_COLS: usize = 64;
+
 /// Zero-fills an output panel ahead of an in-memory accumulating (scalar)
 /// kernel under [`Beta::Zero`].
 unsafe fn apply_beta(beta: Beta, out: *mut f32, len: usize) {
     if beta == Beta::Zero {
         std::slice::from_raw_parts_mut(out, len).fill(0.0);
     }
+}
+
+/// The dot kernel's `r_c` tile extent on both vector tiers.
+#[cfg(target_arch = "x86_64")]
+const DOT_COLS: usize = 4;
+
+/// L1 data cache of one core: 48 KiB (12 ways × 64 sets of 64 B lines) on
+/// the Sapphire Rapids host every measurement in EXPERIMENTS.md comes from.
+#[cfg(target_arch = "x86_64")]
+const L1_DATA_BYTES: usize = 48 * 1024;
+
+/// What one chunk of a backward-by-data panel keeps in L1 — its `dY` rows
+/// of the whole `bn` block plus one [`DOT_COLS`]-row `W` strip — leaving a
+/// quarter for the parked accumulators and the output passing through. At
+/// the default blocking that is four reduction panels; of three to six,
+/// four measured fastest. Tuned on the 48 KiB host only: it also drives the
+/// AVX2 tier, whose hosts mostly have 32 KiB of L1, where 36 KiB no longer
+/// fits and the best chunk is unmeasured.
+#[cfg(target_arch = "x86_64")]
+const DOT_CHUNK_BYTES: usize = L1_DATA_BYTES / 4 * 3;
+
+/// Output elements a chunked dot panel can park, one vector each: the
+/// default blocking's 32 × 64 panel, 128 KiB of stack on AVX-512. A larger
+/// panel reduces its whole batch in one chunk.
+#[cfg(target_arch = "x86_64")]
+const PARK_ELEMS: usize = 2048;
+
+/// Reduction panels per chunk of a backward-by-data panel: as many as fit
+/// [`DOT_CHUNK_BYTES`], at least one, and the whole batch where it fits or
+/// where the panel has more elements than the park holds.
+#[cfg(target_arch = "x86_64")]
+fn dot_chunk(count: usize, d: PanelDims) -> usize {
+    if d.bn * d.bc > PARK_ELEMS {
+        return count;
+    }
+    let per_panel = (d.bn + DOT_COLS) * d.bk * std::mem::size_of::<f32>();
+    (DOT_CHUNK_BYTES / per_panel).max(1).min(count)
 }
 
 // ---------------------------------------------------------------------------
@@ -214,21 +271,22 @@ unsafe fn apply_beta(beta: Beta, out: *mut f32, len: usize) {
 #[cfg(target_arch = "x86_64")]
 macro_rules! simd_tier {
     (
-        $tier:ident, $feat:literal, lanes = $lanes:literal,
+        $tier:ident, $feat:literal, $vec:ty, lanes = $lanes:literal,
         bcast_vecs = $bv:literal, dot_rows = $dr:literal,
         ops = ($zero:ident, $load:ident, $store:ident, $set1:ident, $add:ident, $fma:ident),
         hsum = $hsum:path
     ) => {
         #[allow(clippy::needless_range_loop)] // index form mirrors the tile math
         mod $tier {
-            use super::{BcastDims, Beta, PanelDims, Panels, Reduce};
+            use super::{BcastDims, Beta, PanelDims, Panels, Reduce, DOT_COLS};
             use std::arch::x86_64::*;
+            use std::mem::MaybeUninit;
+            use std::ops::Range;
 
             const LANES: usize = $lanes;
             const BCAST_ROWS: usize = 4;
             const BCAST_VECS: usize = $bv;
             const DOT_ROWS: usize = $dr;
-            const DOT_COLS: usize = 4;
 
             /// `R` rows × `V` vectors of a broadcast-FMA output panel, held
             /// in registers across one reduction panel: `out` (read first
@@ -337,22 +395,36 @@ macro_rules! simd_tier {
             }
 
             /// `R × C` dot products `dX[i][j] = Σ_p dY_p[i][..bk] · W_p[j][..bk]`
-            /// as independent vector accumulators; mask test and horizontal
-            /// reduce happen once per element at write-back. `dy` enters at
-            /// the tile's first `r_n` row, `w` at its first `r_c` row, `dx`
-            /// and `mask` at the tile's first element.
+            /// as independent vector accumulators, over the reduction panels
+            /// `ps` of one chunk. A chunk after the first resumes from the
+            /// `R·C` vectors parked at `park`, a chunk before the last parks
+            /// them there again; the last one reduces horizontally and tests
+            /// the mask once per element at write-back. `dy` enters at the
+            /// tile's first `r_n` row, `w` at its first `r_c` row, `dx` and
+            /// `mask` at the tile's first element.
             #[inline]
             #[target_feature(enable = $feat)]
+            #[allow(clippy::too_many_arguments)] // one tile's geometry
             unsafe fn dot_tile<const R: usize, const C: usize>(
                 w: Panels,
                 dy: Panels,
                 r: Reduce,
+                ps: Range<usize>,
+                park: *mut $vec,
                 dx: *mut f32,
                 mask: Option<*const f32>,
                 d: PanelDims,
             ) {
                 let mut acc = [[$zero(); C]; R];
-                for p in 0..r.count {
+                if ps.start > 0 {
+                    for i in 0..R {
+                        for j in 0..C {
+                            acc[i][j] = *park.add(i * C + j);
+                        }
+                    }
+                }
+                let last = ps.end == r.count;
+                for p in ps {
                     let (wp, dyp) = (w.at(p), dy.at(p));
                     for kv in 0..d.bk / LANES {
                         let kb = kv * LANES;
@@ -367,6 +439,14 @@ macro_rules! simd_tier {
                             }
                         }
                     }
+                }
+                if !last {
+                    for i in 0..R {
+                        for j in 0..C {
+                            *park.add(i * C + j) = acc[i][j];
+                        }
+                    }
+                    return;
                 }
                 for i in 0..R {
                     for j in 0..C {
@@ -386,33 +466,46 @@ macro_rules! simd_tier {
                 }
             }
 
-            /// All `r_n` rows of a `C`-column strip of `dX`.
+            /// All `r_n` rows of a `C`-column strip of `dX`, over one chunk;
+            /// the strip's tiles park at consecutive slots from `park`.
+            /// (Park pointers are formed with `wrapping_add`: a panel too
+            /// large to park runs one chunk, and its pointers, never read,
+            /// may lie past the buffer.)
             #[inline]
             #[target_feature(enable = $feat)]
+            #[allow(clippy::too_many_arguments)] // one tile's geometry
             unsafe fn dot_strip<const C: usize>(
                 w: Panels,
                 dy: Panels,
                 r: Reduce,
+                ps: Range<usize>,
+                park: *mut $vec,
                 dx: *mut f32,
                 mask: Option<*const f32>,
                 d: PanelDims,
             ) {
                 let mut i = 0;
                 while i + DOT_ROWS <= d.bn {
+                    let (dy, park) = (dy.offset(i * d.bk), park.wrapping_add(i * C));
                     let m = mask.map(|m| m.add(i * d.bc));
-                    dot_tile::<DOT_ROWS, C>(w, dy.offset(i * d.bk), r, dx.add(i * d.bc), m, d);
+                    dot_tile::<DOT_ROWS, C>(w, dy, r, ps.clone(), park, dx.add(i * d.bc), m, d);
                     i += DOT_ROWS;
                 }
                 while i < d.bn {
+                    let (dy, park) = (dy.offset(i * d.bk), park.wrapping_add(i * C));
                     let m = mask.map(|m| m.add(i * d.bc));
-                    dot_tile::<1, C>(w, dy.offset(i * d.bk), r, dx.add(i * d.bc), m, d);
+                    dot_tile::<1, C>(w, dy, r, ps.clone(), park, dx.add(i * d.bc), m, d);
                     i += 1;
                 }
             }
 
-            /// One backward-by-data output panel. `r_c` strips outermost:
-            /// the strip's `W` rows of every reduction panel stay in L1
-            /// while the `r_n` tiles stream `dY` past them.
+            /// One backward-by-data output panel. The reduction panels go
+            /// in chunks of [`super::dot_chunk`]; inside a chunk, `r_c`
+            /// strips are outermost, so the chunk's `dY` rows of the whole
+            /// `bn` block stay in L1 while the strips' `W` rows stream past
+            /// them once. Between chunks every tile's accumulators rest in
+            /// a stack buffer, one vector per output element, which is
+            /// exact: each element is still one chain, `p` outer.
             ///
             /// # Safety
             /// `d.bk` must be a multiple of the vector width; pointers as
@@ -427,16 +520,26 @@ macro_rules! simd_tier {
                 d: PanelDims,
             ) {
                 debug_assert_eq!(d.bk % LANES, 0);
-                let mut j = 0;
-                while j + DOT_COLS <= d.bc {
-                    let m = mask.map(|m| m.add(j));
-                    dot_strip::<DOT_COLS>(w.offset(j * d.bk), dy, r, dx.add(j), m, d);
-                    j += DOT_COLS;
-                }
-                while j < d.bc {
-                    let m = mask.map(|m| m.add(j));
-                    dot_strip::<1>(w.offset(j * d.bk), dy, r, dx.add(j), m, d);
-                    j += 1;
+                let mut park = [MaybeUninit::<$vec>::uninit(); super::PARK_ELEMS];
+                let park = park.as_mut_ptr().cast::<$vec>();
+                let chunk = super::dot_chunk(r.count, d);
+                let mut p0 = 0;
+                while p0 < r.count {
+                    let ps = p0..r.count.min(p0 + chunk);
+                    let mut j = 0;
+                    while j + DOT_COLS <= d.bc {
+                        let (w, park) = (w.offset(j * d.bk), park.wrapping_add(j * d.bn));
+                        let m = mask.map(|m| m.add(j));
+                        dot_strip::<DOT_COLS>(w, dy, r, ps.clone(), park, dx.add(j), m, d);
+                        j += DOT_COLS;
+                    }
+                    while j < d.bc {
+                        let (w, park) = (w.offset(j * d.bk), park.wrapping_add(j * d.bn));
+                        let m = mask.map(|m| m.add(j));
+                        dot_strip::<1>(w, dy, r, ps.clone(), park, dx.add(j), m, d);
+                        j += 1;
+                    }
+                    p0 = ps.end;
                 }
             }
 
@@ -468,6 +571,7 @@ macro_rules! simd_tier {
 simd_tier!(
     avx512,
     "avx512f",
+    __m512,
     lanes = 16,
     bcast_vecs = 4,
     dot_rows = 4,
@@ -486,6 +590,7 @@ simd_tier!(
 simd_tier!(
     avx2,
     "avx2,fma",
+    __m256,
     lanes = 8,
     bcast_vecs = 2,
     dot_rows = 2,
@@ -547,6 +652,17 @@ unsafe fn brgemm_fwd_scalar(w: Panels, x: Panels, r: Reduce, y: *mut f32, d: Pan
         for r_n in 0..bn {
             let x_row = std::slice::from_raw_parts(x.add(r_n * bc), bc);
             let y_row = std::slice::from_raw_parts_mut(y.add(r_n * bk), bk);
+            if is_narrow(d) {
+                // One sequential chain per output element, along `x`'s row.
+                for (r_k, yv) in y_row.iter_mut().enumerate() {
+                    let mut acc = *yv;
+                    for (r_c, &xv) in x_row.iter().enumerate() {
+                        acc += xv * *w.add(r_c * bk + r_k);
+                    }
+                    *yv = acc;
+                }
+                continue;
+            }
             for (r_c, &xv) in x_row.iter().enumerate() {
                 let w_row = std::slice::from_raw_parts(w.add(r_c * bk), bk);
                 for (yv, &wv) in y_row.iter_mut().zip(w_row) {
@@ -590,36 +706,67 @@ pub unsafe fn brgemm_bwd_data(
         Isa::Avx512 if d.bk.is_multiple_of(16) => avx512::dot_panel(w, dy, r, dx, mask, d),
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 | Isa::Avx512 if d.bk.is_multiple_of(8) => avx2::dot_panel(w, dy, r, dx, mask, d),
-        _ => {
-            // The scalar kernel accumulates dX across panels *in memory*,
-            // so the mask is a tail sweep after the full reduction.
-            brgemm_bwd_data_scalar(w, dy, r, dx, d);
-            if let Some(mask) = mask {
-                for i in 0..d.bn * d.bc {
-                    if *mask.add(i) <= 0.0 {
-                        *dx.add(i) = 0.0;
-                    }
-                }
-            }
-        }
+        _ => brgemm_bwd_data_scalar(w, dy, r, dx, mask, d),
     }
 }
 
-unsafe fn brgemm_bwd_data_scalar(w: Panels, dy: Panels, r: Reduce, dx: *mut f32, d: PanelDims) {
+/// The scalar backward-by-data kernel. Per run of up to [`RUN_COLS`]
+/// columns of a `dX` row, it forms each panel's dot products, each one chain
+/// from 0.0 along `bk`, then adds them into `dX` in memory; on the last
+/// panel the add is where the mask selects.
+unsafe fn brgemm_bwd_data_scalar(
+    w: Panels,
+    dy: Panels,
+    r: Reduce,
+    dx: *mut f32,
+    mask: Option<*const f32>,
+    d: PanelDims,
+) {
     let PanelDims { bn, bc, bk } = d;
     apply_beta(r.beta, dx, bn * bc);
+    let mut part = [0.0f32; RUN_COLS];
     for p in 0..r.count {
         let (w, dy) = (w.at(p), dy.at(p));
+        let mask = mask.filter(|_| p + 1 == r.count);
         for r_n in 0..bn {
             let dy_row = std::slice::from_raw_parts(dy.add(r_n * bk), bk);
-            let dx_row = std::slice::from_raw_parts_mut(dx.add(r_n * bc), bc);
-            for (r_c, dxv) in dx_row.iter_mut().enumerate() {
-                let w_row = std::slice::from_raw_parts(w.add(r_c * bk), bk);
-                let mut acc = 0.0f32;
-                for (&dyv, &wv) in dy_row.iter().zip(w_row) {
-                    acc += dyv * wv;
+            for c0 in (0..bc).step_by(RUN_COLS) {
+                let part = &mut part[..RUN_COLS.min(bc - c0)];
+                let w = w.add(c0 * bk);
+                if is_narrow(d) {
+                    // `bk` outside, the run of columns inside.
+                    part.fill(0.0);
+                    for (r_k, &g) in dy_row.iter().enumerate() {
+                        for (i, acc) in part.iter_mut().enumerate() {
+                            *acc += g * *w.add(i * bk + r_k);
+                        }
+                    }
+                } else {
+                    for (i, acc) in part.iter_mut().enumerate() {
+                        let w_row = std::slice::from_raw_parts(w.add(i * bk), bk);
+                        *acc = 0.0;
+                        for (&dyv, &wv) in dy_row.iter().zip(w_row) {
+                            *acc += dyv * wv;
+                        }
+                    }
                 }
-                *dxv += acc;
+                let at = r_n * bc + c0;
+                let dx = std::slice::from_raw_parts_mut(dx.add(at), part.len());
+                match mask {
+                    // A select, not a branch, as in the vector tiers: the
+                    // sign is a coin flip.
+                    Some(m) => {
+                        let m = std::slice::from_raw_parts(m.add(at), part.len());
+                        for ((v, &acc), &mv) in dx.iter_mut().zip(&*part).zip(m) {
+                            *v = if mv <= 0.0 { 0.0 } else { *v + acc };
+                        }
+                    }
+                    None => {
+                        for (v, &acc) in dx.iter_mut().zip(&*part) {
+                            *v += acc;
+                        }
+                    }
+                }
             }
         }
     }
@@ -665,6 +812,15 @@ unsafe fn brgemm_bwd_wt_scalar(x: Panels, dy: Panels, r: Reduce, dw: *mut f32, d
         for r_n in 0..bn {
             let x_row = std::slice::from_raw_parts(x.add(r_n * bc), bc);
             let dy_row = std::slice::from_raw_parts(dy.add(r_n * bk), bk);
+            if is_narrow(d) {
+                // Per `dW` column: an axpy of `x`'s row into it.
+                for (r_k, &g) in dy_row.iter().enumerate() {
+                    for (r_c, &xv) in x_row.iter().enumerate() {
+                        *dw.add(r_c * bk + r_k) += xv * g;
+                    }
+                }
+                continue;
+            }
             for (r_c, &xv) in x_row.iter().enumerate() {
                 let dw_row = std::slice::from_raw_parts_mut(dw.add(r_c * bk), bk);
                 for (dwv, &dyv) in dw_row.iter_mut().zip(dy_row) {
@@ -786,19 +942,30 @@ mod tests {
     /// The shapes of the bit-equality sweeps: every `bn`/`bc` remainder of
     /// the 4-wide tiles (and of the 2-row AVX2 dot tile), `bk` that selects
     /// the 4-, 2- and 1-vector strips of both vector tiers, `bk = 24` (AVX2
-    /// kernels under the AVX-512 tier), `bk = 10` (scalar under every tier),
-    /// one panel and many.
+    /// kernels under the AVX-512 tier), `bk = 10` (the scalar kernels'
+    /// wide form under every tier), `bk = 1, 3` (their narrow form), one
+    /// panel and many, and 17, which the dot kernel reduces in chunks with
+    /// a ragged last one — except in a panel too large to park (the last
+    /// shape).
     fn shapes() -> Vec<(PanelDims, usize)> {
         let mut v = Vec::new();
         for bn in [1, 3, 4, 7, 32] {
             for bc in [4, 5, 64] {
-                for bk in [16, 48, 64, 24, 10] {
-                    for count in [1, 5] {
+                for bk in [16, 48, 64, 24, 10, 1, 3] {
+                    for count in [1, 5, 17] {
                         v.push((PanelDims { bn, bc, bk }, count));
                     }
                 }
             }
         }
+        v.push((
+            PanelDims {
+                bn: 33,
+                bc: 64,
+                bk: 64,
+            },
+            17,
+        ));
         v
     }
 

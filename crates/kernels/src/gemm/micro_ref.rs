@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! The microkernels as they stood before register tiling (commit
 //! `40f87b1`), kept verbatim as test references: backward-by-data as one
 //! accumulator per output element, backward-by-weights with four, forward

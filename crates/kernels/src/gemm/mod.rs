@@ -13,7 +13,6 @@
 pub mod blocked;
 pub mod flat;
 pub mod micro;
-#[cfg(test)]
 mod micro_ref;
 pub mod naive;
 
