@@ -1,14 +1,13 @@
 //! DDP-style gradient plumbing between the replicated MLPs and the flat
 //! allreduce buffer.
 //!
-//! On the optimized tier a layer's weight gradient lives blocked in its
-//! packed plan and its weights do too, so the flat buffer is the only place
-//! gradients are ever laid out as rows: each layer unpacks straight into
-//! its window of the [`BucketReducer`] ([`write_layer_grads`], once), and
-//! after the reduction applies its slice of the buffer to the packed
-//! weights panel by panel ([`apply_reduced_grads`]). What copying remains
-//! is the "Allreduce-Framework" time of Figures 11/14; the collective
-//! itself is the "Allreduce-Wait".
+//! A layer's weights and weight gradient live blocked, so the flat buffer is
+//! the only place gradients are ever laid out as rows: each layer unpacks
+//! straight into its window of the [`BucketReducer`] ([`write_layer_grads`],
+//! once), and after the reduction applies its slice of the buffer to the
+//! blocked weights panel by panel ([`apply_reduced_grads`]). What copying
+//! remains is the "Allreduce-Framework" time of Figures 11/14; the
+//! collective itself is the "Allreduce-Wait".
 
 use crate::bucketing::BucketReducer;
 use dlrm::layers::{Execution, Linear, Mlp};
@@ -90,15 +89,15 @@ mod tests {
     #[test]
     fn flatten_lays_out_dw_then_db_per_layer_on_both_tiers() {
         for exec in [Execution::Reference, Execution::optimized(2)] {
-            let mut mlp = mlp_after_backward(&exec);
+            let mlp = mlp_after_backward(&exec);
             let flat = flatten_grads(&[&mlp]);
             assert_eq!(flat.len(), 3 * 4 + 4 + 4 * 2 + 2);
             let (offsets, total) = grad_offsets(&[&mlp]);
             assert_eq!((offsets[0].as_slice(), total), (&[0, 16][..], flat.len()));
-            for (layer, &off) in mlp.layers.iter_mut().zip(&offsets[0]) {
-                layer.sync_flat_grads();
-                let wlen = layer.dw.len();
-                assert_eq!(&flat[off..off + wlen], layer.dw.as_slice());
+            for (layer, &off) in mlp.layers.iter().zip(&offsets[0]) {
+                let dw = layer.dw.unpack();
+                let wlen = dw.len();
+                assert_eq!(&flat[off..off + wlen], dw.as_slice());
                 assert_eq!(&flat[off + wlen..off + layer.grad_len()], &layer.db[..]);
             }
         }
@@ -108,13 +107,12 @@ mod tests {
     fn reduced_step_divides_by_ranks_on_both_tiers() {
         for exec in [Execution::Reference, Execution::optimized(2)] {
             let mut mlp = mlp_after_backward(&exec);
-            mlp.sync_flat_weights();
-            let w0 = mlp.layers[0].w[(0, 0)];
+            let w00 = |mlp: &Mlp| mlp.layers[0].w.unpack()[(0, 0)];
+            let w0 = w00(&mlp);
             let b0 = mlp.layers[1].b[1];
             let (offsets, total) = grad_offsets(&[&mlp]);
             apply_reduced_grads(&mut mlp, &offsets[0], &exec, &vec![8.0; total], 0.5, 4);
-            mlp.sync_flat_weights();
-            assert_eq!(mlp.layers[0].w[(0, 0)], w0 - 0.5 * 2.0);
+            assert_eq!(w00(&mlp), w0 - 0.5 * 2.0);
             assert_eq!(mlp.layers[1].b[1], b0 - 0.5 * 2.0);
         }
     }

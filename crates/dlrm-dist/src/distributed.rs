@@ -404,16 +404,6 @@ impl DistDlrm {
             + self.top.scratch_bytes()
     }
 
-    /// Copies any blocked-SGD updates back into the flat `w` mirrors of
-    /// the replicated MLPs. Required before fingerprinting or
-    /// checkpointing `layer.w` after training (the optimized step updates
-    /// the persistent packed weights in place and leaves the mirror
-    /// stale).
-    pub fn sync_flat_weights(&mut self) {
-        self.bottom.sync_flat_weights();
-        self.top.sync_flat_weights();
-    }
-
     /// One hybrid-parallel training iteration over a *global* minibatch
     /// (every rank passes the same batch; each processes its slice).
     /// Returns this rank's local loss.
@@ -700,7 +690,7 @@ impl DistDlrm {
 
 /// Backward through one replicated MLP whose layer `i` owns the flat
 /// gradient span at `offs[i]`. With a `hook` (the overlapped schedule),
-/// each layer's gradients go from its packed plan straight into the
+/// each layer's gradients go from its blocked storage straight into the
 /// reducer's window the moment they are final, and every bucket they
 /// complete is issued while earlier layers still compute.
 fn backward_mlp(

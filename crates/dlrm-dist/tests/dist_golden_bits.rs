@@ -3,7 +3,8 @@
 //! `schedule_equivalence` and `prefetch_equivalence` compare today's step
 //! with itself; this suite compares it with the past. Per-rank loss bit
 //! patterns of six steps, a fingerprint of the replicated MLP weights
-//! (after `sync_flat_weights()`) and one of the model-parallel tables were
+//! (row-major, as `BlockedWeights::unpack` lays them out) and one of the
+//! model-parallel tables were
 //! recorded at commit `7a94e2c`, when every step still unpacked `dW` into a
 //! flat mirror, copied it into the bucket buffer, copied the reduced buffer
 //! back and walked it with a strided update. Anything that changes the wire
@@ -95,10 +96,10 @@ fn run(isa: Isa, nranks: usize, cap_bytes: usize, schedule: Schedule) -> Cell {
         for (slot, b) in losses.iter_mut().zip(&batches) {
             *slot = model.train_step(b, 0.1).to_bits();
         }
-        model.sync_flat_weights();
         let mut mlp = FNV_SEED;
         for layer in model.bottom.layers.iter().chain(&model.top.layers) {
-            let params = layer.w.as_slice().iter().chain(&layer.b);
+            let w = layer.w.unpack();
+            let params = w.as_slice().iter().chain(&layer.b);
             fnv(&mut mlp, params.map(|v| v.to_bits()));
         }
         let mut tables = FNV_SEED;

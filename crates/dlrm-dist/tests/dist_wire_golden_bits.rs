@@ -5,8 +5,9 @@
 //! ranks agree, losses track FP32). Neither pins the bits a narrowed step
 //! produces: which hop of which bucket's ring quantizes which partial sum,
 //! with which scale group on the exchanges. Per-rank loss bit patterns of
-//! six steps, a fingerprint of the replicated MLP weights (after
-//! `sync_flat_weights()`) and one of the model-parallel tables were
+//! six steps, a fingerprint of the replicated MLP weights (row-major, as
+//! `BlockedWeights::unpack` lays them out) and one of the model-parallel
+//! tables were
 //! recorded at commit `ac7317d`, when the collectives still spelled their
 //! schedules out once per wire format and the trainer had two step
 //! functions.
@@ -124,10 +125,10 @@ fn run(isa: Isa, variant: Variant, nranks: usize, schedule: Schedule) -> Cell {
                 *slot = model.train_step(b, 0.1).to_bits();
             }
         }
-        model.sync_flat_weights();
         let mut mlp = FNV_SEED;
         for layer in model.bottom.layers.iter().chain(&model.top.layers) {
-            let params = layer.w.as_slice().iter().chain(&layer.b);
+            let w = layer.w.unpack();
+            let params = w.as_slice().iter().chain(&layer.b);
             fnv(&mut mlp, params.map(|v| v.to_bits()));
         }
         let mut tables = FNV_SEED;

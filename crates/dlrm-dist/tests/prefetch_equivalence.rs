@@ -49,7 +49,14 @@ fn plane_bits(model: &DistDlrm) -> Vec<u64> {
     let mut bits = Vec::new();
     for mlp in [&model.bottom, &model.top] {
         for layer in &mlp.layers {
-            bits.extend(layer.w.as_slice().iter().map(|x| x.to_bits() as u64));
+            bits.extend(
+                layer
+                    .w
+                    .unpack()
+                    .as_slice()
+                    .iter()
+                    .map(|x| x.to_bits() as u64),
+            );
             bits.extend(layer.b.iter().map(|x| x.to_bits() as u64));
         }
     }
@@ -101,9 +108,6 @@ fn train_fingerprint(
                 losses
             }
         };
-        // The optimized step updates the persistent packed weights in
-        // place; bring the flat mirrors up to date before fingerprinting.
-        model.sync_flat_weights();
         (losses, plane_bits(&model))
     })
 }

@@ -1,11 +1,22 @@
 //! Fully-connected layers and MLP stacks.
 //!
-//! Two execution tiers mirror Figure 7's contrast:
+//! A layer's weights live in one place: a [`BlockedWeights`] in Algorithm
+//! 5's `[Kb][Cb][bc][bk]` layout, packed once when the layer is built
+//! (`bc` and `bk` depend only on the layer shape), with the weight gradient
+//! beside it in the same layout. Two execution tiers mirror Figure 7's
+//! contrast:
 //!
+//! * [`Execution::Optimized`] — the blocked batch-reduce GEMMs of
+//!   `dlrm_kernels` on a thread team, chained across a whole [`Mlp`] with
+//!   the activations kept blocked between layers;
 //! * [`Execution::Reference`] — naive single-threaded GEMMs (the
-//!   functionality-first framework baseline);
-//! * [`Execution::Optimized`] — thread-pool-parallel GEMM kernels from
-//!   `dlrm_kernels`.
+//!   functionality-first framework baseline), layer by layer, on a
+//!   row-major copy of `W` unpacked for the call; its `dW` is packed into
+//!   the blocked gradient.
+//!
+//! Both tiers update the same planes element-wise. Rows are a view made on
+//! demand: [`Linear::write_grads`] for the gradient,
+//! [`BlockedWeights::unpack`] for the weights.
 //!
 //! Tensors follow the paper's `Y = W·X` convention: `W ∈ R^{K×C}`,
 //! activations are `features × batch`.
@@ -46,27 +57,6 @@ impl Execution {
             Execution::Optimized(p) => Some(p),
         }
     }
-
-    fn gemm_nn(&self, a: &Matrix, b: &Matrix, c: &mut Matrix) {
-        match self {
-            Execution::Reference => gemm::gemm_nn(a, b, c),
-            Execution::Optimized(p) => gemm::par_gemm_nn(p, a, b, c),
-        }
-    }
-
-    fn gemm_tn(&self, a: &Matrix, b: &Matrix, c: &mut Matrix) {
-        match self {
-            Execution::Reference => gemm::gemm_tn(a, b, c),
-            Execution::Optimized(p) => gemm::par_gemm_tn(p, a, b, c),
-        }
-    }
-
-    fn gemm_nt(&self, a: &Matrix, b: &Matrix, c: &mut Matrix) {
-        match self {
-            Execution::Reference => gemm::gemm_nt(a, b, c),
-            Execution::Optimized(p) => gemm::par_gemm_nt(p, a, b, c),
-        }
-    }
 }
 
 /// Activation applied after the affine transform.
@@ -78,219 +68,83 @@ pub enum Activation {
     None,
 }
 
-/// Persistent packed-GEMM plan state for one layer.
-///
-/// Once `wb` is packed it becomes the canonical optimized-path weight
-/// storage: the blocked SGD step updates it in place, and the flat `w`
-/// mirror is only refreshed on demand ([`Linear::sync_flat_weights`]).
-/// The invariant is one-directional staleness — either the flat mirror is
-/// authoritative (`!packed_valid`) or the packed copy is (`packed_valid`,
-/// with `flat_stale` marking whether the mirror has fallen behind). Both
-/// being stale is impossible: `flat_stale` is only ever set while
-/// `packed_valid`, and [`Linear::invalidate_packed`] refuses to drop a
-/// packed copy the mirror hasn't caught up with.
-///
-/// The weight gradient follows the same rule with one flag: an optimized
-/// backward leaves `dW` in `dwb`, in the layout the update reads, and marks
-/// the flat `dw` stale; nothing re-lays it out unless a consumer asks for
-/// rows ([`Linear::write_grads`], [`Linear::sync_flat_grads`]).
-struct PackedPlan {
-    /// Packed weights, `[Kb][Cb][bc][bk]` (canonical once `packed_valid`).
-    wb: BlockedWeights,
-    /// Blocked weight gradient of the last optimized backward (grow-only,
-    /// reused every backward; canonical while `dw_stale`).
-    dwb: BlockedWeights,
-    /// `wb` matches the layer's current weights.
-    packed_valid: bool,
-    /// Flat `w` is behind `wb` (blocked SGD ran since the last sync).
-    flat_stale: bool,
-    /// Flat `dw` is behind `dwb` (an optimized backward ran since the last
-    /// [`Linear::sync_flat_grads`]).
-    dw_stale: bool,
-}
-
-impl PackedPlan {
-    fn new() -> Self {
-        PackedPlan {
-            wb: BlockedWeights::zeros(0, 0, Blocking::DEFAULT),
-            dwb: BlockedWeights::zeros(0, 0, Blocking::DEFAULT),
-            packed_valid: false,
-            flat_stale: false,
-            dw_stale: false,
-        }
-    }
-}
-
 /// One fully-connected layer with its gradients and saved activations.
 pub struct Linear {
-    /// Weights, `K×C` — the flat mirror; the Reference path and
-    /// checkpointing read this, the optimized path reads the packed plan.
-    pub w: Matrix,
+    /// Weights, `K×C`, in the blocked `[Kb][Cb][bc][bk]` layout both tiers
+    /// read and update — the layer's only copy of them.
+    pub w: BlockedWeights,
     /// Bias, length `K`.
     pub b: Vec<f32>,
-    /// Weight gradient of the last backward — the Reference tier's storage.
-    /// The optimized tier keeps its gradient blocked in the packed plan:
-    /// read it through [`Linear::write_grads`], or call
-    /// [`Linear::sync_flat_grads`] before reading this field.
-    pub dw: Matrix,
+    /// Weight gradient of the last backward, in `w`'s layout (empty until
+    /// the first backward). [`Linear::write_grads`] lays it out as rows.
+    pub dw: BlockedWeights,
     /// Bias gradient of the last backward.
     pub db: Vec<f32>,
     /// Post-GEMM activation.
     pub act: Activation,
+    /// The Reference tier's saved input and output; the chained optimized
+    /// forward keeps its activations blocked in [`Mlp`] scratch instead.
     x_saved: Option<Matrix>,
     y_saved: Option<Matrix>,
-    plan: PackedPlan,
 }
 
 impl Linear {
     /// Xavier-initialized layer `C → K`.
     pub fn new(c: usize, k: usize, act: Activation, rng: &mut StdRng) -> Self {
+        let blk = Blocking::for_shape(1, c, k);
         Linear {
-            w: xavier_uniform(k, c, rng),
+            w: BlockedWeights::pack(&xavier_uniform(k, c, rng), blk),
             b: vec![0.0; k],
-            dw: Matrix::zeros(k, c),
+            dw: BlockedWeights::zeros(0, 0, blk),
             db: vec![0.0; k],
             act,
             x_saved: None,
             y_saved: None,
-            plan: PackedPlan::new(),
         }
     }
 
     /// Input features.
     pub fn in_features(&self) -> usize {
-        self.w.cols()
+        self.w.c
     }
 
     /// Output features.
     pub fn out_features(&self) -> usize {
-        self.w.rows()
+        self.w.k
     }
 
-    /// Blocking factors for this layer at minibatch `n`.
+    /// Blocking factors for this layer at minibatch `n`; `bc`/`bk` are
+    /// those of `w` at every `n`.
     fn blocking(&self, n: usize) -> Blocking {
-        Blocking::for_shape(n, self.w.cols(), self.w.rows())
-    }
-
-    /// Packs the flat weights into the persistent plan if the packed copy
-    /// is not already valid. `bc`/`bk` depend only on the layer shape, so a
-    /// once-packed tensor serves every batch size.
-    fn ensure_packed(&mut self, n: usize) {
-        if !self.plan.packed_valid {
-            debug_assert!(
-                !self.plan.flat_stale,
-                "flat mirror stale without a packed copy"
-            );
-            let blk = self.blocking(n);
-            self.plan.wb.pack_into(&self.w, blk);
-            self.plan.packed_valid = true;
-        }
-    }
-
-    /// Copies any blocked-SGD updates back into the flat `w` mirror. The
-    /// Reference path, checkpointing and anything that reads `w` directly
-    /// after optimized training must pass through here.
-    pub fn sync_flat_weights(&mut self) {
-        if self.plan.flat_stale {
-            self.plan.wb.unpack_into(&mut self.w);
-            self.plan.flat_stale = false;
-        }
-    }
-
-    /// Unpacks the blocked weight gradient of the last optimized backward
-    /// into the flat `dw` mirror — the gradient-side twin of
-    /// [`Linear::sync_flat_weights`]. Anything that reads `dw` directly
-    /// after an optimized backward (the precision optimizers, tests) must
-    /// pass through here; the FP32 update and the DDP wire never do.
-    pub fn sync_flat_grads(&mut self) {
-        if self.plan.dw_stale {
-            self.plan.dwb.unpack_into(&mut self.dw);
-            self.plan.dw_stale = false;
-        }
+        Blocking::for_shape(n, self.w.c, self.w.k)
     }
 
     /// Writes this layer's gradient in DDP wire order, row-major `dW` then
-    /// `db`, into `out` (`grad_len()` floats): straight from the blocked
-    /// gradient when that is the current one, one pass, no flat mirror in
-    /// between.
+    /// `db`, into `out` (`grad_len()` floats), unpacking the blocked
+    /// gradient in one pass. Before the first backward the gradient is zero.
     pub fn write_grads(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.grad_len(), "write_grads length");
-        let (dw, db) = out.split_at_mut(self.w.len());
-        if self.plan.dw_stale {
-            self.plan.dwb.unpack_into_slice(dw);
+        let (dw, db) = out.split_at_mut(self.w.k * self.w.c);
+        if self.dw.as_slice().is_empty() {
+            dw.fill(0.0);
         } else {
-            dw.copy_from_slice(self.dw.as_slice());
+            self.dw.unpack_into_slice(dw);
         }
         db.copy_from_slice(&self.db);
     }
 
-    /// Drops the packed weight copy. Call after mutating the flat `w`
-    /// externally (e.g. a precision optimizer step) so the next optimized
-    /// call re-packs.
-    ///
-    /// # Panics
-    /// Panics if the flat mirror is stale — invalidating then would silently
-    /// drop blocked-SGD updates; call [`Linear::sync_flat_weights`] first.
-    pub fn invalidate_packed(&mut self) {
-        assert!(
-            !self.plan.flat_stale,
-            "invalidate_packed would drop blocked-SGD updates; call sync_flat_weights first"
-        );
-        self.plan.packed_valid = false;
-    }
-
-    /// Bytes held by this layer's persistent plan (packed weights + blocked
-    /// gradient scratch) — grow-only, constant after the first step.
-    pub fn plan_bytes(&self) -> usize {
-        self.plan.wb.capacity_bytes() + self.plan.dwb.capacity_bytes()
-    }
-
-    /// Eagerly packs the weights into the persistent plan. `bc`/`bk` depend
-    /// only on the layer shape, so the packed tensor serves every batch
-    /// size — serving wants the pack cost at load time, not on the first
-    /// request.
-    pub fn prepack(&mut self) {
-        self.ensure_packed(1);
-    }
-
-    /// Forward: `y = act(W·x + b)`; saves what backward needs.
-    ///
-    /// The optimized tier runs the blocked batch-reduce GEMM of
-    /// Algorithm 5 over the persistent packed weights (packed once, reused
-    /// every call); the reference tier runs the naive kernels on the flat
-    /// mirror.
-    pub fn forward(&mut self, exec: &Execution, x: &Matrix) -> Matrix {
-        let (k, n) = (self.w.rows(), x.cols());
-        assert_eq!(x.rows(), self.w.cols(), "Linear input feature mismatch");
-        let y = match exec {
-            Execution::Reference => {
-                self.sync_flat_weights();
-                let mut y = Matrix::zeros(k, n);
-                exec.gemm_nn(&self.w, x, &mut y);
-                bias_add_rows(y.as_mut_slice(), k, n, &self.b);
-                if self.act == Activation::Relu {
-                    relu_forward(y.as_mut_slice());
-                }
-                y
-            }
-            Execution::Optimized(pool) => {
-                // Bias and ReLU are fused into the GEMM epilogue while each
-                // output panel is cache-hot (Section II).
-                self.ensure_packed(n);
-                let blk = self.blocking(n);
-                let xb = BlockedActivations::pack(x, blk.bc, blk.bn);
-                let mut yb = BlockedActivations::zeros(k, n, blk.bk, blk.bn);
-                gemm::fc_forward_fused(
-                    pool,
-                    &self.plan.wb,
-                    &xb,
-                    &mut yb,
-                    Some(&self.b),
-                    self.act == Activation::Relu,
-                );
-                yb.unpack()
-            }
-        };
+    /// Reference forward: `y = act(W·x + b)` by the naive GEMM on a
+    /// row-major copy of `W`; saves what [`Linear::backward_reference`]
+    /// needs.
+    fn forward_reference(&mut self, x: &Matrix) -> Matrix {
+        let (k, n) = (self.w.k, x.cols());
+        assert_eq!(x.rows(), self.w.c, "Linear input feature mismatch");
+        let mut y = Matrix::zeros(k, n);
+        gemm::gemm_nn(&self.w.unpack(), x, &mut y);
+        bias_add_rows(y.as_mut_slice(), k, n, &self.b);
+        if self.act == Activation::Relu {
+            relu_forward(y.as_mut_slice());
+        }
         self.x_saved = Some(x.clone());
         self.y_saved = Some(y.clone());
         y
@@ -299,7 +153,7 @@ impl Linear {
     /// Forward one layer entirely in blocked layout: the chained-residency
     /// path of [`Mlp::forward`]. `yb` is reshaped (scratch semantics) to
     /// this layer's output blocking; bias/ReLU are fused into the epilogue.
-    /// Clears the per-layer saved activations — the blocked chain in
+    /// Clears the Reference tier's saved activations — the blocked chain in
     /// [`Mlp`] scratch is what backward reads.
     fn forward_blocked(
         &mut self,
@@ -308,13 +162,12 @@ impl Linear {
         yb: &mut BlockedActivations,
     ) {
         let n = xb.n;
-        assert_eq!(xb.c, self.w.cols(), "Linear input feature mismatch");
-        self.ensure_packed(n);
+        assert_eq!(xb.c, self.w.c, "Linear input feature mismatch");
         let blk = self.blocking(n);
-        yb.reshape_scratch(self.w.rows(), n, blk.bk, blk.bn);
+        yb.reshape_scratch(self.w.k, n, blk.bk, blk.bn);
         gemm::fc_forward_fused(
             pool,
-            &self.plan.wb,
+            &self.w,
             xb,
             yb,
             Some(&self.b),
@@ -324,22 +177,11 @@ impl Linear {
         self.y_saved = None;
     }
 
-    /// Backward: consumes the gradient w.r.t. this layer's output and
-    /// returns the gradient w.r.t. its input; fills `db` and the tier's
-    /// weight gradient (flat `dw` on Reference, the blocked plan on
-    /// Optimized).
-    pub fn backward(&mut self, exec: &Execution, dy: Matrix) -> Matrix {
-        self.backward_opt(exec, dy, true)
-    }
-
-    /// [`Linear::backward`], computing the input gradient only if
-    /// `need_dx`; otherwise the data pass is skipped and an empty (0×0)
-    /// matrix comes back.
-    fn backward_opt(&mut self, exec: &Execution, mut dy: Matrix, need_dx: bool) -> Matrix {
-        match exec {
-            Execution::Reference => self.sync_flat_weights(),
-            Execution::Optimized(_) => self.ensure_packed(dy.cols()),
-        }
+    /// Reference backward: consumes the gradient w.r.t. this layer's output
+    /// and returns the gradient w.r.t. its input, or an empty (0×0) matrix
+    /// unless `need_dx`. Fills `db`, and `dw` with `dY·Xᵀ` packed into
+    /// `w`'s layout.
+    fn backward_reference(&mut self, mut dy: Matrix, need_dx: bool) -> Matrix {
         let x = self.x_saved.as_ref().expect("backward before forward");
         let y = self.y_saved.as_ref().unwrap();
         assert_eq!(dy.shape(), y.shape(), "Linear dY shape");
@@ -349,104 +191,61 @@ impl Linear {
         let (k, n) = dy.shape();
         // db = row-sums of dY
         bias_grad_rows(dy.as_slice(), k, n, &mut self.db);
-        match exec {
-            Execution::Reference => {
-                // dW = dY · Xᵀ
-                self.dw.fill_zero();
-                exec.gemm_nt(&dy, x, &mut self.dw);
-                self.plan.dw_stale = false;
-                if !need_dx {
-                    return Matrix::zeros(0, 0);
-                }
-                // dX = Wᵀ · dY
-                let mut dx = Matrix::zeros(self.w.cols(), n);
-                exec.gemm_tn(&self.w, &dy, &mut dx);
-                dx
-            }
-            Execution::Optimized(pool) => {
-                let (blk, c) = (self.blocking(n), self.w.cols());
-                let xb = BlockedActivations::pack(x, blk.bc, blk.bn);
-                let dyb = BlockedActivations::pack(&dy, blk.bk, blk.bn);
-                self.plan.dwb.reshape_scratch(k, c, blk);
-                gemm::fc_backward_weights(pool, &xb, &dyb, &mut self.plan.dwb);
-                self.plan.dw_stale = true;
-                if !need_dx {
-                    return Matrix::zeros(0, 0);
-                }
-                let mut dxb = BlockedActivations::zeros(c, n, blk.bc, blk.bn);
-                gemm::fc_backward_data(pool, &self.plan.wb, &dyb, &mut dxb);
-                dxb.unpack()
-            }
+        // dW = dY · Xᵀ
+        let mut dw = Matrix::zeros(k, self.w.c);
+        gemm::gemm_nt(&dy, x, &mut dw);
+        self.dw.pack_into(&dw, self.w.blk);
+        if !need_dx {
+            return Matrix::zeros(0, 0);
         }
+        // dX = Wᵀ · dY
+        let mut dx = Matrix::zeros(self.w.c, n);
+        gemm::gemm_tn(&self.w.unpack(), &dy, &mut dx);
+        dx
     }
 
     /// Elements in this layer's gradient (`dW` then `db`) — its span in a
     /// DDP flat gradient buffer.
     pub fn grad_len(&self) -> usize {
-        self.w.len() + self.b.len()
+        self.w.k * self.w.c + self.b.len()
     }
 
-    /// Plain FP32 SGD on weights and bias.
-    ///
-    /// When the persistent packed plan is live, the optimized tier updates
-    /// the packed weights *in place* and marks the flat mirror stale
-    /// instead of touching it. After an optimized backward the gradient is
-    /// blocked too, in the same layout, so the update is one contiguous
-    /// `wb -= lr · dwb` split across the team — bitwise identical to the
-    /// flat step, since it is an elementwise permutation of the same
-    /// mul-then-add arithmetic.
+    /// Plain FP32 SGD on weights and bias: `w -= lr · dw` over the two
+    /// blocked planes as they lie (they share `bc`/`bk`), split across the
+    /// team on the optimized tier. Per element this is the mul-then-add of
+    /// the flat step, so the layout does not move a bit.
     pub fn sgd_step(&mut self, exec: &Execution, lr: f32) {
+        let (w, dw) = (self.w.as_mut_slice(), self.dw.as_slice());
         match exec {
-            Execution::Reference => {
-                self.sync_flat_weights();
-                self.sync_flat_grads();
-                sgd::sgd_step(self.w.as_mut_slice(), self.dw.as_slice(), lr);
-                self.plan.packed_valid = false;
-            }
-            Execution::Optimized(p) if self.plan.packed_valid => {
-                let plan = &mut self.plan;
-                if plan.dw_stale {
-                    // Same `bc`/`bk` (they depend on the layer shape only),
-                    // so the two storages line up element for element.
-                    assert_eq!(
-                        (plan.wb.k, plan.wb.c, plan.wb.blk.bc, plan.wb.blk.bk),
-                        (plan.dwb.k, plan.dwb.c, plan.dwb.blk.bc, plan.dwb.blk.bk),
-                        "packed weights and blocked gradient disagree on layout"
-                    );
-                    sgd::par_sgd_step(p, plan.wb.as_mut_slice(), plan.dwb.as_slice(), lr);
-                } else {
-                    sgd::par_sgd_step_rows(p, &mut plan.wb, self.dw.as_slice(), lr);
-                }
-                plan.flat_stale = true;
-            }
-            Execution::Optimized(p) => {
-                self.sync_flat_grads();
-                sgd::par_sgd_step(p, self.w.as_mut_slice(), self.dw.as_slice(), lr);
-            }
+            Execution::Reference => sgd::sgd_step(w, dw, lr),
+            Execution::Optimized(p) => sgd::par_sgd_step(p, w, dw, lr),
         }
         sgd::sgd_step(&mut self.b, &self.db, lr);
     }
 
     /// The DDP step: SGD from `g`, this layer's span (`dW ‖ db`, as
     /// [`Linear::write_grads`] lays it out) of a gradient buffer *summed*
-    /// over `scale` ranks, averaging by `1/scale`. Plan-aware like
-    /// [`Linear::sgd_step`]: packed weights are updated in place, panel by
-    /// panel, straight from the buffer — bitwise identical to
-    /// [`dlrm_kernels::sgd::sgd_step_scaled`] on the flat mirror. The
-    /// layer's own (local, pre-reduction) gradient is left as it is.
+    /// over `scale` ranks, averaging by `1/scale`. The row-major `dW` is
+    /// applied to the blocked weights panel by panel, straight from the
+    /// buffer — bitwise [`dlrm_kernels::sgd::sgd_step_scaled`] on the
+    /// row-major view. The layer's own (local, pre-reduction) gradient is
+    /// left as it is.
     pub fn sgd_step_scaled_from(&mut self, exec: &Execution, g: &[f32], lr: f32, scale: f32) {
         assert_eq!(g.len(), self.grad_len(), "sgd_step_scaled_from length");
-        let (dw, db) = g.split_at(self.w.len());
+        let (dw, db) = g.split_at(self.w.k * self.w.c);
         match exec {
-            Execution::Optimized(p) if self.plan.packed_valid => {
-                sgd::par_sgd_step_rows(p, &mut self.plan.wb, dw, lr / scale);
-                self.plan.flat_stale = true;
+            Execution::Reference => {
+                let (blk, c) = (self.w.blk, self.w.c);
+                BlockedWeights::add_scaled_rows(
+                    self.w.as_mut_slice(),
+                    0,
+                    blk,
+                    c,
+                    dw,
+                    -(lr / scale),
+                );
             }
-            _ => {
-                self.sync_flat_weights();
-                sgd::sgd_step_scaled(self.w.as_mut_slice(), dw, lr, scale);
-                self.plan.packed_valid = false;
-            }
+            Execution::Optimized(p) => sgd::par_sgd_step_rows(p, &mut self.w, dw, lr / scale),
         }
         sgd::sgd_step_scaled(&mut self.b, db, lr, scale);
     }
@@ -465,7 +264,7 @@ struct MlpScratch {
     grad_a: BlockedActivations,
     grad_b: BlockedActivations,
     /// Batch size of the last chained forward; `None` = no valid residency
-    /// (backward then falls back to the per-layer path).
+    /// (an optimized backward then panics).
     valid_n: Option<usize>,
 }
 
@@ -550,15 +349,15 @@ impl Mlp {
     /// input is packed once, each layer's blocked output feeds the next
     /// layer's batch-reduce GEMM directly, and only the final output is
     /// unpacked. The blocked chain is what [`Mlp::backward`] on the same
-    /// tier consumes (mixing an optimized forward with a Reference
-    /// backward is not supported).
+    /// tier consumes (mixing tiers between a forward and its backward is not
+    /// supported).
     pub fn forward(&mut self, exec: &Execution, x: &Matrix) -> Matrix {
         match exec {
             Execution::Reference => {
                 self.scratch.valid_n = None;
                 let mut cur: Option<Matrix> = None;
                 for layer in &mut self.layers {
-                    let y = layer.forward(exec, cur.as_ref().unwrap_or(x));
+                    let y = layer.forward_reference(cur.as_ref().unwrap_or(x));
                     cur = Some(y);
                 }
                 cur.expect("MLP has at least one layer")
@@ -600,23 +399,35 @@ impl Mlp {
     /// allreduce while earlier layers are still computing. The hook must
     /// not change the math; backward results are identical to
     /// [`Mlp::backward`].
+    ///
+    /// # Panics
+    /// On the optimized tier, panics unless the last forward was optimized
+    /// and ran at `dy`'s batch size.
     pub fn backward_with(
         &mut self,
         exec: &Execution,
         dy: Matrix,
         mut on_layer: impl FnMut(usize, &Linear),
     ) -> Matrix {
-        if let Execution::Optimized(pool) = exec {
-            if self.scratch.valid_n == Some(dy.cols()) {
-                return self.backward_chained(pool, dy, &mut on_layer);
+        match exec {
+            Execution::Optimized(pool) => {
+                let (n, last) = (dy.cols(), self.scratch.valid_n);
+                assert!(
+                    last == Some(n),
+                    "optimized Mlp::backward at batch size {n} has no matching optimized \
+                     forward (the last one ran at batch size {last:?})"
+                );
+                self.backward_chained(pool, dy, &mut on_layer)
+            }
+            Execution::Reference => {
+                let mut cur = dy;
+                for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+                    cur = layer.backward_reference(cur, i > 0 || self.input_grad);
+                    on_layer(i, layer);
+                }
+                cur
             }
         }
-        let mut cur = dy;
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            cur = layer.backward_opt(exec, cur, i > 0 || self.input_grad);
-            on_layer(i, layer);
-        }
-        cur
     }
 
     /// Backward over the blocked activation chain left by an optimized
@@ -624,9 +435,9 @@ impl Mlp {
     /// runs the fused batch-reduce GEMMs (bias-gradient reduction inside
     /// the weight pass, upstream ReLU mask inside the data pass
     /// writeback), and only the input-boundary gradient is unpacked.
-    /// Bitwise identical to the per-layer path — same kernels over the
-    /// same bits, with the mask/reduction fusions proven bitwise-neutral
-    /// in `dlrm_kernels::gemm`.
+    /// Bitwise identical to packing each layer's operands per call — same
+    /// kernels over the same bits, with the mask/reduction fusions proven
+    /// bitwise-neutral in `dlrm_kernels::gemm`.
     fn backward_chained(
         &mut self,
         pool: &ThreadPool,
@@ -643,7 +454,7 @@ impl Mlp {
         let blk_last = self.layers[nl - 1].blocking(n);
         scratch.grad_a.pack_into(&dy, blk_last.bk, blk_last.bn);
         // The last layer's own ReLU (applied at layer entry on the
-        // per-layer path); inner layers' masks are fused into the
+        // Reference path); inner layers' masks are fused into the
         // downstream layer's data-pass writeback instead.
         if self.layers[nl - 1].act == Activation::Relu {
             mask_blocked(&mut scratch.grad_a, &scratch.acts[nl]);
@@ -651,24 +462,19 @@ impl Mlp {
         for i in (0..nl).rev() {
             let prev_relu = i > 0 && self.layers[i - 1].act == Activation::Relu;
             let layer = &mut self.layers[i];
-            assert!(
-                layer.plan.packed_valid,
-                "chained backward without packed plan"
-            );
-            let (k, c) = layer.w.shape();
+            let (k, c) = (layer.w.k, layer.w.c);
             let blk = layer.blocking(n);
             // Fused dW + db in one pass over the blocked operands. dW stays
             // blocked: the FP32 update reads it as it lies, and a DDP hook
             // unpacks it once, into its bucket, in the unchanged wire order.
-            layer.plan.dwb.reshape_scratch(k, c, blk);
+            layer.dw.reshape_scratch(k, c, blk);
             gemm::fc_backward_weights_fused(
                 pool,
                 &scratch.acts[i],
                 &scratch.grad_a,
-                &mut layer.plan.dwb,
+                &mut layer.dw,
                 &mut layer.db,
             );
-            layer.plan.dw_stale = true;
             if i == 0 && !self.input_grad {
                 on_layer(i, layer);
                 return Matrix::zeros(0, 0);
@@ -681,7 +487,7 @@ impl Mlp {
             };
             gemm::fc_backward_data_fused(
                 pool,
-                &layer.plan.wb,
+                &layer.w,
                 &scratch.grad_a,
                 &mut scratch.grad_b,
                 mask,
@@ -701,40 +507,20 @@ impl Mlp {
 
     /// Total parameter count (weights + biases).
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
+        self.layers.iter().map(|l| l.grad_len()).sum()
     }
 
-    /// Copies any blocked-SGD updates back into every layer's flat `w`
-    /// mirror (see [`Linear::sync_flat_weights`]).
-    pub fn sync_flat_weights(&mut self) {
-        for layer in &mut self.layers {
-            layer.sync_flat_weights();
-        }
-    }
-
-    /// Drops every layer's packed weight copy (see
-    /// [`Linear::invalidate_packed`] for the staleness contract).
-    pub fn invalidate_packed(&mut self) {
-        for layer in &mut self.layers {
-            layer.invalidate_packed();
-        }
-    }
-
-    /// Eagerly packs every layer's weights into its persistent plan (see
-    /// [`Linear::prepack`]).
-    pub fn prepack_weights(&mut self) {
-        for layer in &mut self.layers {
-            layer.prepack();
-        }
-    }
-
-    /// Bytes held by the persistent execution plan: per-layer packed
-    /// weights and gradient scratch plus the blocked activation-residency
-    /// buffers. Grow-only — constant once the largest batch has been seen.
+    /// Bytes held by the MLP's persistent storage: every layer's blocked
+    /// weights and gradient plus the blocked activation-residency buffers.
+    /// Grow-only — constant once the largest batch has been seen.
     pub fn scratch_bytes(&self) -> usize {
-        let plans: usize = self.layers.iter().map(|l| l.plan_bytes()).sum();
+        let params: usize = self
+            .layers
+            .iter()
+            .map(|l| l.w.capacity_bytes() + l.dw.capacity_bytes())
+            .sum();
         let acts: usize = self.scratch.acts.iter().map(|a| a.capacity_bytes()).sum();
-        plans + acts + self.scratch.grad_a.capacity_bytes() + self.scratch.grad_b.capacity_bytes()
+        params + acts + self.scratch.grad_a.capacity_bytes() + self.scratch.grad_b.capacity_bytes()
     }
 }
 
@@ -755,29 +541,36 @@ mod tests {
         out
     }
 
+    /// Replaces `layer`'s weights with the row-major `w`.
+    fn set_weights(layer: &mut Linear, w: &Matrix) {
+        layer.w = BlockedWeights::pack(w, layer.w.blk);
+    }
+
     #[test]
     fn forward_matches_manual_affine() {
         for exec in both_execs() {
-            let mut rng = seeded_rng(1, 0);
-            let mut layer = Linear::new(3, 2, Activation::None, &mut rng);
-            layer.w = Matrix::from_slice(2, 3, &[1.0, 0.0, -1.0, 0.5, 0.5, 0.5]);
+            let mut mlp = Mlp::new(3, &[2], Activation::None, &mut seeded_rng(1, 0));
+            let layer = &mut mlp.layers[0];
+            set_weights(
+                layer,
+                &Matrix::from_slice(2, 3, &[1.0, 0.0, -1.0, 0.5, 0.5, 0.5]),
+            );
             layer.b = vec![1.0, -1.0];
             let x = Matrix::from_slice(3, 1, &[2.0, 4.0, 6.0]);
-            let y = layer.forward(&exec, &x);
+            let y = mlp.forward(&exec, &x);
             assert_eq!(y.as_slice(), &[2.0 - 6.0 + 1.0, 6.0 - 1.0]);
         }
     }
 
     #[test]
     fn relu_masks_forward_and_backward() {
-        let exec = Execution::Reference;
         let mut rng = seeded_rng(2, 0);
         let mut layer = Linear::new(1, 1, Activation::Relu, &mut rng);
-        layer.w = Matrix::from_slice(1, 1, &[1.0]);
+        set_weights(&mut layer, &Matrix::from_slice(1, 1, &[1.0]));
         layer.b = vec![0.0];
-        let y = layer.forward(&exec, &Matrix::from_slice(1, 2, &[-3.0, 3.0]));
+        let y = layer.forward_reference(&Matrix::from_slice(1, 2, &[-3.0, 3.0]));
         assert_eq!(y.as_slice(), &[0.0, 3.0]);
-        let dx = layer.backward(&exec, Matrix::from_slice(1, 2, &[1.0, 1.0]));
+        let dx = layer.backward_reference(Matrix::from_slice(1, 2, &[1.0, 1.0]), true);
         assert_eq!(dx.as_slice(), &[0.0, 1.0]);
     }
 
@@ -806,24 +599,24 @@ mod tests {
     #[test]
     fn gradient_check_linear() {
         // Finite-difference check of dW through a scalar loss L = sum(y).
-        let exec = Execution::Reference;
         let mut rng = seeded_rng(6, 0);
         let mut layer = Linear::new(4, 3, Activation::Relu, &mut rng);
         let x = uniform(4, 5, -1.0, 1.0, &mut rng);
 
-        let y = layer.forward(&exec, &x);
+        let y = layer.forward_reference(&x);
         let dy = Matrix::from_fn(y.rows(), y.cols(), |_, _| 1.0);
-        let _ = layer.backward(&exec, dy);
-        let analytic = layer.dw.clone();
+        let _ = layer.backward_reference(dy, true);
+        let analytic = layer.dw.unpack();
 
         let h = 1e-3f32;
         for (r, c) in [(0usize, 0usize), (1, 2), (2, 3)] {
-            let orig = layer.w[(r, c)];
-            layer.w[(r, c)] = orig + h;
-            let lp: f64 = layer.forward(&exec, &x).sum();
-            layer.w[(r, c)] = orig - h;
-            let lm: f64 = layer.forward(&exec, &x).sum();
-            layer.w[(r, c)] = orig;
+            let i = layer.w.index_of(r, c);
+            let orig = layer.w.as_slice()[i];
+            layer.w.as_mut_slice()[i] = orig + h;
+            let lp: f64 = layer.forward_reference(&x).sum();
+            layer.w.as_mut_slice()[i] = orig - h;
+            let lm: f64 = layer.forward_reference(&x).sum();
+            layer.w.as_mut_slice()[i] = orig;
             let fd = ((lp - lm) / (2.0 * h as f64)) as f32;
             assert!(
                 (analytic[(r, c)] - fd).abs() < 2e-2,
@@ -938,6 +731,18 @@ mod tests {
     fn shape_mismatch_panics() {
         let mut rng = seeded_rng(9, 0);
         let mut layer = Linear::new(4, 2, Activation::None, &mut rng);
-        let _ = layer.forward(&Execution::Reference, &Matrix::zeros(3, 1));
+        let _ = layer.forward_reference(&Matrix::zeros(3, 1));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "optimized Mlp::backward at batch size 5 has no matching optimized forward \
+                    (the last one ran at batch size Some(4))"
+    )]
+    fn optimized_backward_at_another_batch_size_panics() {
+        let exec = Execution::optimized(2);
+        let mut mlp = Mlp::new(3, &[4, 1], Activation::None, &mut seeded_rng(16, 0));
+        let _ = mlp.forward(&exec, &Matrix::zeros(3, 4));
+        let _ = mlp.backward(&exec, Matrix::zeros(1, 5));
     }
 }

@@ -97,13 +97,22 @@ impl DlrmModel {
         let (mlp_opts, emb_opts) = if precision == PrecisionMode::Fp32 {
             (Vec::new(), Vec::new())
         } else {
-            let mut mlp_opts = Vec::new();
-            for layer in bottom.layers.iter_mut().chain(top.layers.iter_mut()) {
-                mlp_opts.push(ParamOptimizer::new(precision, &mut layer.w));
-            }
+            // Each tensor's rounding stream is its position among the
+            // model's optimizers: MLP layers first, then tables.
+            let mlp_opts: Vec<ParamOptimizer> = bottom
+                .layers
+                .iter_mut()
+                .chain(top.layers.iter_mut())
+                .enumerate()
+                .map(|(i, l)| ParamOptimizer::new(precision, l.w.as_mut_slice(), i as u64))
+                .collect();
+            let first = mlp_opts.len();
             let emb_opts = tables
                 .iter_mut()
-                .map(|t| ParamOptimizer::new(precision, &mut t.weight))
+                .enumerate()
+                .map(|(t, tab)| {
+                    ParamOptimizer::new(precision, tab.weight.as_mut_slice(), (first + t) as u64)
+                })
                 .collect();
             (mlp_opts, emb_opts)
         };
@@ -220,15 +229,9 @@ impl DlrmModel {
                     .chain(self.top.layers.iter_mut())
                     .zip(self.mlp_opts.iter_mut())
                 {
-                    // The precision optimizers read the flat gradient and
-                    // mutate the flat weights, so bracket them with the
-                    // packed-plan seam: both flat mirrors must be current
-                    // going in, and the packed copy must be dropped
-                    // (re-packed on next use) going out.
-                    layer.sync_flat_weights();
-                    layer.sync_flat_grads();
-                    opt.step(&mut layer.w, &layer.dw, lr);
-                    layer.invalidate_packed();
+                    // Element-wise on the blocked planes, which share one
+                    // layout.
+                    opt.step(layer.w.as_mut_slice(), layer.dw.as_slice(), lr);
                     // Biases stay FP32 (negligible storage; matches the
                     // paper's weight-focused scheme).
                     dlrm_kernels::sgd::sgd_step(&mut layer.b, &layer.db, lr);
@@ -255,19 +258,11 @@ impl DlrmModel {
         self.tables.iter().map(|t| t.scratch_bytes()).sum()
     }
 
-    /// Bytes of persistent MLP execution-plan scratch (packed weights,
-    /// blocked gradient scratch, activation residency) across both MLPs.
-    /// Grow-only, constant after the first step of a fixed batch shape.
+    /// Bytes of persistent MLP storage (blocked weights and gradients,
+    /// activation residency) across both MLPs. Grow-only, constant after
+    /// the first step of a fixed batch shape.
     pub fn mlp_scratch_bytes(&self) -> usize {
         self.bottom.scratch_bytes() + self.top.scratch_bytes()
-    }
-
-    /// Copies any blocked-SGD updates back into the flat weight mirrors of
-    /// both MLPs — required before reading `layer.w` directly (parameter
-    /// fingerprints, checkpoints) after optimized training.
-    pub fn sync_flat_weights(&mut self) {
-        self.bottom.sync_flat_weights();
-        self.top.sync_flat_weights();
     }
 }
 

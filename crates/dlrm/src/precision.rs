@@ -1,13 +1,15 @@
 //! Mixed-precision training modes (Section VII).
 //!
-//! The model's weights always live in FP32 `Matrix` storage, but each mode
-//! maintains an *invariant* on what those bits contain:
+//! The model's weights always live in FP32 storage — an MLP layer's blocked
+//! planes, a table's rows — but each mode maintains an *invariant* on what
+//! those bits contain. The dense update is element-wise, so it runs on the
+//! planes in whatever layout they are stored:
 //!
 //! * [`PrecisionMode::Fp32`] — plain FP32 training.
 //! * [`PrecisionMode::Bf16Split`] — Split-SGD-BF16: the optimizer owns a
 //!   [`SplitTensor`] whose hi plane is the BF16 model; after every update
-//!   the `Matrix` is refreshed with the (BF16-truncated) model view, so the
-//!   forward/backward passes see exactly what BF16 hardware would.
+//!   the FP32 storage is refreshed with the (BF16-truncated) model view, so
+//!   the forward/backward passes see exactly what BF16 hardware would.
 //! * [`PrecisionMode::Bf16Split8`] — the failed ablation: only 8 extra
 //!   LSBs of optimizer state.
 //! * [`PrecisionMode::Bf16Pure`] — no optimizer state at all: weights are
@@ -83,22 +85,22 @@ impl PrecisionMode {
 
     /// Quantizes an entire freshly-initialized tensor to the mode's storage
     /// format (establishing the invariant).
-    pub fn quantize_init(self, w: &mut Matrix) {
+    pub fn quantize_init(self, w: &mut [f32]) {
         match self {
             PrecisionMode::Fp32 => {}
             PrecisionMode::Bf16Split | PrecisionMode::Bf16Split8 | PrecisionMode::Bf16Pure => {
-                for x in w.as_mut_slice() {
+                for x in w.iter_mut() {
                     // Truncation matches the split storage's model view.
                     *x = f32::from_bits(x.to_bits() & 0xFFFF_0000);
                 }
             }
             PrecisionMode::Fp24 => {
-                for x in w.as_mut_slice() {
+                for x in w.iter_mut() {
                     *x = fp24::quantize_f32(*x);
                 }
             }
             PrecisionMode::Fp16Stochastic => {
-                for x in w.as_mut_slice() {
+                for x in w.iter_mut() {
                     *x = fp16::quantize_f32(*x);
                 }
             }
@@ -120,7 +122,7 @@ impl std::fmt::Display for PrecisionMode {
     }
 }
 
-/// Optimizer state for one FP32-Matrix-backed parameter tensor.
+/// Optimizer state for one FP32-backed parameter tensor.
 pub struct ParamOptimizer {
     mode: PrecisionMode,
     split: Option<SplitTensor>,
@@ -130,12 +132,13 @@ pub struct ParamOptimizer {
 
 impl ParamOptimizer {
     /// Builds state for `w` (which is quantized in place to establish the
-    /// storage invariant).
-    pub fn new(mode: PrecisionMode, w: &mut Matrix) -> Self {
+    /// storage invariant). `stream` names this tensor's stochastic-rounding
+    /// stream: give every tensor of a model its own.
+    pub fn new(mode: PrecisionMode, w: &mut [f32], stream: u64) -> Self {
         let split = mode.split_lo_bits().map(|lo| {
-            let t = SplitTensor::from_f32(w.as_slice(), lo);
+            let t = SplitTensor::from_f32(w, lo);
             // Model view = truncated hi plane.
-            for (x, v) in w.as_mut_slice().iter_mut().zip(t.to_f32_model()) {
+            for (x, v) in w.iter_mut().zip(t.to_f32_model()) {
                 *x = v;
             }
             t
@@ -143,24 +146,23 @@ impl ParamOptimizer {
         if split.is_none() {
             mode.quantize_init(w);
         }
-        let rng =
-            (mode == PrecisionMode::Fp16Stochastic).then(|| seeded_rng(0x570C, w.len() as u64));
+        let rng = (mode == PrecisionMode::Fp16Stochastic).then(|| seeded_rng(0x570C, stream));
         ParamOptimizer { mode, split, rng }
     }
 
-    /// Dense SGD step: updates the master state and refreshes `w`'s model
-    /// view.
-    pub fn step(&mut self, w: &mut Matrix, grad: &Matrix, lr: f32) {
-        assert_eq!(w.shape(), grad.shape(), "optimizer shape mismatch");
+    /// Dense SGD step, element by element: updates the master state and
+    /// refreshes `w`'s model view. `grad` is laid out like `w`.
+    pub fn step(&mut self, w: &mut [f32], grad: &[f32], lr: f32) {
+        assert_eq!(w.len(), grad.len(), "optimizer shape mismatch");
         match &mut self.split {
             Some(state) => {
-                state.sgd_step(grad.as_slice(), lr);
-                for (i, x) in w.as_mut_slice().iter_mut().enumerate() {
+                state.sgd_step(grad, lr);
+                for (i, x) in w.iter_mut().enumerate() {
                     *x = state.model_value(i);
                 }
             }
             None => {
-                for (x, &g) in w.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+                for (x, &g) in w.iter_mut().zip(grad) {
                     *x = self.mode.quantize(*x - lr * g, self.rng.as_mut());
                 }
             }
@@ -205,9 +207,9 @@ mod tests {
     #[test]
     fn fp32_step_is_plain_sgd() {
         let mut w = Matrix::from_slice(1, 2, &[1.0, -1.0]);
-        let mut opt = ParamOptimizer::new(PrecisionMode::Fp32, &mut w);
+        let mut opt = ParamOptimizer::new(PrecisionMode::Fp32, w.as_mut_slice(), 0);
         let g = Matrix::from_slice(1, 2, &[0.5, 0.5]);
-        opt.step(&mut w, &g, 0.1);
+        opt.step(w.as_mut_slice(), g.as_slice(), 0.1);
         assert_eq!(w.as_slice(), &[0.95, -1.05]);
     }
 
@@ -215,10 +217,10 @@ mod tests {
     fn split_mode_weights_are_valid_bf16() {
         let mut rng = seeded_rng(1, 0);
         let mut w = uniform(4, 4, -1.0, 1.0, &mut rng);
-        let mut opt = ParamOptimizer::new(PrecisionMode::Bf16Split, &mut w);
+        let mut opt = ParamOptimizer::new(PrecisionMode::Bf16Split, w.as_mut_slice(), 0);
         let g = uniform(4, 4, -0.1, 0.1, &mut rng);
         for _ in 0..10 {
-            opt.step(&mut w, &g, 0.05);
+            opt.step(w.as_mut_slice(), g.as_slice(), 0.05);
             for &x in w.as_slice() {
                 assert_eq!(x.to_bits() & 0xFFFF, 0, "weight {x} is not bf16");
             }
@@ -235,10 +237,10 @@ mod tests {
         let g = uniform(2, 8, -0.2, 0.2, &mut rng);
 
         let mut w_split = init.clone();
-        let mut opt = ParamOptimizer::new(PrecisionMode::Bf16Split, &mut w_split);
+        let mut opt = ParamOptimizer::new(PrecisionMode::Bf16Split, w_split.as_mut_slice(), 0);
         let mut w_fp32: Vec<f32> = init.as_slice().to_vec();
         for _ in 0..50 {
-            opt.step(&mut w_split, &g, 0.03);
+            opt.step(w_split.as_mut_slice(), g.as_slice(), 0.03);
             for (x, &gv) in w_fp32.iter_mut().zip(g.as_slice()) {
                 *x -= 0.03 * gv;
             }
@@ -251,9 +253,9 @@ mod tests {
     fn fp24_weights_stay_quantized() {
         let mut rng = seeded_rng(3, 0);
         let mut w = uniform(3, 3, -1.0, 1.0, &mut rng);
-        let mut opt = ParamOptimizer::new(PrecisionMode::Fp24, &mut w);
+        let mut opt = ParamOptimizer::new(PrecisionMode::Fp24, w.as_mut_slice(), 0);
         let g = uniform(3, 3, -0.1, 0.1, &mut rng);
-        opt.step(&mut w, &g, 0.1);
+        opt.step(w.as_mut_slice(), g.as_slice(), 0.1);
         for &x in w.as_slice() {
             assert_eq!(x.to_bits() & 0xFF, 0, "weight {x} is not fp24");
         }
@@ -262,13 +264,14 @@ mod tests {
     #[test]
     fn pure_bf16_loses_tiny_updates_but_split_does_not() {
         let mut w_pure = Matrix::from_slice(1, 1, &[1.0]);
-        let mut opt_pure = ParamOptimizer::new(PrecisionMode::Bf16Pure, &mut w_pure);
+        let mut opt_pure = ParamOptimizer::new(PrecisionMode::Bf16Pure, w_pure.as_mut_slice(), 0);
         let mut w_split = Matrix::from_slice(1, 1, &[1.0]);
-        let mut opt_split = ParamOptimizer::new(PrecisionMode::Bf16Split, &mut w_split);
+        let mut opt_split =
+            ParamOptimizer::new(PrecisionMode::Bf16Split, w_split.as_mut_slice(), 0);
         let g = Matrix::from_slice(1, 1, &[2.0f32.powi(-12)]);
         for _ in 0..2048 {
-            opt_pure.step(&mut w_pure, &g, 1.0);
-            opt_split.step(&mut w_split, &g, 1.0);
+            opt_pure.step(w_pure.as_mut_slice(), g.as_slice(), 1.0);
+            opt_split.step(w_split.as_mut_slice(), g.as_slice(), 1.0);
         }
         assert_eq!(w_pure.as_slice()[0], 1.0, "bf16 swallows 2^-12 steps");
         assert!(w_split.as_slice()[0] < 1.0, "split accumulates them");
@@ -277,7 +280,7 @@ mod tests {
     #[test]
     fn row_step_touches_only_that_row() {
         let mut w = Matrix::from_fn(3, 2, |_, _| 1.0);
-        let mut opt = ParamOptimizer::new(PrecisionMode::Bf16Split, &mut w);
+        let mut opt = ParamOptimizer::new(PrecisionMode::Bf16Split, w.as_mut_slice(), 0);
         opt.step_row(&mut w, 1, &[1.0, 2.0], 0.25);
         assert_eq!(w.row(0), &[1.0, 1.0]);
         assert_eq!(w.row(2), &[1.0, 1.0]);
@@ -288,12 +291,12 @@ mod tests {
     #[test]
     fn fp16_stochastic_weights_stay_on_grid_and_are_unbiased() {
         let mut w = Matrix::from_slice(1, 1, &[1.0]);
-        let mut opt = ParamOptimizer::new(PrecisionMode::Fp16Stochastic, &mut w);
+        let mut opt = ParamOptimizer::new(PrecisionMode::Fp16Stochastic, w.as_mut_slice(), 1);
         // Repeated sub-ULP updates: RNE would freeze the weight; stochastic
         // rounding lets it drift at the right *rate* in expectation.
         let g = Matrix::from_slice(1, 1, &[2.0f32.powi(-13)]); // 1/8 ULP at 1.0
         for _ in 0..4000 {
-            opt.step(&mut w, &g, 1.0);
+            opt.step(w.as_mut_slice(), g.as_slice(), 1.0);
             let x = w.as_slice()[0];
             assert_eq!(
                 dlrm_precision::fp16::quantize_f32(x),
@@ -310,12 +313,26 @@ mod tests {
     }
 
     #[test]
+    fn fp16_stochastic_tensors_draw_from_their_own_streams() {
+        // Two equal-sized tensors under one gradient: each stream makes its
+        // own rounding decisions, and a stream is reproducible.
+        let step = |stream| {
+            let mut w = vec![1.0f32; 64];
+            let mut opt = ParamOptimizer::new(PrecisionMode::Fp16Stochastic, &mut w, stream);
+            opt.step(&mut w, &[2.0f32.powi(-13); 64], 1.0);
+            w
+        };
+        assert_ne!(step(0), step(1));
+        assert_eq!(step(1), step(1));
+    }
+
+    #[test]
     fn state_bytes_accounting() {
         let mut w = Matrix::zeros(10, 10);
-        let split = ParamOptimizer::new(PrecisionMode::Bf16Split, &mut w);
+        let split = ParamOptimizer::new(PrecisionMode::Bf16Split, w.as_mut_slice(), 0);
         assert_eq!(split.state_bytes(), 200); // 100 u16 LSBs
         let mut w2 = Matrix::zeros(10, 10);
-        let fp32 = ParamOptimizer::new(PrecisionMode::Fp32, &mut w2);
+        let fp32 = ParamOptimizer::new(PrecisionMode::Fp32, w2.as_mut_slice(), 0);
         assert_eq!(fp32.state_bytes(), 0);
     }
 }

@@ -205,9 +205,8 @@ fn embedding_update_keeps_no_gradient_copy_and_does_not_allocate() {
 }
 
 /// The persistent packed-GEMM plan on its own: a full MLP
-/// fwd+bwd+sgd loop must stop allocating once the plan (packed weights,
-/// blocked gradient scratch, activation residency) has grown to the batch
-/// shape.
+/// fwd+bwd+sgd loop must stop allocating once the plan (blocked weight
+/// gradients, activation residency) has grown to the batch shape.
 #[test]
 fn mlp_packed_plan_step_does_not_grow_allocations() {
     let _turn = my_turn();
@@ -230,9 +229,9 @@ fn mlp_packed_plan_step_does_not_grow_allocations() {
     assert_steady(&samples, "mlp-packed-plan");
 }
 
-/// The weight gradient stays in the packed plan from the GEMM that writes
-/// it to the update that reads it, so a backward (of an MLP whose input is
-/// a leaf — otherwise it returns a fresh `dX`) plus an SGD step allocates
+/// The weight gradient stays in its blocked storage from the GEMM that
+/// writes it to the update that reads it, so a backward (of an MLP whose
+/// input is a leaf — otherwise it returns a fresh `dX`) plus an SGD step allocates
 /// nothing on any thread; nor do the two row-major crossings the DDP step
 /// makes, which read and write the caller's buffer.
 #[test]

@@ -1,7 +1,7 @@
 //! Bitwise gate for the blocked dense update.
 //!
-//! On the optimized tier the weight gradient stays in the packed plan's
-//! blocked layout: `Linear::sgd_step` reads it as it lies, the DDP step
+//! The weight gradient stays in the weights' blocked layout:
+//! `Linear::sgd_step` reads it as it lies, the DDP step
 //! applies a row-major slice of the reduced buffer panel by panel
 //! (`Linear::sgd_step_scaled_from`), and `Linear::write_grads` is the one
 //! place it is laid out as rows. Each must equal, `to_bits`, what the flat
@@ -9,10 +9,10 @@
 //! sizes that do and do not divide the panel count, and shapes whose sides
 //! include 1, 74, 100 and 1000 (`bc` = 37 and 50, `bk` = 37, 50 and 40).
 //!
-//! The second test pins the non-FP32 optimizer seam: the precision modes
-//! read the *flat* gradient, which the optimized backward no longer fills,
-//! so `DlrmModel::train_step` must refresh it — against loss bits recorded
-//! at commit `7a94e2c`, where backward still unpacked `dW` every step.
+//! The second test pins the non-FP32 optimizers, which run element-wise on
+//! the blocked weight and gradient planes, against loss bits recorded at
+//! commit `7a94e2c`, where backward still unpacked `dW` every step and the
+//! optimizers read it as rows.
 //!
 //! The ISA override is process-global, so the tests of this binary take
 //! turns.
@@ -56,7 +56,7 @@ const LR: f32 = 0.07;
 const RANKS: f32 = 3.0;
 
 /// A one-layer MLP after one optimized forward + backward: its gradient is
-/// in the blocked plan and its flat `dw` has not been written.
+/// in the blocked `dw`.
 fn after_backward(exec: &Execution, k: usize, c: usize, x: &Matrix, dy: &Matrix) -> Mlp {
     let mut mlp = Mlp::new(c, &[k], Activation::None, &mut seeded_rng(5, 0));
     let _ = mlp.forward(exec, x);
@@ -70,11 +70,10 @@ fn grads(layer: &Linear) -> Vec<f32> {
     out
 }
 
-/// Weights then bias, as flat bits, after catching the mirror up.
+/// Weights (row-major) then bias, as bits.
 fn params(mlp: &mut Mlp) -> Vec<u32> {
-    mlp.sync_flat_weights();
     let layer = &mlp.layers[0];
-    bits(layer.w.as_slice())
+    bits(layer.w.unpack().as_slice())
         .into_iter()
         .chain(bits(&layer.b))
         .collect()
@@ -84,7 +83,7 @@ fn check_shape(pool: &ThreadPool, exec: &Execution, k: usize, c: usize, label: &
     let x = uniform(c, N, -1.0, 1.0, &mut seeded_rng(6, 0));
     let dy = uniform(k, N, -1.0, 1.0, &mut seeded_rng(7, 0));
     let mut own = after_backward(exec, k, c, &x, &dy);
-    let (w0, b0) = (own.layers[0].w.clone(), own.layers[0].b.clone());
+    let (w0, b0) = (own.layers[0].w.unpack(), own.layers[0].b.clone());
 
     // write_grads ≡ dwb.unpack() ‖ db, the blocked gradient rebuilt here
     // from the public kernels.
@@ -111,22 +110,6 @@ fn check_shape(pool: &ThreadPool, exec: &Execution, k: usize, c: usize, label: &
     // Entry 1: the layer's own blocked gradient, contiguous.
     own.sgd_step(exec, LR);
     assert_eq!(params(&mut own), want_own, "{label}: sgd_step from dwb");
-
-    // The same step after the gradient was synced to rows goes panel-wise
-    // from flat `dw` and must land on the same bits.
-    let mut synced = after_backward(exec, k, c, &x, &dy);
-    synced.layers[0].sync_flat_grads();
-    assert_eq!(
-        bits(synced.layers[0].dw.as_slice()),
-        bits(&g[..k * c]),
-        "{label}: sync_flat_grads"
-    );
-    synced.sgd_step(exec, LR);
-    assert_eq!(
-        params(&mut synced),
-        want_own,
-        "{label}: sgd_step from flat dw"
-    );
 
     // Entry 2: a slice of a summed buffer (stand-in: another gradient).
     let summed: Vec<f32> = g

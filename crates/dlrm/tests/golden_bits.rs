@@ -61,10 +61,9 @@ fn trajectory(isa: Isa) -> Vec<u64> {
             model.train_step(&batch, 0.1).to_bits()
         })
         .collect();
-    model.sync_flat_weights();
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for layer in model.bottom.layers.iter().chain(&model.top.layers) {
-        for v in layer.w.as_slice().iter().chain(&layer.b) {
+        for v in layer.w.unpack().as_slice().iter().chain(&layer.b) {
             h = (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }

@@ -8,8 +8,8 @@
 //! epilogues, blocked in-place SGD) must produce bit-identical outputs,
 //! gradients and parameter planes — across forced ISA tiers, layer shapes
 //! (including dimensions the default blocking does not divide), seeds and
-//! multiple training steps, plus the sync/invalidate seam under mixed
-//! Reference/Optimized execution.
+//! multiple training steps, plus Reference and Optimized steps taking turns
+//! on the one blocked weight storage.
 
 use dlrm::layers::{Activation, Execution, Mlp};
 use dlrm_kernels::activations::{bias_add_rows, bias_grad_rows, relu_backward, relu_forward};
@@ -39,10 +39,10 @@ fn per_call_from(mlp: &Mlp) -> Vec<PerCallLayer> {
     mlp.layers
         .iter()
         .map(|l| PerCallLayer {
-            w: l.w.clone(),
+            w: l.w.unpack(),
             b: l.b.clone(),
             relu: l.act == Activation::Relu,
-            dw: Matrix::zeros(l.w.rows(), l.w.cols()),
+            dw: Matrix::zeros(l.w.k, l.w.c),
             db: vec![0.0; l.b.len()],
             x: None,
             y: None,
@@ -193,12 +193,10 @@ fn check_shape(
         }
         mlp.sgd_step(&exec, 0.1);
         per_call_sgd(&mut old, 0.1);
-        // The flat mirror must lazily catch up with the in-place blocked
-        // SGD update, bit for bit.
-        mlp.sync_flat_weights();
+        // The in-place blocked SGD update, read as rows, bit for bit.
         for (i, (l_new, l_old)) in mlp.layers.iter().zip(&old).enumerate() {
             assert_eq!(
-                bits(l_new.w.as_slice()),
+                bits(l_new.w.unpack().as_slice()),
                 bits(l_old.w.as_slice()),
                 "{label} step {step} layer {i}: post-sgd w"
             );
@@ -211,9 +209,9 @@ fn check_shape(
     }
 }
 
-/// The sync/invalidate seam: alternating Optimized and Reference steps
-/// (with direct flat-weight reads in between) must track a pack-per-call
-/// arm doing the same alternation.
+/// Alternating Optimized and Reference steps on the one blocked storage
+/// (with row-major weight reads in between) must track a pack-per-call arm
+/// doing the same alternation.
 fn check_mixed_execution(seed: u64) {
     let opt = Execution::optimized(3);
     let refr = Execution::Reference;
@@ -253,10 +251,9 @@ fn check_mixed_execution(seed: u64) {
         );
         mlp.sgd_step(if optimized { &opt } else { &refr }, 0.05);
         per_call_sgd(&mut old, 0.05);
-        mlp.sync_flat_weights();
         for (i, (l_new, l_old)) in mlp.layers.iter().zip(&old).enumerate() {
             assert_eq!(
-                bits(l_new.w.as_slice()),
+                bits(l_new.w.unpack().as_slice()),
                 bits(l_old.w.as_slice()),
                 "mixed step {step} layer {i}: post-sgd w"
             );

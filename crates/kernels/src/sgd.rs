@@ -1,4 +1,4 @@
-//! Dense SGD update kernels, including the Split-SGD-BF16 step.
+//! Dense SGD update kernels.
 //!
 //! The dense steps are thin wrappers over the SIMD
 //! [`rowops::axpy`](crate::embedding::rowops::axpy) tiers with
@@ -10,7 +10,6 @@
 use crate::embedding::rowops;
 use crate::gemm::micro::detect_isa;
 use crate::threadpool::ThreadPool;
-use dlrm_precision::split::SplitTensor;
 use dlrm_tensor::BlockedWeights;
 
 /// Plain FP32 SGD: `w -= lr * g`, single-threaded (SIMD over the row).
@@ -34,9 +33,10 @@ pub fn par_sgd_step(pool: &ThreadPool, w: &mut [f32], g: &[f32], lr: f32) {
 }
 
 /// Plain FP32 SGD on blocked weights against a *row-major* `K×C` gradient
-/// (a layer's span of a reduced DDP buffer, or a Reference-tier `dW`):
+/// (a layer's span of a reduced DDP buffer):
 /// `wb -= lr · g`, the team splitting `wb`'s panels. Bitwise equal to
-/// [`sgd_step`] on a flat mirror — see [`BlockedWeights::add_scaled_rows`].
+/// [`sgd_step`] on the row-major weights — see
+/// [`BlockedWeights::add_scaled_rows`].
 pub fn par_sgd_step_rows(pool: &ThreadPool, wb: &mut BlockedWeights, g: &[f32], lr: f32) {
     assert_eq!(g.len(), wb.k * wb.c, "par_sgd_step_rows length mismatch");
     let (blk, c) = (wb.blk, wb.c);
@@ -57,12 +57,6 @@ pub fn par_sgd_step_rows(pool: &ThreadPool, wb: &mut BlockedWeights, g: &[f32], 
     });
 }
 
-/// Split-SGD-BF16 step on a [`SplitTensor`] (delegates to the precision
-/// crate; provided here so callers depend on one kernels API).
-pub fn split_sgd_step(w: &mut SplitTensor, g: &[f32], lr: f32) {
-    w.sgd_step(g, lr);
-}
-
 /// SGD with per-parameter gradient averaging by `1/scale` — used by the
 /// data-parallel path where gradients arrive as sums over ranks.
 pub fn sgd_step_scaled(w: &mut [f32], g: &[f32], lr: f32, scale: f32) {
@@ -73,7 +67,6 @@ pub fn sgd_step_scaled(w: &mut [f32], g: &[f32], lr: f32, scale: f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlrm_precision::split::LoBits;
 
     #[test]
     fn basic_step() {
@@ -122,12 +115,5 @@ mod tests {
         let mut w = [0.0f32];
         sgd_step_scaled(&mut w, &[8.0], 0.5, 4.0); // avg grad = 2.0
         assert_eq!(w, [-1.0]);
-    }
-
-    #[test]
-    fn split_step_delegates() {
-        let mut t = SplitTensor::from_f32(&[1.0, -1.0], LoBits::Sixteen);
-        split_sgd_step(&mut t, &[1.0, 1.0], 0.25);
-        assert_eq!(t.to_f32_full(), vec![0.75, -1.25]);
     }
 }

@@ -95,7 +95,7 @@ pub(crate) struct LaneHalf {
 impl LaneHalf {
     /// The MLP replica every shard holds for `seed`, on `exec`'s team.
     fn new(cfg: &DlrmConfig, exec: Execution, core: Option<usize>, seed: u64) -> Self {
-        let mut bottom = Mlp::new(
+        let bottom = Mlp::new(
             cfg.dense_features,
             &cfg.bottom_mlp,
             Activation::Relu,
@@ -106,19 +106,12 @@ impl LaneHalf {
             cfg.emb_dim,
             "bottom MLP must project to the embedding dimension"
         );
-        let mut top = Mlp::new(
+        let top = Mlp::new(
             cfg.interaction_output_dim(),
             &cfg.top_mlp,
             Activation::None,
             &mut seeded_rng(seed, DlrmModel::TOP_STREAM),
         );
-        if matches!(exec, Execution::Optimized(_)) {
-            // Forward-only plan: pay the weight-packing cost once at load
-            // time, not on the first served request (bitwise-equal to the
-            // flat path per the packed-plan equivalence gate).
-            bottom.prepack_weights();
-            top.prepack_weights();
-        }
         LaneHalf {
             exec,
             core,

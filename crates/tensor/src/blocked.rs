@@ -218,8 +218,8 @@ impl BlockedWeights {
 
     /// Re-sizes this tensor to `k×c` under `blk` with *scratch* semantics
     /// (the backing allocation is reused whenever its capacity suffices; see
-    /// [`AlignedVec::resize_scratch`]) and packs `w` into it. The persistent
-    /// packed-plan path uses this so steady state is allocation-free.
+    /// [`AlignedVec::resize_scratch`]) and packs `w` into it. The Reference
+    /// tier packs each layer's `dW` this way, into the same buffer each step.
     pub fn pack_into(&mut self, w: &Matrix, blk: Blocking) {
         let (k, c) = w.shape();
         self.reshape_scratch(k, c, blk);
@@ -297,7 +297,7 @@ impl BlockedWeights {
     /// disjoint runs of one tensor at once.
     ///
     /// Separate multiply then add (no FMA contraction), so every element
-    /// sees exactly the arithmetic of `w += alpha * g` on a flat mirror: the
+    /// sees exactly the arithmetic of `w += alpha * g` on row-major `W`: the
     /// update is an elementwise permutation of the flat step and bitwise
     /// identical to it.
     pub fn add_scaled_rows(

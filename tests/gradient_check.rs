@@ -1,6 +1,11 @@
 //! End-to-end gradient check: finite differences through the *entire*
 //! DLRM (bottom MLP → embeddings → interaction → top MLP → BCE loss)
-//! against the analytic gradients the training step applies.
+//! against the analytic gradients the training step applies, on both
+//! execution tiers. A probe writes the blocked weight the forward reads;
+//! were that not the weight the model computes with, every MLP finite
+//! difference would be zero and agree with an equally frozen analytic
+//! gradient, so the check also requires a bottom and a top probe to move
+//! the loss.
 
 use dlrm::layers::Execution;
 use dlrm::model::DlrmModel;
@@ -9,6 +14,7 @@ use dlrm_data::{DlrmConfig, IndexDistribution, MiniBatch};
 use dlrm_kernels::embedding::UpdateStrategy;
 use dlrm_kernels::loss::bce_with_logits_loss;
 use dlrm_tensor::init::seeded_rng;
+use dlrm_tensor::BlockedWeights;
 
 fn tiny_cfg() -> DlrmConfig {
     let mut cfg = DlrmConfig::small().scaled_down(16, 1024);
@@ -22,18 +28,27 @@ fn tiny_cfg() -> DlrmConfig {
     cfg
 }
 
-fn model_and_batch() -> (DlrmModel, MiniBatch) {
+fn model_and_batch(exec: &Execution, strategy: UpdateStrategy) -> (DlrmModel, MiniBatch) {
     let cfg = tiny_cfg();
     let batch = MiniBatch::random(&cfg, 6, IndexDistribution::Uniform, &mut seeded_rng(31, 0));
-    let model = DlrmModel::new(
-        &cfg,
-        Execution::Reference,
-        UpdateStrategy::Reference,
-        PrecisionMode::Fp32,
-        8,
-    );
+    let model = DlrmModel::new(&cfg, exec.clone(), strategy, PrecisionMode::Fp32, 8);
     (model, batch)
 }
+
+/// The two tiers under check, with the update strategy each trains with.
+fn tiers() -> [(&'static str, Execution, UpdateStrategy); 2] {
+    [
+        ("Reference", Execution::Reference, UpdateStrategy::Reference),
+        (
+            "optimized(2)",
+            Execution::optimized(2),
+            UpdateStrategy::RaceFree,
+        ),
+    ]
+}
+
+/// A finite difference larger than this moved the loss.
+const MOVED: f64 = 1e-4;
 
 fn loss_of(model: &mut DlrmModel, batch: &MiniBatch) -> f64 {
     let logits = model.forward(batch);
@@ -67,43 +82,63 @@ fn full_model_gradients_match_finite_differences() {
         Probe::Table(1, 5, 2),
     ];
 
-    for (pi, probe) in probes.iter().enumerate() {
-        // Fresh model per probe: train_step mutates everything.
-        let (mut model, batch) = model_and_batch();
+    let at = |w: &BlockedWeights, r: usize, c: usize| w.as_slice()[w.index_of(r, c)];
+    let set = |w: &mut BlockedWeights, r: usize, c: usize, v: f32| {
+        let i = w.index_of(r, c);
+        w.as_mut_slice()[i] = v;
+    };
 
-        let read = |m: &DlrmModel| -> f32 {
+    for (tier, exec, strategy) in tiers() {
+        let (mut bottom_moved, mut top_moved) = (false, false);
+        for (pi, probe) in probes.iter().enumerate() {
+            // Fresh model per probe: train_step mutates everything.
+            let (mut model, batch) = model_and_batch(&exec, strategy);
+
+            let read = |m: &DlrmModel| -> f32 {
+                match probe {
+                    Probe::Bottom(l, r, c) => at(&m.bottom.layers[*l].w, *r, *c),
+                    Probe::Top(l, r, c) => at(&m.top.layers[*l].w, *r, *c),
+                    Probe::Table(t, r, c) => m.tables[*t].weight[(*r, *c)],
+                }
+            };
+            let write = |m: &mut DlrmModel, v: f32| match probe {
+                Probe::Bottom(l, r, c) => set(&mut m.bottom.layers[*l].w, *r, *c, v),
+                Probe::Top(l, r, c) => set(&mut m.top.layers[*l].w, *r, *c, v),
+                Probe::Table(t, r, c) => m.tables[*t].weight[(*r, *c)] = v,
+            };
+
+            // Finite difference of the loss.
+            let orig = read(&model);
+            write(&mut model, orig + h);
+            let lp = loss_of(&mut model, &batch);
+            write(&mut model, orig - h);
+            let lm = loss_of(&mut model, &batch);
+            write(&mut model, orig);
+            let fd = (lp - lm) / (2.0 * h as f64);
+
+            // Analytic gradient implied by one SGD step.
+            let before = read(&model);
+            let _ = model.train_step(&batch, lr);
+            let after = read(&model);
+            let analytic = implied_gradient(before, after, lr);
+
+            // Embedding-table probes may legitimately have zero gradient
+            // when the row was never looked up; the finite difference
+            // agrees (0≈0). So may an MLP weight behind a dead ReLU.
+            assert!(
+                (analytic - fd).abs() < 2e-3_f64.max(0.15 * fd.abs()),
+                "{tier} probe {pi}: analytic {analytic:.6} vs finite-difference {fd:.6}"
+            );
             match probe {
-                Probe::Bottom(l, r, c) => m.bottom.layers[*l].w[(*r, *c)],
-                Probe::Top(l, r, c) => m.top.layers[*l].w[(*r, *c)],
-                Probe::Table(t, r, c) => m.tables[*t].weight[(*r, *c)],
+                Probe::Bottom(..) => bottom_moved |= fd.abs() > MOVED,
+                Probe::Top(..) => top_moved |= fd.abs() > MOVED,
+                Probe::Table(..) => {}
             }
-        };
-        let write = |m: &mut DlrmModel, v: f32| match probe {
-            Probe::Bottom(l, r, c) => m.bottom.layers[*l].w[(*r, *c)] = v,
-            Probe::Top(l, r, c) => m.top.layers[*l].w[(*r, *c)] = v,
-            Probe::Table(t, r, c) => m.tables[*t].weight[(*r, *c)] = v,
-        };
-
-        // Finite difference of the loss.
-        let orig = read(&model);
-        write(&mut model, orig + h);
-        let lp = loss_of(&mut model, &batch);
-        write(&mut model, orig - h);
-        let lm = loss_of(&mut model, &batch);
-        write(&mut model, orig);
-        let fd = (lp - lm) / (2.0 * h as f64);
-
-        // Analytic gradient implied by one SGD step.
-        let before = read(&model);
-        let _ = model.train_step(&batch, lr);
-        let after = read(&model);
-        let analytic = implied_gradient(before, after, lr);
-
-        // Embedding-table probes may legitimately have zero gradient when
-        // the row was never looked up; the finite difference agrees (0≈0).
+        }
         assert!(
-            (analytic - fd).abs() < 2e-3_f64.max(0.15 * fd.abs()),
-            "probe {pi}: analytic {analytic:.6} vs finite-difference {fd:.6}"
+            bottom_moved && top_moved,
+            "{tier}: no bottom (moved: {bottom_moved}) or no top (moved: {top_moved}) MLP \
+             probe moved the loss by |fd| > {MOVED}, so the check measured nothing"
         );
     }
 }
@@ -112,7 +147,7 @@ fn full_model_gradients_match_finite_differences() {
 fn at_least_one_table_row_receives_gradient() {
     // Guard that the previous test exercises real embedding gradients.
     let lr = 0.1f32;
-    let (mut model, batch) = model_and_batch();
+    let (mut model, batch) = model_and_batch(&Execution::Reference, UpdateStrategy::Reference);
     let before: Vec<Vec<f32>> = model
         .tables
         .iter()
