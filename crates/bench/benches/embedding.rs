@@ -100,17 +100,15 @@ fn bench_fused(c: &mut Criterion) {
             );
         });
     });
-    for strategy in [UpdateStrategy::RaceFree, UpdateStrategy::Bucketed] {
-        group.bench_function(BenchmarkId::new("fused", strategy.to_string()), |b| {
-            let mut w = s.w.clone();
-            let mut plan = embedding::BagPlan::new();
-            b.iter(|| {
-                embedding::backward_update(
-                    &pool, strategy, &mut w, &s.dy, &s.indices, &s.offsets, -0.001, &mut plan,
-                )
-            });
+    let strategy = UpdateStrategy::RaceFree;
+    group.bench_function(BenchmarkId::new("fused", strategy.to_string()), |b| {
+        let mut w = s.w.clone();
+        b.iter(|| {
+            embedding::backward_update(
+                &pool, strategy, &mut w, &s.dy, &s.indices, &s.offsets, -0.001,
+            )
         });
-    }
+    });
     group.finish();
 }
 

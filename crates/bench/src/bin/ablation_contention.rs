@@ -38,13 +38,7 @@ fn main() {
         ),
     ];
 
-    let mut t = Table::new(&[
-        "distribution",
-        "Atomic XCHG",
-        "RTM",
-        "Race Free",
-        "Bucketed",
-    ]);
+    let mut t = Table::new(&["distribution", "Atomic XCHG", "RTM", "Race Free"]);
     for (name, dist) in dists {
         let mut rng = seeded_rng(7, 0);
         let w0 = uniform(m, e, -0.1, 0.1, &mut rng);
@@ -58,7 +52,6 @@ fn main() {
             UpdateStrategy::AtomicXchg,
             UpdateStrategy::Rtm,
             UpdateStrategy::RaceFree,
-            UpdateStrategy::Bucketed,
         ] {
             let mut w: Matrix = w0.clone();
             let secs = time_it(1, iters, || {

@@ -42,20 +42,19 @@ fn main() {
         );
     });
 
-    // The train step's kernel. `RaceFree` scans, `Bucketed` plans (the
-    // per-batch plan build is part of the cost; its buffers are reused, as
-    // in the layer).
-    let mut plan = embedding::BagPlan::new();
-    let mut fused = |strategy| {
-        let mut w = w0.clone();
-        time_it(1, 5, || {
-            embedding::backward_update(
-                &pool, strategy, &mut w, &dy, &indices, &offsets, -0.01, &mut plan,
-            );
-        })
-    };
-    let t_fused = fused(UpdateStrategy::RaceFree);
-    let t_planned = fused(UpdateStrategy::Bucketed);
+    // The train step's kernel.
+    let mut w = w0.clone();
+    let t_fused = time_it(1, 5, || {
+        embedding::backward_update(
+            &pool,
+            UpdateStrategy::RaceFree,
+            &mut w,
+            &dy,
+            &indices,
+            &offsets,
+            -0.01,
+        );
+    });
 
     let mut t = Table::new(&["variant", "time/iter", "speedup"]);
     t.row(vec![
@@ -67,11 +66,6 @@ fn main() {
         "fused (Race Free)".into(),
         fmt_time(t_fused),
         fmt_speedup(t_unfused / t_fused),
-    ]);
-    t.row(vec![
-        "fused (Bucketed)".into(),
-        fmt_time(t_planned),
-        fmt_speedup(t_unfused / t_planned),
     ]);
     t.print();
     println!(

@@ -12,16 +12,13 @@
 //!   caller that interleaves work between rows (the serving cache) pays;
 //! * unfused update GUPS for every `UpdateStrategy` × ISA tier on a uniform
 //!   index stream (Figure 7's kernel);
-//! * race-free vs bucketed on a *clustered* stream (0.1% hot rows, 90%
-//!   hot) — the workload where race-free's O(NS·T) full scan loses to the
-//!   plan's O(NS) bucketing;
 //! * the fused backward+update the train step runs
 //!   (`embedding::backward_update`), every strategy.
 //!
 //! The thread team is deliberately fixed (not `available_parallelism`):
 //! race-free's redundant scan cost scales with T whether or not the host
-//! has T cores, so the bucketed-vs-race-free contrast is a property of the
-//! algorithm, not of the machine the bench happens to run on.
+//! has T cores, so its figures are a property of the algorithm at T = 8,
+//! not of the machine the bench happens to run on.
 //!
 //! Before timing, every optimized path is checked for numerical
 //! equivalence against `UpdateStrategy::Reference` (allclose 1e-5;
@@ -37,7 +34,7 @@
 use dlrm_bench::{header, time_it, validate_artifact, HarnessOpts, Table};
 use dlrm_data::IndexDistribution;
 use dlrm_kernels::embedding::rowops::{self, available_isas};
-use dlrm_kernels::embedding::{self, BagPlan, UpdateStrategy};
+use dlrm_kernels::embedding::{self, UpdateStrategy};
 use dlrm_kernels::gemm::micro::{set_isa_override, Isa};
 use dlrm_kernels::ThreadPool;
 use dlrm_tensor::init::{seeded_rng, uniform};
@@ -100,7 +97,6 @@ fn strategy_key(s: UpdateStrategy) -> &'static str {
         UpdateStrategy::AtomicXchg => "atomic_xchg",
         UpdateStrategy::Rtm => "rtm",
         UpdateStrategy::RaceFree => "race_free",
-        UpdateStrategy::Bucketed => "bucketed",
     }
 }
 
@@ -201,7 +197,7 @@ fn equivalence_gate(pool: &ThreadPool) -> bool {
         let mut got = w0.clone();
         embedding::update(pool, strat, &mut got, &dw, &indices, alpha);
         assert_allclose(got.as_slice(), want.as_slice(), 1e-5, strategy_key(strat));
-        if matches!(strat, UpdateStrategy::RaceFree | UpdateStrategy::Bucketed) {
+        if strat == UpdateStrategy::RaceFree {
             assert_eq!(got.as_slice(), want.as_slice(), "{strat} bit-exactness");
         }
     }
@@ -227,12 +223,9 @@ fn equivalence_gate(pool: &ThreadPool) -> bool {
         &indices,
         alpha,
     );
-    let mut plan = BagPlan::new();
     for strat in UpdateStrategy::ALL {
         let mut got = w0.clone();
-        embedding::backward_update(
-            pool, strat, &mut got, &dy, &indices, &offsets, alpha, &mut plan,
-        );
+        embedding::backward_update(pool, strat, &mut got, &dy, &indices, &offsets, alpha);
         assert_allclose(got.as_slice(), want_f.as_slice(), 1e-5, "fused");
         if !matches!(strat, UpdateStrategy::AtomicXchg | UpdateStrategy::Rtm) {
             assert_eq!(got.as_slice(), want_f.as_slice(), "fused {strat}");
@@ -275,14 +268,6 @@ fn main() {
     println!("equivalence gate: all optimized paths match Reference");
 
     let uni = workload(IndexDistribution::Uniform, &s, 5);
-    let clu = workload(
-        IndexDistribution::Clustered {
-            hot_fraction: 0.001,
-            hot_prob: 0.9,
-        },
-        &s,
-        6,
-    );
     let ns = uni.indices.len();
     let mut rng = seeded_rng(7, 2);
     let w0 = uniform(s.m, s.e, -0.1, 0.1, &mut rng);
@@ -363,35 +348,8 @@ fn main() {
     }
     t.print();
 
-    // ---- Clustered workload: race-free full scan vs bucketed plan. ------
-    let mut w = w0.clone();
-    let rf_secs = time_it(s.warmup, s.iters, || {
-        embedding::update(
-            &pool,
-            UpdateStrategy::RaceFree,
-            &mut w,
-            &dw,
-            &clu.indices,
-            alpha,
-        );
-    });
-    let mut w = w0.clone();
-    let mut plan = BagPlan::new();
-    let bu_secs = time_it(s.warmup, s.iters, || {
-        plan.build(&pool, &clu.indices, s.m);
-        embedding::update_bucketed(&pool, &mut w, &dw, &clu.indices, alpha, &plan);
-    });
-    let rf_gups = gups(ns, s.e, rf_secs);
-    let bu_gups = gups(ns, s.e, bu_secs);
-    let clustered_speedup = rf_secs / bu_secs.max(f64::MIN_POSITIVE);
-    println!(
-        "\nclustered (0.1% hot / 90%): race-free {rf_gups:.3} GUPS, bucketed {bu_gups:.3} GUPS \
-         -> {clustered_speedup:.2}x (plan: O(NS) lookups walked, scan: O(NS*T))"
-    );
-
     // ---- Fused backward+update, every strategy (uniform, native tier). --
     let mut fused_gups: Vec<(String, f64)> = Vec::new();
-    let mut fplan = BagPlan::new();
     for strat in UpdateStrategy::ALL {
         let mut w = w0.clone();
         let secs = time_it(s.warmup, s.iters, || {
@@ -403,7 +361,6 @@ fn main() {
                 &uni.indices,
                 &uni.offsets,
                 alpha,
-                &mut fplan,
             );
         });
         fused_gups.push((strategy_key(strat).to_string(), gups(ns, s.e, secs)));
@@ -430,7 +387,6 @@ fn main() {
          \"forward_gups\": {},\n  \
          \"forward_per_row_gups\": {},\n  \
          \"update_gups\": {{{}}},\n  \
-         \"clustered\": {{\"race_free_gups\": {rf_gups:.4}, \"bucketed_gups\": {bu_gups:.4}, \"bucketed_vs_racefree_speedup\": {clustered_speedup:.4}}},\n  \
          \"fused_gups\": {},\n  \
          \"simd_vs_scalar_forward_ratio\": {simd_ratio:.4},\n  \
          \"bag_vs_per_row_forward_ratio\": {bag_ratio:.4},\n  \

@@ -34,9 +34,6 @@ fn main() {
         let rows = run_config(&cfg, dist, threads, iters);
         let ref_ms = rows[0].ms_per_iter;
         let ref_emb_ms = rows[0].ms_per_iter * rows[0].split.0;
-        // Look the paper bar up by label: measured rows now include bars
-        // (e.g. Bucketed) that Figure 7 has no counterpart for, and a
-        // positional zip would silently drop them.
         for row in rows.iter() {
             let paper_ms = paper::fig7::ROWS
                 .iter()

@@ -168,8 +168,6 @@ const SCHEMAS: [Schema; 6] = [
             "forward_gups",
             "forward_per_row_gups",
             "update_gups",
-            "clustered",
-            "bucketed_vs_racefree_speedup",
             "fused_gups",
             "simd_vs_scalar_forward_ratio",
             "bag_vs_per_row_forward_ratio",
@@ -498,8 +496,7 @@ mod tests {
   "forward_gups": {"scalar": 0.1},
   "forward_per_row_gups": {"scalar": 0.1},
   "update_gups": {"race_free": {"scalar": 0.1}},
-  "clustered": {"race_free_gups": 0.1, "bucketed_gups": 0.2, "bucketed_vs_racefree_speedup": 2.0},
-  "fused_gups": {"race_free": 0.1, "bucketed": 0.2},
+  "fused_gups": {"race_free": 0.1},
   "simd_vs_scalar_forward_ratio": 1.0,
   "bag_vs_per_row_forward_ratio": 1.0,
   "thp_mode": "never", "table_mb": 0.00016, "anon_huge_mb": 0.0,
@@ -518,7 +515,7 @@ mod tests {
         let failed_gate = r#"{
   "bench": "embedding", "smoke": false, "threads": 8, "config": {},
   "isa_tiers": [], "forward_gups": {}, "forward_per_row_gups": {}, "update_gups": {},
-  "clustered": {"bucketed_vs_racefree_speedup": 1.0}, "fused_gups": {},
+  "fused_gups": {},
   "simd_vs_scalar_forward_ratio": 1.0, "bag_vs_per_row_forward_ratio": 1.0,
   "thp_mode": "never", "table_mb": 0.0, "anon_huge_mb": 0.0,
   "equivalence_ok": false

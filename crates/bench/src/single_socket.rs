@@ -90,8 +90,7 @@ pub fn measure(
     }
 }
 
-/// Runs all four Figure 7 bars for one config, plus this repo's `Bucketed`
-/// refinement as a fifth.
+/// Runs all four Figure 7 bars for one config.
 pub fn run_config(
     cfg: &DlrmConfig,
     dist: IndexDistribution,
@@ -113,7 +112,6 @@ pub fn run_config(
         UpdateStrategy::AtomicXchg,
         UpdateStrategy::Rtm,
         UpdateStrategy::RaceFree,
-        UpdateStrategy::Bucketed,
     ] {
         rows.push(measure(
             cfg,

@@ -11,9 +11,7 @@
 //! * **alltoall** uses the pairwise-exchange schedule (`R−1` rounds, partner
 //!   `(rank ± s) mod R`), the pattern whose per-link volume drops `4×` per
 //!   rank doubling in strong scaling (Eq. 2 discussion).
-//! * **broadcast** is a binomial tree; **scatter/gather** are rooted linear
-//!   exchanges (they model the paper's "ScatterList" strategy, which is
-//!   deliberately the slow path).
+//! * **broadcast** is a binomial tree.
 //!
 //! # Wire precision
 //!
@@ -45,8 +43,6 @@ const TAG_AG: u64 = 0x0200_0000;
 /// Public: the engine routes explicitly-tagged alltoalls by base.
 pub const TAG_A2A: u64 = 0x0300_0000;
 const TAG_BCAST: u64 = 0x0400_0000;
-const TAG_SCATTER: u64 = 0x0500_0000;
-const TAG_GATHER: u64 = 0x0600_0000;
 /// Tag base for prefetch row-fetch alltoalls (see `dlrm-dist::prefetch`).
 pub const TAG_PREFETCH: u64 = 0x0700_0000;
 
@@ -306,47 +302,6 @@ pub fn broadcast(comm: &Communicator, root: usize, data: &mut Vec<f32>) {
     }
 }
 
-/// Rooted scatter: root provides one payload per rank; every rank receives
-/// its part. This is one "scatter" of the paper's ScatterList strategy.
-pub fn scatter(comm: &Communicator, root: usize, parts: Option<Vec<Vec<f32>>>) -> Vec<f32> {
-    let r = comm.nranks();
-    let me = comm.rank();
-    if me == root {
-        let mut parts = parts.expect("root must supply scatter payloads");
-        assert_eq!(parts.len(), r, "scatter needs one payload per rank");
-        #[allow(clippy::needless_range_loop)] // dst is a rank id, not just an index
-        for dst in 0..r {
-            if dst != root {
-                comm.send(dst, TAG_SCATTER, std::mem::take(&mut parts[dst]));
-            }
-        }
-        std::mem::take(&mut parts[root])
-    } else {
-        comm.recv(root, TAG_SCATTER)
-    }
-}
-
-/// Rooted gather: every rank contributes `mine`; the root receives all
-/// payloads in rank order.
-pub fn gather(comm: &Communicator, root: usize, mine: Vec<f32>) -> Option<Vec<Vec<f32>>> {
-    let r = comm.nranks();
-    let me = comm.rank();
-    if me == root {
-        let mut out: Vec<Vec<f32>> = (0..r).map(|_| Vec::new()).collect();
-        out[root] = mine;
-        #[allow(clippy::needless_range_loop)] // src is a rank id, not just an index
-        for src in 0..r {
-            if src != root {
-                out[src] = comm.recv(src, TAG_GATHER);
-            }
-        }
-        Some(out)
-    } else {
-        comm.send(root, TAG_GATHER, mine);
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,28 +431,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn scatter_distributes_parts() {
-        let out = CommWorld::run(4, |c| {
-            let parts =
-                (c.rank() == 1).then(|| (0..4).map(|d| vec![d as f32; d + 1]).collect::<Vec<_>>());
-            scatter(&c, 1, parts)
-        });
-        for (rk, got) in out.iter().enumerate() {
-            assert_eq!(got, &vec![rk as f32; rk + 1]);
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let out = CommWorld::run(3, |c| gather(&c, 2, vec![c.rank() as f32]));
-        assert!(out[0].is_none() && out[1].is_none());
-        assert_eq!(
-            out[2].as_ref().unwrap(),
-            &vec![vec![0.0], vec![1.0], vec![2.0]]
-        );
     }
 
     fn quantize_ref(v: &[f32]) -> Vec<f32> {
@@ -1021,19 +954,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn scatter_then_gather_round_trips() {
-        let out = CommWorld::run(4, |c| {
-            let parts =
-                (c.rank() == 0).then(|| (0..4).map(|d| vec![d as f32 * 3.0]).collect::<Vec<_>>());
-            let mine = scatter(&c, 0, parts);
-            gather(&c, 0, mine)
-        });
-        assert_eq!(
-            out[0].as_ref().unwrap(),
-            &vec![vec![0.0], vec![3.0], vec![6.0], vec![9.0]]
-        );
     }
 }

@@ -147,8 +147,6 @@ pub struct WireStats {
     allgather: AtomicU64,
     alltoall: AtomicU64,
     broadcast: AtomicU64,
-    scatter: AtomicU64,
-    gather: AtomicU64,
     prefetch: AtomicU64,
     other: AtomicU64,
     /// On-wire metadata (INT8 scale headers) across all classes; always
@@ -169,10 +167,6 @@ pub struct WireSnapshot {
     pub alltoall_bytes: u64,
     /// Bytes sent by broadcasts.
     pub broadcast_bytes: u64,
-    /// Bytes sent by rooted scatters.
-    pub scatter_bytes: u64,
-    /// Bytes sent by rooted gathers.
-    pub gather_bytes: u64,
     /// Bytes sent by prefetch row-fetch exchanges (the dist trainer's
     /// lookahead pipeline; tag base `TAG_PREFETCH`).
     pub prefetch_bytes: u64,
@@ -196,8 +190,6 @@ impl WireSnapshot {
             + self.allgather_bytes
             + self.alltoall_bytes
             + self.broadcast_bytes
-            + self.scatter_bytes
-            + self.gather_bytes
             + self.prefetch_bytes
             + self.other_bytes
     }
@@ -226,8 +218,6 @@ impl WireStats {
             0x02 => &self.allgather,
             0x03 => &self.alltoall,
             0x04 => &self.broadcast,
-            0x05 => &self.scatter,
-            0x06 => &self.gather,
             0x07 => &self.prefetch,
             _ => &self.other,
         };
@@ -245,8 +235,6 @@ impl WireStats {
             allgather_bytes: self.allgather.load(Ordering::Relaxed),
             alltoall_bytes: self.alltoall.load(Ordering::Relaxed),
             broadcast_bytes: self.broadcast.load(Ordering::Relaxed),
-            scatter_bytes: self.scatter.load(Ordering::Relaxed),
-            gather_bytes: self.gather.load(Ordering::Relaxed),
             prefetch_bytes: self.prefetch.load(Ordering::Relaxed),
             other_bytes: self.other.load(Ordering::Relaxed),
             header_bytes: self.headers.load(Ordering::Relaxed),
@@ -261,8 +249,6 @@ impl WireStats {
             &self.allgather,
             &self.alltoall,
             &self.broadcast,
-            &self.scatter,
-            &self.gather,
             &self.prefetch,
             &self.other,
             &self.headers,

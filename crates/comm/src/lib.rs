@@ -9,7 +9,7 @@
 //! * [`collectives`] — blocking collectives built on point-to-point
 //!   messages: ring allreduce (materialized as reduce-scatter + allgather,
 //!   exactly as the paper does), ring reduce-scatter / allgather, pairwise
-//!   alltoall(v), binomial-tree broadcast, scatter and gather.
+//!   alltoall(v) and binomial-tree broadcast.
 //! * [`nonblocking`] — progress-thread engines that replicate the two
 //!   communication backends the paper compares:
 //!   [`nonblocking::Backend::MpiLike`] drives everything through **one**

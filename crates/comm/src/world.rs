@@ -499,8 +499,8 @@ impl Communicator {
     }
 
     /// Releases all delayed traffic immediately. Callers that hand control
-    /// away from the comm layer after send-terminated operations (a rooted
-    /// scatter, a broadcast) and then wait on something else — e.g. a
+    /// away from the comm layer after send-terminated operations (a
+    /// broadcast) and then wait on something else — e.g. a
     /// nonblocking [`crate::nonblocking::Request`] — should flush first so
     /// peers never wait on held messages.
     pub fn flush_delayed(&self) {

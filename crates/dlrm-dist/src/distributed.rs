@@ -164,8 +164,6 @@ impl WireConfig {
 pub struct DistOptions {
     /// Embedding-exchange strategy.
     pub strategy: ExchangeStrategy,
-    /// Embedding update strategy on each rank.
-    pub update: UpdateStrategy,
     /// Size of each rank's compute team, the rank thread included: it is
     /// member 0 and `threads_per_rank − 1` workers are spawned beside it,
     /// so with 1 a rank computes on its own thread and spawns none.
@@ -190,7 +188,6 @@ impl Default for DistOptions {
     fn default() -> Self {
         DistOptions {
             strategy: ExchangeStrategy::Alltoall,
-            update: UpdateStrategy::RaceFree,
             threads_per_rank: default_threads_per_rank(),
             seed: 0,
             schedule: Schedule::Overlapped,
@@ -215,7 +212,8 @@ pub struct DistDlrm {
     pub bottom: Mlp,
     /// Replicated top MLP.
     pub top: Mlp,
-    /// `(global_table_index, layer)` for each owned table.
+    /// `(global_table_index, layer)` for each owned table, updated with
+    /// the fused race-free kernel.
     pub local_tables: Vec<(usize, EmbeddingLayer)>,
     /// Which rank owns which table — built once, shared by both exchanges.
     ownership: OwnershipMap,
@@ -273,7 +271,10 @@ impl DistDlrm {
         let local_tables: Vec<(usize, EmbeddingLayer)> = ownership
             .tables_of(comm.rank())
             .iter()
-            .map(|&t| (t, DlrmModel::build_table(cfg, t, opts.update, opts.seed)))
+            .map(|&t| {
+                let table = DlrmModel::build_table(cfg, t, UpdateStrategy::RaceFree, opts.seed);
+                (t, table)
+            })
             .collect();
         let (grad_offs, grad_total) = grad_offsets(&[&bottom, &top]);
         let prefetch = match opts.prefetch {
@@ -291,16 +292,6 @@ impl DistDlrm {
                     opts.wire.backward_alltoall,
                     WirePrecision::Fp32,
                     "prefetch requires an FP32 backward wire: dest and owner must apply identical gradients"
-                );
-                assert!(
-                    matches!(
-                        opts.update,
-                        UpdateStrategy::Reference
-                            | UpdateStrategy::RaceFree
-                            | UpdateStrategy::Bucketed
-                    ),
-                    "prefetch requires a per-row-deterministic update strategy, got {}",
-                    opts.update
                 );
                 Some(PrefetchState::new(cfg, comm.nranks(), comm.rank(), window))
             }
@@ -1016,27 +1007,17 @@ mod tests {
     fn prefetch_rejects_unsound_configurations() {
         let cfg = tiny_cfg();
         let batches = global_batches(&cfg, 8, 1);
-        for opts in [
-            // Non-deterministic per-row update order.
-            DistOptions {
-                prefetch: Prefetch::Lookahead { window: 2 },
-                update: UpdateStrategy::AtomicXchg,
-                threads_per_rank: 1,
-                ..Default::default()
-            },
-            // Quantized backward wire: dest and owner would disagree.
-            DistOptions {
-                prefetch: Prefetch::Lookahead { window: 2 },
-                wire: WireConfig::all(WirePrecision::Bf16),
-                threads_per_rank: 1,
-                ..Default::default()
-            },
-        ] {
-            let result = std::panic::catch_unwind(|| {
-                let _ = run_training(&cfg, 2, &opts, &batches, 0.1);
-            });
-            assert!(result.is_err(), "unsound prefetch config must be rejected");
-        }
+        // Quantized backward wire: dest and owner would disagree.
+        let opts = DistOptions {
+            prefetch: Prefetch::Lookahead { window: 2 },
+            wire: WireConfig::all(WirePrecision::Bf16),
+            threads_per_rank: 1,
+            ..Default::default()
+        };
+        let result = std::panic::catch_unwind(|| {
+            let _ = run_training(&cfg, 2, &opts, &batches, 0.1);
+        });
+        assert!(result.is_err(), "unsound prefetch config must be rejected");
     }
 
     /// A single-rank trainer: the front-end guards fire before any

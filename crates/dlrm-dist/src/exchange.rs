@@ -1,5 +1,5 @@
-//! The four embedding-exchange strategies of Section IV-B, as one
-//! split-phase (begin/finish) exchange parameterised by direction.
+//! The embedding exchange of Section IV-B, as one split-phase
+//! (begin/finish) alltoall parameterised by direction.
 //!
 //! After the model-parallel embedding forward, rank `q` holds, for each of
 //! its tables, the bag outputs of the *whole* global minibatch (`GN×E`).
@@ -7,10 +7,10 @@
 //! *every* table's output ([`Direction::Forward`]). The backward pass needs
 //! the reverse mapping for the gradients ([`Direction::Backward`]).
 //!
-//! All strategies move exactly the same Eq. 2 volume; they differ in call
-//! structure (S scatters vs R scatters vs 1 alltoall) and in which backend
-//! drives them — exactly the contrast Figures 9/12 quantify in time. Here,
-//! in the functional substrate, they must all produce identical tensors.
+//! Both strategies move exactly the same Eq. 2 volume in one alltoall; they
+//! differ in which backend drives it, and must produce identical tensors.
+//! The paper's two rooted strategies (one scatter per table, one per owner)
+//! are timed for Figures 9/12 by `dlrm_clustersim::Strategy`, not run here.
 //!
 //! # Split-phase structure
 //!
@@ -26,14 +26,13 @@
 //!
 //! The two directions are the same exchange read in opposite senses, so
 //! there is one of each half: what differs by direction is which blocks a
-//! peer's payload concatenates (pack), where an arrived block lands
-//! (assemble), and whether a rooted strategy scatters or gathers. The
-//! alltoall strategies are written once. Who owns which table comes from
-//! the caller's [`OwnershipMap`], built once per trainer.
+//! peer's payload concatenates (pack) and where an arrived block lands
+//! (assemble). Who owns which table comes from the caller's
+//! [`OwnershipMap`], built once per trainer.
 //!
 //! Only [`ExchangeStrategy::CclAlltoall`] with an engine is genuinely in
-//! flight after `begin`; the blocking strategies defer their collective to
-//! `finish` (they have no progress thread to run on — the paper's blocking
+//! flight after `begin`; the blocking alltoall defers its collective to
+//! `finish` (it has no progress thread to run on — the paper's blocking
 //! MPI behaviour). Either way the exposed communication time is what
 //! `finish` measures.
 
@@ -48,10 +47,6 @@ use dlrm_topology::OwnershipMap;
 /// Strategy for the embedding exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeStrategy {
-    /// One scatter per table (the original multi-device DLRM code).
-    ScatterList,
-    /// One scatter per owner rank, tables coalesced into one buffer.
-    FusedScatter,
     /// One native pairwise alltoall (blocking).
     Alltoall,
     /// The alltoall submitted to a CCL-like multi-channel progress engine —
@@ -63,19 +58,13 @@ pub enum ExchangeStrategy {
 
 impl ExchangeStrategy {
     /// All strategies in the figures' order.
-    pub const ALL: [ExchangeStrategy; 4] = [
-        ExchangeStrategy::ScatterList,
-        ExchangeStrategy::FusedScatter,
-        ExchangeStrategy::Alltoall,
-        ExchangeStrategy::CclAlltoall,
-    ];
+    pub const ALL: [ExchangeStrategy; 2] =
+        [ExchangeStrategy::Alltoall, ExchangeStrategy::CclAlltoall];
 }
 
 impl std::fmt::Display for ExchangeStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
-            ExchangeStrategy::ScatterList => "ScatterList",
-            ExchangeStrategy::FusedScatter => "Fused Scatter",
             ExchangeStrategy::Alltoall => "Alltoall",
             ExchangeStrategy::CclAlltoall => "CCL Alltoall",
         };
@@ -139,14 +128,6 @@ enum PendingState {
     /// with the captured wire precision and INT8 scale-group length (the
     /// per-table `n × E` block, so each table gets its own scale).
     DeferredAlltoall(Vec<Vec<f32>>, WirePrecision, usize),
-    /// Per-table rooted scatter/gather payloads (forward: `Some(parts)` on
-    /// the owner; backward: one payload per table). Always FP32 on the
-    /// wire: the rooted scatter/gather strategies model the legacy paths
-    /// the paper replaces, so they never take the BF16 fast path.
-    DeferredPerTable(Vec<Option<Vec<Vec<f32>>>>),
-    /// Per-root coalesced payloads (fused scatter/gather). FP32-only, as
-    /// above.
-    DeferredPerRoot(Vec<Vec<f32>>),
 }
 
 /// An embedding exchange between [`begin`] and [`finish`].
@@ -163,9 +144,8 @@ pub struct PendingExchange {
 /// (ascending global index). Backward: `mats[t]` is this rank's `n×E`
 /// gradient for global table `t`. Packing time is charged to
 /// `Alltoall-Framework`; an engine-driven alltoall is in flight when this
-/// returns, the blocking strategies run at `finish`. `wire` selects the
-/// on-wire element format of the alltoall strategies (the rooted
-/// scatter/gather strategies always ship FP32).
+/// returns, the blocking one runs at `finish`. `wire` selects the on-wire
+/// element format.
 #[allow(clippy::too_many_arguments)] // one entry for both directions
 pub fn begin(
     dir: Direction,
@@ -221,44 +201,13 @@ pub fn begin(
         }
     };
 
-    let state = time_opt(rec, OpKind::AlltoallFramework, || match strategy {
-        ExchangeStrategy::Alltoall | ExchangeStrategy::CclAlltoall => {
-            let send: Vec<Vec<f32>> = (0..r).map(pack_for).collect();
-            match (strategy, engine) {
-                (ExchangeStrategy::CclAlltoall, Some(eng)) => {
-                    PendingState::InFlight(eng.alltoall_wire_tagged(
-                        EXCHANGE_CHANNEL,
-                        send,
-                        wire,
-                        collectives::TAG_A2A,
-                        chunk,
-                    ))
-                }
-                _ => PendingState::DeferredAlltoall(send, wire, chunk),
-            }
-        }
-        ExchangeStrategy::ScatterList => {
-            // Forward: the owner splits its table into one part per rank.
-            // Backward, the reverse of a scatter is a gather: one payload
-            // per table from every rank.
-            let parts = (0..map.num_tables())
-                .map(|t| match dir {
-                    Direction::Forward => (map.owner_of(t) == me).then(|| {
-                        let out = mats[map.local_index(t)].as_slice();
-                        (0..r)
-                            .map(|p| out[p * chunk..(p + 1) * chunk].to_vec())
-                            .collect()
-                    }),
-                    Direction::Backward => Some(vec![mats[t].as_slice().to_vec()]),
-                })
-                .collect();
-            PendingState::DeferredPerTable(parts)
-        }
-        ExchangeStrategy::FusedScatter => {
-            // Forward: my own root scatter sends pack_for(p) to each p (the
-            // other roots' scatters need no payload from us). Backward: one
-            // gather per owner with its tables coalesced.
-            PendingState::DeferredPerRoot((0..r).map(pack_for).collect())
+    let state = time_opt(rec, OpKind::AlltoallFramework, || {
+        let send: Vec<Vec<f32>> = (0..r).map(pack_for).collect();
+        match (strategy, engine) {
+            (ExchangeStrategy::CclAlltoall, Some(eng)) => PendingState::InFlight(
+                eng.alltoall_wire_tagged(EXCHANGE_CHANNEL, send, wire, collectives::TAG_A2A, chunk),
+            ),
+            _ => PendingState::DeferredAlltoall(send, wire, chunk),
         }
     });
     PendingExchange {
@@ -326,61 +275,6 @@ pub fn finish(
             time_opt(rec, OpKind::AlltoallWait, || {
                 collectives::alltoall_wire_tagged(comm, send, wire, collectives::TAG_A2A, group)
             })
-        }
-        PendingState::DeferredPerRoot(mut parts) => {
-            // One scatter (forward) or gather (backward) per owner with all
-            // its tables coalesced.
-            let mut recv: Vec<Vec<f32>> = (0..r).map(|_| Vec::new()).collect();
-            for root in 0..r {
-                time_opt(rec, OpKind::AlltoallWait, || match dir {
-                    Direction::Forward => {
-                        let mine_parts = (root == me).then(|| std::mem::take(&mut parts));
-                        recv[root] = collectives::scatter(comm, root, mine_parts);
-                    }
-                    Direction::Backward => {
-                        let payload = std::mem::take(&mut parts[root]);
-                        if let Some(per_rank) = collectives::gather(comm, root, payload) {
-                            recv = per_rank;
-                        }
-                    }
-                });
-            }
-            recv
-        }
-        PendingState::DeferredPerTable(parts) => {
-            // One scatter (forward) or gather (backward) per table, rooted
-            // at its owner, in global table order; each lands on arrival.
-            for (t, slot) in parts.into_iter().enumerate() {
-                let root = map.owner_of(t);
-                match dir {
-                    Direction::Forward => {
-                        let slice = time_opt(rec, OpKind::AlltoallWait, || {
-                            collectives::scatter(comm, root, slot)
-                        });
-                        time_opt(rec, OpKind::AlltoallFramework, || {
-                            out[t].as_mut_slice().copy_from_slice(&slice)
-                        });
-                    }
-                    Direction::Backward => {
-                        let payload = slot
-                            .and_then(|mut v| v.pop())
-                            .expect("backward scatter-list payload");
-                        let gathered = time_opt(rec, OpKind::AlltoallWait, || {
-                            collectives::gather(comm, root, payload)
-                        });
-                        assert_eq!(gathered.is_some(), root == me, "gather returns at root");
-                        if let Some(per_rank) = gathered {
-                            time_opt(rec, OpKind::AlltoallFramework, || {
-                                let full = out[map.local_index(t)].as_mut_slice();
-                                for (p, part) in per_rank.iter().enumerate() {
-                                    full[p * chunk..(p + 1) * chunk].copy_from_slice(part);
-                                }
-                            });
-                        }
-                    }
-                }
-            }
-            return;
         }
     };
     time_opt(rec, OpKind::AlltoallFramework, || assemble(&recv, out));
@@ -540,42 +434,37 @@ mod tests {
     #[test]
     fn backward_exchange_reassembles_rank_slices() {
         let (nranks, num_tables, local_n, e) = (3usize, 5usize, 2usize, 2usize);
-        for strategy in [
-            ExchangeStrategy::ScatterList,
-            ExchangeStrategy::FusedScatter,
-            ExchangeStrategy::Alltoall,
-        ] {
-            let out = CommWorld::run(nranks, |comm| {
-                let me = comm.rank();
-                // grad for table t from rank r: constant r*10 + t.
-                let grads: Vec<Matrix> = (0..num_tables)
-                    .map(|t| Matrix::from_fn(local_n, e, |_, _| (me * 10 + t) as f32))
-                    .collect();
-                backward_exchange(
-                    strategy,
-                    &comm,
-                    None,
-                    &grads,
-                    num_tables,
-                    local_n,
-                    e,
-                    WirePrecision::Fp32,
-                )
-            });
-            for (rank, full_grads) in out.iter().enumerate() {
-                let mine = tables_of(num_tables, nranks, rank);
-                assert_eq!(full_grads.len(), mine.len(), "{strategy}");
-                for (j, &t) in mine.iter().enumerate() {
-                    let g = &full_grads[j];
-                    assert_eq!(g.rows(), local_n * nranks);
-                    for p in 0..nranks {
-                        for row in 0..local_n {
-                            assert_eq!(
-                                g[(p * local_n + row, 0)],
-                                (p * 10 + t) as f32,
-                                "{strategy}: owner {rank} table {t} from rank {p}"
-                            );
-                        }
+        let strategy = ExchangeStrategy::Alltoall;
+        let out = CommWorld::run(nranks, |comm| {
+            let me = comm.rank();
+            // grad for table t from rank r: constant r*10 + t.
+            let grads: Vec<Matrix> = (0..num_tables)
+                .map(|t| Matrix::from_fn(local_n, e, |_, _| (me * 10 + t) as f32))
+                .collect();
+            backward_exchange(
+                strategy,
+                &comm,
+                None,
+                &grads,
+                num_tables,
+                local_n,
+                e,
+                WirePrecision::Fp32,
+            )
+        });
+        for (rank, full_grads) in out.iter().enumerate() {
+            let mine = tables_of(num_tables, nranks, rank);
+            assert_eq!(full_grads.len(), mine.len(), "{strategy}");
+            for (j, &t) in mine.iter().enumerate() {
+                let g = &full_grads[j];
+                assert_eq!(g.rows(), local_n * nranks);
+                for p in 0..nranks {
+                    for row in 0..local_n {
+                        assert_eq!(
+                            g[(p * local_n + row, 0)],
+                            (p * 10 + t) as f32,
+                            "{strategy}: owner {rank} table {t} from rank {p}"
+                        );
                     }
                 }
             }

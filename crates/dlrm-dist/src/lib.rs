@@ -11,11 +11,11 @@
 //! * **Embeddings are model-parallel**: table `t` lives on rank `t mod R`
 //!   and its owner processes the *whole* global minibatch for it. The
 //!   resulting minibatch mismatch at the interaction is fixed by an
-//!   embedding **exchange**, for which the paper compares four strategies
-//!   ([`exchange::ExchangeStrategy`]): ScatterList (one scatter per
-//!   table), FusedScatter (one coalesced scatter per owner), Alltoall (one
-//!   native alltoall), and CCL-Alltoall (the alltoall on the multi-worker
-//!   nonblocking backend).
+//!   embedding **exchange**. Of the paper's four strategies the trainer
+//!   runs the two alltoalls ([`exchange::ExchangeStrategy`]): Alltoall (one
+//!   native blocking alltoall) and CCL-Alltoall (the alltoall on the
+//!   multi-worker nonblocking backend). The two rooted scatter strategies
+//!   are modelled by `dlrm-clustersim` only.
 //!
 //! The headline correctness property — verified by this crate's tests and
 //! the workspace integration tests — is that **every strategy at every

@@ -58,8 +58,8 @@
 //! gradient exchange, owner update, allreduce) is untouched — so losses
 //! *and all parameter planes* are bitwise identical to the naive step, as
 //! `tests/prefetch_equivalence.rs` asserts. This does require per-row
-//! deterministic updates (`Reference`/`RaceFree`/`Bucketed`) and an FP32
-//! alltoall wire, which [`DistDlrm::new`](crate::distributed::DistDlrm)
+//! deterministic updates, which the ranks' race-free tables are, and an
+//! FP32 alltoall wire, which [`DistDlrm::new`](crate::distributed::DistDlrm)
 //! asserts when prefetch is enabled.
 //!
 //! [`LookaheadWindow`]: dlrm_data::LookaheadWindow

@@ -170,16 +170,6 @@ fn equivalence_suite(strategy: ExchangeStrategy, schedule: Schedule, seeds: u64)
 }
 
 #[test]
-fn prefetch_equals_naive_scatter_list() {
-    equivalence_suite(ExchangeStrategy::ScatterList, Schedule::Overlapped, 50);
-}
-
-#[test]
-fn prefetch_equals_naive_fused_scatter() {
-    equivalence_suite(ExchangeStrategy::FusedScatter, Schedule::Overlapped, 50);
-}
-
-#[test]
 fn prefetch_equals_naive_alltoall() {
     equivalence_suite(ExchangeStrategy::Alltoall, Schedule::Overlapped, 50);
 }

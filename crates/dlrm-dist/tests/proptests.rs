@@ -17,14 +17,9 @@ proptest! {
         extra_tables in 0usize..6,
         local_n in 1usize..4,
         e in 1usize..5,
-        strategy_pick in 0usize..3,
     ) {
         let num_tables = nranks + extra_tables; // >= nranks so every rank owns >= 1
-        let strategy = [
-            ExchangeStrategy::ScatterList,
-            ExchangeStrategy::FusedScatter,
-            ExchangeStrategy::Alltoall,
-        ][strategy_pick];
+        let strategy = ExchangeStrategy::Alltoall;
         let gn = local_n * nranks;
         let out = CommWorld::run(nranks, |comm| {
             let me = comm.rank();

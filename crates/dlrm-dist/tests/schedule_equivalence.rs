@@ -101,16 +101,6 @@ fn equivalence_suite_wire(strategy: ExchangeStrategy, seeds: u64, wire: WireConf
 }
 
 #[test]
-fn overlapped_equals_synchronous_scatter_list() {
-    equivalence_suite(ExchangeStrategy::ScatterList);
-}
-
-#[test]
-fn overlapped_equals_synchronous_fused_scatter() {
-    equivalence_suite(ExchangeStrategy::FusedScatter);
-}
-
-#[test]
 fn overlapped_equals_synchronous_alltoall() {
     equivalence_suite(ExchangeStrategy::Alltoall);
 }
@@ -187,16 +177,6 @@ fn chaos_suite_wire(strategy: ExchangeStrategy, seeds: u64, wire: WireConfig) {
             "{strategy} wire={wire:?}: overlapped-under-chaos diverged, failing seed={seed}"
         );
     }
-}
-
-#[test]
-fn overlapped_chaos_replay_scatter_list() {
-    chaos_suite(ExchangeStrategy::ScatterList);
-}
-
-#[test]
-fn overlapped_chaos_replay_fused_scatter() {
-    chaos_suite(ExchangeStrategy::FusedScatter);
 }
 
 #[test]

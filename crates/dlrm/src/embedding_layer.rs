@@ -1,15 +1,15 @@
 //! The embedding-table layer: EmbeddingBag forward and the fused
 //! backward+update under the selectable strategy of Section III-A.
 //!
-//! The layer's per-iteration working state is the saved batch and the
-//! [`BagPlan`] of the bucketed strategy, both reused across steps — there is
-//! no `dW[NS][E]`: the optimized update reads gradient rows straight from
-//! `dY` ([`embedding::backward_update`]). After the first batch of each
-//! shape the train loop's embedding scratch stops growing and stays below
-//! one gradient copy (asserted by `crates/dlrm/tests/alloc_growth.rs`).
+//! The layer's per-iteration working state is the saved batch, reused
+//! across steps — there is no `dW[NS][E]`: the optimized update reads
+//! gradient rows straight from `dY` ([`embedding::backward_update`]). After
+//! the first batch of each shape the train loop's embedding scratch stops
+//! growing and stays below one gradient copy (asserted by
+//! `crates/dlrm/tests/alloc_growth.rs`).
 
 use crate::layers::Execution;
-use dlrm_kernels::embedding::{self, BagPlan, UpdateStrategy};
+use dlrm_kernels::embedding::{self, UpdateStrategy};
 use dlrm_tensor::init::embedding_table;
 use dlrm_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 pub struct EmbeddingLayer {
     /// Table weights, `M×E`.
     pub weight: Matrix,
-    /// Update strategy (Figure 7's four bars, plus `Bucketed`).
+    /// Update strategy (Figure 7's four bars).
     pub strategy: UpdateStrategy,
     /// Force the framework-naive (PyTorch-v1.4-style) kernels for this
     /// table regardless of the execution tier — the Figure 7 baseline,
@@ -27,8 +27,6 @@ pub struct EmbeddingLayer {
     pub framework_naive: bool,
     saved_indices: Vec<u32>,
     saved_offsets: Vec<usize>,
-    /// Iteration-persistent lookup plan of the `Bucketed` strategy.
-    plan: BagPlan,
 }
 
 impl EmbeddingLayer {
@@ -40,16 +38,14 @@ impl EmbeddingLayer {
             framework_naive: false,
             saved_indices: Vec::new(),
             saved_offsets: Vec::new(),
-            plan: BagPlan::new(),
         }
     }
 
-    /// Bytes of iteration-persistent scratch (saved batch, plan) currently
+    /// Bytes of iteration-persistent scratch (the saved batch) currently
     /// held by the layer — excludes the table weights.
     pub fn scratch_bytes(&self) -> usize {
         self.saved_indices.capacity() * std::mem::size_of::<u32>()
             + self.saved_offsets.capacity() * std::mem::size_of::<usize>()
-            + self.plan.scratch_bytes()
     }
 
     /// Rows.
@@ -102,7 +98,6 @@ impl EmbeddingLayer {
                 &self.saved_indices,
                 &self.saved_offsets,
                 alpha,
-                &mut self.plan,
             ),
             _ => {
                 // Materialize dW[NS][E] — a fresh tensor per call, as the
@@ -169,7 +164,6 @@ mod tests {
             UpdateStrategy::AtomicXchg,
             UpdateStrategy::Rtm,
             UpdateStrategy::RaceFree,
-            UpdateStrategy::Bucketed,
         ] {
             let (out, w) = run(&Execution::optimized(4), strategy);
             assert_eq!(out.as_slice(), out_ref.as_slice(), "{strategy} fwd");
@@ -186,23 +180,22 @@ mod tests {
     fn scratch_stabilizes_after_first_step() {
         let mut rng = seeded_rng(5, 0);
         let exec = Execution::optimized(3);
-        for strategy in [UpdateStrategy::RaceFree, UpdateStrategy::Bucketed] {
-            let mut layer = EmbeddingLayer::new(32, 4, strategy, &mut rng);
-            let (idx, off) = bags();
-            let dy = Matrix::from_fn(3, 4, |r, c| (r + c) as f32 * 0.01);
+        let strategy = UpdateStrategy::RaceFree;
+        let mut layer = EmbeddingLayer::new(32, 4, strategy, &mut rng);
+        let (idx, off) = bags();
+        let dy = Matrix::from_fn(3, 4, |r, c| (r + c) as f32 * 0.01);
+        let _ = layer.forward(&exec, &idx, &off);
+        layer.backward_update(&exec, &dy, 0.1);
+        let warm = layer.scratch_bytes();
+        for _ in 0..4 {
             let _ = layer.forward(&exec, &idx, &off);
             layer.backward_update(&exec, &dy, 0.1);
-            let warm = layer.scratch_bytes();
-            for _ in 0..4 {
-                let _ = layer.forward(&exec, &idx, &off);
-                layer.backward_update(&exec, &dy, 0.1);
-            }
-            assert_eq!(
-                layer.scratch_bytes(),
-                warm,
-                "{strategy}: scratch grew after warm-up"
-            );
         }
+        assert_eq!(
+            layer.scratch_bytes(),
+            warm,
+            "{strategy}: scratch grew after warm-up"
+        );
     }
 
     #[test]

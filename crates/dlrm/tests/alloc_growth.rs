@@ -1,7 +1,7 @@
 //! Steady-state allocation check for the single-socket train step: after
 //! warm-up, live heap bytes and the model's iteration-persistent embedding
 //! scratch must stop growing. This is what the reused saved-batch vectors
-//! and the reusable `BagPlan` in `EmbeddingLayer` buy — before them, every
+//! in `EmbeddingLayer` buy — before them, every
 //! step leaked fresh `Vec`s and a fresh gradient matrix per table into the
 //! allocator's working set. The fused backward+update goes further: the
 //! layer holds no `dW[NS][E]` at all, and an update allocates nothing.
@@ -150,13 +150,6 @@ fn race_free_step_does_not_grow_allocations() {
     assert_steady(&samples, "race-free");
 }
 
-#[test]
-fn bucketed_step_does_not_grow_allocations() {
-    let _turn = my_turn();
-    let samples = sample_training(UpdateStrategy::Bucketed, 50);
-    assert_steady(&samples, "bucketed");
-}
-
 /// Allocator calls made by 20 runs of `f`, after one run that may grow
 /// pool-internal state.
 fn calls_during(f: &mut dyn FnMut()) -> usize {
@@ -169,11 +162,9 @@ fn calls_during(f: &mut dyn FnMut()) -> usize {
 }
 
 /// The fused backward+update reads gradient rows from `dY`: the layer's
-/// scratch after a step is the saved batch (plus the plan under
-/// `Bucketed`), less than one `dW[NS][E]` — and the update allocates
-/// nothing on any thread, pool dispatches included (one for the apply; two
-/// more for the plan's counting sort): the job is handed to the team as a
-/// borrowed pointer.
+/// scratch after a step is the saved batch, less than one `dW[NS][E]` —
+/// and the update allocates nothing on any thread, pool dispatch included:
+/// the job is handed to the team as a borrowed pointer.
 #[test]
 fn embedding_update_keeps_no_gradient_copy_and_does_not_allocate() {
     let _turn = my_turn();
@@ -188,20 +179,19 @@ fn embedding_update_keeps_no_gradient_copy_and_does_not_allocate() {
     let exec = Execution::optimized(3);
     count_team(exec.pool().expect("optimized"));
 
-    for strategy in [UpdateStrategy::RaceFree, UpdateStrategy::Bucketed] {
-        let mut layer = EmbeddingLayer::new(rows, e, strategy, &mut seeded_rng(9, 0));
-        let _ = layer.forward(&exec, &indices, &offsets);
-        layer.backward_update(&exec, &dy, 0.1);
-        let (scratch, dw) = (layer.scratch_bytes(), ns * e * 4);
-        assert!(
-            scratch < dw,
-            "{strategy}: {scratch} B of scratch, a dW[NS][E] is {dw} B"
-        );
+    let strategy = UpdateStrategy::RaceFree;
+    let mut layer = EmbeddingLayer::new(rows, e, strategy, &mut seeded_rng(9, 0));
+    let _ = layer.forward(&exec, &indices, &offsets);
+    layer.backward_update(&exec, &dy, 0.1);
+    let (scratch, dw) = (layer.scratch_bytes(), ns * e * 4);
+    assert!(
+        scratch < dw,
+        "{strategy}: {scratch} B of scratch, a dW[NS][E] is {dw} B"
+    );
 
-        let update = calls_during(&mut || layer.backward_update(&exec, &dy, 0.1));
-        assert_eq!(update, 0, "{strategy}: 20 updates allocated {update} times");
-        assert_eq!(layer.scratch_bytes(), scratch, "{strategy}: scratch grew");
-    }
+    let update = calls_during(&mut || layer.backward_update(&exec, &dy, 0.1));
+    assert_eq!(update, 0, "{strategy}: 20 updates allocated {update} times");
+    assert_eq!(layer.scratch_bytes(), scratch, "{strategy}: scratch grew");
 }
 
 /// The persistent packed-GEMM plan on its own: a full MLP

@@ -24,10 +24,6 @@
 //!   index list, applying only the updates that land in its range. No
 //!   synchronization, better locality, but load-imbalanced for clustered
 //!   indices — and O(NS·T) total scan work.
-//! * [`UpdateStrategy::Bucketed`] — race-free ownership without the full
-//!   scan: a [`plan::BagPlan`] counting-sorts the lookup list by owning
-//!   thread once per batch, so each thread applies exactly its own lookups.
-//!   O(NS) total work; bit-exact with `Reference` (the sort is stable).
 //!
 //! [`backward_update`] is the train step's kernel: backward (Algorithm 2)
 //! fused into the update, so `dW[NS][E]` is never written — every strategy
@@ -58,7 +54,7 @@ pub mod plan;
 pub mod rowops;
 pub mod rowstore;
 
-pub use plan::{BagPlan, DedupPlan};
+pub use plan::DedupPlan;
 pub use rowstore::RowStore;
 
 use crate::gemm::micro::{detect_isa, Isa};
@@ -69,9 +65,7 @@ use rowops::PREFETCH_DISTANCE;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
-/// The four update strategies of Section III-A / Figure 7, plus the
-/// bucketed refinement of the race-free update this repo adds as a fifth
-/// bar.
+/// The four update strategies of Section III-A / Figure 7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateStrategy {
     /// Single-threaded Algorithm 3 (the naive-framework baseline).
@@ -84,21 +78,15 @@ pub enum UpdateStrategy {
     /// Algorithm 4: race-free row-range ownership, every thread scanning
     /// the full index list.
     RaceFree,
-    /// Race-free ownership driven by a [`BagPlan`]: the lookup list is
-    /// counting-sorted by owning thread once per batch, so total work drops
-    /// from O(NS·T) to O(NS) and clustered indices no longer force every
-    /// thread through a full scan.
-    Bucketed,
 }
 
 impl UpdateStrategy {
-    /// All strategies in Figure 7's bar order (with `Bucketed` appended).
-    pub const ALL: [UpdateStrategy; 5] = [
+    /// All strategies in Figure 7's bar order.
+    pub const ALL: [UpdateStrategy; 4] = [
         UpdateStrategy::Reference,
         UpdateStrategy::AtomicXchg,
         UpdateStrategy::Rtm,
         UpdateStrategy::RaceFree,
-        UpdateStrategy::Bucketed,
     ];
 }
 
@@ -109,7 +97,6 @@ impl std::fmt::Display for UpdateStrategy {
             UpdateStrategy::AtomicXchg => "Atomic XCHG",
             UpdateStrategy::Rtm => "RTM",
             UpdateStrategy::RaceFree => "Race Free",
-            UpdateStrategy::Bucketed => "Bucketed",
         };
         f.write_str(s)
     }
@@ -125,19 +112,24 @@ fn check_indices(indices: &[u32], m: usize) {
     );
 }
 
-/// Panics unless `offsets` is a CSR description of `indices` over an
-/// `m`-row table. The kernels below rely on it for memory safety.
-fn check_bags(indices: &[u32], offsets: &[usize], m: usize) {
+/// Panics unless `offsets` is a CSR description of `ns` lookups.
+fn check_offsets(offsets: &[usize], ns: usize) {
     assert!(!offsets.is_empty(), "offsets must have N+1 entries");
     assert_eq!(
         *offsets.last().unwrap(),
-        indices.len(),
+        ns,
         "last offset must equal number of lookups"
     );
     assert!(
         offsets.windows(2).all(|w| w[0] <= w[1]),
         "offsets must be non-decreasing"
     );
+}
+
+/// Panics unless `offsets` is a CSR description of `indices` over an
+/// `m`-row table. The kernels below rely on it for memory safety.
+fn check_bags(indices: &[u32], offsets: &[usize], m: usize) {
+    check_offsets(offsets, indices.len());
     check_indices(indices, m);
 }
 
@@ -214,14 +206,11 @@ pub fn forward_serial(weight: &Matrix, indices: &[u32], offsets: &[usize], out: 
 /// (Each lookup in bag `n` receives a copy of `dY[n]` — the multi-hot
 /// weights are all 1.)
 pub fn backward(pool: &ThreadPool, dy: &Matrix, offsets: &[usize], dw: &mut Matrix) {
+    check_offsets(offsets, dw.rows());
     let n = offsets.len() - 1;
     let e = dy.cols();
     assert_eq!(dy.rows(), n, "backward dY rows");
-    assert_eq!(
-        dw.shape(),
-        (*offsets.last().unwrap(), e),
-        "backward dW shape"
-    );
+    assert_eq!(dw.cols(), e, "backward dW shape");
     let dw_base = crate::gemm::SendMutPtr(dw.as_mut_slice().as_mut_ptr());
 
     pool.parallel_for(n, move |_tid, bags| {
@@ -284,10 +273,6 @@ static RTM_LOCKS: [StripeLock; RTM_STRIPES] = {
 /// strategy. Pass `alpha = -lr` for an SGD step. The train step runs
 /// [`backward_update`] instead; this is Figure 7's kernel and the bitwise
 /// reference.
-///
-/// For [`UpdateStrategy::Bucketed`] this convenience entry builds a
-/// throwaway [`BagPlan`] internally; a caller timing the steady state holds
-/// a persistent plan and calls [`update_bucketed`].
 pub fn update(
     pool: &ThreadPool,
     strategy: UpdateStrategy,
@@ -305,11 +290,6 @@ pub fn update(
         UpdateStrategy::AtomicXchg => update_atomic(pool, weight, dw, indices, alpha),
         UpdateStrategy::Rtm => update_rtm(pool, weight, dw, indices, alpha),
         UpdateStrategy::RaceFree => update_race_free(pool, weight, dw, indices, alpha),
-        UpdateStrategy::Bucketed => {
-            let mut plan = BagPlan::new();
-            plan.build(pool, indices, m);
-            update_bucketed(pool, weight, dw, indices, alpha, &plan);
-        }
     }
 }
 
@@ -487,53 +467,6 @@ fn update_race_free(
     });
 }
 
-/// The [`UpdateStrategy::Bucketed`] apply loop: thread `tid` walks exactly
-/// the lookups `plan` assigned to its bucket, in original index-list order
-/// (so per-row application order — and therefore the bits — match
-/// [`UpdateStrategy::Reference`]). O(NS) total work.
-pub fn update_bucketed(
-    pool: &ThreadPool,
-    weight: &mut Matrix,
-    dw: &Matrix,
-    indices: &[u32],
-    alpha: f32,
-    plan: &BagPlan,
-) {
-    let (m, e) = weight.shape();
-    assert_eq!(dw.shape(), (indices.len(), e), "update dW shape");
-    assert_eq!(
-        plan.buckets(),
-        pool.num_threads(),
-        "plan/team size mismatch"
-    );
-    assert_eq!(plan.rows(), m, "plan built for a different table");
-    assert_eq!(plan.ns(), indices.len(), "plan built for a different batch");
-    check_indices(indices, m);
-    let isa = detect_isa();
-    let w_base = crate::gemm::SendMutPtr(weight.as_mut_slice().as_mut_ptr());
-
-    pool.broadcast(|tid| {
-        let slots = plan.bucket_slots(tid);
-        for (k, &slot) in slots.iter().enumerate() {
-            let ahead = k + PREFETCH_DISTANCE;
-            if ahead < slots.len() {
-                rowops::prefetch_row(
-                    unsafe {
-                        w_base
-                            .get()
-                            .add(indices[slots[ahead] as usize] as usize * e)
-                    },
-                    e,
-                );
-            }
-            let slot = slot as usize;
-            let row = indices[slot] as usize;
-            // SAFETY: buckets are disjoint row ranges across threads.
-            unsafe { rowops::scatter_add(isa, w_base.get().add(row * e), dw.row(slot), alpha) };
-        }
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Fused backward + update: the train step's kernel
 // ---------------------------------------------------------------------------
@@ -547,17 +480,13 @@ pub fn update_bucketed(
 /// * `Reference` — the calling thread walks the bags in order.
 /// * `RaceFree` — Algorithms 2+4: every thread walks every bag and applies
 ///   the lookups inside its row range, prefetching ahead only rows it owns.
-/// * `Bucketed` — `plan` is rebuilt for this batch and every thread walks
-///   exactly its own lookups. `plan` is the caller's reusable scratch; the
-///   other strategies leave it alone.
 /// * `AtomicXchg` / `Rtm` — parallel over bags, rows shared through CAS
 ///   cells / stripe locks.
 ///
-/// The first three (and the last two on one thread) apply a row's updates
+/// The first two (and the last two on one thread) apply a row's updates
 /// in index-list order, each as `w + round(alpha · g)`: bitwise equal to
 /// [`backward`] followed by [`update`] with `Reference`, whatever the ISA
 /// tier and team size.
-#[allow(clippy::too_many_arguments)] // the unfused pair's arguments, merged
 pub fn backward_update(
     pool: &ThreadPool,
     strategy: UpdateStrategy,
@@ -566,7 +495,6 @@ pub fn backward_update(
     indices: &[u32],
     offsets: &[usize],
     alpha: f32,
-    plan: &mut BagPlan,
 ) {
     let (m, e) = weight.shape();
     check_bags(indices, offsets, m);
@@ -586,15 +514,6 @@ pub fn backward_update(
             pool.broadcast(|tid| unsafe {
                 let owned = partition_range(m, t, tid);
                 scatter_owned(isa, w.get(), dy, indices, offsets, alpha, owned);
-            });
-        }
-        UpdateStrategy::Bucketed => {
-            plan.build(pool, indices, m);
-            let plan = &*plan;
-            // Buckets are disjoint row ranges across threads.
-            pool.broadcast(|tid| unsafe {
-                let slots = plan.bucket_slots(tid);
-                scatter_planned(isa, w.get(), dy, indices, offsets, alpha, slots);
             });
         }
         UpdateStrategy::AtomicXchg => {
@@ -723,44 +642,6 @@ unsafe fn scatter_owned(
     }
 }
 
-/// One bucket of a [`BagPlan`]: `slots` ascend, so they fall into runs of
-/// one bag each, found by walking `offsets` alongside; each run is one
-/// [`rowops::scatter_bag`]. Original order within the bucket is per-row
-/// index-list order, which is what keeps the bits of `Reference`.
-///
-/// # Safety
-/// As [`scatter_owned`], with "rows in `owned`" read as "rows named by
-/// `slots`"; `slots` must be ascending positions in `indices`.
-unsafe fn scatter_planned(
-    isa: Isa,
-    w: *mut f32,
-    dy: &Matrix,
-    indices: &[u32],
-    offsets: &[usize],
-    alpha: f32,
-    slots: &[u32],
-) {
-    let e = dy.cols();
-    let (mut k, mut bag) = (0, 0);
-    while k < slots.len() {
-        while offsets[bag + 1] <= slots[k] as usize {
-            bag += 1;
-        }
-        let run = slots[k..]
-            .iter()
-            .take_while(|&&s| (s as usize) < offsets[bag + 1])
-            .count();
-        let rows = slots[k..k + run].iter().enumerate().map(move |(j, &s)| {
-            if let Some(&next) = slots.get(k + j + PREFETCH_DISTANCE) {
-                rowops::prefetch_row(w.wrapping_add(indices[next as usize] as usize * e), e);
-            }
-            indices[s as usize] as usize
-        });
-        rowops::scatter_bag(isa, w, dy.row(bag), alpha, rows);
-        k += run;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -881,7 +762,6 @@ mod tests {
             UpdateStrategy::AtomicXchg,
             UpdateStrategy::Rtm,
             UpdateStrategy::RaceFree,
-            UpdateStrategy::Bucketed,
         ] {
             let mut got = w0.clone();
             update(&pool, strat, &mut got, &dw, &indices, alpha);
@@ -911,10 +791,9 @@ mod tests {
     }
 
     #[test]
-    fn race_free_and_bucketed_are_bit_exact_vs_reference() {
+    fn race_free_is_bit_exact_vs_reference() {
         // Unlike the atomic strategy, race-free preserves the per-row
-        // application order (index-list order), so it is bit-identical;
-        // bucketed inherits the same property from the stable plan sort.
+        // application order (index-list order), so it is bit-identical.
         let pool = ThreadPool::new(4);
         let mut rng = seeded_rng(13, 0);
         let w0 = uniform(32, 8, -1.0, 1.0, &mut rng);
@@ -931,34 +810,16 @@ mod tests {
             &indices,
             -0.1,
         );
-        for strat in [UpdateStrategy::RaceFree, UpdateStrategy::Bucketed] {
-            let mut got = w0.clone();
-            update(&pool, strat, &mut got, &dw, &indices, -0.1);
-            assert_eq!(got.as_slice(), want.as_slice(), "{strat} not bit-exact");
-        }
-    }
-
-    #[test]
-    fn bucketed_with_persistent_plan_matches_reference() {
-        // The embedding-layer path: one plan reused (rebuilt) across batches.
-        let pool = ThreadPool::new(3);
-        let mut rng = seeded_rng(21, 0);
-        let m = 48;
-        let w0 = uniform(m, 8, -1.0, 1.0, &mut rng);
-        let mut plan = BagPlan::new();
-        for batch in 0..3 {
-            let (indices, offsets) = random_bags(m, 20 + batch, 5, 22 + batch as u64);
-            let ns = *offsets.last().unwrap();
-            let dw = uniform(ns, 8, -1.0, 1.0, &mut rng);
-
-            let mut want = w0.clone();
-            update_reference(&mut want, &dw, &indices, -0.3);
-
-            let mut got = w0.clone();
-            plan.build(&pool, &indices, m);
-            update_bucketed(&pool, &mut got, &dw, &indices, -0.3, &plan);
-            assert_eq!(got.as_slice(), want.as_slice(), "batch {batch}");
-        }
+        let mut got = w0.clone();
+        update(
+            &pool,
+            UpdateStrategy::RaceFree,
+            &mut got,
+            &dw,
+            &indices,
+            -0.1,
+        );
+        assert_eq!(got.as_slice(), want.as_slice(), "RaceFree not bit-exact");
     }
 
     #[test]
@@ -978,12 +839,9 @@ mod tests {
         let mut want = w0.clone();
         update_reference(&mut want, &dw, &indices, alpha);
 
-        let mut plan = BagPlan::new();
         for strat in UpdateStrategy::ALL {
             let mut got = w0.clone();
-            backward_update(
-                &pool, strat, &mut got, &dy, &indices, &offsets, alpha, &mut plan,
-            );
+            backward_update(&pool, strat, &mut got, &dy, &indices, &offsets, alpha);
             match strat {
                 UpdateStrategy::AtomicXchg | UpdateStrategy::Rtm => {
                     assert_allclose(got.as_slice(), want.as_slice(), 1e-6, &format!("{strat}"))
@@ -1011,10 +869,7 @@ mod tests {
         update_reference(&mut want, &dw, indices, 0.3);
         for &strat in strategies {
             let mut got = w0.clone();
-            let mut plan = BagPlan::new();
-            backward_update(
-                &pool, strat, &mut got, &dy, indices, offsets, 0.3, &mut plan,
-            );
+            backward_update(&pool, strat, &mut got, &dy, indices, offsets, 0.3);
             assert_eq!(got.as_slice(), want.as_slice(), "{strat}");
         }
     }

@@ -170,8 +170,7 @@ pub fn axpy(isa: Isa, dst: &mut [f32], src: &[f32], alpha: f32) {
 
 /// Scatter form of [`axpy`]: adds `alpha * src` into the `src.len()` floats
 /// at `dst`. This is the primitive every parallel update strategy uses to
-/// apply a gradient row to a table row it owns (by range, bucket, lock or
-/// plan).
+/// apply a gradient row to a table row it owns (by range or lock).
 ///
 /// # Safety
 /// `dst` must be valid for `src.len()` reads+writes and must not alias

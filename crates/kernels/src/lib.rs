@@ -19,9 +19,8 @@
 //!   the fused backward+update the paper measured standalone. The engine
 //!   adds [`embedding::rowops`] (shared scalar/AVX2/AVX-512 row primitives
 //!   with software prefetch, bit-identical across tiers) and
-//!   [`embedding::plan::BagPlan`] (per-batch counting-sort bucketing that
-//!   turns the race-free and fused updates from O(NS·T) scans into O(NS)
-//!   work — `UpdateStrategy::Bucketed`).
+//!   [`embedding::plan::DedupPlan`] (unique-row extraction for the
+//!   distributed lookahead front end).
 //! * [`interaction`] — the pairwise-dot feature interaction as a Gram
 //!   kernel whose vector lanes are samples, plus the register-tile
 //!   transpose that packs its operands; scalar/AVX2/AVX-512 tiers, bitwise

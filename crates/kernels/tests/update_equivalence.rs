@@ -1,5 +1,4 @@
-//! Equivalence of the Section III-A update strategies (plus `Bucketed`)
-//! against [`UpdateStrategy::Reference`] on *adversarial* index sets — the
+//! Equivalence of the Section III-A update strategies against [`UpdateStrategy::Reference`] on *adversarial* index sets — the
 //! distributions where the parallel strategies actually race: hot rows,
 //! all-duplicates, empty bags, indices clustered inside one thread's row
 //! range, and degenerate tables — across several thread counts (including
@@ -16,7 +15,7 @@
 
 use dlrm_kernels::embedding::rowops::{self, available_isas};
 use dlrm_kernels::embedding::{
-    backward, backward_update, forward, forward_serial, update, BagPlan, UpdateStrategy,
+    backward, backward_update, forward, forward_serial, update, UpdateStrategy,
 };
 use dlrm_kernels::gemm::micro::{set_isa_override, Isa};
 use dlrm_kernels::ThreadPool;
@@ -129,7 +128,7 @@ fn adversarial_cases() -> Vec<Case> {
 
     // Clustered in one thread's range: a 256-row table where every lookup
     // lands in rows 0..8 — under the row-range partition one bucket owns
-    // *all* the work (worst-case load imbalance for RaceFree/Bucketed).
+    // *all* the work (worst-case load imbalance for RaceFree).
     {
         let mut rng = seeded_rng(72, 0);
         use rand::Rng;
@@ -193,7 +192,6 @@ fn all_strategies_match_reference_on_adversarial_bags() {
                 UpdateStrategy::AtomicXchg,
                 UpdateStrategy::Rtm,
                 UpdateStrategy::RaceFree,
-                UpdateStrategy::Bucketed,
             ] {
                 let mut got = w0.clone();
                 update(&pool, strat, &mut got, &dw, &case.indices, alpha);
@@ -204,18 +202,17 @@ fn all_strategies_match_reference_on_adversarial_bags() {
                     &format!("{strat} on {} with {threads} threads", case.name),
                 );
             }
-            // RaceFree and Bucketed preserve index-list application order
-            // per row, so they must be *bit*-identical, not merely close.
-            for strat in [UpdateStrategy::RaceFree, UpdateStrategy::Bucketed] {
-                let mut got = w0.clone();
-                update(&pool, strat, &mut got, &dw, &case.indices, alpha);
-                assert_eq!(
-                    got.as_slice(),
-                    want.as_slice(),
-                    "{strat} must be bit-exact on {} with {threads} threads",
-                    case.name
-                );
-            }
+            // RaceFree preserves index-list application order per row, so it
+            // must be *bit*-identical, not merely close.
+            let strat = UpdateStrategy::RaceFree;
+            let mut got = w0.clone();
+            update(&pool, strat, &mut got, &dw, &case.indices, alpha);
+            assert_eq!(
+                got.as_slice(),
+                want.as_slice(),
+                "{strat} must be bit-exact on {} with {threads} threads",
+                case.name
+            );
         }
     }
 }
@@ -251,15 +248,14 @@ fn strategies_agree_under_every_forced_isa_tier() {
     for isa in available_isas() {
         set_isa_override(Some(isa));
         let pool = ThreadPool::new(4);
-        for strat in [UpdateStrategy::RaceFree, UpdateStrategy::Bucketed] {
-            let mut got = w0.clone();
-            update(&pool, strat, &mut got, &dw, &case.indices, alpha);
-            assert_eq!(
-                got.as_slice(),
-                want.as_slice(),
-                "{strat} under forced {isa:?} must match the scalar reference bitwise"
-            );
-        }
+        let strat = UpdateStrategy::RaceFree;
+        let mut got = w0.clone();
+        update(&pool, strat, &mut got, &dw, &case.indices, alpha);
+        assert_eq!(
+            got.as_slice(),
+            want.as_slice(),
+            "{strat} under forced {isa:?} must match the scalar reference bitwise"
+        );
         for strat in [UpdateStrategy::AtomicXchg, UpdateStrategy::Rtm] {
             let mut got = w0.clone();
             update(&pool, strat, &mut got, &dw, &case.indices, alpha);
@@ -328,9 +324,9 @@ fn gather_is_bitwise_the_per_row_gather_on_every_tier_width_and_team() {
 }
 
 /// The single-entry fused kernel against the unfused reference — materialize
-/// `dW[NS][E]`, then the scalar single-threaded Algorithm 3. `Reference`,
-/// `RaceFree` and `Bucketed` keep each row's application order, so they
-/// must match bitwise at every team size; the CAS and lock strategies do on
+/// `dW[NS][E]`, then the scalar single-threaded Algorithm 3. `Reference`
+/// and `RaceFree` keep each row's application order, so they must match
+/// bitwise at every team size; the CAS and lock strategies do on
 /// one thread and are merely close on several.
 #[test]
 fn backward_update_is_bitwise_the_unfused_reference_on_every_tier_width_and_team() {
@@ -362,8 +358,6 @@ fn backward_update_is_bitwise_the_unfused_reference_on_every_tier_width_and_team
                 set_isa_override(Some(isa));
                 for pool in &pools {
                     let t = pool.num_threads();
-                    // One plan across strategies: only `Bucketed` may use it.
-                    let mut plan = BagPlan::new();
                     for strat in UpdateStrategy::ALL {
                         let mut got = w0.clone();
                         backward_update(
@@ -374,7 +368,6 @@ fn backward_update_is_bitwise_the_unfused_reference_on_every_tier_width_and_team
                             &case.indices,
                             &case.offsets,
                             alpha,
-                            &mut plan,
                         );
                         let what = format!("{strat} {isa:?} e={e} T={t} {}", case.name);
                         let ordered =
@@ -432,6 +425,18 @@ mod rejects_malformed_bags {
     }
 
     #[test]
+    #[should_panic(expected = "offsets must be non-decreasing")]
+    fn backward_non_monotone_offsets() {
+        let mut dw = Matrix::zeros(3, 4);
+        backward(
+            &ThreadPool::new(2),
+            &Matrix::zeros(2, 4),
+            &[0, 5, 3],
+            &mut dw,
+        );
+    }
+
+    #[test]
     fn backward_update_out_of_range_index_every_strategy() {
         for strat in UpdateStrategy::ALL {
             let mut w = table();
@@ -444,7 +449,6 @@ mod rejects_malformed_bags {
                     &[3, 9, 10],
                     &[0, 2, 3],
                     -0.1,
-                    &mut BagPlan::new(),
                 )
             }));
             let msg = *caught
@@ -467,7 +471,6 @@ mod rejects_malformed_bags {
             &[1, 2, 3],
             &[0, 2, 1, 3],
             -0.1,
-            &mut BagPlan::new(),
         );
     }
 

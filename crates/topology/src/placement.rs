@@ -26,8 +26,6 @@
 pub struct OwnershipMap {
     /// Table → owning shard.
     owners: Vec<usize>,
-    /// Table → position within its owner's ascending table list.
-    local: Vec<usize>,
     /// Shard → owned tables, ascending.
     tables: Vec<Vec<usize>>,
 }
@@ -52,17 +50,11 @@ impl OwnershipMap {
     pub fn from_owners(owners: Vec<usize>, nshards: usize) -> Self {
         assert!(nshards >= 1, "ownership map needs at least one shard");
         let mut tables: Vec<Vec<usize>> = vec![Vec::new(); nshards];
-        let mut local = Vec::with_capacity(owners.len());
         for (t, &q) in owners.iter().enumerate() {
             assert!(q < nshards, "table {t} assigned to shard {q} >= {nshards}");
-            local.push(tables[q].len());
             tables[q].push(t);
         }
-        OwnershipMap {
-            owners,
-            local,
-            tables,
-        }
+        OwnershipMap { owners, tables }
     }
 
     /// Number of tables in the map.
@@ -79,12 +71,6 @@ impl OwnershipMap {
     #[inline]
     pub fn owner_of(&self, t: usize) -> usize {
         self.owners[t]
-    }
-
-    /// Position of table `t` within [`Self::tables_of`]`(owner_of(t))`.
-    #[inline]
-    pub fn local_index(&self, t: usize) -> usize {
-        self.local[t]
     }
 
     /// Tables owned by shard `q`, ascending.
@@ -169,21 +155,11 @@ mod tests {
     }
 
     #[test]
-    fn local_index_inverts_tables_of() {
-        let map = OwnershipMap::round_robin(11, 4);
-        for t in 0..11 {
-            let q = map.owner_of(t);
-            assert_eq!(map.tables_of(q)[map.local_index(t)], t);
-        }
-    }
-
-    #[test]
     fn explicit_owners_round_trip() {
         let map = OwnershipMap::from_owners(vec![2, 0, 2, 1], 3);
         assert_eq!(map.tables_of(0), &[1]);
         assert_eq!(map.tables_of(1), &[3]);
         assert_eq!(map.tables_of(2), &[0, 2]);
-        assert_eq!(map.local_index(2), 1);
         // A shard may own nothing.
         let map = OwnershipMap::from_owners(vec![0, 0], 4);
         assert!(map.tables_of(3).is_empty());

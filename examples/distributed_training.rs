@@ -1,5 +1,5 @@
 //! Hybrid-parallel distributed training on threads-as-ranks: model-parallel
-//! embeddings + data-parallel MLPs, with all four embedding-exchange
+//! embeddings + data-parallel MLPs, with both embedding-exchange
 //! strategies, checked against the single-process trainer.
 //!
 //! ```text
