@@ -75,8 +75,8 @@ pub struct Linear {
     pub w: BlockedWeights,
     /// Bias, length `K`.
     pub b: Vec<f32>,
-    /// Weight gradient of the last backward, in `w`'s layout (empty until
-    /// the first backward). [`Linear::write_grads`] lays it out as rows.
+    /// Weight gradient in `w`'s layout, written only by [`Mlp::backward`] /
+    /// [`Mlp::backward_with`] (not [`Mlp::backward_sgd`]); empty until then.
     pub dw: BlockedWeights,
     /// Bias gradient of the last backward.
     pub db: Vec<f32>,
@@ -121,7 +121,8 @@ impl Linear {
 
     /// Writes this layer's gradient in DDP wire order, row-major `dW` then
     /// `db`, into `out` (`grad_len()` floats), unpacking the blocked
-    /// gradient in one pass. Before the first backward the gradient is zero.
+    /// gradient in one pass: zeros before the first write, and after an
+    /// optimized [`Mlp::backward_sgd`] an older backward's `dW` (see `dw`).
     pub fn write_grads(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.grad_len(), "write_grads length");
         let (dw, db) = out.split_at_mut(self.w.k * self.w.c);
@@ -410,15 +411,7 @@ impl Mlp {
         mut on_layer: impl FnMut(usize, &Linear),
     ) -> Matrix {
         match exec {
-            Execution::Optimized(pool) => {
-                let (n, last) = (dy.cols(), self.scratch.valid_n);
-                assert!(
-                    last == Some(n),
-                    "optimized Mlp::backward at batch size {n} has no matching optimized \
-                     forward (the last one ran at batch size {last:?})"
-                );
-                self.backward_chained(pool, dy, &mut on_layer)
-            }
+            Execution::Optimized(pool) => self.backward_chained(pool, dy, None, &mut on_layer),
             Execution::Reference => {
                 let mut cur = dy;
                 for (i, layer) in self.layers.iter_mut().enumerate().rev() {
@@ -432,19 +425,27 @@ impl Mlp {
 
     /// Backward over the blocked activation chain left by an optimized
     /// [`Mlp::forward`]: the boundary gradient is packed once, each layer
-    /// runs the fused batch-reduce GEMMs (bias-gradient reduction inside
-    /// the weight pass, upstream ReLU mask inside the data pass
-    /// writeback), and only the input-boundary gradient is unpacked.
-    /// Bitwise identical to packing each layer's operands per call — same
-    /// kernels over the same bits, with the mask/reduction fusions proven
-    /// bitwise-neutral in `dlrm_kernels::gemm`.
+    /// runs the fused batch-reduce GEMMs (upstream ReLU mask inside the data
+    /// pass writeback, bias-gradient reduction inside the weight pass), and
+    /// only the input-boundary gradient is unpacked. Bitwise identical to
+    /// packing each layer's operands per call — same kernels over the same
+    /// bits, with the mask/reduction fusions proven bitwise-neutral in
+    /// `dlrm_kernels::gemm`. The data pass reads `W` first, so that with
+    /// `lr: Some(_)` the weights pass can apply SGD in its write-back.
     fn backward_chained(
         &mut self,
         pool: &ThreadPool,
         dy: Matrix,
+        lr: Option<f32>,
         on_layer: &mut dyn FnMut(usize, &Linear),
     ) -> Matrix {
         let (nl, n) = (self.layers.len(), dy.cols());
+        let last = self.scratch.valid_n;
+        assert!(
+            last == Some(n),
+            "optimized Mlp::backward at batch size {n} has no matching optimized \
+             forward (the last one ran at batch size {last:?})"
+        );
         assert_eq!(
             dy.rows(),
             self.layers[nl - 1].out_features(),
@@ -460,45 +461,53 @@ impl Mlp {
             mask_blocked(&mut scratch.grad_a, &scratch.acts[nl]);
         }
         for i in (0..nl).rev() {
+            let need_dx = i > 0 || self.input_grad;
             let prev_relu = i > 0 && self.layers[i - 1].act == Activation::Relu;
             let layer = &mut self.layers[i];
             let (k, c) = (layer.w.k, layer.w.c);
             let blk = layer.blocking(n);
-            // Fused dW + db in one pass over the blocked operands. dW stays
-            // blocked: the FP32 update reads it as it lies, and a DDP hook
-            // unpacks it once, into its bucket, in the unchanged wire order.
-            layer.dw.reshape_scratch(k, c, blk);
-            gemm::fc_backward_weights_fused(
-                pool,
-                &scratch.acts[i],
-                &scratch.grad_a,
-                &mut layer.dw,
-                &mut layer.db,
-            );
-            if i == 0 && !self.input_grad {
-                on_layer(i, layer);
+            let (x, g) = (&scratch.acts[i], &scratch.grad_a);
+            if need_dx {
+                scratch.grad_b.reshape_scratch(c, n, blk.bc, blk.bn);
+                let mask = prev_relu.then_some(x);
+                gemm::fc_backward_data_fused(pool, &layer.w, g, &mut scratch.grad_b, mask);
+            }
+            match lr {
+                Some(lr) => {
+                    gemm::fc_backward_weights_sgd(pool, x, g, &mut layer.w, &mut layer.db, lr);
+                    sgd::sgd_step(&mut layer.b, &layer.db, lr);
+                }
+                // dW stays blocked; a DDP hook unpacks it once, into its
+                // bucket, in the unchanged wire order.
+                None => {
+                    layer.dw.reshape_scratch(k, c, blk);
+                    gemm::fc_backward_weights_fused(pool, x, g, &mut layer.dw, &mut layer.db);
+                }
+            }
+            on_layer(i, layer);
+            if !need_dx {
                 return Matrix::zeros(0, 0);
             }
-            scratch.grad_b.reshape_scratch(c, n, blk.bc, blk.bn);
-            let mask = if prev_relu {
-                Some(&scratch.acts[i])
-            } else {
-                None
-            };
-            gemm::fc_backward_data_fused(
-                pool,
-                &layer.w,
-                &scratch.grad_a,
-                &mut scratch.grad_b,
-                mask,
-            );
-            on_layer(i, layer);
             std::mem::swap(&mut scratch.grad_a, &mut scratch.grad_b);
         }
         scratch.grad_a.unpack()
     }
 
-    /// FP32 SGD on every layer.
+    /// [`Mlp::backward`] then [`Mlp::sgd_step`], bitwise. On the optimized
+    /// tier each layer's step runs in its weights pass's write-back and `dw`
+    /// is neither written nor allocated; on the Reference tier it is the two
+    /// calls. Panics as [`Mlp::backward_with`].
+    pub fn backward_sgd(&mut self, exec: &Execution, dy: Matrix, lr: f32) -> Matrix {
+        let Execution::Optimized(pool) = exec else {
+            let dx = self.backward(exec, dy);
+            self.sgd_step(exec, lr);
+            return dx;
+        };
+        self.backward_chained(pool, dy, Some(lr), &mut |_, _| {})
+    }
+
+    /// FP32 SGD on every layer from the gradient the last
+    /// [`Mlp::backward`] / [`Mlp::backward_with`] wrote.
     pub fn sgd_step(&mut self, exec: &Execution, lr: f32) {
         for layer in &mut self.layers {
             layer.sgd_step(exec, lr);
@@ -512,7 +521,8 @@ impl Mlp {
 
     /// Bytes held by the MLP's persistent storage: every layer's blocked
     /// weights and gradient plus the blocked activation-residency buffers.
-    /// Grow-only — constant once the largest batch has been seen.
+    /// Grow-only — constant once the largest batch has been seen. An
+    /// optimized [`Mlp::backward_sgd`] allocates no gradient plane.
     pub fn scratch_bytes(&self) -> usize {
         let params: usize = self
             .layers

@@ -30,6 +30,9 @@ pub struct DlrmModel {
     pub top: Mlp,
     /// Per-op-class profiler (Figure 8).
     pub profiler: Profiler,
+    /// Steps [`DlrmModel::train_step`] skipped because their loss was not
+    /// finite: no backward pass ran and no parameter moved.
+    pub skipped_steps: u64,
     /// Per-Linear optimizers (bottom layers then top layers), for non-FP32
     /// modes.
     mlp_opts: Vec<ParamOptimizer>,
@@ -126,6 +129,7 @@ impl DlrmModel {
             tables,
             top,
             profiler: Profiler::new(),
+            skipped_steps: 0,
             mlp_opts,
             emb_opts,
         }
@@ -163,10 +167,12 @@ impl DlrmModel {
     }
 
     /// One full training iteration (forward, loss, backward, update).
-    /// Returns the minibatch loss.
+    /// Returns the minibatch loss; a non-finite one skips backward and update
+    /// ([`DlrmModel::skipped_steps`]). FP32 uses [`Mlp::backward_sgd`].
     pub fn train_step(&mut self, batch: &MiniBatch, lr: f32) -> f64 {
         let exec = self.exec.clone();
         let n = batch.batch_size();
+        let fp32 = self.precision == PrecisionMode::Fp32;
         let logits = self.forward(batch);
 
         // Loss + gradient w.r.t. logits.
@@ -176,11 +182,20 @@ impl DlrmModel {
             bce_with_logits_backward(&logits, &batch.labels, &mut g);
             (loss, Matrix::from_slice(1, n, &g))
         });
+        if !loss.is_finite() {
+            self.skipped_steps += 1;
+            self.profiler.end_iteration();
+            return loss;
+        }
 
-        // Top MLP backward.
-        let d_inter = self
-            .profiler
-            .time(OpClass::Mlp, || self.top.backward(&exec, dlogits));
+        // Top MLP backward (and, in FP32, its update).
+        let d_inter = self.profiler.time(OpClass::Mlp, || {
+            if fp32 {
+                self.top.backward_sgd(&exec, dlogits, lr)
+            } else {
+                self.top.backward(&exec, dlogits)
+            }
+        });
 
         // Interaction backward.
         let (d_bottom, d_tables) = self
@@ -189,7 +204,7 @@ impl DlrmModel {
 
         // Embedding backward + update.
         self.profiler.time(OpClass::Embeddings, || {
-            if self.precision == PrecisionMode::Fp32 {
+            if fp32 {
                 for (layer, grad) in self.tables.iter_mut().zip(&d_tables) {
                     layer.backward_update(&exec, grad, lr);
                 }
@@ -211,31 +226,27 @@ impl DlrmModel {
             }
         });
 
-        // Bottom MLP backward.
-        let _ = self
-            .profiler
-            .time(OpClass::Mlp, || self.bottom.backward(&exec, d_bottom));
-
-        // Dense parameter update.
+        // Bottom MLP backward (and, in FP32, its update), then the dense
+        // update of the other modes.
         self.profiler.time(OpClass::Mlp, || {
-            if self.precision == PrecisionMode::Fp32 {
-                self.bottom.sgd_step(&exec, lr);
-                self.top.sgd_step(&exec, lr);
-            } else {
-                for (layer, opt) in self
-                    .bottom
-                    .layers
-                    .iter_mut()
-                    .chain(self.top.layers.iter_mut())
-                    .zip(self.mlp_opts.iter_mut())
-                {
-                    // Element-wise on the blocked planes, which share one
-                    // layout.
-                    opt.step(layer.w.as_mut_slice(), layer.dw.as_slice(), lr);
-                    // Biases stay FP32 (negligible storage; matches the
-                    // paper's weight-focused scheme).
-                    dlrm_kernels::sgd::sgd_step(&mut layer.b, &layer.db, lr);
-                }
+            if fp32 {
+                self.bottom.backward_sgd(&exec, d_bottom, lr);
+                return;
+            }
+            self.bottom.backward(&exec, d_bottom);
+            for (layer, opt) in self
+                .bottom
+                .layers
+                .iter_mut()
+                .chain(self.top.layers.iter_mut())
+                .zip(self.mlp_opts.iter_mut())
+            {
+                // Element-wise on the blocked planes, which share one
+                // layout.
+                opt.step(layer.w.as_mut_slice(), layer.dw.as_slice(), lr);
+                // Biases stay FP32 (negligible storage; matches the
+                // paper's weight-focused scheme).
+                dlrm_kernels::sgd::sgd_step(&mut layer.b, &layer.db, lr);
             }
         });
 
@@ -260,7 +271,7 @@ impl DlrmModel {
 
     /// Bytes of persistent MLP storage (blocked weights and gradients,
     /// activation residency) across both MLPs. Grow-only, constant after
-    /// the first step of a fixed batch shape.
+    /// the first step of a fixed batch shape; no `dw` after [`Mlp::backward_sgd`].
     pub fn mlp_scratch_bytes(&self) -> usize {
         self.bottom.scratch_bytes() + self.top.scratch_bytes()
     }

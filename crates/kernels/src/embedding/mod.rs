@@ -693,7 +693,8 @@ mod tests {
 
     #[test]
     fn forward_serial_bitwise_matches_parallel_across_tiers() {
-        use crate::gemm::micro::set_isa_override;
+        use crate::gemm::micro::{lock_isa_override, set_isa_override};
+        let _tier = lock_isa_override();
         let pool = ThreadPool::new(4);
         let mut rng = seeded_rng(2, 0);
         let w = uniform(64, 24, -1.0, 1.0, &mut rng);

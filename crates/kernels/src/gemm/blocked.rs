@@ -27,6 +27,7 @@ use super::micro::{
     Panels, Reduce,
 };
 use super::SendMutPtr;
+use crate::embedding::rowops;
 use crate::threadpool::ThreadPool;
 use dlrm_tensor::{BlockedActivations, BlockedWeights};
 
@@ -219,7 +220,7 @@ pub fn fc_backward_weights(
     dy: &BlockedActivations,
     dw: &mut BlockedWeights,
 ) {
-    backward_weights(pool, x, dy, dw, None);
+    backward_weights(pool, x, dy, WeightsOut::Grad(dw), None);
 }
 
 /// Backward-by-weights with the bias-gradient reduction fused in:
@@ -239,31 +240,64 @@ pub fn fc_backward_weights_fused(
     db: &mut [f32],
 ) {
     assert_eq!(db.len(), dw.k, "fc_backward_weights: db length");
-    backward_weights(pool, x, dy, dw, Some(db));
+    backward_weights(pool, x, dy, WeightsOut::Grad(dw), Some(db));
 }
+
+/// [`fc_backward_weights_fused`] with the SGD step in its write-back: each
+/// `dW` panel is reduced into a stack tile and applied while in L1 as
+/// `w_panel += (−lr)·tile`, bitwise [`crate::sgd::sgd_step`] on the unfused
+/// plane. `db` is overwritten; the bias step and reading `w` first are the
+/// caller's.
+pub fn fc_backward_weights_sgd(
+    pool: &ThreadPool,
+    x: &BlockedActivations,
+    dy: &BlockedActivations,
+    w: &mut BlockedWeights,
+    db: &mut [f32],
+    lr: f32,
+) {
+    assert_eq!(db.len(), w.k, "fc_backward_weights: db length");
+    assert!(w.blk.bc * w.blk.bk <= TILE, "panel exceeds the tile");
+    backward_weights(pool, x, dy, WeightsOut::Sgd { w, lr }, Some(db));
+}
+
+/// Each `dW` panel goes to the gradient plane, or to a tile applied to `w`.
+enum WeightsOut<'a> {
+    Grad(&'a mut BlockedWeights),
+    Sgd { w: &'a mut BlockedWeights, lr: f32 },
+}
+
+/// Floats in a fused-SGD tile: one default `64 × 64` panel, 16 KB.
+const TILE: usize = 64 * 64;
+#[repr(C, align(64))]
+struct Tile([f32; TILE]);
 
 fn backward_weights(
     pool: &ThreadPool,
     x: &BlockedActivations,
     dy: &BlockedActivations,
-    dw: &mut BlockedWeights,
+    out: WeightsOut<'_>,
     db: Option<&mut [f32]>,
 ) {
-    assert_eq!(dw.k, dy.c, "fc_backward_weights: dW rows != dY rows");
-    assert_eq!(dw.c, x.c, "fc_backward_weights: dW cols != X rows");
+    let (plane, alpha) = match out {
+        WeightsOut::Grad(dw) => (dw, None),
+        WeightsOut::Sgd { w, lr } => (w, Some(-lr)),
+    };
+    assert_eq!(plane.k, dy.c, "fc_backward_weights: dW rows != dY rows");
+    assert_eq!(plane.c, x.c, "fc_backward_weights: dW cols != X rows");
     assert_eq!(x.n, dy.n, "fc_backward_weights: batch mismatch");
-    assert_eq!(dw.blk.bc, x.bc, "fc_backward_weights: bc mismatch");
-    assert_eq!(dw.blk.bk, dy.bc, "fc_backward_weights: bk mismatch");
+    assert_eq!(plane.blk.bc, x.bc, "fc_backward_weights: bc mismatch");
+    assert_eq!(plane.blk.bk, dy.bc, "fc_backward_weights: bk mismatch");
     assert_eq!(x.bn, dy.bn, "fc_backward_weights: bn mismatch");
 
     let d = PanelDims {
         bn: x.bn,
         bc: x.bc,
-        bk: dw.blk.bk,
+        bk: plane.blk.bk,
     };
-    let (kb, cb, nb) = (dw.kb(), dw.cb(), x.nb());
+    let (kb, cb, nb) = (plane.kb(), plane.cb(), x.nb());
     let isa = detect_isa();
-    let dw_base = SendMutPtr(dw.as_mut_slice().as_mut_ptr());
+    let plane_base = SendMutPtr(plane.as_mut_slice().as_mut_ptr());
     let db_base = db.map(|db| SendMutPtr(db.as_mut_ptr()));
     let panel = d.bc * d.bk;
     // The reduction runs over the minibatch blocks — this is the pass whose
@@ -275,6 +309,7 @@ fn backward_weights(
     };
 
     pool.parallel_for(kb * cb, |_tid, range| {
+        let mut sgd = alpha.map(|alpha| (Tile([0.0; TILE]), alpha));
         for blk_idx in range {
             let (ibk, ibc) = (blk_idx / cb, blk_idx % cb);
             let x_panels = Panels {
@@ -285,12 +320,13 @@ fn backward_weights(
                 ptr: dy.block_ptr(ibk, 0),
                 stride: d.bn * d.bk,
             };
-            let dw_off = (ibk * cb + ibc) * panel;
-            // SAFETY: disjoint (ibk, ibc) dW panels per thread; the nb
+            // SAFETY: disjoint (ibk, ibc) plane panels per thread; the nb
             // panels of row ibc of x and of row ibk of dy are adjacent; the
-            // db fragment for ibk is written only by the (ibk, 0) work item.
+            // db fragment for ibk is written only by the (ibk, 0) work item;
+            // the tile is this thread's and holds a panel (asserted above).
             unsafe {
-                let dw_panel = dw_base.get().add(dw_off);
+                let plane_panel = plane_base.get().add((ibk * cb + ibc) * panel);
+                let dw_panel = sgd.as_mut().map_or(plane_panel, |(t, _)| t.0.as_mut_ptr());
                 match db_base {
                     Some(db) if ibc == 0 => brgemm_bwd_wt_bias(
                         isa,
@@ -302,6 +338,9 @@ fn backward_weights(
                         d,
                     ),
                     _ => brgemm_bwd_wt(isa, x_panels, dy_panels, reduce, dw_panel, d),
+                }
+                if let Some((tile, alpha)) = &sgd {
+                    rowops::scatter_add(isa, plane_panel, &tile.0[..panel], *alpha);
                 }
             }
         }
@@ -466,6 +505,7 @@ mod tests {
 
     #[test]
     fn fused_without_bias_or_relu_equals_plain_forward() {
+        let _tier = crate::gemm::micro::lock_isa_override();
         let pool = ThreadPool::new(2);
         let blk = Blocking {
             bn: 2,
@@ -484,6 +524,7 @@ mod tests {
 
     #[test]
     fn fused_backward_data_is_bitwise_unfused_then_mask() {
+        let _tier = crate::gemm::micro::lock_isa_override();
         let pool = ThreadPool::new(3);
         for blk in [
             Blocking {
@@ -535,6 +576,7 @@ mod tests {
     #[test]
     fn fused_backward_weights_bias_matches_separate_passes_bitwise() {
         use crate::activations::bias_grad_rows;
+        let _tier = crate::gemm::micro::lock_isa_override();
         let pool = ThreadPool::new(3);
         for blk in [
             Blocking {
@@ -569,8 +611,78 @@ mod tests {
         }
     }
 
+    /// The fused SGD write-back against the gradient plane followed by the
+    /// flat step, bit for bit, on every forced tier and team of 1–3: the
+    /// first layer of `train_mlp`'s top MLP (`74 → 1024`, `bc` = 37), its
+    /// one-wide head (`512 → 1`, `bk` = 1, the narrow scalar form), a square
+    /// `1024 → 1024`, and a ragged case (21 panels of `5 × 24`, three
+    /// reduction panels, split unevenly over two threads).
+    #[test]
+    fn backward_weights_sgd_is_bitwise_the_gradient_plane_then_sgd_step() {
+        use crate::embedding::rowops::available_isas;
+        use crate::gemm::micro::{lock_isa_override, set_isa_override};
+        use crate::sgd::sgd_step;
+        let _tier = lock_isa_override();
+        let lr = 0.07f32;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let layer = |c: usize, k: usize| {
+            let blk = Blocking::for_shape(1, c, k);
+            (c, k, Blocking { bn: 4, ..blk }, 8)
+        };
+        let ragged = (
+            35,
+            72,
+            Blocking {
+                bn: 4,
+                bc: 5,
+                bk: 24,
+            },
+            12,
+        );
+        for (c, k, blk, n) in [layer(74, 1024), layer(512, 1), layer(1024, 1024), ragged] {
+            let p = problem(k, c, n, blk, 41);
+            let w0 = || dlrm_tensor::BlockedWeights::pack(&p.w, blk);
+            let xb = dlrm_tensor::BlockedActivations::pack(&p.x, blk.bc, blk.bn);
+            let dyb = dlrm_tensor::BlockedActivations::pack(&p.dy, blk.bk, blk.bn);
+            for isa in available_isas() {
+                set_isa_override(Some(isa));
+                for team in 1..=3 {
+                    let pool = ThreadPool::new(team);
+                    let (mut want, mut dw) = (w0(), w0());
+                    let mut db_want = vec![0.0f32; k];
+                    fc_backward_weights_fused(&pool, &xb, &dyb, &mut dw, &mut db_want);
+                    sgd_step(want.as_mut_slice(), dw.as_slice(), lr);
+
+                    let mut got = w0();
+                    let mut db_got = vec![f32::NAN; k];
+                    fc_backward_weights_sgd(&pool, &xb, &dyb, &mut got, &mut db_got, lr);
+                    let at = format!("{c}->{k} {blk:?} {isa:?} team {team}");
+                    assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "w {at}");
+                    assert_eq!(bits(&db_got), bits(&db_want), "db {at}");
+                }
+            }
+            set_isa_override(None);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "panel exceeds the tile")]
+    fn backward_weights_sgd_rejects_a_panel_larger_than_the_tile() {
+        let blk = Blocking {
+            bn: 1,
+            bc: 128,
+            bk: 64,
+        };
+        let x = dlrm_tensor::BlockedActivations::zeros(128, 1, 128, 1);
+        let dy = dlrm_tensor::BlockedActivations::zeros(64, 1, 64, 1);
+        let mut w = dlrm_tensor::BlockedWeights::zeros(64, 128, blk);
+        let mut db = vec![0.0; 64];
+        fc_backward_weights_sgd(&ThreadPool::new(1), &x, &dy, &mut w, &mut db, 0.1);
+    }
+
     #[test]
     fn every_pass_overwrites_a_garbage_output_with_the_zero_start_result() {
+        let _tier = crate::gemm::micro::lock_isa_override();
         // Scratch outputs are reshaped, not zero-filled, between steps: a
         // pass must neither read nor keep what it finds there.
         let pool = ThreadPool::new(3);

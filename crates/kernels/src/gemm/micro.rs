@@ -878,6 +878,15 @@ unsafe fn bias_reduce_scalar(dy: Panels, count: usize, db: *mut f32, d: PanelDim
 }
 
 #[cfg(test)]
+/// Held by the unit tests that force a tier, and by those that compare two
+/// calls bitwise on whichever tier is current: the override is
+/// process-global and the harness runs tests on parallel threads.
+pub(crate) fn lock_isa_override() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[cfg(test)]
 mod tests {
     use super::super::micro_ref;
     use super::*;
@@ -1177,6 +1186,7 @@ mod tests {
 
     #[test]
     fn override_forces_tier() {
+        let _tier = lock_isa_override();
         set_isa_override(Some(Isa::Scalar));
         assert_eq!(detect_isa(), Isa::Scalar);
         set_isa_override(None);

@@ -18,9 +18,9 @@ pub fn sgd_step(w: &mut [f32], g: &[f32], lr: f32) {
     rowops::axpy(detect_isa(), w, g, -lr);
 }
 
-/// Plain FP32 SGD across a thread team — the shape of work the paper's
-/// dedicated "MLP SGD threads" perform while overlapped with backward
-/// GEMMs.
+/// Plain FP32 SGD across a thread team: the update pass (the paper's "MLP
+/// SGD threads") of the two-call `backward` + `sgd_step` form, which the
+/// FP32 train step fuses into backward-by-weights instead.
 pub fn par_sgd_step(pool: &ThreadPool, w: &mut [f32], g: &[f32], lr: f32) {
     assert_eq!(w.len(), g.len(), "par_sgd_step length mismatch");
     let isa = detect_isa();
@@ -89,7 +89,8 @@ mod tests {
     #[test]
     fn simd_step_bit_exact_vs_classic_loop() {
         use crate::embedding::rowops::available_isas;
-        use crate::gemm::micro::set_isa_override;
+        use crate::gemm::micro::{lock_isa_override, set_isa_override};
+        let _tier = lock_isa_override();
         for len in [0usize, 1, 7, 8, 17, 64, 1003] {
             let g: Vec<f32> = (0..len).map(|i| ((i * 37) as f32).sin() * 3.0).collect();
             let base: Vec<f32> = (0..len).map(|i| (i as f32).cos()).collect();
