@@ -28,10 +28,8 @@
 
 use dlrm_bench::{fmt_time, header, validate_artifact, HarnessOpts, Table};
 use dlrm_comm::instrument::{WireSnapshot, WireStats};
-use dlrm_comm::nonblocking::{create_channel_worlds_with_opts, Backend, ProgressEngine};
-use dlrm_comm::world::CommWorld;
 use dlrm_data::{DlrmConfig, IndexDistribution, LookaheadWindow, MiniBatch};
-use dlrm_dist::distributed::{DistDlrm, DistOptions, Schedule};
+use dlrm_dist::distributed::{run_ranks, DistOptions, Schedule};
 use dlrm_dist::exchange::ExchangeStrategy;
 use dlrm_dist::prefetch::Prefetch;
 use dlrm_tensor::init::seeded_rng;
@@ -103,55 +101,35 @@ fn run_once(cfg: &DlrmConfig, batches: &[MiniBatch], prefetch: Prefetch) -> Run 
         prefetch,
         ..Default::default()
     };
-    let backend = Backend::CclLike { workers: 2 };
     let wire_stats = Arc::new(WireStats::new());
-    let comms = CommWorld::create_with_opts(RANKS, None, Some(Arc::clone(&wire_stats)));
-    let worlds = std::sync::Mutex::new(create_channel_worlds_with_opts(
+    let per_rank = run_ranks(
+        cfg,
         RANKS,
-        backend,
+        &opts,
         None,
         Some(Arc::clone(&wire_stats)),
-    ));
-    let per_rank: Vec<(Vec<u64>, f64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| {
-                let worlds = &worlds;
-                let opts = &opts;
-                s.spawn(move || {
-                    let me = comm.rank();
-                    let engine = {
-                        let channels = std::mem::take(&mut worlds.lock().unwrap()[me]);
-                        ProgressEngine::new(backend, channels)
-                    };
-                    let mut model = DistDlrm::new(cfg, comm, Some(engine), opts);
-                    model.comm_barrier();
-                    let t0 = Instant::now();
-                    let losses: Vec<u64> = match prefetch {
-                        Prefetch::Off => batches
-                            .iter()
-                            .map(|b| model.train_step(b, 0.05).to_bits())
-                            .collect(),
-                        Prefetch::Lookahead { window } => {
-                            let mut win = LookaheadWindow::new(batches, window);
-                            let mut out = Vec::with_capacity(batches.len());
-                            while !win.is_finished() {
-                                out.push(model.train_step_lookahead(&win, 0.05).to_bits());
-                                win.advance();
-                            }
-                            out
-                        }
-                    };
-                    model.comm_barrier();
-                    (losses, t0.elapsed().as_secs_f64())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread panicked"))
-            .collect()
-    });
+        |model| {
+            model.comm_barrier();
+            let t0 = Instant::now();
+            let losses: Vec<u64> = match prefetch {
+                Prefetch::Off => batches
+                    .iter()
+                    .map(|b| model.train_step(b, 0.05).to_bits())
+                    .collect(),
+                Prefetch::Lookahead { window } => {
+                    let mut win = LookaheadWindow::new(batches, window);
+                    let mut out = Vec::with_capacity(batches.len());
+                    while !win.is_finished() {
+                        out.push(model.train_step_lookahead(&win, 0.05).to_bits());
+                        win.advance();
+                    }
+                    out
+                }
+            };
+            model.comm_barrier();
+            (losses, t0.elapsed().as_secs_f64())
+        },
+    );
     let step_s =
         per_rank.iter().map(|r| r.1).sum::<f64>() / (per_rank.len() * batches.len()) as f64;
     Run {

@@ -33,11 +33,9 @@ use dlrm_clustersim::timeline::{simulate_iteration, RunMode, SimParams};
 use dlrm_clustersim::{Calibration, Cluster, Strategy};
 use dlrm_comm::collectives;
 use dlrm_comm::instrument::{OpKind, TimingRecorder, WireSnapshot, WireStats};
-use dlrm_comm::nonblocking::{create_channel_worlds_with_opts, Backend, ProgressEngine};
 use dlrm_comm::wire::WirePrecision;
-use dlrm_comm::world::CommWorld;
 use dlrm_data::{DlrmConfig, IndexDistribution, MiniBatch};
-use dlrm_dist::distributed::{AllreduceWire, DistDlrm, DistOptions, Schedule, WireConfig};
+use dlrm_dist::distributed::{run_ranks, AllreduceWire, DistOptions, Schedule, WireConfig};
 use dlrm_dist::exchange::ExchangeStrategy;
 use dlrm_dist::wirepolicy::PolicyStats;
 use dlrm_tensor::init::seeded_rng;
@@ -117,67 +115,43 @@ fn run_wire(cfg: &DlrmConfig, batches: &[MiniBatch], warmup: usize, wire: WireCo
         wire,
         ..Default::default()
     };
-    let backend = Backend::CclLike { workers: 2 };
     let wire_stats = Arc::new(WireStats::new());
-    let comms = CommWorld::create_with_opts(RANKS, None, Some(Arc::clone(&wire_stats)));
-    let worlds = std::sync::Mutex::new(create_channel_worlds_with_opts(
+    let mut per_rank = run_ranks(
+        cfg,
         RANKS,
-        backend,
+        &opts,
         None,
         Some(Arc::clone(&wire_stats)),
-    ));
-    let mut per_rank: Vec<(Vec<f64>, f64, f64, Option<PolicyStats>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| {
-                let worlds = &worlds;
-                let wire_stats = &wire_stats;
-                let opts = &opts;
-                s.spawn(move || {
-                    let me = comm.rank();
-                    let engine = {
-                        let channels = std::mem::take(&mut worlds.lock().unwrap()[me]);
-                        ProgressEngine::new(backend, channels)
-                    };
-                    let mut model = DistDlrm::new(cfg, comm, Some(engine), opts);
-                    let rec = Arc::new(TimingRecorder::new());
-                    model.set_recorder(Some(Arc::clone(&rec)));
-                    for b in &batches[..warmup] {
-                        model.train_step(b, 0.05);
-                    }
-                    // Count only steady-state traffic: every rank parks at
-                    // the barrier, rank 0 zeroes the shared counters.
-                    model.comm_barrier();
-                    if me == 0 {
-                        wire_stats.reset();
-                    }
-                    rec.reset();
-                    model.comm_barrier();
-                    let t0 = Instant::now();
-                    let losses: Vec<f64> = batches[warmup..]
-                        .iter()
-                        .map(|b| model.train_step(b, 0.05))
-                        .collect();
-                    model.comm_barrier();
-                    let wall_s = t0.elapsed().as_secs_f64();
-                    let snap = rec.snapshot();
-                    let exchange_s = snap
-                        .get(&OpKind::AlltoallFramework)
-                        .map(|d| d.as_secs_f64())
-                        .unwrap_or(0.0)
-                        + snap
-                            .get(&OpKind::AlltoallWait)
-                            .map(|d| d.as_secs_f64())
-                            .unwrap_or(0.0);
-                    (losses, exchange_s, wall_s, model.wire_policy_stats())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread panicked"))
-            .collect()
-    });
+        |model| {
+            let rec = Arc::new(TimingRecorder::new());
+            model.set_recorder(Some(Arc::clone(&rec)));
+            for b in &batches[..warmup] {
+                model.train_step(b, 0.05);
+            }
+            // Count only steady-state traffic: every rank parks at the barrier,
+            // rank 0 zeroes the shared counters.
+            model.comm_barrier();
+            if model.rank() == 0 {
+                wire_stats.reset();
+            }
+            rec.reset();
+            model.comm_barrier();
+            let t0 = Instant::now();
+            let losses: Vec<f64> = batches[warmup..]
+                .iter()
+                .map(|b| model.train_step(b, 0.05))
+                .collect();
+            model.comm_barrier();
+            let wall_s = t0.elapsed().as_secs_f64();
+            let snap = rec.snapshot();
+            let exchange_s = [OpKind::AlltoallFramework, OpKind::AlltoallWait]
+                .iter()
+                .filter_map(|k| snap.get(k))
+                .map(|d| d.as_secs_f64())
+                .sum::<f64>();
+            (losses, exchange_s, wall_s, model.wire_policy_stats())
+        },
+    );
     let steps = batches.len() - warmup;
     let exchange_s_per_step =
         per_rank.iter().map(|r| r.1).sum::<f64>() / (per_rank.len() * steps) as f64;
@@ -203,12 +177,12 @@ fn run_wire(cfg: &DlrmConfig, batches: &[MiniBatch], warmup: usize, wire: WireCo
 /// Representable-payload gate: small integers are exact in BF16, so the
 /// BF16 wire must reproduce the FP32 wire bitwise for both allreduce and
 /// alltoall.
-fn representable_bitwise_equal() -> bool {
+fn representable_bitwise_equal(cfg: &DlrmConfig) -> bool {
     let run = |wirep: WirePrecision| -> Vec<(Vec<u32>, Vec<u32>)> {
-        CommWorld::run(RANKS, |comm| {
-            let me = comm.rank();
+        run_ranks(cfg, RANKS, &DistOptions::default(), None, None, |model| {
+            let (comm, me) = (model.comm(), model.rank());
             let mut data: Vec<f32> = (0..64).map(|j| ((me * 7 + j) % 32) as f32 - 16.0).collect();
-            collectives::allreduce_sum_wire(&comm, &mut data, wirep);
+            collectives::allreduce_sum_wire(comm, &mut data, wirep);
             let send: Vec<Vec<f32>> = (0..comm.nranks())
                 .map(|dst| {
                     (0..24)
@@ -216,7 +190,7 @@ fn representable_bitwise_equal() -> bool {
                         .collect()
                 })
                 .collect();
-            let recv = collectives::alltoall_wire(&comm, send, wirep);
+            let recv = collectives::alltoall_wire(comm, send, wirep);
             (
                 data.iter().map(|x| x.to_bits()).collect(),
                 recv.iter()
@@ -363,7 +337,7 @@ fn main() {
         ad_loss_delta < 5e-2,
         "adaptive loss trajectory drifted {ad_loss_delta} from FP32"
     );
-    let representable_ok = representable_bitwise_equal();
+    let representable_ok = representable_bitwise_equal(&cfg);
     assert!(
         representable_ok,
         "representable payloads must cross the BF16 wire bitwise unchanged"

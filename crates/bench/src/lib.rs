@@ -1,9 +1,14 @@
 //! # dlrm-bench — experiment harnesses
 //!
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! experiment index) plus Criterion kernel benches. This library holds the
-//! shared plumbing: report formatting, paper reference values, scaled-down
-//! default problem sizes and the `--paper-scale` switch.
+//! experiment index), five `bench_*` harnesses that measure this
+//! repository's own components, and Criterion kernel benches. The
+//! distributed harnesses (`bench_overlap`, `bench_prefetch`,
+//! `bench_wire_precision`) run their ranks through the trainer's one rank
+//! driver, `dlrm_dist::run_ranks`. This library holds the shared plumbing:
+//! report formatting, paper reference values, scaled-down default problem
+//! sizes, the `--paper-scale` / `--smoke` switches and the schema of every
+//! `results/BENCH_*.json` artifact.
 
 use std::time::Instant;
 
@@ -93,18 +98,6 @@ pub fn anon_huge_mb() -> f64 {
     kb.unwrap_or(0.0) * 1024.0 / 1e6
 }
 
-/// Extracts the first numeric value following a `"key":` literal. Returns
-/// `None` when the key is absent or not followed by a number — enough to
-/// gate on scalar fields without a JSON parser in the workspace.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = json[json.find(&pat)? + pat.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Checks that braces/brackets balance and never go negative.
 fn check_balanced(json: &str) -> Result<(), String> {
     let mut depth_brace = 0i64;
@@ -142,19 +135,11 @@ struct Schema {
     must_be_true: &'static [&'static str],
     /// `(key, value)` pairs that must appear as the literal `"key": value`.
     exact: &'static [(&'static str, &'static str)],
-    /// A speedup field that must exceed 1.0 — but only in a full-scale
-    /// artifact (`"smoke": false`) measured on a host with cores for two
-    /// teams (`"host_cores"` ≥ 2 × `"workers_per_shard"`): a second team
-    /// with no cores of its own cannot show parallel speedup and smoke runs
-    /// do not measure performance, so the artifact records both and the
-    /// gate arms itself exactly when the measurement could have shown
-    /// scaling.
-    multicore_speedup: Option<&'static str>,
 }
 
 /// One row per committed artifact. Used by the emitting binary
 /// (self-validation before writing) and by CI over the committed files.
-const SCHEMAS: [Schema; 6] = [
+const SCHEMAS: [Schema; 5] = [
     // `bench_embedding`: GUPS per ISA tier and update strategy, plus the
     // bitwise kernel-equivalence gate.
     Schema {
@@ -178,7 +163,6 @@ const SCHEMAS: [Schema; 6] = [
         ],
         must_be_true: &["equivalence_ok"],
         exact: &[],
-        multicore_speedup: None,
     },
     // `bench_wire_precision`: bytes and exchange time per wire tier, the
     // representable-payload bitwise gate, and the headline ratios: the BF16
@@ -218,7 +202,6 @@ const SCHEMAS: [Schema; 6] = [
             ("adaptive_allreduce_reduction_x", "4.0000"),
             ("adaptive_error_bound", "0.05"),
         ],
-        multicore_speedup: None,
     },
     // `bench_overlap`: exposed communication per schedule, plus the
     // bitwise-loss-identity gate.
@@ -226,6 +209,7 @@ const SCHEMAS: [Schema; 6] = [
         file: "BENCH_overlap.json",
         bench: "overlap",
         required: &[
+            "smoke",
             "config",
             "loss_bitwise_identical",
             "synchronous",
@@ -237,13 +221,8 @@ const SCHEMAS: [Schema; 6] = [
         ],
         must_be_true: &["loss_bitwise_identical"],
         exact: &[],
-        multicore_speedup: None,
     },
-    // `bench_serving`: the QPS-vs-latency-percentile curve, the cache
-    // hit-rate sweep over Zipf α × cache capacity, the sharded-engine
-    // scaling sweep with its per-shard observability block, and two
-    // identity gates — cached-vs-uncached and sharded-vs-unsharded, both
-    // bitwise.
+    // `bench_serving`: the closed-loop QPS-vs-latency-percentile curve.
     Schema {
         file: "BENCH_serving.json",
         bench: "serving",
@@ -254,27 +233,12 @@ const SCHEMAS: [Schema; 6] = [
             "clients",
             "qps",
             "p50_us",
+            "p90_us",
             "p99_us",
             "mean_batch",
-            "cache_sweep",
-            "zipf_s",
-            "capacity_frac",
-            "hit_rate",
-            "hot_head_hit_rate",
-            "shard_sweep",
-            "shards",
-            "workers_per_shard",
-            "per_shard",
-            "requests",
-            "p90_us",
-            "queue_depth_hwm",
-            "host_cores",
-            "multi_shard_speedup",
-            "sharded_identity_ok",
         ],
-        must_be_true: &["bitwise_identical", "sharded_identity_ok"],
+        must_be_true: &[],
         exact: &[],
-        multicore_speedup: Some("multi_shard_speedup"),
     },
     // `bench_prefetch`: the forward-exchange volume sweep over Zipf skew ×
     // lookahead window, plus the bitwise-loss-identity gate.
@@ -295,38 +259,6 @@ const SCHEMAS: [Schema; 6] = [
         ],
         must_be_true: &["losses_bitwise_identical"],
         exact: &[],
-        multicore_speedup: None,
-    },
-    // `bench_gemm`: per-pass GFLOP/s (fwd / bwd_data / bwd_weights) for the
-    // pack-per-call arm vs the persistent packed plan, per ISA tier and
-    // layer shape, plus the bitwise persistent-vs-per-call equivalence
-    // gate. `min_fwd_bwd_speedup` is the minimum across shapes at the
-    // native (highest available) ISA tier.
-    Schema {
-        file: "BENCH_gemm.json",
-        bench: "gemm",
-        required: &[
-            "smoke",
-            "threads",
-            "isa_tiers",
-            "configs",
-            "n",
-            "c",
-            "k",
-            "tiers",
-            "isa",
-            "passes",
-            "pass",
-            "per_call_gflops",
-            "persistent_gflops",
-            "fwd_bwd_speedup",
-            "native_isa",
-            "min_fwd_bwd_speedup",
-            "equivalence_ok",
-        ],
-        must_be_true: &["equivalence_ok"],
-        exact: &[],
-        multicore_speedup: None,
     },
 ];
 
@@ -360,21 +292,6 @@ pub fn validate_artifact(file_name: &str, json: &str) -> Result<(), String> {
     for (key, value) in schema.exact {
         if !json.contains(&format!("\"{key}\": {value}")) {
             return Err(format!("\"{key}\" must be exactly {value}"));
-        }
-    }
-    if let Some(key) = schema.multicore_speedup {
-        let host_cores =
-            extract_number(json, "host_cores").ok_or("\"host_cores\" must be numeric")?;
-        let workers = extract_number(json, "workers_per_shard")
-            .ok_or("\"workers_per_shard\" must be numeric")?;
-        let speedup =
-            extract_number(json, key).ok_or_else(|| format!("\"{key}\" must be numeric"))?;
-        let two_teams_fit = host_cores >= 2.0 * workers;
-        if json.contains("\"smoke\": false") && two_teams_fit && speedup <= 1.0 {
-            return Err(format!(
-                "full-scale run of {workers}-worker teams on a {host_cores}-core host must show \
-                 {key} > 1.0, got {speedup}"
-            ));
         }
     }
     check_balanced(json)
@@ -605,6 +522,7 @@ mod tests {
     fn overlap_validator_accepts_committed_shape_and_rejects_bad() {
         let ok = r#"{
   "bench": "overlap",
+  "smoke": true,
   "config": {"ranks": 4, "local_n": 8, "steps": 4, "warmup": 1},
   "loss_bitwise_identical": true,
   "synchronous": {"exposed_comm_mean_s": 0.01, "per_rank": [0.01]},
@@ -619,6 +537,8 @@ mod tests {
             "\"loss_bitwise_identical\": false",
         );
         assert!(validate_artifact("BENCH_overlap.json", &gate_broken).is_err());
+        let no_smoke = ok.replace("\"smoke\": true,", "");
+        assert!(validate_artifact("BENCH_overlap.json", &no_smoke).is_err());
     }
 
     #[test]
@@ -626,71 +546,17 @@ mod tests {
         let ok = r#"{
   "bench": "serving",
   "smoke": true,
-  "host_cores": 1,
   "config": {"rows": 1000, "dim": 16, "tables": 1, "lookups": 2, "max_batch": 8, "window_us": 200},
   "latency_curve": [
-    {"clients": 1, "qps": 1000.0, "p50_us": 150.0, "p99_us": 400.0, "mean_batch": 1.2}
-  ],
-  "cache_sweep": [
-    {"zipf_s": 1.1, "capacity_frac": 0.01, "hit_rate": 0.76, "bitwise_identical": true}
-  ],
-  "hot_head_hit_rate": 0.76,
-  "bitwise_identical": true,
-  "shard_sweep": [
-    {"shards": 1, "workers_per_shard": 1, "qps": 900.0, "p50_us": 160.0, "p90_us": 300.0, "p99_us": 500.0,
-     "per_shard": [
-       {"shard": 0, "requests": 100, "qps": 900.0, "p50_us": 160.0, "p90_us": 300.0, "p99_us": 500.0,
-        "queue_depth_hwm": 3, "cache": {"hits": 10, "misses": 5, "hit_rate": 0.67}}
-     ],
-     "sharded_identity_ok": true}
-  ],
-  "multi_shard_speedup": 0.95,
-  "sharded_identity_ok": true
+    {"clients": 1, "qps": 1000.0, "p50_us": 150.0, "p90_us": 300.0, "p99_us": 400.0, "mean_batch": 1.2}
+  ]
 }"#;
         assert!(validate_artifact("BENCH_serving.json", ok).is_ok());
         assert!(validate_artifact("BENCH_serving.json", "{}").is_err());
-        let gate_broken = ok.replace(
-            "\"bitwise_identical\": true",
-            "\"bitwise_identical\": false",
-        );
-        assert!(validate_artifact("BENCH_serving.json", &gate_broken).is_err());
-        let shard_gate_broken = ok.replace(
-            "\"sharded_identity_ok\": true\n}",
-            "\"sharded_identity_ok\": false\n}",
-        );
-        assert!(validate_artifact("BENCH_serving.json", &shard_gate_broken).is_err());
-        let unbalanced = ok.replace("true\n}", "true\n");
+        let missing = ok.replace("\"p90_us\"", "\"p95_us\"");
+        assert!(validate_artifact("BENCH_serving.json", &missing).is_err());
+        let unbalanced = ok.replace("]\n}", "]\n");
         assert!(validate_artifact("BENCH_serving.json", &unbalanced).is_err());
-    }
-
-    #[test]
-    fn serving_speedup_gate_arms_only_on_full_scale_runs_with_cores_for_two_teams() {
-        let base = r#"{
-  "bench": "serving", "smoke": SMOKE, "host_cores": CORES,
-  "config": {}, "latency_curve": [{"clients": 1, "qps": 1.0, "p50_us": 1.0, "p99_us": 1.0, "mean_batch": 1.0}],
-  "cache_sweep": [{"zipf_s": 1.1, "capacity_frac": 0.01, "hit_rate": 0.5}],
-  "hot_head_hit_rate": 0.5, "bitwise_identical": true,
-  "shard_sweep": [{"shards": 1, "workers_per_shard": WORKERS, "qps": 1.0, "p50_us": 1.0, "p90_us": 1.0, "p99_us": 1.0,
-    "per_shard": [{"shard": 0, "requests": 1, "queue_depth_hwm": 1}]}],
-  "multi_shard_speedup": SPEEDUP,
-  "sharded_identity_ok": true
-}"#;
-        let fill = |smoke: &str, cores: &str, workers: &str, speedup: &str| {
-            base.replace("SMOKE", smoke)
-                .replace("CORES", cores)
-                .replace("WORKERS", workers)
-                .replace("SPEEDUP", speedup)
-        };
-        let check = |json: String| validate_artifact("BENCH_serving.json", &json);
-        // Full-scale with cores for two teams: speedup must exceed 1.0.
-        assert!(check(fill("false", "8", "1", "0.9")).is_err());
-        assert!(check(fill("false", "8", "1", "1.7")).is_ok());
-        assert!(check(fill("false", "4", "2", "0.9")).is_err());
-        // A second team without cores of its own (one core; two cores and
-        // two-worker teams) or a smoke run: the gate stays disarmed.
-        assert!(check(fill("false", "1", "1", "0.9")).is_ok());
-        assert!(check(fill("false", "2", "2", "0.9")).is_ok());
-        assert!(check(fill("true", "8", "1", "0.9")).is_ok());
     }
 
     #[test]
@@ -716,36 +582,6 @@ mod tests {
         assert!(validate_artifact("BENCH_prefetch.json", &missing).is_err());
         let unbalanced = ok.replace("true\n}", "true\n");
         assert!(validate_artifact("BENCH_prefetch.json", &unbalanced).is_err());
-    }
-
-    #[test]
-    fn gemm_validator_accepts_minimal_schema_and_rejects_bad() {
-        let ok = r#"{
-  "bench": "gemm",
-  "smoke": true,
-  "threads": 8,
-  "isa_tiers": ["scalar"],
-  "configs": [
-    {"n": 64, "c": 64, "k": 64, "tiers": [
-      {"isa": "scalar", "passes": [
-        {"pass": "fwd", "per_call_gflops": 1.0, "persistent_gflops": 2.0, "speedup": 2.0}
-      ], "fwd_bwd_speedup": 2.0}
-    ]}
-  ],
-  "native_isa": "scalar",
-  "min_fwd_bwd_speedup": 2.0,
-  "equivalence_ok": true
-}"#;
-        assert!(validate_artifact("BENCH_gemm.json", ok).is_ok());
-        assert!(validate_artifact("BENCH_gemm.json", "{}").is_err());
-        let gate_broken = ok.replace("\"equivalence_ok\": true", "\"equivalence_ok\": false");
-        assert!(validate_artifact("BENCH_gemm.json", &gate_broken).is_err());
-        let wrong_tag = ok.replace("\"bench\": \"gemm\"", "\"bench\": \"mlp\"");
-        assert!(validate_artifact("BENCH_gemm.json", &wrong_tag).is_err());
-        let missing = ok.replace("\"min_fwd_bwd_speedup\"", "\"min_speedup\"");
-        assert!(validate_artifact("BENCH_gemm.json", &missing).is_err());
-        let unbalanced = ok.replace("true\n}", "true\n");
-        assert!(validate_artifact("BENCH_gemm.json", &unbalanced).is_err());
     }
 
     #[test]

@@ -31,8 +31,6 @@ pub mod fig8 {
 pub mod fig5 {
     /// This-work blocked batch-reduce kernels, average across configs.
     pub const THIS_WORK_EFF: f64 = 0.72;
-    /// Facebook's blocked implementation.
-    pub const FB_EFF: f64 = 0.75;
     /// PyTorch large multi-threaded MKL GEMMs.
     pub const PYTORCH_EFF: f64 = 0.61;
 }
@@ -61,10 +59,6 @@ pub mod scaling {
     pub const MLPERF_WEAK_26R: (f64, f64) = (17.0, 0.65);
     /// Small weak scaling at 8 ranks: 6.4x (80%).
     pub const SMALL_WEAK_8R: (f64, f64) = (6.4, 0.80);
-    /// Native alltoall vs scatter-based: ">2x performance benefits".
-    pub const ALLTOALL_VS_SCATTER_MIN: f64 = 2.0;
-    /// CCL vs MPI alltoall: "up to 1.4x additional speed up".
-    pub const CCL_VS_MPI_MAX: f64 = 1.4;
 }
 
 /// Figure 16: convergence (ROC AUC at 100% of the epoch).

@@ -33,7 +33,6 @@ fn every_committed_bench_artifact_validates() {
         "BENCH_overlap.json",
         "BENCH_serving.json",
         "BENCH_prefetch.json",
-        "BENCH_gemm.json",
     ] {
         assert!(
             seen.iter().any(|n| n == required),
@@ -46,14 +45,13 @@ fn every_committed_bench_artifact_validates() {
 fn committed_perf_artifacts_are_full_scale() {
     // A smoke-mode artifact records schema, not performance — committing
     // one would silently replace measured numbers with CI placeholder
-    // values. (BENCH_overlap predates the smoke flag and has no such
-    // field.)
+    // values.
     for name in [
         "BENCH_embedding.json",
         "BENCH_wire_precision.json",
+        "BENCH_overlap.json",
         "BENCH_serving.json",
         "BENCH_prefetch.json",
-        "BENCH_gemm.json",
     ] {
         let path = committed_results_dir().join(name);
         let json = std::fs::read_to_string(&path)

@@ -336,11 +336,6 @@ impl Communicator {
         &self.wire
     }
 
-    /// Owning handle to the wire byte counters.
-    pub fn wire_stats_arc(&self) -> &Arc<WireStats> {
-        &self.wire
-    }
-
     /// Burns a counted number of yields if the plan stalls this operation
     /// boundary. Pure scheduling perturbation; never affects results.
     fn maybe_stall(&self, st: &mut EndpointState) {

@@ -14,9 +14,6 @@
 //!   structure: a frozen random teacher model produces ground-truth click
 //!   probabilities, substituting for the Criteo Terabyte dataset in the
 //!   Figure 16 convergence study.
-//! * [`loader`] — data loaders, including the paper's "reads the full
-//!   global minibatch on every rank" behaviour whose cost grows with weak
-//!   scaling (Figure 13 discussion).
 //! * [`lookahead`] — a peekable window over the deterministic batch
 //!   stream, the shared view the BagPipe-style prefetch pipeline in the
 //!   distributed trainer derives its transfer plans from.
@@ -25,7 +22,6 @@ pub mod batch;
 pub mod clicklog;
 pub mod configs;
 pub mod distributions;
-pub mod loader;
 pub mod lookahead;
 
 pub use batch::MiniBatch;

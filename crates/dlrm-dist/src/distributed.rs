@@ -47,8 +47,8 @@ use dlrm::interaction::Interaction;
 use dlrm::layers::{Activation, Execution, Mlp};
 use dlrm::model::DlrmModel;
 use dlrm_comm::chaos::FaultPlan;
-use dlrm_comm::instrument::{time_opt, OpKind, TimingRecorder};
-use dlrm_comm::nonblocking::{create_channel_worlds_with_chaos, Backend, ProgressEngine};
+use dlrm_comm::instrument::{time_opt, OpKind, TimingRecorder, WireStats};
+use dlrm_comm::nonblocking::{create_channel_worlds_with_opts, Backend, ProgressEngine};
 use dlrm_comm::wire::WirePrecision;
 use dlrm_comm::world::{CommWorld, Communicator};
 use dlrm_data::{DlrmConfig, LookaheadWindow, MiniBatch};
@@ -371,6 +371,11 @@ impl DistDlrm {
     /// Barrier over the trainer's communicator (bench/test sync points).
     pub fn comm_barrier(&self) {
         self.comm.barrier();
+    }
+
+    /// The trainer's blocking communicator.
+    pub fn comm(&self) -> &Communicator {
+        &self.comm
     }
 
     /// Attaches (or detaches) a per-rank timing recorder. Compute,
@@ -712,14 +717,8 @@ pub fn run_training(
     run_training_with_chaos(cfg, nranks, opts, batches, lr, None)
 }
 
-/// [`run_training`] over a chaotic transport: the same fault plan is
-/// threaded through the blocking world *and* the progress-engine channel
-/// worlds. With `plan = None` this is exactly `run_training`; with a plan,
-/// losses must still be bitwise identical — the chaos test suite checks
-/// precisely that.
-///
-/// A progress engine is created exactly when [`DistDlrm::new`] keeps one:
-/// under [`ExchangeStrategy::CclAlltoall`].
+/// [`run_training`] over a chaotic transport: with a plan, losses must
+/// still be bitwise identical — the chaos test suite checks precisely that.
 pub fn run_training_with_chaos(
     cfg: &DlrmConfig,
     nranks: usize,
@@ -728,37 +727,53 @@ pub fn run_training_with_chaos(
     lr: f32,
     plan: Option<Arc<FaultPlan>>,
 ) -> Vec<Vec<f64>> {
-    let backend = Backend::CclLike { workers: 2 };
-    let engines = if opts.strategy == ExchangeStrategy::CclAlltoall {
-        Some(std::sync::Mutex::new(create_channel_worlds_with_chaos(
-            nranks,
-            backend,
-            plan.clone(),
-        )))
-    } else {
-        None
-    };
-    CommWorld::run_with_chaos(nranks, plan.clone(), |comm| {
-        let engine = engines.as_ref().map(|m| {
-            let comms = std::mem::take(&mut m.lock().unwrap()[comm.rank()]);
-            ProgressEngine::new_with_chaos(backend, comms, plan.clone())
-        });
-        let mut rank_model = DistDlrm::new(cfg, comm, engine, opts);
-        match opts.prefetch {
-            Prefetch::Off => batches
-                .iter()
-                .map(|b| rank_model.train_step(b, lr))
-                .collect(),
-            Prefetch::Lookahead { window } => {
-                let mut win = LookaheadWindow::new(batches, window);
-                let mut losses = Vec::with_capacity(batches.len());
-                while !win.is_finished() {
-                    losses.push(rank_model.train_step_lookahead(&win, lr));
-                    win.advance();
-                }
-                losses
+    run_ranks(cfg, nranks, opts, plan, None, |model| match opts.prefetch {
+        Prefetch::Off => batches.iter().map(|b| model.train_step(b, lr)).collect(),
+        Prefetch::Lookahead { window } => {
+            let mut win = LookaheadWindow::new(batches, window);
+            let mut losses = Vec::with_capacity(batches.len());
+            while !win.is_finished() {
+                losses.push(model.train_step_lookahead(&win, lr));
+                win.advance();
             }
+            losses
         }
+    })
+}
+
+/// The rank driver: runs `body` on each of `nranks` thread-ranks' [`DistDlrm`]
+/// and returns the results in rank order. A rank gets a two-worker progress
+/// engine exactly under [`ExchangeStrategy::CclAlltoall`]; `plan` and `wire`
+/// reach the blocking world and every channel world.
+pub fn run_ranks<T: Send>(
+    cfg: &DlrmConfig,
+    nranks: usize,
+    opts: &DistOptions,
+    plan: Option<Arc<FaultPlan>>,
+    wire: Option<Arc<WireStats>>,
+    body: impl Fn(&mut DistDlrm) -> T + Send + Sync,
+) -> Vec<T> {
+    let backend = Backend::CclLike { workers: 2 };
+    let mut channels = (opts.strategy == ExchangeStrategy::CclAlltoall)
+        .then(|| create_channel_worlds_with_opts(nranks, backend, plan.clone(), wire.clone()))
+        .map(Vec::into_iter);
+    let comms = CommWorld::create_with_opts(nranks, plan.clone(), wire);
+    std::thread::scope(|s| {
+        let ranks: Vec<_> = comms
+            .into_iter()
+            .map(|comm| {
+                let (ch, plan, body) = (channels.as_mut().and_then(Iterator::next), &plan, &body);
+                s.spawn(move || {
+                    let engine =
+                        ch.map(|c| ProgressEngine::new_with_chaos(backend, c, plan.clone()));
+                    body(&mut DistDlrm::new(cfg, comm, engine, opts))
+                })
+            })
+            .collect();
+        ranks
+            .into_iter()
+            .map(|h| h.join().expect("rank thread panicked"))
+            .collect()
     })
 }
 

@@ -58,8 +58,8 @@ pub mod wirepolicy;
 pub use bucketing::{BucketPlan, BucketReducer, DEFAULT_BUCKET_CAP_BYTES};
 pub use characteristics::DistCharacteristics;
 pub use distributed::{
-    run_training, run_training_with_chaos, AllreduceWire, DistDlrm, DistOptions, Schedule,
-    WireConfig,
+    run_ranks, run_training, run_training_with_chaos, AllreduceWire, DistDlrm, DistOptions,
+    Schedule, WireConfig,
 };
 pub use dlrm_comm::wire::WirePrecision;
 pub use exchange::ExchangeStrategy;

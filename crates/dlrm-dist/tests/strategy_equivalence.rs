@@ -6,17 +6,22 @@
 //! ring over the same plan, so all three setups — `Alltoall` handed an
 //! engine, `Alltoall` with none, `CclAlltoall` with one — must produce
 //! bitwise identical losses and parameter planes, on every allreduce wire
-//! and with either embedding front end.
+//! and with either embedding front end. The rank driver
+//! [`run_ranks`] follows the same rule: it starts an engine exactly under
+//! `CclAlltoall`, and one [`WireStats`] handed to it counts the blocking
+//! world and every engine channel.
 
+use dlrm_comm::collectives::allreduce_sum;
+use dlrm_comm::instrument::{WireSnapshot, WireStats};
 use dlrm_comm::nonblocking::{create_channel_worlds, Backend, ProgressEngine};
 use dlrm_comm::wire::WirePrecision;
 use dlrm_comm::world::CommWorld;
 use dlrm_data::{DlrmConfig, IndexDistribution, LookaheadWindow, MiniBatch};
-use dlrm_dist::distributed::{AllreduceWire, DistDlrm, DistOptions, WireConfig};
+use dlrm_dist::distributed::{run_ranks, AllreduceWire, DistDlrm, DistOptions, WireConfig};
 use dlrm_dist::exchange::ExchangeStrategy;
 use dlrm_dist::prefetch::Prefetch;
 use dlrm_tensor::init::seeded_rng;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The thread census below reads the whole process, so no other test of
@@ -204,21 +209,12 @@ fn default_strategy_joins_the_engine_it_is_handed() {
         println!("skipped: no /proc/self/task on this platform");
         return;
     }
-    // Two ranks × two workers when the engine is kept, none when dropped.
-    for (strategy, want) in [
-        (ExchangeStrategy::Alltoall, 0),
-        (ExchangeStrategy::CclAlltoall, 4),
-    ] {
-        let opts = DistOptions {
-            strategy,
-            threads_per_rank: 1,
-            ..Default::default()
-        };
-        // Every rank has built its trainer before rank 0 takes the census,
-        // and none drops it before the census is done. A new thread names
-        // itself after it starts and a joined one leaves `/proc` just after
-        // its join returns, so the census may look again until a deadline.
-        let census = with_ranks(2, &opts, true, |model| {
+    // Every rank has built its trainer before rank 0 takes the census,
+    // and none drops it before the census is done. A new thread names
+    // itself after it starts and a joined one leaves `/proc` just after
+    // its join returns, so the census may look again until a deadline.
+    let census = |want: usize| {
+        move |model: &mut DistDlrm| {
             model.comm_barrier();
             let names = (model.rank() == 0).then(|| {
                 let deadline = Instant::now() + Duration::from_secs(5);
@@ -232,8 +228,94 @@ fn default_strategy_joins_the_engine_it_is_handed() {
             });
             model.comm_barrier();
             names
-        });
-        let names = census[0].clone().expect("rank 0 took the census");
-        assert_eq!(names.len(), want, "{strategy}: progress threads {names:?}");
+        }
+    };
+    // Two ranks × two workers when the engine is kept, none when dropped:
+    // whether the trainer is handed an engine, or the rank driver decides.
+    for (strategy, want) in [
+        (ExchangeStrategy::Alltoall, 0),
+        (ExchangeStrategy::CclAlltoall, 4),
+    ] {
+        let opts = DistOptions {
+            strategy,
+            threads_per_rank: 1,
+            ..Default::default()
+        };
+        let handed = with_ranks(2, &opts, true, census(want));
+        let driven = run_ranks(&cfg(), 2, &opts, None, None, census(want));
+        for (how, census) in [("handed", handed), ("run_ranks", driven)] {
+            let names = census[0].clone().expect("rank 0 took the census");
+            assert_eq!(
+                names.len(),
+                want,
+                "{strategy} {how}: progress threads {names:?}"
+            );
+        }
     }
+}
+
+/// Field-wise sum of two wire snapshots.
+fn plus(a: WireSnapshot, b: WireSnapshot) -> WireSnapshot {
+    WireSnapshot {
+        messages: a.messages + b.messages,
+        reduce_scatter_bytes: a.reduce_scatter_bytes + b.reduce_scatter_bytes,
+        allgather_bytes: a.allgather_bytes + b.allgather_bytes,
+        alltoall_bytes: a.alltoall_bytes + b.alltoall_bytes,
+        broadcast_bytes: a.broadcast_bytes + b.broadcast_bytes,
+        prefetch_bytes: a.prefetch_bytes + b.prefetch_bytes,
+        other_bytes: a.other_bytes + b.other_bytes,
+        header_bytes: a.header_bytes + b.header_bytes,
+    }
+}
+
+#[test]
+fn run_ranks_counts_both_worlds_in_one_wire_stats() {
+    let _serial = serial();
+    let cfg = cfg();
+    let stream = batches(&cfg, 3, 5);
+    // `train` runs the step stream; `blocking` adds one allreduce on the
+    // trainer's blocking communicator.
+    let traffic = |strategy, train: bool, blocking: bool| {
+        let opts = DistOptions {
+            strategy,
+            threads_per_rank: 1,
+            bucket_cap_bytes: 128,
+            ..Default::default()
+        };
+        let wire = Arc::new(WireStats::new());
+        run_ranks(&cfg, 2, &opts, None, Some(Arc::clone(&wire)), |model| {
+            if train {
+                for b in &stream {
+                    model.train_step(b, 0.1);
+                }
+            }
+            if blocking {
+                allreduce_sum(model.comm(), &mut vec![1.0; 64]);
+            }
+        });
+        wire.snapshot()
+    };
+    // The default strategy runs the step on the blocking world, so it
+    // measures the step's traffic; `CclAlltoall` runs the same messages
+    // on its engine's channel worlds.
+    let step = traffic(ExchangeStrategy::Alltoall, true, false);
+    let extra = traffic(ExchangeStrategy::Alltoall, false, true);
+    assert!(
+        step.alltoall_bytes > 0 && step.allreduce_bytes() > 0,
+        "{step:?}"
+    );
+    assert!(
+        extra.allreduce_bytes() > 0 && extra.alltoall_bytes == 0,
+        "{extra:?}"
+    );
+    assert_eq!(
+        traffic(ExchangeStrategy::CclAlltoall, true, false),
+        step,
+        "engine channels"
+    );
+    assert_eq!(
+        traffic(ExchangeStrategy::CclAlltoall, true, true),
+        plus(step, extra),
+        "engine channels + blocking world"
+    );
 }

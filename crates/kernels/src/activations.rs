@@ -1,10 +1,7 @@
 //! Elementwise activation kernels (ReLU, sigmoid) and bias addition.
 //!
 //! The paper notes these are "complexity-wise irrelevant" and best fused or
-//! overlapped; they are kept simple and, where profitable, run on the
-//! thread pool.
-
-use crate::threadpool::ThreadPool;
+//! overlapped; they are kept simple.
 
 /// In-place ReLU forward; returns nothing, mutates `x`.
 pub fn relu_forward(x: &mut [f32]) {
@@ -39,21 +36,6 @@ pub fn sigmoid(x: f32) -> f32 {
     }
 }
 
-/// In-place sigmoid forward.
-pub fn sigmoid_forward(x: &mut [f32]) {
-    for v in x.iter_mut() {
-        *v = sigmoid(*v);
-    }
-}
-
-/// Sigmoid backward given the forward output: `g *= y (1 − y)`.
-pub fn sigmoid_backward(out: &[f32], grad: &mut [f32]) {
-    assert_eq!(out.len(), grad.len());
-    for (g, &y) in grad.iter_mut().zip(out) {
-        *g *= y * (1.0 - y);
-    }
-}
-
 /// Adds bias `b[k]` to every column of a row-major `K×N` output
 /// (the `Y = W·X` convention: rows are features, columns are samples).
 pub fn bias_add_rows(y: &mut [f32], k: usize, n: usize, b: &[f32]) {
@@ -73,18 +55,6 @@ pub fn bias_grad_rows(dy: &[f32], k: usize, n: usize, db: &mut [f32]) {
     for (row, dbv) in db.iter_mut().enumerate() {
         *dbv = dy[row * n..(row + 1) * n].iter().sum();
     }
-}
-
-/// Parallel in-place ReLU across a thread team (used on large activations).
-pub fn par_relu_forward(pool: &ThreadPool, x: &mut [f32]) {
-    let base = crate::gemm::SendMutPtr(x.as_mut_ptr());
-    let len = x.len();
-    pool.parallel_for(len, move |_tid, range| {
-        // SAFETY: ranges from parallel_for are disjoint.
-        let chunk =
-            unsafe { std::slice::from_raw_parts_mut(base.get().add(range.start), range.len()) };
-        relu_forward(chunk);
-    });
 }
 
 #[cfg(test)]
@@ -129,17 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_backward_matches_finite_difference() {
-        let x = 0.7f32;
-        let y = sigmoid(x);
-        let mut g = [1.0f32];
-        sigmoid_backward(&[y], &mut g);
-        let h = 1e-3f32;
-        let fd = (sigmoid(x + h) - sigmoid(x - h)) / (2.0 * h);
-        assert!((g[0] - fd).abs() < 1e-4, "analytic {} vs fd {}", g[0], fd);
-    }
-
-    #[test]
     fn bias_roundtrip() {
         let mut y = vec![0.0f32; 6]; // 2x3
         bias_add_rows(&mut y, 2, 3, &[1.0, -2.0]);
@@ -147,15 +106,5 @@ mod tests {
         let mut db = vec![0.0f32; 2];
         bias_grad_rows(&y, 2, 3, &mut db);
         assert_eq!(db, [3.0, -6.0]);
-    }
-
-    #[test]
-    fn par_relu_matches_serial() {
-        let pool = ThreadPool::new(4);
-        let mut a: Vec<f32> = (0..1000).map(|i| (i as f32 - 500.0) * 0.1).collect();
-        let mut b = a.clone();
-        relu_forward(&mut a);
-        par_relu_forward(&pool, &mut b);
-        assert_eq!(a, b);
     }
 }

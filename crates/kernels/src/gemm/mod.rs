@@ -29,12 +29,6 @@ pub fn gemm_flops(k: usize, c: usize, n: usize) -> u64 {
     2 * k as u64 * c as u64 * n as u64
 }
 
-/// FLOPs of one fully-connected training iteration (fwd + bwd-data +
-/// bwd-weights), as used when reporting Figure 5 efficiency.
-pub fn fc_training_flops(k: usize, c: usize, n: usize) -> u64 {
-    3 * gemm_flops(k, c, n)
-}
-
 /// A `*mut f32` that may be smuggled into a thread team. Each thread must
 /// only touch a disjoint region; the kernels in this crate uphold that by
 /// partitioning output *blocks* across threads.
@@ -62,6 +56,5 @@ mod tests {
     #[test]
     fn flop_counts() {
         assert_eq!(gemm_flops(2, 3, 4), 48);
-        assert_eq!(fc_training_flops(2, 3, 4), 144);
     }
 }

@@ -354,24 +354,6 @@ impl ThreadPool {
             }
         });
     }
-
-    /// Dynamically partitions `0..n_items` into unit tasks claimed from a
-    /// shared counter — used where the paper notes static partitioning load
-    /// imbalance (clustered embedding indices).
-    pub fn parallel_for_dynamic<F>(&self, n_items: usize, chunk: usize, f: F)
-    where
-        F: Fn(usize, Range<usize>) + Send + Sync,
-    {
-        assert!(chunk > 0);
-        let next = AtomicUsize::new(0);
-        self.broadcast(move |tid| loop {
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n_items {
-                break;
-            }
-            f(tid, start..(start + chunk).min(n_items));
-        });
-    }
 }
 
 impl Drop for ThreadPool {
@@ -462,19 +444,6 @@ mod tests {
         let n = 1237;
         let marks: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         pool.parallel_for(n, |_tid, range| {
-            for i in range {
-                marks[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(marks.iter().all(|m| m.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn parallel_for_dynamic_covers_every_item_once() {
-        let pool = ThreadPool::new(4);
-        let n = 999;
-        let marks: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for_dynamic(n, 7, |_tid, range| {
             for i in range {
                 marks[i].fetch_add(1, Ordering::Relaxed);
             }
