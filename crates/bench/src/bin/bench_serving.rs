@@ -15,9 +15,7 @@
 use dlrm::layers::Execution;
 use dlrm_bench::{header, validate_artifact, HarnessOpts, Table};
 use dlrm_data::{DlrmConfig, IndexDistribution};
-use dlrm_serve::{
-    summarize_latencies_us, CacheSizing, Request, ServeConfig, ServeEngine, ServeModel,
-};
+use dlrm_serve::{CacheSizing, Request, ServeConfig, ServeEngine, ServeModel};
 use dlrm_tensor::init::seeded_rng;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -138,9 +136,9 @@ fn run_curve_point(
         w.join().expect("client thread");
     }
     let wall = t0.elapsed().as_secs_f64();
-    let mut report = engine.shutdown();
+    let report = engine.shutdown();
     assert_eq!(report.requests as usize, clients * s.requests_per_client);
-    let lat = summarize_latencies_us(&mut report.latencies_us);
+    let lat = report.latencies_us.summary();
     CurvePoint {
         clients,
         qps: report.requests as f64 / wall.max(f64::MIN_POSITIVE),

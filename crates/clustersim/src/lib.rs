@@ -22,6 +22,8 @@
 //! [`calib::Calibration`] with a justification, and the ablation benches
 //! sweep them.
 
+#![forbid(unsafe_code)]
+
 pub mod bf16_outlook;
 pub mod calib;
 pub mod comm;

@@ -41,6 +41,8 @@
 //! contract — faults perturb the physical transport and are repaired before
 //! delivery — which is what the `chaos` test suites verify bitwise.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod collectives;
 pub mod instrument;

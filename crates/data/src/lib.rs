@@ -18,6 +18,8 @@
 //!   stream, the shared view the BagPipe-style prefetch pipeline in the
 //!   distributed trainer derives its transfer plans from.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod clicklog;
 pub mod configs;

@@ -47,6 +47,8 @@
 //! next batch's rows in flight behind backward compute — bitwise-identical
 //! losses and parameter planes, fewer logical bytes.
 
+#![forbid(unsafe_code)]
+
 pub mod bucketing;
 pub mod characteristics;
 pub mod ddp;

@@ -119,14 +119,17 @@ impl<T> MicroBatcher<T> {
                 st = self.shared.cv.wait(st).unwrap();
                 st.parked -= 1;
             }
-            let deadline = Instant::now() + window;
+            // A window past the clock's range has no deadline: wait for a
+            // full batch or for `close`.
+            let deadline = Instant::now().checked_add(window);
             while st.queue.len() < max_batch && !st.closed {
                 let now = Instant::now();
-                if now >= deadline {
+                let left = deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(now));
+                if left.is_zero() {
                     break;
                 }
                 st.parked += 1;
-                let (guard, wait) = self.shared.cv.wait_timeout(st, deadline - now).unwrap();
+                let (guard, wait) = self.shared.cv.wait_timeout(st, left).unwrap();
                 st = guard;
                 st.parked -= 1;
                 if wait.timed_out() {
@@ -175,6 +178,29 @@ mod tests {
         b.push(2);
         let batch = b.next_batch(64, Duration::ZERO).unwrap();
         assert_eq!(batch, vec![1, 2]);
+    }
+
+    /// `Duration::MAX` overflows any deadline: it must mean "no deadline",
+    /// not a panic in the consumer.
+    #[test]
+    fn an_unbounded_window_waits_for_a_full_batch_or_close() {
+        let b = MicroBatcher::new();
+        let consumer = {
+            let b = b.clone();
+            thread::spawn(move || {
+                let full = b.next_batch(3, Duration::MAX);
+                (full, b.next_batch(3, Duration::MAX))
+            })
+        };
+        b.push(0u32);
+        thread::sleep(Duration::from_millis(20));
+        for i in 1..5 {
+            b.push(i);
+        }
+        b.close();
+        let (full, rest) = consumer.join().expect("the consumer survives");
+        assert_eq!(full, Some(vec![0, 1, 2]));
+        assert_eq!(rest, Some(vec![3, 4]), "close ends the wait");
     }
 
     #[test]

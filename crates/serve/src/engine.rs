@@ -24,6 +24,7 @@
 
 use crate::batcher::MicroBatcher;
 use crate::cache::CacheStats;
+use crate::metrics::LatencyHistogram;
 use crate::reply::{self, ReplySender, ResponseHandle};
 use crate::sharded::{gather, LaneHalf, ShardedServeModel};
 use dlrm_data::{DlrmConfig, MiniBatch};
@@ -112,8 +113,8 @@ pub struct ShardReport {
     /// Largest micro-batch this lane saw.
     pub max_batch_seen: usize,
     /// Engine-side latency of each request served by this lane, in
-    /// microseconds, in completion order.
-    pub latencies_us: Vec<u64>,
+    /// microseconds: a fixed-size histogram, not a sample per request.
+    pub latencies_us: LatencyHistogram,
     /// High-water mark of requests visible to this lane when it pulled a
     /// batch (batch in hand + still queued behind it).
     pub queue_depth_hwm: usize,
@@ -131,8 +132,8 @@ pub struct EngineReport {
     /// Largest micro-batch seen.
     pub max_batch_seen: usize,
     /// Engine-side latency of every request, in microseconds
-    /// (submission → response ready), in completion order.
-    pub latencies_us: Vec<u64>,
+    /// (submission → response ready): the lanes' histograms merged.
+    pub latencies_us: LatencyHistogram,
     /// One `None` per table: no table is fronted by a cache.
     pub cache_stats: Vec<Option<CacheStats>>,
     /// Per-shard breakdown (one entry for a [`ServeEngine`]).
@@ -152,7 +153,7 @@ impl EngineReport {
             report.requests += sr.requests;
             report.batches += sr.batches;
             report.max_batch_seen = report.max_batch_seen.max(sr.max_batch_seen);
-            report.latencies_us.extend_from_slice(&sr.latencies_us);
+            report.latencies_us.merge(&sr.latencies_us);
         }
         report.shards = shards;
         report
@@ -505,7 +506,7 @@ pub(crate) fn respond(pendings: Vec<Pending>, logits: &[f32], report: &mut Shard
     for (p, &logit) in pendings.into_iter().zip(logits) {
         let latency = ready.duration_since(p.submitted);
         report.requests += 1;
-        report.latencies_us.push(latency.as_micros() as u64);
+        report.latencies_us.record(latency.as_micros() as u64);
         let resp = Response {
             logit,
             prob: sigmoid(logit),
@@ -718,6 +719,35 @@ mod tests {
         let joined = rx.recv_timeout(WATCHDOG).expect("Drop hung");
         let panic = joined.expect_err("the thread's own panic");
         assert_eq!(panic.downcast_ref(), Some(&"unwinding past a dead engine"));
+    }
+
+    /// Under a window of `Duration::MAX` the lane waits for full batches
+    /// and serves them; shutdown drains the partial batch left behind.
+    #[test]
+    fn an_unbounded_window_serves_full_batches_and_drains_on_shutdown() {
+        let serve_cfg = ServeConfig {
+            max_batch: 4,
+            window: Duration::MAX,
+        };
+        let engine = ShardedEngine::start(sharded(1), serve_cfg);
+        let client = engine.client();
+        let submit = |n| -> Vec<_> {
+            (0..n)
+                .map(|_| client.submit(request()).expect("open"))
+                .collect()
+        };
+        assert!(
+            outcomes(submit(8)).iter().all(Result::is_ok),
+            "two full batches"
+        );
+        let partial = submit(3);
+        let report = engine.shutdown();
+        assert!(
+            outcomes(partial).iter().all(Result::is_ok),
+            "drained on shutdown"
+        );
+        assert_eq!((report.requests, report.batches), (11, 3));
+        assert_eq!(report.latencies_us.len(), 11);
     }
 
     #[test]

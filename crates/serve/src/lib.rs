@@ -14,8 +14,8 @@
 //! * [`engine`] — [`ShardedEngine`]: a lane thread per shard draining the
 //!   batcher — the tables its shard owns gathered in place, the rest asked
 //!   of their owners' table-server threads over one std channel each —
-//!   recording per-request latency for p50/p99/QPS SLO reporting
-//!   ([`metrics`]). [`ServeEngine`] is the same engine on a [`ServeModel`]:
+//!   counting each request's latency into the lane's fixed-size
+//!   [`LatencyHistogram`] for p50/p99 SLO reporting ([`metrics`]). [`ServeEngine`] is the same engine on a [`ServeModel`]:
 //!   one lane, no server, one thread.
 //! * [`reply`] — one-shot reply slots: a micro-batch's responses are all
 //!   published before any waiting client is woken, one wake per batch.
@@ -28,6 +28,8 @@
 //! Correctness contract: a request's logit is **bitwise identical** to
 //! `DlrmModel::forward` on the same seed however it is batched and for any
 //! shard count.
+
+#![forbid(unsafe_code)]
 
 pub mod batcher;
 pub mod cache;
@@ -42,5 +44,5 @@ pub use engine::{
     CacheSizing, EngineReport, Request, Response, ServeClient, ServeConfig, ServeEngine,
     ShardReport, ShardedEngine,
 };
-pub use metrics::{summarize_latencies_us, LatencySummary};
+pub use metrics::{summarize_latencies_us, LatencyHistogram, LatencySummary};
 pub use sharded::{ServeModel, ShardSpec, ShardedServeModel};

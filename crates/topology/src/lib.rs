@@ -21,6 +21,8 @@
 //! and the sharded serving engine) and [`CorePlacement`] (shard worker
 //! team → host cores).
 
+#![forbid(unsafe_code)]
+
 pub mod fattree;
 pub mod hypercube;
 pub mod placement;
