@@ -268,14 +268,10 @@ impl DistDlrm {
             &mut seeded_rng(opts.seed, DlrmModel::TOP_STREAM),
         );
         let ownership = OwnershipMap::round_robin(cfg.num_tables, comm.nranks());
-        let local_tables: Vec<(usize, EmbeddingLayer)> = ownership
-            .tables_of(comm.rank())
-            .iter()
-            .map(|&t| {
-                let table = DlrmModel::build_table(cfg, t, UpdateStrategy::RaceFree, opts.seed);
-                (t, table)
-            })
-            .collect();
+        let exec = Execution::optimized(opts.threads_per_rank);
+        let owned = ownership.tables_of(comm.rank());
+        let built = DlrmModel::build_tables(cfg, owned, UpdateStrategy::RaceFree, &exec, opts.seed);
+        let local_tables: Vec<(usize, EmbeddingLayer)> = owned.iter().copied().zip(built).collect();
         let (grad_offs, grad_total) = grad_offsets(&[&bottom, &top]);
         let prefetch = match opts.prefetch {
             Prefetch::Off => None,
@@ -306,7 +302,7 @@ impl DistDlrm {
             cfg: cfg.clone(),
             comm,
             engine: engine.filter(|_| opts.strategy == ExchangeStrategy::CclAlltoall),
-            exec: Execution::optimized(opts.threads_per_rank),
+            exec,
             bottom,
             top,
             local_tables,

@@ -9,8 +9,11 @@ use crate::profiler::{OpClass, Profiler};
 use dlrm_data::{DlrmConfig, MiniBatch};
 use dlrm_kernels::embedding::UpdateStrategy;
 use dlrm_kernels::loss::{bce_with_logits_backward, bce_with_logits_loss};
+use dlrm_tensor::aligned::HUGE_PAGE_MIN_BYTES;
 use dlrm_tensor::init::seeded_rng;
 use dlrm_tensor::Matrix;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// A trainable DLRM instance.
 pub struct DlrmModel {
@@ -64,10 +67,66 @@ impl DlrmModel {
         )
     }
 
+    /// Builds tables `tables` of `cfg` exactly as [`DlrmModel::build_table`]
+    /// would, in that order. Tables of at least [`HUGE_PAGE_MIN_BYTES`] are
+    /// built across `exec`'s team: each member claims the next unbuilt one
+    /// until none is left, so uneven tables still balance. Each table
+    /// draws from its own stream, so no bit depends on which member built
+    /// it. A panic while building a table is re-thrown here once the whole
+    /// team has finished.
+    ///
+    /// Smaller tables are built on the caller. A buffer that large is a
+    /// fresh mapping whichever thread allocates it, but a smaller one may
+    /// be carved from the allocating thread's malloc arena, and an arena
+    /// keeps freed memory for its own thread: built by the team, a model
+    /// rebuilt in the same process could find its predecessor's tables
+    /// still held by another member's arena.
+    ///
+    /// # Panics
+    /// On a team of two or more, when called from inside a job on that
+    /// team's pool ([`ThreadPool::broadcast`] is not reentrant).
+    ///
+    /// [`ThreadPool::broadcast`]: dlrm_kernels::ThreadPool::broadcast
+    pub fn build_tables(
+        cfg: &DlrmConfig,
+        tables: &[usize],
+        strategy: UpdateStrategy,
+        exec: &Execution,
+        seed: u64,
+    ) -> Vec<EmbeddingLayer> {
+        let slots: Vec<OnceLock<EmbeddingLayer>> = tables.iter().map(|_| OnceLock::new()).collect();
+        let build = |i: usize| {
+            // Each index is built once, so its slot is still empty.
+            let _ = slots[i].set(Self::build_table(cfg, tables[i], strategy, seed));
+        };
+        let next = AtomicUsize::new(0);
+        let claim = |_member| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&t) = tables.get(i) else { break };
+            if cfg.table_bytes(t) >= HUGE_PAGE_MIN_BYTES as u64 {
+                build(i);
+            }
+        };
+        if let Some(pool) = exec.pool() {
+            pool.broadcast(claim);
+        }
+        for (i, slot) in slots.iter().enumerate() {
+            if slot.get().is_none() {
+                build(i);
+            }
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every table is built"))
+            .collect()
+    }
+
     /// Builds a model for `cfg`. All randomness comes from `seed`, with an
     /// independent stream per component (bottom MLP, each table, top MLP)
     /// so a distributed instance can reconstruct exactly the same weights
-    /// for whichever components a rank owns.
+    /// for whichever components a rank owns. The tables are built across
+    /// `exec`'s team ([`DlrmModel::build_tables`]), so, like a train step,
+    /// this must not be called from inside a job on that team's pool.
     pub fn new(
         cfg: &DlrmConfig,
         exec: Execution,
@@ -87,9 +146,8 @@ impl DlrmModel {
             cfg.emb_dim,
             "bottom MLP must project to the embedding dimension"
         );
-        let mut tables: Vec<EmbeddingLayer> = (0..cfg.num_tables)
-            .map(|t| Self::build_table(cfg, t, strategy, seed))
-            .collect();
+        let all: Vec<usize> = (0..cfg.num_tables).collect();
+        let mut tables = Self::build_tables(cfg, &all, strategy, &exec, seed);
         let mut top = Mlp::new(
             cfg.interaction_output_dim(),
             &cfg.top_mlp,

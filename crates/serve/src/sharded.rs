@@ -202,11 +202,14 @@ impl ShardedServeModel {
     /// One shard per team: its execution and, if pinned, its first core.
     fn on_teams(cfg: &DlrmConfig, teams: Vec<(Execution, Option<usize>)>, seed: u64) -> Self {
         let ownership = OwnershipMap::round_robin(cfg.num_tables, teams.len());
-        let tables = (0..teams.len())
-            .map(|s| {
-                let owned = ownership.tables_of(s).iter();
-                let table = |&t| DlrmModel::build_table(cfg, t, UpdateStrategy::RaceFree, seed);
-                Arc::new(owned.map(|t| table(t).weight).collect())
+        let tables = teams
+            .iter()
+            .enumerate()
+            .map(|(s, (exec, _))| {
+                let owned = ownership.tables_of(s);
+                let built =
+                    DlrmModel::build_tables(cfg, owned, UpdateStrategy::RaceFree, exec, seed);
+                Arc::new(built.into_iter().map(|table| table.weight).collect())
             })
             .collect();
         let pinned_workers = teams

@@ -9,8 +9,9 @@
 //! random row gather then pays a page walk per lookup. Buffers of at least
 //! [`HUGE_PAGE_MIN_BYTES`] are therefore born on 2 MiB transparent huge
 //! pages: 2 MiB-aligned, advised `MADV_HUGEPAGE` **before** the first
-//! write, and only then zeroed. The order is the whole point — a page that
-//! was touched before the advice stays a 4 KB page.
+//! write, and only then filled — zeros or [`AlignedVec::from_fn`]'s values,
+//! one write per element. The order is the whole point — a page that was
+//! touched before the advice stays a 4 KB page.
 
 use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
@@ -32,8 +33,8 @@ pub const HUGE_PAGE: usize = 2 << 20;
 /// history; and the smaller a buffer, the more of its page walks hit cache.
 pub const HUGE_PAGE_MIN_BYTES: usize = 32 << 20;
 
-/// A 64-byte-aligned, zero-initialized `f32` buffer (2 MiB-aligned and on
-/// huge pages from [`HUGE_PAGE_MIN_BYTES`] up).
+/// A 64-byte-aligned, initialised `f32` buffer (2 MiB-aligned and on huge
+/// pages from [`HUGE_PAGE_MIN_BYTES`] up).
 ///
 /// Unlike `Vec<f32>` the length is normally fixed at construction; tensors
 /// in this workspace never grow element by element. The one exception is
@@ -52,6 +53,7 @@ pub struct AlignedVec {
 // of `f32` with no interior mutability, so moving it across threads or
 // sharing `&AlignedVec` between threads is sound.
 unsafe impl Send for AlignedVec {}
+// SAFETY: as for `Send`: `&AlignedVec` only reads plain `f32`s.
 unsafe impl Sync for AlignedVec {}
 
 impl AlignedVec {
@@ -59,39 +61,15 @@ impl AlignedVec {
     /// (to [`HUGE_PAGE`], and advised onto huge pages before it is zeroed,
     /// from [`HUGE_PAGE_MIN_BYTES`] up).
     pub fn zeroed(len: usize) -> Self {
-        if len == 0 {
-            return Self {
-                ptr: std::ptr::NonNull::<f32>::dangling().as_ptr(),
-                len: 0,
-                cap: 0,
-            };
-        }
-        let layout = Self::layout(len);
         // A huge-page buffer is not `alloc_zeroed`: for an over-aligned
         // layout std's `System` zeroes with a `memset`, which would populate
-        // every page as a 4 KB page before the advice could be given.
-        let huge = layout.align() == HUGE_PAGE;
-        // SAFETY: layout has non-zero size (len > 0 checked above).
-        let raw = unsafe {
-            if huge {
-                alloc(layout)
-            } else {
-                alloc_zeroed(layout)
-            }
-        };
-        if raw.is_null() {
-            handle_alloc_error(layout);
+        // every page as a 4 KB page before the advice could be given. It is
+        // zeroed by the one fill path instead, after the advice.
+        if Self::layout(len).align() == HUGE_PAGE {
+            return Self::from_fn(len, |_| 0.0);
         }
-        if huge {
-            advise_huge_pages(raw, layout.size());
-            // SAFETY: `raw` is a live allocation of `layout.size()` bytes.
-            unsafe { raw.write_bytes(0, layout.size()) };
-        }
-        Self {
-            ptr: raw.cast::<f32>(),
-            len,
-            cap: len,
-        }
+        // SAFETY: `alloc_zeroed` initialises every element to `0.0`.
+        unsafe { Self::allocate(len, alloc_zeroed) }
     }
 
     /// Builds an aligned buffer holding a copy of `data`.
@@ -101,13 +79,53 @@ impl AlignedVec {
         v
     }
 
-    /// Builds an aligned buffer from an element-producing closure.
+    /// Builds an aligned buffer from an element-producing closure, called
+    /// once per index in increasing order. Each element is written exactly
+    /// once, into memory nothing zeroed first — for a huge-page buffer that
+    /// write is the first touch, after the advice. A panic in `f` frees the
+    /// buffer and propagates.
     pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> f32) -> Self {
-        let mut v = Self::zeroed(len);
-        for (i, x) in v.iter_mut().enumerate() {
-            *x = f(i);
+        // SAFETY: every element is written below before `v` is returned, and
+        // nothing reads it first; if `f` panics, `v`'s `Drop` only frees.
+        let v = unsafe { Self::allocate(len, alloc) };
+        for i in 0..len {
+            // SAFETY: `i < len == cap`, so the slot lies inside the
+            // allocation; `write` does not read or drop the uninitialised
+            // value it replaces.
+            unsafe { v.ptr.add(i).write(f(i)) };
         }
         v
+    }
+
+    /// A `len`-float buffer from `allocator`, advised onto huge pages when
+    /// its layout is a huge-page one, before anything touches it.
+    ///
+    /// # Safety
+    /// The contents are whatever `allocator` leaves (uninitialised for
+    /// `alloc`): the caller must write every element before the buffer is
+    /// read. Dropping it unread is fine.
+    unsafe fn allocate(len: usize, allocator: unsafe fn(Layout) -> *mut u8) -> Self {
+        if len == 0 {
+            return Self {
+                ptr: std::ptr::NonNull::<f32>::dangling().as_ptr(),
+                len: 0,
+                cap: 0,
+            };
+        }
+        let layout = Self::layout(len);
+        // SAFETY: `layout` has non-zero size (`len > 0` checked above).
+        let raw = unsafe { allocator(layout) };
+        if raw.is_null() {
+            handle_alloc_error(layout);
+        }
+        if layout.align() == HUGE_PAGE {
+            advise_huge_pages(raw, layout.size());
+        }
+        Self {
+            ptr: raw.cast::<f32>(),
+            len,
+            cap: len,
+        }
     }
 
     /// Number of elements.
@@ -160,7 +178,7 @@ impl AlignedVec {
     }
 
     /// The allocation layout of a `len`-float buffer: a pure function of
-    /// `len`, so `drop` rebuilds from `cap` what `zeroed` allocated with.
+    /// `len`, so `drop` rebuilds from `cap` what `allocate` allocated with.
     fn layout(len: usize) -> Layout {
         let align = |l: Layout| {
             let huge = l.size() >= HUGE_PAGE_MIN_BYTES;
@@ -197,7 +215,8 @@ fn advise_huge_pages(ptr: *mut u8, bytes: usize) {
 impl Drop for AlignedVec {
     fn drop(&mut self) {
         if self.cap != 0 {
-            // SAFETY: ptr was allocated with exactly this layout in `zeroed`.
+            // SAFETY: ptr was allocated with exactly this layout in
+            // `allocate`.
             unsafe { dealloc(self.ptr.cast(), Self::layout(self.cap)) };
         }
     }

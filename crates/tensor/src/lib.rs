@@ -17,6 +17,11 @@
 //! * [`init`] — reproducible random initializers (Xavier / uniform / normal).
 //! * [`compare`] — tolerant numeric comparison helpers used pervasively by
 //!   the test suites that check optimized kernels against naive references.
+//!
+//! Every `unsafe` block in the crate says why it is sound in a `// SAFETY:`
+//! comment; clippy enforces it.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod aligned;
 pub mod blocked;

@@ -25,15 +25,20 @@ impl Matrix {
         }
     }
 
-    /// Creates a matrix from a closure over `(row, col)`.
+    /// Creates a matrix from a closure over `(row, col)`, called once per
+    /// element in row-major order; each element is written once
+    /// ([`AlignedVec::from_fn`]).
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        let mut m = Self::zeros(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                m[(r, c)] = f(r, c);
+        let (mut r, mut c) = (0, 0);
+        let data = AlignedVec::from_fn(rows * cols, |_| {
+            let x = f(r, c);
+            c += 1;
+            if c == cols {
+                (r, c) = (r + 1, 0);
             }
-        }
-        m
+            x
+        });
+        Self { data, rows, cols }
     }
 
     /// Creates a matrix wrapping a copy of row-major `data`.

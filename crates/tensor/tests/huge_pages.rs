@@ -1,14 +1,14 @@
 //! Buffers of at least `HUGE_PAGE_MIN_BYTES` are born on 2 MiB pages:
-//! 2 MiB-aligned, advised before the first touch, zeroed by `AlignedVec`
-//! itself — and still one `alloc` and one `dealloc` of one layout through
-//! the global allocator, so the workspace's allocation pins keep seeing
-//! every byte.
+//! 2 MiB-aligned, advised before the first touch, then written once by
+//! `AlignedVec` itself (zeros, or `from_fn`'s values) — and still one
+//! `alloc` and one `dealloc` of one layout through the global allocator, so
+//! the workspace's allocation pins keep seeing every byte.
 //!
 //! The global allocator of this binary counts the large requests and can be
 //! told to hand a freed large block straight back, dirty, to the next
 //! request of the same layout — what a recycling allocator (jemalloc, or
-//! glibc below its mmap threshold) is allowed to do, and what `zeroed` must
-//! survive.
+//! glibc below its mmap threshold) is allowed to do, and what `zeroed` and
+//! `from_fn` must survive.
 
 use dlrm_tensor::aligned::{AlignedVec, HUGE_PAGE, HUGE_PAGE_MIN_BYTES};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -213,6 +213,93 @@ fn a_large_buffer_lands_on_transparent_huge_pages() {
         "thp mode={mode}: AnonHugePages +{gained} kB for a {} kB buffer",
         BYTES >> 10
     );
+    assert!(
+        gained * 10 >= (BYTES as u64 >> 10) * 9,
+        "only {gained} kB of a {} kB buffer is on huge pages (mode={mode}): \
+         was it touched before it was advised?",
+        BYTES >> 10
+    );
+}
+
+#[test]
+fn from_fn_writes_every_element_of_a_recycled_dirty_block() {
+    let _turn = my_turn();
+    let f = |i: usize| (i % 4099) as f32 * 0.25 - 512.0;
+    RECYCLE.store(true, SeqCst);
+    let mut first = AlignedVec::zeroed(LARGE);
+    let addr = first.as_ptr();
+    first.fill(f32::from_bits(0x7fc0_dead));
+    drop(first);
+
+    let second = AlignedVec::from_fn(LARGE, f);
+    RECYCLE.store(false, SeqCst);
+    assert_eq!(
+        second.as_ptr(),
+        addr,
+        "the allocator handed the dirty block back"
+    );
+    assert!(is_huge_aligned(&second));
+    assert!(
+        second
+            .iter()
+            .enumerate()
+            .all(|(i, x)| x.to_bits() == f(i).to_bits()),
+        "every element must be f(i), none left from the dirty block"
+    );
+}
+
+#[test]
+fn a_panic_halfway_through_from_fn_frees_the_buffer_once() {
+    let _turn = my_turn();
+    let (allocs, deallocs) = (LARGE_ALLOCS.load(SeqCst), LARGE_DEALLOCS.load(SeqCst));
+    let live = LARGE_LIVE_BYTES.load(SeqCst);
+
+    let half = LARGE / 2;
+    let err = std::panic::catch_unwind(|| {
+        AlignedVec::from_fn(LARGE, |i| {
+            if i == half {
+                panic!("halfway, at element {i}");
+            }
+            1.0
+        })
+    })
+    .expect_err("f panics at the halfway element");
+    let msg = err.downcast_ref::<String>().expect("panic message");
+    assert!(msg.contains("halfway"), "{msg}");
+
+    assert_eq!(LARGE_ALLOCS.load(SeqCst), allocs + 1);
+    assert_eq!(
+        LARGE_DEALLOCS.load(SeqCst),
+        deallocs + 1,
+        "exactly one dealloc"
+    );
+    assert_eq!(
+        [LAST_DEALLOC[0].load(SeqCst), LAST_DEALLOC[1].load(SeqCst)],
+        [LAST_ALLOC[0].load(SeqCst), LAST_ALLOC[1].load(SeqCst)],
+        "dealloc must name the layout alloc was given"
+    );
+    assert_eq!(LARGE_LIVE_BYTES.load(SeqCst), live);
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn a_from_fn_buffer_lands_on_transparent_huge_pages() {
+    let _turn = my_turn();
+    let mode = thp_mode();
+    if mode != "madvise" && mode != "always" {
+        println!("skipped: thp mode={mode}");
+        return;
+    }
+    const BYTES: usize = 64 << 20;
+    let before = anon_huge_kb();
+    // `from_fn`'s own write is the first touch: nothing zeroed it before.
+    let v = AlignedVec::from_fn(BYTES / 4, |i| i as f32);
+    let gained = anon_huge_kb().saturating_sub(before);
+    println!(
+        "thp mode={mode}: AnonHugePages +{gained} kB for a {} kB from_fn buffer",
+        BYTES >> 10
+    );
+    assert_eq!(v[BYTES / 4 - 1], (BYTES / 4 - 1) as f32);
     assert!(
         gained * 10 >= (BYTES as u64 >> 10) * 9,
         "only {gained} kB of a {} kB buffer is on huge pages (mode={mode}): \
