@@ -7,8 +7,8 @@
 //! can start reducing while earlier layers are still computing. Buckets are
 //! issued in *reverse* flat order because backward produces the last
 //! layer's gradients first. [`BucketReducer`] is the issue-as-produced
-//! engine of the train step; the synchronous schedule drives the same
-//! reducer with one `on_produced(0)` after the whole backward.
+//! engine of the train step; the synchronous schedule fills the same
+//! windows and issues every bucket at `finalize`.
 //!
 //! # Bitwise determinism
 //!
@@ -166,8 +166,8 @@ impl BucketReducer {
     }
 
     /// The flat buffer's `range`, for its producer to fill in place — a
-    /// layer unpacks its blocked gradient straight into it, with no flat
-    /// copy of its own in between.
+    /// layer's weights pass stores its `dW` rows straight into it, with no
+    /// gradient plane or flat copy of its own in between.
     pub fn window(&mut self, range: Range<usize>) -> &mut [f32] {
         &mut self.flat[range]
     }

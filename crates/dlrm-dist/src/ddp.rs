@@ -1,16 +1,20 @@
 //! DDP-style gradient plumbing between the replicated MLPs and the flat
 //! allreduce buffer.
 //!
-//! A layer's weights and weight gradient live blocked, so the flat buffer is
-//! the only place gradients are ever laid out as rows: each layer unpacks
-//! straight into its window of the [`BucketReducer`] ([`write_layer_grads`],
-//! once), and after the reduction applies its slice of the buffer to the
-//! blocked weights panel by panel ([`apply_reduced_grads`]). What copying
-//! remains is the "Allreduce-Framework" time of Figures 11/14; the
+//! A layer's weights live blocked, so the flat buffer is the only place
+//! gradients are ever laid out as rows, and they are laid out once, in
+//! registers: each layer's weights pass stores its `dW` panels transposed
+//! straight into its window of the [`BucketReducer`] (`BucketSink`, the
+//! [`GradSink`] of `Mlp::backward_into`), and after the reduction each
+//! layer applies its slice of the buffer to the blocked weights through
+//! the same transposes ([`apply_reduced_grads`]). Both run inside compute
+//! (`OpKind::Compute`); only the bucket copies to and from a progress
+//! channel are "Allreduce-Framework" time (Figures 11/14), and the
 //! collective itself is the "Allreduce-Wait".
 
 use crate::bucketing::BucketReducer;
-use dlrm::layers::{Execution, Linear, Mlp};
+use dlrm::layers::{Execution, GradSink, Mlp};
+use dlrm_comm::nonblocking::ProgressEngine;
 
 /// Flattens the weight and bias gradients of the given MLPs (in order)
 /// into one contiguous buffer — Eq. 1's `Σ f_i·f_o + f_o` elements, in the
@@ -43,10 +47,33 @@ pub fn grad_offsets(mlps: &[&Mlp]) -> (Vec<Vec<usize>>, usize) {
     (per_mlp, off)
 }
 
-/// Writes one layer's gradients (`dW ‖ db`) into its window of the
-/// reducer's flat buffer, at `offset` — the body of the DDP hook.
-pub fn write_layer_grads(reducer: &mut BucketReducer, offset: usize, layer: &Linear) {
-    layer.write_grads(reducer.window(offset..offset + layer.grad_len()));
+/// The DDP hook: one MLP's layers write into their windows of the
+/// reducer's flat buffer, layer `i` at `offs[i]`. When `overlapped`, each
+/// bucket a layer completes is issued at once, while earlier layers still
+/// compute; otherwise the buckets wait for `finalize`.
+pub(crate) struct BucketSink<'a> {
+    /// The step's reducer.
+    pub(crate) reducer: &'a mut BucketReducer,
+    /// Flat offset of each layer's gradients ([`grad_offsets`]).
+    pub(crate) offs: &'a [usize],
+    /// Whether to issue buckets as they are produced.
+    pub(crate) overlapped: bool,
+    /// The progress engine an issued bucket runs on, if any.
+    pub(crate) engine: Option<&'a ProgressEngine>,
+}
+
+impl GradSink for BucketSink<'_> {
+    fn window(&mut self, layer: usize, len: usize) -> &mut [f32] {
+        let off = self.offs[layer];
+        self.reducer.window(off..off + len)
+    }
+
+    fn produced(&mut self, layer: usize) {
+        if self.overlapped {
+            self.reducer
+                .on_produced(self.offs[layer], self.engine, None);
+        }
+    }
 }
 
 /// Applies the averaged SGD step after an allreduce of *summed* gradients:

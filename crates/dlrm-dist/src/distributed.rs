@@ -38,7 +38,7 @@
 //! core have no spare cycles to hide work in, they only compete for it.
 
 use crate::bucketing::{BucketReducer, DEFAULT_BUCKET_CAP_BYTES};
-use crate::ddp::{apply_reduced_grads, grad_offsets, write_layer_grads};
+use crate::ddp::{apply_reduced_grads, grad_offsets, BucketSink};
 use crate::exchange::{self, ensure_mats, Direction, ExchangeStrategy};
 use crate::prefetch::{Prefetch, PrefetchState};
 use crate::wirepolicy::{AdaptivePolicy, PolicyStats};
@@ -549,9 +549,10 @@ impl DistDlrm {
         bce_with_logits_backward(logits, &local.labels, &mut self.dlogits);
         let dy_top = Matrix::from_slice(1, n, &self.dlogits);
 
-        // The bucketed allreduce: overlapped issues each bucket as backward
-        // produces its layers; synchronous writes/issues everything after
-        // the bottom backward. Identical plan either way.
+        // The bucketed allreduce: backward writes every layer's gradients
+        // into its window; overlapped issues each bucket as they complete
+        // it, synchronous issues everything at `finalize`. Identical plan
+        // either way.
         let mut reducer = Self::build_reducer(
             &mut self.flat_grads,
             self.grad_total,
@@ -578,9 +579,15 @@ impl DistDlrm {
             );
         }
 
+        // One sink for the step: the top MLP's windows, then the bottom's.
+        let mut sink = BucketSink {
+            reducer: &mut reducer,
+            offs: &self.grad_offs[1],
+            overlapped,
+            engine,
+        };
         let d_inter = time_opt(rec, OpKind::Compute, || {
-            let hook = overlapped.then_some((&mut reducer, engine));
-            backward_mlp(&mut self.top, &exec, dy_top, &self.grad_offs[1], hook)
+            self.top.backward_into(&exec, dy_top, &mut sink)
         });
 
         let (d_bottom, d_tables) =
@@ -605,9 +612,9 @@ impl DistDlrm {
             exchange::finish(p, &self.comm, &self.ownership, &mut self.bwd_grads, rec);
         }
 
+        sink.offs = &self.grad_offs[0];
         time_opt(rec, OpKind::Compute, || {
-            let hook = overlapped.then_some((&mut reducer, engine));
-            backward_mlp(&mut self.bottom, &exec, d_bottom, &self.grad_offs[0], hook);
+            self.bottom.backward_into(&exec, d_bottom, &mut sink);
         });
 
         if let Some(p) = pending {
@@ -639,28 +646,11 @@ impl DistDlrm {
         loss
     }
 
-    /// The DDP tail of a step. Synchronous: every layer's gradients go
-    /// into the flat buffer now (same offsets, same plan as the overlapped
-    /// hooks). Then the summed-gradient reduction completes and each layer
-    /// applies the averaged step straight from its slice of the reduced
-    /// buffer.
-    fn reduce_and_step(
-        &mut self,
-        mut reducer: BucketReducer,
-        lr: f32,
-        rec: Option<&TimingRecorder>,
-    ) {
+    /// The DDP tail of a step: the summed-gradient reduction completes
+    /// (issuing whatever the schedule left unissued), and each layer applies
+    /// the averaged step straight from its slice of the reduced buffer.
+    fn reduce_and_step(&mut self, reducer: BucketReducer, lr: f32, rec: Option<&TimingRecorder>) {
         let engine = self.engine.as_ref();
-        if self.schedule == Schedule::Synchronous {
-            time_opt(rec, OpKind::AllreduceFramework, || {
-                for (mlp, offs) in [&self.bottom, &self.top].into_iter().zip(&self.grad_offs) {
-                    for (layer, &off) in mlp.layers.iter().zip(offs) {
-                        write_layer_grads(&mut reducer, off, layer);
-                    }
-                }
-            });
-            reducer.on_produced(0, engine, rec);
-        }
         let flat = reducer.finalize(&self.comm, engine, rec);
         // The reduced flat gradient is bitwise rank-identical — feeding it
         // into the policy keeps every rank's next-step decisions identical.
@@ -677,27 +667,6 @@ impl DistDlrm {
             }
         });
         self.flat_grads = flat;
-    }
-}
-
-/// Backward through one replicated MLP whose layer `i` owns the flat
-/// gradient span at `offs[i]`. With a `hook` (the overlapped schedule),
-/// each layer's gradients go from its blocked storage straight into the
-/// reducer's window the moment they are final, and every bucket they
-/// complete is issued while earlier layers still compute.
-fn backward_mlp(
-    mlp: &mut Mlp,
-    exec: &Execution,
-    dy: Matrix,
-    offs: &[usize],
-    hook: Option<(&mut BucketReducer, Option<&ProgressEngine>)>,
-) -> Matrix {
-    match hook {
-        Some((reducer, engine)) => mlp.backward_with(exec, dy, |i, layer| {
-            write_layer_grads(reducer, offs[i], layer);
-            reducer.on_produced(offs[i], engine, None);
-        }),
-        None => mlp.backward(exec, dy),
     }
 }
 

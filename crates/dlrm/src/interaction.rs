@@ -9,7 +9,8 @@
 
 use crate::layers::Execution;
 use dlrm_kernels::gemm::micro::{detect_isa, Isa};
-use dlrm_kernels::interaction::{block_len, grad_block, gram_block, pack_block, transpose, BLOCK};
+use dlrm_kernels::interaction::{block_len, grad_block, gram_block, pack_block, BLOCK};
+use dlrm_kernels::transpose::transpose;
 use dlrm_tensor::Matrix;
 use std::ops::Range;
 
@@ -211,9 +212,15 @@ impl Interaction {
     }
 }
 
+/// A `*mut f32` a thread team shares; each thread writes only its own
+/// blocks of samples through it.
 #[derive(Clone, Copy)]
 struct SendPtr(*mut f32);
+// SAFETY: the pointer is only dereferenced inside `parallel_for` ranges,
+// which are disjoint, and each range names disjoint rows, columns or panels
+// of a buffer the caller borrows mutably for the whole region.
 unsafe impl Send for SendPtr {}
+// SAFETY: as for `Send`: shared copies only ever write disjoint elements.
 unsafe impl Sync for SendPtr {}
 impl SendPtr {
     #[inline]

@@ -15,8 +15,10 @@
 //!   the blocked gradient.
 //!
 //! Both tiers update the same planes element-wise. Rows are a view made on
-//! demand: [`Linear::write_grads`] for the gradient,
-//! [`BlockedWeights::unpack`] for the weights.
+//! demand: [`BlockedWeights::unpack`] for the weights, and for the gradient
+//! either [`Linear::write_grads`] from the plane or — with no plane at all —
+//! [`Mlp::backward_into`], whose weights passes store `dW` as rows straight
+//! into a [`GradSink`]'s windows.
 //!
 //! Tensors follow the paper's `Y = W·X` convention: `W ∈ R^{K×C}`,
 //! activations are `features × batch`.
@@ -75,10 +77,12 @@ pub struct Linear {
     pub w: BlockedWeights,
     /// Bias, length `K`.
     pub b: Vec<f32>,
-    /// Weight gradient in `w`'s layout, written only by [`Mlp::backward`] /
-    /// [`Mlp::backward_with`] (not [`Mlp::backward_sgd`]); empty until then.
+    /// Weight gradient in `w`'s layout, written only by [`Mlp::backward`]
+    /// and the Reference tier (not by an optimized [`Mlp::backward_sgd`] or
+    /// [`Mlp::backward_into`]); empty until then.
     pub dw: BlockedWeights,
-    /// Bias gradient of the last backward.
+    /// Bias gradient of the last backward that wrote `dw` or applied SGD (an
+    /// optimized [`Mlp::backward_into`] writes it into the sink instead).
     pub db: Vec<f32>,
     /// Post-GEMM activation.
     pub act: Activation,
@@ -122,7 +126,8 @@ impl Linear {
     /// Writes this layer's gradient in DDP wire order, row-major `dW` then
     /// `db`, into `out` (`grad_len()` floats), unpacking the blocked
     /// gradient in one pass: zeros before the first write, and after an
-    /// optimized [`Mlp::backward_sgd`] an older backward's `dW` (see `dw`).
+    /// optimized [`Mlp::backward_sgd`] or [`Mlp::backward_into`] an older
+    /// backward's `dW` (see `dw`).
     pub fn write_grads(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.grad_len(), "write_grads length");
         let (dw, db) = out.split_at_mut(self.w.k * self.w.c);
@@ -225,12 +230,13 @@ impl Linear {
     }
 
     /// The DDP step: SGD from `g`, this layer's span (`dW ‖ db`, as
-    /// [`Linear::write_grads`] lays it out) of a gradient buffer *summed*
-    /// over `scale` ranks, averaging by `1/scale`. The row-major `dW` is
-    /// applied to the blocked weights panel by panel, straight from the
-    /// buffer — bitwise [`dlrm_kernels::sgd::sgd_step_scaled`] on the
-    /// row-major view. The layer's own (local, pre-reduction) gradient is
-    /// left as it is.
+    /// [`Linear::write_grads`] and [`Mlp::backward_into`] lay it out) of a
+    /// gradient buffer *summed* over `scale` ranks, averaging by `1/scale`.
+    /// The row-major `dW` is applied to the blocked weights panel by panel,
+    /// straight from the buffer (on the optimized tier through register
+    /// transposes, [`sgd::par_sgd_step_rows`]) — bitwise
+    /// [`dlrm_kernels::sgd::sgd_step_scaled`] on the row-major view. The
+    /// layer's own (local, pre-reduction) gradient is left as it is.
     pub fn sgd_step_scaled_from(&mut self, exec: &Execution, g: &[f32], lr: f32, scale: f32) {
         assert_eq!(g.len(), self.grad_len(), "sgd_step_scaled_from length");
         let (dw, db) = g.split_at(self.w.k * self.w.c);
@@ -295,6 +301,27 @@ fn mask_blocked(g: &mut BlockedActivations, y: &BlockedActivations) {
         "relu mask layout mismatch"
     );
     relu_backward(y.as_slice(), g.as_mut_slice());
+}
+
+/// Receives the gradients of [`Mlp::backward_into`] layer by layer, last
+/// layer first — a DDP bucket buffer, whose allreduce can start on a
+/// layer's bucket while earlier layers still compute.
+pub trait GradSink {
+    /// Layer `layer`'s window: `len` floats ([`Linear::grad_len`]) that the
+    /// backward overwrites with the row-major `dW`, then `db`.
+    fn window(&mut self, layer: usize, len: usize) -> &mut [f32];
+    /// Layer `layer`'s window holds its final gradients.
+    fn produced(&mut self, layer: usize);
+}
+
+/// Where a chained backward sends each layer's weight and bias gradients.
+enum GradsTo<'a> {
+    /// The layer's `dw` plane and `db`: the two-call form.
+    Planes,
+    /// Applied to `w` and `b` at once (FP32 SGD at this rate).
+    Sgd(f32),
+    /// Row-major into the sink's windows.
+    Sink(&'a mut dyn GradSink),
 }
 
 /// A stack of fully-connected layers (ReLU between layers; the final
@@ -387,40 +414,53 @@ impl Mlp {
     }
 
     /// Backward through all layers; returns gradient w.r.t. the input
-    /// (empty for an MLP built [`Mlp::without_input_grad`]).
-    pub fn backward(&mut self, exec: &Execution, dy: Matrix) -> Matrix {
-        self.backward_with(exec, dy, |_, _| {})
-    }
-
-    /// [`Mlp::backward`] with a per-layer gradient hook: `on_layer(i,
-    /// layer)` fires right after layer `i`'s gradients are final, in
-    /// production order (last layer first); it reads them with
-    /// [`Linear::write_grads`]. This is the seam a DDP-style overlap
-    /// schedule needs — each layer's gradient bucket can start its
-    /// allreduce while earlier layers are still computing. The hook must
-    /// not change the math; backward results are identical to
-    /// [`Mlp::backward`].
+    /// (empty for an MLP built [`Mlp::without_input_grad`]). Each layer's
+    /// gradients land in its `dw` and `db`.
     ///
     /// # Panics
     /// On the optimized tier, panics unless the last forward was optimized
     /// and ran at `dy`'s batch size.
-    pub fn backward_with(
+    pub fn backward(&mut self, exec: &Execution, dy: Matrix) -> Matrix {
+        match exec {
+            Execution::Optimized(pool) => self.backward_chained(pool, dy, GradsTo::Planes),
+            Execution::Reference => self.backward_reference(dy, None),
+        }
+    }
+
+    /// [`Mlp::backward`] with every layer's gradients sent to `sink`: layer
+    /// `i`'s `dW ‖ db` goes into `sink.window(i, _)`, then
+    /// `sink.produced(i)` fires, last layer first. This is the seam a
+    /// DDP-style overlap schedule needs. On the optimized tier each weights
+    /// pass stores its `dW` panels transposed, in registers, straight into
+    /// the window ([`gemm::fc_backward_weights_rows`]), so no `dw` plane is
+    /// written or allocated; the Reference tier fills `dw` and copies it out
+    /// with [`Linear::write_grads`]. The windows hold exactly what
+    /// [`Mlp::backward`] then `write_grads` would, and `dx` is the same.
+    /// Panics as [`Mlp::backward`].
+    pub fn backward_into(
         &mut self,
         exec: &Execution,
         dy: Matrix,
-        mut on_layer: impl FnMut(usize, &Linear),
+        sink: &mut dyn GradSink,
     ) -> Matrix {
         match exec {
-            Execution::Optimized(pool) => self.backward_chained(pool, dy, None, &mut on_layer),
-            Execution::Reference => {
-                let mut cur = dy;
-                for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-                    cur = layer.backward_reference(cur, i > 0 || self.input_grad);
-                    on_layer(i, layer);
-                }
-                cur
+            Execution::Optimized(pool) => self.backward_chained(pool, dy, GradsTo::Sink(sink)),
+            Execution::Reference => self.backward_reference(dy, Some(sink)),
+        }
+    }
+
+    /// The Reference tier's backward, layer by layer; `sink` as in
+    /// [`Mlp::backward_into`].
+    fn backward_reference(&mut self, dy: Matrix, mut sink: Option<&mut dyn GradSink>) -> Matrix {
+        let mut cur = dy;
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            cur = layer.backward_reference(cur, i > 0 || self.input_grad);
+            if let Some(sink) = sink.as_mut() {
+                layer.write_grads(sink.window(i, layer.grad_len()));
+                sink.produced(i);
             }
         }
+        cur
     }
 
     /// Backward over the blocked activation chain left by an optimized
@@ -431,14 +471,8 @@ impl Mlp {
     /// packing each layer's operands per call — same kernels over the same
     /// bits, with the mask/reduction fusions proven bitwise-neutral in
     /// `dlrm_kernels::gemm`. The data pass reads `W` first, so that with
-    /// `lr: Some(_)` the weights pass can apply SGD in its write-back.
-    fn backward_chained(
-        &mut self,
-        pool: &ThreadPool,
-        dy: Matrix,
-        lr: Option<f32>,
-        on_layer: &mut dyn FnMut(usize, &Linear),
-    ) -> Matrix {
+    /// [`GradsTo::Sgd`] the weights pass can apply SGD in its write-back.
+    fn backward_chained(&mut self, pool: &ThreadPool, dy: Matrix, mut to: GradsTo<'_>) -> Matrix {
         let (nl, n) = (self.layers.len(), dy.cols());
         let last = self.scratch.valid_n;
         assert!(
@@ -472,19 +506,23 @@ impl Mlp {
                 let mask = prev_relu.then_some(x);
                 gemm::fc_backward_data_fused(pool, &layer.w, g, &mut scratch.grad_b, mask);
             }
-            match lr {
-                Some(lr) => {
-                    gemm::fc_backward_weights_sgd(pool, x, g, &mut layer.w, &mut layer.db, lr);
-                    sgd::sgd_step(&mut layer.b, &layer.db, lr);
-                }
-                // dW stays blocked; a DDP hook unpacks it once, into its
-                // bucket, in the unchanged wire order.
-                None => {
+            match &mut to {
+                GradsTo::Planes => {
                     layer.dw.reshape_scratch(k, c, blk);
                     gemm::fc_backward_weights_fused(pool, x, g, &mut layer.dw, &mut layer.db);
                 }
+                GradsTo::Sgd(lr) => {
+                    gemm::fc_backward_weights_sgd(pool, x, g, &mut layer.w, &mut layer.db, *lr);
+                    sgd::sgd_step(&mut layer.b, &layer.db, *lr);
+                }
+                // dW is laid out as rows once, in registers, in the
+                // unchanged DDP wire order.
+                GradsTo::Sink(sink) => {
+                    let (dw, db) = sink.window(i, layer.grad_len()).split_at_mut(k * c);
+                    gemm::fc_backward_weights_rows(pool, x, g, dw, db);
+                    sink.produced(i);
+                }
             }
-            on_layer(i, layer);
             if !need_dx {
                 return Matrix::zeros(0, 0);
             }
@@ -496,18 +534,18 @@ impl Mlp {
     /// [`Mlp::backward`] then [`Mlp::sgd_step`], bitwise. On the optimized
     /// tier each layer's step runs in its weights pass's write-back and `dw`
     /// is neither written nor allocated; on the Reference tier it is the two
-    /// calls. Panics as [`Mlp::backward_with`].
+    /// calls. Panics as [`Mlp::backward`].
     pub fn backward_sgd(&mut self, exec: &Execution, dy: Matrix, lr: f32) -> Matrix {
         let Execution::Optimized(pool) = exec else {
             let dx = self.backward(exec, dy);
             self.sgd_step(exec, lr);
             return dx;
         };
-        self.backward_chained(pool, dy, Some(lr), &mut |_, _| {})
+        self.backward_chained(pool, dy, GradsTo::Sgd(lr))
     }
 
-    /// FP32 SGD on every layer from the gradient the last
-    /// [`Mlp::backward`] / [`Mlp::backward_with`] wrote.
+    /// FP32 SGD on every layer from the gradient the last [`Mlp::backward`]
+    /// wrote.
     pub fn sgd_step(&mut self, exec: &Execution, lr: f32) {
         for layer in &mut self.layers {
             layer.sgd_step(exec, lr);
@@ -522,7 +560,8 @@ impl Mlp {
     /// Bytes held by the MLP's persistent storage: every layer's blocked
     /// weights and gradient plus the blocked activation-residency buffers.
     /// Grow-only — constant once the largest batch has been seen. An
-    /// optimized [`Mlp::backward_sgd`] allocates no gradient plane.
+    /// optimized [`Mlp::backward_sgd`] or [`Mlp::backward_into`] allocates
+    /// no gradient plane.
     pub fn scratch_bytes(&self) -> usize {
         let params: usize = self
             .layers
@@ -672,14 +711,43 @@ mod tests {
         assert_eq!(mlp.param_count(), 10 * 4 + 4 + 4 * 2 + 2);
     }
 
-    #[test]
-    fn backward_with_hook_sees_layers_in_reverse_with_final_grads() {
-        for exec in both_execs() {
-            hook_sees_final_grads(&exec);
+    /// A sink that keeps one window per layer, NaN until written, and
+    /// records which layers were produced, in order, with their bits then.
+    #[derive(Default)]
+    struct Recorder {
+        windows: Vec<Vec<f32>>,
+        order: Vec<usize>,
+        produced: Vec<Vec<u32>>,
+    }
+
+    impl GradSink for Recorder {
+        fn window(&mut self, layer: usize, len: usize) -> &mut [f32] {
+            self.windows
+                .resize(self.windows.len().max(layer + 1), Vec::new());
+            self.windows[layer] = vec![f32::NAN; len];
+            &mut self.windows[layer]
+        }
+
+        fn produced(&mut self, layer: usize) {
+            self.order.push(layer);
+            self.produced
+                .resize(self.produced.len().max(layer + 1), Vec::new());
+            self.produced[layer] = self.windows[layer].iter().map(|v| v.to_bits()).collect();
         }
     }
 
-    fn hook_sees_final_grads(exec: &Execution) {
+    fn grad_bits(layer: &Linear) -> Vec<u32> {
+        grads(layer).iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn backward_into_sink_sees_layers_in_reverse_with_final_grads() {
+        for exec in both_execs() {
+            sink_sees_final_grads(&exec);
+        }
+    }
+
+    fn sink_sees_final_grads(exec: &Execution) {
         let mut rng = seeded_rng(11, 0);
         let mut a = Mlp::new(5, &[6, 3], Activation::Relu, &mut rng);
         let mut rng = seeded_rng(11, 0);
@@ -691,19 +759,15 @@ mod tests {
         let _ = b.forward(exec, &x);
         let plain = a.backward(exec, dy.clone());
 
-        let mut order = Vec::new();
-        let mut hooked_bits: Vec<Vec<u32>> = vec![Vec::new(); b.layers.len()];
-        let hooked = b.backward_with(exec, dy, |i, layer| {
-            order.push(i);
-            hooked_bits[i] = grads(layer).iter().map(|v| v.to_bits()).collect();
-        });
+        let mut sink = Recorder::default();
+        let sunk = b.backward_into(exec, dy, &mut sink);
 
-        assert_eq!(order, vec![1, 0], "hook must fire last layer first");
-        assert_eq!(plain.as_slice(), hooked.as_slice());
-        // The gradients seen by the hook are the final ones for that layer.
+        assert_eq!(sink.order, vec![1, 0], "sink must see the last layer first");
+        assert_eq!(plain.as_slice(), sunk.as_slice());
+        // The gradients in each window when it is produced are the final
+        // ones for that layer.
         for (i, layer) in a.layers.iter().enumerate() {
-            let want: Vec<u32> = grads(layer).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(hooked_bits[i], want, "layer {i}");
+            assert_eq!(sink.produced[i], grad_bits(layer), "layer {i}");
         }
     }
 
@@ -718,13 +782,25 @@ mod tests {
             let _ = leaf.forward(&exec, &x);
             let dx = full.backward(&exec, dy.clone());
             assert_eq!(dx.shape(), (6, 12));
-            let mut seen = Vec::new();
-            let none = leaf.backward_with(&exec, dy, |i, _| seen.push(i));
+            let mut sink = Recorder::default();
+            let none = leaf.backward_into(&exec, dy, &mut sink);
             assert_eq!(none.shape(), (0, 0));
-            assert_eq!(seen, vec![2, 1, 0], "hook still fires for layer 0");
-            for (a, b) in full.layers.iter().zip(&leaf.layers) {
-                assert_eq!(grads(a), grads(b));
+            assert_eq!(sink.order, vec![2, 1, 0], "sink still sees layer 0");
+            for (i, layer) in full.layers.iter().enumerate() {
+                assert_eq!(sink.produced[i], grad_bits(layer), "layer {i}");
             }
+        }
+    }
+
+    #[test]
+    fn optimized_backward_into_allocates_no_gradient_plane() {
+        let exec = Execution::optimized(2);
+        let mut mlp = Mlp::new(6, &[16, 8, 3], Activation::None, &mut seeded_rng(17, 0));
+        let _ = mlp.forward(&exec, &uniform(6, 12, -1.0, 1.0, &mut seeded_rng(18, 0)));
+        let dy = uniform(3, 12, -1.0, 1.0, &mut seeded_rng(19, 0));
+        let _ = mlp.backward_into(&exec, dy, &mut Recorder::default());
+        for layer in &mlp.layers {
+            assert_eq!(layer.dw.capacity_bytes(), 0);
         }
     }
 

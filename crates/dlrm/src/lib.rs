@@ -20,6 +20,11 @@
 //! * [`metrics`] — ROC AUC (Figure 16's metric) and log-loss.
 //! * [`trainer`] — the training loop over a synthetic click log with
 //!   periodic test-set evaluation.
+//!
+//! Every `unsafe` block and `unsafe impl` in the crate says why it is sound
+//! in a `// SAFETY:` comment; clippy enforces it.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod embedding_layer;
 pub mod interaction;

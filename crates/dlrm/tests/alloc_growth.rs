@@ -223,11 +223,13 @@ fn mlp_packed_plan_step_does_not_grow_allocations() {
 /// writes it to the update that reads it, so a backward (of an MLP whose
 /// input is a leaf — otherwise it returns a fresh `dX`) plus an SGD step allocates
 /// nothing on any thread; nor do the two row-major crossings the DDP step
-/// makes, which read and write the caller's buffer.
+/// makes, which read and write the caller's buffer — neither as
+/// `write_grads` after a backward, nor as the backward writing each layer's
+/// window of a sink (`Mlp::backward_into`, what the DDP step runs).
 #[test]
 fn backward_and_dense_update_do_not_allocate() {
     let _turn = my_turn();
-    use dlrm::layers::{Activation, Mlp};
+    use dlrm::layers::{Activation, GradSink, Mlp};
     use dlrm_tensor::init::uniform;
 
     let exec = Execution::optimized(3);
@@ -257,6 +259,43 @@ fn backward_and_dense_update_do_not_allocate() {
         }
     });
     assert_eq!(ddp, 0, "20 DDP-style crossings allocated {ddp} times");
+
+    /// Layer `i`'s window is `flat[offs[i]..]`, as in a bucket buffer.
+    struct Windows {
+        flat: Vec<f32>,
+        offs: Vec<usize>,
+    }
+    impl GradSink for Windows {
+        fn window(&mut self, layer: usize, len: usize) -> &mut [f32] {
+            let off = self.offs[layer];
+            &mut self.flat[off..off + len]
+        }
+        fn produced(&mut self, _layer: usize) {}
+    }
+    let offs = mlp
+        .layers
+        .iter()
+        .scan(0, |off, l| {
+            let at = *off;
+            *off += l.grad_len();
+            Some(at)
+        })
+        .collect();
+    let mut sink = Windows { flat, offs };
+    let mut dys: Vec<_> = (0..21)
+        .map(|_| uniform(1, 24, -1.0, 1.0, &mut rng))
+        .collect();
+    let sink_step = calls_during(&mut || {
+        let _ = mlp.backward_into(&exec, dys.pop().expect("one dY per call"), &mut sink);
+        for (layer, &off) in mlp.layers.iter_mut().zip(&sink.offs) {
+            let window = &sink.flat[off..off + layer.grad_len()];
+            layer.sgd_step_scaled_from(&exec, window, 0.05, 2.0);
+        }
+    });
+    assert_eq!(
+        sink_step, 0,
+        "20 backward_into a sink + sgd_step_scaled_from allocated {sink_step} times"
+    );
 }
 
 /// The blocked GEMM drivers allocate nothing on any thread, and neither

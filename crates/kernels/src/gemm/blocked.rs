@@ -29,6 +29,7 @@ use super::micro::{
 use super::SendMutPtr;
 use crate::embedding::rowops;
 use crate::threadpool::ThreadPool;
+use crate::transpose;
 use dlrm_tensor::{BlockedActivations, BlockedWeights};
 
 /// Forward pass: `Y = W · X` with `W: K×C`, `X: C×N`, `Y: K×N`.
@@ -257,20 +258,55 @@ pub fn fc_backward_weights_sgd(
     lr: f32,
 ) {
     assert_eq!(db.len(), w.k, "fc_backward_weights: db length");
-    assert!(w.blk.bc * w.blk.bk <= TILE, "panel exceeds the tile");
     backward_weights(pool, x, dy, WeightsOut::Sgd { w, lr }, Some(db));
 }
 
-/// Each `dW` panel goes to the gradient plane, or to a tile applied to `w`.
+/// [`fc_backward_weights_fused`] with `dW` written as rows: each panel is
+/// reduced into a stack tile, transposed in registers and stored into its
+/// window of the row-major `K×C` slice `dw` (a layer's span of a DDP bucket
+/// buffer) — bitwise the gradient plane then
+/// `BlockedWeights::unpack_into_slice`, with no plane. `dw` and `db` are
+/// overwritten.
+pub fn fc_backward_weights_rows(
+    pool: &ThreadPool,
+    x: &BlockedActivations,
+    dy: &BlockedActivations,
+    dw: &mut [f32],
+    db: &mut [f32],
+) {
+    assert_eq!(db.len(), dy.c, "fc_backward_weights: db length");
+    backward_weights(pool, x, dy, WeightsOut::Rows(dw), Some(db));
+}
+
+/// Where each `dW` panel goes: to the gradient plane, or through a stack
+/// tile that is applied to `w` or stored transposed into row-major `dW`.
 enum WeightsOut<'a> {
     Grad(&'a mut BlockedWeights),
     Sgd { w: &'a mut BlockedWeights, lr: f32 },
+    Rows(&'a mut [f32]),
 }
 
-/// Floats in a fused-SGD tile: one default `64 × 64` panel, 16 KB.
+/// What a thread does with its tile after each panel.
+#[derive(Clone, Copy)]
+enum TileTo {
+    /// `plane_panel += alpha · tile`.
+    Sgd(f32),
+    /// Tile → the panel's window of row-major `dW`.
+    Rows,
+}
+
+/// Floats in a write-back tile: one default `64 × 64` panel, 16 KB.
 const TILE: usize = 64 * 64;
 #[repr(C, align(64))]
 struct Tile([f32; TILE]);
+
+/// The checks a `dW` plane must pass against `x` and `dy`.
+fn check_plane(plane: &BlockedWeights, x: &BlockedActivations, dy: &BlockedActivations) {
+    assert_eq!(plane.k, dy.c, "fc_backward_weights: dW rows != dY rows");
+    assert_eq!(plane.c, x.c, "fc_backward_weights: dW cols != X rows");
+    assert_eq!(plane.blk.bc, x.bc, "fc_backward_weights: bc mismatch");
+    assert_eq!(plane.blk.bk, dy.bc, "fc_backward_weights: bk mismatch");
+}
 
 fn backward_weights(
     pool: &ThreadPool,
@@ -279,27 +315,40 @@ fn backward_weights(
     out: WeightsOut<'_>,
     db: Option<&mut [f32]>,
 ) {
-    let (plane, alpha) = match out {
-        WeightsOut::Grad(dw) => (dw, None),
-        WeightsOut::Sgd { w, lr } => (w, Some(-lr)),
+    let (dst, tile_to) = match out {
+        WeightsOut::Grad(dw) => {
+            check_plane(dw, x, dy);
+            (dw.as_mut_slice().as_mut_ptr(), None)
+        }
+        WeightsOut::Sgd { w, lr } => {
+            check_plane(w, x, dy);
+            (w.as_mut_slice().as_mut_ptr(), Some(TileTo::Sgd(-lr)))
+        }
+        WeightsOut::Rows(rows) => {
+            assert_eq!(
+                rows.len(),
+                dy.c * x.c,
+                "fc_backward_weights: dW rows length"
+            );
+            (rows.as_mut_ptr(), Some(TileTo::Rows))
+        }
     };
-    assert_eq!(plane.k, dy.c, "fc_backward_weights: dW rows != dY rows");
-    assert_eq!(plane.c, x.c, "fc_backward_weights: dW cols != X rows");
     assert_eq!(x.n, dy.n, "fc_backward_weights: batch mismatch");
-    assert_eq!(plane.blk.bc, x.bc, "fc_backward_weights: bc mismatch");
-    assert_eq!(plane.blk.bk, dy.bc, "fc_backward_weights: bk mismatch");
     assert_eq!(x.bn, dy.bn, "fc_backward_weights: bn mismatch");
 
     let d = PanelDims {
         bn: x.bn,
         bc: x.bc,
-        bk: plane.blk.bk,
+        bk: dy.bc,
     };
-    let (kb, cb, nb) = (plane.kb(), plane.cb(), x.nb());
+    let (kb, cb, nb, c) = (dy.cb(), x.cb(), x.nb(), x.c);
     let isa = detect_isa();
-    let plane_base = SendMutPtr(plane.as_mut_slice().as_mut_ptr());
+    let dst = SendMutPtr(dst);
     let db_base = db.map(|db| SendMutPtr(db.as_mut_ptr()));
     let panel = d.bc * d.bk;
+    if tile_to.is_some() {
+        assert!(panel <= TILE, "panel exceeds the tile");
+    }
     // The reduction runs over the minibatch blocks — this is the pass whose
     // locality motivated the paper's [Cb][Nb][bn][bc] activation layout
     // choice: the panels reduced are adjacent.
@@ -309,7 +358,7 @@ fn backward_weights(
     };
 
     pool.parallel_for(kb * cb, |_tid, range| {
-        let mut sgd = alpha.map(|alpha| (Tile([0.0; TILE]), alpha));
+        let mut tile = tile_to.map(|to| (Tile([0.0; TILE]), to));
         for blk_idx in range {
             let (ibk, ibc) = (blk_idx / cb, blk_idx % cb);
             let x_panels = Panels {
@@ -320,13 +369,14 @@ fn backward_weights(
                 ptr: dy.block_ptr(ibk, 0),
                 stride: d.bn * d.bk,
             };
-            // SAFETY: disjoint (ibk, ibc) plane panels per thread; the nb
-            // panels of row ibc of x and of row ibk of dy are adjacent; the
-            // db fragment for ibk is written only by the (ibk, 0) work item;
-            // the tile is this thread's and holds a panel (asserted above).
+            // SAFETY: disjoint (ibk, ibc) plane panels, and disjoint `bk × bc`
+            // windows of row-major dW, per thread; the nb panels of row ibc of
+            // x and of row ibk of dy are adjacent; the db fragment for ibk is
+            // written only by the (ibk, 0) work item; the tile is this
+            // thread's and holds a panel (asserted above).
             unsafe {
-                let plane_panel = plane_base.get().add((ibk * cb + ibc) * panel);
-                let dw_panel = sgd.as_mut().map_or(plane_panel, |(t, _)| t.0.as_mut_ptr());
+                let plane_panel = dst.get().add((ibk * cb + ibc) * panel);
+                let dw_panel = tile.as_mut().map_or(plane_panel, |(t, _)| t.0.as_mut_ptr());
                 match db_base {
                     Some(db) if ibc == 0 => brgemm_bwd_wt_bias(
                         isa,
@@ -339,8 +389,17 @@ fn backward_weights(
                     ),
                     _ => brgemm_bwd_wt(isa, x_panels, dy_panels, reduce, dw_panel, d),
                 }
-                if let Some((tile, alpha)) = &sgd {
-                    rowops::scatter_add(isa, plane_panel, &tile.0[..panel], *alpha);
+                match &tile {
+                    None => {}
+                    Some((t, TileTo::Sgd(alpha))) => {
+                        rowops::scatter_add(isa, plane_panel, &t.0[..panel], *alpha)
+                    }
+                    // The panel is `[bc][bk]`, the transpose of its `bk × bc`
+                    // window at row `ibk·bk`, column `ibc·bc`.
+                    Some((t, TileTo::Rows)) => {
+                        let window = dst.get().add(ibk * d.bk * c + ibc * d.bc);
+                        transpose::transpose_to(isa, &t.0[..panel], d.bk, d.bc, d.bk, window, c)
+                    }
                 }
             }
         }
@@ -348,7 +407,7 @@ fn backward_weights(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::gemm::naive;
     use dlrm_tensor::blocked::Blocking;
@@ -662,6 +721,62 @@ mod tests {
                 }
             }
             set_isa_override(None);
+        }
+    }
+
+    /// The `bc` × `bk` grid of the DDP gradient path's kernel wall: full
+    /// 16- and 8-lane tiles and ragged ones on either side (1, 2, 5, 7 and
+    /// 8 lanes left over), `train_dist`'s `100 → 512` layer (`bc` = 50),
+    /// `train_mlp`'s `74 → 1024` (`bc` = 37) and the one-wide heads
+    /// (`bk` = 1).
+    pub(crate) const ROWS_BC: [usize; 6] = [1, 7, 16, 37, 50, 64];
+    pub(crate) const ROWS_BK: [usize; 5] = [1, 8, 16, 48, 64];
+
+    /// The `Rows` write-back against the gradient plane, unpacked, then
+    /// the `db` copy, bit for bit, on every forced tier and team of 1–3,
+    /// over two block rows and three block columns of panels. The window
+    /// starts as NaN, so an element never written fails, and sits between
+    /// NaN guards that must stay untouched.
+    #[test]
+    fn backward_weights_rows_is_bitwise_the_plane_unpacked_then_db() {
+        use crate::embedding::rowops::available_isas;
+        use crate::gemm::micro::{lock_isa_override, set_isa_override};
+        let _tier = lock_isa_override();
+        const GUARD: usize = 17;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for team in 1..=3 {
+            let pool = ThreadPool::new(team);
+            for (bc, bk) in ROWS_BC
+                .into_iter()
+                .flat_map(|bc| ROWS_BK.map(|bk| (bc, bk)))
+            {
+                let blk = Blocking { bn: 4, bc, bk };
+                let (k, c, n) = (2 * bk, 3 * bc, 3 * blk.bn);
+                let p = problem(k, c, n, blk, 51);
+                let xb = dlrm_tensor::BlockedActivations::pack(&p.x, bc, blk.bn);
+                let dyb = dlrm_tensor::BlockedActivations::pack(&p.dy, bk, blk.bn);
+                for isa in available_isas() {
+                    set_isa_override(Some(isa));
+                    let mut want = vec![0.0f32; k * c + k];
+                    let (w_rows, w_db) = want.split_at_mut(k * c);
+                    let mut dw = dlrm_tensor::BlockedWeights::zeros(k, c, blk);
+                    fc_backward_weights_fused(&pool, &xb, &dyb, &mut dw, w_db);
+                    dw.unpack_into_slice(w_rows);
+
+                    let mut buf = vec![f32::NAN; GUARD + k * c + k + GUARD];
+                    let window = &mut buf[GUARD..GUARD + k * c + k];
+                    let (rows, db) = window.split_at_mut(k * c);
+                    fc_backward_weights_rows(&pool, &xb, &dyb, rows, db);
+                    let at = format!("bc {bc} bk {bk} {isa:?} team {team}");
+                    assert_eq!(bits(&buf[GUARD..GUARD + k * c + k]), bits(&want), "{at}");
+                    let guards = buf[..GUARD].iter().chain(&buf[GUARD + k * c + k..]);
+                    assert!(
+                        guards.into_iter().all(|v| v.is_nan()),
+                        "guard written: {at}"
+                    );
+                }
+                set_isa_override(None);
+            }
         }
     }
 

@@ -18,7 +18,7 @@ pub mod naive;
 
 pub use blocked::{
     fc_backward_data, fc_backward_data_fused, fc_backward_weights, fc_backward_weights_fused,
-    fc_backward_weights_sgd, fc_forward, fc_forward_fused,
+    fc_backward_weights_rows, fc_backward_weights_sgd, fc_forward, fc_forward_fused,
 };
 pub use flat::{par_gemm_nn, par_gemm_nt, par_gemm_tn};
 pub use micro::{detect_isa, set_isa_override, Isa};

@@ -33,6 +33,7 @@
 //! *never* an FMA.
 
 use crate::gemm::micro::Isa;
+use crate::transpose::transpose;
 use dlrm_tensor::Matrix;
 
 /// Samples per panel block: one AVX-512 vector, two AVX2 vectors.
@@ -64,47 +65,6 @@ pub fn pack_block(isa: Isa, bottom: &Matrix, tables: &[Matrix], block: usize, pa
         assert_eq!(table.shape(), (n, e), "table output shape");
         let src = &table.as_slice()[s0 * e..(s0 + valid) * e];
         transpose(isa, src, e, valid, e, dst, BLOCK);
-    }
-}
-
-/// `dst[c · dst_stride + r] = src[r · src_stride + c]` for `r < rows`,
-/// `c < cols`; nothing else of `dst` is written. Pure data movement, so the
-/// tier never shows in a bit.
-pub fn transpose(
-    isa: Isa,
-    src: &[f32],
-    src_stride: usize,
-    rows: usize,
-    cols: usize,
-    dst: &mut [f32],
-    dst_stride: usize,
-) {
-    if rows == 0 || cols == 0 {
-        return;
-    }
-    assert!(cols <= src_stride && rows <= dst_stride, "rows overlap");
-    assert!(src.len() >= (rows - 1) * src_stride + cols, "src too short");
-    assert!(dst.len() >= (cols - 1) * dst_stride + rows, "dst too short");
-    let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
-    // SAFETY: the asserts above put every element the kernels touch
-    // (`r < rows`, `c < cols`) inside `src` and `dst`; the vector tiers mask
-    // their edge loads and stores down to exactly those elements, and are
-    // only dispatched to when `detect_isa` (or a test forcing a tier the CPU
-    // has) says the instructions exist.
-    unsafe {
-        match isa {
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => avx512::transpose(s, src_stride, rows, cols, d, dst_stride),
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => avx2::transpose(s, src_stride, rows, cols, d, dst_stride),
-            _ => {
-                for r in 0..rows {
-                    for c in 0..cols {
-                        *d.add(c * dst_stride + r) = *s.add(r * src_stride + c);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -223,20 +183,17 @@ pub unsafe fn grad_block(
     }
 }
 
-/// Instantiates the Gram, gradient and transpose kernels for one vector
+/// Instantiates the Gram and gradient kernels for one vector
 /// ISA. `$pairs` pairs are accumulated at once, `BLOCK / $lanes` vectors
 /// each; `$nonzero(g)` is the `$mask` of lanes with `g != 0` and
-/// `$add_where(m, acc, x)` is `acc + x` in those lanes, `acc` elsewhere;
-/// `$transpose_tile` turns `$lanes` row vectors into `$lanes` column
-/// vectors in place.
+/// `$add_where(m, acc, x)` is `acc + x` in those lanes, `acc` elsewhere.
 #[cfg(target_arch = "x86_64")]
 macro_rules! interaction_tier {
     (
         $tier:ident, $feat:literal, vec = $vec:ident, lanes = $lanes:literal, pairs = $pairs:literal,
         ops = ($zero:ident, $load:ident, $store:ident, $set1:ident, $add:ident, $mul:ident),
         tail = ($load_n:path, $store_n:path),
-        nonzero = ($mask:ident, $nonzero:path, $add_where:path),
-        transpose_tile = $transpose_tile:path
+        nonzero = ($mask:ident, $nonzero:path, $add_where:path)
     ) => {
         #[allow(clippy::needless_range_loop)] // index form mirrors the tile math
         mod $tier {
@@ -383,37 +340,6 @@ macro_rules! interaction_tier {
                     }
                 }
             }
-
-            /// See [`super::transpose`]: `LANES × LANES` register tiles,
-            /// edge tiles masked down to the rows and columns that exist.
-            #[target_feature(enable = $feat)]
-            pub(super) unsafe fn transpose(
-                src: *const f32,
-                src_stride: usize,
-                rows: usize,
-                cols: usize,
-                dst: *mut f32,
-                dst_stride: usize,
-            ) {
-                let mut r0 = 0;
-                while r0 < rows {
-                    let rn = (rows - r0).min(LANES);
-                    let mut c0 = 0;
-                    while c0 < cols {
-                        let cn = (cols - c0).min(LANES);
-                        let mut tile = [$zero(); LANES];
-                        for r in 0..rn {
-                            tile[r] = load_first(src.add((r0 + r) * src_stride + c0), cn);
-                        }
-                        $transpose_tile(&mut tile);
-                        for c in 0..cn {
-                            store_first(dst.add((c0 + c) * dst_stride + r0), rn, tile[c]);
-                        }
-                        c0 += LANES;
-                    }
-                    r0 += LANES;
-                }
-            }
         }
     };
 }
@@ -437,8 +363,7 @@ interaction_tier!(
         crate::embedding::rowops::load_n_avx512,
         crate::embedding::rowops::store_n_avx512
     ),
-    nonzero = (__mmask16, super::nonzero_avx512, super::add_where_avx512),
-    transpose_tile = super::transpose_16x16
+    nonzero = (__mmask16, super::nonzero_avx512, super::add_where_avx512)
 );
 
 #[cfg(target_arch = "x86_64")]
@@ -460,8 +385,7 @@ interaction_tier!(
         crate::embedding::rowops::load_n_avx2,
         crate::embedding::rowops::store_n_avx2
     ),
-    nonzero = (__m256, super::nonzero_avx2, super::add_where_avx2),
-    transpose_tile = super::transpose_8x8
+    nonzero = (__m256, super::nonzero_avx2, super::add_where_avx2)
 );
 
 #[cfg(target_arch = "x86_64")]
@@ -504,115 +428,10 @@ unsafe fn add_where_avx2(
     _mm256_blendv_ps(acc, _mm256_add_ps(acc, x), keep)
 }
 
-/// In-place 16 × 16 transpose: `t[c]` lane `r` becomes the old `t[r]` lane
-/// `c`. Four rounds of 16 shuffles: 32-bit and 64-bit interleaves inside
-/// each 128-bit quarter, then two rounds that regroup the quarters.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx512f")]
-unsafe fn transpose_16x16(t: &mut [std::arch::x86_64::__m512; 16]) {
-    use std::arch::x86_64::*;
-    let mut a = [_mm512_setzero_ps(); 16];
-    for i in 0..8 {
-        a[2 * i] = _mm512_unpacklo_ps(t[2 * i], t[2 * i + 1]);
-        a[2 * i + 1] = _mm512_unpackhi_ps(t[2 * i], t[2 * i + 1]);
-    }
-    // b[4g + c], quarter q: column 4q + c of rows 4g .. 4g + 4.
-    let mut b = [_mm512_setzero_ps(); 16];
-    for g in 0..4 {
-        let (x0, x1) = (_mm512_castps_pd(a[4 * g]), _mm512_castps_pd(a[4 * g + 1]));
-        let (x2, x3) = (
-            _mm512_castps_pd(a[4 * g + 2]),
-            _mm512_castps_pd(a[4 * g + 3]),
-        );
-        b[4 * g] = _mm512_castpd_ps(_mm512_unpacklo_pd(x0, x2));
-        b[4 * g + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(x0, x2));
-        b[4 * g + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(x1, x3));
-        b[4 * g + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(x1, x3));
-    }
-    for c in 0..4 {
-        // Quarters (0, 2) and (1, 3) of row groups 0–1 and 2–3 …
-        let lo_even = _mm512_shuffle_f32x4::<0x88>(b[c], b[4 + c]);
-        let lo_odd = _mm512_shuffle_f32x4::<0xdd>(b[c], b[4 + c]);
-        let hi_even = _mm512_shuffle_f32x4::<0x88>(b[8 + c], b[12 + c]);
-        let hi_odd = _mm512_shuffle_f32x4::<0xdd>(b[8 + c], b[12 + c]);
-        // … then one quarter of all four groups: column 4q + c.
-        t[c] = _mm512_shuffle_f32x4::<0x88>(lo_even, hi_even);
-        t[8 + c] = _mm512_shuffle_f32x4::<0xdd>(lo_even, hi_even);
-        t[4 + c] = _mm512_shuffle_f32x4::<0x88>(lo_odd, hi_odd);
-        t[12 + c] = _mm512_shuffle_f32x4::<0xdd>(lo_odd, hi_odd);
-    }
-}
-
-/// In-place 8 × 8 transpose, same contract as [`transpose_16x16`].
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn transpose_8x8(t: &mut [std::arch::x86_64::__m256; 8]) {
-    use std::arch::x86_64::*;
-    let mut a = [_mm256_setzero_ps(); 8];
-    for i in 0..4 {
-        a[2 * i] = _mm256_unpacklo_ps(t[2 * i], t[2 * i + 1]);
-        a[2 * i + 1] = _mm256_unpackhi_ps(t[2 * i], t[2 * i + 1]);
-    }
-    // b[4g + c], half h: column 4h + c of rows 4g .. 4g + 4.
-    let mut b = [_mm256_setzero_ps(); 8];
-    for g in 0..2 {
-        b[4 * g] = _mm256_shuffle_ps::<0x44>(a[4 * g], a[4 * g + 2]);
-        b[4 * g + 1] = _mm256_shuffle_ps::<0xee>(a[4 * g], a[4 * g + 2]);
-        b[4 * g + 2] = _mm256_shuffle_ps::<0x44>(a[4 * g + 1], a[4 * g + 3]);
-        b[4 * g + 3] = _mm256_shuffle_ps::<0xee>(a[4 * g + 1], a[4 * g + 3]);
-    }
-    for c in 0..4 {
-        t[c] = _mm256_permute2f128_ps::<0x20>(b[c], b[4 + c]);
-        t[4 + c] = _mm256_permute2f128_ps::<0x31>(b[c], b[4 + c]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::embedding::rowops::available_isas;
-
-    /// Distinct, exactly representable values, so a misplaced element shows.
-    fn ramp(len: usize) -> Vec<f32> {
-        (0..len).map(|i| i as f32 - 7.0).collect()
-    }
-
-    #[test]
-    fn transpose_moves_exactly_the_named_elements_on_every_tier() {
-        for isa in available_isas() {
-            for &(rows, cols) in &[
-                (1, 1),
-                (1, 64),
-                (16, 16),
-                (13, 80),
-                (64, 16),
-                (17, 3),
-                (33, 9),
-            ] {
-                for pad in [0, 5] {
-                    let (ss, ds) = (cols + pad, rows + pad);
-                    let src = ramp(rows * ss);
-                    let mut dst = vec![f32::NAN; cols * ds];
-                    transpose(isa, &src, ss, rows, cols, &mut dst, ds);
-                    for c in 0..cols {
-                        for r in 0..ds {
-                            let got = dst[c * ds + r];
-                            if r < rows {
-                                assert_eq!(got, src[r * ss + c], "{isa:?} {rows}x{cols} ({r},{c})");
-                            } else {
-                                assert!(
-                                    got.is_nan(),
-                                    "{isa:?} {rows}x{cols}: wrote past row {rows}"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
 
     #[test]
     fn pack_block_lays_vectors_out_feature_major_and_zeroes_the_tail() {

@@ -22,9 +22,11 @@
 //!   [`embedding::plan::DedupPlan`] (unique-row extraction for the
 //!   distributed lookahead front end).
 //! * [`interaction`] — the pairwise-dot feature interaction as a Gram
-//!   kernel whose vector lanes are samples, plus the register-tile
-//!   transpose that packs its operands; scalar/AVX2/AVX-512 tiers, bitwise
-//!   the scalar `iter().sum()` chain.
+//!   kernel whose vector lanes are samples; scalar/AVX2/AVX-512 tiers,
+//!   bitwise the scalar `iter().sum()` chain.
+//! * [`transpose`] — register-tile transposes between a row-major window
+//!   and its transpose: the interaction's operand packing, and an MLP
+//!   layer's `dW` panels to and from the rows of the DDP bucket buffer.
 //! * [`activations`] / [`loss`] — ReLU, sigmoid and binary cross-entropy
 //!   with their backward passes.
 //! * [`sgd`] — dense SGD including the Split-SGD-BF16 step.
@@ -42,5 +44,6 @@ pub mod interaction;
 pub mod loss;
 pub mod sgd;
 pub mod threadpool;
+pub mod transpose;
 
 pub use threadpool::ThreadPool;

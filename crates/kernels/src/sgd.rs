@@ -10,6 +10,7 @@
 use crate::embedding::rowops;
 use crate::gemm::micro::detect_isa;
 use crate::threadpool::ThreadPool;
+use crate::transpose;
 use dlrm_tensor::BlockedWeights;
 
 /// Plain FP32 SGD: `w -= lr * g`, single-threaded (SIMD over the row).
@@ -35,25 +36,33 @@ pub fn par_sgd_step(pool: &ThreadPool, w: &mut [f32], g: &[f32], lr: f32) {
 /// Plain FP32 SGD on blocked weights against a *row-major* `K×C` gradient
 /// (a layer's span of a reduced DDP buffer):
 /// `wb -= lr · g`, the team splitting `wb`'s panels. Bitwise equal to
-/// [`sgd_step`] on the row-major weights — see
-/// [`BlockedWeights::add_scaled_rows`].
+/// [`sgd_step`] on the row-major weights and to
+/// [`BlockedWeights::add_scaled_rows`]: every tier reads each panel's window
+/// of `g` through [`transpose::add_scaled_transposed`] (register tiles on the
+/// vector tiers, the plain double loop on the scalar one) — the same
+/// multiply, then add, per element.
 pub fn par_sgd_step_rows(pool: &ThreadPool, wb: &mut BlockedWeights, g: &[f32], lr: f32) {
     assert_eq!(g.len(), wb.k * wb.c, "par_sgd_step_rows length mismatch");
     let (blk, c) = (wb.blk, wb.c);
-    let panel_len = blk.bc * blk.bk;
+    let (bc, bk, cb) = (blk.bc, blk.bk, wb.cb());
+    let panel_len = bc * bk;
     let n_panels = wb.num_panels();
+    let isa = detect_isa();
     let base = crate::gemm::SendMutPtr(wb.as_mut_slice().as_mut_ptr());
     pool.parallel_for(n_panels, move |_tid, range| {
-        // SAFETY: parallel_for ranges are disjoint, so are the panel runs
-        // they name, and `range.end ≤ n_panels` keeps each run inside `wb`,
-        // which is borrowed mutably for the whole call.
-        let panels = unsafe {
-            std::slice::from_raw_parts_mut(
-                base.get().add(range.start * panel_len),
-                range.len() * panel_len,
-            )
-        };
-        BlockedWeights::add_scaled_rows(panels, range.start, blk, c, g, -lr);
+        for idx in range {
+            // Panel (ibk, ibc) is the transpose of the `bk × bc` window of
+            // `g` at row `ibk·bk`, column `ibc·bc`.
+            let window = &g[(idx / cb) * bk * c + (idx % cb) * bc..];
+            // SAFETY: parallel_for ranges are disjoint, so each panel
+            // belongs to one thread, and `idx < n_panels` keeps it inside
+            // `wb`, which is borrowed mutably for the whole call; `window`
+            // is read-only and does not alias `wb`.
+            unsafe {
+                let panel = base.get().add(idx * panel_len);
+                transpose::add_scaled_transposed(isa, window, c, bk, bc, -lr, panel, bk);
+            }
+        }
     });
 }
 
@@ -108,6 +117,44 @@ mod tests {
                 assert_eq!(scaled, want, "sgd_step_scaled {isa:?} len={len}");
             }
             set_isa_override(None);
+        }
+    }
+
+    /// The averaged DDP step against the scalar panel walk it replaced,
+    /// bit for bit, on every forced tier and team of 1–3, over the kernel
+    /// wall's `bc` × `bk` grid (two block rows, three block columns).
+    #[test]
+    fn par_sgd_step_rows_is_bitwise_add_scaled_rows_on_every_tier() {
+        use crate::embedding::rowops::available_isas;
+        use crate::gemm::blocked::tests::{ROWS_BC, ROWS_BK};
+        use crate::gemm::micro::{lock_isa_override, set_isa_override};
+        use dlrm_tensor::init::{seeded_rng, uniform};
+        use dlrm_tensor::Blocking;
+        let _tier = lock_isa_override();
+        let lr = 0.07f32;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for team in 1..=3 {
+            let pool = ThreadPool::new(team);
+            for (bc, bk) in ROWS_BC
+                .into_iter()
+                .flat_map(|bc| ROWS_BK.map(|bk| (bc, bk)))
+            {
+                let blk = Blocking { bn: 1, bc, bk };
+                let (k, c) = (2 * bk, 3 * bc);
+                let mut rng = seeded_rng(61, (bc * 100 + bk) as u64);
+                let w = uniform(k, c, -1.0, 1.0, &mut rng);
+                let g = uniform(k, c, -3.0, 3.0, &mut rng);
+                let mut want = BlockedWeights::pack(&w, blk);
+                BlockedWeights::add_scaled_rows(want.as_mut_slice(), 0, blk, c, g.as_slice(), -lr);
+                for isa in available_isas() {
+                    set_isa_override(Some(isa));
+                    let mut got = BlockedWeights::pack(&w, blk);
+                    par_sgd_step_rows(&pool, &mut got, g.as_slice(), lr);
+                    let at = format!("bc {bc} bk {bk} {isa:?} team {team}");
+                    assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{at}");
+                }
+                set_isa_override(None);
+            }
         }
     }
 

@@ -21,6 +21,11 @@
 //! * [`dot`] — a bit-accurate emulation of the Cooper Lake `vdpbf16ps`
 //!   instruction (BF16 pair dot-product accumulating into FP32), mirroring
 //!   the emulation the paper used before silicon was available.
+//!
+//! Every `unsafe` block in the crate says why it is sound in a `// SAFETY:`
+//! comment; clippy enforces it.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bf16;
 pub mod dot;

@@ -78,7 +78,9 @@ impl SplitTensor {
     /// This is a zero-cost reinterpretation: `Bf16` is `repr(transparent)`
     /// over `u16`.
     pub fn as_bf16(&self) -> &[Bf16] {
-        // SAFETY: Bf16 is repr(transparent) over u16.
+        // SAFETY: Bf16 is repr(transparent) over u16, so it has the same
+        // size and alignment; the view covers exactly `self.hi`'s elements
+        // and borrows `self`, so the plane outlives it and is not mutated.
         unsafe { std::slice::from_raw_parts(self.hi.as_ptr().cast::<Bf16>(), self.hi.len()) }
     }
 
