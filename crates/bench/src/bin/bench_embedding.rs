@@ -36,7 +36,7 @@ use dlrm_data::IndexDistribution;
 use dlrm_kernels::embedding::rowops::{self, available_isas};
 use dlrm_kernels::embedding::{self, UpdateStrategy};
 use dlrm_kernels::gemm::micro::{set_isa_override, Isa};
-use dlrm_kernels::ThreadPool;
+use dlrm_kernels::{SendMutPtr, ThreadPool};
 use dlrm_tensor::init::{seeded_rng, uniform};
 use dlrm_tensor::{assert_allclose, Matrix};
 
@@ -123,28 +123,15 @@ fn workload(dist: IndexDistribution, s: &Sizes, seed: u64) -> Workload {
 /// kernels do. Same bits as [`embedding::forward`]; the bench reports what
 /// the per-lookup call, dispatch and output-row round trip cost.
 fn gather_per_row(pool: &ThreadPool, isa: Isa, w: &Matrix, wl: &Workload, out: &mut Matrix) {
-    /// `out`'s base pointer, shared with the team; bags (= output rows) are
-    /// partitioned across threads.
-    #[derive(Clone, Copy)]
-    struct OutPtr(*mut f32);
-    // SAFETY: every thread writes a disjoint set of rows.
-    unsafe impl Send for OutPtr {}
-    unsafe impl Sync for OutPtr {}
-    impl OutPtr {
-        fn row(self, r: usize, e: usize) -> *mut f32 {
-            // SAFETY of the arithmetic: callers pass r < out.rows().
-            unsafe { self.0.add(r * e) }
-        }
-    }
-
     let (n, e) = out.shape();
     assert_eq!((n + 1, e), (wl.offsets.len(), w.cols()), "gather shapes");
-    let base = OutPtr(out.as_mut_slice().as_mut_ptr());
+    // Bags (= output rows) are partitioned across the team.
+    let base = SendMutPtr(out.as_mut_slice().as_mut_ptr());
     pool.parallel_for(n, move |_tid, bags| {
         let slot_end = wl.offsets[bags.end];
         for bag in bags {
             // SAFETY: bag < n rows of `out`, owned by this thread alone.
-            let out_row = unsafe { std::slice::from_raw_parts_mut(base.row(bag, e), e) };
+            let out_row = unsafe { std::slice::from_raw_parts_mut(base.get().add(bag * e), e) };
             out_row.fill(0.0);
             for s in wl.offsets[bag]..wl.offsets[bag + 1] {
                 if s + rowops::PREFETCH_DISTANCE < slot_end {

@@ -15,7 +15,7 @@
 use dlrm_bench::{header, paper, time_it, HarnessOpts, Table};
 use dlrm_kernels::gemm::micro::{brgemm_fwd, detect_isa, Beta, PanelDims, Panels, Reduce};
 use dlrm_kernels::gemm::{self, gemm_flops};
-use dlrm_kernels::ThreadPool;
+use dlrm_kernels::{SendMutPtr, ThreadPool};
 use dlrm_tensor::blocked::Blocking;
 use dlrm_tensor::init::{seeded_rng, uniform};
 use dlrm_tensor::{BlockedActivations, BlockedWeights, Matrix};
@@ -115,7 +115,7 @@ fn fc_forward_no_batch_reduce(
     let (kb, cb, nb) = (w.kb(), w.cb(), x.nb());
     let isa = detect_isa();
     let panel = d.bn * d.bk;
-    let y_ptr = SendPtr(y.as_mut_slice().as_mut_ptr());
+    let y_ptr = SendMutPtr(y.as_mut_slice().as_mut_ptr());
     pool.parallel_for(kb * nb, |_tid, range| {
         for blk_idx in range {
             let (ibn, ibk) = (blk_idx / kb, blk_idx % kb);
@@ -139,16 +139,6 @@ fn fc_forward_no_batch_reduce(
             }
         }
     });
-}
-
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-impl SendPtr {
-    fn get(self) -> *mut f32 {
-        self.0
-    }
 }
 
 fn main() {

@@ -6,9 +6,9 @@
 //! primitive kind — the stacked bars of Figures 11 and 14. This recorder is
 //! the equivalent hook for our harnesses.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The time buckets of Figures 10–14.
@@ -93,7 +93,7 @@ impl TimingRecorder {
 
     /// Adds `d` to the bucket for `kind`.
     pub fn record(&self, kind: OpKind, d: Duration) {
-        *self.totals.lock().entry(kind).or_default() += d;
+        *crate::lock(&self.totals).entry(kind).or_default() += d;
     }
 
     /// Times `f` and charges it to `kind`.
@@ -106,17 +106,20 @@ impl TimingRecorder {
 
     /// Accumulated time for one bucket.
     pub fn total(&self, kind: OpKind) -> Duration {
-        self.totals.lock().get(&kind).copied().unwrap_or_default()
+        crate::lock(&self.totals)
+            .get(&kind)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Snapshot of all buckets.
     pub fn snapshot(&self) -> HashMap<OpKind, Duration> {
-        self.totals.lock().clone()
+        crate::lock(&self.totals).clone()
     }
 
     /// Clears all buckets.
     pub fn reset(&self) {
-        self.totals.lock().clear();
+        crate::lock(&self.totals).clear();
     }
 }
 

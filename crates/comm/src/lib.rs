@@ -55,3 +55,13 @@ pub use instrument::{time_opt, OpKind, TimingRecorder, WireSnapshot, WireStats};
 pub use nonblocking::{Backend, ProgressEngine, Request};
 pub use wire::WirePrecision;
 pub use world::{CommWorld, Communicator, Int8Payload, Payload};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, taking a poisoned lock as is. Every value this crate keeps
+/// behind a mutex is valid after any panic of a holder, and a rank that
+/// panics (a tag mismatch, a dead peer) must still flush its outboxes when
+/// its endpoint drops during the unwind.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

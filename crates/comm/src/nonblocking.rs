@@ -24,9 +24,9 @@ use crate::chaos::FaultPlan;
 use crate::instrument::{time_opt, OpKind, TimingRecorder, WireStats};
 use crate::wire::WirePrecision;
 use crate::world::Communicator;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Which communication backend to emulate.
@@ -60,11 +60,15 @@ impl std::fmt::Display for Backend {
     }
 }
 
+/// The one-value slot a progress worker fills when a [`Request`]'s
+/// operation completes.
+type Done = SyncSender<OpOutput>;
+
 enum Task {
-    Allreduce(Vec<f32>, WirePrecision, Sender<OpOutput>),
+    Allreduce(Vec<f32>, WirePrecision, Done),
     /// `(send, wire, tag_base, scale_group, done)` — `scale_group` is the
     /// INT8 per-block scale length (0 = one scale per payload).
-    Alltoall(Vec<Vec<f32>>, WirePrecision, u64, usize, Sender<OpOutput>),
+    Alltoall(Vec<Vec<f32>>, WirePrecision, u64, usize, Done),
     Shutdown,
 }
 
@@ -128,7 +132,7 @@ impl Request {
 
 /// Registry of progress-thread handles, shared with workers so a killed
 /// worker can register its replacement for join-at-drop.
-type HandleRegistry = Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>;
+type HandleRegistry = Arc<Mutex<Vec<JoinHandle<()>>>>;
 
 /// Chaos context carried by a progress worker: the fault oracle plus the
 /// coordinates and running task index that key its kill decisions.
@@ -175,10 +179,10 @@ impl ProgressEngine {
             "engine needs exactly one communicator per channel"
         );
         let rank = comms[0].rank();
-        let registry: HandleRegistry = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let registry: HandleRegistry = Arc::new(Mutex::new(Vec::new()));
         let mut submitters = Vec::with_capacity(nch);
         for (ch, comm) in comms.into_iter().enumerate() {
-            let (tx, rx) = unbounded::<Task>();
+            let (tx, rx) = mpsc::channel::<Task>();
             submitters.push(tx);
             let chaos = plan.as_ref().map(|p| WorkerChaos {
                 plan: Arc::clone(p),
@@ -191,7 +195,7 @@ impl ProgressEngine {
                 .name(format!("progress-r{rank}-c{ch}"))
                 .spawn(move || progress_loop(comm, rx, chaos))
                 .expect("failed to spawn progress thread");
-            registry.lock().push(handle);
+            crate::lock(&registry).push(handle);
         }
         ProgressEngine {
             submitters,
@@ -260,8 +264,8 @@ impl ProgressEngine {
     }
 
     /// Enqueues the task `make` builds around its completion sender.
-    fn submit(&self, channel: usize, make: impl FnOnce(Sender<OpOutput>) -> Task) -> Request {
-        let (tx, rx) = bounded(1);
+    fn submit(&self, channel: usize, make: impl FnOnce(Done) -> Task) -> Request {
+        let (tx, rx) = mpsc::sync_channel(1);
         self.submitters[channel % self.submitters.len()]
             .send(make(tx))
             .expect("progress channel died");
@@ -278,7 +282,7 @@ impl Drop for ProgressEngine {
         // the shared registry; keep draining until no thread remains. Once
         // every channel has consumed Shutdown no new handles can appear.
         loop {
-            let handle = self.handles.lock().pop();
+            let handle = crate::lock(&self.handles).pop();
             match handle {
                 Some(h) => {
                     let _ = h.join();
@@ -329,7 +333,7 @@ fn progress_loop(comm: Communicator, rx: Receiver<Task>, mut chaos: Option<Worke
                     .name(format!("progress-r{rank}-c{ch}-restart"))
                     .spawn(move || progress_loop(comm, rx, successor_chaos))
                     .expect("failed to respawn progress thread");
-                registry.lock().push(handle);
+                crate::lock(&registry).push(handle);
                 return;
             }
         }

@@ -1,10 +1,10 @@
 //! Rank bootstrap and point-to-point messaging.
 //!
 //! A [`CommWorld`] creates `R` [`Communicator`] handles; each is moved onto
-//! its own thread (the "rank"). Ranks exchange [`Message`]s over dedicated
-//! unbounded channels per (src, dst) pair, so sends never block and
-//! messages between a pair arrive in order — the same guarantees MPI gives
-//! for matching (source, tag) envelopes.
+//! its own thread (the "rank"). Ranks exchange [`Message`]s over one
+//! unbounded `std::sync::mpsc` channel per (src, dst) pair, so sends never
+//! block and messages between a pair arrive in order — the same guarantees
+//! MPI gives for matching (source, tag) envelopes.
 //!
 //! # Fault injection
 //!
@@ -25,10 +25,10 @@
 
 use crate::chaos::{ChaosStats, FaultPlan};
 use crate::instrument::WireStats;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Barrier};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// A scaled-INT8 wire payload: one signed byte per element (two's
 /// complement, shipped as raw `u8`) plus the FP32 scale(s) needed to
@@ -202,7 +202,7 @@ pub struct Communicator {
     /// Wire byte counters — shared by every endpoint of the world, and
     /// optionally across worlds (see [`CommWorld::create_with_opts`]).
     wire: Arc<WireStats>,
-    state: parking_lot::Mutex<EndpointState>,
+    state: Mutex<EndpointState>,
 }
 
 /// Factory for a set of communicators sharing one world.
@@ -242,7 +242,7 @@ impl CommWorld {
             .collect();
         for src in 0..nranks {
             for dst in 0..nranks {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = mpsc::channel();
                 txs[src][dst] = Some(tx);
                 rxs[dst][src] = Some(rx);
             }
@@ -262,7 +262,7 @@ impl CommWorld {
                 plan: plan.clone(),
                 stats: Arc::clone(&stats),
                 wire: Arc::clone(&wire),
-                state: parking_lot::Mutex::new(EndpointState {
+                state: Mutex::new(EndpointState {
                     send: (0..nranks).map(|_| SendState::default()).collect(),
                     recv: (0..nranks).map(|_| RecvState::default()).collect(),
                     ops: 0,
@@ -393,9 +393,10 @@ impl Communicator {
         }
     }
 
-    /// Sends `data` to `dst` with `tag`. Never blocks (buffered channel);
-    /// under chaos the message may be delayed, duplicated, or dropped and
-    /// retried, but it is always eventually delivered exactly once.
+    /// Sends `data` to `dst` with `tag`. Never blocks (the channel is
+    /// unbounded); under chaos the message may be delayed, duplicated, or
+    /// dropped and retried, but it is always eventually delivered exactly
+    /// once.
     pub fn send(&self, dst: usize, tag: u64, data: Vec<f32>) {
         self.send_payload(dst, tag, Payload::F32(data));
     }
@@ -406,7 +407,7 @@ impl Communicator {
     pub fn send_payload(&self, dst: usize, tag: u64, data: Payload) {
         self.wire
             .record(tag, data.wire_bytes(), data.header_bytes());
-        let mut st = self.state.lock();
+        let mut st = crate::lock(&self.state);
         self.maybe_stall(&mut st);
         let seq = st.send[dst].next_seq;
         st.send[dst].next_seq += 1;
@@ -466,7 +467,7 @@ impl Communicator {
 
     /// [`Communicator::recv`] for an arbitrary wire representation.
     pub fn recv_payload(&self, src: usize, tag: u64) -> Payload {
-        let mut st = self.state.lock();
+        let mut st = crate::lock(&self.state);
         self.maybe_stall(&mut st);
         let msg = loop {
             let expected = st.recv[src].next_seq;
@@ -499,7 +500,7 @@ impl Communicator {
     /// nonblocking [`crate::nonblocking::Request`] — should flush first so
     /// peers never wait on held messages.
     pub fn flush_delayed(&self) {
-        let mut st = self.state.lock();
+        let mut st = crate::lock(&self.state);
         self.flush_outboxes(&mut st);
     }
 
@@ -524,7 +525,7 @@ impl Communicator {
     /// Blocks until every rank reaches the barrier.
     pub fn barrier(&self) {
         {
-            let mut st = self.state.lock();
+            let mut st = crate::lock(&self.state);
             self.maybe_stall(&mut st);
             // Peers may legitimately wait for our delayed traffic before
             // they can reach the barrier themselves.
@@ -536,7 +537,7 @@ impl Communicator {
 
 impl Drop for Communicator {
     fn drop(&mut self) {
-        let mut st = self.state.lock();
+        let mut st = crate::lock(&self.state);
         self.flush_outboxes(&mut st);
     }
 }
@@ -545,6 +546,32 @@ impl Drop for Communicator {
 mod tests {
     use super::*;
     use crate::chaos::ChaosConfig;
+    use std::time::Duration;
+
+    /// Runs `body` on its own thread and fails, instead of hanging the test
+    /// binary, if it has not returned after `limit`; a panic in `body` is
+    /// re-raised on the test thread.
+    fn under_watchdog(limit: Duration, body: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            body();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(limit) {
+            Ok(()) => runner.join().unwrap(),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(runner.join().unwrap_err())
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("no progress in {limit:?}"),
+        }
+    }
+
+    /// A two-rank world whose rank 1 has already dropped its endpoint.
+    fn world_with_rank_1_gone(plan: Option<Arc<FaultPlan>>) -> Communicator {
+        let mut comms = CommWorld::create_with_chaos(2, plan);
+        drop(comms.pop());
+        comms.pop().expect("rank 0")
+    }
 
     #[test]
     fn ranks_are_numbered() {
@@ -613,6 +640,39 @@ mod tests {
             } else {
                 c.recv(0, 6);
             }
+        });
+    }
+
+    /// Without faults nothing can satisfy a receive early, so a send to a
+    /// closed endpoint is a caller bug. The panic leaves the endpoint's lock
+    /// poisoned, and dropping the endpoint while unwinding must not panic
+    /// again.
+    #[test]
+    #[should_panic(expected = "send to dead rank")]
+    fn send_to_a_dropped_endpoint_panics_in_a_fault_free_world() {
+        world_with_rank_1_gone(None).send(1, 0, vec![1.0]);
+    }
+
+    /// Under chaos the same send is the teardown race `transmit` documents:
+    /// the peer finished on a duplicate and left. Delayed copies are
+    /// flushed into the closed channel on drop, also without a panic.
+    #[test]
+    fn send_to_a_dropped_endpoint_is_tolerated_under_chaos() {
+        let plan = ChaosConfig::aggressive(11).plan();
+        let comm = world_with_rank_1_gone(Some(plan));
+        for i in 0..100 {
+            comm.send(1, i, vec![i as f32]);
+        }
+        drop(comm);
+    }
+
+    /// A receive from a peer that left with nothing queued fails at once
+    /// instead of blocking forever.
+    #[test]
+    #[should_panic(expected = "recv from dead rank")]
+    fn recv_from_a_dropped_endpoint_panics_instead_of_hanging() {
+        under_watchdog(Duration::from_secs(60), || {
+            world_with_rank_1_gone(None).recv(1, 0);
         });
     }
 

@@ -11,6 +11,7 @@ use crate::layers::Execution;
 use dlrm_kernels::gemm::micro::{detect_isa, Isa};
 use dlrm_kernels::interaction::{block_len, grad_block, gram_block, pack_block, BLOCK};
 use dlrm_kernels::transpose::transpose;
+use dlrm_kernels::SendMutPtr;
 use dlrm_tensor::Matrix;
 use std::ops::Range;
 
@@ -89,8 +90,8 @@ impl Interaction {
         match exec.pool() {
             Some(pool) => {
                 let isa = tier(exec);
-                let panels = SendPtr(self.panels.as_mut_slice().as_mut_ptr());
-                let dots = SendPtr(out.as_mut_slice()[e * n..].as_mut_ptr());
+                let panels = SendMutPtr(self.panels.as_mut_slice().as_mut_ptr());
+                let dots = SendMutPtr(out.as_mut_slice()[e * n..].as_mut_ptr());
                 pool.parallel_for(blocks, |_tid, range| {
                     for b in range {
                         // SAFETY: block `b`'s panel is `per_block` floats of
@@ -153,10 +154,10 @@ impl Interaction {
 
         let mut d_bottom = Matrix::zeros(e, n);
         let mut d_tables: Vec<Matrix> = (1..f).map(|_| Matrix::zeros(n, e)).collect();
-        let bottom_base = SendPtr(d_bottom.as_mut_slice().as_mut_ptr());
-        let table_bases: Vec<SendPtr> = d_tables
+        let bottom_base = SendMutPtr(d_bottom.as_mut_slice().as_mut_ptr());
+        let table_bases: Vec<SendMutPtr> = d_tables
             .iter_mut()
-            .map(|g| SendPtr(g.as_mut_slice().as_mut_ptr()))
+            .map(|g| SendMutPtr(g.as_mut_slice().as_mut_ptr()))
             .collect();
         let run = |range: Range<usize>| {
             // One block's gradients, laid out like its panel.
@@ -209,23 +210,6 @@ impl Interaction {
             Some(pool) => pool.parallel_for(blocks, |_tid, range| run(range)),
         }
         (d_bottom, d_tables)
-    }
-}
-
-/// A `*mut f32` a thread team shares; each thread writes only its own
-/// blocks of samples through it.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-// SAFETY: the pointer is only dereferenced inside `parallel_for` ranges,
-// which are disjoint, and each range names disjoint rows, columns or panels
-// of a buffer the caller borrows mutably for the whole region.
-unsafe impl Send for SendPtr {}
-// SAFETY: as for `Send`: shared copies only ever write disjoint elements.
-unsafe impl Sync for SendPtr {}
-impl SendPtr {
-    #[inline]
-    fn get(self) -> *mut f32 {
-        self.0
     }
 }
 

@@ -172,7 +172,7 @@ pub fn forward(
     let e = weight.cols();
     assert_eq!(out.shape(), (n, e), "forward output shape");
     let isa = detect_isa();
-    let out_base = crate::gemm::SendMutPtr(out.as_mut_slice().as_mut_ptr());
+    let out_base = crate::SendMutPtr(out.as_mut_slice().as_mut_ptr());
 
     pool.parallel_for(n, move |_tid, bags| {
         let w = weight.as_slice().as_ptr();
@@ -211,7 +211,7 @@ pub fn backward(pool: &ThreadPool, dy: &Matrix, offsets: &[usize], dw: &mut Matr
     let e = dy.cols();
     assert_eq!(dy.rows(), n, "backward dY rows");
     assert_eq!(dw.cols(), e, "backward dW shape");
-    let dw_base = crate::gemm::SendMutPtr(dw.as_mut_slice().as_mut_ptr());
+    let dw_base = crate::SendMutPtr(dw.as_mut_slice().as_mut_ptr());
 
     pool.parallel_for(n, move |_tid, bags| {
         for bag in bags {
@@ -303,7 +303,7 @@ fn update_reference(weight: &mut Matrix, dw: &Matrix, indices: &[u32], alpha: f3
     for (i, &ind) in indices.iter().enumerate() {
         let ahead = i + PREFETCH_DISTANCE;
         if ahead < indices.len() {
-            // SAFETY (here and below): indices are checked < m by `update`.
+            // SAFETY: indices are checked < m by `update`, here and below.
             rowops::prefetch_row(unsafe { w_base.add(indices[ahead] as usize * e) }, e);
         }
         // SAFETY: the row is in-bounds and `dw` never aliases `weight`.
@@ -426,16 +426,18 @@ fn update_atomic(pool: &ThreadPool, weight: &mut Matrix, dw: &Matrix, indices: &
 fn update_rtm(pool: &ThreadPool, weight: &mut Matrix, dw: &Matrix, indices: &[u32], alpha: f32) {
     let e = weight.cols();
     let isa = detect_isa();
-    let w_base = crate::gemm::SendMutPtr(weight.as_mut_slice().as_mut_ptr());
+    let w_base = crate::SendMutPtr(weight.as_mut_slice().as_mut_ptr());
 
     pool.parallel_for(indices.len(), |_tid, lookups| {
         let slot_end = lookups.end;
         for i in lookups {
             let ahead = i + PREFETCH_DISTANCE;
             if ahead < slot_end {
+                // SAFETY: indices are checked < m by `update`.
                 rowops::prefetch_row(unsafe { w_base.get().add(indices[ahead] as usize * e) }, e);
             }
-            // SAFETY: indices are checked < m by `update`.
+            // SAFETY: as above, and every writer goes through the stripe
+            // locks.
             unsafe { locked_row_add(isa, w_base.get(), indices[i] as usize, dw.row(i), alpha) };
         }
     });
@@ -453,7 +455,7 @@ fn update_race_free(
     let (m, e) = weight.shape();
     let t = pool.num_threads();
     let isa = detect_isa();
-    let w_base = crate::gemm::SendMutPtr(weight.as_mut_slice().as_mut_ptr());
+    let w_base = crate::SendMutPtr(weight.as_mut_slice().as_mut_ptr());
 
     pool.broadcast(|tid| {
         let owned = partition_range(m, t, tid);
@@ -502,22 +504,25 @@ pub fn backward_update(
     assert_eq!(dy.shape(), (n, e), "backward_update dY shape");
     let isa = detect_isa();
 
-    let w = crate::gemm::SendMutPtr(weight.as_mut_slice().as_mut_ptr());
-    // SAFETY (all arms): `check_bags` puts every row inside the table.
+    let w = crate::SendMutPtr(weight.as_mut_slice().as_mut_ptr());
     match strategy {
+        // SAFETY: `check_bags` puts every row inside the table, and the
+        // calling thread is the only one writing it.
         UpdateStrategy::Reference => unsafe {
             scatter_owned(isa, w.get(), dy, indices, offsets, alpha, 0..m);
         },
         UpdateStrategy::RaceFree => {
             let t = pool.num_threads();
-            // Row ranges are disjoint across threads.
+            // SAFETY: `check_bags` puts every row inside the table, and the
+            // row ranges are disjoint across threads.
             pool.broadcast(|tid| unsafe {
                 let owned = partition_range(m, t, tid);
                 scatter_owned(isa, w.get(), dy, indices, offsets, alpha, owned);
             });
         }
         UpdateStrategy::AtomicXchg => {
-            // All access during this call goes through the atomic view.
+            // SAFETY: all access during this call goes through the atomic
+            // view.
             let cells = unsafe { atomic_cells(weight) };
             pool.parallel_for(n, move |_tid, bags| {
                 for_each_lookup(indices, offsets, bags, |row, bag, ahead| {
@@ -533,7 +538,8 @@ pub fn backward_update(
                 if let Some(next) = ahead {
                     rowops::prefetch_row(w.get().wrapping_add(next * e), e);
                 }
-                // Every writer goes through the stripe locks.
+                // SAFETY: `check_bags` puts the row inside the table, and
+                // every writer goes through the stripe locks.
                 unsafe { locked_row_add(isa, w.get(), row, dy.row(bag), alpha) };
             });
         }),

@@ -26,10 +26,10 @@ use super::micro::{
     brgemm_bwd_data, brgemm_bwd_wt, brgemm_bwd_wt_bias, brgemm_fwd, detect_isa, Beta, PanelDims,
     Panels, Reduce,
 };
-use super::SendMutPtr;
 use crate::embedding::rowops;
 use crate::threadpool::ThreadPool;
 use crate::transpose;
+use crate::SendMutPtr;
 use dlrm_tensor::{BlockedActivations, BlockedWeights};
 
 /// Forward pass: `Y = W · X` with `W: K×C`, `X: C×N`, `Y: K×N`.

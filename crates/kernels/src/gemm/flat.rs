@@ -7,8 +7,8 @@
 //! Figure 5 measures at ~61% of peak vs. ~72% for the blocked
 //! batch-reduce formulation.
 
-use super::SendMutPtr;
 use crate::threadpool::ThreadPool;
+use crate::SendMutPtr;
 use dlrm_tensor::Matrix;
 
 /// Cache block along the reduction dimension: 256 floats = 1 KiB per row,

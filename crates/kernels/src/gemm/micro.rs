@@ -1012,7 +1012,10 @@ mod tests {
                 assert_matches_reference(
                     d.bn * d.bk,
                     &format!("fwd {isa:?} {d:?} x{count}"),
+                    // SAFETY: for both kernels, each operand holds `count`
+                    // panels of its dims; `y` is one `bn × bk` panel.
                     |y| unsafe { micro_ref::fwd(isa, &w.ptrs(), &x.ptrs(), y, d) },
+                    // SAFETY: as above.
                     |beta, y| unsafe {
                         brgemm_fwd(isa, w.panels(), x.panels(), w.reduce(beta), y, d)
                     },
@@ -1030,7 +1033,10 @@ mod tests {
                 assert_matches_reference(
                     d.bc * d.bk,
                     &format!("bwd_wt {isa:?} {d:?} x{count}"),
+                    // SAFETY: for both kernels, each operand holds `count`
+                    // panels of its dims; `dw` is one `bc × bk` panel.
                     |dw| unsafe { micro_ref::bwd_wt(isa, &x.ptrs(), &dy.ptrs(), dw, d) },
+                    // SAFETY: as above.
                     |beta, dw| unsafe {
                         brgemm_bwd_wt(isa, x.panels(), dy.panels(), x.reduce(beta), dw, d)
                     },
@@ -1060,9 +1066,13 @@ mod tests {
                     assert_matches_reference(
                         len,
                         &format!("bwd_data {isa:?} {d:?} x{count} mask {m}"),
+                        // SAFETY: for both kernels, each operand holds
+                        // `count` panels of its dims; `dx` and the mask are
+                        // one `bn × bc` panel each.
                         |dx| unsafe {
                             micro_ref::bwd_data(isa, &w.ptrs(), &dy.ptrs(), dx, mask, d)
                         },
+                        // SAFETY: as above.
                         |beta, dx| unsafe {
                             brgemm_bwd_data(
                                 isa,
@@ -1099,12 +1109,16 @@ mod tests {
         for isa in all_isas() {
             let r = w.reduce(Beta::Zero);
             let mut dx = vec![f32::NAN; d.bn * d.bc];
+            // SAFETY: here and below, the operands hold two panels of their
+            // dims, and each output is one panel of its own.
             unsafe { brgemm_bwd_data(isa, w.panels(), dy.panels(), r, dx.as_mut_ptr(), None, d) };
             assert!(dx.iter().all(|v| v.to_bits() == 0), "bwd_data {isa:?}");
             let mut dw = vec![f32::NAN; d.bc * d.bk];
+            // SAFETY: as above.
             unsafe { brgemm_bwd_wt(isa, x.panels(), dy.panels(), r, dw.as_mut_ptr(), d) };
             assert!(dw.iter().all(|v| v.to_bits() == 0), "bwd_wt {isa:?}");
             let mut y = vec![f32::NAN; d.bn * d.bk];
+            // SAFETY: as above.
             unsafe { brgemm_fwd(isa, w.panels(), x.panels(), r, y.as_mut_ptr(), d) };
             assert!(y.iter().all(|v| v.to_bits() == 0), "fwd {isa:?}");
         }
@@ -1124,6 +1138,8 @@ mod tests {
                     vec![-0.2f32; bn * bc],
                     vec![0.0f32; bc * bk],
                 );
+                // SAFETY: each operand holds `count` panels of its dims;
+                // `y`, `dx` and `dw` are one output panel each.
                 unsafe {
                     brgemm_fwd(isa, w.panels(), x.panels(), r, y.as_mut_ptr(), d);
                     brgemm_bwd_data(isa, w.panels(), dy.panels(), r, dx.as_mut_ptr(), None, d);
@@ -1160,9 +1176,13 @@ mod tests {
             for isa in all_isas() {
                 let r = x.reduce(Beta::Zero);
                 let mut dw_want = vec![f32::NAN; bc * bk];
+                // SAFETY: for both calls, each operand holds `count` panels of
+                // its dims; `dw` is one `bc × bk` panel and `db` `bk` floats.
                 unsafe { brgemm_bwd_wt(isa, x.panels(), dy.panels(), r, dw_want.as_mut_ptr(), d) };
                 let mut dw_got = vec![f32::NAN; bc * bk];
-                let mut db_got = vec![7.0f32; bk]; // overwrite semantics
+                // 7.0, not 0.0: the fused kernel overwrites `db`.
+                let mut db_got = vec![7.0f32; bk];
+                // SAFETY: as above.
                 unsafe {
                     brgemm_bwd_wt_bias(
                         isa,
@@ -1208,6 +1228,8 @@ mod tests {
         for isa in all_isas() {
             let mut batched = vec![f32::NAN; d.bn * d.bk];
             let r = w.reduce(Beta::Zero);
+            // SAFETY: both operands hold 5 panels of their dims; `batched`
+            // is one `bn × bk` panel.
             unsafe { brgemm_fwd(isa, w.panels(), x.panels(), r, batched.as_mut_ptr(), d) };
 
             let mut seq = vec![0.0f32; d.bn * d.bk];
@@ -1216,12 +1238,14 @@ mod tests {
                 beta: Beta::One,
             };
             for p in 0..5 {
+                // SAFETY: panel `p < 5` starts inside each operand.
                 let (wp, xp) = unsafe {
                     (
                         w.panels().offset(p * w.stride),
                         x.panels().offset(p * x.stride),
                     )
                 };
+                // SAFETY: one panel from `p` on, into one output panel.
                 unsafe { brgemm_fwd(isa, wp, xp, one, seq.as_mut_ptr(), d) };
             }
             assert_eq!(bits(&batched), bits(&seq), "{isa:?}");

@@ -29,26 +29,6 @@ pub fn gemm_flops(k: usize, c: usize, n: usize) -> u64 {
     2 * k as u64 * c as u64 * n as u64
 }
 
-/// A `*mut f32` that may be smuggled into a thread team. Each thread must
-/// only touch a disjoint region; the kernels in this crate uphold that by
-/// partitioning output *blocks* across threads.
-#[derive(Clone, Copy)]
-pub(crate) struct SendMutPtr(pub *mut f32);
-// SAFETY: see type docs — disjoint-write discipline is maintained by every
-// kernel that constructs one of these.
-unsafe impl Send for SendMutPtr {}
-unsafe impl Sync for SendMutPtr {}
-
-impl SendMutPtr {
-    /// Returns the raw pointer. Taking it through a method (rather than the
-    /// field) makes closures capture the whole `Send + Sync` wrapper under
-    /// edition-2021 disjoint capture rules.
-    #[inline]
-    pub(crate) fn get(self) -> *mut f32 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

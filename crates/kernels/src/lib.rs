@@ -35,6 +35,8 @@
 //! * [`int8wire`] — SIMD scaled-INT8 quantize/dequantize tiers for the
 //!   deeper (4×) wire tier, same cross-tier bit-exactness contract.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod activations;
 pub mod bf16wire;
 pub mod embedding;
@@ -47,3 +49,28 @@ pub mod threadpool;
 pub mod transpose;
 
 pub use threadpool::ThreadPool;
+
+/// A `*mut f32` that may be shared with a thread team. Each member must
+/// only touch a region no other member touches while the team runs: the
+/// kernels in this crate partition output *blocks* (rows, panels, bags)
+/// across members, and so must every caller outside it.
+#[derive(Clone, Copy)]
+pub struct SendMutPtr(pub *mut f32);
+// SAFETY: the wrapper only moves the address between threads; every
+// dereference is an `unsafe` block of its own, whose caller keeps the
+// disjoint-region discipline above.
+unsafe impl Send for SendMutPtr {}
+// SAFETY: shared copies hand out the same address, never a reference;
+// members write disjoint regions through it, so sharing it races on no
+// element.
+unsafe impl Sync for SendMutPtr {}
+
+impl SendMutPtr {
+    /// Returns the raw pointer. Taking it through a method (rather than the
+    /// field) makes closures capture the whole `Send + Sync` wrapper under
+    /// edition-2021 disjoint capture rules.
+    #[inline]
+    pub fn get(self) -> *mut f32 {
+        self.0
+    }
+}

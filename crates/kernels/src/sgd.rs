@@ -25,7 +25,7 @@ pub fn sgd_step(w: &mut [f32], g: &[f32], lr: f32) {
 pub fn par_sgd_step(pool: &ThreadPool, w: &mut [f32], g: &[f32], lr: f32) {
     assert_eq!(w.len(), g.len(), "par_sgd_step length mismatch");
     let isa = detect_isa();
-    let base = crate::gemm::SendMutPtr(w.as_mut_ptr());
+    let base = crate::SendMutPtr(w.as_mut_ptr());
     pool.parallel_for(w.len(), move |_tid, range| {
         // SAFETY: parallel_for ranges are disjoint, and each range stays in
         // bounds of `w`.
@@ -48,7 +48,7 @@ pub fn par_sgd_step_rows(pool: &ThreadPool, wb: &mut BlockedWeights, g: &[f32], 
     let panel_len = bc * bk;
     let n_panels = wb.num_panels();
     let isa = detect_isa();
-    let base = crate::gemm::SendMutPtr(wb.as_mut_slice().as_mut_ptr());
+    let base = crate::SendMutPtr(wb.as_mut_slice().as_mut_ptr());
     pool.parallel_for(n_panels, move |_tid, range| {
         for idx in range {
             // Panel (ibk, ibc) is the transpose of the `bk × bc` window of

@@ -19,13 +19,12 @@
 //! costs no CPU. Panics in any member's share are captured and re-thrown on
 //! the caller once the whole team has finished.
 
-use parking_lot::Mutex;
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{JoinHandle, Thread};
 
 /// `spin_loop` polls before a waiting member starts yielding: ≈ 1.6 µs at
@@ -46,6 +45,12 @@ const SPINS: u32 = 128;
 /// member parks, and is then woken with preemption, instead of queueing
 /// behind a co-runner's whole slice again and again.
 const YIELDS: u32 = 1024;
+
+/// Locks `m`. Every value the pool keeps behind a lock is replaced whole,
+/// so it is valid even if a holder panicked: a poisoned lock is taken as is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The current job: a borrow of the dispatching caller's closure with its
 /// lifetime erased (see the SAFETY argument in [`ThreadPool::broadcast`]).
@@ -82,7 +87,7 @@ impl Seat {
             }
             std::thread::yield_now();
         }
-        *self.thread.lock() = Some(std::thread::current());
+        *lock(&self.thread) = Some(std::thread::current());
         loop {
             self.parked.store(true, Ordering::SeqCst);
             if ready() {
@@ -97,7 +102,7 @@ impl Seat {
     /// Unparks the member if it is parked or about to park.
     fn wake(&self) {
         if self.parked.load(Ordering::SeqCst) {
-            if let Some(thread) = self.thread.lock().as_ref() {
+            if let Some(thread) = lock(&self.thread).as_ref() {
                 thread.unpark();
             }
         }
@@ -311,13 +316,13 @@ impl ThreadPool {
              flight (nested in a job, or from a second thread sharing the pool)"
         );
         let job: *const (dyn Fn(usize) + Sync + '_) = &f;
-        // SAFETY (lifetime erasure): workers dereference the pointer only
-        // between seeing this dispatch's epoch and decrementing
-        // `outstanding`, and this function does not return or unwind before
-        // `outstanding == 0`: the caller's own share runs under
-        // `catch_unwind` and nothing else between here and the wait can
-        // panic. `busy` keeps a second dispatcher from overwriting the slot
-        // or the counter meanwhile. So `f` outlives every use.
+        // SAFETY: this erases the closure's lifetime. Workers dereference
+        // the pointer only between seeing this dispatch's epoch and
+        // decrementing `outstanding`, and this function does not return or
+        // unwind before `outstanding == 0`: the caller's own share runs
+        // under `catch_unwind` and nothing else between here and the wait
+        // can panic. `busy` keeps a second dispatcher from overwriting the
+        // slot or the counter meanwhile. So `f` outlives every use.
         let job: JobPtr = unsafe { std::mem::transmute(job) };
         // SAFETY: no worker is between an epoch and its decrement (the
         // previous dispatch waited for `outstanding == 0` and we hold
@@ -332,7 +337,7 @@ impl ThreadPool {
         shared.seats[0].wait_until(|| shared.outstanding.load(Ordering::SeqCst) == 0);
         // SAFETY: as above — the whole team has finished.
         unsafe { *shared.job.get() = None };
-        let theirs = shared.panic.lock().take();
+        let theirs = lock(&shared.panic).take();
         shared.busy.store(false, Ordering::SeqCst);
         if let Some(payload) = mine.err().or(theirs) {
             resume_unwind(payload);
@@ -384,7 +389,7 @@ fn worker_loop(tid: usize, shared: &Shared) {
         // SAFETY: the pointee outlives this call (see `broadcast`).
         let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job)(tid) }));
         if let Err(payload) = result {
-            shared.panic.lock().get_or_insert(payload);
+            lock(&shared.panic).get_or_insert(payload);
         }
         // The job must not be touched past this decrement.
         if shared.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
@@ -484,8 +489,8 @@ mod tests {
     /// The OS thread every tid of one dispatch ran on.
     fn thread_of_each_tid(pool: &ThreadPool) -> Vec<ThreadId> {
         let ids = Mutex::new(vec![None; pool.num_threads()]);
-        pool.broadcast(|tid| ids.lock()[tid] = Some(std::thread::current().id()));
-        let ids = ids.into_inner();
+        pool.broadcast(|tid| lock(&ids)[tid] = Some(std::thread::current().id()));
+        let ids = ids.into_inner().unwrap();
         ids.into_iter().map(|id| id.expect("tid ran")).collect()
     }
 
@@ -515,9 +520,9 @@ mod tests {
             assert_eq!(thread_of_each_tid(&pool), [me]);
             let mut out = 0u64;
             let cell = Mutex::new(&mut out);
-            pool.broadcast(|_| **cell.lock() += 42);
+            pool.broadcast(|_| **lock(&cell) += 42);
             // Nothing to corrupt without a team: nesting is a plain call.
-            pool.broadcast(|_| pool.broadcast(|_| **cell.lock() += 1));
+            pool.broadcast(|_| pool.broadcast(|_| **lock(&cell) += 1));
             assert_eq!(out, 43);
         }
     }
@@ -601,8 +606,8 @@ mod tests {
             });
             pool.broadcast(|tid| {
                 if tid == 0 {
-                    started_tx.lock().send(()).unwrap();
-                    let payload = intruded_rx.lock().recv().unwrap();
+                    lock(&started_tx).send(()).unwrap();
+                    let payload = lock(&intruded_rx).recv().unwrap();
                     assert!(reentrancy_message(
                         payload.expect("second dispatcher must panic")
                     ));

@@ -196,6 +196,11 @@ impl ServeClient {
                 self.dense_features
             ));
         }
+        // No layer stops a NaN or an infinity: the client would get a
+        // non-finite logit and no error.
+        if let Some(i) = req.dense.iter().position(|x| !x.is_finite()) {
+            return Err(format!("dense feature {i} is {}", req.dense[i]));
+        }
         if req.indices.len() != self.table_rows.len() {
             return Err(format!(
                 "request has {} tables, model has {}",
@@ -611,6 +616,22 @@ mod tests {
             .collect();
         waiter.join().expect("waiter");
         outcomes
+    }
+
+    /// A NaN or infinite dense feature is refused at submit, naming its
+    /// index, before it can reach a batch.
+    #[test]
+    fn non_finite_dense_features_are_rejected() {
+        let client = ServeClient::new(&tiny_cfg());
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut req = request();
+            req.dense[1] = bad;
+            let err = client.submit(req).err().expect("a non-finite feature");
+            assert!(err.contains("dense feature 1"), "{err}");
+        }
+        let mut req = request();
+        req.dense[0] = f32::MAX;
+        assert_eq!(client.validate(&req), Ok(()), "large but finite");
     }
 
     /// A forward that panics mid-batch must fail every outstanding handle —
