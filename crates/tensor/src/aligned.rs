@@ -87,7 +87,7 @@ impl AlignedVec {
     pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> f32) -> Self {
         // SAFETY: every element is written below before `v` is returned, and
         // nothing reads it first; if `f` panics, `v`'s `Drop` only frees.
-        let v = unsafe { Self::allocate(len, alloc) };
+        let v = unsafe { Self::uninit(len) };
         for i in 0..len {
             // SAFETY: `i < len == cap`, so the slot lies inside the
             // allocation; `write` does not read or drop the uninitialised
@@ -95,6 +95,19 @@ impl AlignedVec {
             unsafe { v.ptr.add(i).write(f(i)) };
         }
         v
+    }
+
+    /// A `len`-float buffer with uninitialised contents, for a fill that
+    /// writes each element once in an order of its own (`from_fn`, and
+    /// `init::uniform`'s SIMD lanes).
+    ///
+    /// # Safety
+    /// The caller must write every element, through
+    /// [`as_mut_ptr`](Self::as_mut_ptr), before the buffer is read or
+    /// dereferenced. Dropping it unread is fine.
+    pub(crate) unsafe fn uninit(len: usize) -> Self {
+        // SAFETY: the caller's contract is `allocate`'s with `alloc`.
+        unsafe { Self::allocate(len, alloc) }
     }
 
     /// A `len`-float buffer from `allocator`, advised onto huge pages when

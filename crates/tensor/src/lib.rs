@@ -15,6 +15,8 @@
 //!   `[Cb][Nb][bn][bc]`. These layouts expose locality for the batch-reduce
 //!   GEMM microkernel and avoid large power-of-two strides.
 //! * [`init`] — reproducible random initializers (Xavier / uniform / normal).
+//! * [`simd`] — register-level building blocks (an 8 × 8 `__m256`
+//!   transpose) shared by the SIMD code here and in `dlrm-kernels`.
 //! * [`compare`] — tolerant numeric comparison helpers used pervasively by
 //!   the test suites that check optimized kernels against naive references.
 //!
@@ -28,6 +30,7 @@ pub mod blocked;
 pub mod compare;
 pub mod init;
 pub mod matrix;
+pub mod simd;
 pub mod util;
 
 pub use aligned::AlignedVec;

@@ -41,6 +41,12 @@ impl Matrix {
         Self { data, rows, cols }
     }
 
+    /// Wraps row-major `data` without copying it.
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: AlignedVec) -> Self {
+        assert_eq!(data.len(), rows * cols, "Matrix::from_vec: length");
+        Self { data, rows, cols }
+    }
+
     /// Creates a matrix wrapping a copy of row-major `data`.
     ///
     /// # Panics

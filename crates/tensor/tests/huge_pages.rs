@@ -307,3 +307,36 @@ fn a_from_fn_buffer_lands_on_transparent_huge_pages() {
         BYTES >> 10
     );
 }
+
+#[test]
+#[cfg(target_os = "linux")]
+fn an_embedding_table_lands_on_transparent_huge_pages() {
+    let _turn = my_turn();
+    let mode = thp_mode();
+    if mode != "madvise" && mode != "always" {
+        println!("skipped: thp mode={mode}");
+        return;
+    }
+    const BYTES: usize = 64 << 20;
+    let before = anon_huge_kb();
+    // On an AVX-512 host the table is written by eight SIMD lanes at once,
+    // each starting in its own eighth: every lane's first write to a page
+    // is still that page's first touch.
+    let rows = BYTES / 4 / 64;
+    let t = dlrm_tensor::init::embedding_table(rows, 64, &mut dlrm_tensor::init::seeded_rng(5, 0));
+    let gained = anon_huge_kb().saturating_sub(before);
+    println!(
+        "thp mode={mode}: AnonHugePages +{gained} kB for a {} kB embedding table",
+        BYTES >> 10
+    );
+    assert!(t
+        .row(rows - 1)
+        .iter()
+        .all(|x| x.abs() <= 1.0 / (rows as f32).sqrt()));
+    assert!(
+        gained * 10 >= (BYTES as u64 >> 10) * 9,
+        "only {gained} kB of a {} kB table is on huge pages (mode={mode}): \
+         was it touched before it was advised?",
+        BYTES >> 10
+    );
+}

@@ -8,6 +8,13 @@
 //! the real `StdRng`) guaranteed stable across toolchain updates, which is
 //! what the workspace's bit-reproducibility tests actually want.
 //!
+//! Two extensions go beyond `rand`'s API, both on [`rngs::StdRng`]:
+//! [`advance`](rngs::StdRng::advance) jumps the generator `k` draws ahead
+//! in O(log k), and [`state`](rngs::StdRng::state) reads its four state
+//! words. Together they let a caller run lanes of one stream side by side
+//! (`dlrm_tensor::init::uniform` fills a table eight SIMD lanes at a time),
+//! each lane producing exactly the draws the serial stream would.
+//!
 //! Everything is deterministic; there is no `thread_rng`/OS entropy on
 //! purpose — all randomness in this repo must flow through explicit seeds.
 
@@ -154,9 +161,10 @@ macro_rules! impl_float_range {
             fn sample_single<R: RngCore>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "empty gen_range");
                 let u = unit_f64(rng.next_u64());
-                let v = self.start as f64 + u * (self.end as f64 - self.start as f64);
-                // Guard the open upper bound against FP round-up.
-                if v >= self.end as f64 { self.start } else { v as $t }
+                let v = (self.start as f64 + u * (self.end as f64 - self.start as f64)) as $t;
+                // Guard the open upper bound against FP round-up, the
+                // narrowing to `$t` included.
+                if v >= self.end { self.start } else { v }
             }
         }
     )*};
@@ -205,6 +213,7 @@ pub mod distributions {
 /// Concrete generators, mirroring `rand::rngs`.
 pub mod rngs {
     use super::{RngCore, SeedableRng};
+    use std::sync::OnceLock;
 
     /// xoshiro256** seeded via SplitMix64 — the workspace's standard
     /// generator. Stable across platforms and toolchains by construction.
@@ -252,6 +261,106 @@ pub mod rngs {
             self.s[3] = self.s[3].rotate_left(45);
             result
         }
+    }
+
+    impl StdRng {
+        /// Moves the generator `k` draws ahead: afterwards it is exactly
+        /// where `k` calls of `next_u64` would have left it, at the cost of
+        /// O(log k) polynomial squarings and 256 generator steps.
+        ///
+        /// The state update is linear over GF(2), so with `p` its
+        /// characteristic polynomial, the `k`-step update is `r(T)` for
+        /// `r = x^k mod p` (Cayley–Hamilton): the XOR of the states `i`
+        /// steps on, over the set bits `i` of `r`.
+        pub fn advance(&mut self, k: u64) {
+            let p = char_poly();
+            let mut r = [1, 0, 0, 0];
+            for bit in (0..u64::BITS - k.leading_zeros()).rev() {
+                r = mul_mod(&r, &r, p);
+                if k >> bit & 1 == 1 {
+                    r = mul_x(r, p);
+                }
+            }
+            let mut acc = [0; 4];
+            for i in 0..256 {
+                if r[i / 64] >> (i % 64) & 1 == 1 {
+                    acc.iter_mut().zip(self.s).for_each(|(a, s)| *a ^= s);
+                }
+                self.next_u64();
+            }
+            self.s = acc;
+        }
+
+        /// The four xoshiro256 state words `s[0..4]`, for a caller that
+        /// steps the same generator elsewhere (in SIMD lanes, say).
+        pub fn state(&self) -> [u64; 4] {
+            self.s
+        }
+    }
+
+    /// `a · x mod p` over GF(2). A polynomial of degree < 256 is four
+    /// words, bit `i` the coefficient of `x^i`; `p`'s `x^256` is implicit.
+    fn mul_x(a: [u64; 4], p: &[u64; 4]) -> [u64; 4] {
+        let carry = (a[3] >> 63).wrapping_neg();
+        [
+            (a[0] << 1) ^ (p[0] & carry),
+            (a[1] << 1 | a[0] >> 63) ^ (p[1] & carry),
+            (a[2] << 1 | a[1] >> 63) ^ (p[2] & carry),
+            (a[3] << 1 | a[2] >> 63) ^ (p[3] & carry),
+        ]
+    }
+
+    /// `a · b mod p` over GF(2), Horner over `b`'s bits.
+    fn mul_mod(a: &[u64; 4], b: &[u64; 4], p: &[u64; 4]) -> [u64; 4] {
+        let mut acc = [0; 4];
+        for i in (0..256).rev() {
+            acc = mul_x(acc, p);
+            let take = (b[i / 64] >> (i % 64) & 1).wrapping_neg();
+            acc.iter_mut().zip(a).for_each(|(c, a)| *c ^= a & take);
+        }
+        acc
+    }
+
+    /// The characteristic polynomial of xoshiro256's state update, found
+    /// by Berlekamp–Massey from the generator's own bits: bit 0 of `s[0]`
+    /// over 512 steps. The polynomial is primitive (the period is
+    /// 2^256 − 1), so any non-zero bit sequence of the state has it as its
+    /// minimal polynomial, of degree 256.
+    fn char_poly() -> &'static [u64; 4] {
+        static P: OnceLock<[u64; 4]> = OnceLock::new();
+        P.get_or_init(|| {
+            const N: usize = 512;
+            let mut g = StdRng { s: [1, 0, 0, 0] };
+            let seq: [u8; N] = std::array::from_fn(|_| {
+                let bit = g.s[0] as u8 & 1;
+                g.next_u64();
+                bit
+            });
+            // `c` is the shortest recurrence found so far:
+            // seq[n] = XOR over i in 1..=l of c[i] & seq[n - i].
+            let (mut c, mut b) = ([0u8; N + 1], [0u8; N + 1]);
+            (c[0], b[0]) = (1, 1);
+            let (mut l, mut m) = (0, 1);
+            for n in 0..N {
+                let d = (1..=l).fold(seq[n], |d, i| d ^ (c[i] & seq[n - i]));
+                if d == 0 {
+                    m += 1;
+                    continue;
+                }
+                let t = c;
+                (m..=N).for_each(|i| c[i] ^= b[i - m]);
+                if 2 * l <= n {
+                    (l, b, m) = (n + 1 - l, t, 1);
+                } else {
+                    m += 1;
+                }
+            }
+            assert_eq!(l, 256, "xoshiro256's state update has degree 256");
+            // p(x) = x^256 · c(1/x): the coefficient of x^j is c[256 - j].
+            let mut p = [0; 4];
+            (0..256).for_each(|j| p[j / 64] |= u64::from(c[256 - j]) << (j % 64));
+            p
+        })
     }
 }
 
@@ -307,6 +416,60 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let hits = (0..100_000).filter(|_| rng.gen_bool(0.25)).count();
         assert!((20_000..30_000).contains(&hits), "hits={hits}");
+    }
+
+    /// The largest draw used to round up to the open upper bound: the f64
+    /// `1 - 2^-53` is below `1.0`, but narrows to `1.0f32`.
+    #[test]
+    fn f32_range_never_returns_its_upper_bound() {
+        struct AllOnes;
+        impl RngCore for AllOnes {
+            fn next_u64(&mut self) -> u64 {
+                u64::MAX
+            }
+        }
+        let x: f32 = AllOnes.gen_range(0.0..1.0f32);
+        assert!((0.0..1.0).contains(&x), "{x}");
+        let next_up = f32::from_bits(1.0f32.to_bits() + 1);
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..1000 {
+            assert_eq!(rng.gen_range(1.0..next_up), 1.0);
+        }
+    }
+
+    fn stepped(mut rng: StdRng, k: u64) -> StdRng {
+        (0..k).for_each(|_| {
+            rng.next_u64();
+        });
+        rng
+    }
+
+    #[test]
+    fn advance_equals_serial_draws() {
+        let start = StdRng::seed_from_u64(0xADA);
+        for k in [0, 1, 63, 64, 255, 256, 257, (1 << 20) + 3] {
+            let mut jumped = start.clone();
+            jumped.advance(k);
+            assert_eq!(jumped.state(), stepped(start.clone(), k).state(), "k={k}");
+        }
+    }
+
+    #[test]
+    fn advances_compose() {
+        let start = StdRng::seed_from_u64(0xC0);
+        for (a, b) in [
+            (0, 5),
+            (1, 1),
+            (100, 27),
+            (1 << 40, 3),
+            (u64::MAX / 3, 12_345),
+        ] {
+            let (mut ab, mut whole) = (start.clone(), start.clone());
+            ab.advance(a);
+            ab.advance(b);
+            whole.advance(a + b);
+            assert_eq!(ab.state(), whole.state(), "a={a} b={b}");
+        }
     }
 
     #[test]
