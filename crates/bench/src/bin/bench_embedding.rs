@@ -27,7 +27,8 @@
 //!
 //! Writes `results/BENCH_embedding.json` (schema checked by
 //! `dlrm_bench::validate_artifact`, also run by CI). The default table is
-//! 51 MB, above `dlrm_tensor::aligned::HUGE_PAGE_MIN_BYTES`, so every GUPS
+//! 51 MB, a mapping of its own on 2 MiB pages (`dlrm_tensor::aligned`,
+//! from `HUGE_PAGE` up), so every GUPS
 //! figure depends on whether the host hands out 2 MiB pages: the artifact
 //! records `thp_mode`, `table_mb` and `anon_huge_mb`.
 
@@ -258,8 +259,9 @@ fn main() {
     let ns = uni.indices.len();
     let mut rng = seeded_rng(7, 2);
     let w0 = uniform(s.m, s.e, -0.1, 0.1, &mut rng);
-    // The table is the only large buffer alive: what sits on 2 MiB pages
-    // now is its share (`dlrm_tensor::aligned::HUGE_PAGE_MIN_BYTES`).
+    // The table is the only buffer of `dlrm_tensor::aligned::HUGE_PAGE` or
+    // more alive, and the dropped ones were unmapped: what sits on 2 MiB
+    // pages now is its share.
     let (thp_mode, anon_huge_mb) = (dlrm_bench::thp_mode(), dlrm_bench::anon_huge_mb());
     let table_mb = (s.m * s.e * std::mem::size_of::<f32>()) as f64 / 1e6;
     println!("table {table_mb:.1} MB, {anon_huge_mb:.1} MB on huge pages (THP mode {thp_mode})");

@@ -77,7 +77,7 @@ pub fn write_artifact(name: &str, contents: &str) -> std::path::PathBuf {
 /// `/sys/kernel/mm/transparent_hugepage/enabled` — or `unavailable` where
 /// there is no such file. Recorded in
 /// artifacts whose numbers depend on the page size of the tables
-/// (`dlrm_tensor::aligned::HUGE_PAGE_MIN_BYTES`).
+/// (every buffer of `dlrm_tensor::aligned::HUGE_PAGE` or more).
 pub fn thp_mode() -> String {
     let modes = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
     modes

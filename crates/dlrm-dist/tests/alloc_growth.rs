@@ -45,7 +45,19 @@ use dlrm_data::{DlrmConfig, IndexDistribution, LookaheadWindow, MiniBatch};
 use dlrm_dist::distributed::{DistDlrm, DistOptions, Schedule, WireConfig};
 use dlrm_dist::exchange::ExchangeStrategy;
 use dlrm_dist::prefetch::Prefetch;
+use dlrm_tensor::aligned::mappings;
 use dlrm_tensor::init::seeded_rng;
+
+/// One between-steps sample: live bytes (the global allocator's plus
+/// `AlignedVec`'s own mappings', which it does not see), scratch bytes, and
+/// the mappings made so far.
+type Sample = (isize, usize, usize);
+
+fn sample(scratch: usize) -> Sample {
+    let m = mappings();
+    let live = LIVE_BYTES.load(Ordering::Relaxed) + m.live_bytes as isize;
+    (live, scratch, m.mapped)
+}
 
 fn tiny_cfg() -> DlrmConfig {
     let mut cfg = DlrmConfig::small().scaled_down(32, 512);
@@ -62,11 +74,11 @@ fn tiny_cfg() -> DlrmConfig {
 /// Runs `steps` training iterations at 2 ranks and returns rank 0's
 /// per-step (live-heap, scratch) samples, each taken inside a barrier
 /// sandwich so every rank is parked at a known point.
-fn sample_training(schedule: Schedule, steps: usize) -> Vec<(isize, usize)> {
+fn sample_training(schedule: Schedule, steps: usize) -> Vec<Sample> {
     sample_training_wire(schedule, steps, WireConfig::default())
 }
 
-fn sample_training_wire(schedule: Schedule, steps: usize, wire: WireConfig) -> Vec<(isize, usize)> {
+fn sample_training_wire(schedule: Schedule, steps: usize, wire: WireConfig) -> Vec<Sample> {
     sample_strategy(ExchangeStrategy::CclAlltoall, schedule, steps, wire)
 }
 
@@ -78,7 +90,7 @@ fn sample_strategy(
     schedule: Schedule,
     steps: usize,
     wire: WireConfig,
-) -> Vec<(isize, usize)> {
+) -> Vec<Sample> {
     let cfg = tiny_cfg();
     let nranks = 2;
     let opts = DistOptions {
@@ -114,7 +126,7 @@ fn sample_strategy(
             model.train_step(b, 0.1);
             model.comm_barrier();
             if me == 0 {
-                samples.push((LIVE_BYTES.load(Ordering::Relaxed), model.scratch_bytes()));
+                samples.push(sample(model.scratch_bytes()));
             }
             model.comm_barrier();
         }
@@ -123,14 +135,16 @@ fn sample_strategy(
     out.into_iter().next().unwrap()
 }
 
-fn assert_steady(samples: &[(isize, usize)], label: &str) {
-    // Scratch buffers must stabilize after the very first step.
-    let scratch_after_warmup = samples[1].1;
-    for (step, (_, scratch)) in samples.iter().enumerate().skip(1) {
+fn assert_steady(samples: &[Sample], label: &str) {
+    // Scratch buffers must stabilize after the very first step, and no
+    // later step maps a buffer.
+    let (scratch_after_warmup, maps_after_warmup) = (samples[1].1, samples[1].2);
+    for (step, (_, scratch, maps)) in samples.iter().enumerate().skip(1) {
         assert_eq!(
             *scratch, scratch_after_warmup,
             "{label}: scratch grew at step {step}"
         );
+        assert_eq!(*maps, maps_after_warmup, "{label}: step {step} mapped");
     }
     // Live heap: the late-window peak must not exceed the warm-up peak by
     // more than a small slack (allocator-internal jitter, channel nodes).
@@ -151,17 +165,13 @@ fn assert_steady(samples: &[(isize, usize)], label: &str) {
     );
 }
 
-fn steps_mid(samples: &[(isize, usize)]) -> usize {
+fn steps_mid(samples: &[Sample]) -> usize {
     samples.len() / 2
 }
 
 /// Prefetch-enabled variant of [`sample_training`]: drives the trainer
 /// through the lookahead window loop instead of per-batch steps.
-fn sample_training_prefetch(
-    schedule: Schedule,
-    steps: usize,
-    window: usize,
-) -> Vec<(isize, usize)> {
+fn sample_training_prefetch(schedule: Schedule, steps: usize, window: usize) -> Vec<Sample> {
     sample_prefetch_strategy(ExchangeStrategy::CclAlltoall, schedule, steps, window)
 }
 
@@ -171,7 +181,7 @@ fn sample_prefetch_strategy(
     schedule: Schedule,
     steps: usize,
     window: usize,
-) -> Vec<(isize, usize)> {
+) -> Vec<Sample> {
     let cfg = tiny_cfg();
     let nranks = 2;
     let opts = DistOptions {
@@ -226,7 +236,7 @@ fn sample_prefetch_strategy(
             win.advance();
             model.comm_barrier();
             if me == 0 {
-                samples.push((LIVE_BYTES.load(Ordering::Relaxed), model.scratch_bytes()));
+                samples.push(sample(model.scratch_bytes()));
             }
             model.comm_barrier();
         }
@@ -241,7 +251,7 @@ fn sample_prefetch_strategy(
 /// counts have hit their maxima, which takes longer than the one-step
 /// warm-up of the naive path; scratch is pinned from `warmup` on, and the
 /// live-heap peak must not drift between the warm and late halves.
-fn assert_steady_from(samples: &[(isize, usize)], warmup: usize, label: &str) {
+fn assert_steady_from(samples: &[Sample], warmup: usize, label: &str) {
     if std::env::var_os("ALLOC_DEBUG").is_some() {
         eprintln!(
             "{label}: scratch trajectory {:?}",
@@ -252,12 +262,13 @@ fn assert_steady_from(samples: &[(isize, usize)], warmup: usize, label: &str) {
     // still-resident row is evicted at once and the cache free lists grow
     // past their steady-state size one final time. Steady state is every
     // step from `warmup` up to (excluding) the drain.
-    let scratch_warm = samples[warmup].1;
-    for (step, (_, scratch)) in samples[..samples.len() - 1].iter().enumerate().skip(warmup) {
+    let (scratch_warm, maps_warm) = (samples[warmup].1, samples[warmup].2);
+    for (step, (_, scratch, maps)) in samples[..samples.len() - 1].iter().enumerate().skip(warmup) {
         assert_eq!(
             *scratch, scratch_warm,
             "{label}: prefetch scratch grew at step {step}"
         );
+        assert_eq!(*maps, maps_warm, "{label}: step {step} mapped");
     }
     let mid = (warmup + samples.len()) / 2;
     let warm = samples[warmup..mid].iter().map(|s| s.0).max().unwrap();

@@ -9,7 +9,7 @@ use crate::profiler::{OpClass, Profiler};
 use dlrm_data::{DlrmConfig, MiniBatch};
 use dlrm_kernels::embedding::UpdateStrategy;
 use dlrm_kernels::loss::{bce_with_logits_backward, bce_with_logits_loss};
-use dlrm_tensor::aligned::HUGE_PAGE_MIN_BYTES;
+use dlrm_tensor::aligned::HUGE_PAGE;
 use dlrm_tensor::init::seeded_rng;
 use dlrm_tensor::Matrix;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,19 +68,18 @@ impl DlrmModel {
     }
 
     /// Builds tables `tables` of `cfg` exactly as [`DlrmModel::build_table`]
-    /// would, in that order. Tables of at least [`HUGE_PAGE_MIN_BYTES`] are
+    /// would, in that order. Tables of at least [`HUGE_PAGE`] bytes are
     /// built across `exec`'s team: each member claims the next unbuilt one
     /// until none is left, so uneven tables still balance. Each table
     /// draws from its own stream, so no bit depends on which member built
     /// it. A panic while building a table is re-thrown here once the whole
     /// team has finished.
     ///
-    /// Smaller tables are built on the caller. A buffer that large is a
-    /// fresh mapping whichever thread allocates it, but a smaller one may
-    /// be carved from the allocating thread's malloc arena, and an arena
-    /// keeps freed memory for its own thread: built by the team, a model
-    /// rebuilt in the same process could find its predecessor's tables
-    /// still held by another member's arena.
+    /// Smaller tables are built on the caller. A table that large is a
+    /// mapping of its own, unmapped on drop whichever thread built it
+    /// ([`AlignedVec`](dlrm_tensor::AlignedVec)); a smaller one comes from
+    /// the building thread's malloc arena, which keeps freed memory for
+    /// that thread.
     ///
     /// # Panics
     /// On a team of two or more, when called from inside a job on that
@@ -103,7 +102,7 @@ impl DlrmModel {
         let claim = |_member| loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(&t) = tables.get(i) else { break };
-            if cfg.table_bytes(t) >= HUGE_PAGE_MIN_BYTES as u64 {
+            if cfg.table_bytes(t) >= HUGE_PAGE as u64 {
                 build(i);
             }
         };

@@ -75,7 +75,19 @@ fn my_turn() -> std::sync::MutexGuard<'static, ()> {
 
 use dlrm::prelude::*;
 use dlrm_data::{DlrmConfig, IndexDistribution, MiniBatch};
+use dlrm_tensor::aligned::mappings;
 use dlrm_tensor::init::seeded_rng;
+
+/// One between-steps sample: live bytes (the global allocator's plus
+/// `AlignedVec`'s own mappings', which it does not see), scratch bytes, and
+/// the mappings made so far.
+type Sample = (isize, usize, usize);
+
+fn sample(scratch: usize) -> Sample {
+    let m = mappings();
+    let live = LIVE_BYTES.load(Ordering::Relaxed) + m.live_bytes as isize;
+    (live, scratch, m.mapped)
+}
 
 fn tiny_cfg() -> DlrmConfig {
     let mut cfg = DlrmConfig::small().scaled_down(32, 512);
@@ -90,9 +102,9 @@ fn tiny_cfg() -> DlrmConfig {
 }
 
 /// Runs `steps` optimized train iterations and returns per-step
-/// (live-heap, embedding-scratch + MLP-plan-scratch) samples taken
-/// between steps.
-fn sample_training(strategy: UpdateStrategy, steps: usize) -> Vec<(isize, usize)> {
+/// samples taken between steps, the scratch being embedding scratch +
+/// MLP-plan scratch.
+fn sample_training(strategy: UpdateStrategy, steps: usize) -> Vec<Sample> {
     let cfg = tiny_cfg();
     let batches: Vec<MiniBatch> = (0..steps)
         .map(|i| {
@@ -114,22 +126,23 @@ fn sample_training(strategy: UpdateStrategy, steps: usize) -> Vec<(isize, usize)
     let mut samples = Vec::with_capacity(steps);
     for b in &batches {
         model.train_step(b, 0.1);
-        samples.push((
-            LIVE_BYTES.load(Ordering::Relaxed),
+        samples.push(sample(
             model.embedding_scratch_bytes() + model.mlp_scratch_bytes(),
         ));
     }
     samples
 }
 
-fn assert_steady(samples: &[(isize, usize)], label: &str) {
-    // Iteration-persistent scratch must stabilize after the very first step.
-    let scratch_after_warmup = samples[1].1;
-    for (step, (_, scratch)) in samples.iter().enumerate().skip(1) {
+fn assert_steady(samples: &[Sample], label: &str) {
+    // Iteration-persistent scratch must stabilize after the very first
+    // step, and no later step maps a buffer.
+    let (scratch_after_warmup, maps_after_warmup) = (samples[1].1, samples[1].2);
+    for (step, (_, scratch, maps)) in samples.iter().enumerate().skip(1) {
         assert_eq!(
             *scratch, scratch_after_warmup,
             "{label}: scratch grew at step {step}"
         );
+        assert_eq!(*maps, maps_after_warmup, "{label}: step {step} mapped");
     }
     // Live heap: the late-window peak must not exceed the warm-up peak by
     // more than a small slack (allocator-internal jitter).
@@ -214,7 +227,7 @@ fn mlp_packed_plan_step_does_not_grow_allocations() {
         let dy = Matrix::from_fn(y.rows(), y.cols(), |i, j| y[(i, j)] * 0.01);
         let _ = mlp.backward(&exec, dy);
         mlp.sgd_step(&exec, 0.05);
-        samples.push((LIVE_BYTES.load(Ordering::Relaxed), mlp.scratch_bytes()));
+        samples.push(sample(mlp.scratch_bytes()));
     }
     assert_steady(&samples, "mlp-packed-plan");
 }

@@ -2,7 +2,7 @@
 //!
 //! `DlrmModel::new` (and through `DlrmModel::build_tables` the distributed
 //! and sharded models) lets each team member claim the next unbuilt table
-//! of at least `HUGE_PAGE_MIN_BYTES`, and builds the smaller ones on the
+//! of at least `HUGE_PAGE` bytes, and builds the smaller ones on the
 //! caller. Every table draws from its own RNG stream, so whichever member
 //! builds a table, its bits — and every MLP weight — must equal a serial
 //! `build_table` loop, for any table count, uneven and mixed table sizes
@@ -28,7 +28,7 @@ fn cfg(tables: usize) -> DlrmConfig {
     cfg.bottom_mlp = vec![32, 16];
     cfg.emb_dim = 16;
     cfg.num_tables = tables;
-    // Tables 0 and 2 are 34.6 and 38.4 MB, past `HUGE_PAGE_MIN_BYTES`, so
+    // Tables 0 and 2 are 34.6 and 38.4 MB, past `HUGE_PAGE`, so
     // the team builds them; the small ones are the caller's. Uneven: a
     // later table may finish before an earlier one.
     cfg.table_rows = [540_000, 3, 600_000, 40, 900][..tables].to_vec();

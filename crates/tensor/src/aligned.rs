@@ -6,35 +6,57 @@
 //! global allocator does not guarantee for `Vec<f32>`.
 //!
 //! A table is also far larger than the TLB reaches on 4 KB pages, and a
-//! random row gather then pays a page walk per lookup. Buffers of at least
-//! [`HUGE_PAGE_MIN_BYTES`] are therefore born on 2 MiB transparent huge
-//! pages: 2 MiB-aligned, advised `MADV_HUGEPAGE` **before** the first
-//! write, and only then filled — zeros or [`AlignedVec::from_fn`]'s values,
-//! one write per element. The order is the whole point — a page that was
-//! touched before the advice stays a 4 KB page.
+//! random row gather then pays a page walk per lookup. So every buffer of
+//! at least one [`HUGE_PAGE`] is an anonymous mapping of its own:
+//! 2 MiB-aligned, advised `MADV_HUGEPAGE` **before** the first touch, and
+//! unmapped on drop. It starts untouched whatever the process freed
+//! before, so each first-touch fault maps a whole 2 MiB page — a page
+//! that was touched before the advice stays a 4 KB page. The kernel
+//! zero-fills it; [`AlignedVec::from_fn`] writes each element once into
+//! it. Smaller buffers, and every buffer off Linux x86-64 or under Miri,
+//! come from the global allocator. [`mappings`] counts the mappings.
 
 use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Alignment (bytes) of every [`AlignedVec`] allocation: one x86 cache line.
 pub const CACHE_LINE: usize = 64;
 
-/// Size and alignment (bytes) of one x86-64 transparent huge page.
+/// Size and alignment (bytes) of one x86-64 transparent huge page, and the
+/// smallest buffer that is a mapping of its own.
 pub const HUGE_PAGE: usize = 2 << 20;
 
-/// Buffers of at least this many bytes are aligned to [`HUGE_PAGE`] and
-/// advised onto huge pages. 32 MiB is glibc's largest mmap threshold
-/// (`DEFAULT_MMAP_THRESHOLD_MAX` on 64-bit): however often a process has
-/// freed large blocks, a request this big is served by a fresh mapping no
-/// one has touched, so the advice always arrives before the first touch.
-/// A smaller request may be carved from memory the allocator kept from an
-/// earlier `free` — already populated with 4 KB pages, which the advice
-/// does not convert — so what it bought would depend on allocation
-/// history; and the smaller a buffer, the more of its page walks hit cache.
-pub const HUGE_PAGE_MIN_BYTES: usize = 32 << 20;
+/// Whether this target maps its huge buffers itself.
+const MAPS: bool = cfg!(all(target_os = "linux", target_arch = "x86_64", not(miri)));
 
-/// A 64-byte-aligned, initialised `f32` buffer (2 MiB-aligned and on huge
-/// pages from [`HUGE_PAGE_MIN_BYTES`] up).
+static MAPPED: AtomicUsize = AtomicUsize::new(0);
+static UNMAPPED: AtomicUsize = AtomicUsize::new(0);
+static MAPPED_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// What [`AlignedVec`]'s own mappings have done in this process so far.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Mappings {
+    /// Mappings made.
+    pub mapped: usize,
+    /// Mappings unmapped.
+    pub unmapped: usize,
+    /// Bytes mapped and not yet unmapped.
+    pub live_bytes: usize,
+}
+
+/// A snapshot of the process-wide mapping counters. They are what the
+/// global allocator cannot see: allocation pins add them to its figures.
+pub fn mappings() -> Mappings {
+    Mappings {
+        mapped: MAPPED.load(Relaxed),
+        unmapped: UNMAPPED.load(Relaxed),
+        live_bytes: MAPPED_BYTES.load(Relaxed),
+    }
+}
+
+/// A 64-byte-aligned, initialised `f32` buffer (a 2 MiB-aligned mapping on
+/// huge pages from [`HUGE_PAGE`] up).
 ///
 /// Unlike `Vec<f32>` the length is normally fixed at construction; tensors
 /// in this workspace never grow element by element. The one exception is
@@ -58,17 +80,11 @@ unsafe impl Sync for AlignedVec {}
 
 impl AlignedVec {
     /// Allocates a zeroed buffer of `len` floats aligned to [`CACHE_LINE`]
-    /// (to [`HUGE_PAGE`], and advised onto huge pages before it is zeroed,
-    /// from [`HUGE_PAGE_MIN_BYTES`] up).
+    /// (a fresh mapping, which the kernel zero-fills, from [`HUGE_PAGE`]
+    /// up).
     pub fn zeroed(len: usize) -> Self {
-        // A huge-page buffer is not `alloc_zeroed`: for an over-aligned
-        // layout std's `System` zeroes with a `memset`, which would populate
-        // every page as a 4 KB page before the advice could be given. It is
-        // zeroed by the one fill path instead, after the advice.
-        if Self::layout(len).align() == HUGE_PAGE {
-            return Self::from_fn(len, |_| 0.0);
-        }
-        // SAFETY: `alloc_zeroed` initialises every element to `0.0`.
+        // SAFETY: `alloc_zeroed` and a fresh mapping both initialise every
+        // element to `0.0`.
         unsafe { Self::allocate(len, alloc_zeroed) }
     }
 
@@ -110,8 +126,8 @@ impl AlignedVec {
         unsafe { Self::allocate(len, alloc) }
     }
 
-    /// A `len`-float buffer from `allocator`, advised onto huge pages when
-    /// its layout is a huge-page one, before anything touches it.
+    /// A `len`-float buffer: a mapping of its own from [`HUGE_PAGE`] up
+    /// (where [`MAPS`]), from `allocator` below.
     ///
     /// # Safety
     /// The contents are whatever `allocator` leaves (uninitialised for
@@ -126,13 +142,14 @@ impl AlignedVec {
             };
         }
         let layout = Self::layout(len);
-        // SAFETY: `layout` has non-zero size (`len > 0` checked above).
-        let raw = unsafe { allocator(layout) };
+        let raw = if is_mapped(layout.size()) {
+            os::map(layout.size())
+        } else {
+            // SAFETY: `layout` has non-zero size (`len > 0` checked above).
+            unsafe { allocator(layout) }
+        };
         if raw.is_null() {
             handle_alloc_error(layout);
-        }
-        if layout.align() == HUGE_PAGE {
-            advise_huge_pages(raw, layout.size());
         }
         Self {
             ptr: raw.cast::<f32>(),
@@ -193,44 +210,134 @@ impl AlignedVec {
     /// The allocation layout of a `len`-float buffer: a pure function of
     /// `len`, so `drop` rebuilds from `cap` what `allocate` allocated with.
     fn layout(len: usize) -> Layout {
-        let align = |l: Layout| {
-            let huge = l.size() >= HUGE_PAGE_MIN_BYTES;
-            l.align_to(if huge { HUGE_PAGE } else { CACHE_LINE })
-        };
         Layout::array::<f32>(len)
-            .and_then(align)
+            .and_then(|l| l.align_to(CACHE_LINE))
             .expect("AlignedVec layout overflow")
     }
 }
 
-/// Asks the kernel to back the `bytes` at `ptr` with transparent huge
-/// pages. A hint whose result is ignored: with THP `never`, off Linux and
-/// under Miri the buffer simply stays on base pages.
-fn advise_huge_pages(ptr: *mut u8, bytes: usize) {
-    #[cfg(all(target_os = "linux", not(miri)))]
-    {
-        use std::ffi::{c_int, c_void};
-        extern "C" {
-            fn madvise(addr: *mut c_void, length: usize, advice: c_int) -> c_int;
-        }
-        const MADV_HUGEPAGE: c_int = 14;
-        // SAFETY: the range is one live allocation this buffer owns, and
-        // `ptr` is page-aligned (it is `HUGE_PAGE`-aligned). The advice
-        // changes how the range is backed, never what it holds.
-        let _ = unsafe { madvise(ptr.cast(), bytes, MADV_HUGEPAGE) };
+/// Whether a buffer of `bytes` is a mapping of its own.
+fn is_mapped(bytes: usize) -> bool {
+    MAPS && bytes >= HUGE_PAGE
+}
+
+/// A buffer's own mapping, through system calls declared here (no `libc`
+/// crate; the constants are x86-64 Linux's).
+#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+mod os {
+    use super::{Relaxed, HUGE_PAGE, MAPPED, MAPPED_BYTES, UNMAPPED};
+    use std::ffi::{c_int, c_long, c_void};
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: c_long,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
-    #[cfg(not(all(target_os = "linux", not(miri))))]
-    {
-        let _ = (ptr, bytes);
+    const PROT_READ: c_int = 1;
+    const PROT_WRITE: c_int = 2;
+    const MAP_PRIVATE: c_int = 0x02;
+    const MAP_ANONYMOUS: c_int = 0x20;
+    const MADV_HUGEPAGE: c_int = 14;
+
+    /// The mapping's length: the buffer's bytes rounded up to a 4 KB page,
+    /// never to a whole [`HUGE_PAGE`], so the tail past the last whole huge
+    /// page stays on 4 KB pages and costs no resident memory.
+    fn mapped_len(bytes: usize) -> usize {
+        bytes.next_multiple_of(4 << 10)
+    }
+
+    /// A fresh mapping for a buffer of `bytes`, [`HUGE_PAGE`]-aligned,
+    /// zero-filled by the kernel and advised onto huge pages before
+    /// anything touches it (with THP `never` the advice does nothing); null
+    /// when the kernel refuses it. It maps one huge page of slack, then
+    /// unmaps the unaligned head and the rest of the slack.
+    pub(super) fn map(bytes: usize) -> *mut u8 {
+        let len = mapped_len(bytes);
+        let slack = len + HUGE_PAGE;
+        // SAFETY: a private anonymous mapping at an address of the kernel's
+        // choosing aliases no memory that exists.
+        let raw = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                slack,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        if raw as isize == -1 {
+            return std::ptr::null_mut();
+        }
+        let raw = raw.cast::<u8>();
+        // Bytes from `raw` up to the next huge-page boundary: a multiple of
+        // 4 KB, as `raw` is page-aligned, and below `HUGE_PAGE`.
+        let head = (raw as usize).wrapping_neg() % HUGE_PAGE;
+        // SAFETY: `head + len < slack`, so every range below lies in the
+        // mapping just made, which nothing else knows of, and starts
+        // page-aligned. The advice changes how the range is backed, never
+        // what it holds.
+        let ptr = unsafe {
+            let ptr = raw.add(head);
+            if head > 0 {
+                munmap(raw.cast(), head);
+            }
+            munmap(ptr.add(len).cast(), slack - head - len);
+            madvise(ptr.cast(), len, MADV_HUGEPAGE);
+            ptr
+        };
+        MAPPED.fetch_add(1, Relaxed);
+        MAPPED_BYTES.fetch_add(len, Relaxed);
+        ptr
+    }
+
+    /// Unmaps the buffer of `bytes` at `ptr`.
+    ///
+    /// # Safety
+    /// `ptr` is what [`map`]`(bytes)` returned, not unmapped since, and
+    /// nothing uses its memory afterwards.
+    pub(super) unsafe fn unmap(ptr: *mut u8, bytes: usize) {
+        let len = mapped_len(bytes);
+        // SAFETY: the caller's contract: `[ptr, ptr + len)` is exactly what
+        // is left of one mapping `map` made.
+        let _ = unsafe { munmap(ptr.cast(), len) };
+        UNMAPPED.fetch_add(1, Relaxed);
+        MAPPED_BYTES.fetch_sub(len, Relaxed);
+    }
+}
+
+/// Where [`MAPS`] is false no buffer is mapped, so these are never called.
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
+mod os {
+    pub(super) fn map(_bytes: usize) -> *mut u8 {
+        unreachable!("no buffer is mapped on this target")
+    }
+
+    pub(super) unsafe fn unmap(_ptr: *mut u8, _bytes: usize) {
+        unreachable!("no buffer is mapped on this target")
     }
 }
 
 impl Drop for AlignedVec {
     fn drop(&mut self) {
         if self.cap != 0 {
-            // SAFETY: ptr was allocated with exactly this layout in
-            // `allocate`.
-            unsafe { dealloc(self.ptr.cast(), Self::layout(self.cap)) };
+            let layout = Self::layout(self.cap);
+            if is_mapped(layout.size()) {
+                // SAFETY: `allocate` mapped ptr with `os::map` for this
+                // size, and `self` is its only owner.
+                unsafe { os::unmap(self.ptr.cast(), layout.size()) };
+            } else {
+                // SAFETY: ptr was allocated with exactly this layout in
+                // `allocate`.
+                unsafe { dealloc(self.ptr.cast(), layout) };
+            }
         }
     }
 }

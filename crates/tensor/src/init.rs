@@ -225,7 +225,9 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    const LENS: [usize; 10] = [0, 1, 7, 8, 63, 64, 65, 4_097, 640_000, 12_800_000];
+    /// 131 075 is a lanes-tier length below `HUGE_PAGE`, so its stores go
+    /// to allocator memory, which a sanitizer's heap checks can see.
+    const LENS: [usize; 11] = [0, 1, 7, 8, 63, 64, 65, 4_097, 131_075, 640_000, 12_800_000];
 
     /// `lo = 1`, `hi` = the next `f32`: about half the draws narrow to
     /// `hi` and take the clamp branch.

@@ -1,43 +1,45 @@
-//! Buffers of at least `HUGE_PAGE_MIN_BYTES` are born on 2 MiB pages:
-//! 2 MiB-aligned, advised before the first touch, then written once by
-//! `AlignedVec` itself (zeros, or `from_fn`'s values) — and still one
-//! `alloc` and one `dealloc` of one layout through the global allocator, so
-//! the workspace's allocation pins keep seeing every byte.
+//! Buffers of at least one `HUGE_PAGE` are mappings of their own: 2 MiB-
+//! aligned, advised before the first touch, zero-filled by the kernel or
+//! written once by `AlignedVec::from_fn`, one mapping of the size rounded
+//! up to 4 KB per buffer and one unmap on drop — counted by
+//! `aligned::mappings`, so the workspace's allocation pins keep seeing
+//! every byte. A buffer one float below the line is still one `alloc` and
+//! one `dealloc` of one layout through the global allocator.
 //!
-//! The global allocator of this binary counts the large requests and can be
-//! told to hand a freed large block straight back, dirty, to the next
-//! request of the same layout — what a recycling allocator (jemalloc, or
-//! glibc below its mmap threshold) is allowed to do, and what `zeroed` and
-//! `from_fn` must survive.
+//! The global allocator of this binary counts the requests of 1 MiB and
+//! more and can be told to hand a freed one straight back, dirty, to the
+//! next request of the same size — what a recycling allocator (jemalloc,
+//! or glibc below its mmap threshold) is allowed to do, and what `zeroed`
+//! and `from_fn` must survive below the line.
 
-use dlrm_tensor::aligned::{AlignedVec, HUGE_PAGE, HUGE_PAGE_MIN_BYTES};
+use dlrm_tensor::aligned::{mappings, AlignedVec, CACHE_LINE, HUGE_PAGE};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicPtr, AtomicUsize, Ordering::SeqCst};
 
 struct CountingAlloc;
 
-static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static LARGE_DEALLOCS: AtomicUsize = AtomicUsize::new(0);
-static LARGE_LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
-/// `(size, align)` of the latest large `alloc` / `dealloc`.
+static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BIG_DEALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BIG_LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+/// `(size, align)` of the latest big `alloc` / `dealloc`.
 static LAST_ALLOC: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
 static LAST_DEALLOC: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
 
-/// While set, a freed large block is parked instead of returned to the
-/// system, and the next large `alloc` of the same size takes it as it is.
+/// While set, a freed big block is parked instead of returned to the
+/// system, and the next big `alloc` of the same size takes it as it is.
 static RECYCLE: AtomicBool = AtomicBool::new(false);
 static PARKED: AtomicPtr<u8> = AtomicPtr::new(std::ptr::null_mut());
 static PARKED_SIZE: AtomicUsize = AtomicUsize::new(0);
 
-fn is_large(layout: Layout) -> bool {
-    layout.size() >= HUGE_PAGE_MIN_BYTES
+fn is_big(layout: Layout) -> bool {
+    layout.size() >= HUGE_PAGE / 2
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if is_large(layout) {
-            LARGE_ALLOCS.fetch_add(1, SeqCst);
-            LARGE_LIVE_BYTES.fetch_add(layout.size() as isize, SeqCst);
+        if is_big(layout) {
+            BIG_ALLOCS.fetch_add(1, SeqCst);
+            BIG_LIVE_BYTES.fetch_add(layout.size() as isize, SeqCst);
             LAST_ALLOC[0].store(layout.size(), SeqCst);
             LAST_ALLOC[1].store(layout.align(), SeqCst);
             if PARKED_SIZE.load(SeqCst) == layout.size() {
@@ -52,9 +54,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if is_large(layout) {
-            LARGE_DEALLOCS.fetch_add(1, SeqCst);
-            LARGE_LIVE_BYTES.fetch_sub(layout.size() as isize, SeqCst);
+        if is_big(layout) {
+            BIG_DEALLOCS.fetch_add(1, SeqCst);
+            BIG_LIVE_BYTES.fetch_sub(layout.size() as isize, SeqCst);
             LAST_DEALLOC[0].store(layout.size(), SeqCst);
             LAST_DEALLOC[1].store(layout.align(), SeqCst);
             if RECYCLE.load(SeqCst) && PARKED.load(SeqCst).is_null() {
@@ -79,8 +81,10 @@ fn my_turn() -> std::sync::MutexGuard<'static, ()> {
     TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The smallest element count that takes the huge-page path.
-const LARGE: usize = HUGE_PAGE_MIN_BYTES / std::mem::size_of::<f32>();
+/// The smallest element count that is a mapping of its own.
+const LARGE: usize = HUGE_PAGE / std::mem::size_of::<f32>();
+/// One float below the line: the global allocator's largest buffer.
+const BELOW: usize = LARGE - 1;
 
 fn is_huge_aligned(v: &AlignedVec) -> bool {
     (v.as_ptr() as usize).is_multiple_of(HUGE_PAGE)
@@ -90,31 +94,47 @@ fn all_zero_bits(v: &[f32]) -> bool {
     v.iter().all(|x| x.to_bits() == 0)
 }
 
-#[test]
-fn large_buffer_is_huge_page_aligned_and_zero_even_on_recycled_memory() {
-    let _turn = my_turn();
-    // One float below the threshold keeps the cache-line path.
-    let small = AlignedVec::zeroed(LARGE - 1);
-    assert!(all_zero_bits(&small));
-    drop(small);
+/// The allocator's big-request counters: (allocs, deallocs, live bytes).
+fn big_counts() -> (usize, usize, isize) {
+    (
+        BIG_ALLOCS.load(SeqCst),
+        BIG_DEALLOCS.load(SeqCst),
+        BIG_LIVE_BYTES.load(SeqCst),
+    )
+}
 
+#[test]
+fn a_buffer_below_the_line_is_zero_even_on_recycled_memory() {
+    let _turn = my_turn();
     RECYCLE.store(true, SeqCst);
-    let mut first = AlignedVec::zeroed(LARGE);
-    assert!(is_huge_aligned(&first));
+    let mut first = AlignedVec::zeroed(BELOW);
     assert!(all_zero_bits(&first));
     let addr = first.as_ptr();
     first.fill(f32::from_bits(0x7fc0_dead));
     drop(first);
 
-    let second = AlignedVec::zeroed(LARGE);
+    let second = AlignedVec::zeroed(BELOW);
     RECYCLE.store(false, SeqCst);
     assert_eq!(
         second.as_ptr(),
         addr,
         "the allocator handed the dirty block back"
     );
-    assert!(is_huge_aligned(&second));
+    assert!((second.as_ptr() as usize).is_multiple_of(CACHE_LINE));
     assert!(all_zero_bits(&second), "recycled memory must be zeroed");
+}
+
+#[test]
+fn a_large_buffer_is_a_fresh_zero_mapping_whatever_was_freed_before() {
+    let _turn = my_turn();
+    let big = big_counts();
+    for _ in 0..3 {
+        let mut v = AlignedVec::zeroed(LARGE);
+        assert!(is_huge_aligned(&v));
+        assert!(all_zero_bits(&v), "a fresh mapping is zero-filled");
+        v.fill(f32::from_bits(0x7fc0_dead));
+    }
+    assert_eq!(big_counts(), big, "the global allocator saw no request");
 }
 
 #[test]
@@ -137,7 +157,7 @@ fn clone_from_fn_and_scratch_growth_behave_across_the_threshold_as_below_it() {
     // Growth from below the threshold to above it: fresh, zeroed, aligned,
     // nothing carried over; then shrink and regrow inside the capacity.
     let mut s = AlignedVec::from_fn(LARGE - 16, |_| 7.0);
-    assert!((s.as_ptr() as usize).is_multiple_of(dlrm_tensor::aligned::CACHE_LINE));
+    assert!((s.as_ptr() as usize).is_multiple_of(CACHE_LINE));
     s.resize_scratch(LARGE + 16);
     assert_eq!((s.len(), s.capacity()), (LARGE + 16, LARGE + 16));
     assert!(is_huge_aligned(&s));
@@ -149,29 +169,51 @@ fn clone_from_fn_and_scratch_growth_behave_across_the_threshold_as_below_it() {
     assert_eq!(s.capacity(), LARGE + 16);
 }
 
+/// Not rounded up to a whole huge page: the tail past the last one stays
+/// on 4 KB pages and costs no resident memory.
 #[test]
-fn one_large_buffer_is_one_alloc_and_one_dealloc_of_one_layout() {
+fn one_large_buffer_is_one_mapping_and_one_unmap_of_its_size_rounded_to_4_kb() {
     let _turn = my_turn();
-    let (allocs, deallocs) = (LARGE_ALLOCS.load(SeqCst), LARGE_DEALLOCS.load(SeqCst));
-    let live = LARGE_LIVE_BYTES.load(SeqCst);
+    let (big, start) = (big_counts(), mappings());
 
     let v = AlignedVec::zeroed(LARGE + 5);
-    let bytes = (LARGE + 5) * std::mem::size_of::<f32>();
-    assert_eq!(LARGE_ALLOCS.load(SeqCst), allocs + 1);
-    assert_eq!(LARGE_DEALLOCS.load(SeqCst), deallocs);
-    assert_eq!(LARGE_LIVE_BYTES.load(SeqCst), live + bytes as isize);
-    assert_eq!(LAST_ALLOC[0].load(SeqCst), bytes);
-    assert_eq!(LAST_ALLOC[1].load(SeqCst), HUGE_PAGE);
+    let mapped = HUGE_PAGE + 4096;
+    let now = mappings();
+    assert_eq!(
+        (now.mapped, now.unmapped),
+        (start.mapped + 1, start.unmapped)
+    );
+    assert_eq!(now.live_bytes, start.live_bytes + mapped);
 
     drop(v);
-    assert_eq!(LARGE_ALLOCS.load(SeqCst), allocs + 1);
-    assert_eq!(LARGE_DEALLOCS.load(SeqCst), deallocs + 1);
+    let now = mappings();
+    assert_eq!(
+        (now.mapped, now.unmapped),
+        (start.mapped + 1, start.unmapped + 1)
+    );
+    assert_eq!(now.live_bytes, start.live_bytes);
+    assert_eq!(big_counts(), big, "the global allocator saw no request");
+}
+
+#[test]
+fn a_buffer_one_float_below_the_line_is_one_alloc_and_one_dealloc_of_one_layout() {
+    let _turn = my_turn();
+    let ((allocs, deallocs, live), start) = (big_counts(), mappings());
+
+    let v = AlignedVec::zeroed(BELOW);
+    let bytes = BELOW * std::mem::size_of::<f32>();
+    assert_eq!(big_counts(), (allocs + 1, deallocs, live + bytes as isize));
+    assert_eq!(LAST_ALLOC[0].load(SeqCst), bytes);
+    assert_eq!(LAST_ALLOC[1].load(SeqCst), CACHE_LINE);
+
+    drop(v);
+    assert_eq!(big_counts(), (allocs + 1, deallocs + 1, live));
     assert_eq!(
         [LAST_DEALLOC[0].load(SeqCst), LAST_DEALLOC[1].load(SeqCst)],
         [LAST_ALLOC[0].load(SeqCst), LAST_ALLOC[1].load(SeqCst)],
         "dealloc must name the layout alloc was given"
     );
-    assert_eq!(LARGE_LIVE_BYTES.load(SeqCst), live);
+    assert_eq!(mappings(), start, "nothing was mapped");
 }
 
 /// `AnonHugePages` of this process in kB.
@@ -226,19 +268,18 @@ fn from_fn_writes_every_element_of_a_recycled_dirty_block() {
     let _turn = my_turn();
     let f = |i: usize| (i % 4099) as f32 * 0.25 - 512.0;
     RECYCLE.store(true, SeqCst);
-    let mut first = AlignedVec::zeroed(LARGE);
+    let mut first = AlignedVec::zeroed(BELOW);
     let addr = first.as_ptr();
     first.fill(f32::from_bits(0x7fc0_dead));
     drop(first);
 
-    let second = AlignedVec::from_fn(LARGE, f);
+    let second = AlignedVec::from_fn(BELOW, f);
     RECYCLE.store(false, SeqCst);
     assert_eq!(
         second.as_ptr(),
         addr,
         "the allocator handed the dirty block back"
     );
-    assert!(is_huge_aligned(&second));
     assert!(
         second
             .iter()
@@ -251,8 +292,7 @@ fn from_fn_writes_every_element_of_a_recycled_dirty_block() {
 #[test]
 fn a_panic_halfway_through_from_fn_frees_the_buffer_once() {
     let _turn = my_turn();
-    let (allocs, deallocs) = (LARGE_ALLOCS.load(SeqCst), LARGE_DEALLOCS.load(SeqCst));
-    let live = LARGE_LIVE_BYTES.load(SeqCst);
+    let (big, start) = (big_counts(), mappings());
 
     let half = LARGE / 2;
     let err = std::panic::catch_unwind(|| {
@@ -267,18 +307,11 @@ fn a_panic_halfway_through_from_fn_frees_the_buffer_once() {
     let msg = err.downcast_ref::<String>().expect("panic message");
     assert!(msg.contains("halfway"), "{msg}");
 
-    assert_eq!(LARGE_ALLOCS.load(SeqCst), allocs + 1);
-    assert_eq!(
-        LARGE_DEALLOCS.load(SeqCst),
-        deallocs + 1,
-        "exactly one dealloc"
-    );
-    assert_eq!(
-        [LAST_DEALLOC[0].load(SeqCst), LAST_DEALLOC[1].load(SeqCst)],
-        [LAST_ALLOC[0].load(SeqCst), LAST_ALLOC[1].load(SeqCst)],
-        "dealloc must name the layout alloc was given"
-    );
-    assert_eq!(LARGE_LIVE_BYTES.load(SeqCst), live);
+    let now = mappings();
+    assert_eq!(now.mapped, start.mapped + 1, "one mapping");
+    assert_eq!(now.unmapped, start.unmapped + 1, "exactly one unmap");
+    assert_eq!(now.live_bytes, start.live_bytes);
+    assert_eq!(big_counts(), big, "the global allocator saw no request");
 }
 
 #[test]
@@ -338,5 +371,36 @@ fn an_embedding_table_lands_on_transparent_huge_pages() {
         "only {gained} kB of a {} kB table is on huge pages (mode={mode}): \
          was it touched before it was advised?",
         BYTES >> 10
+    );
+}
+
+/// `train_dist`'s tables are 25.6 MB each, and the benchmark builds its
+/// system five times per run: the fifth table must land on huge pages as
+/// the first did, whatever the four before it left behind.
+#[test]
+#[cfg(target_os = "linux")]
+fn a_table_built_after_same_size_buffers_were_dropped_lands_on_huge_pages() {
+    let _turn = my_turn();
+    let mode = thp_mode();
+    if mode != "madvise" && mode != "always" {
+        println!("skipped: thp mode={mode}");
+        return;
+    }
+    let table = |seed| {
+        dlrm_tensor::init::embedding_table(100_000, 64, &mut dlrm_tensor::init::seeded_rng(seed, 0))
+    };
+    for seed in 0..4 {
+        drop(table(seed));
+        drop(AlignedVec::from_fn(100_000 * 64, |i| i as f32));
+    }
+    let before = anon_huge_kb();
+    let t = table(4);
+    let gained = anon_huge_kb().saturating_sub(before);
+    println!("thp mode={mode}: AnonHugePages +{gained} kB for a 25 000 kB table built fifth");
+    assert_eq!(t.rows(), 100_000);
+    assert!(
+        gained >= 12 * 2048,
+        "only {gained} kB of a 100 000 x 64 table is on huge pages (mode={mode}); \
+         its 12 whole 2 MiB pages are 24 576 kB"
     );
 }

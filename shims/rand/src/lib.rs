@@ -73,8 +73,10 @@ pub trait Standard {
 }
 
 impl Standard for f32 {
+    /// The top 24 bits · 2⁻²⁴, exact in `f32`: narrowing [`unit_f64`]
+    /// would round its largest draws up to `1.0`.
     fn sample_standard<R: RngCore>(rng: &mut R) -> Self {
-        unit_f64(rng.next_u64()) as f32
+        (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 }
 
@@ -435,6 +437,22 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(rng.gen_range(1.0..next_up), 1.0);
         }
+    }
+
+    /// The same round-up in `gen::<f32>()`, whose largest draw narrowed
+    /// to `1.0`, outside `[0, 1)`.
+    #[test]
+    fn standard_f32_stays_below_one() {
+        struct AllOnes;
+        impl RngCore for AllOnes {
+            fn next_u64(&mut self) -> u64 {
+                u64::MAX
+            }
+        }
+        let x: f32 = AllOnes.gen();
+        assert_eq!(x, 1.0 - f32::EPSILON / 2.0);
+        let mut rng = StdRng::seed_from_u64(19);
+        assert!((0..10_000).all(|_| (0.0..1.0).contains(&rng.gen::<f32>())));
     }
 
     fn stepped(mut rng: StdRng, k: u64) -> StdRng {
