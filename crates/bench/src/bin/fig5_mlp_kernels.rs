@@ -10,10 +10,14 @@
 //!
 //! Reported as GFLOP/s; the paper's result is the *ordering* and the gap
 //! (blocked ≈72–75% of peak vs flat ≈61%). Absolute numbers here are one
-//! core of a different CPU.
+//! core of a different CPU. A second table, beyond the paper, forces each
+//! ISA tier on the forward.
 
 use dlrm_bench::{header, paper, time_it, HarnessOpts, Table};
-use dlrm_kernels::gemm::micro::{brgemm_fwd, detect_isa, Beta, PanelDims, Panels, Reduce};
+use dlrm_kernels::embedding::rowops::available_isas;
+use dlrm_kernels::gemm::micro::{
+    brgemm_fwd, detect_isa, set_isa_override, Beta, PanelDims, Panels, Reduce,
+};
 use dlrm_kernels::gemm::{self, gemm_flops};
 use dlrm_kernels::{SendMutPtr, ThreadPool};
 use dlrm_tensor::blocked::Blocking;
@@ -190,5 +194,30 @@ fn main() {
         "\nMean flat/this-work ratio: {mean_ratio:.2} (paper: {:.2} — flat at 61% vs 72% of peak)",
         paper::fig5::PYTORCH_EFF / paper::fig5::THIS_WORK_EFF
     );
-    println!("ISA in use: {:?}", detect_isa());
+
+    // ISA-tier ablation: each tier this CPU has, forced on a one-member team.
+    let (isa, ck, solo) = (detect_isa(), sizes[0], ThreadPool::new(1));
+    let mut rng = seeded_rng(42, 0);
+    let blk = Blocking::for_shape(n, ck, ck);
+    let wb = BlockedWeights::pack(&uniform(ck, ck, -0.5, 0.5, &mut rng), blk);
+    let xb = BlockedActivations::pack(&uniform(ck, n, -0.5, 0.5, &mut rng), blk.bc, blk.bn);
+    let mut yb = BlockedActivations::zeros(ck, n, blk.bk, blk.bn);
+    let mut t = Table::new(&["tier", "FWD GF/s", "vs scalar"]);
+    let mut scalar = None; // the first tier of available_isas()
+    for tier in available_isas() {
+        set_isa_override(Some(tier));
+        let secs = time_it(1, 10 * iters, || gemm::fc_forward(&solo, &wb, &xb, &mut yb));
+        let gflops = gemm_flops(ck, ck, n) as f64 / secs / 1e9;
+        let base = *scalar.get_or_insert(gflops);
+        t.row(vec![
+            format!("{tier:?}"),
+            format!("{gflops:.2}"),
+            format!("{:.2}", gflops / base),
+        ]);
+    }
+    set_isa_override(None);
+    assert_eq!(detect_isa(), isa, "ISA override left in place");
+    println!("\nISA tiers: blocked FWD, C=K={ck}, N={n}, one-member team");
+    t.print();
+    println!("ISA in use: {isa:?}");
 }

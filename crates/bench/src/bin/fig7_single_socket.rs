@@ -59,5 +59,5 @@ fn main() {
     );
     println!("single-threaded pathological kernel against 28 optimized cores; on one");
     println!("core the end-to-end contrast compresses and shows up in the embedding");
-    println!("column (and in `cargo bench -p dlrm-bench --bench embedding`).");
+    println!("column (and in `ablation_contention`).");
 }

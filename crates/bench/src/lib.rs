@@ -1,14 +1,13 @@
 //! # dlrm-bench — experiment harnesses
 //!
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! experiment index), five `bench_*` harnesses that measure this
-//! repository's own components, and Criterion kernel benches. The
-//! distributed harnesses (`bench_overlap`, `bench_prefetch`,
-//! `bench_wire_precision`) run their ranks through the trainer's one rank
-//! driver, `dlrm_dist::run_ranks`. This library holds the shared plumbing:
-//! report formatting, paper reference values, scaled-down default problem
-//! sizes, the `--paper-scale` / `--smoke` switches and the schema of every
-//! `results/BENCH_*.json` artifact.
+//! experiment index) and five `bench_*` harnesses that measure this
+//! repository's own components. The distributed harnesses (`bench_overlap`,
+//! `bench_prefetch`, `bench_wire_precision`) run their ranks through the
+//! trainer's one rank driver, `dlrm_dist::run_ranks`. This library holds
+//! the shared plumbing: report formatting, paper reference values,
+//! scaled-down default problem sizes, the `--paper-scale` / `--smoke`
+//! switches and the schema of every `results/BENCH_*.json` artifact.
 
 use std::time::Instant;
 

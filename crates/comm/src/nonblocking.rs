@@ -165,8 +165,8 @@ impl ProgressEngine {
     /// kill-restart: after completing a task a worker may exit and be
     /// transparently replaced by a fresh thread that resumes its channel.
     /// (Message-level faults come from the communicators themselves — build
-    /// them via [`crate::world::CommWorld::create_with_chaos`] or
-    /// [`create_channel_worlds_with_chaos`].)
+    /// them via [`crate::world::CommWorld::create_with_opts`] or
+    /// [`create_channel_worlds_with_opts`].)
     pub fn new_with_chaos(
         backend: Backend,
         comms: Vec<Communicator>,
@@ -343,24 +343,14 @@ fn progress_loop(comm: Communicator, rx: Receiver<Task>, mut chaos: Option<Worke
 /// Creates, for each of `nranks` ranks, the vector of communicators an
 /// engine with `backend` needs (one world per channel).
 pub fn create_channel_worlds(nranks: usize, backend: Backend) -> Vec<Vec<Communicator>> {
-    create_channel_worlds_with_chaos(nranks, backend, None)
+    create_channel_worlds_with_opts(nranks, backend, None, None)
 }
 
-/// [`create_channel_worlds`] with every per-channel world built over the
-/// given fault plan, so engine-driven collectives run on a chaotic
-/// transport.
-pub fn create_channel_worlds_with_chaos(
-    nranks: usize,
-    backend: Backend,
-    plan: Option<Arc<FaultPlan>>,
-) -> Vec<Vec<Communicator>> {
-    create_channel_worlds_with_opts(nranks, backend, plan, None)
-}
-
-/// [`create_channel_worlds_with_chaos`] plus an externally-owned
-/// [`WireStats`] shared by every per-channel world, so a harness reads the
-/// engine's aggregate wire traffic from one place (pair it with the same
-/// `Arc` on the main world via
+/// [`create_channel_worlds`] with every per-channel world built over
+/// `plan` (`None`: fault-free), so engine-driven collectives run on a
+/// chaotic transport, and sharing `wire` (`None`: a private counter set),
+/// so a harness reads the engine's aggregate wire traffic from one place
+/// (pair it with the same `Arc` on the main world via
 /// [`CommWorld::create_with_opts`](crate::world::CommWorld::create_with_opts)).
 pub fn create_channel_worlds_with_opts(
     nranks: usize,

@@ -8,7 +8,7 @@
 //!
 //! # Fault injection
 //!
-//! Worlds created through [`CommWorld::create_with_chaos`] thread a seeded
+//! Worlds created through [`CommWorld::create_with_opts`] thread a seeded
 //! [`FaultPlan`] through every endpoint. Faults are injected at the
 //! *transport* sub-layer: each message carries a per-(src, dst) sequence
 //! number, the sender may hold it in an outbox (reordering it behind later
@@ -212,21 +212,18 @@ impl CommWorld {
     /// Creates `nranks` fault-free communicators. Hand one to each rank
     /// thread.
     pub fn create(nranks: usize) -> Vec<Communicator> {
-        Self::create_with_chaos(nranks, None)
+        Self::create_with_opts(nranks, None, None)
     }
 
     /// Creates `nranks` communicators whose transport obeys `plan` (pass
     /// `None` for a fault-free world). All endpoints share one
     /// [`ChaosStats`], reachable via [`Communicator::chaos_stats`].
-    pub fn create_with_chaos(nranks: usize, plan: Option<Arc<FaultPlan>>) -> Vec<Communicator> {
-        Self::create_with_opts(nranks, plan, None)
-    }
-
-    /// [`CommWorld::create_with_chaos`] plus an externally-owned
-    /// [`WireStats`] for the wire byte counters. Pass the same `Arc` to
-    /// several worlds (e.g. a main world plus the per-channel worlds of a
-    /// progress engine) to aggregate their traffic in one place; `None`
-    /// gives the world a private fresh counter set.
+    ///
+    /// `wire` is an externally-owned [`WireStats`] for the wire byte
+    /// counters. Pass the same `Arc` to several worlds (e.g. a main world
+    /// plus the per-channel worlds of a progress engine) to aggregate their
+    /// traffic in one place; `None` gives the world a private fresh counter
+    /// set.
     pub fn create_with_opts(
         nranks: usize,
         plan: Option<Arc<FaultPlan>>,
@@ -290,7 +287,7 @@ impl CommWorld {
         T: Send,
         F: Fn(Communicator) -> T + Send + Sync,
     {
-        let comms = Self::create_with_chaos(nranks, plan);
+        let comms = Self::create_with_opts(nranks, plan, None);
         std::thread::scope(|s| {
             let handles: Vec<_> = comms
                 .into_iter()
@@ -568,7 +565,7 @@ mod tests {
 
     /// A two-rank world whose rank 1 has already dropped its endpoint.
     fn world_with_rank_1_gone(plan: Option<Arc<FaultPlan>>) -> Communicator {
-        let mut comms = CommWorld::create_with_chaos(2, plan);
+        let mut comms = CommWorld::create_with_opts(2, plan, None);
         drop(comms.pop());
         comms.pop().expect("rank 0")
     }

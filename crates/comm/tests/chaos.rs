@@ -7,7 +7,7 @@
 //! `ChaosConfig::aggressive(seed)`.
 
 use dlrm_comm::chaos::{ChaosConfig, ChaosSnapshot};
-use dlrm_comm::nonblocking::{create_channel_worlds_with_chaos, Backend, OpOutput, ProgressEngine};
+use dlrm_comm::nonblocking::{create_channel_worlds_with_opts, Backend, OpOutput, ProgressEngine};
 use dlrm_comm::wire::WirePrecision;
 use dlrm_comm::world::CommWorld;
 use dlrm_comm::FaultPlan;
@@ -122,7 +122,7 @@ fn engine_round(
     nranks: usize,
     wirep: WirePrecision,
 ) -> Vec<(Vec<f32>, u64)> {
-    let worlds = create_channel_worlds_with_chaos(nranks, backend, plan.clone());
+    let worlds = create_channel_worlds_with_opts(nranks, backend, plan.clone(), None);
     std::thread::scope(|s| {
         let handles: Vec<_> = worlds
             .into_iter()
@@ -247,7 +247,7 @@ fn stats_round(seed: u64) -> (Vec<Vec<u32>>, ChaosSnapshot) {
     let nranks = 3;
     let backend = Backend::CclLike { workers: 2 };
     let plan = ChaosConfig::aggressive(seed).plan();
-    let worlds = create_channel_worlds_with_chaos(nranks, backend, Some(plan.clone()));
+    let worlds = create_channel_worlds_with_opts(nranks, backend, Some(plan.clone()), None);
     // Keep one world's stats handle: all channel worlds share per-world
     // stats, so probe via a dedicated extra world driven by the same plan.
     std::thread::scope(|s| {
@@ -316,7 +316,7 @@ fn engines_survive_frequent_worker_kills() {
     let mut cfg = ChaosConfig::off(12345);
     cfg.kill_worker_prob = 0.5;
     let plan = cfg.plan();
-    let worlds = create_channel_worlds_with_chaos(nranks, backend, Some(plan.clone()));
+    let worlds = create_channel_worlds_with_opts(nranks, backend, Some(plan.clone()), None);
     let outs: Vec<(Vec<f32>, u64)> = std::thread::scope(|s| {
         let handles: Vec<_> = worlds
             .into_iter()

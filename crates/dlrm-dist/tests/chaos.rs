@@ -6,7 +6,7 @@
 //! `ChaosConfig::aggressive(seed)`.
 
 use dlrm_comm::chaos::{ChaosConfig, ChaosSnapshot};
-use dlrm_comm::nonblocking::{create_channel_worlds_with_chaos, Backend, ProgressEngine};
+use dlrm_comm::nonblocking::{create_channel_worlds_with_opts, Backend, ProgressEngine};
 use dlrm_comm::wire::WirePrecision;
 use dlrm_comm::world::CommWorld;
 use dlrm_comm::FaultPlan;
@@ -51,10 +51,11 @@ fn exchange_round(
     let (local_n, e) = (3usize, 2usize);
     let gn = local_n * nranks;
     let engines = if strategy == ExchangeStrategy::CclAlltoall {
-        Some(std::sync::Mutex::new(create_channel_worlds_with_chaos(
+        Some(std::sync::Mutex::new(create_channel_worlds_with_opts(
             nranks,
             backend,
             plan.clone(),
+            None,
         )))
     } else {
         None
@@ -261,10 +262,11 @@ fn prefetch_training_round(
         prefetch: Prefetch::Lookahead { window },
         ..Default::default()
     };
-    let engines = std::sync::Mutex::new(create_channel_worlds_with_chaos(
+    let engines = std::sync::Mutex::new(create_channel_worlds_with_opts(
         nranks,
         backend,
         plan.clone(),
+        None,
     ));
     CommWorld::run_with_chaos(nranks, plan.clone(), |comm| {
         let me = comm.rank();

@@ -8,7 +8,7 @@
 //! Any failure prints the (strategy, ranks, seed, window) tuple for
 //! replay.
 
-use dlrm_comm::nonblocking::{create_channel_worlds_with_chaos, Backend, ProgressEngine};
+use dlrm_comm::nonblocking::{create_channel_worlds_with_opts, Backend, ProgressEngine};
 use dlrm_comm::world::CommWorld;
 use dlrm_data::{DlrmConfig, IndexDistribution, LookaheadWindow, MiniBatch};
 use dlrm_dist::distributed::{DistDlrm, DistOptions, Schedule};
@@ -81,8 +81,8 @@ fn train_fingerprint(
     let wants_engine =
         opts.strategy == ExchangeStrategy::CclAlltoall || opts.schedule == Schedule::Overlapped;
     let engines = if wants_engine {
-        Some(std::sync::Mutex::new(create_channel_worlds_with_chaos(
-            nranks, backend, None,
+        Some(std::sync::Mutex::new(create_channel_worlds_with_opts(
+            nranks, backend, None, None,
         )))
     } else {
         None
