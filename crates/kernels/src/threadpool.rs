@@ -182,6 +182,9 @@ pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     n: usize,
+    /// The [`Self::with_affinity`] cores, one per member; `None` for
+    /// [`Self::new`].
+    cores: Option<Vec<usize>>,
 }
 
 impl ThreadPool {
@@ -194,21 +197,21 @@ impl ThreadPool {
     }
 
     /// A team of `cores.len()` whose worker `t ≥ 1` is pinned
-    /// (best-effort) to `cores[t]` — the affinity hook the sharded serving
-    /// engine uses to keep a shard's team on the cores a
-    /// `dlrm_topology::CorePlacement` assigned it. `cores[0]` is the seat
-    /// the caller is expected to occupy; the pool never changes the
-    /// affinity of a thread it did not spawn, so a caller that wants to sit
-    /// there pins itself ([`pin_current_thread`]). Pin failures are
-    /// tolerated (the worker just runs unpinned); [`Self::pinned_workers`]
-    /// reports how many pins took effect.
+    /// (best-effort) to `cores[t]`, and which keeps `cores`
+    /// ([`Self::cores`]) so the team's placement has one source.
+    /// `cores[0]` is member 0's seat. The pool never changes the affinity
+    /// of a thread it did not spawn: whoever spawns the thread that will
+    /// be member 0 seats it there — the serving engine pins its lane, and a
+    /// shard's table server beside it, to `cores[0]` — and any other caller
+    /// pins itself ([`pin_current_thread`]) or stays where it is. Pin
+    /// failures are tolerated (the worker just runs unpinned);
+    /// [`Self::pinned_workers`] reports how many pins took effect.
     pub fn with_affinity(cores: &[usize]) -> Self {
         assert!(!cores.is_empty(), "thread pool needs at least one member");
         Self::spawn(cores.len(), Some(cores.to_vec()))
     }
 
     fn spawn(n: usize, cores: Option<Vec<usize>>) -> Self {
-        let pinning = cores.is_some();
         let shared = Arc::new(Shared {
             epoch: AtomicUsize::new(0),
             job: UnsafeCell::new(None),
@@ -236,8 +239,13 @@ impl ThreadPool {
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        let pool = ThreadPool { shared, handles, n };
-        if pinning {
+        let pool = ThreadPool {
+            shared,
+            handles,
+            n,
+            cores,
+        };
+        if pool.cores.is_some() {
             // Workers pin before entering their loop, so one empty
             // broadcast makes [`Self::pinned_workers`] final on return.
             pool.broadcast(|_| {});
@@ -282,10 +290,17 @@ impl ThreadPool {
         self.n
     }
 
+    /// The cores of a [`Self::with_affinity`] team, member 0's seat first;
+    /// `None` for a [`Self::new`] team.
+    pub fn cores(&self) -> Option<&[usize]> {
+        self.cores.as_deref()
+    }
+
     /// Spawned workers that successfully pinned to their
     /// [`Self::with_affinity`] core (0 for unpinned pools, for a team of
-    /// one, and on platforms without affinity support). The caller's seat
-    /// is never counted: the pool does not pin it.
+    /// one, and on platforms without affinity support). Member 0's seat,
+    /// `cores[0]`, is never counted: the pool does not pin the thread that
+    /// takes it — the serving engine's lane pins itself there.
     pub fn pinned_workers(&self) -> usize {
         self.shared.pinned.load(Ordering::Relaxed)
     }
@@ -714,7 +729,13 @@ mod tests {
             before,
             "the pool changed the affinity of a thread it did not spawn"
         );
-        // Unpinned pools report zero pins.
+        assert_eq!(
+            pool.cores(),
+            Some(&[0, 0, 9999][..]),
+            "the pool keeps its cores"
+        );
+        // Unpinned pools report zero pins and no cores.
         assert_eq!(ThreadPool::new(2).pinned_workers(), 0);
+        assert_eq!(ThreadPool::new(2).cores(), None);
     }
 }

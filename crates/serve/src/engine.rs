@@ -336,12 +336,13 @@ pub struct ShardedEngine {
 /// The engine on a one-shard model ([`crate::ServeModel`]): one lane, the
 /// only thread it spawns. The model's [`dlrm::layers::Execution`] adds
 /// `n − 1` GEMM workers beside it (none for `n = 1`), and the lane computes
-/// as their member 0.
+/// as their member 0, on the team's `cores[0]` if the team has cores.
 pub type ServeEngine = ShardedEngine;
 
 impl ShardedEngine {
-    /// Starts the engine, moving each shard onto its threads (spawned here,
-    /// so they inherit the caller's affinity unless the model pins them).
+    /// Starts the engine, moving each shard onto its threads: its lane (the
+    /// team's member 0) and table server sit on the team's `cores[0]` if it
+    /// has cores, and keep the caller's affinity if not.
     pub fn start(model: impl Into<ShardedServeModel>, cfg: ServeConfig) -> Self {
         Self::start_with(model.into(), cfg, |_, tables| {
             move |job: &GatherJob| job.gather(&tables)
@@ -373,12 +374,12 @@ impl ShardedEngine {
             }
             let (tx, jobs) = mpsc::channel();
             job_txs.push((q, tx));
-            let core = model.lanes[q].core;
+            let seat = model.lanes[q].seat();
             let gather = server_gather(q, Arc::clone(tables));
             let server = thread::Builder::new()
                 .name(format!("dlrm-shard{q}-srv"))
                 .spawn(move || {
-                    if let Some(core) = core {
+                    if let Some(core) = seat {
                         pin_current_thread(core);
                     }
                     run_server(jobs, gather)
@@ -404,7 +405,7 @@ impl ShardedEngine {
                 thread::Builder::new()
                     .name(format!("dlrm-shard{shard}-lane"))
                     .spawn(move || {
-                        if let Some(core) = lane.half.core {
+                        if let Some(core) = lane.half.seat() {
                             pin_current_thread(core);
                         }
                         let report = ShardReport {

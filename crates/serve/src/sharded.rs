@@ -53,9 +53,10 @@ pub struct ShardSpec {
     /// is member 0 and `workers_per_shard − 1` threads are spawned beside
     /// it, so 1 runs the MLP stack inline on the lane.
     pub workers_per_shard: usize,
-    /// Pin each team to its [`CorePlacement::contiguous`] cores: spawned
-    /// workers to theirs, and — once the engine has spawned them — the lane
-    /// (member 0) and the shard's table server to the shard's first core.
+    /// Build each team with [`ThreadPool::with_affinity`] on its
+    /// [`CorePlacement::contiguous`] cores: spawned workers pin to theirs,
+    /// and the engine seats the lane (member 0) and the shard's table
+    /// server on the team's `cores[0]`, as it does for any pinned team.
     /// Best-effort — pinning failures are non-fatal. The synchronous
     /// [`ShardedServeModel::forward`] runs on its caller's thread, whose
     /// affinity is never touched.
@@ -78,13 +79,10 @@ impl Default for ShardSpec {
 }
 
 /// The dense side of one shard: the replicated MLP stack, the team it runs
-/// on and the pooled rows it reads. Lives on the shard's lane thread.
+/// on and the pooled rows it reads. Lives on the shard's lane thread, which
+/// is the team's member 0 and sits on the team's `cores[0]` ([`Self::seat`]).
 pub(crate) struct LaneHalf {
     exec: Execution,
-    /// The shard's first core under [`ShardSpec::pin_cores`]: the seat of
-    /// the team's member 0, which the lane thread takes (and the shard's
-    /// table server shares).
-    pub(crate) core: Option<usize>,
     bottom: Mlp,
     interaction: Interaction,
     top: Mlp,
@@ -94,7 +92,7 @@ pub(crate) struct LaneHalf {
 
 impl LaneHalf {
     /// The MLP replica every shard holds for `seed`, on `exec`'s team.
-    fn new(cfg: &DlrmConfig, exec: Execution, core: Option<usize>, seed: u64) -> Self {
+    fn new(cfg: &DlrmConfig, exec: Execution, seed: u64) -> Self {
         let bottom = Mlp::new(
             cfg.dense_features,
             &cfg.bottom_mlp,
@@ -114,7 +112,6 @@ impl LaneHalf {
         );
         LaneHalf {
             exec,
-            core,
             bottom,
             interaction: Interaction::new(cfg.emb_dim),
             top,
@@ -122,6 +119,11 @@ impl LaneHalf {
                 .map(|_| Matrix::zeros(0, cfg.emb_dim))
                 .collect(),
         }
+    }
+
+    /// Member 0's seat: `cores[0]` of a [`ThreadPool::with_affinity`] team.
+    pub(crate) fn seat(&self) -> Option<usize> {
+        self.exec.pool()?.cores().map(|cores| cores[0])
     }
 
     /// The dense stack on this shard's team, over `gather_outs` as the
@@ -169,7 +171,6 @@ pub struct ShardedServeModel {
     /// Per shard, its tables' rows in [`OwnershipMap::tables_of`] (local)
     /// order — read-only, shared between the shard's lane and its server.
     pub(crate) tables: Vec<Arc<Vec<Matrix>>>,
-    pinned_workers: Vec<usize>,
 }
 
 impl ShardedServeModel {
@@ -188,44 +189,38 @@ impl ShardedServeModel {
         });
         let teams = (0..spec.shards)
             .map(|s| {
-                let cores = placement.as_ref().map(|p| p.shard_cores(s));
-                let pool = match cores {
-                    Some(cores) => ThreadPool::with_affinity(cores),
+                let pool = match &placement {
+                    Some(p) => ThreadPool::with_affinity(p.shard_cores(s)),
                     None => ThreadPool::new(spec.workers_per_shard),
                 };
-                (Execution::Optimized(Arc::new(pool)), cores.map(|c| c[0]))
+                Execution::Optimized(Arc::new(pool))
             })
             .collect();
         Self::on_teams(cfg, teams, seed)
     }
 
-    /// One shard per team: its execution and, if pinned, its first core.
-    fn on_teams(cfg: &DlrmConfig, teams: Vec<(Execution, Option<usize>)>, seed: u64) -> Self {
+    /// One shard per team.
+    fn on_teams(cfg: &DlrmConfig, teams: Vec<Execution>, seed: u64) -> Self {
         let ownership = OwnershipMap::round_robin(cfg.num_tables, teams.len());
         let tables = teams
             .iter()
             .enumerate()
-            .map(|(s, (exec, _))| {
+            .map(|(s, exec)| {
                 let owned = ownership.tables_of(s);
                 let built =
                     DlrmModel::build_tables(cfg, owned, UpdateStrategy::RaceFree, exec, seed);
                 Arc::new(built.into_iter().map(|table| table.weight).collect())
             })
             .collect();
-        let pinned_workers = teams
-            .iter()
-            .map(|(exec, _)| exec.pool().map_or(0, ThreadPool::pinned_workers))
-            .collect();
         let lanes = teams
             .into_iter()
-            .map(|(exec, core)| LaneHalf::new(cfg, exec, core, seed))
+            .map(|exec| LaneHalf::new(cfg, exec, seed))
             .collect();
         ShardedServeModel {
             cfg: cfg.clone(),
             ownership,
             lanes,
             tables,
-            pinned_workers,
         }
     }
 
@@ -246,10 +241,13 @@ impl ShardedServeModel {
 
     /// Spawned workers that were successfully core-pinned, per shard (all
     /// zero unless [`ShardSpec::pin_cores`] was set, pinning succeeded and
-    /// `workers_per_shard ≥ 2`: member 0 of a team is the lane thread,
-    /// which does not exist yet).
-    pub fn pinned_workers(&self) -> &[usize] {
-        &self.pinned_workers
+    /// `workers_per_shard ≥ 2`). Member 0 is not counted: it is the lane
+    /// thread, which the engine spawns and seats on `cores[0]`.
+    pub fn pinned_workers(&self) -> Vec<usize> {
+        self.lanes
+            .iter()
+            .map(|half| half.exec.pool().map_or(0, ThreadPool::pinned_workers))
+            .collect()
     }
 
     /// Cache statistics indexed by **global** table id: `None` for every
@@ -279,10 +277,10 @@ pub struct ServeModel(ShardedServeModel);
 impl ServeModel {
     /// Builds a forward-only model for `cfg` on `exec` (any tier), seeded
     /// exactly like [`DlrmModel::new`] — the same `seed` reconstructs
-    /// bitwise-identical weights. `_cache` has no effect (see
-    /// [`CacheSizing`]).
+    /// bitwise-identical weights; an engine seats its lane on `exec`'s
+    /// `cores[0]`, if any. `_cache` has no effect (see [`CacheSizing`]).
     pub fn new(cfg: &DlrmConfig, exec: Execution, _cache: CacheSizing, seed: u64) -> Self {
-        ServeModel(ShardedServeModel::on_teams(cfg, vec![(exec, None)], seed))
+        ServeModel(ShardedServeModel::on_teams(cfg, vec![exec], seed))
     }
 
     /// The model configuration.
