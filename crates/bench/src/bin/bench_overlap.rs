@@ -17,8 +17,8 @@
 use dlrm_bench::{fmt_time, header, HarnessOpts, Table};
 use dlrm_clustersim::timeline::{overlap_savings, RunMode, SimParams};
 use dlrm_clustersim::{Calibration, Cluster, Strategy};
-use dlrm_comm::instrument::{OpKind, TimingRecorder};
 use dlrm_comm::wire::WirePrecision;
+use dlrm_comm::{OpKind, TimingRecorder};
 use dlrm_data::{DlrmConfig, IndexDistribution, MiniBatch};
 use dlrm_dist::distributed::{run_ranks, DistOptions, Schedule};
 use dlrm_dist::exchange::ExchangeStrategy;
@@ -35,6 +35,14 @@ const STEPS: usize = 30;
 const SMOKE_STEPS: usize = 3;
 /// Small enough for several buckets on this model (~67k grad elements).
 const BUCKET_CAP: usize = 64 * 1024;
+/// The buckets a distributed step charges, in report order.
+const PHASES: [OpKind; 5] = [
+    OpKind::Compute,
+    OpKind::AlltoallFramework,
+    OpKind::AlltoallWait,
+    OpKind::AllreduceFramework,
+    OpKind::AllreduceWait,
+];
 
 fn bench_cfg(paper_scale: bool) -> DlrmConfig {
     let mut cfg = DlrmConfig::small();
@@ -120,7 +128,7 @@ fn rank_json(reports: &[RankReport]) -> String {
         .enumerate()
         .map(|(rank, r)| {
             let mut fields = vec![format!("\"rank\": {rank}")];
-            for kind in OpKind::ALL {
+            for kind in PHASES {
                 let v = r.phases.get(&kind).copied().unwrap_or(0.0);
                 fields.push(format!(
                     "\"{}\": {:.6}",

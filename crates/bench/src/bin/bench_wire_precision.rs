@@ -32,8 +32,8 @@ use dlrm_bench::{fmt_time, header, validate_artifact, HarnessOpts, Table};
 use dlrm_clustersim::timeline::{simulate_iteration, RunMode, SimParams};
 use dlrm_clustersim::{Calibration, Cluster, Strategy};
 use dlrm_comm::collectives;
-use dlrm_comm::instrument::{OpKind, TimingRecorder, WireSnapshot, WireStats};
 use dlrm_comm::wire::WirePrecision;
+use dlrm_comm::{OpKind, TimingRecorder, WireSnapshot, WireStats};
 use dlrm_data::{DlrmConfig, IndexDistribution, MiniBatch};
 use dlrm_dist::distributed::{run_ranks, AllreduceWire, DistOptions, Schedule, WireConfig};
 use dlrm_dist::exchange::ExchangeStrategy;

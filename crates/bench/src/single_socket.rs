@@ -9,6 +9,7 @@ use dlrm::layers::Execution;
 use dlrm::prelude::*;
 use dlrm_data::{DlrmConfig, IndexDistribution, MiniBatch};
 use dlrm_tensor::init::seeded_rng;
+use std::sync::Arc;
 
 /// One measured bar of Figure 7/8.
 pub struct SingleSocketRow {
@@ -76,17 +77,22 @@ pub fn measure(
     let batches: Vec<MiniBatch> = (0..iters.min(4))
         .map(|_| MiniBatch::random(cfg, cfg.mb_single, dist, &mut rng))
         .collect();
-    // Warm-up iteration (first touch of the tables).
+    // Warm-up iteration (first touch of the tables), then the measured
+    // ones with a recorder attached.
     let _ = model.train_step(&batches[0], 0.01);
-    model.profiler.reset();
+    let rec = Arc::new(TimingRecorder::new());
+    model.set_recorder(Some(Arc::clone(&rec)));
     for i in 0..iters {
         let _ = model.train_step(&batches[i % batches.len()], 0.01);
     }
+    let [e, m, r] =
+        [OpKind::Embeddings, OpKind::Mlp, OpKind::Rest].map(|kind| rec.total(kind).as_secs_f64());
+    let total = e + m + r;
     SingleSocketRow {
         config: cfg.name.clone(),
         label: label.to_string(),
-        ms_per_iter: model.profiler.ms_per_iter(),
-        split: model.profiler.fractions(),
+        ms_per_iter: total * 1e3 / iters as f64,
+        split: (e / total, m / total, r / total),
     }
 }
 

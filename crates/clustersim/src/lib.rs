@@ -35,10 +35,7 @@ pub mod timeline;
 
 pub use calib::Calibration;
 pub use machine::{Cluster, Fabric, SocketSpec};
-pub use timeline::{
-    overlap_savings, simulate_iteration, simulate_iteration_faulted, FaultedIteration,
-    IterBreakdown, OverlapSavings, RunMode,
-};
+pub use timeline::{overlap_savings, simulate_iteration, IterBreakdown, OverlapSavings, RunMode};
 
 /// The four embedding-exchange strategies of Figures 9/12 (the fourth is
 /// the alltoall primitive on the CCL backend).

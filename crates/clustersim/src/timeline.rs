@@ -6,7 +6,6 @@ use crate::comm::CommModel;
 use crate::compute::ComputeModel;
 use crate::machine::Cluster;
 use crate::{BackendKind, Strategy};
-use dlrm_comm::chaos::FaultPlan;
 use dlrm_comm::wire::WirePrecision;
 use dlrm_data::DlrmConfig;
 
@@ -226,87 +225,10 @@ pub fn overlap_savings(
     }
 }
 
-/// One simulated iteration under a seeded [`FaultPlan`] — the same plan
-/// the functional `dlrm-comm` chaos harness consumes, so a single `u64`
-/// seed drives both the bitwise-stability tests and these analytic
-/// what-ifs.
-#[derive(Debug, Clone)]
-pub struct FaultedIteration {
-    /// Time breakdown of the critical (slowest) rank with faults applied.
-    pub breakdown: IterBreakdown,
-    /// The rank that set the iteration time.
-    pub critical_rank: usize,
-    /// That rank's straggler slowdown factor (≥ 1).
-    pub straggler_factor: f64,
-    /// That rank's fraction of exchange traffic arriving late.
-    pub late_fraction: f64,
-}
-
-/// Simulates iteration `iter` under `plan`'s straggler and late-message
-/// faults. Each rank's compute is scaled by its
-/// [`FaultPlan::straggler_factor`]; a [`FaultPlan::late_message_fraction`]
-/// share of its exchange traffic misses every overlap window (late by
-/// definition) and is charged as extra exposed alltoall wait. Collectives
-/// synchronize the ranks, so the iteration time is the slowest rank's —
-/// exactly why the paper pins communication cores: one straggling socket
-/// stalls the whole cluster step.
-pub fn simulate_iteration_faulted(
-    cfg: &DlrmConfig,
-    cluster: &Cluster,
-    calib: &Calibration,
-    p: SimParams,
-    plan: &FaultPlan,
-    iter: u64,
-) -> FaultedIteration {
-    let base = simulate_iteration(cfg, cluster, calib, p);
-    // Full (unoverlapped) alltoall time: the blocking run exposes it all.
-    let a2a_total = if p.ranks == 1 {
-        0.0
-    } else if p.mode == RunMode::Blocking {
-        base.alltoall_wait
-    } else {
-        simulate_iteration(
-            cfg,
-            cluster,
-            calib,
-            SimParams {
-                mode: RunMode::Blocking,
-                ..p
-            },
-        )
-        .alltoall_wait
-    };
-
-    let mut crit: Option<FaultedIteration> = None;
-    for rank in 0..p.ranks {
-        let s = plan.straggler_factor(rank, iter);
-        let f = plan.late_message_fraction(rank, iter);
-        let breakdown = IterBreakdown {
-            compute: base.compute * s,
-            alltoall_wait: base.alltoall_wait + f * a2a_total,
-            ..base.clone()
-        };
-        let worse = match &crit {
-            Some(c) => breakdown.total() > c.breakdown.total(),
-            None => true,
-        };
-        if worse {
-            crit = Some(FaultedIteration {
-                breakdown,
-                critical_rank: rank,
-                straggler_factor: s,
-                late_fraction: f,
-            });
-        }
-    }
-    crit.expect("at least one rank")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::Cluster;
-    use dlrm_comm::chaos::ChaosConfig;
 
     fn sim(cfg: &DlrmConfig, ranks: usize, strategy: Strategy, mode: RunMode) -> IterBreakdown {
         let cluster = Cluster::cluster_64socket();
@@ -516,95 +438,6 @@ mod tests {
         let _ = sim(&cfg, 16, Strategy::Alltoall, RunMode::Blocking);
     }
 
-    fn faulted(seed: u64, iter: u64, mode: RunMode) -> (FaultedIteration, IterBreakdown) {
-        let cfg = DlrmConfig::large();
-        let cluster = Cluster::cluster_64socket();
-        let calib = Calibration::default();
-        let p = SimParams {
-            ranks: 16,
-            local_n: cfg.gn_strong / 16,
-            strategy: Strategy::CclAlltoall,
-            mode,
-            charge_loader: false,
-            wire: WirePrecision::Fp32,
-        };
-        let plan = ChaosConfig::aggressive(seed).plan();
-        let f = simulate_iteration_faulted(&cfg, &cluster, &calib, p, &plan, iter);
-        let base = simulate_iteration(&cfg, &cluster, &calib, p);
-        (f, base)
-    }
-
-    #[test]
-    fn off_plan_is_fault_free() {
-        let cfg = DlrmConfig::large();
-        let cluster = Cluster::cluster_64socket();
-        let calib = Calibration::default();
-        let p = SimParams {
-            ranks: 8,
-            local_n: cfg.gn_strong / 8,
-            strategy: Strategy::Alltoall,
-            mode: RunMode::Overlapping,
-            charge_loader: false,
-            wire: WirePrecision::Fp32,
-        };
-        let plan = ChaosConfig::off(99).plan();
-        let f = simulate_iteration_faulted(&cfg, &cluster, &calib, p, &plan, 0);
-        let base = simulate_iteration(&cfg, &cluster, &calib, p);
-        assert_eq!(f.straggler_factor, 1.0);
-        assert_eq!(f.late_fraction, 0.0);
-        assert_eq!(f.breakdown.total(), base.total());
-    }
-
-    #[test]
-    fn faults_never_speed_an_iteration_up() {
-        for iter in 0..24u64 {
-            for mode in [RunMode::Overlapping, RunMode::Blocking] {
-                let (f, base) = faulted(5, iter, mode);
-                assert!(
-                    f.breakdown.total() >= base.total(),
-                    "iter {iter}: faulted {} < fault-free {}",
-                    f.breakdown.total(),
-                    base.total()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn straggler_slowdown_is_bounded_by_the_plan() {
-        let max = ChaosConfig::aggressive(5).max_straggler_slowdown;
-        for iter in 0..24u64 {
-            let (f, base) = faulted(5, iter, RunMode::Overlapping);
-            assert!(f.straggler_factor >= 1.0);
-            assert!(
-                f.breakdown.compute <= base.compute * (1.0 + max) + 1e-12,
-                "iter {iter}: compute blew past the straggler cap"
-            );
-        }
-    }
-
-    #[test]
-    fn faulted_timeline_replays_from_the_seed() {
-        for iter in [0u64, 3, 11] {
-            let (a, _) = faulted(42, iter, RunMode::Overlapping);
-            let (b, _) = faulted(42, iter, RunMode::Overlapping);
-            assert_eq!(a.breakdown.total(), b.breakdown.total());
-            assert_eq!(a.critical_rank, b.critical_rank);
-            assert_eq!(a.straggler_factor, b.straggler_factor);
-            assert_eq!(a.late_fraction, b.late_fraction);
-        }
-    }
-
-    #[test]
-    fn fault_schedule_varies_across_iterations() {
-        let totals: Vec<f64> = (0..16u64)
-            .map(|iter| faulted(7, iter, RunMode::Overlapping).0.breakdown.total())
-            .collect();
-        assert!(
-            totals.iter().any(|t| (t - totals[0]).abs() > 1e-12),
-            "aggressive plan produced a flat timeline: {totals:?}"
-        );
-    }
     #[test]
     fn overlap_savings_hides_comm_at_scale() {
         let cfg = DlrmConfig::large();

@@ -2,12 +2,11 @@
 //!
 //! Real cluster runs fail in ways unit tests never exercise: NIC-level
 //! retransmits reorder packets, a progress thread gets descheduled for
-//! milliseconds, a worker dies and is restarted by the launcher, one socket
-//! runs hot and stragglers every collective. This module provides a *seeded*
-//! model of those faults so the runtime's correctness claims ("collectives
-//! are bitwise deterministic given deterministic callers") can be tested
-//! under hundreds of adversarial schedules — and any failure reproduces from
-//! a single `u64` seed.
+//! milliseconds, a worker dies and is restarted by the launcher. This
+//! module provides a *seeded* model of those faults so the runtime's
+//! correctness claims ("collectives are bitwise deterministic given
+//! deterministic callers") can be tested under hundreds of adversarial
+//! schedules — and any failure reproduces from a single `u64` seed.
 //!
 //! # Design
 //!
@@ -33,9 +32,6 @@
 //! * **Worker kill**: a [`crate::nonblocking::ProgressEngine`] worker thread
 //!   exits after completing a task and is transparently replaced by a fresh
 //!   thread (restart semantics).
-//! * **Stragglers / late messages** (simulation only): per-(rank, iteration)
-//!   compute-time multipliers and communication slack for `dlrm-clustersim`
-//!   timelines, so the simulator and the runtime share one fault abstraction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,17 +62,6 @@ pub struct ChaosConfig {
     /// Probability a progress worker is killed (and restarted) after
     /// completing a task.
     pub kill_worker_prob: f64,
-    /// Probability a (rank, iteration) pair is a compute straggler in the
-    /// cluster simulator.
-    pub straggler_prob: f64,
-    /// Maximum extra compute fraction for a straggler (`0.5` ⇒ up to 1.5×).
-    pub max_straggler_slowdown: f64,
-    /// Probability a (rank, iteration) pair sees late messages in the
-    /// cluster simulator.
-    pub late_prob: f64,
-    /// Maximum fraction of the communication time added as late-arrival
-    /// slack.
-    pub max_late_fraction: f64,
 }
 
 impl ChaosConfig {
@@ -92,10 +77,6 @@ impl ChaosConfig {
             stall_prob: 0.0,
             max_stall_yields: 0,
             kill_worker_prob: 0.0,
-            straggler_prob: 0.0,
-            max_straggler_slowdown: 0.0,
-            late_prob: 0.0,
-            max_late_fraction: 0.0,
         }
     }
 
@@ -113,10 +94,6 @@ impl ChaosConfig {
             stall_prob: 0.1,
             max_stall_yields: 32,
             kill_worker_prob: 0.05,
-            straggler_prob: 0.3,
-            max_straggler_slowdown: 0.75,
-            late_prob: 0.25,
-            max_late_fraction: 0.5,
         }
     }
 
@@ -127,14 +104,13 @@ impl ChaosConfig {
 }
 
 /// Fault-domain discriminators mixed into the hash so the same coordinates
-/// in different domains draw independent decisions.
+/// in different domains draw independent decisions. A domain keeps its
+/// value for good, so a seed replays the same decisions across versions.
 const D_DELAY: u64 = 0x01;
 const D_DUP: u64 = 0x02;
 const D_DROP: u64 = 0x03;
 const D_STALL: u64 = 0x04;
 const D_KILL: u64 = 0x05;
-const D_STRAGGLER: u64 = 0x06;
-const D_LATE: u64 = 0x07;
 
 /// Seeded, stateless fault oracle. Shared (via `Arc`) by every rank of a
 /// world; all methods are pure functions of the seed and their arguments.
@@ -220,24 +196,6 @@ impl FaultPlan {
     /// completing its `task_index`-th task (it is restarted transparently).
     pub fn kill_worker(&self, rank: usize, channel: usize, task_index: u64) -> bool {
         self.unit(D_KILL, rank as u64, channel as u64, task_index) < self.cfg.kill_worker_prob
-    }
-
-    /// Compute-time multiplier (`≥ 1.0`) for `(rank, iteration)` in the
-    /// cluster simulator; `1.0` for non-stragglers.
-    pub fn straggler_factor(&self, rank: usize, iter: u64) -> f64 {
-        if self.unit(D_STRAGGLER, rank as u64, iter, 0) >= self.cfg.straggler_prob {
-            return 1.0;
-        }
-        1.0 + self.unit(D_STRAGGLER ^ 0x80, rank as u64, iter, 1) * self.cfg.max_straggler_slowdown
-    }
-
-    /// Fraction of communication time added as late-arrival slack for
-    /// `(rank, iteration)` in the cluster simulator; `0.0` when on time.
-    pub fn late_message_fraction(&self, rank: usize, iter: u64) -> f64 {
-        if self.unit(D_LATE, rank as u64, iter, 0) >= self.cfg.late_prob {
-            return 0.0;
-        }
-        self.unit(D_LATE ^ 0x80, rank as u64, iter, 1) * self.cfg.max_late_fraction
     }
 }
 
@@ -341,8 +299,6 @@ mod tests {
             assert!(!p.drop_attempt(0, 1, seq, 0));
             assert_eq!(p.stall_yields(0, seq), 0);
             assert!(!p.kill_worker(0, 0, seq));
-            assert_eq!(p.straggler_factor(0, seq), 1.0);
-            assert_eq!(p.late_message_fraction(0, seq), 0.0);
         }
     }
 
@@ -372,18 +328,6 @@ mod tests {
         for seq in 0..500 {
             assert!(!p.drop_attempt(0, 1, seq, max));
         }
-    }
-
-    #[test]
-    fn straggler_factor_bounds() {
-        let p = ChaosConfig::aggressive(9).plan();
-        let mut hit = false;
-        for iter in 0..500 {
-            let f = p.straggler_factor(1, iter);
-            assert!((1.0..=1.0 + p.config().max_straggler_slowdown).contains(&f));
-            hit |= f > 1.0;
-        }
-        assert!(hit, "no straggler in 500 iters at prob 0.3");
     }
 
     #[test]

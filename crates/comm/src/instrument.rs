@@ -1,127 +1,9 @@
-//! Per-primitive wall-clock accounting.
-//!
-//! The paper instruments PyTorch's DDP and communication backends to split
-//! time into "framework" (pre/post-processing: flat-buffer copies, gradient
-//! averaging, enqueueing) and "wait" (blocking on the primitive) per
-//! primitive kind — the stacked bars of Figures 11 and 14. This recorder is
-//! the equivalent hook for our harnesses.
+//! Per-collective byte accounting: [`WireStats`], which every send records
+//! into. The wall-clock side, the framework/wait split of Figures 11 and
+//! 14, is `dlrm_telemetry`'s [`TimingRecorder`](crate::TimingRecorder),
+//! re-exported at this crate's root.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// The time buckets of Figures 10–14.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum OpKind {
-    /// Pure compute (GEMMs, embeddings, interaction, loss).
-    Compute,
-    /// Alltoall pre/post-processing in the framework.
-    AlltoallFramework,
-    /// Blocking on alltoall completion.
-    AlltoallWait,
-    /// Allreduce pre/post-processing in the framework.
-    AllreduceFramework,
-    /// Blocking on allreduce completion.
-    AllreduceWait,
-    /// Data-loader time (the weak-scaling artifact of Figure 13).
-    DataLoader,
-}
-
-impl OpKind {
-    /// All kinds, in report order.
-    pub const ALL: [OpKind; 6] = [
-        OpKind::Compute,
-        OpKind::AlltoallFramework,
-        OpKind::AlltoallWait,
-        OpKind::AllreduceFramework,
-        OpKind::AllreduceWait,
-        OpKind::DataLoader,
-    ];
-}
-
-impl OpKind {
-    /// Stable machine-readable key (snake_case, for JSON reports).
-    pub fn json_key(self) -> &'static str {
-        match self {
-            OpKind::Compute => "compute_s",
-            OpKind::AlltoallFramework => "alltoall_framework_s",
-            OpKind::AlltoallWait => "alltoall_wait_s",
-            OpKind::AllreduceFramework => "allreduce_framework_s",
-            OpKind::AllreduceWait => "allreduce_wait_s",
-            OpKind::DataLoader => "data_loader_s",
-        }
-    }
-}
-
-impl std::fmt::Display for OpKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            OpKind::Compute => "Compute",
-            OpKind::AlltoallFramework => "Alltoall-Framework",
-            OpKind::AlltoallWait => "Alltoall-Wait",
-            OpKind::AllreduceFramework => "Allreduce-Framework",
-            OpKind::AllreduceWait => "Allreduce-Wait",
-            OpKind::DataLoader => "DataLoader",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Times `f` against `rec` when a recorder is attached; otherwise runs `f`
-/// with zero instrumentation overhead. The hook every measured hot path
-/// threads its optional recorder through.
-#[inline]
-pub fn time_opt<T>(rec: Option<&TimingRecorder>, kind: OpKind, f: impl FnOnce() -> T) -> T {
-    match rec {
-        Some(r) => r.time(kind, f),
-        None => f(),
-    }
-}
-
-/// Thread-safe accumulator of durations per [`OpKind`].
-#[derive(Default)]
-pub struct TimingRecorder {
-    totals: Mutex<HashMap<OpKind, Duration>>,
-}
-
-impl TimingRecorder {
-    /// Fresh, empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `d` to the bucket for `kind`.
-    pub fn record(&self, kind: OpKind, d: Duration) {
-        *crate::lock(&self.totals).entry(kind).or_default() += d;
-    }
-
-    /// Times `f` and charges it to `kind`.
-    pub fn time<T>(&self, kind: OpKind, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.record(kind, t0.elapsed());
-        out
-    }
-
-    /// Accumulated time for one bucket.
-    pub fn total(&self, kind: OpKind) -> Duration {
-        crate::lock(&self.totals)
-            .get(&kind)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Snapshot of all buckets.
-    pub fn snapshot(&self) -> HashMap<OpKind, Duration> {
-        crate::lock(&self.totals).clone()
-    }
-
-    /// Clears all buckets.
-    pub fn reset(&self) {
-        crate::lock(&self.totals).clear();
-    }
-}
 
 /// Bytes put on the wire, bucketed by collective class.
 ///
@@ -305,48 +187,5 @@ mod tests {
         assert_eq!(s.logical_bytes(), 200, "logical view excludes headers");
         w.reset();
         assert_eq!(w.snapshot().header_bytes, 0);
-    }
-
-    #[test]
-    fn records_accumulate() {
-        let r = TimingRecorder::new();
-        r.record(OpKind::Compute, Duration::from_millis(5));
-        r.record(OpKind::Compute, Duration::from_millis(7));
-        assert_eq!(r.total(OpKind::Compute), Duration::from_millis(12));
-        assert_eq!(r.total(OpKind::AlltoallWait), Duration::ZERO);
-    }
-
-    #[test]
-    fn time_charges_elapsed() {
-        let r = TimingRecorder::new();
-        let v = r.time(OpKind::DataLoader, || {
-            std::thread::sleep(Duration::from_millis(2));
-            42
-        });
-        assert_eq!(v, 42);
-        assert!(r.total(OpKind::DataLoader) >= Duration::from_millis(2));
-    }
-
-    #[test]
-    fn reset_clears() {
-        let r = TimingRecorder::new();
-        r.record(OpKind::AllreduceWait, Duration::from_millis(1));
-        r.reset();
-        assert!(r.snapshot().is_empty());
-    }
-
-    #[test]
-    fn concurrent_recording_is_safe() {
-        let r = TimingRecorder::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        r.record(OpKind::Compute, Duration::from_micros(1));
-                    }
-                });
-            }
-        });
-        assert_eq!(r.total(OpKind::Compute), Duration::from_micros(400));
     }
 }

@@ -17,9 +17,11 @@
 //!   start until the allreduce finishes — the in-order-completion artifact
 //!   of Figures 10–11), while [`nonblocking::Backend::CclLike`] offers
 //!   multiple independent channels like oneCCL's worker threads.
-//! * [`instrument`] — per-primitive wall-clock accounting used by the
-//!   experiment harnesses to split "framework" from "wait" time, plus
-//!   [`instrument::WireStats`] byte counters every send records into.
+//! * [`instrument`] — the [`instrument::WireStats`] byte counters every
+//!   send records into. The wall-clock recorder that splits "framework"
+//!   from "wait" time ([`TimingRecorder`], [`OpKind`], [`time_opt`]) lives
+//!   in `dlrm-telemetry` and is re-exported here, since
+//!   [`Request::wait_flat`] and [`Request::wait_per_rank`] take it.
 //! * [`wire`] — the [`wire::WirePrecision`] knob and its codec, the one
 //!   module that knows how `f32` becomes a payload and back: the hot
 //!   collectives take a wire and ship BF16 halfwords (RNE narrowing, exact
@@ -30,8 +32,7 @@
 //!   quartering them.
 //! * [`chaos`] — seeded fault injection (message delay/reorder/duplicate,
 //!   drop + bounded retry, rank stalls, progress-worker kill-restart)
-//!   threaded through [`world`] and [`nonblocking`], plus the
-//!   straggler/late-message knobs `dlrm-clustersim` shares. Every fault
+//!   threaded through [`world`] and [`nonblocking`]. Every fault
 //!   decision is a pure hash of the seed and logical coordinates, so any
 //!   failing schedule replays from a single `u64`.
 //!
@@ -51,7 +52,8 @@ pub mod wire;
 pub mod world;
 
 pub use chaos::{ChaosConfig, ChaosSnapshot, ChaosStats, FaultPlan};
-pub use instrument::{time_opt, OpKind, TimingRecorder, WireSnapshot, WireStats};
+pub use dlrm_telemetry::{time_opt, OpKind, TimingRecorder};
+pub use instrument::{WireSnapshot, WireStats};
 pub use nonblocking::{Backend, ProgressEngine, Request};
 pub use wire::WirePrecision;
 pub use world::{CommWorld, Communicator, Int8Payload, Payload};

@@ -21,9 +21,10 @@
 //! collective on the rank thread through [`crate::collectives`].
 
 use crate::chaos::FaultPlan;
-use crate::instrument::{time_opt, OpKind, TimingRecorder, WireStats};
+use crate::instrument::WireStats;
 use crate::wire::WirePrecision;
 use crate::world::Communicator;
+use dlrm_telemetry::{time_opt, OpKind, TimingRecorder};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};

@@ -22,10 +22,10 @@
 //! both schedules reduce the same plan, so overlap moves time, not bits.
 
 use dlrm_comm::collectives;
-use dlrm_comm::instrument::{time_opt, OpKind, TimingRecorder};
 use dlrm_comm::nonblocking::{ProgressEngine, Request};
 use dlrm_comm::wire::WirePrecision;
 use dlrm_comm::world::Communicator;
+use dlrm_comm::{time_opt, OpKind, TimingRecorder};
 use std::ops::Range;
 
 /// Default bucket cap: 25 MiB of f32 gradients, matching the PyTorch DDP

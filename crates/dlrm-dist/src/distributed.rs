@@ -47,10 +47,10 @@ use dlrm::interaction::Interaction;
 use dlrm::layers::{Activation, Execution, Mlp};
 use dlrm::model::DlrmModel;
 use dlrm_comm::chaos::FaultPlan;
-use dlrm_comm::instrument::{time_opt, OpKind, TimingRecorder, WireStats};
 use dlrm_comm::nonblocking::{create_channel_worlds_with_opts, Backend, ProgressEngine};
 use dlrm_comm::wire::WirePrecision;
 use dlrm_comm::world::{CommWorld, Communicator};
+use dlrm_comm::{time_opt, OpKind, TimingRecorder, WireStats};
 use dlrm_data::{DlrmConfig, LookaheadWindow, MiniBatch};
 use dlrm_kernels::embedding::UpdateStrategy;
 use dlrm_kernels::loss::{bce_with_logits_backward, bce_with_logits_loss};

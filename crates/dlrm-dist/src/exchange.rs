@@ -37,10 +37,10 @@
 //! `finish` measures.
 
 use dlrm_comm::collectives;
-use dlrm_comm::instrument::{time_opt, OpKind, TimingRecorder};
 use dlrm_comm::nonblocking::{ProgressEngine, Request};
 use dlrm_comm::wire::WirePrecision;
 use dlrm_comm::world::Communicator;
+use dlrm_comm::{time_opt, OpKind, TimingRecorder};
 use dlrm_tensor::Matrix;
 use dlrm_topology::OwnershipMap;
 

@@ -69,10 +69,10 @@
 use crate::exchange::{tables_of, EXCHANGE_CHANNEL};
 use dlrm::embedding_layer::EmbeddingLayer;
 use dlrm_comm::collectives::{alltoall_wire_tagged, TAG_PREFETCH};
-use dlrm_comm::instrument::{time_opt, OpKind, TimingRecorder};
 use dlrm_comm::nonblocking::{ProgressEngine, Request};
 use dlrm_comm::wire::WirePrecision;
 use dlrm_comm::world::Communicator;
+use dlrm_comm::{time_opt, OpKind, TimingRecorder};
 use dlrm_data::{DlrmConfig, LookaheadWindow, MiniBatch};
 use dlrm_kernels::embedding::{rowops, DedupPlan, RowStore};
 use dlrm_kernels::gemm::micro::{detect_isa, Isa};

@@ -13,8 +13,9 @@
 //! * [`interaction`] — the dot-product feature interaction (pairwise dots
 //!   of all sparse/dense feature vectors) and its backward pass.
 //! * [`model`] — the full network: bottom MLP ∥ embeddings → interaction →
-//!   top MLP → BCE loss, with a per-op [`profiler`] that produces
-//!   Figure 8's Embeddings/MLP/Rest split.
+//!   top MLP → BCE loss. An attached `dlrm_telemetry::TimingRecorder`
+//!   ([`model::DlrmModel::set_recorder`]) receives Figure 8's
+//!   Embeddings/MLP/Rest split.
 //! * [`precision`] — FP32 / Split-SGD-BF16 / FP24 training modes
 //!   (Section VII) via bit-accurate emulation.
 //! * [`metrics`] — ROC AUC (Figure 16's metric) and log-loss.
@@ -32,7 +33,6 @@ pub mod layers;
 pub mod metrics;
 pub mod model;
 pub mod precision;
-pub mod profiler;
 pub mod trainer;
 
 /// Convenience re-exports for examples and downstream crates.
@@ -41,7 +41,7 @@ pub mod prelude {
     pub use crate::metrics::roc_auc;
     pub use crate::model::DlrmModel;
     pub use crate::precision::PrecisionMode;
-    pub use crate::profiler::{OpClass, Profiler};
     pub use crate::trainer::{TrainReport, Trainer, TrainerOptions};
     pub use dlrm_kernels::embedding::UpdateStrategy;
+    pub use dlrm_telemetry::{OpKind, TimingRecorder};
 }

@@ -5,15 +5,15 @@ use crate::embedding_layer::EmbeddingLayer;
 use crate::interaction::Interaction;
 use crate::layers::{Activation, Execution, Mlp};
 use crate::precision::{ParamOptimizer, PrecisionMode};
-use crate::profiler::{OpClass, Profiler};
 use dlrm_data::{DlrmConfig, MiniBatch};
 use dlrm_kernels::embedding::UpdateStrategy;
 use dlrm_kernels::loss::{bce_with_logits_backward, bce_with_logits_loss};
+use dlrm_telemetry::{time_opt, OpKind, TimingRecorder};
 use dlrm_tensor::aligned::HUGE_PAGE;
 use dlrm_tensor::init::seeded_rng;
 use dlrm_tensor::Matrix;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A trainable DLRM instance.
 pub struct DlrmModel {
@@ -31,8 +31,6 @@ pub struct DlrmModel {
     pub interaction: Interaction,
     /// Top MLP ending in the 1-unit logit layer.
     pub top: Mlp,
-    /// Per-op-class profiler (Figure 8).
-    pub profiler: Profiler,
     /// Steps [`DlrmModel::train_step`] skipped because their loss was not
     /// finite: no backward pass ran and no parameter moved.
     pub skipped_steps: u64,
@@ -41,6 +39,9 @@ pub struct DlrmModel {
     mlp_opts: Vec<ParamOptimizer>,
     /// Per-table optimizers, for non-FP32 modes.
     emb_opts: Vec<ParamOptimizer>,
+    /// Where [`OpKind::Embeddings`], [`OpKind::Mlp`] and [`OpKind::Rest`]
+    /// time goes (Figure 8), when attached.
+    recorder: Option<Arc<TimingRecorder>>,
 }
 
 impl DlrmModel {
@@ -185,32 +186,39 @@ impl DlrmModel {
             bottom,
             tables,
             top,
-            profiler: Profiler::new(),
             skipped_steps: 0,
             mlp_opts,
             emb_opts,
+            recorder: None,
         }
+    }
+
+    /// Attaches (or with `None` detaches) a recorder that
+    /// [`DlrmModel::forward`] and [`DlrmModel::train_step`] charge
+    /// Figure 8's Embeddings / MLP / Rest time to. With none attached a
+    /// step takes no timestamps.
+    pub fn set_recorder(&mut self, rec: Option<Arc<TimingRecorder>>) {
+        self.recorder = rec;
     }
 
     /// Forward pass; returns the per-sample logits.
     pub fn forward(&mut self, batch: &MiniBatch) -> Vec<f32> {
         let exec = self.exec.clone();
-        let z0 = self
-            .profiler
-            .time(OpClass::Mlp, || self.bottom.forward(&exec, &batch.dense));
-        let table_outs: Vec<Matrix> = self.profiler.time(OpClass::Embeddings, || {
+        let rec = self.recorder.as_deref();
+        let z0 = time_opt(rec, OpKind::Mlp, || {
+            self.bottom.forward(&exec, &batch.dense)
+        });
+        let table_outs: Vec<Matrix> = time_opt(rec, OpKind::Embeddings, || {
             self.tables
                 .iter_mut()
                 .enumerate()
                 .map(|(t, layer)| layer.forward(&exec, &batch.indices[t], &batch.offsets[t]))
                 .collect()
         });
-        let inter = self.profiler.time(OpClass::Rest, || {
+        let inter = time_opt(rec, OpKind::Rest, || {
             self.interaction.forward(&exec, &z0, &table_outs)
         });
-        let logits = self
-            .profiler
-            .time(OpClass::Mlp, || self.top.forward(&exec, &inter));
+        let logits = time_opt(rec, OpKind::Mlp, || self.top.forward(&exec, &inter));
         debug_assert_eq!(logits.rows(), 1);
         logits.as_slice().to_vec()
     }
@@ -231,9 +239,10 @@ impl DlrmModel {
         let n = batch.batch_size();
         let fp32 = self.precision == PrecisionMode::Fp32;
         let logits = self.forward(batch);
+        let rec = self.recorder.as_deref();
 
         // Loss + gradient w.r.t. logits.
-        let (loss, dlogits) = self.profiler.time(OpClass::Rest, || {
+        let (loss, dlogits) = time_opt(rec, OpKind::Rest, || {
             let loss = bce_with_logits_loss(&logits, &batch.labels);
             let mut g = vec![0.0f32; n];
             bce_with_logits_backward(&logits, &batch.labels, &mut g);
@@ -241,12 +250,11 @@ impl DlrmModel {
         });
         if !loss.is_finite() {
             self.skipped_steps += 1;
-            self.profiler.end_iteration();
             return loss;
         }
 
         // Top MLP backward (and, in FP32, its update).
-        let d_inter = self.profiler.time(OpClass::Mlp, || {
+        let d_inter = time_opt(rec, OpKind::Mlp, || {
             if fp32 {
                 self.top.backward_sgd(&exec, dlogits, lr)
             } else {
@@ -255,12 +263,11 @@ impl DlrmModel {
         });
 
         // Interaction backward.
-        let (d_bottom, d_tables) = self
-            .profiler
-            .time(OpClass::Rest, || self.interaction.backward(&d_inter));
+        let (d_bottom, d_tables) =
+            time_opt(rec, OpKind::Rest, || self.interaction.backward(&d_inter));
 
         // Embedding backward + update.
-        self.profiler.time(OpClass::Embeddings, || {
+        time_opt(rec, OpKind::Embeddings, || {
             if fp32 {
                 for (layer, grad) in self.tables.iter_mut().zip(&d_tables) {
                     layer.backward_update(&exec, grad, lr);
@@ -285,7 +292,7 @@ impl DlrmModel {
 
         // Bottom MLP backward (and, in FP32, its update), then the dense
         // update of the other modes.
-        self.profiler.time(OpClass::Mlp, || {
+        time_opt(rec, OpKind::Mlp, || {
             if fp32 {
                 self.bottom.backward_sgd(&exec, d_bottom, lr);
                 return;
@@ -306,8 +313,6 @@ impl DlrmModel {
                 dlrm_kernels::sgd::sgd_step(&mut layer.b, &layer.db, lr);
             }
         });
-
-        self.profiler.end_iteration();
         loss
     }
 
@@ -431,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn profiler_buckets_populate() {
+    fn recorder_buckets_populate() {
         let cfg = tiny_cfg();
         let batch = tiny_batch(&cfg, 8, 5);
         let mut model = DlrmModel::new(
@@ -441,10 +446,19 @@ mod tests {
             PrecisionMode::Fp32,
             1,
         );
+        let rec = Arc::new(TimingRecorder::new());
+        model.set_recorder(Some(Arc::clone(&rec)));
         let _ = model.train_step(&batch, 0.1);
-        assert_eq!(model.profiler.iterations(), 1);
-        let (e, m, r) = model.profiler.fractions();
-        assert!(e > 0.0 && m > 0.0 && r > 0.0, "({e}, {m}, {r})");
+        let snap = rec.snapshot();
+        let mut kinds: Vec<_> = snap.keys().copied().collect();
+        kinds.sort();
+        assert_eq!(kinds, [OpKind::Embeddings, OpKind::Mlp, OpKind::Rest]);
+        assert!(snap.values().all(|d| !d.is_zero()), "{snap:?}");
+        // Detached, a step charges nothing.
+        model.set_recorder(None);
+        rec.reset();
+        let _ = model.train_step(&batch, 0.1);
+        assert!(rec.snapshot().is_empty());
     }
 
     #[test]

@@ -387,3 +387,74 @@ fn interaction_forward_allocates_only_its_output() {
     let forward = calls_during(&mut || drop(inter.forward(&exec, &bottom, &ts)));
     assert_eq!(forward, 20, "20 forwards allocated {forward} times");
 }
+
+/// Every weight plane of `model` as bits: both MLPs' weights and biases,
+/// then every table.
+fn weight_bits(model: &DlrmModel) -> Vec<u32> {
+    let mlps = model.bottom.layers.iter().chain(&model.top.layers);
+    let planes = mlps
+        .flat_map(|l| [l.w.as_slice(), l.b.as_slice()])
+        .chain(model.tables.iter().map(|t| t.weight.as_slice()));
+    planes.flatten().map(|v| v.to_bits()).collect()
+}
+
+/// An attached recorder moves no bit and allocates nothing in the steady
+/// state. The same batches train one model with a recorder and one
+/// without: losses and every weight plane match bit for bit, after warm-up
+/// the attached model's team makes as many allocator calls per step as the
+/// detached one's, and the recorder has charged Figure 8's buckets.
+#[test]
+fn recorder_moves_no_bit_and_allocates_nothing_in_steady_state() {
+    let _turn = my_turn();
+    use std::sync::Arc;
+
+    let cfg = tiny_cfg();
+    let batches: Vec<MiniBatch> = (0..8)
+        .map(|i| {
+            MiniBatch::random(
+                &cfg,
+                8,
+                IndexDistribution::Uniform,
+                &mut seeded_rng(70 + i, 5),
+            )
+        })
+        .collect();
+    let build = || {
+        let exec = Execution::optimized(3);
+        count_team(exec.pool().expect("optimized"));
+        DlrmModel::new(&cfg, exec, UpdateStrategy::RaceFree, PrecisionMode::Fp32, 7)
+    };
+    let rec = Arc::new(TimingRecorder::new());
+    let mut attached = build();
+    attached.set_recorder(Some(Arc::clone(&rec)));
+    let mut detached = build();
+
+    // Trains on every batch in turn; returns the loss bits and the
+    // allocator calls of the 20 steps after the first.
+    let run = |model: &mut DlrmModel| {
+        let mut losses = Vec::new();
+        let mut next = 0;
+        let calls = calls_during(&mut || {
+            let batch = &batches[next % batches.len()];
+            losses.push(model.train_step(batch, 0.1).to_bits());
+            next += 1;
+        });
+        (losses, calls)
+    };
+    let (with_losses, with_calls) = run(&mut attached);
+    let (without_losses, without_calls) = run(&mut detached);
+    assert_eq!(with_losses, without_losses, "the recorder moved a loss");
+    assert!(
+        weight_bits(&attached) == weight_bits(&detached),
+        "the recorder moved a weight"
+    );
+    assert_eq!(
+        with_calls, without_calls,
+        "20 recorded steps allocated {with_calls} times, 20 unrecorded ones {without_calls}"
+    );
+    let charged: std::time::Duration = [OpKind::Embeddings, OpKind::Mlp, OpKind::Rest]
+        .map(|kind| rec.total(kind))
+        .iter()
+        .sum();
+    assert!(!charged.is_zero(), "the recorder charged nothing");
+}

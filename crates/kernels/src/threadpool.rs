@@ -137,6 +137,11 @@ unsafe impl Send for Shared {}
 // SAFETY: as above.
 unsafe impl Sync for Shared {}
 
+/// CPUs an affinity mask of [`pin_current_thread`] and [`allowed_cpus`]
+/// can name.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+const CPU_SET_WORDS: usize = 16; // 1024 CPUs
+
 /// Pins the calling thread to one CPU core. Best-effort: returns `false`
 /// (and changes nothing) where unsupported or refused by the kernel —
 /// callers treat placement as advisory, never as a correctness input.
@@ -146,7 +151,6 @@ unsafe impl Sync for Shared {}
 /// pid 0 means "the calling thread" for this syscall.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 pub fn pin_current_thread(core: usize) -> bool {
-    const CPU_SET_WORDS: usize = 16; // 1024 CPUs
     if core >= CPU_SET_WORDS * 64 {
         return false;
     }
@@ -174,6 +178,41 @@ pub fn pin_current_thread(core: usize) -> bool {
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 pub fn pin_current_thread(_core: usize) -> bool {
     false
+}
+
+/// The CPU ids the calling thread may run on, ascending: its affinity mask
+/// as `taskset` or a cpuset left it, read with a raw
+/// `sched_getaffinity(0, ...)` syscall. Where that is unsupported or
+/// refused, `0..n` for the OS-reported parallelism `n`.
+pub fn allowed_cpus() -> Vec<usize> {
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    {
+        let mut mask = [0u64; CPU_SET_WORDS];
+        let ret: i64;
+        // SAFETY: sched_getaffinity (x86_64 syscall 204) writes at most
+        // `rsi` bytes to `rdx`, our stack-owned mask, and touches no other
+        // memory.
+        unsafe {
+            std::arch::asm!(
+                "syscall",
+                inlateout("rax") 204i64 => ret,
+                in("rdi") 0usize,
+                in("rsi") std::mem::size_of_val(&mask),
+                in("rdx") mask.as_mut_ptr(),
+                lateout("rcx") _,
+                lateout("r11") _,
+                options(nostack),
+            );
+        }
+        // On success the syscall returns the bytes it wrote.
+        if ret > 0 {
+            return (0..CPU_SET_WORDS * 64)
+                .filter(|&cpu| mask[cpu / 64] >> (cpu % 64) & 1 == 1)
+                .collect();
+        }
+    }
+    let n = std::thread::available_parallelism().map_or(1, |p| p.get());
+    (0..n).collect()
 }
 
 /// A fixed-size thread team: the calling thread plus `n − 1` persistent

@@ -38,7 +38,7 @@ use dlrm::layers::{Activation, Execution, Mlp};
 use dlrm::model::DlrmModel;
 use dlrm_data::{DlrmConfig, MiniBatch};
 use dlrm_kernels::embedding::{self, UpdateStrategy};
-use dlrm_kernels::threadpool::ThreadPool;
+use dlrm_kernels::threadpool::{allowed_cpus, ThreadPool};
 use dlrm_tensor::init::seeded_rng;
 use dlrm_tensor::Matrix;
 use dlrm_topology::{CorePlacement, OwnershipMap};
@@ -54,7 +54,8 @@ pub struct ShardSpec {
     /// it, so 1 runs the MLP stack inline on the lane.
     pub workers_per_shard: usize,
     /// Build each team with [`ThreadPool::with_affinity`] on its
-    /// [`CorePlacement::contiguous`] cores: spawned workers pin to theirs,
+    /// [`CorePlacement::contiguous`] cores, laid over the CPUs the calling
+    /// thread may run on ([`allowed_cpus`]): spawned workers pin to theirs,
     /// and the engine seats the lane (member 0) and the shard's table
     /// server on the team's `cores[0]`, as it does for any pinned team.
     /// Best-effort — pinning failures are non-fatal. The synchronous
@@ -181,11 +182,7 @@ impl ShardedServeModel {
         assert!(spec.shards >= 1, "need at least one shard");
         assert!(spec.workers_per_shard >= 1, "each team needs a worker");
         let placement = spec.pin_cores.then(|| {
-            CorePlacement::contiguous(
-                ThreadPool::default_parallelism(),
-                spec.shards,
-                spec.workers_per_shard,
-            )
+            CorePlacement::contiguous(&allowed_cpus(), spec.shards, spec.workers_per_shard)
         });
         let teams = (0..spec.shards)
             .map(|s| {

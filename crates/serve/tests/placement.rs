@@ -12,11 +12,12 @@
 //! Linux on x86_64 only (the one platform `pin_current_thread` binds).
 //! With fewer than two CPUs allowed there is no second seat to tell apart:
 //! the engines still run and every handle must still resolve, but no seat
-//! is compared.
+//! is compared — except that a `pin_cores` model built under a one-CPU
+//! mask (`taskset -c 1`) must seat every lane inside it.
 
 use dlrm::layers::Execution;
 use dlrm_data::DlrmConfig;
-use dlrm_kernels::threadpool::{pin_current_thread, ThreadPool};
+use dlrm_kernels::threadpool::{allowed_cpus, pin_current_thread, ThreadPool};
 use dlrm_serve::{
     CacheSizing, Request, ServeConfig, ServeEngine, ServeModel, ShardSpec, ShardedEngine,
     ShardedServeModel,
@@ -71,21 +72,26 @@ fn cpus_of_threads_named(name: &str) -> Vec<String> {
         .collect()
 }
 
-/// The CPUs this thread may run on, when there are two or more to tell
-/// seats apart on a platform that pins; `None`, with a line saying so,
-/// otherwise.
-fn two_cpus_or_skip() -> Option<Vec<usize>> {
-    let list = my_cpus();
-    let cpus: Vec<usize> = list
-        .split(',')
+/// The CPU ids of a `Cpus_allowed_list` such as `0-2,5`.
+fn parse_cpu_list(list: &str) -> Vec<usize> {
+    list.split(',')
         .filter(|range| !range.is_empty())
         .flat_map(|range| {
             let (lo, hi) = range.split_once('-').unwrap_or((range, range));
             lo.parse().expect("cpu id")..=hi.parse().expect("cpu id")
         })
-        .collect();
-    let can_pin = cfg!(all(target_os = "linux", target_arch = "x86_64"));
-    if can_pin && cpus.len() >= 2 {
+        .collect()
+}
+
+const CAN_PIN: bool = cfg!(all(target_os = "linux", target_arch = "x86_64"));
+
+/// The CPUs this thread may run on, when there are two or more to tell
+/// seats apart on a platform that pins; `None`, with a line saying so,
+/// otherwise.
+fn two_cpus_or_skip() -> Option<Vec<usize>> {
+    let list = my_cpus();
+    let cpus = parse_cpu_list(&list);
+    if CAN_PIN && cpus.len() >= 2 {
         return Some(cpus);
     }
     println!("skipped: placement is not compared with cpus allowed {list:?}");
@@ -182,7 +188,7 @@ fn pin_cores_seats_every_lane_and_table_server_on_its_shards_first_core() {
         ..ShardSpec::default()
     };
     let placement = dlrm_topology::CorePlacement::contiguous(
-        ThreadPool::default_parallelism(),
+        &allowed_cpus(),
         spec.shards,
         spec.workers_per_shard,
     );
@@ -197,6 +203,46 @@ fn pin_cores_seats_every_lane_and_table_server_on_its_shards_first_core() {
                 assert_seated(&format!("dlrm-shard{shard}-srv"), first);
             }
         }
+    }
+    assert_eq!(engine.shutdown().requests, 64);
+}
+
+#[test]
+fn allowed_cpus_reads_the_callers_mask() {
+    let want = parse_cpu_list(&my_cpus());
+    if CAN_PIN {
+        assert_eq!(allowed_cpus(), want);
+    }
+}
+
+/// Under a one-CPU mask other than CPU 0 (a spawner pinned to the last
+/// allowed CPU, or the whole process under `taskset -c 1`), `pin_cores`
+/// places every team inside the mask: each lane and table server runs on
+/// that CPU, not on CPU 0.
+#[test]
+fn pin_cores_seats_every_lane_inside_a_one_cpu_mask() {
+    let _one = one_engine_at_a_time();
+    let cpus = parse_cpu_list(&my_cpus());
+    let Some(&only) = cpus.last().filter(|&&cpu| CAN_PIN && cpu != 0) else {
+        println!("skipped: no CPU but 0 to confine the model to ({cpus:?})");
+        return;
+    };
+    let spec = ShardSpec {
+        shards: 2,
+        pin_cores: true,
+        ..ShardSpec::default()
+    };
+    let start = move || {
+        assert!(pin_current_thread(only), "the spawner pins to {only}");
+        assert_eq!(allowed_cpus(), [only]);
+        let model = ShardedServeModel::new(&tiny_cfg(), &spec, 5);
+        ShardedEngine::start(model, ServeConfig::default())
+    };
+    let engine = std::thread::spawn(start).join().expect("spawner");
+    serve(&engine, 64);
+    for shard in 0..2 {
+        assert_seated(&format!("dlrm-shard{shard}-lane"), only);
+        assert_seated(&format!("dlrm-shard{shard}-srv"), only);
     }
     assert_eq!(engine.shutdown().requests, 64);
 }

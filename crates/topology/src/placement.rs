@@ -83,7 +83,7 @@ impl OwnershipMap {
 ///
 /// The contiguous layout keeps a shard's workers on neighbouring cores
 /// (shared L2/LLC slice on most parts) and spreads shards across the
-/// machine; when the machine has fewer cores than workers the assignment
+/// given cores; when there are fewer cores than workers the assignment
 /// wraps (deliberate oversubscription rather than refusal, so the same
 /// configuration runs on a laptop and a 2-socket server).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,10 +92,11 @@ pub struct CorePlacement {
 }
 
 impl CorePlacement {
-    /// Places `nshards` teams of `workers_per_shard` on `host_cores` cores:
-    /// worker `w` of shard `s` gets core `(s·W + w) mod host_cores`.
-    pub fn contiguous(host_cores: usize, nshards: usize, workers_per_shard: usize) -> Self {
-        assert!(host_cores >= 1, "placement needs at least one core");
+    /// Places `nshards` teams of `workers_per_shard` on the core ids
+    /// `cpus` (typically the CPUs the process may run on): worker `w` of
+    /// shard `s` gets `cpus[(s·W + w) mod cpus.len()]`.
+    pub fn contiguous(cpus: &[usize], nshards: usize, workers_per_shard: usize) -> Self {
+        assert!(!cpus.is_empty(), "placement needs at least one core");
         assert!(
             workers_per_shard >= 1,
             "placement needs at least one worker per shard"
@@ -103,7 +104,7 @@ impl CorePlacement {
         let cores = (0..nshards)
             .map(|s| {
                 (0..workers_per_shard)
-                    .map(|w| (s * workers_per_shard + w) % host_cores)
+                    .map(|w| cpus[(s * workers_per_shard + w) % cpus.len()])
                     .collect()
             })
             .collect();
@@ -173,15 +174,22 @@ mod tests {
 
     #[test]
     fn contiguous_placement_tiles_then_wraps() {
-        let p = CorePlacement::contiguous(8, 3, 2);
+        let p = CorePlacement::contiguous(&[0, 1, 2, 3, 4, 5, 6, 7], 3, 2);
         assert_eq!(p.shard_cores(0), &[0, 1]);
         assert_eq!(p.shard_cores(1), &[2, 3]);
         assert_eq!(p.shard_cores(2), &[4, 5]);
         // More workers than cores: wrap, never panic.
-        let p = CorePlacement::contiguous(2, 3, 2);
+        let p = CorePlacement::contiguous(&[0, 1], 3, 2);
         assert_eq!(p.shard_cores(0), &[0, 1]);
         assert_eq!(p.shard_cores(1), &[0, 1]);
         assert_eq!(p.shard_cores(2), &[0, 1]);
         assert_eq!(p.num_shards(), 3);
+        // Core ids come from the list given, not from 0.
+        let p = CorePlacement::contiguous(&[3, 5], 2, 1);
+        assert_eq!(p.shard_cores(0), &[3]);
+        assert_eq!(p.shard_cores(1), &[5]);
+        let p = CorePlacement::contiguous(&[1], 2, 1);
+        assert_eq!(p.shard_cores(0), &[1]);
+        assert_eq!(p.shard_cores(1), &[1]);
     }
 }
