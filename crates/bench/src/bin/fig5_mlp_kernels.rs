@@ -141,22 +141,21 @@ fn fc_forward_no_batch_reduce(
     y: &mut BlockedActivations,
 ) {
     let d = PanelDims {
-        bn: x.bn,
-        bc: x.bc,
-        bk: w.blk.bk,
+        bn: x.bn(),
+        bc: x.bc(),
+        bk: w.bk(),
     };
-    let (kb, cb, nb) = (w.kb(), w.cb(), x.nb());
+    let (wg, yg) = (w.grid(), y.grid());
     let isa = detect_isa();
-    let panel = d.bn * d.bk;
     let y_ptr = SendMutPtr(y.as_mut_slice().as_mut_ptr());
-    pool.parallel_for(kb * nb, |_tid, range| {
+    pool.parallel_for(yg.panels(), |_tid, range| {
         for blk_idx in range {
-            let (ibn, ibk) = (blk_idx / kb, blk_idx % kb);
-            let y_off = (ibk * nb + ibn) * panel;
-            for ibc in 0..cb {
+            let (ibn, ibk) = (blk_idx / yg.gr, blk_idx % yg.gr);
+            let y_off = yg.offset(ibk, ibn);
+            for ibc in 0..wg.gc {
                 // One-panel batches: the stride is never used.
                 let wp = Panels {
-                    ptr: w.block(ibk, ibc).as_ptr(),
+                    ptr: w.block_ptr(ibk, ibc),
                     stride: 0,
                 };
                 let xp = Panels {

@@ -202,8 +202,8 @@ const SCHEMAS: [Schema; 5] = [
             ("adaptive_error_bound", "0.05"),
         ],
     },
-    // `bench_overlap`: exposed communication per schedule, plus the
-    // bitwise-loss-identity gate.
+    // `bench_overlap`: exposed communication per schedule, each rank's five
+    // time buckets, and the bitwise-loss-identity gate.
     Schema {
         file: "BENCH_overlap.json",
         bench: "overlap",
@@ -215,6 +215,11 @@ const SCHEMAS: [Schema; 5] = [
             "overlapped",
             "exposed_comm_mean_s",
             "per_rank",
+            "compute_s",
+            "alltoall_framework_s",
+            "alltoall_wait_s",
+            "allreduce_framework_s",
+            "allreduce_wait_s",
             "hidden_fraction_measured",
             "analytic",
         ],
@@ -524,8 +529,12 @@ mod tests {
   "smoke": true,
   "config": {"ranks": 4, "local_n": 8, "steps": 4, "warmup": 1},
   "loss_bitwise_identical": true,
-  "synchronous": {"exposed_comm_mean_s": 0.01, "per_rank": [0.01]},
-  "overlapped": {"exposed_comm_mean_s": 0.005, "per_rank": [0.005]},
+  "synchronous": {"exposed_comm_mean_s": 0.01, "per_rank": [{"rank": 0, "compute_s": 0.01,
+    "alltoall_framework_s": 0.0, "alltoall_wait_s": 0.0, "allreduce_framework_s": 0.0,
+    "allreduce_wait_s": 0.0}]},
+  "overlapped": {"exposed_comm_mean_s": 0.005, "per_rank": [{"rank": 0, "compute_s": 0.01,
+    "alltoall_framework_s": 0.0, "alltoall_wait_s": 0.0, "allreduce_framework_s": 0.0,
+    "allreduce_wait_s": 0.0}]},
   "hidden_fraction_measured": 0.5,
   "analytic": {"blocking_exposed_s": 0.01, "overlapped_exposed_s": 0.005, "hidden_fraction": 0.5}
 }"#;
@@ -538,6 +547,8 @@ mod tests {
         assert!(validate_artifact("BENCH_overlap.json", &gate_broken).is_err());
         let no_smoke = ok.replace("\"smoke\": true,", "");
         assert!(validate_artifact("BENCH_overlap.json", &no_smoke).is_err());
+        let no_bucket = ok.replace("\"allreduce_wait_s\"", "\"data_loader_s\"");
+        assert!(validate_artifact("BENCH_overlap.json", &no_bucket).is_err());
     }
 
     #[test]

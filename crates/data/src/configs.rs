@@ -199,16 +199,6 @@ impl DlrmConfig {
         bins.len().max(1)
     }
 
-    /// Splits tables across `ranks` round-robin (table `t` lives on rank
-    /// `t % ranks`) — the paper's pure model-parallel distribution.
-    pub fn tables_for_rank(&self, rank: usize, ranks: usize) -> Vec<usize> {
-        assert!(
-            ranks >= 1 && ranks <= self.max_ranks(),
-            "invalid rank count"
-        );
-        (0..self.num_tables).filter(|t| t % ranks == rank).collect()
-    }
-
     /// FLOPs of one full training iteration (fwd + bwd ≈ 3× fwd GEMM cost)
     /// at minibatch `n` — the compute the strong-scaling model divides
     /// across ranks.
@@ -320,20 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn tables_round_robin_partition() {
-        let c = DlrmConfig::mlperf();
-        let ranks = 8;
-        let mut seen = vec![false; c.num_tables];
-        for r in 0..ranks {
-            for t in c.tables_for_rank(r, ranks) {
-                assert!(!seen[t], "table {t} assigned twice");
-                seen[t] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
     fn scaled_down_preserves_shapes() {
         let c = DlrmConfig::mlperf().scaled_down(100_000, 8);
         assert_eq!(c.bottom_mlp, DlrmConfig::mlperf().bottom_mlp);
@@ -348,11 +324,5 @@ mod tests {
         let c = DlrmConfig::small();
         // Eq. 2 depends only on the global minibatch.
         assert_eq!(c.alltoall_bytes(8192), 8 * 8192 * 64 * 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid rank count")]
-    fn too_many_ranks_rejected() {
-        DlrmConfig::small().tables_for_rank(0, 9);
     }
 }

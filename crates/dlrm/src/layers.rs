@@ -27,6 +27,7 @@ use dlrm_kernels::activations::{bias_add_rows, bias_grad_rows, relu_backward, re
 use dlrm_kernels::gemm;
 use dlrm_kernels::sgd;
 use dlrm_kernels::ThreadPool;
+use dlrm_tensor::blocked::largest_divisor_at_most;
 use dlrm_tensor::init::xavier_uniform;
 use dlrm_tensor::{BlockedActivations, BlockedWeights, Blocking, Matrix};
 use rand::rngs::StdRng;
@@ -109,18 +110,23 @@ impl Linear {
 
     /// Input features.
     pub fn in_features(&self) -> usize {
-        self.w.c
+        self.w.c()
     }
 
     /// Output features.
     pub fn out_features(&self) -> usize {
-        self.w.k
+        self.w.k()
     }
 
-    /// Blocking factors for this layer at minibatch `n`; `bc`/`bk` are
-    /// those of `w` at every `n`.
+    /// Blocking factors for this layer at minibatch `n`: `bn` as
+    /// [`Blocking::for_shape`] picks it, `bc`/`bk` those of `w`.
     fn blocking(&self, n: usize) -> Blocking {
-        Blocking::for_shape(n, self.w.c, self.w.k)
+        let bn = largest_divisor_at_most(n, Blocking::DEFAULT.bn);
+        Blocking {
+            bn,
+            bc: self.w.bc(),
+            bk: self.w.bk(),
+        }
     }
 
     /// Writes this layer's gradient in DDP wire order, row-major `dW` then
@@ -130,7 +136,7 @@ impl Linear {
     /// backward's `dW` (see `dw`).
     pub fn write_grads(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.grad_len(), "write_grads length");
-        let (dw, db) = out.split_at_mut(self.w.k * self.w.c);
+        let (dw, db) = out.split_at_mut(self.w.k() * self.w.c());
         if self.dw.as_slice().is_empty() {
             dw.fill(0.0);
         } else {
@@ -143,8 +149,8 @@ impl Linear {
     /// row-major copy of `W`; saves what [`Linear::backward_reference`]
     /// needs.
     fn forward_reference(&mut self, x: &Matrix) -> Matrix {
-        let (k, n) = (self.w.k, x.cols());
-        assert_eq!(x.rows(), self.w.c, "Linear input feature mismatch");
+        let (k, n) = (self.w.k(), x.cols());
+        assert_eq!(x.rows(), self.w.c(), "Linear input feature mismatch");
         let mut y = Matrix::zeros(k, n);
         gemm::gemm_nn(&self.w.unpack(), x, &mut y);
         bias_add_rows(y.as_mut_slice(), k, n, &self.b);
@@ -167,10 +173,10 @@ impl Linear {
         xb: &BlockedActivations,
         yb: &mut BlockedActivations,
     ) {
-        let n = xb.n;
-        assert_eq!(xb.c, self.w.c, "Linear input feature mismatch");
+        let n = xb.n();
+        assert_eq!(xb.c(), self.w.c(), "Linear input feature mismatch");
         let blk = self.blocking(n);
-        yb.reshape_scratch(self.w.k, n, blk.bk, blk.bn);
+        yb.reshape_scratch(self.w.k(), n, blk.bk, blk.bn);
         gemm::fc_forward_fused(
             pool,
             &self.w,
@@ -198,14 +204,14 @@ impl Linear {
         // db = row-sums of dY
         bias_grad_rows(dy.as_slice(), k, n, &mut self.db);
         // dW = dY · Xᵀ
-        let mut dw = Matrix::zeros(k, self.w.c);
+        let mut dw = Matrix::zeros(k, self.w.c());
         gemm::gemm_nt(&dy, x, &mut dw);
-        self.dw.pack_into(&dw, self.w.blk);
+        self.dw.pack_into(&dw, self.blocking(1));
         if !need_dx {
             return Matrix::zeros(0, 0);
         }
         // dX = Wᵀ · dY
-        let mut dx = Matrix::zeros(self.w.c, n);
+        let mut dx = Matrix::zeros(self.w.c(), n);
         gemm::gemm_tn(&self.w.unpack(), &dy, &mut dx);
         dx
     }
@@ -213,7 +219,7 @@ impl Linear {
     /// Elements in this layer's gradient (`dW` then `db`) — its span in a
     /// DDP flat gradient buffer.
     pub fn grad_len(&self) -> usize {
-        self.w.k * self.w.c + self.b.len()
+        self.w.k() * self.w.c() + self.b.len()
     }
 
     /// Plain FP32 SGD on weights and bias: `w -= lr · dw` over the two
@@ -239,18 +245,11 @@ impl Linear {
     /// layer's own (local, pre-reduction) gradient is left as it is.
     pub fn sgd_step_scaled_from(&mut self, exec: &Execution, g: &[f32], lr: f32, scale: f32) {
         assert_eq!(g.len(), self.grad_len(), "sgd_step_scaled_from length");
-        let (dw, db) = g.split_at(self.w.k * self.w.c);
+        let (dw, db) = g.split_at(self.w.k() * self.w.c());
         match exec {
             Execution::Reference => {
-                let (blk, c) = (self.w.blk, self.w.c);
-                BlockedWeights::add_scaled_rows(
-                    self.w.as_mut_slice(),
-                    0,
-                    blk,
-                    c,
-                    dw,
-                    -(lr / scale),
-                );
+                let (blk, c, alpha) = (self.blocking(1), self.w.c(), -(lr / scale));
+                BlockedWeights::add_scaled_rows(self.w.as_mut_slice(), 0, blk, c, dw, alpha);
             }
             Execution::Optimized(p) => sgd::par_sgd_step_rows(p, &mut self.w, dw, lr / scale),
         }
@@ -295,11 +294,7 @@ impl MlpScratch {
 /// `y <= 0`. `g` and `y` share one blocking, so this is `relu_backward`
 /// under a permutation — bitwise identical to masking the flat tensors.
 fn mask_blocked(g: &mut BlockedActivations, y: &BlockedActivations) {
-    assert_eq!(
-        (g.c, g.n, g.bc, g.bn),
-        (y.c, y.n, y.bc, y.bn),
-        "relu mask layout mismatch"
-    );
+    assert_eq!(g.grid(), y.grid(), "relu mask layout mismatch");
     relu_backward(y.as_slice(), g.as_mut_slice());
 }
 
@@ -498,7 +493,7 @@ impl Mlp {
             let need_dx = i > 0 || self.input_grad;
             let prev_relu = i > 0 && self.layers[i - 1].act == Activation::Relu;
             let layer = &mut self.layers[i];
-            let (k, c) = (layer.w.k, layer.w.c);
+            let (k, c) = (layer.w.k(), layer.w.c());
             let blk = layer.blocking(n);
             let (x, g) = (&scratch.acts[i], &scratch.grad_a);
             if need_dx {
@@ -592,7 +587,7 @@ mod tests {
 
     /// Replaces `layer`'s weights with the row-major `w`.
     fn set_weights(layer: &mut Linear, w: &Matrix) {
-        layer.w = BlockedWeights::pack(w, layer.w.blk);
+        layer.w = BlockedWeights::pack(w, layer.blocking(1));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub struct DlrmModel {
     emb_opts: Vec<ParamOptimizer>,
     /// Where [`OpKind::Embeddings`], [`OpKind::Mlp`] and [`OpKind::Rest`]
     /// time goes (Figure 8), when attached.
-    recorder: Option<Arc<TimingRecorder>>,
+    pub(crate) recorder: Option<Arc<TimingRecorder>>,
 }
 
 impl DlrmModel {

@@ -63,8 +63,10 @@ impl<'a> Trainer<'a> {
         Trainer { model, log, opts }
     }
 
-    /// Evaluates the current model on held-out batches.
+    /// Evaluates the current model on held-out batches, with the model's
+    /// recorder detached: it times train steps only.
     pub fn evaluate(&mut self) -> (f64, f64) {
+        let rec = self.model.recorder.take();
         let mut scores = Vec::new();
         let mut labels = Vec::new();
         for b in 0..self.opts.eval_batches {
@@ -72,6 +74,7 @@ impl<'a> Trainer<'a> {
             scores.extend(self.model.predict_proba(&batch));
             labels.extend_from_slice(&batch.labels);
         }
+        self.model.recorder = rec;
         (roc_auc(&scores, &labels), log_loss(&scores, &labels))
     }
 
@@ -152,6 +155,36 @@ mod tests {
             auc_end > auc0 + 0.15 && auc_end > 0.75,
             "AUC should climb well above chance: {auc0:.3} -> {auc_end:.3}"
         );
+    }
+
+    #[test]
+    fn evaluate_charges_nothing_to_the_recorder() {
+        use dlrm_telemetry::{OpKind, TimingRecorder};
+        use std::sync::Arc;
+        let (cfg, log) = tiny_setup();
+        let model = DlrmModel::new(
+            &cfg,
+            Execution::optimized(2),
+            UpdateStrategy::RaceFree,
+            PrecisionMode::Fp32,
+            3,
+        );
+        let opts = TrainerOptions {
+            batch_size: 16,
+            eval_batches: 2,
+            ..Default::default()
+        };
+        let mut trainer = Trainer::new(model, &log, opts);
+        let rec = Arc::new(TimingRecorder::new());
+        trainer.model.set_recorder(Some(Arc::clone(&rec)));
+        trainer.model.train_step(&log.batch(16, 0, 0), 0.1);
+        let totals = || [OpKind::Embeddings, OpKind::Mlp, OpKind::Rest].map(|k| rec.total(k));
+        let before = totals();
+        trainer.evaluate();
+        assert_eq!(totals(), before, "evaluate charged the recorder");
+        // Still attached: the next train step is charged.
+        trainer.model.train_step(&log.batch(16, 1, 0), 0.1);
+        assert!(totals().iter().zip(before).all(|(a, b)| *a > b));
     }
 
     #[test]

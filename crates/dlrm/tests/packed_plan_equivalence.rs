@@ -42,7 +42,7 @@ fn per_call_from(mlp: &Mlp) -> Vec<PerCallLayer> {
             w: l.w.unpack(),
             b: l.b.clone(),
             relu: l.act == Activation::Relu,
-            dw: Matrix::zeros(l.w.k, l.w.c),
+            dw: Matrix::zeros(l.w.k(), l.w.c()),
             db: vec![0.0; l.b.len()],
             x: None,
             y: None,

@@ -30,7 +30,7 @@ use crate::embedding::rowops;
 use crate::threadpool::ThreadPool;
 use crate::transpose;
 use crate::SendMutPtr;
-use dlrm_tensor::{BlockedActivations, BlockedWeights};
+use dlrm_tensor::{BlockedActivations, BlockedWeights, PanelGrid};
 
 /// Forward pass: `Y = W · X` with `W: K×C`, `X: C×N`, `Y: K×N`.
 pub fn fc_forward(
@@ -57,58 +57,57 @@ pub fn fc_forward_fused(
     bias: Option<&[f32]>,
     relu: bool,
 ) {
-    assert_eq!(w.c, x.c, "fc_forward: W columns != X rows");
-    assert_eq!(y.c, w.k, "fc_forward: Y rows != W rows");
-    assert_eq!(y.n, x.n, "fc_forward: batch mismatch");
-    assert_eq!(w.blk.bc, x.bc, "fc_forward: bc mismatch");
-    assert_eq!(y.bc, w.blk.bk, "fc_forward: bk mismatch");
-    assert_eq!(y.bn, x.bn, "fc_forward: bn mismatch");
+    assert_eq!(w.c(), x.c(), "fc_forward: W columns != X rows");
+    assert_eq!(y.c(), w.k(), "fc_forward: Y rows != W rows");
+    assert_eq!(y.n(), x.n(), "fc_forward: batch mismatch");
+    assert_eq!(w.bc(), x.bc(), "fc_forward: bc mismatch");
+    assert_eq!(y.bc(), w.bk(), "fc_forward: bk mismatch");
+    assert_eq!(y.bn(), x.bn(), "fc_forward: bn mismatch");
     if let Some(b) = bias {
-        assert_eq!(b.len(), w.k, "fc_forward: bias length");
+        assert_eq!(b.len(), w.k(), "fc_forward: bias length");
     }
 
     let d = PanelDims {
-        bn: x.bn,
-        bc: x.bc,
-        bk: w.blk.bk,
+        bn: x.bn(),
+        bc: x.bc(),
+        bk: w.bk(),
     };
-    let (kb, cb, nb) = (w.kb(), w.cb(), x.nb());
+    let (wg, xg, yg) = (w.grid(), x.grid(), y.grid());
     let isa = detect_isa();
     let y_base = SendMutPtr(y.as_mut_slice().as_mut_ptr());
-    let panel = d.bn * d.bk;
-    // The reduction runs over the C blocks.
+    // The reduction runs over the C blocks: along a block row of W, down a
+    // block column of X.
     let reduce = Reduce {
-        count: cb,
+        count: wg.gc,
         beta: Beta::Zero,
     };
-    let (w_stride, x_stride) = (d.bc * d.bk, nb * d.bn * d.bc);
 
-    // Output blocks (ibk, ibn) flattened ibk-major (see the module docs).
-    pool.parallel_for(kb * nb, |_tid, range| {
+    // Output blocks (ibk, ibn) in Y's storage order: ibk-major (see the
+    // module docs).
+    pool.parallel_for(yg.panels(), |_tid, range| {
         for blk_idx in range {
-            let (ibk, ibn) = (blk_idx / nb, blk_idx % nb);
+            let (ibk, ibn) = yg.coords(blk_idx);
             let w_panels = Panels {
-                ptr: w.block(ibk, 0).as_ptr(),
-                stride: w_stride,
+                ptr: w.block_ptr(ibk, 0),
+                stride: wg.panel_len(),
             };
             let x_panels = Panels {
                 ptr: x.block_ptr(0, ibn),
-                stride: x_stride,
+                stride: xg.down(),
             };
-            // Y block (ibk, ibn): same block-major order as BlockedActivations.
-            let y_off = (ibk * nb + ibn) * panel;
             // SAFETY: each (ibk, ibn) pair is visited by exactly one thread,
             // and panels are disjoint slices of y; the cb panels of row ibk
             // of w and of column ibn of x lie at the strides above. The
             // epilogue below touches only this panel.
             unsafe {
-                brgemm_fwd(isa, w_panels, x_panels, reduce, y_base.get().add(y_off), d);
-                let out = std::slice::from_raw_parts_mut(y_base.get().add(y_off), panel);
+                let y_panel = y_base.get().add(yg.offset(ibk, ibn));
+                brgemm_fwd(isa, w_panels, x_panels, reduce, y_panel, d);
+                let out = std::slice::from_raw_parts_mut(y_panel, yg.panel_len());
                 // Panel layout is [bn][bk]; bias indexes the K dimension.
                 if let Some(b) = bias {
                     let b_blk = &b[ibk * d.bk..(ibk + 1) * d.bk];
-                    for rn in 0..d.bn {
-                        for (v, &bv) in out[rn * d.bk..(rn + 1) * d.bk].iter_mut().zip(b_blk) {
+                    for row in out.chunks_exact_mut(d.bk) {
+                        for (v, &bv) in row.iter_mut().zip(b_blk) {
                             *v += bv;
                         }
                     }
@@ -152,49 +151,42 @@ pub fn fc_backward_data_fused(
     dx: &mut BlockedActivations,
     relu_mask: Option<&BlockedActivations>,
 ) {
-    assert_eq!(dy.c, w.k, "fc_backward_data: dY rows != W rows");
-    assert_eq!(dx.c, w.c, "fc_backward_data: dX rows != W cols");
-    assert_eq!(dx.n, dy.n, "fc_backward_data: batch mismatch");
-    assert_eq!(dy.bc, w.blk.bk, "fc_backward_data: bk mismatch");
-    assert_eq!(dx.bc, w.blk.bc, "fc_backward_data: bc mismatch");
-    assert_eq!(dx.bn, dy.bn, "fc_backward_data: bn mismatch");
+    assert_eq!(dy.c(), w.k(), "fc_backward_data: dY rows != W rows");
+    assert_eq!(dx.c(), w.c(), "fc_backward_data: dX rows != W cols");
+    assert_eq!(dx.n(), dy.n(), "fc_backward_data: batch mismatch");
+    assert_eq!(dy.bc(), w.bk(), "fc_backward_data: bk mismatch");
+    assert_eq!(dx.bc(), w.bc(), "fc_backward_data: bc mismatch");
+    assert_eq!(dx.bn(), dy.bn(), "fc_backward_data: bn mismatch");
     if let Some(m) = relu_mask {
-        assert_eq!((m.c, m.n), (dx.c, dx.n), "fc_backward_data: mask shape");
-        assert_eq!(
-            (m.bc, m.bn),
-            (dx.bc, dx.bn),
-            "fc_backward_data: mask blocking"
-        );
+        assert_eq!(m.grid(), dx.grid(), "fc_backward_data: mask layout");
     }
 
     let d = PanelDims {
-        bn: dy.bn,
-        bc: w.blk.bc,
-        bk: w.blk.bk,
+        bn: dy.bn(),
+        bc: w.bc(),
+        bk: w.bk(),
     };
-    let (kb, cb, nb) = (w.kb(), w.cb(), dy.nb());
+    let (wg, dyg, dxg) = (w.grid(), dy.grid(), dx.grid());
     let isa = detect_isa();
     let dx_base = SendMutPtr(dx.as_mut_slice().as_mut_ptr());
-    let panel = d.bn * d.bc;
-    // The reduction runs over the K blocks.
+    // The reduction runs over the K blocks: down a block column of W and
+    // of dY.
     let reduce = Reduce {
-        count: kb,
+        count: wg.gr,
         beta: Beta::Zero,
     };
-    let (w_stride, dy_stride) = (cb * d.bc * d.bk, nb * d.bn * d.bk);
 
-    pool.parallel_for(cb * nb, |_tid, range| {
+    pool.parallel_for(dxg.panels(), |_tid, range| {
         for blk_idx in range {
-            let (ibc, ibn) = (blk_idx / nb, blk_idx % nb);
+            let (ibc, ibn) = dxg.coords(blk_idx);
             let w_panels = Panels {
-                ptr: w.block(0, ibc).as_ptr(),
-                stride: w_stride,
+                ptr: w.block_ptr(0, ibc),
+                stride: wg.down(),
             };
             let dy_panels = Panels {
                 ptr: dy.block_ptr(0, ibn),
-                stride: dy_stride,
+                stride: dyg.down(),
             };
-            let dx_off = (ibc * nb + ibn) * panel;
             // SAFETY: disjoint (ibc, ibn) output panels per thread; the kb
             // panels of column ibc of w and of column ibn of dy lie at the
             // strides above; the mask panel is read-only and congruent with
@@ -205,7 +197,7 @@ pub fn fc_backward_data_fused(
                     w_panels,
                     dy_panels,
                     reduce,
-                    dx_base.get().add(dx_off),
+                    dx_base.get().add(dxg.offset(ibc, ibn)),
                     relu_mask.map(|m| m.block_ptr(ibc, ibn)),
                     d,
                 )
@@ -240,7 +232,7 @@ pub fn fc_backward_weights_fused(
     dw: &mut BlockedWeights,
     db: &mut [f32],
 ) {
-    assert_eq!(db.len(), dw.k, "fc_backward_weights: db length");
+    assert_eq!(db.len(), dw.k(), "fc_backward_weights: db length");
     backward_weights(pool, x, dy, WeightsOut::Grad(dw), Some(db));
 }
 
@@ -257,7 +249,7 @@ pub fn fc_backward_weights_sgd(
     db: &mut [f32],
     lr: f32,
 ) {
-    assert_eq!(db.len(), w.k, "fc_backward_weights: db length");
+    assert_eq!(db.len(), w.k(), "fc_backward_weights: db length");
     backward_weights(pool, x, dy, WeightsOut::Sgd { w, lr }, Some(db));
 }
 
@@ -274,7 +266,7 @@ pub fn fc_backward_weights_rows(
     dw: &mut [f32],
     db: &mut [f32],
 ) {
-    assert_eq!(db.len(), dy.c, "fc_backward_weights: db length");
+    assert_eq!(db.len(), dy.c(), "fc_backward_weights: db length");
     backward_weights(pool, x, dy, WeightsOut::Rows(dw), Some(db));
 }
 
@@ -300,14 +292,6 @@ const TILE: usize = 64 * 64;
 #[repr(C, align(64))]
 struct Tile([f32; TILE]);
 
-/// The checks a `dW` plane must pass against `x` and `dy`.
-fn check_plane(plane: &BlockedWeights, x: &BlockedActivations, dy: &BlockedActivations) {
-    assert_eq!(plane.k, dy.c, "fc_backward_weights: dW rows != dY rows");
-    assert_eq!(plane.c, x.c, "fc_backward_weights: dW cols != X rows");
-    assert_eq!(plane.blk.bc, x.bc, "fc_backward_weights: bc mismatch");
-    assert_eq!(plane.blk.bk, dy.bc, "fc_backward_weights: bk mismatch");
-}
-
 fn backward_weights(
     pool: &ThreadPool,
     x: &BlockedActivations,
@@ -315,59 +299,59 @@ fn backward_weights(
     out: WeightsOut<'_>,
     db: Option<&mut [f32]>,
 ) {
+    // dW is `dY`'s rows by `X`'s rows, in windows of their feature blocks.
+    let (xg, dyg) = (x.grid(), dy.grid());
+    let dwg = PanelGrid::new(dyg.rows(), xg.rows(), dyg.wr, xg.wr);
     let (dst, tile_to) = match out {
         WeightsOut::Grad(dw) => {
-            check_plane(dw, x, dy);
+            assert_eq!(dw.grid(), dwg, "fc_backward_weights: dW layout");
             (dw.as_mut_slice().as_mut_ptr(), None)
         }
         WeightsOut::Sgd { w, lr } => {
-            check_plane(w, x, dy);
+            assert_eq!(w.grid(), dwg, "fc_backward_weights: dW layout");
             (w.as_mut_slice().as_mut_ptr(), Some(TileTo::Sgd(-lr)))
         }
         WeightsOut::Rows(rows) => {
-            assert_eq!(
-                rows.len(),
-                dy.c * x.c,
-                "fc_backward_weights: dW rows length"
-            );
+            let len = dwg.rows() * dwg.cols();
+            assert_eq!(rows.len(), len, "fc_backward_weights: dW rows length");
             (rows.as_mut_ptr(), Some(TileTo::Rows))
         }
     };
-    assert_eq!(x.n, dy.n, "fc_backward_weights: batch mismatch");
-    assert_eq!(x.bn, dy.bn, "fc_backward_weights: bn mismatch");
+    assert_eq!(x.n(), dy.n(), "fc_backward_weights: batch mismatch");
+    assert_eq!(x.bn(), dy.bn(), "fc_backward_weights: bn mismatch");
 
     let d = PanelDims {
-        bn: x.bn,
-        bc: x.bc,
-        bk: dy.bc,
+        bn: x.bn(),
+        bc: x.bc(),
+        bk: dy.bc(),
     };
-    let (kb, cb, nb, c) = (dy.cb(), x.cb(), x.nb(), x.c);
     let isa = detect_isa();
     let dst = SendMutPtr(dst);
     let db_base = db.map(|db| SendMutPtr(db.as_mut_ptr()));
-    let panel = d.bc * d.bk;
+    let panel = dwg.panel_len();
     if tile_to.is_some() {
         assert!(panel <= TILE, "panel exceeds the tile");
     }
-    // The reduction runs over the minibatch blocks — this is the pass whose
-    // locality motivated the paper's [Cb][Nb][bn][bc] activation layout
-    // choice: the panels reduced are adjacent.
+    // The reduction runs over the minibatch blocks, along a block row of X
+    // and of dY — this is the pass whose locality motivated the paper's
+    // [Cb][Nb][bn][bc] activation layout choice: the panels reduced are
+    // adjacent.
     let reduce = Reduce {
-        count: nb,
+        count: xg.gc,
         beta: Beta::Zero,
     };
 
-    pool.parallel_for(kb * cb, |_tid, range| {
+    pool.parallel_for(dwg.panels(), |_tid, range| {
         let mut tile = tile_to.map(|to| (Tile([0.0; TILE]), to));
         for blk_idx in range {
-            let (ibk, ibc) = (blk_idx / cb, blk_idx % cb);
+            let (ibk, ibc) = dwg.coords(blk_idx);
             let x_panels = Panels {
                 ptr: x.block_ptr(ibc, 0),
-                stride: d.bn * d.bc,
+                stride: xg.panel_len(),
             };
             let dy_panels = Panels {
                 ptr: dy.block_ptr(ibk, 0),
-                stride: d.bn * d.bk,
+                stride: dyg.panel_len(),
             };
             // SAFETY: disjoint (ibk, ibc) plane panels, and disjoint `bk × bc`
             // windows of row-major dW, per thread; the nb panels of row ibc of
@@ -375,7 +359,7 @@ fn backward_weights(
             // written only by the (ibk, 0) work item; the tile is this
             // thread's and holds a panel (asserted above).
             unsafe {
-                let plane_panel = dst.get().add((ibk * cb + ibc) * panel);
+                let plane_panel = dst.get().add(dwg.offset(ibk, ibc));
                 let dw_panel = tile.as_mut().map_or(plane_panel, |(t, _)| t.0.as_mut_ptr());
                 match db_base {
                     Some(db) if ibc == 0 => brgemm_bwd_wt_bias(
@@ -395,10 +379,10 @@ fn backward_weights(
                         rowops::scatter_add(isa, plane_panel, &t.0[..panel], *alpha)
                     }
                     // The panel is `[bc][bk]`, the transpose of its `bk × bc`
-                    // window at row `ibk·bk`, column `ibc·bc`.
+                    // window.
                     Some((t, TileTo::Rows)) => {
-                        let window = dst.get().add(ibk * d.bk * c + ibc * d.bc);
-                        transpose::transpose_to(isa, &t.0[..panel], d.bk, d.bc, d.bk, window, c)
+                        let (window, ld) = (dst.get().add(dwg.window(ibk, ibc)), dwg.cols());
+                        transpose::transpose_to(isa, &t.0[..panel], d.bk, d.bc, d.bk, window, ld)
                     }
                 }
             }

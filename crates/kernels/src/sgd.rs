@@ -42,25 +42,27 @@ pub fn par_sgd_step(pool: &ThreadPool, w: &mut [f32], g: &[f32], lr: f32) {
 /// vector tiers, the plain double loop on the scalar one) — the same
 /// multiply, then add, per element.
 pub fn par_sgd_step_rows(pool: &ThreadPool, wb: &mut BlockedWeights, g: &[f32], lr: f32) {
-    assert_eq!(g.len(), wb.k * wb.c, "par_sgd_step_rows length mismatch");
-    let (blk, c) = (wb.blk, wb.c);
-    let (bc, bk, cb) = (blk.bc, blk.bk, wb.cb());
-    let panel_len = bc * bk;
-    let n_panels = wb.num_panels();
+    let grid = wb.grid();
+    let (bk, bc, ld) = (grid.wr, grid.wc, grid.cols());
+    assert_eq!(
+        g.len(),
+        grid.rows() * ld,
+        "par_sgd_step_rows length mismatch"
+    );
     let isa = detect_isa();
     let base = crate::SendMutPtr(wb.as_mut_slice().as_mut_ptr());
-    pool.parallel_for(n_panels, move |_tid, range| {
+    pool.parallel_for(grid.panels(), move |_tid, range| {
         for idx in range {
-            // Panel (ibk, ibc) is the transpose of the `bk × bc` window of
-            // `g` at row `ibk·bk`, column `ibc·bc`.
-            let window = &g[(idx / cb) * bk * c + (idx % cb) * bc..];
+            // Each panel is the transpose of its `bk × bc` window of `g`.
+            let (i, j) = grid.coords(idx);
+            let window = &g[grid.window(i, j)..];
             // SAFETY: parallel_for ranges are disjoint, so each panel
-            // belongs to one thread, and `idx < n_panels` keeps it inside
-            // `wb`, which is borrowed mutably for the whole call; `window`
-            // is read-only and does not alias `wb`.
+            // belongs to one thread, and `idx` < the panel count keeps it
+            // inside `wb`, which is borrowed mutably for the whole call;
+            // `window` is read-only and does not alias `wb`.
             unsafe {
-                let panel = base.get().add(idx * panel_len);
-                transpose::add_scaled_transposed(isa, window, c, bk, bc, -lr, panel, bk);
+                let panel = base.get().add(grid.offset(i, j));
+                transpose::add_scaled_transposed(isa, window, ld, bk, bc, -lr, panel, bk);
             }
         }
     });

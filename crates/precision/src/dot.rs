@@ -40,17 +40,6 @@ pub fn dot_bf16(a: &[Bf16], b: &[Bf16]) -> f32 {
     acc
 }
 
-/// GEMV with BF16 inputs and FP32 accumulation: `y = W · x` for a row-major
-/// `rows × cols` BF16 matrix. The building block for emulated-BF16 MLPs.
-pub fn gemv_bf16(w: &[Bf16], rows: usize, cols: usize, x: &[Bf16], y: &mut [f32]) {
-    assert_eq!(w.len(), rows * cols);
-    assert_eq!(x.len(), cols);
-    assert_eq!(y.len(), rows);
-    for (r, out) in y.iter_mut().enumerate() {
-        *out = dot_bf16(&w[r * cols..(r + 1) * cols], x);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,16 +82,6 @@ mod tests {
     #[test]
     fn empty_dot_is_zero() {
         assert_eq!(dot_bf16(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn gemv_matches_rowwise_dot() {
-        let w = bf(&[1.0, 0.0, 0.5, 2.0, -1.0, 0.25]);
-        let x = bf(&[2.0, 4.0, 8.0]);
-        let mut y = [0.0f32; 2];
-        gemv_bf16(&w, 2, 3, &x, &mut y);
-        assert_eq!(y[0], 1.0 * 2.0 + 0.5 * 8.0);
-        assert_eq!(y[1], 2.0 * 2.0 - 4.0 + 0.25 * 8.0);
     }
 
     #[test]

@@ -13,9 +13,13 @@
 //! misses. Note the activation layout is the `[Cb][Nb][bn][bc]` variant the
 //! paper chose (instead of `[Nb][Cb][bn][bc]` of prior work) because it makes
 //! the backward-by-weights pass symmetric with the forward pass.
+//!
+//! Both are one structure, written once: [`Blocked`] over a [`PanelGrid`],
+//! in the roles [`Weights`] and [`Activations`].
 
 use crate::aligned::AlignedVec;
 use crate::matrix::Matrix;
+use std::marker::PhantomData;
 
 /// Blocking factors for one fully-connected layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,19 +68,15 @@ pub fn largest_divisor_at_most(n: usize, cap: usize) -> usize {
     best
 }
 
-/// Both blocked layouts store a panel as the *transpose* of its window of
-/// the row-major tensor: window element `(r, c)` of a `rows × cols` window
-/// with leading dimension `ld` lives at `panel[c * rows + r]`. For weights
-/// the window is `bk × bc` of `W`; for activations `bc × bn` of `X`.
-///
-/// The three walks below are the only code that crosses between the two
-/// layouts. Each takes [`ROW_GROUP`] window rows at a time, so the
-/// row-major side is read or written as that many unit-stride streams, the
-/// panel side in runs of as many contiguous floats, and everything strided
-/// stays inside one panel (16 KB at the default blocking, L1-resident). A
-/// per-element `index_of` costs two divisions and two remainders, and a
-/// walk in panel order strides the row-major side by `ld` floats, which at
-/// `ld = 1024` lands a whole panel column in one L1 set.
+/// The three walks below are the only code that crosses between a
+/// row-major matrix and its panels (see [`PanelGrid`]). Each takes
+/// [`ROW_GROUP`] window rows at a time, so the row-major side is read or
+/// written as that many unit-stride streams, the panel side in runs of as
+/// many contiguous floats, and everything strided stays inside one panel
+/// (16 KB at the default blocking, L1-resident). A per-element `index_of`
+/// costs two divisions and two remainders, and a walk in panel order
+/// strides the row-major side by a matrix row, which at 1024 columns lands
+/// a whole panel column in one L1 set.
 const ROW_GROUP: usize = 4;
 
 /// Runs `walk::<R>(args…, r0)` over the window rows `0..rows`: full
@@ -95,31 +95,17 @@ macro_rules! in_row_groups {
     }};
 }
 
-/// Row-major offset of the window of storage-order panel `idx`, for a
-/// tensor whose rows hold `per_row` windows of `rows × cols` each.
-#[inline]
-fn window_start(idx: usize, per_row: usize, rows: usize, cols: usize, ld: usize) -> usize {
-    (idx / per_row) * rows * ld + (idx % per_row) * cols
-}
-
-/// `R` window rows from row `r0` on, `cols` long each.
+/// `R` rows of a window, from window row `r0` on.
 #[inline(always)]
-fn window_rows<const R: usize>(window: &[f32], ld: usize, cols: usize, r0: usize) -> [&[f32]; R] {
-    std::array::from_fn(|i| &window[(r0 + i) * ld..][..cols])
+fn window_rows<const R: usize>(window: &[f32], g: PanelGrid, r0: usize) -> [&[f32]; R] {
+    std::array::from_fn(|i| &window[(r0 + i) * g.cols()..][..g.wc])
 }
 
 /// Window rows `r0..r0 + R` → panel.
 #[inline(always)]
-fn pack_rows<const R: usize>(
-    panel: &mut [f32],
-    rows: usize,
-    cols: usize,
-    src: &[f32],
-    ld: usize,
-    r0: usize,
-) {
-    let src = window_rows::<R>(src, ld, cols, r0);
-    for (c, col) in panel.chunks_exact_mut(rows).enumerate() {
+fn pack_rows<const R: usize>(panel: &mut [f32], g: PanelGrid, src: &[f32], r0: usize) {
+    let src = window_rows::<R>(src, g, r0);
+    for (c, col) in panel.chunks_exact_mut(g.wr).enumerate() {
         for (p, row) in col[r0..r0 + R].iter_mut().zip(src) {
             *p = row[c];
         }
@@ -128,20 +114,13 @@ fn pack_rows<const R: usize>(
 
 /// Panel → window rows `r0..r0 + R`.
 #[inline(always)]
-fn unpack_rows<const R: usize>(
-    panel: &[f32],
-    rows: usize,
-    cols: usize,
-    dst: &mut [f32],
-    ld: usize,
-    r0: usize,
-) {
+fn unpack_rows<const R: usize>(panel: &[f32], g: PanelGrid, dst: &mut [f32], r0: usize) {
     // `chunks_mut`, not `chunks_exact_mut`: the window's last row may end
-    // before a full `ld`.
-    let mut rows_from_r0 = dst[r0 * ld..].chunks_mut(ld);
+    // before a full row of the matrix.
+    let mut rows_from_r0 = dst[r0 * g.cols()..].chunks_mut(g.cols());
     let mut dst: [&mut [f32]; R] =
-        std::array::from_fn(|_| &mut rows_from_r0.next().expect("window row in bounds")[..cols]);
-    for (c, col) in panel.chunks_exact(rows).enumerate() {
+        std::array::from_fn(|_| &mut rows_from_r0.next().expect("window row in bounds")[..g.wc]);
+    for (c, col) in panel.chunks_exact(g.wr).enumerate() {
         for (row, &p) in dst.iter_mut().zip(&col[r0..r0 + R]) {
             row[c] = p;
         }
@@ -151,142 +130,261 @@ fn unpack_rows<const R: usize>(
 /// `panel += alpha · window` on window rows `r0..r0 + R`: multiply, then
 /// add (two roundings, no FMA contraction).
 #[inline(always)]
-fn axpy_rows<const R: usize>(
-    panel: &mut [f32],
-    rows: usize,
-    cols: usize,
-    g: &[f32],
-    ld: usize,
-    alpha: f32,
-    r0: usize,
-) {
-    let g = window_rows::<R>(g, ld, cols, r0);
-    for (c, col) in panel.chunks_exact_mut(rows).enumerate() {
-        for (w, row) in col[r0..r0 + R].iter_mut().zip(g) {
+fn axpy_rows<const R: usize>(panel: &mut [f32], g: PanelGrid, src: &[f32], alpha: f32, r0: usize) {
+    let src = window_rows::<R>(src, g, r0);
+    for (c, col) in panel.chunks_exact_mut(g.wr).enumerate() {
+        for (w, row) in col[r0..r0 + R].iter_mut().zip(src) {
             let p = alpha * row[c];
             *w += p;
         }
     }
 }
 
-/// Weight tensor in `[Kb][Cb][bc][bk]` layout.
-pub struct BlockedWeights {
-    data: AlignedVec,
-    /// Output features.
-    pub k: usize,
-    /// Input features.
-    pub c: usize,
-    /// Blocking factors (`bn` unused here).
-    pub blk: Blocking,
+/// Where the panels of a blocked tensor lie: a row-major `rows × cols`
+/// matrix cut into a `gr × gc` grid of `wr × wc` windows, stored in
+/// row-major grid order, each panel the *transpose* of its window (window
+/// element `(r, c)` at `panel[c * wr + r]`). Weights are `K × C` in
+/// `bk × bc` windows, activations `C × N` in `bc × bn` windows. The GEMM
+/// passes and the SGD steps take every panel offset and stride from here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PanelGrid {
+    /// Window rows.
+    pub wr: usize,
+    /// Window columns.
+    pub wc: usize,
+    /// Windows down the matrix.
+    pub gr: usize,
+    /// Windows across the matrix.
+    pub gc: usize,
 }
 
-impl BlockedWeights {
-    /// Number of K blocks.
-    #[inline]
-    pub fn kb(&self) -> usize {
-        self.k / self.blk.bk
+impl PanelGrid {
+    /// The grid of a `rows × cols` matrix in `wr × wc` windows; panics
+    /// unless `wr | rows` and `wc | cols`.
+    pub fn new(rows: usize, cols: usize, wr: usize, wc: usize) -> Self {
+        assert_eq!(rows % wr, 0, "block size {wr} must divide {rows} rows");
+        assert_eq!(cols % wc, 0, "block size {wc} must divide {cols} columns");
+        let (gr, gc) = (rows / wr, cols / wc);
+        Self { wr, wc, gr, gc }
     }
 
-    /// Number of C blocks.
+    /// Matrix rows.
     #[inline]
-    pub fn cb(&self) -> usize {
-        self.c / self.blk.bc
+    pub fn rows(&self) -> usize {
+        self.gr * self.wr
     }
 
-    /// Zero-initialized blocked weight tensor.
-    ///
-    /// # Panics
-    /// Panics unless `bk | k` and `bc | c`.
-    pub fn zeros(k: usize, c: usize, blk: Blocking) -> Self {
-        assert_eq!(k % blk.bk, 0, "bk must divide K");
-        assert_eq!(c % blk.bc, 0, "bc must divide C");
-        Self {
-            data: AlignedVec::zeroed(k * c),
-            k,
-            c,
-            blk,
+    /// Matrix columns: the leading dimension of the row-major side.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.gc * self.wc
+    }
+
+    /// Floats in a panel, which is also the stride from panel `(i, j)` to
+    /// `(i, j + 1)`.
+    #[inline]
+    pub fn panel_len(&self) -> usize {
+        self.wr * self.wc
+    }
+
+    /// Floats from panel `(i, j)` to panel `(i + 1, j)`.
+    #[inline]
+    pub fn down(&self) -> usize {
+        self.gc * self.panel_len()
+    }
+
+    /// Number of panels.
+    #[inline]
+    pub fn panels(&self) -> usize {
+        self.gr * self.gc
+    }
+
+    /// Grid position `(i, j)` of storage-order panel `idx`.
+    #[inline]
+    pub fn coords(&self, idx: usize) -> (usize, usize) {
+        (idx / self.gc, idx % self.gc)
+    }
+
+    /// Storage offset of panel `(i, j)`.
+    #[inline]
+    pub fn offset(&self, i: usize, j: usize) -> usize {
+        (i * self.gc + j) * self.panel_len()
+    }
+
+    /// Row-major offset of window `(i, j)`: row `i·wr`, column `j·wc`.
+    #[inline]
+    pub fn window(&self, i: usize, j: usize) -> usize {
+        i * self.wr * self.cols() + j * self.wc
+    }
+
+    /// Storage offset of matrix element `(r, c)`.
+    #[inline]
+    pub fn index_of(&self, r: usize, c: usize) -> usize {
+        self.offset(r / self.wr, c / self.wc) + (c % self.wc) * self.wr + r % self.wr
+    }
+}
+
+/// A blocked tensor: a [`PanelGrid`] over 64-byte-aligned storage. The role
+/// `R` names the dimensions, and keeps a GEMM from taking an activation
+/// where a weight belongs.
+pub struct Blocked<R> {
+    data: AlignedVec,
+    grid: PanelGrid,
+    role: PhantomData<R>,
+}
+
+/// The weights role: `W[Kb][Cb][bc][bk]`, a `K × C` matrix in `bk × bc`
+/// windows. Its getters `k()`, `c()`, `bk()`, `bc()`, `kb()` and `cb()`
+/// name those dimensions.
+pub enum Weights {}
+
+/// The activations role: `X[Cb][Nb][bn][bc]`, a `C × N` matrix in
+/// `bc × bn` windows, with getters `c()`, `n()`, `bc()`, `bn()`, `cb()` and
+/// `nb()`. Outputs `Y[Kb][Nb][bn][bk]` take it with `(k, bk)` for `(c, bc)`.
+pub enum Activations {}
+
+/// Weight tensor in `[Kb][Cb][bc][bk]` layout.
+pub type BlockedWeights = Blocked<Weights>;
+
+/// Activation tensor in `[Cb][Nb][bn][bc]` layout (logical shape `C×N`).
+pub type BlockedActivations = Blocked<Activations>;
+
+impl<R> Blocked<R> {
+    fn zeroed(grid: PanelGrid) -> Self {
+        let (data, role) = (AlignedVec::zeroed(grid.rows() * grid.cols()), PhantomData);
+        Self { data, grid, role }
+    }
+
+    /// Re-sizes to `grid` with [`AlignedVec::resize_scratch`] semantics:
+    /// contents unspecified until a pack or a GEMM pass overwrites them.
+    fn reshape(&mut self, grid: PanelGrid) {
+        self.data.resize_scratch(grid.rows() * grid.cols());
+        self.grid = grid;
+    }
+
+    /// Writes the row-major `m` into the (already shaped) storage.
+    fn pack_from(&mut self, m: &Matrix) {
+        let g = self.grid;
+        assert_eq!((g.rows(), g.cols()), m.shape(), "pack shape mismatch");
+        for (idx, panel) in self.data.chunks_exact_mut(g.panel_len()).enumerate() {
+            let (i, j) = g.coords(idx);
+            let src = &m.as_slice()[g.window(i, j)..];
+            in_row_groups!(g.wr, pack_rows(panel, g, src));
         }
     }
 
-    /// Packs a row-major `K×C` matrix into blocked layout.
-    pub fn pack(w: &Matrix, blk: Blocking) -> Self {
-        let (k, c) = w.shape();
-        let mut out = Self::zeros(k, c, blk);
-        out.pack_from(w);
-        out
-    }
-
-    /// Re-sizes this tensor to `k×c` under `blk` with *scratch* semantics
-    /// (the backing allocation is reused whenever its capacity suffices; see
-    /// [`AlignedVec::resize_scratch`]) and packs `w` into it. The Reference
-    /// tier packs each layer's `dW` this way, into the same buffer each step.
-    pub fn pack_into(&mut self, w: &Matrix, blk: Blocking) {
-        let (k, c) = w.shape();
-        self.reshape_scratch(k, c, blk);
-        self.pack_from(w);
-    }
-
-    /// Writes every element of `w` into the (already correctly shaped)
-    /// blocked storage. Fully overwrites the buffer, so unspecified contents
-    /// after a growing `resize_scratch` are fine.
-    fn pack_from(&mut self, w: &Matrix) {
-        assert_eq!((self.k, self.c), w.shape(), "pack_from shape mismatch");
-        let Blocking { bc, bk, .. } = self.blk;
-        let (cb, c) = (self.cb(), self.c);
-        let flat = w.as_slice();
-        for (idx, panel) in self.data.chunks_exact_mut(bc * bk).enumerate() {
-            let start = window_start(idx, cb, bk, bc, c);
-            in_row_groups!(bk, pack_rows(panel, bk, bc, &flat[start..], c));
+    /// Writes the tensor into the row-major `rows·cols` slice `out`.
+    fn unpack_to(&self, out: &mut [f32]) {
+        let g = self.grid;
+        assert_eq!(out.len(), g.rows() * g.cols(), "unpack length mismatch");
+        for (idx, panel) in self.data.chunks_exact(g.panel_len()).enumerate() {
+            let (i, j) = g.coords(idx);
+            let dst = &mut out[g.window(i, j)..];
+            in_row_groups!(g.wr, unpack_rows(panel, g, dst));
         }
     }
 
-    /// Re-sizes to `k×c` under `blk` with scratch semantics, leaving the
-    /// contents unspecified (callers must fully overwrite before reading —
-    /// which every blocked GEMM pass does to its output).
-    pub fn reshape_scratch(&mut self, k: usize, c: usize, blk: Blocking) {
-        assert_eq!(k % blk.bk, 0, "bk must divide K");
-        assert_eq!(c % blk.bc, 0, "bc must divide C");
-        self.data.resize_scratch(k * c);
-        self.k = k;
-        self.c = c;
-        self.blk = blk;
+    /// The layout: every panel offset and stride.
+    pub fn grid(&self) -> PanelGrid {
+        self.grid
     }
 
     /// Allocated capacity in bytes (for scratch accounting).
-    #[inline]
     pub fn capacity_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<f32>()
     }
 
-    /// Unpacks back to a row-major `K×C` matrix.
+    /// Unpacks back to a row-major matrix.
     pub fn unpack(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.k, self.c);
-        self.unpack_into(&mut m);
+        let mut m = Matrix::zeros(self.grid.rows(), self.grid.cols());
+        self.unpack_to(m.as_mut_slice());
         m
     }
 
-    /// Unpacks into an existing `K×C` matrix (no allocation).
+    /// Unpacks into an existing row-major matrix (no allocation).
     pub fn unpack_into(&self, out: &mut Matrix) {
-        assert_eq!((self.k, self.c), out.shape(), "unpack_into shape mismatch");
-        self.unpack_into_slice(out.as_mut_slice());
+        let shape = (self.grid.rows(), self.grid.cols());
+        assert_eq!(shape, out.shape(), "unpack_into shape mismatch");
+        self.unpack_to(out.as_mut_slice());
+    }
+
+    /// Flat offset of matrix element `(r, c)`: `W[k][c]` or `X[c][n]`.
+    pub fn index_of(&self, r: usize, c: usize) -> usize {
+        self.grid.index_of(r, c)
+    }
+
+    /// Borrow of panel `(i, j)`: `[bc][bk]` for weights, `[bn][bc]` for
+    /// activations.
+    pub fn block(&self, i: usize, j: usize) -> &[f32] {
+        &self.data[self.grid.offset(i, j)..][..self.grid.panel_len()]
+    }
+
+    /// Mutable borrow of panel `(i, j)`.
+    pub fn block_mut(&mut self, i: usize, j: usize) -> &mut [f32] {
+        &mut self.data[self.grid.offset(i, j)..][..self.grid.panel_len()]
+    }
+
+    /// Raw pointer to panel `(i, j)`: the first of a batch that a GEMM pass
+    /// walks at [`PanelGrid::down`] or [`PanelGrid::panel_len`].
+    pub fn block_ptr(&self, i: usize, j: usize) -> *const f32 {
+        self.block(i, j).as_ptr()
+    }
+
+    /// Full backing storage (block-major order).
+    pub fn as_slice(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// Mutable full backing storage (block-major order).
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+}
+
+/// A role's names for its grid's dimensions, one getter each.
+macro_rules! dims {
+    ($role:ty, $g:ident: $($name:ident = $e:expr),*) => {
+        impl Blocked<$role> {
+            $(#[inline] pub fn $name(&self) -> usize { let $g = self.grid; $e })*
+        }
+    };
+}
+
+dims!(Weights, g: k = g.rows(), c = g.cols(), bk = g.wr, bc = g.wc, kb = g.gr, cb = g.gc);
+dims!(Activations, g: c = g.rows(), n = g.cols(), bc = g.wr, bn = g.wc, cb = g.gr, nb = g.gc);
+
+impl Blocked<Weights> {
+    /// Zero-initialized `k×c` weights; panics unless `bk | k` and `bc | c`
+    /// (`bn` is not part of the layout).
+    pub fn zeros(k: usize, c: usize, blk: Blocking) -> Self {
+        Self::zeroed(PanelGrid::new(k, c, blk.bk, blk.bc))
+    }
+
+    /// Packs a row-major `K×C` matrix into blocked layout.
+    pub fn pack(w: &Matrix, blk: Blocking) -> Self {
+        let mut out = Self::zeros(w.rows(), w.cols(), blk);
+        out.pack_from(w);
+        out
+    }
+
+    /// [`Self::pack`] into this tensor's storage, re-sized with scratch
+    /// semantics. The Reference tier packs each layer's `dW` this way, into
+    /// the same buffer each step.
+    pub fn pack_into(&mut self, w: &Matrix, blk: Blocking) {
+        self.reshape_scratch(w.rows(), w.cols(), blk);
+        self.pack_from(w);
+    }
+
+    /// Re-sizes to `k×c` under `blk` with scratch semantics, contents
+    /// unspecified.
+    pub fn reshape_scratch(&mut self, k: usize, c: usize, blk: Blocking) {
+        self.reshape(PanelGrid::new(k, c, blk.bk, blk.bc));
     }
 
     /// Unpacks into a row-major `K·C` slice — any window of a larger
     /// buffer, e.g. a layer's span of a flat DDP gradient.
     pub fn unpack_into_slice(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.k * self.c, "unpack_into_slice length");
-        let Blocking { bc, bk, .. } = self.blk;
-        let (cb, c) = (self.cb(), self.c);
-        for (idx, panel) in self.data.chunks_exact(bc * bk).enumerate() {
-            let start = window_start(idx, cb, bk, bc, c);
-            in_row_groups!(bk, unpack_rows(panel, bk, bc, &mut out[start..], c));
-        }
-    }
-
-    /// Number of `[bc][bk]` panels (`Kb·Cb`), in storage order.
-    #[inline]
-    pub fn num_panels(&self) -> usize {
-        self.kb() * self.cb()
+        self.unpack_to(out);
     }
 
     /// `W += alpha · G` on a run of whole panels, for a row-major `K×C`
@@ -308,206 +406,40 @@ impl BlockedWeights {
         g: &[f32],
         alpha: f32,
     ) {
-        let Blocking { bc, bk, .. } = blk;
-        let cb = c / bc;
-        for (idx, panel) in panels.chunks_exact_mut(bc * bk).enumerate() {
-            let window = &g[window_start(first + idx, cb, bk, bc, c)..];
-            in_row_groups!(bk, axpy_rows(panel, bk, bc, window, c, alpha));
+        let grid = PanelGrid::new(g.len() / c, c, blk.bk, blk.bc);
+        for (idx, panel) in panels.chunks_exact_mut(grid.panel_len()).enumerate() {
+            let (i, j) = grid.coords(first + idx);
+            let window = &g[grid.window(i, j)..];
+            in_row_groups!(grid.wr, axpy_rows(panel, grid, window, alpha));
         }
     }
-
-    /// Flat offset of logical element `W[k][c]`.
-    ///
-    /// Layout: `[Kb][Cb][bc][bk]` — within a block, `bc` is the slow axis and
-    /// `bk` the contiguous one, so the microkernel's B-broadcast/A-vector
-    /// FMA reads unit-stride along `bk`.
-    #[inline]
-    pub fn index_of(&self, k: usize, c: usize) -> usize {
-        let Blocking { bc, bk, .. } = self.blk;
-        let (ibk, rk) = (k / bk, k % bk);
-        let (ibc, rc) = (c / bc, c % bc);
-        ((ibk * self.cb() + ibc) * bc + rc) * bk + rk
-    }
-
-    /// Borrow of the `(ibk, ibc)` panel: `bc·bk` floats, `[bc][bk]` row-major.
-    #[inline]
-    pub fn block(&self, ibk: usize, ibc: usize) -> &[f32] {
-        let Blocking { bc, bk, .. } = self.blk;
-        let start = (ibk * self.cb() + ibc) * bc * bk;
-        &self.data[start..start + bc * bk]
-    }
-
-    /// Mutable borrow of the `(ibk, ibc)` panel.
-    #[inline]
-    pub fn block_mut(&mut self, ibk: usize, ibc: usize) -> &mut [f32] {
-        let Blocking { bc, bk, .. } = self.blk;
-        let start = (ibk * self.cb() + ibc) * bc * bk;
-        &mut self.data[start..start + bc * bk]
-    }
-
-    /// Full backing storage (block-major order).
-    #[inline]
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Mutable full backing storage (block-major order).
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
 }
 
-/// Activation tensor in `[Cb][Nb][bn][bc]` layout (logical shape `C×N`).
-///
-/// Also used for outputs, which are `[Kb][Nb][bn][bk]`: identical structure
-/// with `(k, bk)` in place of `(c, bc)`.
-pub struct BlockedActivations {
-    data: AlignedVec,
-    /// Feature dimension (C for inputs, K for outputs).
-    pub c: usize,
-    /// Minibatch dimension.
-    pub n: usize,
-    /// Feature block size (`bc` for inputs, `bk` for outputs).
-    pub bc: usize,
-    /// Minibatch block size.
-    pub bn: usize,
-}
-
-impl BlockedActivations {
-    /// Number of feature blocks.
-    #[inline]
-    pub fn cb(&self) -> usize {
-        self.c / self.bc
-    }
-
-    /// Number of minibatch blocks.
-    #[inline]
-    pub fn nb(&self) -> usize {
-        self.n / self.bn
-    }
-
-    /// Zero-initialized blocked activation tensor.
-    ///
-    /// # Panics
-    /// Panics unless `bc | c` and `bn | n`.
+impl Blocked<Activations> {
+    /// Zero-initialized `c×n` activations; panics unless `bc | c` and
+    /// `bn | n`.
     pub fn zeros(c: usize, n: usize, bc: usize, bn: usize) -> Self {
-        assert_eq!(c % bc, 0, "bc must divide C");
-        assert_eq!(n % bn, 0, "bn must divide N");
-        Self {
-            data: AlignedVec::zeroed(c * n),
-            c,
-            n,
-            bc,
-            bn,
-        }
+        Self::zeroed(PanelGrid::new(c, n, bc, bn))
     }
 
     /// Packs a row-major `C×N` matrix into blocked layout.
     pub fn pack(x: &Matrix, bc: usize, bn: usize) -> Self {
-        let (c, n) = x.shape();
-        let mut out = Self::zeros(c, n, bc, bn);
+        let mut out = Self::zeros(x.rows(), x.cols(), bc, bn);
         out.pack_from(x);
         out
     }
 
-    /// Re-sizes this tensor to `c×n` under `(bc, bn)` with *scratch*
-    /// semantics (allocation reused when capacity suffices) and packs `x`
-    /// into it — the allocation-free counterpart of [`Self::pack`].
+    /// [`Self::pack`] into this tensor's storage, re-sized with scratch
+    /// semantics: the allocation-free counterpart of [`Self::pack`].
     pub fn pack_into(&mut self, x: &Matrix, bc: usize, bn: usize) {
-        let (c, n) = x.shape();
-        self.reshape_scratch(c, n, bc, bn);
+        self.reshape_scratch(x.rows(), x.cols(), bc, bn);
         self.pack_from(x);
     }
 
-    /// Writes every element of `x` into the (already correctly shaped)
-    /// blocked storage.
-    fn pack_from(&mut self, x: &Matrix) {
-        assert_eq!((self.c, self.n), x.shape(), "pack_from shape mismatch");
-        let (bc, bn, nb, n) = (self.bc, self.bn, self.nb(), self.n);
-        let flat = x.as_slice();
-        for (idx, panel) in self.data.chunks_exact_mut(bn * bc).enumerate() {
-            let start = window_start(idx, nb, bc, bn, n);
-            in_row_groups!(bc, pack_rows(panel, bc, bn, &flat[start..], n));
-        }
-    }
-
     /// Re-sizes to `c×n` under `(bc, bn)` with scratch semantics, contents
-    /// unspecified (callers must fully overwrite before reading — which
-    /// every blocked GEMM pass does to its output).
+    /// unspecified.
     pub fn reshape_scratch(&mut self, c: usize, n: usize, bc: usize, bn: usize) {
-        assert_eq!(c % bc, 0, "bc must divide C");
-        assert_eq!(n % bn, 0, "bn must divide N");
-        self.data.resize_scratch(c * n);
-        self.c = c;
-        self.n = n;
-        self.bc = bc;
-        self.bn = bn;
-    }
-
-    /// Allocated capacity in bytes (for scratch accounting).
-    #[inline]
-    pub fn capacity_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<f32>()
-    }
-
-    /// Unpacks back to a row-major `C×N` matrix.
-    pub fn unpack(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.c, self.n);
-        self.unpack_into(&mut m);
-        m
-    }
-
-    /// Unpacks into an existing `C×N` matrix (no allocation).
-    pub fn unpack_into(&self, out: &mut Matrix) {
-        assert_eq!((self.c, self.n), out.shape(), "unpack_into shape mismatch");
-        let (bc, bn, nb, n) = (self.bc, self.bn, self.nb(), self.n);
-        let flat = out.as_mut_slice();
-        for (idx, panel) in self.data.chunks_exact(bn * bc).enumerate() {
-            let start = window_start(idx, nb, bc, bn, n);
-            in_row_groups!(bc, unpack_rows(panel, bc, bn, &mut flat[start..], n));
-        }
-    }
-
-    /// Flat offset of logical element `X[c][n]`.
-    #[inline]
-    pub fn index_of(&self, c: usize, n: usize) -> usize {
-        let (ibc, rc) = (c / self.bc, c % self.bc);
-        let (ibn, rn) = (n / self.bn, n % self.bn);
-        ((ibc * self.nb() + ibn) * self.bn + rn) * self.bc + rc
-    }
-
-    /// Borrow of the `(ibc, ibn)` panel: `bn·bc` floats, `[bn][bc]` row-major.
-    #[inline]
-    pub fn block(&self, ibc: usize, ibn: usize) -> &[f32] {
-        let start = (ibc * self.nb() + ibn) * self.bn * self.bc;
-        &self.data[start..start + self.bn * self.bc]
-    }
-
-    /// Mutable borrow of the `(ibc, ibn)` panel.
-    #[inline]
-    pub fn block_mut(&mut self, ibc: usize, ibn: usize) -> &mut [f32] {
-        let start = (ibc * self.nb() + ibn) * self.bn * self.bc;
-        &mut self.data[start..start + self.bn * self.bc]
-    }
-
-    /// Raw pointer to the `(ibc, ibn)` panel — used by the multithreaded
-    /// kernels that partition panels across a thread team.
-    #[inline]
-    pub fn block_ptr(&self, ibc: usize, ibn: usize) -> *const f32 {
-        self.block(ibc, ibn).as_ptr()
-    }
-
-    /// Full backing storage (block-major order).
-    #[inline]
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Mutable full backing storage (block-major order).
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        self.reshape(PanelGrid::new(c, n, bc, bn));
     }
 }
 

@@ -10,10 +10,14 @@
 //!   consecutive cache lines, from each table).
 //! * [`Matrix`] — a row-major 2-D `f32` matrix with the small set of
 //!   operations the DLRM operators need.
-//! * [`blocked`] — the 4-D blocked tensor layouts of Algorithm 5 in the
-//!   paper: weights as `[Kb][Cb][bc][bk]` and activations as
-//!   `[Cb][Nb][bn][bc]`. These layouts expose locality for the batch-reduce
-//!   GEMM microkernel and avoid large power-of-two strides.
+//! * [`blocked`] — the blocked tensors of Algorithm 5 in the paper: one
+//!   type, [`blocked::Blocked`], over a [`PanelGrid`] (a row-major matrix
+//!   in a grid of windows, each panel the transpose of its window), in two
+//!   roles: [`BlockedWeights`] `[Kb][Cb][bc][bk]` and
+//!   [`BlockedActivations`] `[Cb][Nb][bn][bc]`. The layout exposes locality
+//!   for the batch-reduce GEMM microkernel and avoids large power-of-two
+//!   strides; the GEMM passes take every panel offset and stride from the
+//!   grid.
 //! * [`init`] — reproducible random initializers (Xavier / uniform / normal).
 //! * [`simd`] — register-level building blocks (an 8 × 8 `__m256`
 //!   transpose) shared by the SIMD code here and in `dlrm-kernels`.
@@ -34,6 +38,6 @@ pub mod simd;
 pub mod util;
 
 pub use aligned::AlignedVec;
-pub use blocked::{BlockedActivations, BlockedWeights, Blocking};
+pub use blocked::{BlockedActivations, BlockedWeights, Blocking, PanelGrid};
 pub use compare::{assert_allclose, max_abs_diff, max_rel_diff};
 pub use matrix::Matrix;

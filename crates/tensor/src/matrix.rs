@@ -200,15 +200,6 @@ impl Matrix {
         self.data.iter().map(|&x| x as f64).sum()
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|&x| (x as f64) * (x as f64))
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Memory footprint of the element storage in bytes.
     pub fn nbytes(&self) -> usize {
         self.len() * std::mem::size_of::<f32>()
@@ -321,6 +312,5 @@ mod tests {
     fn reductions() {
         let m = Matrix::from_slice(2, 2, &[3.0, 4.0, 0.0, 0.0]);
         assert_eq!(m.sum(), 7.0);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 }

@@ -1,6 +1,8 @@
 //! Property-based tests for the tensor substrate.
 
-use dlrm_tensor::blocked::{largest_divisor_at_most, BlockedActivations, BlockedWeights, Blocking};
+use dlrm_tensor::blocked::{
+    largest_divisor_at_most, Blocked, BlockedActivations, BlockedWeights, Blocking,
+};
 use dlrm_tensor::util::partition_range;
 use dlrm_tensor::Matrix;
 use proptest::prelude::*;
@@ -8,6 +10,30 @@ use proptest::prelude::*;
 /// A (dimension, block) pair where block divides dimension.
 fn dim_and_block(max_blocks: usize, max_block: usize) -> impl Strategy<Value = (usize, usize)> {
     (1..=max_block, 1..=max_blocks).prop_map(|(b, nb)| (b * nb, b))
+}
+
+/// Every element of `w` at its `index_of` in `packed`, and every
+/// `block(i, j)` the panel at the grid's offset, where a GEMM pass reads it:
+/// `down()` apart down a block column, `panel_len()` apart along a block row.
+fn index_and_blocks_match<R>(packed: &Blocked<R>, w: &Matrix) {
+    let (k, c) = w.shape();
+    for r in 0..k {
+        for cc in 0..c {
+            prop_assert_eq!(packed.as_slice()[packed.index_of(r, cc)], w[(r, cc)]);
+        }
+    }
+    let g = packed.grid();
+    for i in 0..g.gr {
+        for j in 0..g.gc {
+            let at = g.offset(i, j);
+            prop_assert_eq!(at, g.offset(0, j) + i * g.down());
+            prop_assert_eq!(at, g.offset(i, 0) + j * g.panel_len());
+            let block = packed.block(i, j);
+            prop_assert_eq!(block.as_ptr(), packed.block_ptr(i, j));
+            prop_assert_eq!(block.as_ptr(), packed.as_slice()[at..].as_ptr());
+            prop_assert_eq!(block.len(), g.panel_len());
+        }
+    }
 }
 
 proptest! {
@@ -39,13 +65,14 @@ proptest! {
     #[test]
     fn blocked_index_matches_pack(
         ((k, bk), (c, bc)) in (dim_and_block(3, 6), dim_and_block(3, 6)),
+        activations in any::<bool>(),
     ) {
         let w = Matrix::from_fn(k, c, |r, cc| (r * c + cc) as f32);
-        let packed = BlockedWeights::pack(&w, Blocking { bn: 1, bc, bk });
-        for r in 0..k {
-            for cc in 0..c {
-                prop_assert_eq!(packed.as_slice()[packed.index_of(r, cc)], w[(r, cc)]);
-            }
+        // The same `bk × bc` windows of the same matrix, in either role.
+        if activations {
+            index_and_blocks_match(&BlockedActivations::pack(&w, bk, bc), &w);
+        } else {
+            index_and_blocks_match(&BlockedWeights::pack(&w, Blocking { bn: 1, bc, bk }), &w);
         }
     }
 

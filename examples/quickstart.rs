@@ -69,7 +69,6 @@ fn main() {
         );
     }
 
-    // Evaluation forwards are charged too, as part of the epoch's time.
     let [e, m, r] =
         [OpKind::Embeddings, OpKind::Mlp, OpKind::Rest].map(|kind| rec.total(kind).as_secs_f64());
     let total = e + m + r;
