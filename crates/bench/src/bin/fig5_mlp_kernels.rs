@@ -10,10 +10,10 @@
 //!
 //! Reported as GFLOP/s; the paper's result is the *ordering* and the gap
 //! (blocked ≈72–75% of peak vs flat ≈61%). Absolute numbers here are a
-//! different CPU's, on the default team: every core the host reports
-//! (`DLRM_THREADS` overrides). Each cell is the median of [`SAMPLES`] timed
-//! calls after a warm-up call. A second table, beyond the paper, forces each
-//! ISA tier on the forward of a one-member team.
+//! different CPU's, on the default team: every core the host reports. Each
+//! cell is the median of [`SAMPLES`] timed calls after a warm-up call, a
+//! row's implementations taking turns call by call. A second table, beyond
+//! the paper, forces each ISA tier on the forward of a one-member team.
 
 use dlrm_bench::{header, paper, time_it, HarnessOpts, Table};
 use dlrm_kernels::embedding::rowops::available_isas;
@@ -32,19 +32,28 @@ use std::time::Instant;
 /// 207 / 209 / 66 GF/s over three runs. A median of five ignores two.
 const SAMPLES: usize = 5;
 
-/// Seconds per call of `f`: the median of `samples` timed calls, after one
-/// untimed warm-up call.
-fn median_secs<T>(samples: usize, mut f: impl FnMut() -> T) -> f64 {
-    std::hint::black_box(f());
-    let mut secs: Vec<f64> = (0..samples)
-        .map(|_| {
+/// Seconds per call of each of `fs`: the median of `samples` timed calls
+/// each, after one untimed warm-up call each. Sample `k` of every
+/// implementation is taken before sample `k + 1` of any, so a stretch of
+/// host state (C=K=512 cells swung 111–229 GF/s between runs) hits all of
+/// a row's cells alike, and their ratios come from the same stretches.
+fn interleaved_median_secs<const M: usize>(
+    samples: usize,
+    mut fs: [&mut dyn FnMut(); M],
+) -> [f64; M] {
+    fs.iter_mut().for_each(|f| f());
+    let mut secs = [(); M].map(|_| Vec::with_capacity(samples));
+    for _ in 0..samples {
+        for (f, s) in fs.iter_mut().zip(&mut secs) {
             let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    secs.sort_by(f64::total_cmp);
-    secs[samples / 2]
+            f();
+            s.push(t0.elapsed().as_secs_f64());
+        }
+    }
+    secs.map(|mut s| {
+        s.sort_by(f64::total_cmp);
+        s[samples / 2]
+    })
 }
 
 struct PassResult {
@@ -70,39 +79,47 @@ fn bench_config(
 
     // ---- forward ----------------------------------------------------------
     let mut yb = BlockedActivations::zeros(k, n, blk.bk, blk.bn);
-    let t_fwd_this = median_secs(samples, || {
-        gemm::fc_forward(pool, &wb, &xb, &mut yb);
-    });
-    let t_fwd_nobr = median_secs(samples, || {
-        fc_forward_no_batch_reduce(pool, &wb, &xb, &mut yb);
-    });
+    let mut yb_nobr = BlockedActivations::zeros(k, n, blk.bk, blk.bn);
     let mut y = Matrix::zeros(k, n);
-    let t_fwd_flat = median_secs(samples, || {
-        y.fill_zero();
-        gemm::par_gemm_nn(pool, &w, &x, &mut y);
-    });
+    let [t_fwd_this, t_fwd_nobr, t_fwd_flat] = interleaved_median_secs(
+        samples,
+        [
+            &mut || gemm::fc_forward(pool, &wb, &xb, &mut yb),
+            &mut || fc_forward_no_batch_reduce(pool, &wb, &xb, &mut yb_nobr),
+            &mut || {
+                y.fill_zero();
+                gemm::par_gemm_nn(pool, &w, &x, &mut y);
+            },
+        ],
+    );
 
     // ---- backward by data --------------------------------------------------
     let mut dxb = BlockedActivations::zeros(c, n, blk.bc, blk.bn);
-    let t_bwd_this = median_secs(samples, || {
-        gemm::fc_backward_data(pool, &wb, &dyb, &mut dxb);
-    });
     let mut dx = Matrix::zeros(c, n);
-    let t_bwd_flat = median_secs(samples, || {
-        dx.fill_zero();
-        gemm::par_gemm_tn(pool, &w, &dy, &mut dx);
-    });
+    let [t_bwd_this, t_bwd_flat] = interleaved_median_secs(
+        samples,
+        [
+            &mut || gemm::fc_backward_data(pool, &wb, &dyb, &mut dxb),
+            &mut || {
+                dx.fill_zero();
+                gemm::par_gemm_tn(pool, &w, &dy, &mut dx);
+            },
+        ],
+    );
 
     // ---- backward by weights ----------------------------------------------
     let mut dwb = BlockedWeights::zeros(k, c, blk);
-    let t_upd_this = median_secs(samples, || {
-        gemm::fc_backward_weights(pool, &xb, &dyb, &mut dwb);
-    });
     let mut dw = Matrix::zeros(k, c);
-    let t_upd_flat = median_secs(samples, || {
-        dw.fill_zero();
-        gemm::par_gemm_nt(pool, &dy, &x, &mut dw);
-    });
+    let [t_upd_this, t_upd_flat] = interleaved_median_secs(
+        samples,
+        [
+            &mut || gemm::fc_backward_weights(pool, &xb, &dyb, &mut dwb),
+            &mut || {
+                dw.fill_zero();
+                gemm::par_gemm_nt(pool, &dy, &x, &mut dw);
+            },
+        ],
+    );
 
     // No-batch-reduce variant only differs structurally on the forward; for
     // the backward passes reuse the blocked kernels with per-panel calls

@@ -1,7 +1,7 @@
 //! Figure 7 — single-socket DLRM performance: Reference vs Atomic-XCHG vs
 //! RTM vs Race-Free, for the Small and MLPerf configs.
 
-use dlrm_bench::single_socket::{mlperf_scaled, run_config, small_scaled};
+use dlrm_bench::single_socket::{mlperf_scaled, run_config, small_scaled, Steps};
 use dlrm_bench::{fmt_speedup, header, paper, HarnessOpts, Table};
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    let iters = if opts.paper_scale { 2 } else { 4 };
+    let steps = Steps::for_opts(&opts);
 
     let mut t = Table::new(&[
         "config",
@@ -31,7 +31,7 @@ fn main() {
         (mlperf_scaled(opts.paper_scale), 2usize),
     ] {
         let (cfg, dist) = setup;
-        let rows = run_config(&cfg, dist, threads, iters);
+        let rows = run_config(&cfg, dist, threads, steps);
         let ref_ms = rows[0].ms_per_iter;
         let ref_emb_ms = rows[0].ms_per_iter * rows[0].split.0;
         for row in rows.iter() {

@@ -1,7 +1,7 @@
 //! Figure 8 — single-socket time split across key ops
 //! (Embeddings / MLP / Rest) before and after optimization.
 
-use dlrm_bench::single_socket::{mlperf_scaled, run_config, small_scaled};
+use dlrm_bench::single_socket::{mlperf_scaled, run_config, small_scaled, Steps};
 use dlrm_bench::{fmt_pct, header, paper, HarnessOpts, Table};
 
 fn main() {
@@ -14,7 +14,7 @@ fn main() {
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    let iters = if opts.paper_scale { 2 } else { 4 };
+    let steps = Steps::for_opts(&opts);
 
     let mut t = Table::new(&["config", "strategy", "Embeddings", "MLP", "Rest", "ms/iter"]);
     for setup in [
@@ -22,7 +22,7 @@ fn main() {
         mlperf_scaled(opts.paper_scale),
     ] {
         let (cfg, dist) = setup;
-        for row in run_config(&cfg, dist, threads, iters) {
+        for row in run_config(&cfg, dist, threads, steps) {
             let (e, m, r) = row.split;
             t.row(vec![
                 row.config.clone(),

@@ -5,6 +5,7 @@
 //! embedding kernels — the fused `embedding::backward_update` under the
 //! bar's strategy; only the `framework_naive` baseline materializes `dW`.
 
+use crate::HarnessOpts;
 use dlrm::layers::Execution;
 use dlrm::prelude::*;
 use dlrm_data::{DlrmConfig, IndexDistribution, MiniBatch};
@@ -56,8 +57,33 @@ pub fn mlperf_scaled(paper_scale: bool) -> (DlrmConfig, IndexDistribution) {
 /// Repetitions per bar: a bar is their median.
 const REPS: usize = 5;
 
+/// How many training iterations each repetition of a bar runs.
+#[derive(Debug, Clone, Copy)]
+pub enum Steps {
+    /// This many.
+    Fixed(usize),
+    /// As many as take at least this many seconds, judged from the time of
+    /// one warm step (after the warm-up step that first touches the
+    /// tables); every repetition of the bar runs that count.
+    AtLeastSecs(f64),
+}
+
+impl Steps {
+    /// Figures 7 and 8's count: two at paper scale, four under `--smoke`
+    /// (CI), else half a second's worth.
+    pub fn for_opts(opts: &HarnessOpts) -> Steps {
+        if opts.paper_scale {
+            Steps::Fixed(2)
+        } else if opts.smoke {
+            Steps::Fixed(4)
+        } else {
+            Steps::AtLeastSecs(0.5)
+        }
+    }
+}
+
 /// Measures one (config, tier) cell: after a warm-up step, [`REPS`]
-/// repetitions of `iters` training iterations each, and the bar is the
+/// repetitions of `steps` training iterations each, and the bar is the
 /// median repetition — its ms per iteration and its split.
 ///
 /// `framework_naive` selects the Figure 7 baseline: optimized (MKL-class)
@@ -70,7 +96,7 @@ pub fn measure(
     strategy: UpdateStrategy,
     framework_naive: bool,
     label: &str,
-    iters: usize,
+    steps: Steps,
 ) -> SingleSocketRow {
     let mut model = DlrmModel::new(cfg, exec, strategy, PrecisionMode::Fp32, 7);
     if framework_naive {
@@ -79,12 +105,20 @@ pub fn measure(
         }
     }
     let mut rng = seeded_rng(99, 0);
-    let batches: Vec<MiniBatch> = (0..iters.min(4))
+    let batches: Vec<MiniBatch> = (0..4)
         .map(|_| MiniBatch::random(cfg, cfg.mb_single, dist, &mut rng))
         .collect();
     // Warm-up iteration (first touch of the tables), then each repetition
     // with a recorder of its own attached.
     let _ = model.train_step(&batches[0], 0.01);
+    let iters = match steps {
+        Steps::Fixed(n) => n,
+        Steps::AtLeastSecs(secs) => {
+            let t0 = std::time::Instant::now();
+            let _ = model.train_step(&batches[1], 0.01);
+            (secs / t0.elapsed().as_secs_f64()).ceil().max(1.0) as usize
+        }
+    };
     let mut reps: Vec<(f64, (f64, f64, f64))> = (0..REPS)
         .map(|_| {
             let rec = Arc::new(TimingRecorder::new());
@@ -116,8 +150,14 @@ pub fn run_config(
     cfg: &DlrmConfig,
     dist: IndexDistribution,
     threads: usize,
-    iters: usize,
+    steps: Steps,
 ) -> Vec<SingleSocketRow> {
+    // The reference tier is painfully slow by design: a fixed count is
+    // halved, a timed one sizes itself.
+    let ref_steps = match steps {
+        Steps::Fixed(n) => Steps::Fixed(n.div_ceil(2)),
+        timed => timed,
+    };
     let mut rows = Vec::new();
     rows.push(measure(
         cfg,
@@ -126,8 +166,7 @@ pub fn run_config(
         UpdateStrategy::RaceFree,
         true,
         "Reference",
-        // The reference tier is painfully slow by design; fewer iterations.
-        iters.div_ceil(2),
+        ref_steps,
     ));
     for strategy in [
         UpdateStrategy::AtomicXchg,
@@ -141,7 +180,7 @@ pub fn run_config(
             strategy,
             false,
             &strategy.to_string(),
-            iters,
+            steps,
         ));
     }
     rows

@@ -10,8 +10,8 @@
 use crate::layers::Execution;
 use dlrm_kernels::gemm::micro::{detect_isa, Isa};
 use dlrm_kernels::interaction::{block_len, grad_block, gram_block, pack_block, BLOCK};
-use dlrm_kernels::transpose::transpose;
 use dlrm_kernels::SendMutPtr;
+use dlrm_tensor::simd::transpose;
 use dlrm_tensor::Matrix;
 use std::ops::Range;
 

@@ -239,8 +239,8 @@ impl Linear {
     /// [`Linear::write_grads`] and [`Mlp::backward_into`] lay it out) of a
     /// gradient buffer *summed* over `scale` ranks, averaging by `1/scale`.
     /// The row-major `dW` is applied to the blocked weights panel by panel,
-    /// straight from the buffer (on the optimized tier through register
-    /// transposes, [`sgd::par_sgd_step_rows`]) — bitwise
+    /// straight from the buffer ([`BlockedWeights::add_scaled_rows`], split
+    /// across the team by [`sgd::par_sgd_step_rows`]) — bitwise
     /// [`dlrm_kernels::sgd::sgd_step_scaled`] on the row-major view. The
     /// layer's own (local, pre-reduction) gradient is left as it is.
     pub fn sgd_step_scaled_from(&mut self, exec: &Execution, g: &[f32], lr: f32, scale: f32) {
@@ -248,8 +248,8 @@ impl Linear {
         let (dw, db) = g.split_at(self.w.k() * self.w.c());
         match exec {
             Execution::Reference => {
-                let (blk, c, alpha) = (self.blocking(1), self.w.c(), -(lr / scale));
-                BlockedWeights::add_scaled_rows(self.w.as_mut_slice(), 0, blk, c, dw, alpha);
+                let (grid, alpha) = (self.w.grid(), -(lr / scale));
+                BlockedWeights::add_scaled_rows(self.w.as_mut_slice(), 0, grid, dw, alpha);
             }
             Execution::Optimized(p) => sgd::par_sgd_step_rows(p, &mut self.w, dw, lr / scale),
         }

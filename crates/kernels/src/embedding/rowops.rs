@@ -39,6 +39,9 @@
 //! prefetches [`PREFETCH_DISTANCE`] lookups ahead.
 
 use crate::gemm::micro::Isa;
+pub use dlrm_tensor::simd::available_isas;
+#[cfg(target_arch = "x86_64")]
+use dlrm_tensor::simd::{load_n_avx2, load_n_avx512, store_n_avx2, store_n_avx512};
 use std::ops::Range;
 
 /// How many lookups ahead of the current one the embedding kernels
@@ -454,46 +457,6 @@ bag_tier!(
     tail = (super::load_n_avx2, super::store_n_avx2)
 );
 
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx512f")]
-pub(crate) unsafe fn load_n_avx512(p: *const f32, n: usize) -> std::arch::x86_64::__m512 {
-    std::arch::x86_64::_mm512_maskz_loadu_ps((1u16 << n) - 1, p)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx512f")]
-pub(crate) unsafe fn store_n_avx512(p: *mut f32, n: usize, v: std::arch::x86_64::__m512) {
-    std::arch::x86_64::_mm512_mask_storeu_ps(p, (1u16 << n) - 1, v)
-}
-
-/// Lanes `0..n` all-ones, the rest zero.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn tail_mask_avx2(n: usize) -> std::arch::x86_64::__m256i {
-    use std::arch::x86_64::*;
-    _mm256_cmpgt_epi32(
-        _mm256_set1_epi32(n as i32),
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-    )
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn load_n_avx2(p: *const f32, n: usize) -> std::arch::x86_64::__m256 {
-    std::arch::x86_64::_mm256_maskload_ps(p, tail_mask_avx2(n))
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn store_n_avx2(p: *mut f32, n: usize, v: std::arch::x86_64::__m256) {
-    std::arch::x86_64::_mm256_maskstore_ps(p, tail_mask_avx2(n), v)
-}
-
 /// The forward-pass bag reduction (Algorithm 1) for the bags in `bags`:
 /// `out[bag] = Σ w[indices[s]]` over the bag's lookups `s`, each output
 /// row written exactly once (all zeros for an empty bag). Table rows are
@@ -563,22 +526,6 @@ where
             }
         }
     }
-}
-
-/// The ISA tiers usable on this CPU, widest last (always contains
-/// [`Isa::Scalar`]). Benches and tests iterate this to force each tier.
-pub fn available_isas() -> Vec<Isa> {
-    let mut v = vec![Isa::Scalar];
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            v.push(Isa::Avx2);
-        }
-        if is_x86_feature_detected!("avx512f") {
-            v.push(Isa::Avx512);
-        }
-    }
-    v
 }
 
 #[cfg(test)]

@@ -28,7 +28,6 @@ use super::micro::{
 };
 use crate::embedding::rowops;
 use crate::threadpool::ThreadPool;
-use crate::transpose;
 use crate::SendMutPtr;
 use dlrm_tensor::{BlockedActivations, BlockedWeights, PanelGrid};
 
@@ -254,9 +253,9 @@ pub fn fc_backward_weights_sgd(
 }
 
 /// [`fc_backward_weights_fused`] with `dW` written as rows: each panel is
-/// reduced into a stack tile, transposed in registers and stored into its
-/// window of the row-major `K×C` slice `dw` (a layer's span of a DDP bucket
-/// buffer) — bitwise the gradient plane then
+/// reduced into a stack tile, then transposed in registers into its window
+/// of the row-major `K×C` slice `dw` (a layer's span of a DDP bucket
+/// buffer) by [`PanelGrid::unpack_panel`] — bitwise the gradient plane then
 /// `BlockedWeights::unpack_into_slice`, with no plane. `dw` and `db` are
 /// overwritten.
 pub fn fc_backward_weights_rows(
@@ -378,11 +377,8 @@ fn backward_weights(
                     Some((t, TileTo::Sgd(alpha))) => {
                         rowops::scatter_add(isa, plane_panel, &t.0[..panel], *alpha)
                     }
-                    // The panel is `[bc][bk]`, the transpose of its `bk × bc`
-                    // window.
                     Some((t, TileTo::Rows)) => {
-                        let (window, ld) = (dst.get().add(dwg.window(ibk, ibc)), dwg.cols());
-                        transpose::transpose_to(isa, &t.0[..panel], d.bk, d.bc, d.bk, window, ld)
+                        dwg.unpack_panel(isa, blk_idx, &t.0[..panel], dst.get())
                     }
                 }
             }
@@ -716,15 +712,16 @@ pub(crate) mod tests {
     pub(crate) const ROWS_BC: [usize; 6] = [1, 7, 16, 37, 50, 64];
     pub(crate) const ROWS_BK: [usize; 5] = [1, 8, 16, 48, 64];
 
-    /// The `Rows` write-back against the gradient plane, unpacked, then
-    /// the `db` copy, bit for bit, on every forced tier and team of 1–3,
-    /// over two block rows and three block columns of panels. The window
+    /// The `Rows` write-back against the gradient plane, unpacked on the
+    /// scalar tier, then the `db` copy, bit for bit, on every forced tier
+    /// and team of 1–3, over two block rows and three block columns of
+    /// panels. The window
     /// starts as NaN, so an element never written fails, and sits between
     /// NaN guards that must stay untouched.
     #[test]
     fn backward_weights_rows_is_bitwise_the_plane_unpacked_then_db() {
         use crate::embedding::rowops::available_isas;
-        use crate::gemm::micro::{lock_isa_override, set_isa_override};
+        use crate::gemm::micro::{lock_isa_override, set_isa_override, Isa};
         let _tier = lock_isa_override();
         const GUARD: usize = 17;
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
@@ -745,7 +742,9 @@ pub(crate) mod tests {
                     let (w_rows, w_db) = want.split_at_mut(k * c);
                     let mut dw = dlrm_tensor::BlockedWeights::zeros(k, c, blk);
                     fc_backward_weights_fused(&pool, &xb, &dyb, &mut dw, w_db);
+                    set_isa_override(Some(Isa::Scalar));
                     dw.unpack_into_slice(w_rows);
+                    set_isa_override(Some(isa));
 
                     let mut buf = vec![f32::NAN; GUARD + k * c + k + GUARD];
                     let window = &mut buf[GUARD..GUARD + k * c + k];

@@ -17,7 +17,8 @@
 //!
 //! Each has a scalar, an AVX2 and an AVX-512 implementation; [`detect_isa`]
 //! picks the widest available at runtime and [`set_isa_override`] lets the
-//! ablation benches force a tier.
+//! ablation benches force a tier (both are `dlrm_tensor::simd`'s, whose
+//! one override forces every kernel that dispatches on [`Isa`]).
 //!
 //! # Register tiles and the chain-preservation rule
 //!
@@ -53,53 +54,7 @@
 //! order bitwise identical to the untiled kernels in `micro_ref` (and lets
 //! both be retuned freely).
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Instruction-set tier for the microkernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Isa {
-    /// Portable scalar code (still autovectorizable by LLVM).
-    Scalar,
-    /// 8-wide FMA via AVX2 intrinsics.
-    Avx2,
-    /// 16-wide FMA via AVX-512F intrinsics.
-    Avx512,
-}
-
-/// 0 = undetected, 1 = scalar, 2 = avx2, 3 = avx512.
-static ISA_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Forces all subsequent microkernel calls onto a tier (or back to
-/// auto-detection with `None`). Used by the ISA-ablation bench.
-pub fn set_isa_override(isa: Option<Isa>) {
-    let v = match isa {
-        None => 0,
-        Some(Isa::Scalar) => 1,
-        Some(Isa::Avx2) => 2,
-        Some(Isa::Avx512) => 3,
-    };
-    ISA_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// Returns the widest ISA supported by this CPU (or the forced override).
-pub fn detect_isa() -> Isa {
-    match ISA_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return Isa::Scalar,
-        2 => return Isa::Avx2,
-        3 => return Isa::Avx512,
-        _ => {}
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") {
-            return Isa::Avx512;
-        }
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return Isa::Avx2;
-        }
-    }
-    Isa::Scalar
-}
+pub use dlrm_tensor::simd::{detect_isa, set_isa_override, Isa};
 
 /// Panel-size description shared by all three kernels.
 #[derive(Debug, Clone, Copy)]

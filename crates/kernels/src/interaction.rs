@@ -33,7 +33,9 @@
 //! *never* an FMA.
 
 use crate::gemm::micro::Isa;
-use crate::transpose::transpose;
+use dlrm_tensor::simd::transpose;
+#[cfg(target_arch = "x86_64")]
+use dlrm_tensor::simd::{load_n_avx2, load_n_avx512, store_n_avx2, store_n_avx512};
 use dlrm_tensor::Matrix;
 
 /// Samples per panel block: one AVX-512 vector, two AVX2 vectors.
@@ -359,10 +361,7 @@ interaction_tier!(
         _mm512_add_ps,
         _mm512_mul_ps
     ),
-    tail = (
-        crate::embedding::rowops::load_n_avx512,
-        crate::embedding::rowops::store_n_avx512
-    ),
+    tail = (super::load_n_avx512, super::store_n_avx512),
     nonzero = (__mmask16, super::nonzero_avx512, super::add_where_avx512)
 );
 
@@ -381,10 +380,7 @@ interaction_tier!(
         _mm256_add_ps,
         _mm256_mul_ps
     ),
-    tail = (
-        crate::embedding::rowops::load_n_avx2,
-        crate::embedding::rowops::store_n_avx2
-    ),
+    tail = (super::load_n_avx2, super::store_n_avx2),
     nonzero = (__m256, super::nonzero_avx2, super::add_where_avx2)
 );
 

@@ -24,9 +24,6 @@
 //! * [`interaction`] — the pairwise-dot feature interaction as a Gram
 //!   kernel whose vector lanes are samples; scalar/AVX2/AVX-512 tiers,
 //!   bitwise the scalar `iter().sum()` chain.
-//! * [`transpose`] — register-tile transposes between a row-major window
-//!   and its transpose: the interaction's operand packing, and an MLP
-//!   layer's `dW` panels to and from the rows of the DDP bucket buffer.
 //! * [`activations`] / [`loss`] — ReLU, sigmoid and binary cross-entropy
 //!   with their backward passes.
 //! * [`sgd`] — dense SGD including the Split-SGD-BF16 step.
@@ -34,6 +31,11 @@
 //!   wire-precision path (bitwise identical across tiers, like `rowops`).
 //! * [`int8wire`] — SIMD scaled-INT8 quantize/dequantize tiers for the
 //!   deeper (4×) wire tier, same cross-tier bit-exactness contract.
+//!
+//! The ISA dispatch ([`gemm::micro::Isa`], re-exported), the masked tail
+//! loads and the register transposes come from `dlrm_tensor::simd`, so one
+//! override forces every kernel here and in `dlrm-tensor` that takes an
+//! [`gemm::micro::Isa`].
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -46,7 +48,6 @@ pub mod interaction;
 pub mod loss;
 pub mod sgd;
 pub mod threadpool;
-pub mod transpose;
 
 pub use threadpool::ThreadPool;
 

@@ -1,8 +1,7 @@
 //! Dense SGD update kernels.
 //!
-//! The dense steps are thin wrappers over the SIMD
-//! [`rowops::axpy`](crate::embedding::rowops::axpy) tiers with
-//! `alpha = -lr`. That is bit-exact with the classic `w -= lr * g` loop:
+//! The dense steps are thin wrappers over the SIMD [`rowops::axpy`] tiers
+//! with `alpha = -lr`. That is bit-exact with the classic `w -= lr * g` loop:
 //! IEEE-754 negation is a sign flip, so `(-lr) * g` has exactly the bits of
 //! `-(lr * g)`, and `w + (-x)` is the same operation as `w - x` — and the
 //! rowops tiers are themselves bitwise identical across Scalar/AVX2/AVX-512.
@@ -10,7 +9,6 @@
 use crate::embedding::rowops;
 use crate::gemm::micro::detect_isa;
 use crate::threadpool::ThreadPool;
-use crate::transpose;
 use dlrm_tensor::BlockedWeights;
 
 /// Plain FP32 SGD: `w -= lr * g`, single-threaded (SIMD over the row).
@@ -34,37 +32,26 @@ pub fn par_sgd_step(pool: &ThreadPool, w: &mut [f32], g: &[f32], lr: f32) {
 }
 
 /// Plain FP32 SGD on blocked weights against a *row-major* `K×C` gradient
-/// (a layer's span of a reduced DDP buffer):
-/// `wb -= lr · g`, the team splitting `wb`'s panels. Bitwise equal to
-/// [`sgd_step`] on the row-major weights and to
-/// [`BlockedWeights::add_scaled_rows`]: every tier reads each panel's window
-/// of `g` through [`transpose::add_scaled_transposed`] (register tiles on the
-/// vector tiers, the plain double loop on the scalar one) — the same
-/// multiply, then add, per element.
+/// (a layer's span of a reduced DDP buffer): `wb -= lr · g`, each team
+/// member applying [`BlockedWeights::add_scaled_rows`] — the Reference
+/// tier's DDP step — to its run of panels. Bitwise [`sgd_step`] on rows.
 pub fn par_sgd_step_rows(pool: &ThreadPool, wb: &mut BlockedWeights, g: &[f32], lr: f32) {
     let grid = wb.grid();
-    let (bk, bc, ld) = (grid.wr, grid.wc, grid.cols());
     assert_eq!(
         g.len(),
-        grid.rows() * ld,
+        grid.rows() * grid.cols(),
         "par_sgd_step_rows length mismatch"
     );
-    let isa = detect_isa();
+    let panel = grid.panel_len();
     let base = crate::SendMutPtr(wb.as_mut_slice().as_mut_ptr());
     pool.parallel_for(grid.panels(), move |_tid, range| {
-        for idx in range {
-            // Each panel is the transpose of its `bk × bc` window of `g`.
-            let (i, j) = grid.coords(idx);
-            let window = &g[grid.window(i, j)..];
-            // SAFETY: parallel_for ranges are disjoint, so each panel
-            // belongs to one thread, and `idx` < the panel count keeps it
-            // inside `wb`, which is borrowed mutably for the whole call;
-            // `window` is read-only and does not alias `wb`.
-            unsafe {
-                let panel = base.get().add(grid.offset(i, j));
-                transpose::add_scaled_transposed(isa, window, ld, bk, bc, -lr, panel, bk);
-            }
-        }
+        // SAFETY: parallel_for ranges are disjoint, so each run is one
+        // thread's; `range.end` ≤ the panel count keeps it inside `wb`,
+        // which is borrowed mutably for the whole call.
+        let run = unsafe {
+            std::slice::from_raw_parts_mut(base.get().add(range.start * panel), range.len() * panel)
+        };
+        BlockedWeights::add_scaled_rows(run, range.start, grid, g, -lr);
     });
 }
 
@@ -122,14 +109,15 @@ mod tests {
         }
     }
 
-    /// The averaged DDP step against the scalar panel walk it replaced,
-    /// bit for bit, on every forced tier and team of 1–3, over the kernel
-    /// wall's `bc` × `bk` grid (two block rows, three block columns).
+    /// The averaged DDP step against one whole-tensor `add_scaled_rows` on
+    /// the scalar tier (the plain double loop), bit for bit, on every forced
+    /// tier and team of 1–3, over the kernel wall's `bc` × `bk` grid (two
+    /// block rows, three block columns).
     #[test]
     fn par_sgd_step_rows_is_bitwise_add_scaled_rows_on_every_tier() {
         use crate::embedding::rowops::available_isas;
         use crate::gemm::blocked::tests::{ROWS_BC, ROWS_BK};
-        use crate::gemm::micro::{lock_isa_override, set_isa_override};
+        use crate::gemm::micro::{lock_isa_override, set_isa_override, Isa};
         use dlrm_tensor::init::{seeded_rng, uniform};
         use dlrm_tensor::Blocking;
         let _tier = lock_isa_override();
@@ -146,8 +134,10 @@ mod tests {
                 let mut rng = seeded_rng(61, (bc * 100 + bk) as u64);
                 let w = uniform(k, c, -1.0, 1.0, &mut rng);
                 let g = uniform(k, c, -3.0, 3.0, &mut rng);
+                set_isa_override(Some(Isa::Scalar));
                 let mut want = BlockedWeights::pack(&w, blk);
-                BlockedWeights::add_scaled_rows(want.as_mut_slice(), 0, blk, c, g.as_slice(), -lr);
+                let grid = want.grid();
+                BlockedWeights::add_scaled_rows(want.as_mut_slice(), 0, grid, g.as_slice(), -lr);
                 for isa in available_isas() {
                     set_isa_override(Some(isa));
                     let mut got = BlockedWeights::pack(&w, blk);

@@ -293,32 +293,22 @@ impl ThreadPool {
     }
 
     /// The worker count [`Self::with_default_parallelism`] would use: the
-    /// `DLRM_THREADS` environment override when set to a positive integer,
-    /// else the OS-reported parallelism. When the OS probe fails *and* no
-    /// override is set, the fallback to 1 is reported on stderr instead of
-    /// silently degrading the whole compute path to a single worker.
+    /// OS-reported parallelism. When the OS probe fails, the fallback to 1
+    /// is reported on stderr instead of silently degrading the whole
+    /// compute path to a single worker.
     pub fn default_parallelism() -> usize {
-        if let Ok(v) = std::env::var("DLRM_THREADS") {
-            match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => return n,
-                _ => eprintln!(
-                    "dlrm-kernels: ignoring invalid DLRM_THREADS={v:?} (want a positive integer)"
-                ),
-            }
-        }
         match std::thread::available_parallelism() {
             Ok(p) => p.get(),
             Err(e) => {
                 eprintln!(
-                    "dlrm-kernels: available_parallelism() failed ({e}); \
-                     falling back to 1 worker — set DLRM_THREADS to override"
+                    "dlrm-kernels: available_parallelism() failed ({e}); falling back to 1 worker"
                 );
                 1
             }
         }
     }
 
-    /// Pool sized by [`Self::default_parallelism`] (honours `DLRM_THREADS`).
+    /// Pool sized by [`Self::default_parallelism`].
     pub fn with_default_parallelism() -> Self {
         Self::new(Self::default_parallelism())
     }
@@ -521,23 +511,11 @@ mod tests {
     }
 
     #[test]
-    fn default_parallelism_honors_env_override() {
-        // This is the only test touching DLRM_THREADS, so the process-wide
-        // env mutation cannot race another test.
-        std::env::set_var("DLRM_THREADS", "3");
-        assert_eq!(ThreadPool::default_parallelism(), 3);
+    fn default_parallelism_is_the_os_count() {
+        let os = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(ThreadPool::default_parallelism(), os);
         let pool = ThreadPool::with_default_parallelism();
-        assert_eq!(pool.num_threads(), 3);
-        // Invalid overrides are ignored, not honored as 0/garbage.
-        std::env::set_var("DLRM_THREADS", "0");
-        let n0 = ThreadPool::default_parallelism();
-        std::env::set_var("DLRM_THREADS", "lots");
-        let n1 = ThreadPool::default_parallelism();
-        std::env::remove_var("DLRM_THREADS");
-        let os = ThreadPool::default_parallelism();
-        assert!(os >= 1);
-        assert_eq!(n0, os, "DLRM_THREADS=0 must fall back to the OS count");
-        assert_eq!(n1, os, "non-numeric DLRM_THREADS must fall back");
+        assert_eq!(pool.num_threads(), os);
     }
 
     /// The OS thread every tid of one dispatch ran on.

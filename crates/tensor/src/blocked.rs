@@ -19,6 +19,7 @@
 
 use crate::aligned::AlignedVec;
 use crate::matrix::Matrix;
+use crate::simd::{add_scaled_transposed, detect_isa, transpose, transpose_to, Isa};
 use std::marker::PhantomData;
 
 /// Blocking factors for one fully-connected layer.
@@ -68,84 +69,14 @@ pub fn largest_divisor_at_most(n: usize, cap: usize) -> usize {
     best
 }
 
-/// The three walks below are the only code that crosses between a
-/// row-major matrix and its panels (see [`PanelGrid`]). Each takes
-/// [`ROW_GROUP`] window rows at a time, so the row-major side is read or
-/// written as that many unit-stride streams, the panel side in runs of as
-/// many contiguous floats, and everything strided stays inside one panel
-/// (16 KB at the default blocking, L1-resident). A per-element `index_of`
-/// costs two divisions and two remainders, and a walk in panel order
-/// strides the row-major side by a matrix row, which at 1024 columns lands
-/// a whole panel column in one L1 set.
-const ROW_GROUP: usize = 4;
-
-/// Runs `walk::<R>(args…, r0)` over the window rows `0..rows`: full
-/// [`ROW_GROUP`]s first, then the remaining rows one at a time.
-macro_rules! in_row_groups {
-    ($rows:expr, $walk:ident($($arg:expr),*)) => {{
-        let mut r0 = 0;
-        while r0 + ROW_GROUP <= $rows {
-            $walk::<ROW_GROUP>($($arg),*, r0);
-            r0 += ROW_GROUP;
-        }
-        while r0 < $rows {
-            $walk::<1>($($arg),*, r0);
-            r0 += 1;
-        }
-    }};
-}
-
-/// `R` rows of a window, from window row `r0` on.
-#[inline(always)]
-fn window_rows<const R: usize>(window: &[f32], g: PanelGrid, r0: usize) -> [&[f32]; R] {
-    std::array::from_fn(|i| &window[(r0 + i) * g.cols()..][..g.wc])
-}
-
-/// Window rows `r0..r0 + R` → panel.
-#[inline(always)]
-fn pack_rows<const R: usize>(panel: &mut [f32], g: PanelGrid, src: &[f32], r0: usize) {
-    let src = window_rows::<R>(src, g, r0);
-    for (c, col) in panel.chunks_exact_mut(g.wr).enumerate() {
-        for (p, row) in col[r0..r0 + R].iter_mut().zip(src) {
-            *p = row[c];
-        }
-    }
-}
-
-/// Panel → window rows `r0..r0 + R`.
-#[inline(always)]
-fn unpack_rows<const R: usize>(panel: &[f32], g: PanelGrid, dst: &mut [f32], r0: usize) {
-    // `chunks_mut`, not `chunks_exact_mut`: the window's last row may end
-    // before a full row of the matrix.
-    let mut rows_from_r0 = dst[r0 * g.cols()..].chunks_mut(g.cols());
-    let mut dst: [&mut [f32]; R] =
-        std::array::from_fn(|_| &mut rows_from_r0.next().expect("window row in bounds")[..g.wc]);
-    for (c, col) in panel.chunks_exact(g.wr).enumerate() {
-        for (row, &p) in dst.iter_mut().zip(&col[r0..r0 + R]) {
-            row[c] = p;
-        }
-    }
-}
-
-/// `panel += alpha · window` on window rows `r0..r0 + R`: multiply, then
-/// add (two roundings, no FMA contraction).
-#[inline(always)]
-fn axpy_rows<const R: usize>(panel: &mut [f32], g: PanelGrid, src: &[f32], alpha: f32, r0: usize) {
-    let src = window_rows::<R>(src, g, r0);
-    for (c, col) in panel.chunks_exact_mut(g.wr).enumerate() {
-        for (w, row) in col[r0..r0 + R].iter_mut().zip(src) {
-            let p = alpha * row[c];
-            *w += p;
-        }
-    }
-}
-
 /// Where the panels of a blocked tensor lie: a row-major `rows × cols`
 /// matrix cut into a `gr × gc` grid of `wr × wc` windows, stored in
 /// row-major grid order, each panel the *transpose* of its window (window
 /// element `(r, c)` at `panel[c * wr + r]`). Weights are `K × C` in
 /// `bk × bc` windows, activations `C × N` in `bc × bn` windows. The GEMM
 /// passes and the SGD steps take every panel offset and stride from here.
+/// Every crossing between the two is one [`crate::simd`] transpose per
+/// panel: pack, [`BlockedWeights::add_scaled_rows`] and [`Self::unpack_panel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PanelGrid {
     /// Window rows.
@@ -222,6 +153,19 @@ impl PanelGrid {
     pub fn index_of(&self, r: usize, c: usize) -> usize {
         self.offset(r / self.wr, c / self.wc) + (c % self.wc) * self.wr + r % self.wr
     }
+
+    /// Writes `panel`, storage-order panel `idx`, into its window of the
+    /// row-major `rows() × cols()` matrix at `rows`, which a thread team may
+    /// be filling a window per member.
+    ///
+    /// # Safety
+    /// `rows` must be valid for writes over window `idx`, which must not
+    /// alias `panel` nor be touched by another thread during the call.
+    pub unsafe fn unpack_panel(&self, isa: Isa, idx: usize, panel: &[f32], rows: *mut f32) {
+        let (i, j) = self.coords(idx);
+        let window = rows.add(self.window(i, j));
+        transpose_to(isa, panel, self.wr, self.wc, self.wr, window, self.cols());
+    }
 }
 
 /// A blocked tensor: a [`PanelGrid`] over 64-byte-aligned storage. The role
@@ -266,10 +210,11 @@ impl<R> Blocked<R> {
     fn pack_from(&mut self, m: &Matrix) {
         let g = self.grid;
         assert_eq!((g.rows(), g.cols()), m.shape(), "pack shape mismatch");
+        let isa = detect_isa();
         for (idx, panel) in self.data.chunks_exact_mut(g.panel_len()).enumerate() {
             let (i, j) = g.coords(idx);
-            let src = &m.as_slice()[g.window(i, j)..];
-            in_row_groups!(g.wr, pack_rows(panel, g, src));
+            let window = &m.as_slice()[g.window(i, j)..];
+            transpose(isa, window, g.cols(), g.wr, g.wc, panel, g.wr);
         }
     }
 
@@ -277,10 +222,12 @@ impl<R> Blocked<R> {
     fn unpack_to(&self, out: &mut [f32]) {
         let g = self.grid;
         assert_eq!(out.len(), g.rows() * g.cols(), "unpack length mismatch");
+        let isa = detect_isa();
         for (idx, panel) in self.data.chunks_exact(g.panel_len()).enumerate() {
-            let (i, j) = g.coords(idx);
-            let dst = &mut out[g.window(i, j)..];
-            in_row_groups!(g.wr, unpack_rows(panel, g, dst));
+            // SAFETY: `out` holds the whole `rows × cols` matrix (asserted
+            // above), so every window lies inside it; it is borrowed
+            // mutably, so it aliases no panel and no other thread writes it.
+            unsafe { g.unpack_panel(isa, idx, panel, out.as_mut_ptr()) };
         }
     }
 
@@ -317,11 +264,6 @@ impl<R> Blocked<R> {
     /// activations.
     pub fn block(&self, i: usize, j: usize) -> &[f32] {
         &self.data[self.grid.offset(i, j)..][..self.grid.panel_len()]
-    }
-
-    /// Mutable borrow of panel `(i, j)`.
-    pub fn block_mut(&mut self, i: usize, j: usize) -> &mut [f32] {
-        &mut self.data[self.grid.offset(i, j)..][..self.grid.panel_len()]
     }
 
     /// Raw pointer to panel `(i, j)`: the first of a batch that a GEMM pass
@@ -388,29 +330,28 @@ impl Blocked<Weights> {
     }
 
     /// `W += alpha · G` on a run of whole panels, for a row-major `K×C`
-    /// gradient `g`: unit-stride reads of each gradient row, writes inside
-    /// one panel. `panels` is the storage of consecutive panels starting at
-    /// storage-order panel `first` of a tensor with `c` input features under
-    /// `blk` — raw parts, not `&mut self`, so a thread team can update
+    /// gradient `g`: each panel takes its window of `g` through
+    /// [`add_scaled_transposed`]. `panels` is the storage of consecutive
+    /// panels starting at storage-order panel `first` of a tensor laid out
+    /// by `grid` — raw parts, not `&mut self`, so a thread team can update
     /// disjoint runs of one tensor at once.
     ///
     /// Separate multiply then add (no FMA contraction), so every element
     /// sees exactly the arithmetic of `w += alpha * g` on row-major `W`: the
     /// update is an elementwise permutation of the flat step and bitwise
-    /// identical to it.
+    /// identical to it, on every ISA tier.
     pub fn add_scaled_rows(
         panels: &mut [f32],
         first: usize,
-        blk: Blocking,
-        c: usize,
+        grid: PanelGrid,
         g: &[f32],
         alpha: f32,
     ) {
-        let grid = PanelGrid::new(g.len() / c, c, blk.bk, blk.bc);
+        assert_eq!(g.len(), grid.rows() * grid.cols(), "add_scaled_rows length");
+        let (isa, ld, wr, wc) = (detect_isa(), grid.cols(), grid.wr, grid.wc);
         for (idx, panel) in panels.chunks_exact_mut(grid.panel_len()).enumerate() {
             let (i, j) = grid.coords(first + idx);
-            let window = &g[grid.window(i, j)..];
-            in_row_groups!(grid.wr, axpy_rows(panel, grid, window, alpha));
+            add_scaled_transposed(isa, &g[grid.window(i, j)..], ld, wr, wc, alpha, panel, wr);
         }
     }
 }
@@ -446,6 +387,7 @@ impl Blocked<Activations> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::{available_isas, lock_isa_override, set_isa_override};
 
     #[test]
     fn divisor_helper() {
@@ -564,28 +506,35 @@ mod tests {
         assert_eq!(out.as_slice(), small.as_slice());
     }
 
+    /// On every forced tier, over a square-panel blocking and the logit
+    /// head's one-row windows (`K = 1`, `bk = 1`).
     #[test]
     fn add_scaled_rows_matches_flat_sgd_bitwise() {
-        let blk = Blocking {
-            bn: 2,
-            bc: 4,
-            bk: 4,
-        };
-        let w = Matrix::from_fn(8, 12, |r, c| (r as f32 + 0.37) * 1.1 - c as f32 * 0.013);
-        let g = Matrix::from_fn(8, 12, |r, c| (c as f32 - 3.7) * 0.31 + r as f32 * 0.07);
-        let alpha = -0.05_f32;
-        // Two disjoint runs of panels, as a team of two would split them.
-        let mut bw = BlockedWeights::pack(&w, blk);
-        let (head, tail) = bw.as_mut_slice().split_at_mut(2 * 16);
-        BlockedWeights::add_scaled_rows(tail, 2, blk, 12, g.as_slice(), alpha);
-        BlockedWeights::add_scaled_rows(head, 0, blk, 12, g.as_slice(), alpha);
-        // Flat reference: w += alpha * g, separate mul-then-add per element.
-        let mut flat = w.clone();
-        for (wv, gv) in flat.as_mut_slice().iter_mut().zip(g.as_slice()) {
-            let p = alpha * gv;
-            *wv += p;
+        let _tier = lock_isa_override();
+        for (k, bk) in [(8, 4), (1, 1)] {
+            let blk = Blocking { bn: 2, bc: 4, bk };
+            let w = Matrix::from_fn(k, 12, |r, c| (r as f32 + 0.37) * 1.1 - c as f32 * 0.013);
+            let g = Matrix::from_fn(k, 12, |r, c| (c as f32 - 3.7) * 0.31 + r as f32 * 0.07);
+            let alpha = -0.05_f32;
+            // Flat reference: w += alpha * g, separate mul-then-add per element.
+            let mut flat = w.clone();
+            for (wv, gv) in flat.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                let p = alpha * gv;
+                *wv += p;
+            }
+            for isa in available_isas() {
+                set_isa_override(Some(isa));
+                // Two disjoint runs of panels, as a team of two would split them.
+                let mut bw = BlockedWeights::pack(&w, blk);
+                let grid = bw.grid();
+                let (head, tail) = bw.as_mut_slice().split_at_mut(2 * grid.panel_len());
+                BlockedWeights::add_scaled_rows(tail, 2, grid, g.as_slice(), alpha);
+                BlockedWeights::add_scaled_rows(head, 0, grid, g.as_slice(), alpha);
+                let at = format!("{isa:?} {k}x12 {blk:?}");
+                assert_eq!(bits(bw.unpack().as_slice()), bits(flat.as_slice()), "{at}");
+            }
+            set_isa_override(None);
         }
-        assert_eq!(bits(bw.unpack().as_slice()), bits(flat.as_slice()));
     }
 
     fn bits(s: &[f32]) -> Vec<u32> {
@@ -593,10 +542,20 @@ mod tests {
     }
 
     /// Panel-wise pack/unpack against the per-element `index_of` definition
-    /// of the layout, over block sizes that do and do not fill a SIMD
-    /// vector and shapes that are not square.
+    /// of the layout, on every forced tier, over block sizes that do and do
+    /// not fill a SIMD vector and shapes that are not square (one-row
+    /// windows, the logit head's, included).
     #[test]
     fn panel_walks_match_index_of_bitwise() {
+        let _tier = lock_isa_override();
+        for isa in available_isas() {
+            set_isa_override(Some(isa));
+            panel_walks_match_index_of(isa);
+        }
+        set_isa_override(None);
+    }
+
+    fn panel_walks_match_index_of(isa: Isa) {
         // Distinct, sign-mixed, non-integer bit patterns.
         let value = |r: usize, c: usize| ((r * 131 + c * 7) as f32 * 0.37).sin() * 3.0 - 0.5;
         for bc in [1usize, 37, 50, 64] {
@@ -610,7 +569,7 @@ mod tests {
                             assert_eq!(
                                 ba.as_slice()[ba.index_of(cc, nn)].to_bits(),
                                 x[(cc, nn)].to_bits(),
-                                "activations bc={bc} bn={bn} {c}x{n} at ({cc},{nn})"
+                                "{isa:?} activations bc={bc} bn={bn} {c}x{n} at ({cc},{nn})"
                             );
                         }
                     }
@@ -637,7 +596,7 @@ mod tests {
                                 assert_eq!(
                                     bw.as_slice()[bw.index_of(kk, cc)].to_bits(),
                                     w[(kk, cc)].to_bits(),
-                                    "weights {blk:?} {k}x{c} at ({kk},{cc})"
+                                    "{isa:?} weights {blk:?} {k}x{c} at ({kk},{cc})"
                                 );
                             }
                         }

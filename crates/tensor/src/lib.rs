@@ -17,10 +17,14 @@
 //!   [`BlockedActivations`] `[Cb][Nb][bn][bc]`. The layout exposes locality
 //!   for the batch-reduce GEMM microkernel and avoids large power-of-two
 //!   strides; the GEMM passes take every panel offset and stride from the
-//!   grid.
+//!   grid, and every crossing to or from row-major storage is a
+//!   [`simd::transpose`] per panel.
 //! * [`init`] — reproducible random initializers (Xavier / uniform / normal).
-//! * [`simd`] — register-level building blocks (an 8 × 8 `__m256`
-//!   transpose) shared by the SIMD code here and in `dlrm-kernels`.
+//! * [`simd`] — the ISA dispatch the workspace's SIMD kernels read
+//!   ([`simd::Isa`], [`simd::detect_isa`], one process-wide override), the
+//!   masked tail loads and stores, and the register transposes: 8 × 8 and
+//!   16 × 16 tiles, and the one panel transpose every crossing between
+//!   row-major and blocked storage runs through.
 //! * [`compare`] — tolerant numeric comparison helpers used pervasively by
 //!   the test suites that check optimized kernels against naive references.
 //!
