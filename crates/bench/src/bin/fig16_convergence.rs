@@ -15,7 +15,7 @@ fn scaled_mlperf(paper_scale: bool) -> DlrmConfig {
     let mut cfg = DlrmConfig::mlperf().scaled_down(if paper_scale { 200_000 } else { 20_000 }, 8);
     if !paper_scale {
         // Shrink the MLPs so three full training runs finish in minutes on
-        // one core; shapes keep the MLPerf structure (3-layer bottom into
+        // a small host; shapes keep the MLPerf structure (3-layer bottom into
         // E, deep top).
         cfg.bottom_mlp = vec![128, 64, 32];
         cfg.emb_dim = 32;

@@ -6,15 +6,17 @@ use dlrm_bench::{fmt_speedup, header, paper, HarnessOpts, Table};
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    header(
-        "Figure 7: DLRM single-socket ms/iteration",
-        "Paper (28-core SKX): Small 4288 -> 38.9 ms (110x); MLPerf 272 -> 34.8 ms (8x).\n\
-         This machine: 1 core; tables scaled unless --paper-scale. The *shape*\n\
-         (reference >> optimized; race-free wins under contention) is the result.",
-    );
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
+    header(
+        "Figure 7: DLRM single-socket ms/iteration",
+        &format!(
+            "Paper (28-core SKX): Small 4288 -> 38.9 ms (110x); MLPerf 272 -> 34.8 ms (8x).\n\
+             This machine: a team of {threads}; tables scaled unless --paper-scale. The *shape*\n\
+             (reference >> optimized; race-free wins under contention) is the result."
+        ),
+    );
     let steps = Steps::for_opts(&opts);
 
     let mut t = Table::new(&[
@@ -57,7 +59,7 @@ fn main() {
         paper::fig7::SMALL_SPEEDUP,
         paper::fig7::MLPERF_SPEEDUP
     );
-    println!("single-threaded pathological kernel against 28 optimized cores; on one");
-    println!("core the end-to-end contrast compresses and shows up in the embedding");
-    println!("column (and in `ablation_contention`).");
+    println!("single-threaded pathological kernel against 28 optimized cores; on a");
+    println!("team of {threads} the end-to-end contrast compresses and shows up in the");
+    println!("embedding column (and in `ablation_contention`).");
 }

@@ -266,7 +266,7 @@ const SCHEMAS: [Schema; 5] = [
     },
 ];
 
-/// Validates a `results/BENCH_*.json` artifact against the [`SCHEMAS`] row
+/// Validates a `results/BENCH_*.json` artifact against the `SCHEMAS` row
 /// of its file name. Unknown artifact names are an error so a new bench
 /// cannot commit an unvalidated artifact (CI runs this over every committed
 /// `BENCH_*.json` via `crates/bench/tests/committed_artifacts.rs`, and

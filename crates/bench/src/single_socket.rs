@@ -82,7 +82,7 @@ impl Steps {
     }
 }
 
-/// Measures one (config, tier) cell: after a warm-up step, [`REPS`]
+/// Measures one (config, tier) cell: after a warm-up step, `REPS`
 /// repetitions of `steps` training iterations each, and the bar is the
 /// median repetition — its ms per iteration and its split.
 ///

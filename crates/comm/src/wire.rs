@@ -38,7 +38,7 @@
 //!   so the FP32 alltoall ships the caller's allocations untouched.
 //! * **Buffer pools**: the transport moves *owned* buffers between rank
 //!   threads, so every staged payload is drawn from a thread-local
-//!   grow-only pool and every consumed one goes back ([`recycle`]). The
+//!   grow-only pool and every consumed one goes back (`recycle`). The
 //!   pools are LIFO, so a ring hop's next stage is the buffer that just
 //!   arrived, and a narrowed alltoall widens into the FP32 buffer it just
 //!   narrowed from — after warm-up a steady-state train loop performs no

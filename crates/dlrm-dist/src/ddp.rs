@@ -79,7 +79,7 @@ impl GradSink for BucketSink<'_> {
 /// Applies the averaged SGD step after an allreduce of *summed* gradients:
 /// `w -= (lr / nranks) · g_sum`, every layer of `mlp` reading its slice of
 /// the reduced buffer `flat` at `offsets[i]`
-/// ([`Linear::sgd_step_scaled_from`]).
+/// ([`Linear::sgd_step_scaled_from`](dlrm::layers::Linear::sgd_step_scaled_from)).
 pub fn apply_reduced_grads(
     mlp: &mut Mlp,
     offsets: &[usize],

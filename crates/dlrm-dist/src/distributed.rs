@@ -1,51 +1,21 @@
-//! The hybrid-parallel distributed DLRM trainer.
-//!
-//! # One step
-//!
-//! [`DistDlrm`] has one train step (the private `step`, which reads top to
-//! bottom as its stages). [`DistDlrm::train_step`] and
-//! [`DistDlrm::train_step_lookahead`] are thin wrappers that select its
-//! embedding *front end*: the pooled forward exchange, or the lookahead
-//! pipeline of [`crate::prefetch`] — by construction just another source of
-//! the same pooled slices. Everything after the front end is written once.
-//!
-//! # The overlapped schedule
-//!
-//! [`Schedule::Overlapped`] restructures the train step around split-phase
-//! collectives so communication runs *behind* compute, the optimization at
-//! the heart of the paper's Figures 6/10/11:
-//!
-//! * the embedding-output alltoall is begun right after the table lookups
-//!   and finished only when the interaction needs the slices — the bottom
-//!   MLP forward runs while it is in flight;
-//! * the MLP-gradient allreduce is bucketed ([`crate::bucketing`]) and each
-//!   bucket is issued the moment backward has produced its layers, so the
-//!   reduction of the top MLP's gradients overlaps the interaction/bottom
-//!   backward and the embedding update;
-//! * the embedding-gradient alltoall is begun before the bottom backward
-//!   and finished just before the sparse update needs it.
-//!
-//! [`Schedule::Synchronous`] runs the *same* packing, the *same* bucket
-//! plan and the *same* per-bucket ring reductions, just back to back —
-//! which is why the two schedules produce bitwise-identical losses (the
-//! `schedule_equivalence` suite proves it, including under chaos plans).
-//! Overlap moves time, never bits.
-//!
-//! Only [`ExchangeStrategy::CclAlltoall`] keeps a [`ProgressEngine`], so
-//! only there is anything in flight. Every other strategy, the default
-//! included, drives its collectives on the rank thread (alltoalls at
-//! `finish`, buckets at `finalize`): progress threads that share the rank's
-//! core have no spare cycles to hide work in, they only compete for it.
+//! The hybrid-parallel distributed DLRM trainer: [`DistDlrm`] runs the one
+//! train step ([`dlrm::step`], DESIGN.md §18) through its hybrid boundary.
+//! [`Schedule::Overlapped`] hides each collective behind independent
+//! compute and [`Schedule::Synchronous`] runs the same collectives back to
+//! back, so the two give the same bits (DESIGN.md §8). Only
+//! [`ExchangeStrategy::CclAlltoall`] keeps a [`ProgressEngine`], so only
+//! there is anything in flight.
 
 use crate::bucketing::{BucketReducer, DEFAULT_BUCKET_CAP_BYTES};
 use crate::ddp::{apply_reduced_grads, grad_offsets, BucketSink};
-use crate::exchange::{self, ensure_mats, Direction, ExchangeStrategy};
+use crate::exchange::{self, ensure_mats, Direction, ExchangeStrategy, PendingExchange};
 use crate::prefetch::{Prefetch, PrefetchState};
 use crate::wirepolicy::{AdaptivePolicy, PolicyStats};
 use dlrm::embedding_layer::EmbeddingLayer;
 use dlrm::interaction::Interaction;
-use dlrm::layers::{Activation, Execution, Mlp};
+use dlrm::layers::{Execution, Mlp};
 use dlrm::model::DlrmModel;
+use dlrm::step::{self, Ctx, Dense, RankBoundary, StageKinds, Tower};
 use dlrm_comm::chaos::FaultPlan;
 use dlrm_comm::nonblocking::{create_channel_worlds_with_opts, Backend, ProgressEngine};
 use dlrm_comm::wire::WirePrecision;
@@ -53,10 +23,9 @@ use dlrm_comm::world::{CommWorld, Communicator};
 use dlrm_comm::{time_opt, OpKind, TimingRecorder, WireStats};
 use dlrm_data::{DlrmConfig, LookaheadWindow, MiniBatch};
 use dlrm_kernels::embedding::UpdateStrategy;
-use dlrm_kernels::loss::{bce_with_logits_backward, bce_with_logits_loss};
-use dlrm_tensor::init::seeded_rng;
 use dlrm_tensor::Matrix;
 use dlrm_topology::OwnershipMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// How the train step orders compute against communication.
@@ -205,8 +174,6 @@ impl Default for DistOptions {
 pub struct DistDlrm {
     /// The model configuration.
     pub cfg: DlrmConfig,
-    comm: Communicator,
-    engine: Option<ProgressEngine>,
     exec: Execution,
     /// Replicated bottom MLP.
     pub bottom: Mlp,
@@ -215,35 +182,44 @@ pub struct DistDlrm {
     /// `(global_table_index, layer)` for each owned table, updated with
     /// the fused race-free kernel.
     pub local_tables: Vec<(usize, EmbeddingLayer)>,
+    interaction: Interaction,
+    dlogits: Vec<f32>,
+    recorder: Option<Arc<TimingRecorder>>,
+    /// Lookahead pipeline state (`Some` iff prefetch is enabled).
+    prefetch: Option<PrefetchState>,
+    links: Links,
+}
+
+/// What the hybrid boundary keeps from step to step: the communicators,
+/// the exchange and allreduce settings, and the iteration-persistent
+/// scratch (reused, never regrown after step 1).
+struct Links {
+    comm: Communicator,
+    engine: Option<ProgressEngine>,
     /// Which rank owns which table — built once, shared by both exchanges.
     ownership: OwnershipMap,
-    interaction: Interaction,
     strategy: ExchangeStrategy,
     schedule: Schedule,
     bucket_cap_bytes: usize,
     wire: WireConfig,
-    /// Flat offset of each layer's gradients: `[bottom, top]`.
+    /// Flat offset of each layer's gradients, indexed by [`Tower`].
     grad_offs: Vec<Vec<usize>>,
     grad_total: usize,
-    recorder: Option<Arc<TimingRecorder>>,
-    // Iteration-persistent scratch (reused, never regrown after step 1).
     fwd_slices: Vec<Matrix>,
     bwd_grads: Vec<Matrix>,
     flat_grads: Vec<f32>,
-    dlogits: Vec<f32>,
-    /// Lookahead pipeline state (`Some` iff prefetch is enabled).
-    prefetch: Option<PrefetchState>,
     /// Adaptive allreduce-wire policy (`Some` iff the allreduce wire is
     /// [`AllreduceWire::Adaptive`]).
     wire_policy: Option<AdaptivePolicy>,
 }
 
 impl DistDlrm {
-    /// Builds this rank's share of the model. Weights are seeded per
-    /// component so they agree bit-for-bit with [`DlrmModel::new`] under
-    /// the same seed. `engine` is kept only under
-    /// [`ExchangeStrategy::CclAlltoall`]; any other strategy drops it here,
-    /// joining its progress threads, and reduces on the rank thread.
+    /// Builds this rank's share of the model. Weights come from
+    /// [`DlrmModel::build_mlps`] and [`DlrmModel::build_tables`], so they
+    /// agree bit-for-bit with [`DlrmModel::new`] under the same seed.
+    /// `engine` is kept only under [`ExchangeStrategy::CclAlltoall`]; any
+    /// other strategy drops it here, joining its progress threads, and
+    /// reduces on the rank thread.
     pub fn new(
         cfg: &DlrmConfig,
         comm: Communicator,
@@ -254,19 +230,7 @@ impl DistDlrm {
             comm.nranks() <= cfg.max_ranks(),
             "at most one rank per embedding table"
         );
-        let bottom = Mlp::new(
-            cfg.dense_features,
-            &cfg.bottom_mlp,
-            Activation::Relu,
-            &mut seeded_rng(opts.seed, DlrmModel::BOTTOM_STREAM),
-        )
-        .without_input_grad(); // dense features are a leaf
-        let top = Mlp::new(
-            cfg.interaction_output_dim(),
-            &cfg.top_mlp,
-            Activation::None,
-            &mut seeded_rng(opts.seed, DlrmModel::TOP_STREAM),
-        );
+        let (bottom, top) = DlrmModel::build_mlps(cfg, opts.seed);
         let ownership = OwnershipMap::round_robin(cfg.num_tables, comm.nranks());
         let exec = Execution::optimized(opts.threads_per_rank);
         let owned = ownership.tables_of(comm.rank());
@@ -300,78 +264,56 @@ impl DistDlrm {
         };
         DistDlrm {
             cfg: cfg.clone(),
-            comm,
-            engine: engine.filter(|_| opts.strategy == ExchangeStrategy::CclAlltoall),
             exec,
             bottom,
             top,
             local_tables,
-            ownership,
             interaction: Interaction::new(cfg.emb_dim),
-            strategy: opts.strategy,
-            schedule: opts.schedule,
-            bucket_cap_bytes: opts.bucket_cap_bytes,
-            wire: opts.wire,
-            grad_offs,
-            grad_total,
-            recorder: None,
-            fwd_slices: Vec::new(),
-            bwd_grads: Vec::new(),
-            flat_grads: Vec::new(),
             dlogits: Vec::new(),
+            recorder: None,
             prefetch,
-            wire_policy,
-        }
-    }
-
-    /// Builds one step's bucket reducer: fixed wire straight from the
-    /// config, or the adaptive policy's fresh per-bucket decisions. Takes
-    /// fields (not `&mut self`) so the train steps can call it while the
-    /// engine/recorder borrows are live.
-    fn build_reducer(
-        flat_grads: &mut Vec<f32>,
-        grad_total: usize,
-        cap_bytes: usize,
-        allreduce: AllreduceWire,
-        policy: &mut Option<AdaptivePolicy>,
-    ) -> BucketReducer {
-        let reducer = BucketReducer::new(std::mem::take(flat_grads), grad_total, cap_bytes);
-        match allreduce {
-            AllreduceWire::Fixed(p) => reducer.with_wire(p),
-            AllreduceWire::Adaptive { .. } => {
-                let policy = policy
-                    .as_mut()
-                    .expect("adaptive allreduce wire implies a policy");
-                let wires = policy.decide(reducer.num_buckets()).to_vec();
-                reducer.with_bucket_wires(wires)
-            }
+            links: Links {
+                comm,
+                engine: engine.filter(|_| opts.strategy == ExchangeStrategy::CclAlltoall),
+                ownership,
+                strategy: opts.strategy,
+                schedule: opts.schedule,
+                bucket_cap_bytes: opts.bucket_cap_bytes,
+                wire: opts.wire,
+                grad_offs,
+                grad_total,
+                fwd_slices: Vec::new(),
+                bwd_grads: Vec::new(),
+                flat_grads: Vec::new(),
+                wire_policy,
+            },
         }
     }
 
     /// This rank's id.
     pub fn rank(&self) -> usize {
-        self.comm.rank()
+        self.links.comm.rank()
     }
 
     /// World size.
     pub fn nranks(&self) -> usize {
-        self.comm.nranks()
+        self.links.comm.nranks()
     }
 
     /// Decision counts of the adaptive allreduce-wire policy (`None` under
     /// a fixed wire) — how many buckets shipped FP32/BF16/INT8 so far.
     pub fn wire_policy_stats(&self) -> Option<PolicyStats> {
-        self.wire_policy.as_ref().map(|p| p.stats())
+        self.links.wire_policy.as_ref().map(|p| p.stats())
     }
 
     /// Barrier over the trainer's communicator (bench/test sync points).
     pub fn comm_barrier(&self) {
-        self.comm.barrier();
+        self.links.comm.barrier();
     }
 
     /// The trainer's blocking communicator.
     pub fn comm(&self) -> &Communicator {
-        &self.comm
+        &self.links.comm
     }
 
     /// Attaches (or detaches) a per-rank timing recorder. Compute,
@@ -383,15 +325,16 @@ impl DistDlrm {
     /// Bytes currently held by the iteration-persistent scratch buffers —
     /// the allocation-growth test asserts this stabilizes after step 1.
     pub fn scratch_bytes(&self) -> usize {
-        let mats: usize = self
+        let l = &self.links;
+        let mats: usize = l
             .fwd_slices
             .iter()
-            .chain(&self.bwd_grads)
+            .chain(&l.bwd_grads)
             .map(|m| std::mem::size_of_val(m.as_slice()))
             .sum();
-        mats + (self.flat_grads.capacity() + self.dlogits.capacity()) * std::mem::size_of::<f32>()
+        mats + (l.flat_grads.capacity() + self.dlogits.capacity()) * std::mem::size_of::<f32>()
             + self.prefetch.as_ref().map_or(0, |p| p.scratch_bytes())
-            + self.wire_policy.as_ref().map_or(0, |p| p.scratch_bytes())
+            + l.wire_policy.as_ref().map_or(0, |p| p.scratch_bytes())
             + self.bottom.scratch_bytes()
             + self.top.scratch_bytes()
     }
@@ -428,245 +371,249 @@ impl DistDlrm {
             .expect("prefetch not enabled; construct with Prefetch::Lookahead");
         assert_eq!(win.pos(), ps.step() as usize, "window cursor out of sync");
         let loss = self.step(win.current(), Some((&mut ps, win)), lr);
+        ps.finish_step(ps.step());
         self.prefetch = Some(ps);
         loss
     }
 
-    /// The one train step. Stages, top to bottom: embedding front end +
-    /// bottom MLP forward → interaction + top MLP + loss → top backward →
-    /// interaction backward → gradient exchange around the bottom backward
-    /// → embedding update → bucketed allreduce + averaged MLP update.
-    ///
-    /// `lookahead` selects the embedding front end, the only stage with two
-    /// forms. Pooled (`None`): local gather → begin exchange → bottom
-    /// forward → finish. Lookahead: observe → land the early fetch → late
-    /// fetch → record touches → pool locally → bottom forward; it also
-    /// issues the next step's early fetch ahead of the backward alltoall
-    /// and replays this rank's slice of the sparse update onto its cached
-    /// rows. On every rank the exchange channel therefore sees, in FIFO
-    /// order, late(j), early(j+1), backward(j).
+    /// The one step ([`step::train_step`]) over this rank's hybrid
+    /// boundary, with the lookahead front end when `lookahead` is given.
     fn step(
         &mut self,
         global: &MiniBatch,
-        mut lookahead: Option<(&mut PrefetchState, &LookaheadWindow<'_>)>,
+        lookahead: Option<(&mut PrefetchState, &LookaheadWindow<'_>)>,
         lr: f32,
     ) -> f64 {
         let r = self.nranks();
         let gn = global.batch_size();
         assert_eq!(gn % r, 0, "global minibatch must divide by ranks");
-        let n = gn / r;
-        let me = self.rank();
-        let exec = self.exec.clone();
-        let e = self.cfg.emb_dim;
-        let overlapped = self.schedule == Schedule::Overlapped;
-        let rec_arc = self.recorder.clone();
-        let rec = rec_arc.as_deref();
-        let engine = self.engine.as_ref();
+        let mut boundary = Hybrid {
+            cfg: &self.cfg,
+            n: gn / r,
+            links: &mut self.links,
+            tables: &mut self.local_tables,
+            lookahead,
+            reducer: None,
+        };
+        let dense = Dense {
+            bottom: &mut self.bottom,
+            interaction: &mut self.interaction,
+            top: &mut self.top,
+            dlogits: &mut self.dlogits,
+        };
+        let rec = self.recorder.as_deref();
+        step::train_step(
+            &mut boundary,
+            dense,
+            &Ctx {
+                exec: &self.exec,
+                global,
+                lr,
+                rec,
+            },
+        )
+    }
+}
 
-        // --- forward ------------------------------------------------------
-        let local = global.slice(me * n, (me + 1) * n);
+impl Links {
+    /// Builds one step's bucket reducer: fixed wire straight from the
+    /// config, or the adaptive policy's fresh per-bucket decisions.
+    fn reducer(&mut self) -> BucketReducer {
+        let flat = std::mem::take(&mut self.flat_grads);
+        let reducer = BucketReducer::new(flat, self.grad_total, self.bucket_cap_bytes);
+        match self.wire.allreduce {
+            AllreduceWire::Fixed(p) => reducer.with_wire(p),
+            AllreduceWire::Adaptive { .. } => {
+                let policy = self
+                    .wire_policy
+                    .as_mut()
+                    .expect("adaptive allreduce wire implies a policy");
+                let wires = policy.decide(reducer.num_buckets()).to_vec();
+                reducer.with_bucket_wires(wires)
+            }
+        }
+    }
 
-        // Embedding front end: leaves this rank's `n×E` slice of every
-        // table in `fwd_slices` and runs the bottom MLP beside it.
-        let z0 = match &mut lookahead {
+    /// Starts an exchange of `mats`. [`Schedule::Synchronous`] completes it
+    /// at once; [`Schedule::Overlapped`] returns it for [`Links::finish`].
+    fn begin(
+        &mut self,
+        dir: Direction,
+        mats: &[Matrix],
+        n: usize,
+        e: usize,
+        rec: Option<&TimingRecorder>,
+    ) -> Option<PendingExchange> {
+        let wire = match dir {
+            Direction::Forward => self.wire.forward_alltoall,
+            Direction::Backward => self.wire.backward_alltoall,
+        };
+        let (comm, engine, map) = (&self.comm, self.engine.as_ref(), &self.ownership);
+        let p = exchange::begin(dir, self.strategy, comm, engine, map, mats, n, e, wire, rec);
+        match self.schedule {
+            Schedule::Overlapped => Some(p),
+            Schedule::Synchronous => {
+                self.finish(Some(p), rec);
+                None
+            }
+        }
+    }
+
+    /// Completes what [`Links::begin`] left pending, into `fwd_slices` or
+    /// `bwd_grads` by its direction.
+    fn finish(&mut self, pending: Option<PendingExchange>, rec: Option<&TimingRecorder>) {
+        let Some(p) = pending else { return };
+        let out = match p.direction() {
+            Direction::Forward => &mut self.fwd_slices,
+            Direction::Backward => &mut self.bwd_grads,
+        };
+        exchange::finish(p, &self.comm, &self.ownership, out, rec);
+    }
+}
+
+/// The hybrid-parallel boundary of one step, at every rank count
+/// (DESIGN.md §18). Pooled front end: local gather → begin the forward
+/// exchange → bottom forward → finish. Lookahead front end (§12): observe
+/// → land the early fetch → late fetch → record touches → pool locally →
+/// bottom forward → issue the next step's early fetch, so the exchange
+/// channel sees, in FIFO order, late(j), early(j+1), backward(j).
+///
+/// A non-finite loss does not skip the step: the loss is rank-local, so a
+/// skip every rank agrees on needs a collective (ROADMAP item 4(c)).
+struct Hybrid<'a> {
+    cfg: &'a DlrmConfig,
+    /// Samples per rank.
+    n: usize,
+    links: &'a mut Links,
+    tables: &'a mut [(usize, EmbeddingLayer)],
+    lookahead: Option<(&'a mut PrefetchState, &'a LookaheadWindow<'a>)>,
+    /// The step's allreduce, from the top backward on.
+    reducer: Option<BucketReducer>,
+}
+
+impl RankBoundary for Hybrid<'_> {
+    const KINDS: StageKinds = StageKinds {
+        embeddings: OpKind::Compute,
+        mlp: OpKind::Compute,
+        rest: OpKind::Compute,
+    };
+
+    fn local<'b>(&self, global: &'b MiniBatch) -> Cow<'b, MiniBatch> {
+        let me = self.links.comm.rank();
+        Cow::Owned(global.slice(me * self.n, (me + 1) * self.n))
+    }
+
+    fn forward(
+        &mut self,
+        cx: &Ctx,
+        bottom_forward: impl FnOnce() -> Matrix,
+    ) -> (Matrix, &[Matrix]) {
+        let (global, rec) = (cx.global, cx.rec);
+        let (n, e, l) = (self.n, self.cfg.emb_dim, &mut *self.links);
+        let (me, r) = (l.comm.rank(), l.comm.nranks());
+        let z0 = match &mut self.lookahead {
             None => {
-                // Model-parallel embedding forward over the full global batch.
-                let local_outs: Vec<Matrix> = time_opt(rec, OpKind::Compute, || {
-                    self.local_tables
-                        .iter_mut()
-                        .map(|(t, layer)| {
-                            layer.forward(&exec, &global.indices[*t], &global.offsets[*t])
-                        })
-                        .collect()
+                // Model-parallel table forward over the whole global batch,
+                // then the switch to data parallel, in flight across the
+                // bottom MLP forward.
+                let outs: Vec<Matrix> = time_opt(rec, Self::KINDS.embeddings, || {
+                    let tables = self.tables.iter_mut();
+                    let fwd = |(t, layer): &mut (usize, EmbeddingLayer)| {
+                        layer.forward(cx.exec, &global.indices[*t], &global.offsets[*t])
+                    };
+                    tables.map(fwd).collect()
                 });
-                // Model-parallel -> data-parallel switch, split-phase: in
-                // flight (or packed) across the bottom MLP forward.
-                let mut pending = Some(exchange::begin(
-                    Direction::Forward,
-                    self.strategy,
-                    &self.comm,
-                    engine,
-                    &self.ownership,
-                    &local_outs,
-                    n,
-                    e,
-                    self.wire.forward_alltoall,
-                    rec,
-                ));
-                if !overlapped {
-                    let p = pending.take().expect("begun above");
-                    exchange::finish(p, &self.comm, &self.ownership, &mut self.fwd_slices, rec);
-                }
-                let z0 = time_opt(rec, OpKind::Compute, || {
-                    self.bottom.forward(&exec, &local.dense)
-                });
-                if let Some(p) = pending {
-                    exchange::finish(p, &self.comm, &self.ownership, &mut self.fwd_slices, rec);
-                }
+                let pending = l.begin(Direction::Forward, &outs, n, e, rec);
+                let z0 = bottom_forward();
+                l.finish(pending, rec);
                 z0
             }
             Some((ps, win)) => {
-                // Fold newly visible batches into the need horizon, land
-                // the early fetch issued last step, fill the gaps with a
-                // late fetch, then record this batch's touches.
                 let j = ps.step();
                 ps.observe_visible(win, n);
                 ps.land_early_fetch(r, e, rec);
-                ps.late_fetch(
-                    j,
-                    global,
-                    me,
-                    r,
-                    n,
-                    &self.local_tables,
-                    &self.comm,
-                    self.wire.forward_alltoall,
-                    rec,
-                );
+                let wire = l.wire.forward_alltoall;
+                ps.late_fetch(j, global, me, r, n, self.tables, &l.comm, wire, rec);
                 ps.record_touches(j, global, n);
-                // Local fan-out replaces the pooled forward alltoall: every
-                // table's slice is pooled from cached rows in the naive
-                // accumulate order.
-                ensure_mats(&mut self.fwd_slices, self.cfg.num_tables, n, e);
-                time_opt(rec, OpKind::Compute, || {
-                    ps.pool_forward(global, me, n, &mut self.fwd_slices)
+                // Every table's slice is pooled from cached rows in the
+                // naive accumulate order.
+                ensure_mats(&mut l.fwd_slices, self.cfg.num_tables, n, e);
+                time_opt(rec, Self::KINDS.embeddings, || {
+                    ps.pool_forward(global, me, n, &mut l.fwd_slices)
                 });
-                time_opt(rec, OpKind::Compute, || {
-                    self.bottom.forward(&exec, &local.dense)
-                })
+                let z0 = bottom_forward();
+                // Batch j+1's rows go out on the exchange channel ahead of
+                // the backward alltoall and fly behind the compute between.
+                let engine = l.engine.as_ref();
+                ps.issue_early_fetch(j, win, me, r, n, self.tables, &l.comm, engine, wire, rec);
+                z0
             }
         };
+        (z0, &self.links.fwd_slices)
+    }
 
-        let logits_m = time_opt(rec, OpKind::Compute, || {
-            let inter = self.interaction.forward(&exec, &z0, &self.fwd_slices);
-            self.top.forward(&exec, &inter)
-        });
-        let logits = logits_m.as_slice();
-        let loss = bce_with_logits_loss(logits, &local.labels);
-
-        // --- backward -----------------------------------------------------
-        self.dlogits.resize(n, 0.0);
-        bce_with_logits_backward(logits, &local.labels, &mut self.dlogits);
-        let dy_top = Matrix::from_slice(1, n, &self.dlogits);
-
-        // The bucketed allreduce: backward writes every layer's gradients
-        // into its window; overlapped issues each bucket as they complete
-        // it, synchronous issues everything at `finalize`. Identical plan
-        // either way.
-        let mut reducer = Self::build_reducer(
-            &mut self.flat_grads,
-            self.grad_total,
-            self.bucket_cap_bytes,
-            self.wire.allreduce,
-            &mut self.wire_policy,
-        );
-
-        // Early fetch of batch j+1's rows, issued on the exchange channel
-        // before the backward alltoall so it flies behind the backward
-        // compute below.
-        if let Some((ps, win)) = &mut lookahead {
-            ps.issue_early_fetch(
-                ps.step(),
-                win,
-                me,
-                r,
-                n,
-                &self.local_tables,
-                &self.comm,
-                engine,
-                self.wire.forward_alltoall,
-                rec,
-            );
-        }
-
-        // One sink for the step: the top MLP's windows, then the bottom's.
+    fn mlp_backward(&mut self, cx: &Ctx, mlp: &mut Mlp, tower: Tower, dy: Matrix) -> Matrix {
+        let l = &mut *self.links;
         let mut sink = BucketSink {
-            reducer: &mut reducer,
-            offs: &self.grad_offs[1],
-            overlapped,
-            engine,
+            reducer: self.reducer.get_or_insert_with(|| l.reducer()),
+            offs: &l.grad_offs[tower as usize],
+            overlapped: l.schedule == Schedule::Overlapped,
+            engine: l.engine.as_ref(),
         };
-        let d_inter = time_opt(rec, OpKind::Compute, || {
-            self.top.backward_into(&exec, dy_top, &mut sink)
-        });
+        mlp.backward_into(cx.exec, dy, &mut sink)
+    }
 
-        let (d_bottom, d_tables) =
-            time_opt(rec, OpKind::Compute, || self.interaction.backward(&d_inter));
-
-        // Data-parallel -> model-parallel switch for embedding gradients,
-        // in flight (or packed) across the bottom MLP backward.
-        let mut pending = Some(exchange::begin(
-            Direction::Backward,
-            self.strategy,
-            &self.comm,
-            engine,
-            &self.ownership,
-            &d_tables,
-            n,
-            e,
-            self.wire.backward_alltoall,
-            rec,
-        ));
-        if !overlapped {
-            let p = pending.take().expect("begun above");
-            exchange::finish(p, &self.comm, &self.ownership, &mut self.bwd_grads, rec);
-        }
-
-        sink.offs = &self.grad_offs[0];
-        time_opt(rec, OpKind::Compute, || {
-            self.bottom.backward_into(&exec, d_bottom, &mut sink);
-        });
-
-        if let Some(p) = pending {
-            exchange::finish(p, &self.comm, &self.ownership, &mut self.bwd_grads, rec);
-        }
-
+    fn table_backward(
+        &mut self,
+        cx: &Ctx,
+        d_tables: &[Matrix],
+        bottom_backward: impl FnOnce(&mut Self),
+    ) {
+        let (global, rec, e) = (cx.global, cx.rec, self.cfg.emb_dim);
+        let pending = self
+            .links
+            .begin(Direction::Backward, d_tables, self.n, e, rec);
+        bottom_backward(self);
+        let l = &mut *self.links;
+        l.finish(pending, rec);
         // Local gradients are means over n = GN/R samples; dividing the
         // learning rate by R makes the sparse update a global-batch mean.
-        let emb_lr = lr / r as f32;
-        time_opt(rec, OpKind::Compute, || {
-            for ((t, layer), grad) in self.local_tables.iter_mut().zip(&self.bwd_grads) {
-                if lookahead.is_some() {
+        let (me, emb_lr) = (l.comm.rank(), cx.lr / l.comm.nranks() as f32);
+        time_opt(rec, Self::KINDS.embeddings, || {
+            for ((t, layer), grad) in self.tables.iter_mut().zip(&l.bwd_grads) {
+                if self.lookahead.is_some() {
                     // The owner's forward never ran here, so record the
                     // batch for the canonical update first.
                     layer.set_saved_batch(&global.indices[*t], &global.offsets[*t]);
                 }
-                layer.backward_update(&exec, grad, emb_lr);
+                layer.backward_update(cx.exec, grad, emb_lr);
             }
             // The delayed local update of this rank's cached rows.
-            if let Some((ps, _)) = &mut lookahead {
-                ps.apply_local_updates(global, me, n, &d_tables, emb_lr);
+            if let Some((ps, _)) = &mut self.lookahead {
+                ps.apply_local_updates(global, me, self.n, d_tables, emb_lr);
             }
         });
-
-        self.reduce_and_step(reducer, lr, rec);
-        if let Some((ps, _)) = lookahead {
-            ps.finish_step(ps.step());
-        }
-        loss
     }
 
-    /// The DDP tail of a step: the summed-gradient reduction completes
-    /// (issuing whatever the schedule left unissued), and each layer applies
-    /// the averaged step straight from its slice of the reduced buffer.
-    fn reduce_and_step(&mut self, reducer: BucketReducer, lr: f32, rec: Option<&TimingRecorder>) {
-        let engine = self.engine.as_ref();
-        let flat = reducer.finalize(&self.comm, engine, rec);
+    /// The DDP tail: the summed-gradient reduction completes (issuing
+    /// whatever the schedule left unissued), and each layer applies the
+    /// averaged step straight from its slice of the reduced buffer.
+    fn update_mlps(&mut self, cx: &Ctx, bottom: &mut Mlp, top: &mut Mlp) {
+        let l = &mut *self.links;
+        let reducer = self.reducer.take().expect("the top backward built it");
+        let flat = reducer.finalize(&l.comm, l.engine.as_ref(), cx.rec);
         // The reduced flat gradient is bitwise rank-identical — feeding it
         // into the policy keeps every rank's next-step decisions identical.
-        if let Some(policy) = self.wire_policy.as_mut() {
-            policy.observe_flat(&flat, self.bucket_cap_bytes);
+        if let Some(policy) = l.wire_policy.as_mut() {
+            policy.observe_flat(&flat, l.bucket_cap_bytes);
         }
-        let r = self.comm.nranks();
-        time_opt(rec, OpKind::Compute, || {
-            for (mlp, offs) in [&mut self.bottom, &mut self.top]
-                .into_iter()
-                .zip(&self.grad_offs)
-            {
-                apply_reduced_grads(mlp, offs, &self.exec, &flat, lr, r);
+        let r = l.comm.nranks();
+        time_opt(cx.rec, Self::KINDS.mlp, || {
+            for (mlp, offs) in [bottom, top].into_iter().zip(&l.grad_offs) {
+                apply_reduced_grads(mlp, offs, cx.exec, &flat, cx.lr, r);
             }
         });
-        self.flat_grads = flat;
+        l.flat_grads = flat;
     }
 }
 
@@ -747,6 +694,7 @@ mod tests {
     use super::*;
     use dlrm::precision::PrecisionMode;
     use dlrm_data::IndexDistribution;
+    use dlrm_tensor::init::seeded_rng;
 
     fn tiny_cfg() -> DlrmConfig {
         let mut cfg = DlrmConfig::small().scaled_down(32, 512);

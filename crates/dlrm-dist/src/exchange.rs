@@ -138,6 +138,13 @@ pub struct PendingExchange {
     state: PendingState,
 }
 
+impl PendingExchange {
+    /// Which way it moves data.
+    pub fn direction(&self) -> Direction {
+        self.dir
+    }
+}
+
 /// Packs this rank's matrices and starts the exchange.
 ///
 /// Forward: `mats[j]` is the `GN×E` output of this rank's `j`-th table

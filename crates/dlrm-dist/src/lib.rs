@@ -22,30 +22,18 @@
 //! rank count reproduces the single-process model's loss trajectory** on
 //! the same global batches (up to float-summation reassociation).
 //!
-//! There is one train step; it runs under two [`distributed::Schedule`]s:
-//! the naive `Synchronous` ordering, and the paper's `Overlapped` ordering
-//! built on the split-phase exchange ([`exchange`]: one `begin`/`finish`
-//! pair for both directions) and an issue-as-produced bucketed allreduce
-//! ([`bucketing`]). The two are bitwise-identical in losses — overlap moves
-//! time, not bits.
-//!
-//! Orthogonally to the schedule, [`distributed::WireConfig`] picks the
-//! on-wire element format ([`WirePrecision`]) of each hot collective —
-//! the forward/backward embedding alltoalls and the bucketed allreduce —
-//! so the paper's 16-bit wire halves the exchanged bytes while all local
-//! arithmetic stays FP32. The allreduce additionally supports
-//! [`distributed::AllreduceWire::Adaptive`]: an error-bounded policy
-//! ([`wirepolicy::AdaptivePolicy`]) that picks FP32/BF16/scaled-INT8 per
-//! gradient bucket from running statistics, quartering allreduce bytes
-//! when gradients allow while every rank stays bitwise identical.
-//!
-//! A third orthogonal knob, [`prefetch::Prefetch`], swaps the step's
-//! embedding front end — the pooled forward alltoall — for a BagPipe-style
-//! lookahead pipeline: per-window
-//! index dedup, raw-row fetches that cross the wire once per residency,
-//! local pooling, delayed-update row caches, and an early fetch of the
-//! next batch's rows in flight behind backward compute — bitwise-identical
-//! losses and parameter planes, fewer logical bytes.
+//! [`DistDlrm`] is the hybrid-parallel boundary of the one train step
+//! (`dlrm::step`, DESIGN.md §18). The boundary's collectives run under
+//! two [`distributed::Schedule`]s, the naive `Synchronous` ordering and the
+//! paper's `Overlapped` one, built on the split-phase exchange
+//! ([`exchange`]) and an issue-as-produced bucketed allreduce
+//! ([`bucketing`]); overlap moves time, not bits. [`distributed::WireConfig`]
+//! picks each hot collective's on-wire element format ([`WirePrecision`]),
+//! fixed or chosen per bucket by the error-bounded
+//! [`wirepolicy::AdaptivePolicy`]. [`prefetch::Prefetch`] swaps the pooled
+//! forward alltoall for a BagPipe-style lookahead pipeline that ships each
+//! unique row once per residency — bitwise-identical losses and parameter
+//! planes, fewer bytes (DESIGN.md §8, §10, §12, §14).
 
 #![forbid(unsafe_code)]
 

@@ -16,6 +16,9 @@
 //!   top MLP → BCE loss. An attached `dlrm_telemetry::TimingRecorder`
 //!   ([`model::DlrmModel::set_recorder`]) receives Figure 8's
 //!   Embeddings/MLP/Rest split.
+//! * [`step`] — the one train step, generic over a rank boundary: the
+//!   model above is its one-rank case, `dlrm_dist`'s trainer its
+//!   hybrid-parallel case.
 //! * [`precision`] — FP32 / Split-SGD-BF16 / FP24 training modes
 //!   (Section VII) via bit-accurate emulation.
 //! * [`metrics`] — ROC AUC (Figure 16's metric) and log-loss.
@@ -33,6 +36,7 @@ pub mod layers;
 pub mod metrics;
 pub mod model;
 pub mod precision;
+pub mod step;
 pub mod trainer;
 
 /// Convenience re-exports for examples and downstream crates.

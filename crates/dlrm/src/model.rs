@@ -5,9 +5,9 @@ use crate::embedding_layer::EmbeddingLayer;
 use crate::interaction::Interaction;
 use crate::layers::{Activation, Execution, Mlp};
 use crate::precision::{ParamOptimizer, PrecisionMode};
+use crate::step::{self, Ctx, Dense, RankBoundary, StageKinds, Tower};
 use dlrm_data::{DlrmConfig, MiniBatch};
 use dlrm_kernels::embedding::UpdateStrategy;
-use dlrm_kernels::loss::{bce_with_logits_backward, bce_with_logits_loss};
 use dlrm_telemetry::{time_opt, OpKind, TimingRecorder};
 use dlrm_tensor::aligned::HUGE_PAGE;
 use dlrm_tensor::init::seeded_rng;
@@ -39,6 +39,8 @@ pub struct DlrmModel {
     mlp_opts: Vec<ParamOptimizer>,
     /// Per-table optimizers, for non-FP32 modes.
     emb_opts: Vec<ParamOptimizer>,
+    /// Scratch for the logit gradient.
+    dlogits: Vec<f32>,
     /// Where [`OpKind::Embeddings`], [`OpKind::Mlp`] and [`OpKind::Rest`]
     /// time goes (Figure 8), when attached.
     pub(crate) recorder: Option<Arc<TimingRecorder>>,
@@ -121,6 +123,30 @@ impl DlrmModel {
             .collect()
     }
 
+    /// Builds the bottom and top MLPs of `cfg` from `seed`'s per-component
+    /// streams: the replicas every trainer rank and serving shard holds.
+    pub fn build_mlps(cfg: &DlrmConfig, seed: u64) -> (Mlp, Mlp) {
+        let bottom = Mlp::new(
+            cfg.dense_features,
+            &cfg.bottom_mlp,
+            Activation::Relu,
+            &mut seeded_rng(seed, Self::BOTTOM_STREAM),
+        )
+        .without_input_grad(); // dense features are a leaf
+        assert_eq!(
+            bottom.out_features(),
+            cfg.emb_dim,
+            "bottom MLP must project to the embedding dimension"
+        );
+        let top = Mlp::new(
+            cfg.interaction_output_dim(),
+            &cfg.top_mlp,
+            Activation::None,
+            &mut seeded_rng(seed, Self::TOP_STREAM),
+        );
+        (bottom, top)
+    }
+
     /// Builds a model for `cfg`. All randomness comes from `seed`, with an
     /// independent stream per component (bottom MLP, each table, top MLP)
     /// so a distributed instance can reconstruct exactly the same weights
@@ -134,26 +160,9 @@ impl DlrmModel {
         precision: PrecisionMode,
         seed: u64,
     ) -> Self {
-        let mut bottom = Mlp::new(
-            cfg.dense_features,
-            &cfg.bottom_mlp,
-            Activation::Relu,
-            &mut seeded_rng(seed, Self::BOTTOM_STREAM),
-        )
-        .without_input_grad(); // dense features are a leaf
-        assert_eq!(
-            bottom.out_features(),
-            cfg.emb_dim,
-            "bottom MLP must project to the embedding dimension"
-        );
+        let (mut bottom, mut top) = Self::build_mlps(cfg, seed);
         let all: Vec<usize> = (0..cfg.num_tables).collect();
         let mut tables = Self::build_tables(cfg, &all, strategy, &exec, seed);
-        let mut top = Mlp::new(
-            cfg.interaction_output_dim(),
-            &cfg.top_mlp,
-            Activation::None,
-            &mut seeded_rng(seed, Self::TOP_STREAM),
-        );
 
         let (mlp_opts, emb_opts) = if precision == PrecisionMode::Fp32 {
             (Vec::new(), Vec::new())
@@ -189,6 +198,7 @@ impl DlrmModel {
             skipped_steps: 0,
             mlp_opts,
             emb_opts,
+            dlogits: Vec::new(),
             recorder: None,
         }
     }
@@ -203,24 +213,9 @@ impl DlrmModel {
 
     /// Forward pass; returns the per-sample logits.
     pub fn forward(&mut self, batch: &MiniBatch) -> Vec<f32> {
-        let exec = self.exec.clone();
-        let rec = self.recorder.as_deref();
-        let z0 = time_opt(rec, OpKind::Mlp, || {
-            self.bottom.forward(&exec, &batch.dense)
-        });
-        let table_outs: Vec<Matrix> = time_opt(rec, OpKind::Embeddings, || {
-            self.tables
-                .iter_mut()
-                .enumerate()
-                .map(|(t, layer)| layer.forward(&exec, &batch.indices[t], &batch.offsets[t]))
-                .collect()
-        });
-        let inter = time_opt(rec, OpKind::Rest, || {
-            self.interaction.forward(&exec, &z0, &table_outs)
-        });
-        let logits = time_opt(rec, OpKind::Mlp, || self.top.forward(&exec, &inter));
-        debug_assert_eq!(logits.rows(), 1);
-        logits.as_slice().to_vec()
+        self.one_rank(batch, 0.0, |b, mut d, cx| {
+            step::forward(b, &mut d, cx, batch).as_slice().to_vec()
+        })
     }
 
     /// Forward + predicted click probabilities.
@@ -231,89 +226,47 @@ impl DlrmModel {
             .collect()
     }
 
-    /// One full training iteration (forward, loss, backward, update).
-    /// Returns the minibatch loss; a non-finite one skips backward and update
+    /// One full training iteration (forward, loss, backward, update): the
+    /// one step ([`step::train_step`]) on one rank. Returns the minibatch
+    /// loss; a non-finite one skips backward and update
     /// ([`DlrmModel::skipped_steps`]). FP32 uses [`Mlp::backward_sgd`].
     pub fn train_step(&mut self, batch: &MiniBatch, lr: f32) -> f64 {
-        let exec = self.exec.clone();
-        let n = batch.batch_size();
-        let fp32 = self.precision == PrecisionMode::Fp32;
-        let logits = self.forward(batch);
+        self.one_rank(batch, lr, |b, d, cx| step::train_step(b, d, cx))
+    }
+
+    /// Runs `f` over the model split into its one-rank boundary, its dense
+    /// stack and the step's context.
+    fn one_rank<T>(
+        &mut self,
+        batch: &MiniBatch,
+        lr: f32,
+        f: impl FnOnce(&mut OneRank, Dense, &Ctx) -> T,
+    ) -> T {
+        let mut boundary = OneRank {
+            precision: self.precision,
+            tables: &mut self.tables,
+            mlp_opts: &mut self.mlp_opts,
+            emb_opts: &mut self.emb_opts,
+            skipped_steps: &mut self.skipped_steps,
+            outs: Vec::new(),
+        };
+        let dense = Dense {
+            bottom: &mut self.bottom,
+            interaction: &mut self.interaction,
+            top: &mut self.top,
+            dlogits: &mut self.dlogits,
+        };
         let rec = self.recorder.as_deref();
-
-        // Loss + gradient w.r.t. logits.
-        let (loss, dlogits) = time_opt(rec, OpKind::Rest, || {
-            let loss = bce_with_logits_loss(&logits, &batch.labels);
-            let mut g = vec![0.0f32; n];
-            bce_with_logits_backward(&logits, &batch.labels, &mut g);
-            (loss, Matrix::from_slice(1, n, &g))
-        });
-        if !loss.is_finite() {
-            self.skipped_steps += 1;
-            return loss;
-        }
-
-        // Top MLP backward (and, in FP32, its update).
-        let d_inter = time_opt(rec, OpKind::Mlp, || {
-            if fp32 {
-                self.top.backward_sgd(&exec, dlogits, lr)
-            } else {
-                self.top.backward(&exec, dlogits)
-            }
-        });
-
-        // Interaction backward.
-        let (d_bottom, d_tables) =
-            time_opt(rec, OpKind::Rest, || self.interaction.backward(&d_inter));
-
-        // Embedding backward + update.
-        time_opt(rec, OpKind::Embeddings, || {
-            if fp32 {
-                for (layer, grad) in self.tables.iter_mut().zip(&d_tables) {
-                    layer.backward_update(&exec, grad, lr);
-                }
-            } else {
-                // Precision path: per-lookup sparse rows through the
-                // mode's optimizer (deterministic index-list order).
-                for (t, layer) in self.tables.iter_mut().enumerate() {
-                    let opt = &mut self.emb_opts[t];
-                    let offsets = &batch.offsets[t];
-                    let indices = &batch.indices[t];
-                    for bag in 0..n {
-                        let grad = d_tables[t].row(bag);
-                        #[allow(clippy::needless_range_loop)] // CSR bag walk
-                        for s in offsets[bag]..offsets[bag + 1] {
-                            opt.step_row(&mut layer.weight, indices[s] as usize, grad, lr);
-                        }
-                    }
-                }
-            }
-        });
-
-        // Bottom MLP backward (and, in FP32, its update), then the dense
-        // update of the other modes.
-        time_opt(rec, OpKind::Mlp, || {
-            if fp32 {
-                self.bottom.backward_sgd(&exec, d_bottom, lr);
-                return;
-            }
-            self.bottom.backward(&exec, d_bottom);
-            for (layer, opt) in self
-                .bottom
-                .layers
-                .iter_mut()
-                .chain(self.top.layers.iter_mut())
-                .zip(self.mlp_opts.iter_mut())
-            {
-                // Element-wise on the blocked planes, which share one
-                // layout.
-                opt.step(layer.w.as_mut_slice(), layer.dw.as_slice(), lr);
-                // Biases stay FP32 (negligible storage; matches the
-                // paper's weight-focused scheme).
-                dlrm_kernels::sgd::sgd_step(&mut layer.b, &layer.db, lr);
-            }
-        });
-        loss
+        f(
+            &mut boundary,
+            dense,
+            &Ctx {
+                exec: &self.exec,
+                global: batch,
+                lr,
+                rec,
+            },
+        )
     }
 
     /// Total parameter count (MLPs + tables).
@@ -336,6 +289,100 @@ impl DlrmModel {
     /// the first step of a fixed batch shape; no `dw` after [`Mlp::backward_sgd`].
     pub fn mlp_scratch_bytes(&self) -> usize {
         self.bottom.scratch_bytes() + self.top.scratch_bytes()
+    }
+}
+
+/// The one-rank boundary: every table is local, a non-finite loss skips
+/// the step, and FP32 MLPs take their SGD step in the weights write-back
+/// ([`Mlp::backward_sgd`]); the other precisions write gradient planes and
+/// step through their [`ParamOptimizer`]s.
+struct OneRank<'a> {
+    precision: PrecisionMode,
+    tables: &'a mut [EmbeddingLayer],
+    mlp_opts: &'a mut [ParamOptimizer],
+    emb_opts: &'a mut [ParamOptimizer],
+    skipped_steps: &'a mut u64,
+    /// The step's pooled table outputs.
+    outs: Vec<Matrix>,
+}
+
+impl RankBoundary for OneRank<'_> {
+    const KINDS: StageKinds = StageKinds {
+        embeddings: OpKind::Embeddings,
+        mlp: OpKind::Mlp,
+        rest: OpKind::Rest,
+    };
+
+    fn forward(
+        &mut self,
+        cx: &Ctx,
+        bottom_forward: impl FnOnce() -> Matrix,
+    ) -> (Matrix, &[Matrix]) {
+        let z0 = bottom_forward();
+        let (exec, batch) = (cx.exec, cx.global);
+        self.outs = time_opt(cx.rec, Self::KINDS.embeddings, || {
+            let tables = self.tables.iter_mut().enumerate();
+            tables
+                .map(|(t, layer)| layer.forward(exec, &batch.indices[t], &batch.offsets[t]))
+                .collect()
+        });
+        (z0, &self.outs)
+    }
+
+    /// In FP32 the MLP update runs inside the backward, so once backward
+    /// starts nothing can hold a NaN back: a non-finite loss runs none.
+    fn admit(&mut self, loss: f64) -> bool {
+        if !loss.is_finite() {
+            *self.skipped_steps += 1;
+        }
+        loss.is_finite()
+    }
+
+    fn mlp_backward(&mut self, cx: &Ctx, mlp: &mut Mlp, tower: Tower, dy: Matrix) -> Matrix {
+        if self.precision == PrecisionMode::Fp32 {
+            return mlp.backward_sgd(cx.exec, dy, cx.lr);
+        }
+        let dx = mlp.backward(cx.exec, dy);
+        // Bottom layers own the first optimizers, top layers the last.
+        let first = match tower {
+            Tower::Bottom => 0,
+            Tower::Top => self.mlp_opts.len() - mlp.layers.len(),
+        };
+        for (layer, opt) in mlp.layers.iter_mut().zip(&mut self.mlp_opts[first..]) {
+            // Element-wise on the blocked planes, which share one layout.
+            opt.step(layer.w.as_mut_slice(), layer.dw.as_slice(), cx.lr);
+            // Biases stay FP32 (negligible storage; matches the paper's
+            // weight-focused scheme).
+            dlrm_kernels::sgd::sgd_step(&mut layer.b, &layer.db, cx.lr);
+        }
+        dx
+    }
+
+    fn table_backward(
+        &mut self,
+        cx: &Ctx,
+        d_tables: &[Matrix],
+        bottom_backward: impl FnOnce(&mut Self),
+    ) {
+        let (batch, lr) = (cx.global, cx.lr);
+        time_opt(cx.rec, Self::KINDS.embeddings, || {
+            let tables = self.tables.iter_mut().zip(d_tables);
+            if self.precision == PrecisionMode::Fp32 {
+                tables.for_each(|(layer, grad)| layer.backward_update(cx.exec, grad, lr));
+                return;
+            }
+            // Per-lookup sparse rows through the mode's optimizer
+            // (deterministic index-list order).
+            for (t, ((layer, grad), opt)) in tables.zip(&mut *self.emb_opts).enumerate() {
+                let (offsets, indices) = (&batch.offsets[t], &batch.indices[t]);
+                for (bag, bounds) in offsets.windows(2).enumerate() {
+                    for &row in &indices[bounds[0]..bounds[1]] {
+                        opt.step_row(&mut layer.weight, row as usize, grad.row(bag), lr);
+                    }
+                }
+            }
+        });
+        bottom_backward(self);
     }
 }
 

@@ -14,7 +14,7 @@
 //! `n ≥ 2` the caller publishes a borrowed pointer to the job, bumps an
 //! epoch, runs its own share and then waits for an outstanding counter to
 //! reach zero; workers wait for the epoch. Both sides wait by bounded spin,
-//! then bounded `yield`, then park ([`SPINS`], [`YIELDS`]; DESIGN.md §16), so
+//! then bounded `yield`, then park (`SPINS`, `YIELDS`; DESIGN.md §16), so
 //! a dispatch between busy members costs no system call and an idle team
 //! costs no CPU. Panics in any member's share are captured and re-thrown on
 //! the caller once the whole team has finished.

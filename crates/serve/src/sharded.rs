@@ -34,12 +34,11 @@
 use crate::cache::CacheStats;
 use crate::engine::CacheSizing;
 use dlrm::interaction::Interaction;
-use dlrm::layers::{Activation, Execution, Mlp};
+use dlrm::layers::{Execution, Mlp};
 use dlrm::model::DlrmModel;
 use dlrm_data::{DlrmConfig, MiniBatch};
 use dlrm_kernels::embedding::{self, UpdateStrategy};
 use dlrm_kernels::threadpool::{allowed_cpus, ThreadPool};
-use dlrm_tensor::init::seeded_rng;
 use dlrm_tensor::Matrix;
 use dlrm_topology::{CorePlacement, OwnershipMap};
 use std::sync::Arc;
@@ -94,23 +93,7 @@ pub(crate) struct LaneHalf {
 impl LaneHalf {
     /// The MLP replica every shard holds for `seed`, on `exec`'s team.
     fn new(cfg: &DlrmConfig, exec: Execution, seed: u64) -> Self {
-        let bottom = Mlp::new(
-            cfg.dense_features,
-            &cfg.bottom_mlp,
-            Activation::Relu,
-            &mut seeded_rng(seed, DlrmModel::BOTTOM_STREAM),
-        );
-        assert_eq!(
-            bottom.out_features(),
-            cfg.emb_dim,
-            "bottom MLP must project to the embedding dimension"
-        );
-        let top = Mlp::new(
-            cfg.interaction_output_dim(),
-            &cfg.top_mlp,
-            Activation::None,
-            &mut seeded_rng(seed, DlrmModel::TOP_STREAM),
-        );
+        let (bottom, top) = DlrmModel::build_mlps(cfg, seed);
         LaneHalf {
             exec,
             bottom,

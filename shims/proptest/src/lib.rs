@@ -321,7 +321,7 @@ pub mod prop {
         use crate::strategy::Strategy;
         use crate::test_runner::TestRng;
 
-        /// Acceptable size specifications for [`vec`].
+        /// Acceptable size specifications for [`vec()`].
         pub trait SizeRange {
             /// Samples a concrete length.
             fn pick(&self, rng: &mut TestRng) -> usize;

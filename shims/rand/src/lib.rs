@@ -73,7 +73,7 @@ pub trait Standard {
 }
 
 impl Standard for f32 {
-    /// The top 24 bits · 2⁻²⁴, exact in `f32`: narrowing [`unit_f64`]
+    /// The top 24 bits · 2⁻²⁴, exact in `f32`: narrowing `unit_f64`
     /// would round its largest draws up to `1.0`.
     fn sample_standard<R: RngCore>(rng: &mut R) -> Self {
         (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
