@@ -82,106 +82,86 @@ impl Steps {
     }
 }
 
-/// Measures one (config, tier) cell: after a warm-up step, `REPS`
-/// repetitions of `steps` training iterations each, and the bar is the
-/// median repetition — its ms per iteration and its split.
+/// Runs all four Figure 7 bars for one config: the reference tier and each
+/// optimized update strategy. The four models are built once, on one team
+/// of `threads`; each takes a warm-up step (the first touch of its tables)
+/// and sizes its repetitions. Then repetition k of every bar runs before
+/// repetition k + 1 of any (as `fig5_mlp_kernels` takes its rows), so a
+/// drifting host moves every bar alike. A bar is its median repetition —
+/// its ms per iteration and its split.
 ///
-/// `framework_naive` selects the Figure 7 baseline: optimized (MKL-class)
+/// The "Reference" bar is the Figure 7 baseline: optimized (MKL-class)
 /// MLPs but the framework's functionality-first embedding kernels — the
 /// configuration the paper actually profiled as "Reference".
-pub fn measure(
-    cfg: &DlrmConfig,
-    dist: IndexDistribution,
-    exec: Execution,
-    strategy: UpdateStrategy,
-    framework_naive: bool,
-    label: &str,
-    steps: Steps,
-) -> SingleSocketRow {
-    let mut model = DlrmModel::new(cfg, exec, strategy, PrecisionMode::Fp32, 7);
-    if framework_naive {
-        for table in &mut model.tables {
-            table.framework_naive = true;
-        }
-    }
-    let mut rng = seeded_rng(99, 0);
-    let batches: Vec<MiniBatch> = (0..4)
-        .map(|_| MiniBatch::random(cfg, cfg.mb_single, dist, &mut rng))
-        .collect();
-    // Warm-up iteration (first touch of the tables), then each repetition
-    // with a recorder of its own attached.
-    let _ = model.train_step(&batches[0], 0.01);
-    let iters = match steps {
-        Steps::Fixed(n) => n,
-        Steps::AtLeastSecs(secs) => {
-            let t0 = std::time::Instant::now();
-            let _ = model.train_step(&batches[1], 0.01);
-            (secs / t0.elapsed().as_secs_f64()).ceil().max(1.0) as usize
-        }
-    };
-    let mut reps: Vec<(f64, (f64, f64, f64))> = (0..REPS)
-        .map(|_| {
-            let rec = Arc::new(TimingRecorder::new());
-            model.set_recorder(Some(Arc::clone(&rec)));
-            for i in 0..iters {
-                let _ = model.train_step(&batches[i % batches.len()], 0.01);
-            }
-            let [e, m, r] = [OpKind::Embeddings, OpKind::Mlp, OpKind::Rest]
-                .map(|kind| rec.total(kind).as_secs_f64());
-            let total = e + m + r;
-            (
-                total * 1e3 / iters as f64,
-                (e / total, m / total, r / total),
-            )
-        })
-        .collect();
-    reps.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let (ms_per_iter, split) = reps[REPS / 2];
-    SingleSocketRow {
-        config: cfg.name.clone(),
-        label: label.to_string(),
-        ms_per_iter,
-        split,
-    }
-}
-
-/// Runs all four Figure 7 bars for one config.
 pub fn run_config(
     cfg: &DlrmConfig,
     dist: IndexDistribution,
     threads: usize,
     steps: Steps,
 ) -> Vec<SingleSocketRow> {
+    let exec = Execution::optimized(threads);
+    let mut rng = seeded_rng(99, 0);
+    let batches: Vec<MiniBatch> = (0..4)
+        .map(|_| MiniBatch::random(cfg, cfg.mb_single, dist, &mut rng))
+        .collect();
+    let step = |model: &mut DlrmModel, i: usize| {
+        let _ = model.train_step(&batches[i % batches.len()], 0.01);
+    };
     // The reference tier is painfully slow by design: a fixed count is
     // halved, a timed one sizes itself.
     let ref_steps = match steps {
         Steps::Fixed(n) => Steps::Fixed(n.div_ceil(2)),
         timed => timed,
     };
-    let mut rows = Vec::new();
-    rows.push(measure(
-        cfg,
-        dist,
-        Execution::optimized(threads),
-        UpdateStrategy::RaceFree,
-        true,
-        "Reference",
-        ref_steps,
-    ));
-    for strategy in [
-        UpdateStrategy::AtomicXchg,
-        UpdateStrategy::Rtm,
-        UpdateStrategy::RaceFree,
-    ] {
-        rows.push(measure(
-            cfg,
-            dist,
-            Execution::optimized(threads),
-            strategy,
-            false,
-            &strategy.to_string(),
-            steps,
-        ));
+    let bars = [
+        (UpdateStrategy::RaceFree, true, ref_steps),
+        (UpdateStrategy::AtomicXchg, false, steps),
+        (UpdateStrategy::Rtm, false, steps),
+        (UpdateStrategy::RaceFree, false, steps),
+    ];
+    let mut models = bars.map(|(strategy, framework_naive, steps)| {
+        let mut model = DlrmModel::new(cfg, exec.clone(), strategy, PrecisionMode::Fp32, 7);
+        for table in &mut model.tables {
+            table.framework_naive = framework_naive;
+        }
+        step(&mut model, 0);
+        let iters = match steps {
+            Steps::Fixed(n) => n,
+            Steps::AtLeastSecs(secs) => {
+                let t0 = std::time::Instant::now();
+                step(&mut model, 1);
+                (secs / t0.elapsed().as_secs_f64()).ceil().max(1.0) as usize
+            }
+        };
+        let label = match framework_naive {
+            true => "Reference".to_string(),
+            false => strategy.to_string(),
+        };
+        (label, model, iters, Vec::with_capacity(REPS))
+    });
+    for _ in 0..REPS {
+        for (_, model, iters, reps) in &mut models {
+            let rec = Arc::new(TimingRecorder::new());
+            model.set_recorder(Some(Arc::clone(&rec)));
+            (0..*iters).for_each(|i| step(model, i));
+            let [e, m, r] = [OpKind::Embeddings, OpKind::Mlp, OpKind::Rest]
+                .map(|kind| rec.total(kind).as_secs_f64());
+            let total = e + m + r;
+            let ms_per_iter = total * 1e3 / *iters as f64;
+            reps.push((ms_per_iter, (e / total, m / total, r / total)));
+        }
     }
-    rows
+    models
+        .into_iter()
+        .map(|(label, _, _, mut reps)| {
+            reps.sort_by(|a: &(f64, _), b| a.0.total_cmp(&b.0));
+            let (ms_per_iter, split) = reps[REPS / 2];
+            SingleSocketRow {
+                config: cfg.name.clone(),
+                label,
+                ms_per_iter,
+                split,
+            }
+        })
+        .collect()
 }

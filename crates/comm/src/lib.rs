@@ -20,8 +20,8 @@
 //! * [`instrument`] — the [`instrument::WireStats`] byte counters every
 //!   send records into. The wall-clock recorder that splits "framework"
 //!   from "wait" time ([`TimingRecorder`], [`OpKind`], [`time_opt`]) lives
-//!   in `dlrm-telemetry` and is re-exported here, since
-//!   [`Request::wait_flat`] and [`Request::wait_per_rank`] take it.
+//!   in `dlrm-telemetry` and is re-exported here, since a
+//!   [`Pending`] collective charges its completion to it.
 //! * [`wire`] — the [`wire::WirePrecision`] knob and its codec, the one
 //!   module that knows how `f32` becomes a payload and back: the hot
 //!   collectives take a wire and ship BF16 halfwords (RNE narrowing, exact
@@ -54,7 +54,7 @@ pub mod world;
 pub use chaos::{ChaosConfig, ChaosSnapshot, ChaosStats, FaultPlan};
 pub use dlrm_telemetry::{time_opt, OpKind, TimingRecorder};
 pub use instrument::{WireSnapshot, WireStats};
-pub use nonblocking::{Backend, ProgressEngine, Request};
+pub use nonblocking::{Backend, Pending, ProgressEngine, Request};
 pub use wire::WirePrecision;
 pub use world::{CommWorld, Communicator, Int8Payload, Payload};
 

@@ -18,9 +18,10 @@
 //! Progress threads pay off only on cores the compute does not use, which
 //! is where oneCCL pins them. The distributed trainer therefore keeps an
 //! engine only for its CCL strategy; its default strategy drives every
-//! collective on the rank thread through [`crate::collectives`].
+//! collective on the rank thread, each a deferred [`Pending`].
 
 use crate::chaos::FaultPlan;
+use crate::collectives;
 use crate::instrument::WireStats;
 use crate::wire::WirePrecision;
 use crate::world::Communicator;
@@ -97,25 +98,6 @@ impl Request {
         self.rx.recv().expect("progress channel died")
     }
 
-    /// [`Request::wait`] for an allreduce, with the blocking time charged to
-    /// `kind` on `rec` (no-op accounting when `rec` is `None`). Split-phase
-    /// callers use this so *exposed* wait — not the full collective — is
-    /// what gets measured.
-    pub fn wait_flat(self, rec: Option<&TimingRecorder>, kind: OpKind) -> Vec<f32> {
-        match time_opt(rec, kind, || self.wait()) {
-            OpOutput::Flat(v) => v,
-            other => panic!("expected an allreduce result, got {other:?}"),
-        }
-    }
-
-    /// [`Request::wait_flat`] for an alltoall: the per-source payloads.
-    pub fn wait_per_rank(self, rec: Option<&TimingRecorder>, kind: OpKind) -> Vec<Vec<f32>> {
-        match time_opt(rec, kind, || self.wait()) {
-            OpOutput::PerRank(v) => v,
-            other => panic!("expected an alltoall result, got {other:?}"),
-        }
-    }
-
     /// Non-destructive readiness probe.
     pub fn is_ready(&mut self) -> bool {
         if self.cached.is_some() {
@@ -127,6 +109,99 @@ impl Request {
                 true
             }
             Err(_) => false,
+        }
+    }
+}
+
+/// A collective between its issue and its completion: the one place a rank
+/// decides where a collective runs. Issued with an engine, it is in flight
+/// on a progress channel and completing it waits (oneCCL's workers); issued
+/// without one, it is deferred and completing it runs the collective on the
+/// rank's own [`Communicator`] (blocking MPI). Both arms move the same bits
+/// and charge the same [`OpKind`]s: the wait, or the run, to `*-Wait`, and
+/// an allreduce's copies to and from its channel to `Allreduce-Framework`.
+pub struct Pending(Arm);
+
+enum Arm {
+    InFlight(Request),
+    /// A deferred alltoall: `(send, wire, tag, group)`.
+    Alltoall(Vec<Vec<f32>>, WirePrecision, u64, usize),
+    /// A deferred allreduce, of the caller's buffer in place.
+    Allreduce(WirePrecision),
+    /// An alltoall completed early ([`Pending::complete_now`]).
+    Done(Vec<Vec<f32>>),
+}
+
+impl Pending {
+    /// Issues an alltoall of `send` on `channel` of `engine`, or defers it.
+    /// `tag` (the tag base) and `group` (the INT8 scale-group length) are
+    /// those of [`collectives::alltoall_wire_tagged`].
+    pub fn alltoall(
+        engine: Option<&ProgressEngine>,
+        channel: usize,
+        send: Vec<Vec<f32>>,
+        wire: WirePrecision,
+        tag: u64,
+        group: usize,
+    ) -> Self {
+        Pending(match engine {
+            Some(eng) => Arm::InFlight(eng.alltoall_wire_tagged(channel, send, wire, tag, group)),
+            None => Arm::Alltoall(send, wire, tag, group),
+        })
+    }
+
+    /// Issues an allreduce-sum of `data`: a copy goes out on `channel` of
+    /// `engine`, or nothing moves until [`Pending::reduce_into`] reduces the
+    /// caller's buffer in place.
+    pub fn allreduce(
+        engine: Option<&ProgressEngine>,
+        channel: usize,
+        data: &[f32],
+        wire: WirePrecision,
+        rec: Option<&TimingRecorder>,
+    ) -> Self {
+        Pending(match engine {
+            Some(eng) => {
+                let payload = time_opt(rec, OpKind::AllreduceFramework, || data.to_vec());
+                Arm::InFlight(eng.allreduce_wire(channel, payload, wire))
+            }
+            None => Arm::Allreduce(wire),
+        })
+    }
+
+    /// Completes an alltoall now; [`Pending::received`] then hands it over.
+    pub fn complete_now(self, comm: &Communicator, rec: Option<&TimingRecorder>) -> Self {
+        Pending(Arm::Done(self.received(comm, rec)))
+    }
+
+    /// Completes an alltoall and returns the payload from each source rank.
+    pub fn received(self, comm: &Communicator, rec: Option<&TimingRecorder>) -> Vec<Vec<f32>> {
+        match self.0 {
+            Arm::InFlight(req) => match time_opt(rec, OpKind::AlltoallWait, || req.wait()) {
+                OpOutput::PerRank(recv) => recv,
+                other => panic!("expected an alltoall result, got {other:?}"),
+            },
+            Arm::Alltoall(send, wire, tag, group) => time_opt(rec, OpKind::AlltoallWait, || {
+                collectives::alltoall_wire_tagged(comm, send, wire, tag, group)
+            }),
+            Arm::Done(recv) => recv,
+            Arm::Allreduce(_) => panic!("expected an alltoall, got an allreduce"),
+        }
+    }
+
+    /// Completes an allreduce into `data`, the buffer it was issued from.
+    pub fn reduce_into(self, comm: &Communicator, data: &mut [f32], rec: Option<&TimingRecorder>) {
+        match self.0 {
+            Arm::InFlight(req) => match time_opt(rec, OpKind::AllreduceWait, || req.wait()) {
+                OpOutput::Flat(reduced) => time_opt(rec, OpKind::AllreduceFramework, || {
+                    data.copy_from_slice(&reduced)
+                }),
+                other => panic!("expected an allreduce result, got {other:?}"),
+            },
+            Arm::Allreduce(wire) => time_opt(rec, OpKind::AllreduceWait, || {
+                collectives::allreduce_sum_wire(comm, data, wire)
+            }),
+            Arm::Alltoall(..) | Arm::Done(_) => panic!("expected an allreduce, got an alltoall"),
         }
     }
 }
@@ -499,6 +574,106 @@ mod tests {
         });
         for v in out {
             assert_eq!(v, vec![2.0]);
+        }
+    }
+
+    /// Runs `f(comm, engine)` on every rank of a fresh world, each rank
+    /// holding its communicator and a two-channel engine.
+    fn run_ranks<T: Send>(
+        nranks: usize,
+        f: impl Fn(&Communicator, &ProgressEngine) -> T + Sync,
+    ) -> Vec<T> {
+        let backend = Backend::CclLike { workers: 2 };
+        let comms = crate::world::CommWorld::create(nranks);
+        let worlds = create_channel_worlds(nranks, backend);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = comms
+                .into_iter()
+                .zip(worlds)
+                .map(|(comm, channels)| {
+                    let f = &f;
+                    s.spawn(move || f(&comm, &ProgressEngine::new(backend, channels)))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn in_flight_and_deferred_alltoalls_agree_bitwise() {
+        // Each payload is two scale groups a million apart in magnitude: one
+        // INT8 scale per payload would round the small group to zero.
+        let group = 3;
+        for nranks in 1..=3 {
+            let out = run_ranks(nranks, |comm, eng| {
+                let send = || -> Vec<Vec<f32>> {
+                    let value = |d: usize, i: usize| {
+                        let x = ((comm.rank() * 7 + d * 3 + i) as f32).sin();
+                        x * if i < group { 1e-3 } else { 1e3 }
+                    };
+                    (0..nranks)
+                        .map(|d| (0..2 * group).map(|i| value(d, i)).collect())
+                        .collect()
+                };
+                let issue = |engine| {
+                    let tag = crate::collectives::TAG_PREFETCH;
+                    Pending::alltoall(engine, 1, send(), WirePrecision::Int8, tag, group)
+                };
+                let flying = issue(Some(eng)).received(comm, None);
+                let deferred = issue(None).received(comm, None);
+                let early = issue(None).complete_now(comm, None).received(comm, None);
+                (flying, deferred, early)
+            });
+            for (flying, deferred, early) in out {
+                for ((f, d), e) in flying.iter().zip(&deferred).zip(&early) {
+                    assert_eq!(bits(f), bits(d), "R={nranks}: in flight vs deferred");
+                    assert_eq!(bits(f), bits(e), "R={nranks}: in flight vs completed now");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_flight_and_deferred_allreduces_agree_bitwise() {
+        // The wires the adaptive bucket policy mixes in one step: the
+        // deferred arm reduces the caller's buffer in place, the in-flight
+        // one a copy, and both must leave the same bits on every rank.
+        let wires = [
+            WirePrecision::Bf16,
+            WirePrecision::int8_shared(0.125),
+            WirePrecision::Fp32,
+        ];
+        for nranks in 1..=3 {
+            let out = run_ranks(nranks, |comm, eng| {
+                wires.map(|wire| {
+                    let data: Vec<f32> = (0..66)
+                        .map(|i| ((comm.rank() * 66 + i) as f32).sin())
+                        .collect();
+                    let mut flying = data.clone();
+                    Pending::allreduce(Some(eng), 1, &flying, wire, None).reduce_into(
+                        comm,
+                        &mut flying,
+                        None,
+                    );
+                    let mut deferred = data;
+                    Pending::allreduce(None, 1, &deferred, wire, None).reduce_into(
+                        comm,
+                        &mut deferred,
+                        None,
+                    );
+                    (bits(&flying), bits(&deferred))
+                })
+            });
+            for per_rank in &out {
+                for ((flying, deferred), (first, _)) in per_rank.iter().zip(&out[0]) {
+                    assert_eq!(flying, deferred, "R={nranks}: in flight vs deferred");
+                    assert_eq!(flying, first, "R={nranks}: ranks differ");
+                }
+            }
         }
     }
 

@@ -1,12 +1,13 @@
 //! DDP gradient bucketing: split the flat gradient into fixed-size buckets
-//! and allreduce each as its own operation — in flight on a progress
-//! engine when the trainer has one, else in place at `finalize`.
+//! and allreduce each as its own operation, issued and completed through
+//! the rank's `Links` — in flight on a progress engine when the trainer
+//! has one, else reduced in place on the rank thread at `finalize`.
 //!
 //! This is how the paper's DDP wrapper overlaps the allreduce with the
 //! backward pass (Figure 2): as each layer's `dW` is produced, its bucket
 //! can start reducing while earlier layers are still computing. Buckets are
 //! issued in *reverse* flat order because backward produces the last
-//! layer's gradients first. [`BucketReducer`] is the issue-as-produced
+//! layer's gradients first. The bucket reducer is the issue-as-produced
 //! engine of the train step; the synchronous schedule fills the same
 //! windows and issues every bucket at `finalize`.
 //!
@@ -21,11 +22,10 @@
 //! progress channel, early or late. The train step exploits exactly this —
 //! both schedules reduce the same plan, so overlap moves time, not bits.
 
-use dlrm_comm::collectives;
-use dlrm_comm::nonblocking::{ProgressEngine, Request};
+use crate::distributed::Links;
+use dlrm_comm::nonblocking::Pending;
 use dlrm_comm::wire::WirePrecision;
-use dlrm_comm::world::Communicator;
-use dlrm_comm::{time_opt, OpKind, TimingRecorder};
+use dlrm_comm::TimingRecorder;
 use std::ops::Range;
 
 /// Default bucket cap: 25 MiB of f32 gradients, matching the PyTorch DDP
@@ -75,34 +75,28 @@ impl BucketPlan {
     }
 }
 
-/// Per-bucket state between issue and completion.
-enum BucketOp {
-    /// In flight on a progress channel.
-    InFlight(Request),
-    /// No engine: reduced blocking at [`BucketReducer::finalize`].
-    Deferred,
-}
-
 /// Issue-as-produced bucketed allreduce over a flat gradient buffer.
 ///
 /// The overlapped train step writes each layer's gradients into its
 /// [`BucketReducer::window`] of the flat buffer *as backward produces them*
 /// (back-to-front) and calls
 /// [`BucketReducer::on_produced`]; every bucket whose elements are all
-/// present is immediately submitted to a progress channel, so it reduces
-/// while the remaining layers still compute. [`BucketReducer::finalize`]
-/// waits for the stragglers and returns the reduced buffer.
+/// present is issued at once, so on a progress channel it reduces while the
+/// remaining layers still compute. [`BucketReducer::finalize`] completes
+/// every bucket and returns the reduced buffer.
 ///
-/// Without an engine the buckets are recorded and reduced blocking at
-/// `finalize` — same plan, same per-bucket ring, bitwise-identical result.
-pub struct BucketReducer {
+/// Without an engine an issued bucket is deferred and reduced in place on
+/// the rank thread at `finalize` — same plan, same per-bucket ring,
+/// bitwise-identical result.
+pub(crate) struct BucketReducer {
     flat: Vec<f32>,
     plan: BucketPlan,
     /// Everything in `flat[produced_down_to..]` has been written.
     produced_down_to: usize,
     /// Next plan index to issue.
     next_bucket: usize,
-    issued: Vec<(Range<usize>, BucketOp)>,
+    /// Issued buckets, in plan order.
+    issued: Vec<Pending>,
     /// On-wire element format for every bucket's ring allreduce.
     wire: WirePrecision,
     /// Per-bucket wire overrides in plan (issue) order; when set, bucket
@@ -175,12 +169,7 @@ impl BucketReducer {
     /// Marks everything from `offset` to the end as produced and issues
     /// every bucket that is now complete. Backward fills the buffer
     /// back-to-front, so `offset` only ever decreases.
-    pub fn on_produced(
-        &mut self,
-        offset: usize,
-        engine: Option<&ProgressEngine>,
-        rec: Option<&TimingRecorder>,
-    ) {
+    pub fn on_produced(&mut self, offset: usize, links: &Links, rec: Option<&TimingRecorder>) {
         debug_assert!(
             offset <= self.produced_down_to,
             "backward runs back-to-front"
@@ -189,28 +178,13 @@ impl BucketReducer {
         while self.next_bucket < self.plan.len()
             && self.plan.buckets[self.next_bucket].start >= self.produced_down_to
         {
-            let range = self.plan.buckets[self.next_bucket].clone();
-            let op = match engine {
-                Some(eng) => {
-                    // Keep channel 0 (the exchange channel) free so the
-                    // in-flight alltoall is never serialized behind a
-                    // bucket on an MPI-like single-channel backend — and
-                    // spread buckets round-robin on a CCL-like one.
-                    let nch = eng.num_channels().max(1);
-                    let ch = if nch > 1 {
-                        1 + self.next_bucket % (nch - 1)
-                    } else {
-                        0
-                    };
-                    let payload = time_opt(rec, OpKind::AllreduceFramework, || {
-                        self.flat[range.clone()].to_vec()
-                    });
-                    let wire = self.wire_for(self.next_bucket);
-                    BucketOp::InFlight(eng.allreduce_wire(ch, payload, wire))
-                }
-                None => BucketOp::Deferred,
-            };
-            self.issued.push((range, op));
+            let (idx, range) = (
+                self.next_bucket,
+                self.plan.buckets[self.next_bucket].clone(),
+            );
+            let wire = self.wire_for(idx);
+            self.issued
+                .push(links.allreduce(idx, &self.flat[range], wire, rec));
             self.next_bucket += 1;
         }
     }
@@ -218,31 +192,10 @@ impl BucketReducer {
     /// Completes all buckets (issuing any not yet produced-complete — a
     /// safety net; a full backward pass produces everything) and returns
     /// the reduced flat buffer, which the optimizer step reads in place.
-    pub fn finalize(
-        mut self,
-        comm: &Communicator,
-        engine: Option<&ProgressEngine>,
-        rec: Option<&TimingRecorder>,
-    ) -> Vec<f32> {
-        self.on_produced(0, engine, rec);
-        // `issued` is filled in plan order, so the enumeration index is the
-        // plan index — the same one `with_bucket_wires` keys on.
-        for (idx, (range, op)) in std::mem::take(&mut self.issued).into_iter().enumerate() {
-            let wire = self.wire_for(idx);
-            let window = &mut self.flat[range];
-            match op {
-                BucketOp::InFlight(req) => {
-                    let reduced = req.wait_flat(rec, OpKind::AllreduceWait);
-                    time_opt(rec, OpKind::AllreduceFramework, || {
-                        window.copy_from_slice(&reduced)
-                    });
-                }
-                BucketOp::Deferred => {
-                    time_opt(rec, OpKind::AllreduceWait, || {
-                        collectives::allreduce_sum_wire(comm, window, wire)
-                    });
-                }
-            }
+    pub fn finalize(mut self, links: &Links, rec: Option<&TimingRecorder>) -> Vec<f32> {
+        self.on_produced(0, links, rec);
+        for (range, op) in self.plan.buckets.iter().zip(self.issued.drain(..)) {
+            op.reduce_into(&links.comm, &mut self.flat[range.clone()], rec);
         }
         self.flat
     }
@@ -251,46 +204,40 @@ impl BucketReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::DistOptions;
+    use crate::exchange::ExchangeStrategy;
     use dlrm_comm::nonblocking::{create_channel_worlds, Backend, ProgressEngine};
     use dlrm_comm::world::CommWorld;
 
-    /// Runs `body(comm, engine)` on every rank of a world with a progress
-    /// engine of `workers` channels per rank.
+    /// Runs `body(links)` on every rank of a world whose ranks each keep a
+    /// progress engine of `workers` channels.
     fn with_engines<T: Send>(
         nranks: usize,
         workers: usize,
-        body: impl Fn(&Communicator, &ProgressEngine) -> T + Sync,
+        body: impl Fn(&Links) -> T + Sync,
     ) -> Vec<T> {
         let backend = Backend::CclLike { workers };
         let worlds = std::sync::Mutex::new(create_channel_worlds(nranks, backend));
+        let opts = DistOptions {
+            strategy: ExchangeStrategy::CclAlltoall,
+            ..Default::default()
+        };
         CommWorld::run(nranks, |comm| {
             let comms = std::mem::take(&mut worlds.lock().unwrap()[comm.rank()]);
-            body(&comm, &ProgressEngine::new(backend, comms))
+            let engine = ProgressEngine::new(backend, comms);
+            body(&Links::new(comm, Some(engine), &opts, nranks, &[]))
         })
     }
 
     /// Reduces a rank-dependent stand-in gradient of `total` elements under
     /// `cap_bytes`, all produced at once.
-    fn reduce(
-        comm: &Communicator,
-        engine: Option<&ProgressEngine>,
-        total: usize,
-        cap_bytes: usize,
-        wires: Option<Vec<WirePrecision>>,
-    ) -> Vec<f32> {
+    fn reduce(links: &Links, total: usize, cap_bytes: usize) -> Vec<f32> {
         let mut r = BucketReducer::new(Vec::new(), total, cap_bytes);
-        if let Some(wires) = wires {
-            r = r.with_bucket_wires(wires);
-        }
         for (i, v) in r.window(0..total).iter_mut().enumerate() {
-            *v = ((comm.rank() * total + i) as f32).sin();
+            *v = ((links.comm.rank() * total + i) as f32).sin();
         }
-        r.on_produced(0, engine, None);
-        r.finalize(comm, engine, None)
-    }
-
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|f| f.to_bits()).collect()
+        r.on_produced(0, links, None);
+        r.finalize(links, None)
     }
 
     #[test]
@@ -327,9 +274,9 @@ mod tests {
     fn bucketed_equals_single_buffer() {
         // Another partition is another summation order: close, not bitwise.
         let total = 66;
-        let out = with_engines(3, 2, |comm, engine| {
-            let bucketed = reduce(comm, Some(engine), total, 7 * 4, None);
-            let single = reduce(comm, None, total, DEFAULT_BUCKET_CAP_BYTES, None);
+        let out = with_engines(3, 2, |links| {
+            let bucketed = reduce(links, total, 7 * 4);
+            let single = reduce(links, total, DEFAULT_BUCKET_CAP_BYTES);
             (bucketed, single)
         });
         for (bucketed, single) in out {
@@ -340,59 +287,23 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_blocking_buckets_agree_bitwise() {
-        // The determinism contract the overlapped schedule rests on: the
-        // same plan reduced through progress channels vs blocking on the
-        // main communicator gives bit-identical sums.
-        let out = with_engines(4, 3, |comm, engine| {
-            let eng = reduce(comm, Some(engine), 66, 5 * 4, None);
-            let blk = reduce(comm, None, 66, 5 * 4, None);
-            (eng, blk)
-        });
-        for (eng, blk) in out {
-            assert_eq!(bits(&eng), bits(&blk));
-        }
-    }
-
-    #[test]
     fn reducer_issues_buckets_as_produced() {
         // Single rank: reduction is the identity, so we can drive the
         // reducer by hand and watch buckets become ready back-to-front.
         CommWorld::run(1, |comm| {
+            let links = Links::new(comm, None, &DistOptions::default(), 1, &[]);
             let mut r = BucketReducer::new(Vec::new(), 10, 4 * 4);
             assert_eq!(r.num_buckets(), 3); // [6..10, 2..6, 0..2]
             let data: Vec<f32> = (0..10).map(|i| i as f32).collect();
             for (issued, range) in [6..10, 2..6, 0..2].into_iter().enumerate() {
                 r.window(range.clone())
                     .copy_from_slice(&data[range.clone()]);
-                r.on_produced(range.start, None, None);
+                r.on_produced(range.start, &links, None);
                 assert_eq!(r.issued.len(), issued + 1);
             }
-            let flat = r.finalize(&comm, None, None);
+            let flat = r.finalize(&links, None);
             assert_eq!(flat, data);
         });
-    }
-
-    #[test]
-    fn mixed_bucket_wires_engine_and_blocking_agree_bitwise() {
-        // Per-bucket wires (the adaptive policy's output shape): the same
-        // plan with the same wire assignment must be bitwise identical
-        // whether buckets run through progress channels or blocking.
-        let wires = vec![
-            WirePrecision::int8_shared(0.125),
-            WirePrecision::Bf16,
-            WirePrecision::Fp32,
-        ];
-        let out = with_engines(3, 2, |comm, engine| {
-            let eng = reduce(comm, Some(engine), 10, 4 * 4, Some(wires.clone()));
-            let blk = reduce(comm, None, 10, 4 * 4, Some(wires.clone()));
-            (eng, blk)
-        });
-        let first = bits(&out[0].0);
-        for (eng, blk) in &out {
-            assert_eq!(bits(eng), bits(blk), "engine vs blocking");
-            assert_eq!(bits(eng), first, "ranks bitwise identical");
-        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! A layer's weights live blocked, so the flat buffer is the only place
 //! gradients are ever laid out as rows, and they are laid out once, in
 //! registers: each layer's weights pass stores its `dW` panels transposed
-//! straight into its window of the [`BucketReducer`] (`BucketSink`, the
+//! straight into its window of the bucket reducer's flat buffer
+//! ([`crate::bucketing`]; `BucketSink`, the
 //! [`GradSink`] of `Mlp::backward_into`), and after the reduction each
 //! layer applies its slice of the buffer to the blocked weights through
 //! the same transposes ([`apply_reduced_grads`]). Both run inside compute
@@ -13,8 +14,8 @@
 //! collective itself is the "Allreduce-Wait".
 
 use crate::bucketing::BucketReducer;
+use crate::distributed::{Links, Schedule};
 use dlrm::layers::{Execution, GradSink, Mlp};
-use dlrm_comm::nonblocking::ProgressEngine;
 
 /// Flattens the weight and bias gradients of the given MLPs (in order)
 /// into one contiguous buffer — Eq. 1's `Σ f_i·f_o + f_o` elements, in the
@@ -48,18 +49,17 @@ pub fn grad_offsets(mlps: &[&Mlp]) -> (Vec<Vec<usize>>, usize) {
 }
 
 /// The DDP hook: one MLP's layers write into their windows of the
-/// reducer's flat buffer, layer `i` at `offs[i]`. When `overlapped`, each
-/// bucket a layer completes is issued at once, while earlier layers still
-/// compute; otherwise the buckets wait for `finalize`.
+/// reducer's flat buffer, layer `i` at `offs[i]`. Under
+/// [`Schedule::Overlapped`], each bucket a layer completes is issued at
+/// once, while earlier layers still compute; otherwise the buckets wait for
+/// `finalize`.
 pub(crate) struct BucketSink<'a> {
     /// The step's reducer.
     pub(crate) reducer: &'a mut BucketReducer,
     /// Flat offset of each layer's gradients ([`grad_offsets`]).
     pub(crate) offs: &'a [usize],
-    /// Whether to issue buckets as they are produced.
-    pub(crate) overlapped: bool,
-    /// The progress engine an issued bucket runs on, if any.
-    pub(crate) engine: Option<&'a ProgressEngine>,
+    /// What an issued bucket goes through.
+    pub(crate) links: &'a Links,
 }
 
 impl GradSink for BucketSink<'_> {
@@ -69,9 +69,8 @@ impl GradSink for BucketSink<'_> {
     }
 
     fn produced(&mut self, layer: usize) {
-        if self.overlapped {
-            self.reducer
-                .on_produced(self.offs[layer], self.engine, None);
+        if self.links.schedule == Schedule::Overlapped {
+            self.reducer.on_produced(self.offs[layer], self.links, None);
         }
     }
 }

@@ -4,11 +4,12 @@
 //! compute and [`Schedule::Synchronous`] runs the same collectives back to
 //! back, so the two give the same bits (DESIGN.md §8). Only
 //! [`ExchangeStrategy::CclAlltoall`] keeps a [`ProgressEngine`], so only
-//! there is anything in flight.
+//! there is anything in flight; every other collective runs on the rank
+//! thread where the step completes it.
 
 use crate::bucketing::{BucketReducer, DEFAULT_BUCKET_CAP_BYTES};
 use crate::ddp::{apply_reduced_grads, grad_offsets, BucketSink};
-use crate::exchange::{self, ensure_mats, Direction, ExchangeStrategy, PendingExchange};
+use crate::exchange::{self, ensure_mats, Direction, ExchangeStrategy, EXCHANGE_CHANNEL};
 use crate::prefetch::{Prefetch, PrefetchState};
 use crate::wirepolicy::{AdaptivePolicy, PolicyStats};
 use dlrm::embedding_layer::EmbeddingLayer;
@@ -17,7 +18,8 @@ use dlrm::layers::{Execution, Mlp};
 use dlrm::model::DlrmModel;
 use dlrm::step::{self, Ctx, Dense, RankBoundary, StageKinds, Tower};
 use dlrm_comm::chaos::FaultPlan;
-use dlrm_comm::nonblocking::{create_channel_worlds_with_opts, Backend, ProgressEngine};
+use dlrm_comm::collectives::TAG_A2A;
+use dlrm_comm::nonblocking::{create_channel_worlds_with_opts, Backend, Pending, ProgressEngine};
 use dlrm_comm::wire::WirePrecision;
 use dlrm_comm::world::{CommWorld, Communicator};
 use dlrm_comm::{time_opt, OpKind, TimingRecorder, WireStats};
@@ -141,7 +143,8 @@ pub struct DistOptions {
     pub seed: u64,
     /// Compute/communication ordering. Moves time only under
     /// [`ExchangeStrategy::CclAlltoall`], whose collectives run on progress
-    /// threads; under the others both schedules block at the same points.
+    /// threads; under [`ExchangeStrategy::Alltoall`] every collective runs
+    /// on the rank thread where the step completes it.
     pub schedule: Schedule,
     /// Gradient-allreduce bucket cap in bytes (DDP `bucket_cap_mb`).
     pub bucket_cap_bytes: usize,
@@ -190,18 +193,20 @@ pub struct DistDlrm {
     links: Links,
 }
 
-/// What the hybrid boundary keeps from step to step: the communicators,
-/// the exchange and allreduce settings, and the iteration-persistent
-/// scratch (reused, never regrown after step 1).
-struct Links {
-    comm: Communicator,
+/// A rank's communication state — communicator, engine, ownership map,
+/// wires, schedule — and its collectives' iteration-persistent scratch.
+/// Every split-phase collective of the step is a [`Pending`] it issues: in
+/// flight on the engine if the rank kept one, else run on the rank thread
+/// where the step completes it; under [`Schedule::Synchronous`], completed
+/// where it is issued.
+pub(crate) struct Links {
+    pub(crate) comm: Communicator,
     engine: Option<ProgressEngine>,
     /// Which rank owns which table — built once, shared by both exchanges.
     ownership: OwnershipMap,
-    strategy: ExchangeStrategy,
-    schedule: Schedule,
+    pub(crate) schedule: Schedule,
+    pub(crate) wire: WireConfig,
     bucket_cap_bytes: usize,
-    wire: WireConfig,
     /// Flat offset of each layer's gradients, indexed by [`Tower`].
     grad_offs: Vec<Vec<usize>>,
     grad_total: usize,
@@ -213,13 +218,20 @@ struct Links {
     wire_policy: Option<AdaptivePolicy>,
 }
 
+/// An embedding exchange between [`Links::begin`] and [`Links::finish`].
+struct PendingExchange {
+    dir: Direction,
+    shape: (usize, usize),
+    op: Pending,
+}
+
 impl DistDlrm {
     /// Builds this rank's share of the model. Weights come from
     /// [`DlrmModel::build_mlps`] and [`DlrmModel::build_tables`], so they
     /// agree bit-for-bit with [`DlrmModel::new`] under the same seed.
     /// `engine` is kept only under [`ExchangeStrategy::CclAlltoall`]; any
     /// other strategy drops it here, joining its progress threads, and
-    /// reduces on the rank thread.
+    /// runs every collective on the rank thread.
     pub fn new(
         cfg: &DlrmConfig,
         comm: Communicator,
@@ -231,12 +243,11 @@ impl DistDlrm {
             "at most one rank per embedding table"
         );
         let (bottom, top) = DlrmModel::build_mlps(cfg, opts.seed);
-        let ownership = OwnershipMap::round_robin(cfg.num_tables, comm.nranks());
+        let links = Links::new(comm, engine, opts, cfg.num_tables, &[&bottom, &top]);
         let exec = Execution::optimized(opts.threads_per_rank);
-        let owned = ownership.tables_of(comm.rank());
+        let owned = links.ownership.tables_of(links.comm.rank());
         let built = DlrmModel::build_tables(cfg, owned, UpdateStrategy::RaceFree, &exec, opts.seed);
         let local_tables: Vec<(usize, EmbeddingLayer)> = owned.iter().copied().zip(built).collect();
-        let (grad_offs, grad_total) = grad_offsets(&[&bottom, &top]);
         let prefetch = match opts.prefetch {
             Prefetch::Off => None,
             Prefetch::Lookahead { window } => {
@@ -253,13 +264,12 @@ impl DistDlrm {
                     WirePrecision::Fp32,
                     "prefetch requires an FP32 backward wire: dest and owner must apply identical gradients"
                 );
-                Some(PrefetchState::new(cfg, comm.nranks(), comm.rank(), window))
-            }
-        };
-        let wire_policy = match opts.wire.allreduce {
-            AllreduceWire::Fixed(_) => None,
-            AllreduceWire::Adaptive { error_bound } => {
-                Some(AdaptivePolicy::new(error_bound, comm.nranks()))
+                Some(PrefetchState::new(
+                    cfg,
+                    links.comm.nranks(),
+                    links.comm.rank(),
+                    window,
+                ))
             }
         };
         DistDlrm {
@@ -272,21 +282,7 @@ impl DistDlrm {
             dlogits: Vec::new(),
             recorder: None,
             prefetch,
-            links: Links {
-                comm,
-                engine: engine.filter(|_| opts.strategy == ExchangeStrategy::CclAlltoall),
-                ownership,
-                strategy: opts.strategy,
-                schedule: opts.schedule,
-                bucket_cap_bytes: opts.bucket_cap_bytes,
-                wire: opts.wire,
-                grad_offs,
-                grad_total,
-                fwd_slices: Vec::new(),
-                bwd_grads: Vec::new(),
-                flat_grads: Vec::new(),
-                wire_policy,
-            },
+            links,
         }
     }
 
@@ -371,7 +367,7 @@ impl DistDlrm {
             .expect("prefetch not enabled; construct with Prefetch::Lookahead");
         assert_eq!(win.pos(), ps.step() as usize, "window cursor out of sync");
         let loss = self.step(win.current(), Some((&mut ps, win)), lr);
-        ps.finish_step(ps.step());
+        ps.finish_step();
         self.prefetch = Some(ps);
         loss
     }
@@ -416,6 +412,73 @@ impl DistDlrm {
 }
 
 impl Links {
+    /// The state of `comm`'s rank under `opts`, for `num_tables` tables and
+    /// the flat gradient of `mlps`; `engine` is kept only under `CclAlltoall`.
+    pub(crate) fn new(
+        comm: Communicator,
+        engine: Option<ProgressEngine>,
+        opts: &DistOptions,
+        num_tables: usize,
+        mlps: &[&Mlp],
+    ) -> Self {
+        let (grad_offs, grad_total) = grad_offsets(mlps);
+        let wire_policy = match opts.wire.allreduce {
+            AllreduceWire::Fixed(_) => None,
+            AllreduceWire::Adaptive { error_bound } => {
+                Some(AdaptivePolicy::new(error_bound, comm.nranks()))
+            }
+        };
+        Links {
+            ownership: OwnershipMap::round_robin(num_tables, comm.nranks()),
+            comm,
+            engine: engine.filter(|_| opts.strategy == ExchangeStrategy::CclAlltoall),
+            schedule: opts.schedule,
+            wire: opts.wire,
+            bucket_cap_bytes: opts.bucket_cap_bytes,
+            grad_offs,
+            grad_total,
+            fwd_slices: Vec::new(),
+            bwd_grads: Vec::new(),
+            flat_grads: Vec::new(),
+            wire_policy,
+        }
+    }
+
+    /// Issues an alltoall of `send` on the exchange channel ([`Pending::alltoall`]).
+    pub(crate) fn alltoall(
+        &self,
+        send: Vec<Vec<f32>>,
+        wire: WirePrecision,
+        tag: u64,
+        scale_group: usize,
+        rec: Option<&TimingRecorder>,
+    ) -> Pending {
+        let engine = self.engine.as_ref();
+        let op = Pending::alltoall(engine, EXCHANGE_CHANNEL, send, wire, tag, scale_group);
+        match self.schedule {
+            Schedule::Synchronous => op.complete_now(&self.comm, rec),
+            Schedule::Overlapped => op,
+        }
+    }
+
+    /// Issues the allreduce of gradient bucket `bucket` (plan order), held
+    /// in `data`. Buckets go round-robin over the engine's channels but the
+    /// exchange channel, so an in-flight alltoall never waits behind them.
+    pub(crate) fn allreduce(
+        &self,
+        bucket: usize,
+        data: &[f32],
+        wire: WirePrecision,
+        rec: Option<&TimingRecorder>,
+    ) -> Pending {
+        let engine = self.engine.as_ref();
+        let channel = match engine.map_or(1, ProgressEngine::num_channels) {
+            1 => EXCHANGE_CHANNEL,
+            n => 1 + bucket % (n - 1),
+        };
+        Pending::allreduce(engine, channel, data, wire, rec)
+    }
+
     /// Builds one step's bucket reducer: fixed wire straight from the
     /// config, or the adaptive policy's fresh per-bucket decisions.
     fn reducer(&mut self) -> BucketReducer {
@@ -434,40 +497,37 @@ impl Links {
         }
     }
 
-    /// Starts an exchange of `mats`. [`Schedule::Synchronous`] completes it
-    /// at once; [`Schedule::Overlapped`] returns it for [`Links::finish`].
+    /// Packs `mats` (Alltoall-Framework) and issues their exchange.
     fn begin(
-        &mut self,
+        &self,
         dir: Direction,
         mats: &[Matrix],
-        n: usize,
-        e: usize,
+        shape: (usize, usize),
         rec: Option<&TimingRecorder>,
-    ) -> Option<PendingExchange> {
+    ) -> PendingExchange {
         let wire = match dir {
             Direction::Forward => self.wire.forward_alltoall,
             Direction::Backward => self.wire.backward_alltoall,
         };
-        let (comm, engine, map) = (&self.comm, self.engine.as_ref(), &self.ownership);
-        let p = exchange::begin(dir, self.strategy, comm, engine, map, mats, n, e, wire, rec);
-        match self.schedule {
-            Schedule::Overlapped => Some(p),
-            Schedule::Synchronous => {
-                self.finish(Some(p), rec);
-                None
-            }
-        }
+        let send = time_opt(rec, OpKind::AlltoallFramework, || {
+            exchange::pack(dir, &self.ownership, self.comm.rank(), mats, shape)
+        });
+        let op = self.alltoall(send, wire, TAG_A2A, shape.0 * shape.1, rec);
+        PendingExchange { dir, shape, op }
     }
 
-    /// Completes what [`Links::begin`] left pending, into `fwd_slices` or
-    /// `bwd_grads` by its direction.
-    fn finish(&mut self, pending: Option<PendingExchange>, rec: Option<&TimingRecorder>) {
-        let Some(p) = pending else { return };
-        let out = match p.direction() {
+    /// Completes what [`Links::begin`] issued and assembles it
+    /// (Alltoall-Framework) into `fwd_slices` or `bwd_grads`.
+    fn finish(&mut self, p: PendingExchange, rec: Option<&TimingRecorder>) {
+        let recv = p.op.received(&self.comm, rec);
+        let out = match p.dir {
             Direction::Forward => &mut self.fwd_slices,
             Direction::Backward => &mut self.bwd_grads,
         };
-        exchange::finish(p, &self.comm, &self.ownership, out, rec);
+        let (map, me) = (&self.ownership, self.comm.rank());
+        time_opt(rec, OpKind::AlltoallFramework, || {
+            exchange::assemble(p.dir, map, me, &recv, p.shape, out)
+        });
     }
 }
 
@@ -475,8 +535,8 @@ impl Links {
 /// (DESIGN.md §18). Pooled front end: local gather → begin the forward
 /// exchange → bottom forward → finish. Lookahead front end (§12): observe
 /// → land the early fetch → late fetch → record touches → pool locally →
-/// bottom forward → issue the next step's early fetch, so the exchange
-/// channel sees, in FIFO order, late(j), early(j+1), backward(j).
+/// bottom forward → issue the next step's early fetch, so every rank issues
+/// late(j), early(j+1), backward(j) in that order.
 ///
 /// A non-finite loss does not skip the step: the loss is rank-local, so a
 /// skip every rank agrees on needs a collective (ROADMAP item 4(c)).
@@ -510,7 +570,6 @@ impl RankBoundary for Hybrid<'_> {
     ) -> (Matrix, &[Matrix]) {
         let (global, rec) = (cx.global, cx.rec);
         let (n, e, l) = (self.n, self.cfg.emb_dim, &mut *self.links);
-        let (me, r) = (l.comm.rank(), l.comm.nranks());
         let z0 = match &mut self.lookahead {
             None => {
                 // Model-parallel table forward over the whole global batch,
@@ -523,29 +582,23 @@ impl RankBoundary for Hybrid<'_> {
                     };
                     tables.map(fwd).collect()
                 });
-                let pending = l.begin(Direction::Forward, &outs, n, e, rec);
+                let pending = l.begin(Direction::Forward, &outs, (n, e), rec);
                 let z0 = bottom_forward();
                 l.finish(pending, rec);
                 z0
             }
             Some((ps, win)) => {
-                let j = ps.step();
-                ps.observe_visible(win, n);
-                ps.land_early_fetch(r, e, rec);
-                let wire = l.wire.forward_alltoall;
-                ps.late_fetch(j, global, me, r, n, self.tables, &l.comm, wire, rec);
-                ps.record_touches(j, global, n);
+                ps.fetch(win, self.tables, l, rec);
                 // Every table's slice is pooled from cached rows in the
                 // naive accumulate order.
                 ensure_mats(&mut l.fwd_slices, self.cfg.num_tables, n, e);
                 time_opt(rec, Self::KINDS.embeddings, || {
-                    ps.pool_forward(global, me, n, &mut l.fwd_slices)
+                    ps.pool_forward(global, &mut l.fwd_slices)
                 });
                 let z0 = bottom_forward();
-                // Batch j+1's rows go out on the exchange channel ahead of
-                // the backward alltoall and fly behind the compute between.
-                let engine = l.engine.as_ref();
-                ps.issue_early_fetch(j, win, me, r, n, self.tables, &l.comm, engine, wire, rec);
+                // Batch j+1's rows are issued ahead of the backward
+                // alltoall; on an engine they fly behind the compute between.
+                ps.issue_early_fetch(win, self.tables, l, rec);
                 z0
             }
         };
@@ -554,11 +607,11 @@ impl RankBoundary for Hybrid<'_> {
 
     fn mlp_backward(&mut self, cx: &Ctx, mlp: &mut Mlp, tower: Tower, dy: Matrix) -> Matrix {
         let l = &mut *self.links;
+        let reducer = self.reducer.get_or_insert_with(|| l.reducer());
         let mut sink = BucketSink {
-            reducer: self.reducer.get_or_insert_with(|| l.reducer()),
+            reducer,
             offs: &l.grad_offs[tower as usize],
-            overlapped: l.schedule == Schedule::Overlapped,
-            engine: l.engine.as_ref(),
+            links: l,
         };
         mlp.backward_into(cx.exec, dy, &mut sink)
     }
@@ -572,13 +625,13 @@ impl RankBoundary for Hybrid<'_> {
         let (global, rec, e) = (cx.global, cx.rec, self.cfg.emb_dim);
         let pending = self
             .links
-            .begin(Direction::Backward, d_tables, self.n, e, rec);
+            .begin(Direction::Backward, d_tables, (self.n, e), rec);
         bottom_backward(self);
         let l = &mut *self.links;
         l.finish(pending, rec);
         // Local gradients are means over n = GN/R samples; dividing the
         // learning rate by R makes the sparse update a global-batch mean.
-        let (me, emb_lr) = (l.comm.rank(), cx.lr / l.comm.nranks() as f32);
+        let emb_lr = cx.lr / l.comm.nranks() as f32;
         time_opt(rec, Self::KINDS.embeddings, || {
             for ((t, layer), grad) in self.tables.iter_mut().zip(&l.bwd_grads) {
                 if self.lookahead.is_some() {
@@ -590,7 +643,7 @@ impl RankBoundary for Hybrid<'_> {
             }
             // The delayed local update of this rank's cached rows.
             if let Some((ps, _)) = &mut self.lookahead {
-                ps.apply_local_updates(global, me, self.n, d_tables, emb_lr);
+                ps.apply_local_updates(global, d_tables, emb_lr);
             }
         });
     }
@@ -601,7 +654,7 @@ impl RankBoundary for Hybrid<'_> {
     fn update_mlps(&mut self, cx: &Ctx, bottom: &mut Mlp, top: &mut Mlp) {
         let l = &mut *self.links;
         let reducer = self.reducer.take().expect("the top backward built it");
-        let flat = reducer.finalize(&l.comm, l.engine.as_ref(), cx.rec);
+        let flat = reducer.finalize(l, cx.rec);
         // The reduced flat gradient is bitwise rank-identical — feeding it
         // into the policy keeps every rank's next-step decisions identical.
         if let Some(policy) = l.wire_policy.as_mut() {

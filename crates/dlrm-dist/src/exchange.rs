@@ -14,33 +14,28 @@
 //!
 //! # Split-phase structure
 //!
-//! Every exchange is a [`begin`] (pack the send payloads and, when a
-//! [`ProgressEngine`] drives the strategy, put the collective in flight)
-//! followed by a [`finish`] (complete the transfer and assemble the output
-//! tensors). The overlapped train step runs compute between the two halves
-//! so the exchange is hidden behind the bottom MLP; the synchronous
-//! schedule calls them back to back. Both orders perform the *identical*
-//! packing, collective and assembly, which is why the two schedules are
-//! bitwise-equal — begin/finish only moves *when* the transfer happens,
-//! never *what* is transferred.
+//! Every exchange is a begin (pack the send payloads, issue the alltoall
+//! as a [`Pending`]) followed by a finish (complete it and assemble the
+//! output tensors); the trainer's `Links` holds both halves. The
+//! overlapped train step runs the bottom MLP between them; the synchronous
+//! schedule completes the alltoall at the begin. Both orders perform the
+//! *identical* packing, collective and assembly, which is why the two
+//! schedules are bitwise-equal — begin/finish only moves *when* the
+//! transfer happens, never *what* is transferred. With a progress engine
+//! ([`ExchangeStrategy::CclAlltoall`]) the alltoall is in flight between
+//! the halves; without one it runs on the rank thread at the finish.
+//! Either way the exposed communication time is what the finish measures.
 //!
 //! The two directions are the same exchange read in opposite senses, so
-//! there is one of each half: what differs by direction is which blocks a
-//! peer's payload concatenates (pack) and where an arrived block lands
-//! (assemble). Who owns which table comes from the caller's
+//! there is one `pack` and one `assemble`: what differs by direction
+//! is which blocks a peer's payload concatenates and where an arrived
+//! block lands. Who owns which table comes from the caller's
 //! [`OwnershipMap`], built once per trainer.
-//!
-//! Only [`ExchangeStrategy::CclAlltoall`] with an engine is genuinely in
-//! flight after `begin`; the blocking alltoall defers its collective to
-//! `finish` (it has no progress thread to run on — the paper's blocking
-//! MPI behaviour). Either way the exposed communication time is what
-//! `finish` measures.
 
-use dlrm_comm::collectives;
-use dlrm_comm::nonblocking::{ProgressEngine, Request};
+use dlrm_comm::collectives::TAG_A2A;
+use dlrm_comm::nonblocking::{Pending, ProgressEngine};
 use dlrm_comm::wire::WirePrecision;
 use dlrm_comm::world::Communicator;
-use dlrm_comm::{time_opt, OpKind, TimingRecorder};
 use dlrm_tensor::Matrix;
 use dlrm_topology::OwnershipMap;
 
@@ -120,72 +115,26 @@ pub enum Direction {
     Backward,
 }
 
-/// What `begin` left for `finish` to do.
-enum PendingState {
-    /// Submitted to a progress channel; `finish` only waits.
-    InFlight(Request),
-    /// Packed payloads for a blocking pairwise alltoall, run at `finish`
-    /// with the captured wire precision and INT8 scale-group length (the
-    /// per-table `n × E` block, so each table gets its own scale).
-    DeferredAlltoall(Vec<Vec<f32>>, WirePrecision, usize),
-}
-
-/// An embedding exchange between [`begin`] and [`finish`].
-pub struct PendingExchange {
+/// This rank's send payloads for an exchange of `mats`: forward,
+/// `mats[j]` is the `GN×E` output of this rank's `j`-th table (ascending
+/// global index); backward, `mats[t]` is this rank's `n×E` gradient for
+/// global table `t`.
+pub(crate) fn pack(
     dir: Direction,
-    local_n: usize,
-    emb_dim: usize,
-    state: PendingState,
-}
-
-impl PendingExchange {
-    /// Which way it moves data.
-    pub fn direction(&self) -> Direction {
-        self.dir
-    }
-}
-
-/// Packs this rank's matrices and starts the exchange.
-///
-/// Forward: `mats[j]` is the `GN×E` output of this rank's `j`-th table
-/// (ascending global index). Backward: `mats[t]` is this rank's `n×E`
-/// gradient for global table `t`. Packing time is charged to
-/// `Alltoall-Framework`; an engine-driven alltoall is in flight when this
-/// returns, the blocking one runs at `finish`. `wire` selects the on-wire
-/// element format.
-#[allow(clippy::too_many_arguments)] // one entry for both directions
-pub fn begin(
-    dir: Direction,
-    strategy: ExchangeStrategy,
-    comm: &Communicator,
-    engine: Option<&ProgressEngine>,
     map: &OwnershipMap,
+    me: usize,
     mats: &[Matrix],
-    local_n: usize,
-    emb_dim: usize,
-    wire: WirePrecision,
-    rec: Option<&TimingRecorder>,
-) -> PendingExchange {
-    let r = comm.nranks();
-    let me = comm.rank();
+    (local_n, emb_dim): (usize, usize),
+) -> Vec<Vec<f32>> {
     let chunk = local_n * emb_dim;
-    let (count, rows, what) = match dir {
-        Direction::Forward => (
-            map.tables_of(me).len(),
-            local_n * r,
-            "a global-batch output per local table",
-        ),
-        Direction::Backward => (
-            map.num_tables(),
-            local_n,
-            "a local gradient per global table",
-        ),
+    let (count, rows) = match dir {
+        Direction::Forward => (map.tables_of(me).len(), local_n * map.num_shards()),
+        Direction::Backward => (map.num_tables(), local_n),
     };
-    assert_eq!(mats.len(), count, "the exchange takes {what}");
+    assert_eq!(mats.len(), count, "{dir:?} exchange inputs");
     for m in mats {
-        assert_eq!(m.shape(), (rows, emb_dim), "the exchange takes {what}");
+        assert_eq!(m.shape(), (rows, emb_dim), "{dir:?} exchange input");
     }
-
     // Payload for peer p. Forward: concat over my tables of p's row block;
     // backward: concat over p's tables of my gradient block.
     let pack_for = |p: usize| -> Vec<f32> {
@@ -207,112 +156,90 @@ pub fn begin(
             }
         }
     };
-
-    let state = time_opt(rec, OpKind::AlltoallFramework, || {
-        let send: Vec<Vec<f32>> = (0..r).map(pack_for).collect();
-        match (strategy, engine) {
-            (ExchangeStrategy::CclAlltoall, Some(eng)) => PendingState::InFlight(
-                eng.alltoall_wire_tagged(EXCHANGE_CHANNEL, send, wire, collectives::TAG_A2A, chunk),
-            ),
-            _ => PendingState::DeferredAlltoall(send, wire, chunk),
-        }
-    });
-    PendingExchange {
-        dir,
-        local_n,
-        emb_dim,
-        state,
-    }
+    (0..map.num_shards()).map(pack_for).collect()
 }
 
-/// Completes an exchange: waits for (or runs) the collective and assembles
-/// into `out` — forward, the `n×E` slice of every global table for this
+/// Assembles what an exchange received into `out`, reused across
+/// iterations: forward, the `n×E` slice of every global table for this
 /// rank, ordered by global table index; backward, for each *local* table
 /// (ascending global index), the `GN×E` gradient (rank slices stacked in
-/// rank order). `out` is reused across iterations. Transfer time is charged
-/// to `Alltoall-Wait`, assembly to `Alltoall-Framework`.
-pub fn finish(
-    pending: PendingExchange,
-    comm: &Communicator,
+/// rank order).
+pub(crate) fn assemble(
+    dir: Direction,
     map: &OwnershipMap,
+    me: usize,
+    recv: &[Vec<f32>],
+    (local_n, emb_dim): (usize, usize),
     out: &mut Vec<Matrix>,
-    rec: Option<&TimingRecorder>,
 ) {
-    let r = comm.nranks();
-    let me = comm.rank();
-    let PendingExchange {
-        dir,
-        local_n,
-        emb_dim,
-        state,
-    } = pending;
+    let r = map.num_shards();
     let chunk = local_n * emb_dim;
     let mine = map.tables_of(me);
     match dir {
         Direction::Forward => ensure_mats(out, map.num_tables(), local_n, emb_dim),
         Direction::Backward => ensure_mats(out, mine.len(), local_n * r, emb_dim),
     }
-
     // Block j of the payload from peer q is, forward, my row block of q's
     // j-th table; backward, q's gradient block of my j-th table.
-    let assemble = |recv: &[Vec<f32>], out: &mut [Matrix]| {
-        assert_eq!(recv.len(), r, "one payload per rank");
-        for (q, payload) in recv.iter().enumerate() {
-            let theirs = map.tables_of(q);
-            let blocks = match dir {
-                Direction::Forward => theirs.len(),
-                Direction::Backward => mine.len(),
-            };
-            assert_eq!(payload.len(), blocks * chunk, "payload size from rank {q}");
-            for j in 0..blocks {
-                let block = &payload[j * chunk..(j + 1) * chunk];
-                match dir {
-                    Direction::Forward => out[theirs[j]].as_mut_slice().copy_from_slice(block),
-                    Direction::Backward => {
-                        out[j].as_mut_slice()[q * chunk..(q + 1) * chunk].copy_from_slice(block)
-                    }
+    assert_eq!(recv.len(), r, "one payload per rank");
+    for (q, payload) in recv.iter().enumerate() {
+        let theirs = map.tables_of(q);
+        let blocks = match dir {
+            Direction::Forward => theirs.len(),
+            Direction::Backward => mine.len(),
+        };
+        assert_eq!(payload.len(), blocks * chunk, "payload size from rank {q}");
+        for j in 0..blocks {
+            let block = &payload[j * chunk..(j + 1) * chunk];
+            match dir {
+                Direction::Forward => out[theirs[j]].as_mut_slice().copy_from_slice(block),
+                Direction::Backward => {
+                    out[j].as_mut_slice()[q * chunk..(q + 1) * chunk].copy_from_slice(block)
                 }
             }
         }
-    };
-
-    let recv = match state {
-        PendingState::InFlight(req) => req.wait_per_rank(rec, OpKind::AlltoallWait),
-        PendingState::DeferredAlltoall(send, wire, group) => {
-            time_opt(rec, OpKind::AlltoallWait, || {
-                collectives::alltoall_wire_tagged(comm, send, wire, collectives::TAG_A2A, group)
-            })
-        }
-    };
-    time_opt(rec, OpKind::AlltoallFramework, || assemble(&recv, out));
+    }
 }
 
-/// Blocking exchange (begin + finish back to back) over the round-robin
-/// ownership of `num_tables` tables.
-#[allow(clippy::too_many_arguments)] // mirror of the split-phase begin
+/// Blocking exchange over the round-robin ownership of `num_tables`
+/// tables, in flight on `engine` when given.
 fn exchange(
     dir: Direction,
-    strategy: ExchangeStrategy,
     comm: &Communicator,
     engine: Option<&ProgressEngine>,
     mats: &[Matrix],
     num_tables: usize,
-    local_n: usize,
-    emb_dim: usize,
+    (local_n, emb_dim): (usize, usize),
     wire: WirePrecision,
 ) -> Vec<Matrix> {
-    let map = OwnershipMap::round_robin(num_tables, comm.nranks());
-    let pending = begin(
-        dir, strategy, comm, engine, &map, mats, local_n, emb_dim, wire, None,
+    let (map, me) = (
+        OwnershipMap::round_robin(num_tables, comm.nranks()),
+        comm.rank(),
+    );
+    let send = pack(dir, &map, me, mats, (local_n, emb_dim));
+    let op = Pending::alltoall(
+        engine,
+        EXCHANGE_CHANNEL,
+        send,
+        wire,
+        TAG_A2A,
+        local_n * emb_dim,
     );
     let mut out = Vec::new();
-    finish(pending, comm, &map, &mut out, None);
+    assemble(
+        dir,
+        &map,
+        me,
+        &op.received(comm, None),
+        (local_n, emb_dim),
+        &mut out,
+    );
     out
 }
 
 /// Blocking forward exchange. Returns the `n×E` slice of every global
 /// table for this rank, ordered by global table index.
-#[allow(clippy::too_many_arguments)] // mirror of the split-phase begin
+#[allow(clippy::too_many_arguments)] // frozen public signature
 pub fn forward_exchange(
     strategy: ExchangeStrategy,
     comm: &Communicator,
@@ -323,15 +250,15 @@ pub fn forward_exchange(
     emb_dim: usize,
     wire: WirePrecision,
 ) -> Vec<Matrix> {
+    let engine = engine.filter(|_| strategy == ExchangeStrategy::CclAlltoall);
+    let shape = (local_n, emb_dim);
     exchange(
         Direction::Forward,
-        strategy,
         comm,
         engine,
         local_outputs,
         num_tables,
-        local_n,
-        emb_dim,
+        shape,
         wire,
     )
 }
@@ -339,7 +266,7 @@ pub fn forward_exchange(
 /// Blocking backward exchange. Returns, for each *local* table (ascending
 /// global index), the assembled `GN×E` gradient (rank slices stacked in
 /// rank order).
-#[allow(clippy::too_many_arguments)] // mirror of the split-phase begin
+#[allow(clippy::too_many_arguments)] // frozen public signature
 pub fn backward_exchange(
     strategy: ExchangeStrategy,
     comm: &Communicator,
@@ -350,15 +277,15 @@ pub fn backward_exchange(
     emb_dim: usize,
     wire: WirePrecision,
 ) -> Vec<Matrix> {
+    let engine = engine.filter(|_| strategy == ExchangeStrategy::CclAlltoall);
+    let shape = (local_n, emb_dim);
     exchange(
         Direction::Backward,
-        strategy,
         comm,
         engine,
         grads,
         num_tables,
-        local_n,
-        emb_dim,
+        shape,
         wire,
     )
 }
@@ -520,7 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn split_phase_reuses_output_allocations() {
+    fn assembly_reuses_output_allocations() {
         // Two rounds through the same output vector: the second round must
         // write into the first round's matrices, not fresh ones.
         let (nranks, num_tables, local_n, e) = (2usize, 4usize, 2usize, 3usize);
@@ -534,21 +461,11 @@ mod tests {
             let map = OwnershipMap::round_robin(num_tables, nranks);
             let mut out = Vec::new();
             for round in 0..2 {
-                let pending = begin(
-                    Direction::Forward,
-                    ExchangeStrategy::Alltoall,
-                    &comm,
-                    None,
-                    &map,
-                    &outputs,
-                    local_n,
-                    e,
-                    WirePrecision::Fp32,
-                    None,
-                );
+                let send = pack(Direction::Forward, &map, me, &outputs, (local_n, e));
+                let recv = dlrm_comm::collectives::alltoall(&comm, send);
                 let ptrs: Vec<*const f32> =
                     out.iter().map(|m: &Matrix| m.as_slice().as_ptr()).collect();
-                finish(pending, &comm, &map, &mut out, None);
+                assemble(Direction::Forward, &map, me, &recv, (local_n, e), &mut out);
                 if round > 0 {
                     for (m, p) in out.iter().zip(&ptrs) {
                         assert!(

@@ -20,7 +20,9 @@
 //! The headline correctness property — verified by this crate's tests and
 //! the workspace integration tests — is that **every strategy at every
 //! rank count reproduces the single-process model's loss trajectory** on
-//! the same global batches (up to float-summation reassociation).
+//! the same global batches: at R = 1 bitwise, losses and every parameter
+//! plane (`tests/one_rank_step.rs`); at R > 1 up to the reassociation of
+//! the summed gradients across ranks.
 //!
 //! [`DistDlrm`] is the hybrid-parallel boundary of the one train step
 //! (`dlrm::step`, DESIGN.md §18). The boundary's collectives run under
@@ -45,7 +47,7 @@ pub mod exchange;
 pub mod prefetch;
 pub mod wirepolicy;
 
-pub use bucketing::{BucketPlan, BucketReducer, DEFAULT_BUCKET_CAP_BYTES};
+pub use bucketing::{BucketPlan, DEFAULT_BUCKET_CAP_BYTES};
 pub use characteristics::DistCharacteristics;
 pub use distributed::{
     run_ranks, run_training, run_training_with_chaos, AllreduceWire, DistDlrm, DistOptions,

@@ -30,10 +30,10 @@
 //! 4. **Fan out locally**: every table's slice is pooled from cached rows
 //!    in exactly `forward_serial`'s accumulate order — bitwise equal to
 //!    the pooled outputs the naive exchange would have delivered.
-//! 5. **Early fetch** for batch `j+1`, issued on the engine's exchange
-//!    channel while backward compute runs (the split-phase pattern of
-//!    [`crate::bucketing`]); blocking strategies run it inline — same
-//!    bytes, same values, no overlap.
+//! 5. **Early fetch** for batch `j+1`: with an engine it flies on the
+//!    exchange channel behind backward compute; without one it runs on the
+//!    rank thread at step `j+1`'s landing; `Schedule::Synchronous`
+//!    completes it where it is issued. Same bytes, same values either way.
 //! 6. Backward + the **unchanged** gradient exchanges and bucketed
 //!    allreduce.
 //! 7. **Delayed updates**: the owner applies the canonical sparse update
@@ -66,12 +66,11 @@
 //! [`EmbeddingLayer::set_saved_batch`]: dlrm::embedding_layer::EmbeddingLayer::set_saved_batch
 //! [`TAG_PREFETCH`]: dlrm_comm::collectives::TAG_PREFETCH
 
-use crate::exchange::{tables_of, EXCHANGE_CHANNEL};
+use crate::distributed::Links;
+use crate::exchange::tables_of;
 use dlrm::embedding_layer::EmbeddingLayer;
 use dlrm_comm::collectives::{alltoall_wire_tagged, TAG_PREFETCH};
-use dlrm_comm::nonblocking::{ProgressEngine, Request};
-use dlrm_comm::wire::WirePrecision;
-use dlrm_comm::world::Communicator;
+use dlrm_comm::nonblocking::Pending;
 use dlrm_comm::{time_opt, OpKind, TimingRecorder};
 use dlrm_data::{DlrmConfig, LookaheadWindow, MiniBatch};
 use dlrm_kernels::embedding::{rowops, DedupPlan, RowStore};
@@ -239,17 +238,12 @@ impl NeedTracker {
     }
 }
 
-/// An early fetch in flight between steps.
-enum PendingFetch {
-    /// Genuinely in flight on the progress engine's exchange channel.
-    InFlight(Request),
-    /// Already completed (blocking strategies run the fetch inline).
-    Ready(Vec<Vec<f32>>),
-}
-
 /// Per-rank state of the lookahead pipeline (held by
 /// [`DistDlrm`](crate::distributed::DistDlrm) when prefetch is enabled).
 pub(crate) struct PrefetchState {
+    /// This rank and the world size.
+    me: usize,
+    nranks: usize,
     window: usize,
     /// Current step (== the window cursor position).
     step: u32,
@@ -276,14 +270,14 @@ pub(crate) struct PrefetchState {
     /// Shared dedup scratch (grow-only).
     dedup: DedupPlan,
     /// Early fetch issued during the previous step, if any.
-    pending_early: Option<PendingFetch>,
+    pending_early: Option<Pending>,
     isa: Isa,
 }
 
-/// The lookups of rank `p`'s bag slice of batch `b` for table `t`.
+/// The lookups of rank `p`'s (of `nranks`) bag slice of batch `b`, table `t`.
 #[inline]
-fn slice_lookups(b: &MiniBatch, t: usize, p: usize, n: usize) -> &[u32] {
-    let off = &b.offsets[t];
+fn slice_lookups(b: &MiniBatch, t: usize, p: usize, nranks: usize) -> &[u32] {
+    let (off, n) = (&b.offsets[t], b.batch_size() / nranks);
     &b.indices[t][off[p * n]..off[(p + 1) * n]]
 }
 
@@ -295,6 +289,8 @@ impl PrefetchState {
         let rows = |t: usize| cfg.table_rows[t] as usize;
         let owned = tables_of(s, nranks, me);
         PrefetchState {
+            me,
+            nranks,
             window,
             step: 0,
             next_observe: 0,
@@ -346,110 +342,91 @@ impl PrefetchState {
         trackers + caches + maps + self.dedup.scratch_bytes()
     }
 
-    /// Phase 0: folds every newly visible batch (`index ≤ step + window`)
-    /// into all trackers' need horizons.
-    pub(crate) fn observe_visible(&mut self, win: &LookaheadWindow<'_>, n: usize) {
-        while self.next_observe <= self.step as usize + self.window {
-            let k = self.next_observe - self.step as usize;
-            if let Some(b) = win.peek(k) {
+    /// Phases 0–3 of step `j` (the window's current batch): folds every
+    /// newly visible batch (`index ≤ j + window`) into all trackers' need
+    /// horizons, lands the early fetch issued during step `j−1`, fetches
+    /// the rows still missing (late fetch) and records batch `j`'s touches.
+    pub(crate) fn fetch(
+        &mut self,
+        win: &LookaheadWindow<'_>,
+        local_tables: &[(usize, EmbeddingLayer)],
+        links: &Links,
+        rec: Option<&TimingRecorder>,
+    ) {
+        let (j, global, r) = (self.step, win.current(), self.nranks);
+        while self.next_observe <= j as usize + self.window {
+            if let Some(b) = win.peek(self.next_observe - j as usize) {
                 let bs = self.next_observe as u32;
-                for (t, tr) in self.dest_trackers.iter_mut().enumerate() {
-                    tr.observe(bs, slice_lookups(b, t, tr.dest, n), &mut self.dedup);
-                }
-                for (lt, per_dest) in self.owner_trackers.iter_mut().enumerate() {
-                    let t = self.owned[lt];
-                    for tr in per_dest.iter_mut() {
-                        tr.observe(bs, slice_lookups(b, t, tr.dest, n), &mut self.dedup);
-                    }
-                }
+                self.each_tracker(|t, tr, dedup| {
+                    tr.observe(bs, slice_lookups(b, t, tr.dest, r), dedup)
+                });
             }
             self.next_observe += 1;
         }
-    }
-
-    /// Phase 1: waits for (or unwraps) the early fetch issued during the
-    /// previous step and lands its rows in the cache.
-    pub(crate) fn land_early_fetch(
-        &mut self,
-        nranks: usize,
-        e: usize,
-        rec: Option<&TimingRecorder>,
-    ) {
-        let Some(pending) = self.pending_early.take() else {
-            return;
-        };
-        let recv = match pending {
-            PendingFetch::Ready(recv) => recv,
-            PendingFetch::InFlight(req) => req.wait_per_rank(rec, OpKind::AlltoallWait),
-        };
-        let lists = std::mem::take(&mut self.early_lists);
-        self.unpack(&recv, &lists, nranks, e);
-        self.early_lists = lists;
-    }
-
-    /// Phase 2: fetches the unique not-validly-cached rows of this rank's
-    /// step-`j` slice from their owners (blocking — these rows are needed
-    /// by the forward fan-out immediately). Owners pack canonical current
-    /// weights; every rank participates symmetrically (empty payloads
-    /// cost zero wire bytes).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn late_fetch(
-        &mut self,
-        j: u32,
-        global: &MiniBatch,
-        me: usize,
-        nranks: usize,
-        n: usize,
-        local_tables: &[(usize, EmbeddingLayer)],
-        comm: &Communicator,
-        wire: WirePrecision,
-        rec: Option<&TimingRecorder>,
-    ) {
-        // Destination side: decide what I need.
-        let mut lists = std::mem::take(&mut self.late_lists);
-        for (t, tr) in self.dest_trackers.iter_mut().enumerate() {
-            tr.build_late_list(
-                j,
-                slice_lookups(global, t, me, n),
-                &mut self.dedup,
-                &mut lists[t],
-            );
+        if let Some(op) = self.pending_early.take() {
+            let recv = op.received(&links.comm, rec);
+            self.unpack(&recv, FetchKind::Early);
         }
-        // Owner side: replicate every destination's decision and pack.
-        let send = time_opt(rec, OpKind::AlltoallFramework, || {
-            self.pack_fetch(j, global, n, nranks, local_tables, FetchKind::Late)
-        });
-        let recv = time_opt(rec, OpKind::AlltoallWait, || {
-            alltoall_wire_tagged(comm, send, wire, TAG_PREFETCH, 0)
-        });
-        let e = self.caches[0].width();
-        self.unpack(&recv, &lists, nranks, e);
-        self.late_lists = lists;
-    }
-
-    /// Phase 3: records batch `j`'s touches in the shared touch marks and
-    /// every tracker's foreign marks.
-    pub(crate) fn record_touches(&mut self, j: u32, global: &MiniBatch, n: usize) {
+        self.late_fetch(global, local_tables, links, rec);
+        // Batch j's touches: the shared touch marks, every foreign mark.
+        let n = global.batch_size() / r;
         for (t, touch) in self.touch_mark.iter_mut().enumerate() {
             for &row in &global.indices[t] {
                 touch[row as usize] = j + 1;
             }
         }
+        self.each_tracker(|t, tr, _| {
+            tr.record_touches(j, &global.indices[t], &global.offsets[t], n)
+        });
+    }
+
+    /// Calls `f(table, tracker, dedup scratch)` on every tracker: this
+    /// rank's own, then the owner-side replicas.
+    fn each_tracker(&mut self, mut f: impl FnMut(usize, &mut NeedTracker, &mut DedupPlan)) {
         for (t, tr) in self.dest_trackers.iter_mut().enumerate() {
-            tr.record_touches(j, &global.indices[t], &global.offsets[t], n);
+            f(t, tr, &mut self.dedup);
         }
         for (lt, per_dest) in self.owner_trackers.iter_mut().enumerate() {
-            let t = self.owned[lt];
-            for tr in per_dest.iter_mut() {
-                tr.record_touches(j, &global.indices[t], &global.offsets[t], n);
+            for tr in per_dest {
+                f(self.owned[lt], tr, &mut self.dedup);
             }
         }
+    }
+
+    /// Phase 2: fetches the unique not-validly-cached rows of this rank's
+    /// step-`j` slice from their owners, on the rank thread — the forward
+    /// fan-out pools them at once. Owners pack canonical current weights;
+    /// every rank participates symmetrically (empty payloads cost zero
+    /// wire bytes).
+    fn late_fetch(
+        &mut self,
+        global: &MiniBatch,
+        local_tables: &[(usize, EmbeddingLayer)],
+        links: &Links,
+        rec: Option<&TimingRecorder>,
+    ) {
+        // Destination side: decide what I need.
+        let (j, me, r) = (self.step, self.me, self.nranks);
+        for (t, tr) in self.dest_trackers.iter_mut().enumerate() {
+            let list = &mut self.late_lists[t];
+            tr.build_late_list(j, slice_lookups(global, t, me, r), &mut self.dedup, list);
+        }
+        // Owner side: replicate every destination's decision and pack.
+        let send = time_opt(rec, OpKind::AlltoallFramework, || {
+            self.pack_fetch(global, local_tables, FetchKind::Late)
+        });
+        let wire = links.wire.forward_alltoall;
+        let recv = time_opt(rec, OpKind::AlltoallWait, || {
+            alltoall_wire_tagged(&links.comm, send, wire, TAG_PREFETCH, 0)
+        });
+        self.unpack(&recv, FetchKind::Late);
     }
 
     /// Phase 4: pools every table's local slice from cached rows, in
     /// `forward_serial`'s exact accumulate order — the local fan-out that
     /// replaces the pooled forward alltoall.
-    pub(crate) fn pool_forward(&self, global: &MiniBatch, me: usize, n: usize, out: &mut [Matrix]) {
+    pub(crate) fn pool_forward(&self, global: &MiniBatch, out: &mut [Matrix]) {
+        let (me, n) = (self.me, global.batch_size() / self.nranks);
         for (t, out_t) in out.iter_mut().enumerate() {
             let cache = &self.caches[t];
             let slot_of = &self.slot_of[t];
@@ -471,53 +448,29 @@ impl PrefetchState {
     /// Phase 5: issues the early fetch for batch `j+1` — rows the window
     /// shows are needed next step, not validly cached, and untouched by
     /// batch `j` (so the owner's pre-update pack is already the value the
-    /// next step must see). On the CCL backend the exchange goes out on
-    /// the engine's exchange channel and flies behind backward compute;
-    /// blocking strategies run it inline.
-    #[allow(clippy::too_many_arguments)]
+    /// next step must see) — through `links`, to land at step `j+1`.
     pub(crate) fn issue_early_fetch(
         &mut self,
-        j: u32,
         win: &LookaheadWindow<'_>,
-        me: usize,
-        nranks: usize,
-        n: usize,
         local_tables: &[(usize, EmbeddingLayer)],
-        comm: &Communicator,
-        engine: Option<&ProgressEngine>,
-        wire: WirePrecision,
+        links: &Links,
         rec: Option<&TimingRecorder>,
     ) {
         debug_assert!(self.pending_early.is_none());
         let Some(next) = win.peek(1) else {
             return; // stream drains: nothing to prefetch, all ranks agree
         };
-        let mut lists = std::mem::take(&mut self.early_lists);
+        let (j, me, r) = (self.step, self.me, self.nranks);
         for (t, tr) in self.dest_trackers.iter_mut().enumerate() {
-            tr.build_early_list(
-                j,
-                slice_lookups(next, t, me, n),
-                &self.touch_mark[t],
-                &mut self.dedup,
-                &mut lists[t],
-            );
+            let (touch, list) = (&self.touch_mark[t], &mut self.early_lists[t]);
+            let slice = slice_lookups(next, t, me, r);
+            tr.build_early_list(j, slice, touch, &mut self.dedup, list);
         }
-        self.early_lists = lists;
         let send = time_opt(rec, OpKind::AlltoallFramework, || {
-            self.pack_fetch(j, next, n, nranks, local_tables, FetchKind::Early)
+            self.pack_fetch(next, local_tables, FetchKind::Early)
         });
-        self.pending_early = Some(match engine {
-            Some(eng) => PendingFetch::InFlight(eng.alltoall_wire_tagged(
-                EXCHANGE_CHANNEL,
-                send,
-                wire,
-                TAG_PREFETCH,
-                0,
-            )),
-            None => PendingFetch::Ready(time_opt(rec, OpKind::AlltoallWait, || {
-                alltoall_wire_tagged(comm, send, wire, TAG_PREFETCH, 0)
-            })),
-        });
+        let wire = links.wire.forward_alltoall;
+        self.pending_early = Some(links.alltoall(send, wire, TAG_PREFETCH, 0, rec));
     }
 
     /// Phase 7 (destination half): replays this rank's slice of the
@@ -528,11 +481,10 @@ impl PrefetchState {
     pub(crate) fn apply_local_updates(
         &mut self,
         global: &MiniBatch,
-        me: usize,
-        n: usize,
         d_tables: &[Matrix],
         emb_lr: f32,
     ) {
+        let (me, n) = (self.me, global.batch_size() / self.nranks);
         for (t, dy) in d_tables.iter().enumerate() {
             let cache = &mut self.caches[t];
             let slot_of = &self.slot_of[t];
@@ -551,7 +503,8 @@ impl PrefetchState {
 
     /// Phase 8: drains step `j`'s expiry buckets on every tracker,
     /// releasing destination cache slots, then advances the step.
-    pub(crate) fn finish_step(&mut self, j: u32) {
+    pub(crate) fn finish_step(&mut self) {
+        let j = self.step;
         for (t, tr) in self.dest_trackers.iter_mut().enumerate() {
             let cache = &mut self.caches[t];
             let slot_of = &mut self.slot_of[t];
@@ -577,13 +530,11 @@ impl PrefetchState {
     /// no index metadata crosses the wire.
     fn pack_fetch(
         &mut self,
-        j: u32,
         batch: &MiniBatch,
-        n: usize,
-        nranks: usize,
         local_tables: &[(usize, EmbeddingLayer)],
         kind: FetchKind,
     ) -> Vec<Vec<f32>> {
+        let (j, nranks) = (self.step, self.nranks);
         let mut send: Vec<Vec<f32>> = (0..nranks).map(|_| Vec::new()).collect();
         let mut list = Vec::new();
         for (lt, per_dest) in self.owner_trackers.iter_mut().enumerate() {
@@ -591,7 +542,7 @@ impl PrefetchState {
             debug_assert_eq!(local_tables[lt].0, t);
             let weight = &local_tables[lt].1.weight;
             for (p, tr) in per_dest.iter_mut().enumerate() {
-                let slice = slice_lookups(batch, t, p, n);
+                let slice = slice_lookups(batch, t, p, nranks);
                 match kind {
                     FetchKind::Late => tr.build_late_list(j, slice, &mut self.dedup, &mut list),
                     FetchKind::Early => tr.build_early_list(
@@ -613,8 +564,12 @@ impl PrefetchState {
     /// Destination-side unpack: walks owners in rank order and their
     /// tables in ascending order, landing each listed row in the cache —
     /// the mirror image of [`PrefetchState::pack_fetch`].
-    fn unpack(&mut self, recv: &[Vec<f32>], lists: &[Vec<u32>], nranks: usize, e: usize) {
-        let s = self.caches.len();
+    fn unpack(&mut self, recv: &[Vec<f32>], kind: FetchKind) {
+        let (s, nranks, e) = (self.caches.len(), self.nranks, self.caches[0].width());
+        let lists = match kind {
+            FetchKind::Late => &self.late_lists,
+            FetchKind::Early => &self.early_lists,
+        };
         for (o, buf) in recv.iter().enumerate() {
             let mut cur = 0usize;
             // Owner o's tables in ascending order (round-robin placement),
@@ -642,7 +597,7 @@ impl PrefetchState {
     }
 }
 
-/// Which list builder [`PrefetchState::pack_fetch`] replays.
+/// Which fetch [`PrefetchState::pack_fetch`] packs and [`PrefetchState::unpack`] lands.
 #[derive(Clone, Copy)]
 enum FetchKind {
     Late,
